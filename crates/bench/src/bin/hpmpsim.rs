@@ -1109,8 +1109,8 @@ fn run_workload<S: TraceSink>(
                 TeeFlavor::PenglaiPmpt => hpmp_machine::VirtScheme::PmpTable,
                 TeeFlavor::PenglaiHpmp => hpmp_machine::VirtScheme::Hpmp,
             };
-            let (result, snap) = hpmp_workloads::virt_app::run_guest_kv_with_sink(
-                options.core,
+            let (result, snap) = hpmp_workloads::virt_app::run_guest_kv_with_config(
+                config,
                 scheme,
                 hpmp_workloads::virt_app::GUEST_DATASET_PAGES,
                 500,

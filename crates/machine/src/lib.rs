@@ -25,12 +25,14 @@
 
 mod machine;
 mod multihart;
+mod pipeline;
 mod setup;
 mod threaded;
 mod virt;
 
 pub use machine::{AccessOutcome, Fault, Machine, MachineConfig, MachineStats, RefBreakdown};
 pub use multihart::{HartScheduler, MultiHartMachine};
+pub use pipeline::AccessPipeline;
 pub use setup::{IsolationScheme, ScatteredPtFrames, System, SystemBuilder};
 pub use threaded::{ExecBackend, SpscMailbox};
 pub use virt::{VirtAccessOutcome, VirtMachine, VirtRefBreakdown, VirtScheme};

@@ -1,108 +1,24 @@
-//! The simulated machine: TLB → PTW → HPMP checker → cache hierarchy.
+//! The native machine: TLB → PTW → HPMP checker → cache hierarchy
+//! (Figures 2/4).
 //!
-//! [`Machine::access`] reproduces the paper's Figure 2/Figure 4 reference
-//! sequences exactly:
-//!
-//! * TLB hit (with permission inlining): one data reference, no permission
-//!   walk — identical latency for every isolation scheme (TC4).
-//! * TLB miss: for each PT-page reference of the radix walk, a permission
-//!   check (0 refs in segment mode, up to `depth` pmpte reads in table
-//!   mode), then the PTE read; finally the permission check for the data
-//!   page and the data reference itself.
-//!
-//! Every reference is pushed through the shared [`MemSystem`], so warm/cold
-//! behaviour (TC1–TC3), pmpte cache-line sharing, and DRAM row locality all
-//! emerge rather than being hard-coded.
-//!
-//! The machine is generic over a [`TraceSink`]: with the default
-//! [`NullSink`] every emission site compiles away (the `S::ENABLED`
-//! constant is false, so the event-building branches are dead code), and
-//! with a recording sink each access produces one [`WalkEvent`] whose
-//! per-step cycles sum exactly to the access's cycle count. Tracing never
-//! changes a cycle result.
+//! [`Machine`] is the shared [`AccessPipeline`] run over the native
+//! translation stage, [`NativeStage`]: split D-/I-TLBs, the page-walk
+//! cache and the Sv39/48/57 radix walker over an [`AddressSpace`]. The
+//! pipeline supplies the access sequence, the checks, the accounting and
+//! the trace events (see [`crate::pipeline`]); this module adds what is
+//! native-only: the reference categories of Figures 2/4, the hart and
+//! world stamps, `sfence.vma`, fence-robust isolation invalidation and
+//! IOPMP-checked DMA.
 
-use hpmp_core::{EntryPlan, HpmpRegFile, PmptwCache, PmptwCacheConfig};
-use hpmp_memsim::{
-    AccessKind, CoreModel, HitLevel, MemSystem, MemSystemConfig, PhysAddr, PhysMem, PrivMode,
-    VirtAddr,
-};
+use hpmp_core::{HpmpRegFile, PmptwCacheConfig};
+use hpmp_memsim::{AccessKind, CoreModel, MemSystemConfig, PhysAddr, PhysMem, PrivMode, VirtAddr};
 use hpmp_paging::{
-    apply_translation, walk, AddressSpace, Tlb, TlbConfig, TlbEntry, TlbHit, WalkCache,
-    WalkCacheConfig,
+    walk, AddressSpace, Tlb, TlbConfig, TlbHit, Translation, WalkCache, WalkCacheConfig, WalkResult,
 };
-use hpmp_trace::{
-    AccessClass, AccessOp, CounterId, FaultCause, LatencyHistograms, LatencyHistogramsWiring,
-    MetricsRegistry, NullSink, PmptwOutcome, PrivLevel, Snapshot, StepKind, TlbOutcome, TraceSink,
-    WalkEvent, WalkStep, World,
-};
+use hpmp_trace::{CounterId, MetricsRegistry, NullSink, StepKind, TraceSink, World};
 
-/// Why an access failed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Fault {
-    /// No valid translation for the virtual address.
-    PageFault(VirtAddr),
-    /// The page-table permission did not allow the access.
-    PtePermission(VirtAddr),
-    /// The isolation layer denied a PT-page reference during the walk.
-    IsolationOnPtPage(PhysAddr),
-    /// The isolation layer denied the data reference.
-    IsolationOnData(PhysAddr),
-    /// A pmpte read during the permission walk failed its integrity check
-    /// (reserved bits set or parity mismatch). The checker fails closed:
-    /// the access is denied and the corruption is surfaced as its own
-    /// fault cause so the monitor can quarantine and rebuild rather than
-    /// treat it as a policy denial.
-    CorruptPmpte(PhysAddr),
-}
-
-impl Fault {
-    /// The structured trace cause for this fault.
-    pub fn cause(&self) -> FaultCause {
-        match self {
-            Fault::PageFault(_) => FaultCause::PageFault,
-            Fault::PtePermission(_) => FaultCause::PtePermission,
-            Fault::IsolationOnPtPage(_) => FaultCause::IsolationOnPtPage,
-            Fault::IsolationOnData(_) => FaultCause::IsolationOnData,
-            Fault::CorruptPmpte(_) => FaultCause::CorruptPmpte,
-        }
-    }
-}
-
-impl std::fmt::Display for Fault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Fault::PageFault(va) => write!(f, "page fault at {va}"),
-            Fault::PtePermission(va) => write!(f, "PTE permission fault at {va}"),
-            Fault::IsolationOnPtPage(pa) => {
-                write!(f, "isolation fault on PT page at {pa}")
-            }
-            Fault::IsolationOnData(pa) => write!(f, "isolation fault on data at {pa}"),
-            Fault::CorruptPmpte(pa) => {
-                write!(f, "corrupt pmpte encountered checking {pa}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for Fault {}
-
-/// The trace operation for a memsim access kind.
-fn op_of(kind: AccessKind) -> AccessOp {
-    match kind {
-        AccessKind::Read => AccessOp::Read,
-        AccessKind::Write => AccessOp::Write,
-        AccessKind::Fetch => AccessOp::Fetch,
-    }
-}
-
-/// The trace privilege level for a memsim privilege mode.
-fn priv_of(mode: PrivMode) -> PrivLevel {
-    match mode {
-        PrivMode::User => PrivLevel::User,
-        PrivMode::Supervisor => PrivLevel::Supervisor,
-        PrivMode::Machine => PrivLevel::Machine,
-    }
-}
+pub use crate::pipeline::Fault;
+use crate::pipeline::{AccessPipeline, RefLedger, StageWalk, TranslationStage};
 
 /// Per-access breakdown of memory references, mirroring the squares and
 /// circles of Figures 2 and 4.
@@ -122,6 +38,45 @@ impl RefBreakdown {
     /// Total memory references for the access.
     pub fn total(&self) -> u64 {
         self.pt_reads + self.data_reads + self.pmpte_for_pt + self.pmpte_for_data
+    }
+}
+
+impl RefLedger for RefBreakdown {
+    const NAMES: &'static [&'static str] =
+        &["pt_reads", "data_reads", "pmpte_for_pt", "pmpte_for_data"];
+
+    fn counts(&self) -> impl IntoIterator<Item = u64> {
+        [
+            self.pt_reads,
+            self.data_reads,
+            self.pmpte_for_pt,
+            self.pmpte_for_data,
+        ]
+    }
+
+    fn from_counts(c: &[u64]) -> RefBreakdown {
+        RefBreakdown {
+            pt_reads: c[0],
+            data_reads: c[1],
+            pmpte_for_pt: c[2],
+            pmpte_for_data: c[3],
+        }
+    }
+
+    fn reads(&mut self, step: StepKind) -> &mut u64 {
+        if step == StepKind::Data {
+            &mut self.data_reads
+        } else {
+            &mut self.pt_reads
+        }
+    }
+
+    fn pmptes(&mut self, guarded: StepKind) -> &mut u64 {
+        if guarded == StepKind::Data {
+            &mut self.pmpte_for_data
+        } else {
+            &mut self.pmpte_for_pt
+        }
     }
 }
 
@@ -166,98 +121,9 @@ impl MachineStats {
     pub fn issued_refs(&self) -> u64 {
         self.refs.total() + self.aborted_refs + self.dma_refs
     }
-
-    /// Publishes every counter into `reg` under `prefix`. The reference
-    /// breakdown exports both its total (at `<prefix>.refs`) and each
-    /// component (`<prefix>.refs.pt_reads`, …).
-    pub fn export(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        reg.set(format!("{prefix}.accesses"), self.accesses);
-        reg.set(format!("{prefix}.cycles"), self.cycles);
-        reg.set(format!("{prefix}.faults"), self.faults);
-        reg.set(format!("{prefix}.walks"), self.walks);
-        reg.set(format!("{prefix}.aborted_refs"), self.aborted_refs);
-        reg.set(format!("{prefix}.dma_refs"), self.dma_refs);
-        reg.set(format!("{prefix}.refs"), self.refs.total());
-        reg.set(format!("{prefix}.refs.pt_reads"), self.refs.pt_reads);
-        reg.set(format!("{prefix}.refs.data_reads"), self.refs.data_reads);
-        reg.set(
-            format!("{prefix}.refs.pmpte_for_pt"),
-            self.refs.pmpte_for_pt,
-        );
-        reg.set(
-            format!("{prefix}.refs.pmpte_for_data"),
-            self.refs.pmpte_for_data,
-        );
-    }
 }
 
-/// Interned counter handles for everything a [`Machine`] accounts: its own
-/// counters plus every sub-component's, wired once at construction so the
-/// per-access bookkeeping is a `Vec<u64>` index bump — counter names are
-/// only materialized again when [`Machine::metrics_snapshot`] is taken.
-#[derive(Clone, Debug)]
-struct MachineWiring {
-    accesses: CounterId,
-    cycles: CounterId,
-    faults: CounterId,
-    walks: CounterId,
-    aborted_refs: CounterId,
-    dma_refs: CounterId,
-    refs_total: CounterId,
-    pt_reads: CounterId,
-    data_reads: CounterId,
-    pmpte_for_pt: CounterId,
-    pmpte_for_data: CounterId,
-    dtlb: hpmp_paging::TlbStatsIds,
-    itlb: hpmp_paging::TlbStatsIds,
-    pwc: hpmp_paging::WalkCacheStatsIds,
-    pmptw_cache: hpmp_core::PmptwCacheStatsIds,
-    mem: hpmp_memsim::MemSystemStatsIds,
-    latency: LatencyHistogramsWiring,
-}
-
-impl MachineWiring {
-    fn wire(reg: &mut MetricsRegistry) -> MachineWiring {
-        MachineWiring {
-            accesses: reg.counter("machine.accesses"),
-            cycles: reg.counter("machine.cycles"),
-            faults: reg.counter("machine.faults"),
-            walks: reg.counter("machine.walks"),
-            aborted_refs: reg.counter("machine.aborted_refs"),
-            dma_refs: reg.counter("machine.dma_refs"),
-            refs_total: reg.counter("machine.refs"),
-            pt_reads: reg.counter("machine.refs.pt_reads"),
-            data_reads: reg.counter("machine.refs.data_reads"),
-            pmpte_for_pt: reg.counter("machine.refs.pmpte_for_pt"),
-            pmpte_for_data: reg.counter("machine.refs.pmpte_for_data"),
-            dtlb: hpmp_paging::TlbStatsIds::wire(reg, "machine.dtlb"),
-            itlb: hpmp_paging::TlbStatsIds::wire(reg, "machine.itlb"),
-            pwc: hpmp_paging::WalkCacheStatsIds::wire(reg, "machine.pwc"),
-            pmptw_cache: hpmp_core::PmptwCacheStatsIds::wire(reg, "machine.pmptw_cache"),
-            mem: hpmp_memsim::MemSystemStatsIds::wire(reg, "machine.mem"),
-            latency: LatencyHistogramsWiring::wire(reg, "machine.latency"),
-        }
-    }
-
-    /// The machine's own counters, for bulk reset.
-    fn own_ids(&self) -> [CounterId; 11] {
-        [
-            self.accesses,
-            self.cycles,
-            self.faults,
-            self.walks,
-            self.aborted_refs,
-            self.dma_refs,
-            self.refs_total,
-            self.pt_reads,
-            self.data_reads,
-            self.pmpte_for_pt,
-            self.pmpte_for_data,
-        ]
-    }
-}
-
-/// Configuration of a [`Machine`].
+/// Configuration of a [`Machine`] (and of a [`VirtMachine`](crate::VirtMachine)).
 #[derive(Clone, Copy, Debug)]
 pub struct MachineConfig {
     /// Core timing parameters.
@@ -307,6 +173,108 @@ impl MachineConfig {
     }
 }
 
+/// The native translation stage: split D-/I-TLBs (Table 1's "L1 I/D TLB
+/// 32 entries each"), the page-walk cache and the radix walker.
+#[derive(Clone, Debug)]
+pub struct NativeStage {
+    tlb: Tlb,
+    itlb: Tlb,
+    pwc: WalkCache,
+    suppress_fences: bool,
+    world: World,
+    hart_id: u16,
+}
+
+/// Counter handles for the native stage.
+#[derive(Clone, Debug)]
+pub struct NativeIds {
+    dtlb: hpmp_paging::TlbStatsIds,
+    itlb: hpmp_paging::TlbStatsIds,
+    pwc: hpmp_paging::WalkCacheStatsIds,
+    dma_refs: CounterId,
+}
+
+impl StageWalk for WalkResult {
+    fn refs(&self) -> impl Iterator<Item = (PhysAddr, StepKind, u8)> + '_ {
+        self.pt_refs
+            .iter()
+            .map(|r| (r.addr, StepKind::Pt, r.level as u8))
+    }
+
+    fn translation(&self) -> Option<Translation> {
+        self.translation
+    }
+
+    fn pwc_level(&self) -> Option<u8> {
+        self.pwc_hit_level.map(|l| l as u8)
+    }
+}
+
+impl TranslationStage for NativeStage {
+    type Space = AddressSpace;
+    type Refs = RefBreakdown;
+    type Walk = WalkResult;
+    type Ids = NativeIds;
+    const PREFIX: &'static str = "machine";
+    const TLB_TAX: u64 = 0;
+    const CHARGES_L2_HIT: bool = true;
+
+    /// Fetches use the I-TLB; loads and stores the D-TLB. Both share the
+    /// walker, the checker and the cache hierarchy.
+    fn tlb(&mut self, kind: AccessKind) -> &mut Tlb {
+        if kind == AccessKind::Fetch {
+            &mut self.itlb
+        } else {
+            &mut self.tlb
+        }
+    }
+
+    fn asid(&self, space: &AddressSpace) -> u16 {
+        space.asid()
+    }
+
+    fn walk(&mut self, phys: &PhysMem, space: &AddressSpace, va: VirtAddr) -> WalkResult {
+        walk(phys, space, &mut self.pwc, va)
+    }
+
+    fn stamps(&self) -> (u16, World) {
+        (self.hart_id, self.world)
+    }
+
+    fn flush_all(&mut self) {
+        self.tlb.flush_all();
+        self.itlb.flush_all();
+        self.pwc.flush_all();
+    }
+
+    fn wire(reg: &mut MetricsRegistry) -> NativeIds {
+        NativeIds {
+            dtlb: hpmp_paging::TlbStatsIds::wire(reg, "machine.dtlb"),
+            itlb: hpmp_paging::TlbStatsIds::wire(reg, "machine.itlb"),
+            pwc: hpmp_paging::WalkCacheStatsIds::wire(reg, "machine.pwc"),
+            dma_refs: reg.counter("machine.dma_refs"),
+        }
+    }
+
+    fn store_stats(&self, reg: &mut MetricsRegistry, ids: &NativeIds, trace_dropped: u64) {
+        reg.set("machine.trace.dropped", trace_dropped);
+        self.tlb.stats().store(reg, &ids.dtlb);
+        self.itlb.stats().store(reg, &ids.itlb);
+        self.pwc.stats().store(reg, &ids.pwc);
+    }
+
+    fn reset_stats(&mut self, reg: &mut MetricsRegistry, ids: &NativeIds) {
+        reg.store(ids.dma_refs, 0);
+        self.tlb.reset_stats();
+        self.itlb.reset_stats();
+        self.pwc.reset_stats();
+    }
+
+    fn side_refs(reg: &MetricsRegistry, ids: &NativeIds) -> u64 {
+        reg.get(ids.dma_refs)
+    }
+}
+
 /// A simulated core + MMU + HPMP + memory system.
 ///
 /// The isolation *scheme* is not a field: it is whatever the HPMP register
@@ -316,33 +284,9 @@ impl MachineConfig {
 ///
 /// The `S` parameter selects the trace sink. The default [`NullSink`]
 /// machine ([`Machine::new`]) records nothing and pays nothing; a machine
-/// built with [`Machine::with_sink`] emits one [`WalkEvent`] per access.
-#[derive(Clone, Debug)]
-pub struct Machine<S: TraceSink = NullSink> {
-    core: CoreModel,
-    mem_sys: MemSystem,
-    phys: PhysMem,
-    tlb: Tlb,
-    itlb: Tlb,
-    pwc: WalkCache,
-    pmptw_cache: PmptwCache,
-    regs: HpmpRegFile,
-    /// Pre-decoded permission-check plan over `regs`, rebuilt lazily
-    /// whenever the register file's generation stamp moves. All hot-path
-    /// isolation checks go through this plan so a whole walk's per-step
-    /// checks are one pass over pre-decoded matching entries instead of
-    /// re-decoding every register each time.
-    check_plan: EntryPlan,
-    tlb_inlining: bool,
-    suppress_fences: bool,
-    metrics: MetricsRegistry,
-    ids: MachineWiring,
-    hists: LatencyHistograms,
-    sink: S,
-    world: World,
-    seq: u64,
-    hart_id: u16,
-}
+/// built with [`Machine::with_sink`] emits one
+/// [`WalkEvent`](hpmp_trace::WalkEvent) per access.
+pub type Machine<S = NullSink> = AccessPipeline<NativeStage, S>;
 
 impl Machine {
     /// Builds a machine with empty physical memory, all HPMP entries off,
@@ -353,139 +297,47 @@ impl Machine {
 }
 
 impl<S: TraceSink> Machine<S> {
-    /// Builds a machine that records a [`WalkEvent`] per access into `sink`.
+    /// Builds a machine that records a [`WalkEvent`](hpmp_trace::WalkEvent)
+    /// per access into `sink`.
     pub fn with_sink(config: MachineConfig, sink: S) -> Machine<S> {
-        let mut metrics = MetricsRegistry::new();
-        let ids = MachineWiring::wire(&mut metrics);
-        Machine {
-            core: config.core,
-            mem_sys: MemSystem::new(config.mem),
-            phys: PhysMem::new(),
+        let stage = NativeStage {
             tlb: Tlb::new(config.tlb),
             itlb: Tlb::new(config.tlb),
             pwc: WalkCache::new(config.pwc),
-            pmptw_cache: PmptwCache::new(config.pmptw_cache),
-            regs: HpmpRegFile::with_entries(config.hpmp_entries),
-            check_plan: EntryPlan::default(),
-            tlb_inlining: config.tlb_inlining,
             suppress_fences: false,
-            metrics,
-            ids,
-            hists: LatencyHistograms::new(),
-            sink,
             world: World::Host,
-            seq: 0,
             hart_id: 0,
-        }
+        };
+        let regs = HpmpRegFile::with_entries(config.hpmp_entries);
+        AccessPipeline::assemble(&config, PhysMem::new(), regs, stage, sink)
     }
 
     /// The hart id stamped on emitted events (0 on single-hart machines).
     pub fn hart_id(&self) -> u16 {
-        self.hart_id
+        self.stage.hart_id
     }
 
     /// Sets the hart id stamped on emitted events. The multi-hart driver
     /// calls this once per hart at construction.
     pub fn set_hart_id(&mut self, hart: u16) {
-        self.hart_id = hart;
-    }
-
-    /// Charges cycles that were spent outside the walk path — IPI traps,
-    /// remote reprogramming, fence stalls — into this machine's cycle
-    /// counter so per-hart totals include synchronization overhead.
-    pub fn charge_cycles(&mut self, cycles: u64) {
-        self.metrics.bump(self.ids.cycles, cycles);
-    }
-
-    /// The hot-path isolation check: runs against the cached
-    /// [`EntryPlan`], rebuilding it first iff any register mutated since
-    /// the plan was decoded (CSR writes are orders of magnitude rarer
-    /// than checks). Observably identical to `self.regs.check(...)`.
-    #[inline]
-    fn planned_check(
-        &mut self,
-        addr: PhysAddr,
-        kind: AccessKind,
-        mode: PrivMode,
-    ) -> hpmp_core::CheckOutcome {
-        if self.check_plan.generation() != self.regs.generation() {
-            self.check_plan = self.regs.plan();
-        }
-        self.check_plan
-            .check(&self.phys, &mut self.pmptw_cache, addr, kind, mode)
-    }
-
-    /// The core timing model.
-    pub fn core(&self) -> &CoreModel {
-        &self.core
-    }
-
-    /// Simulated physical memory (for building page tables and PMP tables).
-    pub fn phys(&self) -> &PhysMem {
-        &self.phys
-    }
-
-    /// Mutable access to simulated physical memory.
-    pub fn phys_mut(&mut self) -> &mut PhysMem {
-        &mut self.phys
-    }
-
-    /// The HPMP register file (M-mode software's view).
-    pub fn regs(&self) -> &HpmpRegFile {
-        &self.regs
-    }
-
-    /// Mutable access to the HPMP register file. The caller (the secure
-    /// monitor) must flush the TLB afterwards, as the paper requires —
-    /// [`Machine::sfence_vma_all`] — because permissions are inlined in TLB
-    /// entries.
-    pub fn regs_mut(&mut self) -> &mut HpmpRegFile {
-        &mut self.regs
-    }
-
-    /// The PMPTW-Cache (for stats inspection).
-    pub fn pmptw_cache(&self) -> &PmptwCache {
-        &self.pmptw_cache
-    }
-
-    /// The trace sink.
-    pub fn sink(&self) -> &S {
-        &self.sink
-    }
-
-    /// Mutable access to the trace sink (e.g. to drain a ring buffer).
-    pub fn sink_mut(&mut self) -> &mut S {
-        &mut self.sink
-    }
-
-    /// Consumes the machine, returning the sink (e.g. to finish a JSONL
-    /// file and inspect the writer).
-    pub fn into_sink(self) -> S {
-        self.sink
-    }
-
-    /// Flushes the trace sink (no-op for non-buffering sinks).
-    pub fn flush_sink(&mut self) {
-        self.sink.flush();
+        self.stage.hart_id = hart;
     }
 
     /// The world tag stamped on emitted events.
     pub fn world(&self) -> World {
-        self.world
+        self.stage.world
     }
 
     /// Sets the world tag; the secure monitor calls this on domain switch
     /// so events carry host/enclave attribution.
     pub fn set_world(&mut self, world: World) {
-        self.world = world;
+        self.stage.world = world;
     }
 
     /// Flushes all TLB, PWC and PMPTW-Cache state (`sfence.vma` +
     /// HPMP-reconfiguration flush).
     pub fn sfence_vma_all(&mut self) {
-        self.tlb.flush_all();
-        self.itlb.flush_all();
-        self.pwc.flush_all();
+        self.stage.flush_all();
         self.pmptw_cache.flush_all();
     }
 
@@ -502,10 +354,10 @@ impl<S: TraceSink> Machine<S> {
     /// [`Machine::set_fence_suppression`]; dropping it degrades to extra
     /// walks, never to a stale grant.
     pub fn invalidate_isolation(&mut self) {
-        self.tlb.advance_epoch();
-        self.itlb.advance_epoch();
+        self.stage.tlb.advance_epoch();
+        self.stage.itlb.advance_epoch();
         self.pmptw_cache.advance_epoch();
-        if !self.suppress_fences {
+        if !self.stage.suppress_fences {
             self.sfence_vma_all();
         }
     }
@@ -515,19 +367,19 @@ impl<S: TraceSink> Machine<S> {
     /// monitor whose invalidation path was interposed. The epoch half
     /// cannot be suppressed; it is what keeps suppression graceful.
     pub fn set_fence_suppression(&mut self, suppress: bool) {
-        self.suppress_fences = suppress;
+        self.stage.suppress_fences = suppress;
     }
 
     /// Whether the flush half of invalidation is currently suppressed.
     pub fn fence_suppressed(&self) -> bool {
-        self.suppress_fences
+        self.stage.suppress_fences
     }
 
     /// Flushes translation state for one ASID (`sfence.vma` with ASID).
     pub fn sfence_vma_asid(&mut self, asid: u16) {
-        self.tlb.flush_asid(asid);
-        self.itlb.flush_asid(asid);
-        self.pwc.flush_asid(asid);
+        self.stage.tlb.flush_asid(asid);
+        self.stage.itlb.flush_asid(asid);
+        self.stage.pwc.flush_asid(asid);
     }
 
     /// Flushes one page's translation (`sfence.vma` with address + ASID).
@@ -535,116 +387,34 @@ impl<S: TraceSink> Machine<S> {
     /// single-page unmap may invalidate at the leaf level only, but a
     /// conservative implementation (like ours) drops the ASID's entries.
     pub fn sfence_vma_page(&mut self, asid: u16, va: VirtAddr) {
-        self.tlb.flush_page(asid, va);
-        self.itlb.flush_page(asid, va);
-        self.pwc.flush_asid(asid);
-    }
-
-    /// Empties all caches and DRAM row buffers — the cold TC1 state.
-    pub fn flush_microarch(&mut self) {
-        self.mem_sys.flush_all();
-        self.sfence_vma_all();
+        self.stage.tlb.flush_page(asid, va);
+        self.stage.itlb.flush_page(asid, va);
+        self.stage.pwc.flush_asid(asid);
     }
 
     /// Aggregate counters, reconstructed from the interned registry (the
     /// live accounting is a `Vec<u64>` behind [`CounterId`] handles).
     pub fn stats(&self) -> MachineStats {
+        let t = self.totals();
         MachineStats {
-            accesses: self.metrics.get(self.ids.accesses),
-            cycles: self.metrics.get(self.ids.cycles),
-            refs: RefBreakdown {
-                pt_reads: self.metrics.get(self.ids.pt_reads),
-                data_reads: self.metrics.get(self.ids.data_reads),
-                pmpte_for_pt: self.metrics.get(self.ids.pmpte_for_pt),
-                pmpte_for_data: self.metrics.get(self.ids.pmpte_for_data),
-            },
-            faults: self.metrics.get(self.ids.faults),
-            walks: self.metrics.get(self.ids.walks),
-            aborted_refs: self.metrics.get(self.ids.aborted_refs),
-            dma_refs: self.metrics.get(self.ids.dma_refs),
+            accesses: t.accesses,
+            cycles: t.cycles,
+            refs: t.refs,
+            faults: t.faults,
+            walks: t.walks,
+            aborted_refs: t.aborted_refs,
+            dma_refs: self.metrics.get(self.stage_ids.dma_refs),
         }
     }
 
     /// D-TLB counters.
     pub fn tlb_stats(&self) -> hpmp_paging::TlbStats {
-        self.tlb.stats()
+        self.stage.tlb.stats()
     }
 
     /// I-TLB counters.
     pub fn itlb_stats(&self) -> hpmp_paging::TlbStats {
-        self.itlb.stats()
-    }
-
-    /// Memory-system counters.
-    pub fn mem_stats(&self) -> hpmp_memsim::MemSystemStats {
-        self.mem_sys.stats()
-    }
-
-    /// Per-access-class latency histograms (always recorded; reset by
-    /// [`Machine::reset_stats`]).
-    pub fn histograms(&self) -> &LatencyHistograms {
-        &self.hists
-    }
-
-    /// One snapshot unifying every counter the machine keeps: machine
-    /// totals, D-/I-TLB, PWC, PMPTW-Cache, the memory hierarchy, and the
-    /// per-class latency summaries, under dotted `machine.*` names.
-    pub fn metrics_snapshot(&mut self) -> Snapshot {
-        let refs_total = self.stats().refs.total();
-        self.metrics.store(self.ids.refs_total, refs_total);
-        // Lossy sinks (ring eviction, I/O failure) surface here instead of
-        // dropping events silently.
-        let trace_dropped = self.sink.dropped();
-        self.metrics.set("machine.trace.dropped", trace_dropped);
-        self.tlb.stats().store(&mut self.metrics, &self.ids.dtlb);
-        self.itlb.stats().store(&mut self.metrics, &self.ids.itlb);
-        self.pwc.stats().store(&mut self.metrics, &self.ids.pwc);
-        self.pmptw_cache
-            .stats()
-            .store(&mut self.metrics, &self.ids.pmptw_cache);
-        self.mem_sys.stats().store(&mut self.metrics, &self.ids.mem);
-        self.ids.latency.store(&mut self.metrics, &self.hists);
-        self.metrics.snapshot()
-    }
-
-    /// Checks that every reference the machine claims to have issued is
-    /// visible in the memory system: `refs.total() + aborted_refs +
-    /// dma_refs == mem.accesses`. Holds whenever all traffic goes through
-    /// [`Machine::access`]/[`Machine::fetch`]/[`Machine::dma_transfer`]
-    /// since the last [`Machine::reset_stats`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the mismatch when the counters disagree.
-    pub fn verify_accounting(&self) -> Result<(), String> {
-        let stats = self.stats();
-        let claimed = stats.issued_refs();
-        let observed = self.mem_sys.stats().accesses;
-        if claimed == observed {
-            Ok(())
-        } else {
-            Err(format!(
-                "machine claims {claimed} references (refs {} + aborted {} + dma {}) but \
-                 the memory system observed {observed}",
-                stats.refs.total(),
-                stats.aborted_refs,
-                stats.dma_refs
-            ))
-        }
-    }
-
-    /// Clears all counters and histograms (cache contents are untouched;
-    /// the event sequence number keeps running).
-    pub fn reset_stats(&mut self) {
-        for id in self.ids.own_ids() {
-            self.metrics.store(id, 0);
-        }
-        self.mem_sys.reset_stats();
-        self.tlb.reset_stats();
-        self.itlb.reset_stats();
-        self.pwc.reset_stats();
-        self.pmptw_cache.reset_stats();
-        self.hists.reset();
+        self.stage.itlb.stats()
     }
 
     /// Performs one data access at `va` in `space`.
@@ -660,13 +430,19 @@ impl<S: TraceSink> Machine<S> {
         kind: AccessKind,
         mode: PrivMode,
     ) -> Result<AccessOutcome, Fault> {
-        self.access_inner(space, va, kind, mode, kind == AccessKind::Fetch)
+        let done = self.run(space, va, kind, mode)?;
+        Ok(AccessOutcome {
+            cycles: done.cycles,
+            refs: done.refs,
+            tlb_hit: done.tlb_hit,
+            paddr: done.paddr,
+        })
     }
 
     /// Performs one instruction fetch at `va` in `space` — HPMP "applies to
     /// all memory accesses … including instruction fetches". Fetches use a
-    /// separate I-TLB (Table 1's "L1 I/D TLB 32 entries each") but share the
-    /// walker, the checker and the cache hierarchy.
+    /// separate I-TLB but share the walker, the checker and the cache
+    /// hierarchy.
     ///
     /// # Errors
     ///
@@ -678,426 +454,7 @@ impl<S: TraceSink> Machine<S> {
         va: VirtAddr,
         mode: PrivMode,
     ) -> Result<AccessOutcome, Fault> {
-        self.access_inner(space, va, AccessKind::Fetch, mode, true)
-    }
-
-    fn access_inner(
-        &mut self,
-        space: &AddressSpace,
-        va: VirtAddr,
-        kind: AccessKind,
-        mode: PrivMode,
-        instruction: bool,
-    ) -> Result<AccessOutcome, Fault> {
-        let mut cycles = self.core.pipeline_overhead;
-        let mut refs = RefBreakdown::default();
-        // Step records for the trace event. With a disabled sink nothing is
-        // ever pushed (and `Vec::new` does not allocate), so this is free.
-        let mut steps: Vec<WalkStep> = Vec::new();
-        let mut pmptw: Option<PmptwOutcome> = None;
-
-        // 1. TLB lookup (I-TLB for fetches). Permission inlining means a
-        //    hit needs no isolation-layer work at all.
-        let tlb = if instruction {
-            &mut self.itlb
-        } else {
-            &mut self.tlb
-        };
-        let lookup = tlb.lookup(space.asid(), va);
-        if let Some((entry, hit)) = lookup {
-            let tlb_out = if hit == TlbHit::L2 {
-                TlbOutcome::L2Hit
-            } else {
-                TlbOutcome::L1Hit
-            };
-            if !entry.page_perms.allows(kind) {
-                return Err(self.abort(
-                    Fault::PtePermission(va),
-                    refs,
-                    kind,
-                    mode,
-                    va,
-                    None,
-                    tlb_out,
-                    None,
-                    pmptw,
-                    cycles,
-                    steps,
-                ));
-            }
-            let paddr = apply_translation(&entry, va);
-            if self.tlb_inlining {
-                if !entry.isolation_perms.allows(kind) {
-                    return Err(self.abort(
-                        Fault::IsolationOnData(paddr),
-                        refs,
-                        kind,
-                        mode,
-                        va,
-                        Some(paddr.raw()),
-                        tlb_out,
-                        None,
-                        pmptw,
-                        cycles,
-                        steps,
-                    ));
-                }
-            } else {
-                // Ablation: no inlining — every access re-checks.
-                let check = self.planned_check(paddr, kind, mode);
-                refs.pmpte_for_data += check.refs.len() as u64;
-                cycles += self.charge_pmpte_refs(&check.refs, &mut steps);
-                pmptw = check.pmptw.or(pmptw);
-                if !check.allowed {
-                    let fault = if check.malformed {
-                        Fault::CorruptPmpte(paddr)
-                    } else {
-                        Fault::IsolationOnData(paddr)
-                    };
-                    return Err(self.abort(
-                        fault,
-                        refs,
-                        kind,
-                        mode,
-                        va,
-                        Some(paddr.raw()),
-                        tlb_out,
-                        None,
-                        pmptw,
-                        cycles,
-                        steps,
-                    ));
-                }
-            }
-            if hit == TlbHit::L2 {
-                // Both TLBs share one configuration.
-                let l2 = self.tlb.config().l2_hit_latency;
-                cycles += l2;
-                if S::ENABLED {
-                    steps.push(WalkStep {
-                        kind: StepKind::TlbL2,
-                        level: None,
-                        addr: 0,
-                        cycles: l2,
-                    });
-                }
-            }
-            let data_cycles = self.data_ref(paddr, kind);
-            cycles += data_cycles;
-            if S::ENABLED {
-                steps.push(WalkStep {
-                    kind: StepKind::Data,
-                    level: None,
-                    addr: paddr.raw(),
-                    cycles: data_cycles,
-                });
-            }
-            refs.data_reads = 1;
-            self.metrics.bump(self.ids.accesses, 1);
-            self.metrics.bump(self.ids.cycles, cycles);
-            self.accumulate(refs);
-            self.hists
-                .record(AccessClass::classify(op_of(kind), true), cycles);
-            self.emit(
-                kind,
-                mode,
-                va,
-                Some(paddr.raw()),
-                tlb_out,
-                None,
-                pmptw,
-                cycles,
-                None,
-                steps,
-            );
-            return Ok(AccessOutcome {
-                cycles,
-                refs,
-                tlb_hit: Some(hit),
-                paddr,
-            });
-        }
-
-        // 2. TLB miss: page-table walk. Each PT-page reference is first
-        //    validated by the isolation layer, then read.
-        self.metrics.bump(self.ids.walks, 1);
-        let result = walk(&self.phys, space, &mut self.pwc, va);
-        let pwc_level = result.pwc_hit_level.map(|l| l as u8);
-        for pt_ref in &result.pt_refs {
-            let check = self.planned_check(pt_ref.addr, AccessKind::Read, mode);
-            refs.pmpte_for_pt += check.refs.len() as u64;
-            cycles += self.charge_pmpte_refs(&check.refs, &mut steps);
-            pmptw = check.pmptw.or(pmptw);
-            if !check.allowed {
-                let fault = if check.malformed {
-                    Fault::CorruptPmpte(pt_ref.addr)
-                } else {
-                    Fault::IsolationOnPtPage(pt_ref.addr)
-                };
-                return Err(self.abort(
-                    fault,
-                    refs,
-                    kind,
-                    mode,
-                    va,
-                    None,
-                    TlbOutcome::Miss,
-                    pwc_level,
-                    pmptw,
-                    cycles,
-                    steps,
-                ));
-            }
-            let pt_cycles = self.mem_sys.access_ptw(pt_ref.addr).cycles;
-            cycles += pt_cycles;
-            if S::ENABLED {
-                steps.push(WalkStep {
-                    kind: StepKind::Pt,
-                    level: Some(pt_ref.level as u8),
-                    addr: pt_ref.addr.raw(),
-                    cycles: pt_cycles,
-                });
-            }
-            refs.pt_reads += 1;
-        }
-        let Some(translation) = result.translation else {
-            return Err(self.abort(
-                Fault::PageFault(va),
-                refs,
-                kind,
-                mode,
-                va,
-                None,
-                TlbOutcome::Miss,
-                pwc_level,
-                pmptw,
-                cycles,
-                steps,
-            ));
-        };
-        if !translation.perms.allows(kind) {
-            return Err(self.abort(
-                Fault::PtePermission(va),
-                refs,
-                kind,
-                mode,
-                va,
-                None,
-                TlbOutcome::Miss,
-                pwc_level,
-                pmptw,
-                cycles,
-                steps,
-            ));
-        }
-
-        // 3. Isolation check for the data page.
-        let check = self.planned_check(translation.paddr, kind, mode);
-        refs.pmpte_for_data += check.refs.len() as u64;
-        cycles += self.charge_pmpte_refs(&check.refs, &mut steps);
-        pmptw = check.pmptw.or(pmptw);
-        if !check.allowed {
-            let fault = if check.malformed {
-                Fault::CorruptPmpte(translation.paddr)
-            } else {
-                Fault::IsolationOnData(translation.paddr)
-            };
-            return Err(self.abort(
-                fault,
-                refs,
-                kind,
-                mode,
-                va,
-                Some(translation.paddr.raw()),
-                TlbOutcome::Miss,
-                pwc_level,
-                pmptw,
-                cycles,
-                steps,
-            ));
-        }
-
-        // 4. TLB refill with inlined isolation permission, then the data
-        //    reference itself.
-        let tlb = if instruction {
-            &mut self.itlb
-        } else {
-            &mut self.tlb
-        };
-        tlb.fill(TlbEntry {
-            asid: space.asid(),
-            vpn: va.page_number(),
-            frame: translation.paddr.page_base(),
-            page_perms: translation.perms,
-            isolation_perms: check.perms,
-            user: translation.user,
-            epoch: 0,
-        });
-        let data_cycles = self.data_ref(translation.paddr, kind);
-        cycles += data_cycles;
-        if S::ENABLED {
-            steps.push(WalkStep {
-                kind: StepKind::Data,
-                level: None,
-                addr: translation.paddr.raw(),
-                cycles: data_cycles,
-            });
-        }
-        refs.data_reads = 1;
-
-        self.metrics.bump(self.ids.accesses, 1);
-        self.metrics.bump(self.ids.cycles, cycles);
-        self.accumulate(refs);
-        self.hists
-            .record(AccessClass::classify(op_of(kind), false), cycles);
-        self.emit(
-            kind,
-            mode,
-            va,
-            Some(translation.paddr.raw()),
-            TlbOutcome::Miss,
-            pwc_level,
-            pmptw,
-            cycles,
-            None,
-            steps,
-        );
-        Ok(AccessOutcome {
-            cycles,
-            refs,
-            tlb_hit: None,
-            paddr: translation.paddr,
-        })
-    }
-
-    /// Books a faulting access: counts the fault, rolls its partial
-    /// references into `aborted_refs`, emits the trace event, and hands the
-    /// fault back for the caller to return.
-    #[allow(clippy::too_many_arguments)]
-    fn abort(
-        &mut self,
-        fault: Fault,
-        refs: RefBreakdown,
-        kind: AccessKind,
-        mode: PrivMode,
-        va: VirtAddr,
-        paddr: Option<u64>,
-        tlb: TlbOutcome,
-        pwc_level: Option<u8>,
-        pmptw: Option<PmptwOutcome>,
-        cycles: u64,
-        steps: Vec<WalkStep>,
-    ) -> Fault {
-        self.metrics.bump(self.ids.faults, 1);
-        self.metrics.bump(self.ids.aborted_refs, refs.total());
-        self.emit(
-            kind,
-            mode,
-            va,
-            paddr,
-            tlb,
-            pwc_level,
-            pmptw,
-            cycles,
-            Some(fault.cause()),
-            steps,
-        );
-        fault
-    }
-
-    /// Emits one trace event. Compiles to nothing when the sink is
-    /// disabled.
-    #[allow(clippy::too_many_arguments)]
-    fn emit(
-        &mut self,
-        kind: AccessKind,
-        mode: PrivMode,
-        va: VirtAddr,
-        paddr: Option<u64>,
-        tlb: TlbOutcome,
-        pwc_level: Option<u8>,
-        pmptw: Option<PmptwOutcome>,
-        cycles: u64,
-        fault: Option<FaultCause>,
-        steps: Vec<WalkStep>,
-    ) {
-        if !S::ENABLED {
-            return;
-        }
-        let event = WalkEvent {
-            seq: self.seq,
-            hart: self.hart_id,
-            world: self.world,
-            op: op_of(kind),
-            privilege: priv_of(mode),
-            va: va.raw(),
-            paddr,
-            tlb,
-            pwc_level,
-            pmptw,
-            pipeline_cycles: self.core.pipeline_overhead,
-            cycles,
-            fault,
-            steps,
-        };
-        self.seq += 1;
-        self.sink.record(&event);
-    }
-
-    /// Charges a list of pmpte reads to the memory system, returning their
-    /// observed latency and recording one step per read.
-    fn charge_pmpte_refs(
-        &mut self,
-        pmpte_refs: &[hpmp_core::PmptRef],
-        steps: &mut Vec<WalkStep>,
-    ) -> u64 {
-        // Walk references are a dependent pointer chase: the out-of-order
-        // window cannot overlap them, so they cost their raw latency.
-        let mut cycles = 0;
-        for r in pmpte_refs {
-            let c = self.mem_sys.access_ptw(r.addr).cycles;
-            if S::ENABLED {
-                steps.push(WalkStep {
-                    kind: if r.is_root {
-                        StepKind::PmptRoot
-                    } else {
-                        StepKind::PmptLeaf
-                    },
-                    level: None,
-                    addr: r.addr.raw(),
-                    cycles: c,
-                });
-            }
-            cycles += c;
-        }
-        cycles
-    }
-
-    /// Issues the data reference, including the store-miss penalty.
-    fn data_ref(&mut self, paddr: PhysAddr, kind: AccessKind) -> u64 {
-        let outcome = self.mem_sys.access(paddr);
-        let hit = outcome.level != HitLevel::Dram;
-        let mut cycles = self.core.observed_ref_cycles(outcome.cycles, hit);
-        if kind == AccessKind::Write && outcome.level != HitLevel::L1 {
-            cycles += self.core.store_miss_penalty;
-        }
-        cycles
-    }
-
-    fn accumulate(&mut self, refs: RefBreakdown) {
-        self.metrics.bump(self.ids.pt_reads, refs.pt_reads);
-        self.metrics.bump(self.ids.data_reads, refs.data_reads);
-        self.metrics.bump(self.ids.pmpte_for_pt, refs.pmpte_for_pt);
-        self.metrics
-            .bump(self.ids.pmpte_for_data, refs.pmpte_for_data);
-    }
-
-    /// Adds pure-compute cycles to the running total (used by workload
-    /// models for their non-memory instructions).
-    pub fn run_compute(&mut self, instructions: u64) -> u64 {
-        let cycles = self.core.alu_cycles(instructions);
-        self.metrics.bump(self.ids.cycles, cycles);
-        cycles
+        self.access(space, va, AccessKind::Fetch, mode)
     }
 
     /// Performs a DMA transfer of `len` bytes at `base` from `device`,
@@ -1115,6 +472,7 @@ impl<S: TraceSink> Machine<S> {
         len: u64,
         kind: AccessKind,
     ) -> Result<u64, Fault> {
+        let dma_refs = self.stage_ids.dma_refs;
         let mut cycles = 0;
         let mut offset = 0;
         let mut checked_page = None;
@@ -1126,8 +484,7 @@ impl<S: TraceSink> Machine<S> {
                 for r in &outcome.refs {
                     cycles += self.mem_sys.access_ptw(r.addr).cycles;
                 }
-                self.metrics
-                    .bump(self.ids.dma_refs, outcome.refs.len() as u64);
+                self.metrics.bump(dma_refs, outcome.refs.len() as u64);
                 if !outcome.allowed {
                     self.metrics.bump(self.ids.faults, 1);
                     return Err(Fault::IsolationOnData(addr));
@@ -1135,10 +492,10 @@ impl<S: TraceSink> Machine<S> {
                 checked_page = Some(addr.page_number());
             }
             cycles += self.mem_sys.access_ptw(addr).cycles;
-            self.metrics.bump(self.ids.dma_refs, 1);
+            self.metrics.bump(dma_refs, 1);
             offset += hpmp_memsim::LINE_SIZE;
         }
-        self.metrics.bump(self.ids.cycles, cycles);
+        self.charge_cycles(cycles);
         Ok(cycles)
     }
 }
@@ -1146,10 +503,10 @@ impl<S: TraceSink> Machine<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpmp_core::{PmpRegion, PmpTable, TableLevels};
+    use hpmp_core::{PmpRegion, PmpTable, PmptwCache, TableLevels};
     use hpmp_memsim::{FrameAllocator, Perms, PAGE_SIZE};
     use hpmp_paging::TranslationMode;
-    use hpmp_trace::RingSink;
+    use hpmp_trace::{AccessClass, RingSink, TlbOutcome};
 
     fn flat_machine() -> (Machine, AddressSpace) {
         flat_machine_with_sink(NullSink)

@@ -1,0 +1,733 @@
+//! One access pipeline for native and virtualized machines.
+//!
+//! The paper's native 2-D walk (Figures 2/4) and its extra-dimensional 3-D
+//! walk (Figure 8) are one sequence: a TLB lookup, then on a miss the
+//! translation walk with an isolation check before every page-table
+//! reference, then the data page's check, the TLB refill and the data
+//! reference. [`AccessPipeline`] runs that sequence once for both machines.
+//! Only the translation stage differs, and everything that differs comes
+//! from the [`TranslationStage`] the pipeline is generic over (static
+//! dispatch, no `dyn`):
+//!
+//! * `NativeStage`, behind [`Machine`](crate::Machine) — D-/I-TLB, PWC
+//!   and the radix walker over an [`AddressSpace`](hpmp_paging::AddressSpace);
+//! * `NestedStage`, behind [`VirtMachine`](crate::VirtMachine) — combined
+//!   TLB, G-TLB, guest PWC and the nested walk over guest PT × NPT.
+//!
+//! The pipeline owns everything else: the core model, the memory system,
+//! physical memory, the HPMP register file and its pre-decoded plan, the
+//! PMPTW-Cache, the counters, the latency histograms and the trace sink.
+//! Fault booking, event emission and success accounting each happen in
+//! exactly one place, and no shared code asks which machine it serves.
+//!
+//! Every reference is pushed through the shared [`MemSystem`], so warm/cold
+//! behaviour (TC1–TC3), pmpte cache-line sharing, and DRAM row locality all
+//! emerge rather than being hard-coded.
+//!
+//! The pipeline is generic over a [`TraceSink`]: with the default
+//! [`NullSink`] every emission site compiles away (the `S::ENABLED`
+//! constant is false, so the event-building branches are dead code), and
+//! with a recording sink each access produces one [`WalkEvent`] whose
+//! per-step cycles sum exactly to the access's cycle count. Tracing never
+//! changes a cycle result.
+
+use hpmp_core::{EntryPlan, HpmpRegFile, PmptwCache};
+use hpmp_memsim::{
+    AccessKind, CoreModel, HitLevel, MemSystem, Perms, PhysAddr, PhysMem, PrivMode, VirtAddr,
+};
+use hpmp_paging::{apply_translation, Tlb, TlbEntry, TlbHit, Translation};
+use hpmp_trace::{
+    AccessClass, AccessOp, CounterId, FaultCause, LatencyHistograms, LatencyHistogramsWiring,
+    MetricsRegistry, NullSink, PmptwOutcome, PrivLevel, Snapshot, StepKind, TlbOutcome, TraceSink,
+    WalkEvent, WalkStep, World,
+};
+
+use crate::machine::MachineConfig;
+
+/// Why an access failed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fault {
+    /// No valid translation for the virtual address.
+    PageFault(VirtAddr),
+    /// The page-table permission did not allow the access.
+    PtePermission(VirtAddr),
+    /// The isolation layer denied a PT-page reference during the walk.
+    IsolationOnPtPage(PhysAddr),
+    /// The isolation layer denied the data reference.
+    IsolationOnData(PhysAddr),
+    /// A pmpte read during the permission walk failed its integrity check
+    /// (reserved bits set or parity mismatch). The checker fails closed:
+    /// the access is denied and the corruption is surfaced as its own
+    /// fault cause so the monitor can quarantine and rebuild rather than
+    /// treat it as a policy denial.
+    CorruptPmpte(PhysAddr),
+}
+
+impl Fault {
+    /// The structured trace cause for this fault.
+    pub fn cause(&self) -> FaultCause {
+        match self {
+            Fault::PageFault(_) => FaultCause::PageFault,
+            Fault::PtePermission(_) => FaultCause::PtePermission,
+            Fault::IsolationOnPtPage(_) => FaultCause::IsolationOnPtPage,
+            Fault::IsolationOnData(_) => FaultCause::IsolationOnData,
+            Fault::CorruptPmpte(_) => FaultCause::CorruptPmpte,
+        }
+    }
+}
+
+impl std::fmt::Display for Fault {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Fault::PageFault(va) => write!(f, "page fault at {va}"),
+            Fault::PtePermission(va) => write!(f, "PTE permission fault at {va}"),
+            Fault::IsolationOnPtPage(pa) => {
+                write!(f, "isolation fault on PT page at {pa}")
+            }
+            Fault::IsolationOnData(pa) => write!(f, "isolation fault on data at {pa}"),
+            Fault::CorruptPmpte(pa) => {
+                write!(f, "corrupt pmpte encountered checking {pa}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for Fault {}
+
+/// The trace operation for a memsim access kind.
+fn op_of(kind: AccessKind) -> AccessOp {
+    match kind {
+        AccessKind::Read => AccessOp::Read,
+        AccessKind::Write => AccessOp::Write,
+        AccessKind::Fetch => AccessOp::Fetch,
+    }
+}
+
+/// The trace privilege level for a memsim privilege mode.
+fn priv_of(mode: PrivMode) -> PrivLevel {
+    match mode {
+        PrivMode::User => PrivLevel::User,
+        PrivMode::Supervisor => PrivLevel::Supervisor,
+        PrivMode::Machine => PrivLevel::Machine,
+    }
+}
+
+/// A per-access reference breakdown, split into the categories of its
+/// figure: `RefBreakdown` for Figures 2/4, `VirtRefBreakdown` for Figure 8.
+pub trait RefLedger: Copy + Default + std::fmt::Debug {
+    /// Counter names of the categories, below `<prefix>.refs.`, in
+    /// [`RefLedger::counts`] order.
+    const NAMES: &'static [&'static str];
+    /// The category counts, in [`RefLedger::NAMES`] order.
+    fn counts(&self) -> impl IntoIterator<Item = u64>;
+    /// Rebuilds a breakdown from counts in [`RefLedger::NAMES`] order.
+    fn from_counts(counts: &[u64]) -> Self;
+    /// The count of references of kind `step`.
+    fn reads(&mut self, step: StepKind) -> &mut u64;
+    /// The count of pmpte reads guarding references of kind `guarded`.
+    fn pmptes(&mut self, guarded: StepKind) -> &mut u64;
+    /// All references.
+    fn sum(&self) -> u64 {
+        self.counts().into_iter().sum()
+    }
+}
+
+/// A finished translation walk, as the pipeline consumes it.
+pub trait StageWalk {
+    /// The walk's page-table references in issue order: address, step
+    /// kind and table level.
+    fn refs(&self) -> impl Iterator<Item = (PhysAddr, StepKind, u8)> + '_;
+    /// The translation, or `None` when the walk faulted.
+    fn translation(&self) -> Option<Translation>;
+    /// The page-walk-cache level that shortened the walk, if reported.
+    fn pwc_level(&self) -> Option<u8>;
+}
+
+/// The translation stage of an [`AccessPipeline`]: everything that differs
+/// between a native and a virtualized access.
+pub trait TranslationStage {
+    /// What an access names besides its VA: the native address space, or
+    /// `()` for a guest whose address space the stage owns.
+    type Space: ?Sized;
+    /// The reference categories of one access.
+    type Refs: RefLedger;
+    /// A finished walk.
+    type Walk: StageWalk;
+    /// Counter handles for the stage's own structures.
+    type Ids: Clone + std::fmt::Debug;
+    /// Counter-name prefix (`machine` or `virt`).
+    const PREFIX: &'static str;
+    /// Pipeline cycles on top of the core's overhead (the two-stage TLB
+    /// tax of a guest access).
+    const TLB_TAX: u64;
+    /// Whether an L2 TLB hit pays `l2_hit_latency` and a `TlbL2` step.
+    const CHARGES_L2_HIT: bool;
+
+    /// The TLB an access of `kind` looks up and refills.
+    fn tlb(&mut self, kind: AccessKind) -> &mut Tlb;
+    /// The ASID the TLB entries of `space` carry.
+    fn asid(&self, space: &Self::Space) -> u16;
+    /// Walks the translation of `va` after a TLB miss.
+    fn walk(&mut self, phys: &PhysMem, space: &Self::Space, va: VirtAddr) -> Self::Walk;
+    /// The hart and world stamped on emitted events.
+    fn stamps(&self) -> (u16, World);
+    /// Flushes every TLB and walk cache of the stage.
+    fn flush_all(&mut self);
+    /// Interns the stage's counters.
+    fn wire(reg: &mut MetricsRegistry) -> Self::Ids;
+    /// Publishes the stage's stats (and the sink's drop count, where the
+    /// stage reports it) at snapshot time.
+    fn store_stats(&self, reg: &mut MetricsRegistry, ids: &Self::Ids, trace_dropped: u64);
+    /// Clears the stage's stats and its own counters.
+    fn reset_stats(&mut self, reg: &mut MetricsRegistry, ids: &Self::Ids);
+    /// References issued outside the access pipeline (DMA).
+    fn side_refs(reg: &MetricsRegistry, ids: &Self::Ids) -> u64;
+}
+
+/// Aggregate counters of an access pipeline.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct AccessStats<R> {
+    /// Successful accesses.
+    pub accesses: u64,
+    /// Total cycles across those accesses.
+    pub cycles: u64,
+    /// Faults taken.
+    pub faults: u64,
+    /// TLB-miss walks performed.
+    pub walks: u64,
+    /// Sum of all reference breakdowns (successful accesses only).
+    pub refs: R,
+    /// References already issued by accesses that then faulted.
+    pub aborted_refs: u64,
+}
+
+impl<R: RefLedger> AccessStats<R> {
+    /// Total references accesses pushed into the memory system.
+    pub fn issued_refs(&self) -> u64 {
+        self.refs.sum() + self.aborted_refs
+    }
+}
+
+/// Interned counter handles for everything the pipeline itself accounts,
+/// wired once at construction so the per-access bookkeeping is a
+/// `Vec<u64>` index bump — counter names are only materialized again when
+/// a snapshot is taken.
+#[derive(Clone, Debug)]
+pub(crate) struct Wiring {
+    accesses: CounterId,
+    cycles: CounterId,
+    pub(crate) faults: CounterId,
+    walks: CounterId,
+    aborted_refs: CounterId,
+    refs_total: CounterId,
+    /// One per reference category, in [`RefLedger::NAMES`] order.
+    refs: Vec<CounterId>,
+    pmptw_cache: hpmp_core::PmptwCacheStatsIds,
+    mem: hpmp_memsim::MemSystemStatsIds,
+    latency: LatencyHistogramsWiring,
+}
+
+impl Wiring {
+    fn wire(reg: &mut MetricsRegistry, prefix: &str, ref_names: &[&str]) -> Wiring {
+        let name = |suffix: &str| format!("{prefix}.{suffix}");
+        Wiring {
+            accesses: reg.counter(name("accesses")),
+            cycles: reg.counter(name("cycles")),
+            faults: reg.counter(name("faults")),
+            walks: reg.counter(name("walks")),
+            aborted_refs: reg.counter(name("aborted_refs")),
+            refs_total: reg.counter(name("refs")),
+            refs: ref_names
+                .iter()
+                .map(|n| reg.counter(name(&format!("refs.{n}"))))
+                .collect(),
+            pmptw_cache: hpmp_core::PmptwCacheStatsIds::wire(reg, &name("pmptw_cache")),
+            mem: hpmp_memsim::MemSystemStatsIds::wire(reg, &name("mem")),
+            latency: LatencyHistogramsWiring::wire(reg, &name("latency")),
+        }
+    }
+}
+
+/// A core + MMU + HPMP + memory system, generic over its translation stage
+/// `T` and its trace sink `S`. [`Machine`](crate::Machine) and
+/// [`VirtMachine`](crate::VirtMachine) are its two instantiations.
+#[derive(Clone, Debug)]
+pub struct AccessPipeline<T: TranslationStage, S: TraceSink = NullSink> {
+    core: CoreModel,
+    pub(crate) mem_sys: MemSystem,
+    pub(crate) phys: PhysMem,
+    pub(crate) regs: HpmpRegFile,
+    /// Pre-decoded permission-check plan over `regs`, rebuilt lazily
+    /// whenever the register file's generation stamp moves. All hot-path
+    /// isolation checks go through this plan so a whole walk's per-step
+    /// checks are one pass over pre-decoded matching entries instead of
+    /// re-decoding every register each time.
+    check_plan: EntryPlan,
+    pub(crate) pmptw_cache: PmptwCache,
+    /// TLB permission inlining (§7); see `MachineConfig::tlb_inlining`.
+    tlb_inlining: bool,
+    pub(crate) metrics: MetricsRegistry,
+    pub(crate) ids: Wiring,
+    pub(crate) stage_ids: T::Ids,
+    hists: LatencyHistograms,
+    sink: S,
+    seq: u64,
+    pub(crate) stage: T,
+}
+
+/// One access in flight: everything its booking and trace event need.
+struct InFlight<R> {
+    va: VirtAddr,
+    kind: AccessKind,
+    mode: PrivMode,
+    tlb: TlbOutcome,
+    pwc_level: Option<u8>,
+    pmptw: Option<PmptwOutcome>,
+    cycles: u64,
+    refs: R,
+    /// Step records for the trace event. With a disabled sink nothing is
+    /// ever pushed (and `Vec::new` does not allocate), so this is free.
+    steps: Vec<WalkStep>,
+}
+
+/// A completed access, before each machine shapes its outcome type.
+pub(crate) struct Done<R> {
+    pub(crate) cycles: u64,
+    pub(crate) refs: R,
+    pub(crate) tlb_hit: Option<TlbHit>,
+    pub(crate) paddr: PhysAddr,
+}
+
+impl<T: TranslationStage, S: TraceSink> AccessPipeline<T, S> {
+    /// Assembles a pipeline around `stage` over already-built physical
+    /// memory and register file.
+    pub(crate) fn assemble(
+        config: &MachineConfig,
+        phys: PhysMem,
+        regs: HpmpRegFile,
+        stage: T,
+        sink: S,
+    ) -> AccessPipeline<T, S> {
+        let mut metrics = MetricsRegistry::new();
+        let ids = Wiring::wire(&mut metrics, T::PREFIX, <T::Refs as RefLedger>::NAMES);
+        let stage_ids = T::wire(&mut metrics);
+        AccessPipeline {
+            core: config.core,
+            mem_sys: MemSystem::new(config.mem),
+            phys,
+            regs,
+            check_plan: EntryPlan::default(),
+            pmptw_cache: PmptwCache::new(config.pmptw_cache),
+            tlb_inlining: config.tlb_inlining,
+            metrics,
+            ids,
+            stage_ids,
+            hists: LatencyHistograms::new(),
+            sink,
+            seq: 0,
+            stage,
+        }
+    }
+
+    /// The core timing model.
+    pub fn core(&self) -> &CoreModel {
+        &self.core
+    }
+
+    /// Simulated physical memory (for building page tables and PMP tables).
+    pub fn phys(&self) -> &PhysMem {
+        &self.phys
+    }
+
+    /// Mutable access to simulated physical memory.
+    pub fn phys_mut(&mut self) -> &mut PhysMem {
+        &mut self.phys
+    }
+
+    /// The HPMP register file (M-mode software's view).
+    pub fn regs(&self) -> &HpmpRegFile {
+        &self.regs
+    }
+
+    /// Mutable access to the HPMP register file. The caller (the secure
+    /// monitor) must flush the TLBs afterwards, as the paper requires —
+    /// [`Machine::sfence_vma_all`](crate::Machine::sfence_vma_all) or
+    /// [`AccessPipeline::flush_microarch`] —
+    /// because permissions are inlined in TLB entries.
+    pub fn regs_mut(&mut self) -> &mut HpmpRegFile {
+        &mut self.regs
+    }
+
+    /// The PMPTW-Cache (for stats inspection).
+    pub fn pmptw_cache(&self) -> &PmptwCache {
+        &self.pmptw_cache
+    }
+
+    /// The trace sink.
+    pub fn sink(&self) -> &S {
+        &self.sink
+    }
+
+    /// Mutable access to the trace sink (e.g. to drain a ring buffer).
+    pub fn sink_mut(&mut self) -> &mut S {
+        &mut self.sink
+    }
+
+    /// Consumes the machine, returning the sink (e.g. to finish a JSONL
+    /// file and inspect the writer).
+    pub fn into_sink(self) -> S {
+        self.sink
+    }
+
+    /// Flushes the trace sink (no-op for non-buffering sinks).
+    pub fn flush_sink(&mut self) {
+        self.sink.flush();
+    }
+
+    /// Memory-system counters.
+    pub fn mem_stats(&self) -> hpmp_memsim::MemSystemStats {
+        self.mem_sys.stats()
+    }
+
+    /// Per-access-class latency histograms (always recorded; reset by
+    /// [`AccessPipeline::reset_stats`]).
+    pub fn histograms(&self) -> &LatencyHistograms {
+        &self.hists
+    }
+
+    /// Charges cycles that were spent outside the walk path — IPI traps,
+    /// remote reprogramming, fence stalls — into this machine's cycle
+    /// counter so per-hart totals include synchronization overhead.
+    pub fn charge_cycles(&mut self, cycles: u64) {
+        self.metrics.bump(self.ids.cycles, cycles);
+    }
+
+    /// Adds pure-compute cycles to the running total (used by workload
+    /// models for their non-memory instructions).
+    pub fn run_compute(&mut self, instructions: u64) -> u64 {
+        let cycles = self.core.alu_cycles(instructions);
+        self.charge_cycles(cycles);
+        cycles
+    }
+
+    /// Empties all caches, TLBs and DRAM row buffers — the cold TC1 state.
+    pub fn flush_microarch(&mut self) {
+        self.mem_sys.flush_all();
+        self.stage.flush_all();
+        self.pmptw_cache.flush_all();
+    }
+
+    /// The pipeline's own counters, reconstructed from the interned
+    /// registry.
+    pub(crate) fn totals(&self) -> AccessStats<T::Refs> {
+        let get = |id| self.metrics.get(id);
+        let counts: Vec<u64> = self.ids.refs.iter().map(|&id| get(id)).collect();
+        AccessStats {
+            accesses: get(self.ids.accesses),
+            cycles: get(self.ids.cycles),
+            faults: get(self.ids.faults),
+            walks: get(self.ids.walks),
+            refs: T::Refs::from_counts(&counts),
+            aborted_refs: get(self.ids.aborted_refs),
+        }
+    }
+
+    /// One snapshot unifying every counter the machine keeps: its totals,
+    /// the stage's TLBs and walk caches, the PMPTW-Cache, the memory
+    /// hierarchy, and the per-class latency summaries, under dotted
+    /// `machine.*` or `virt.*` names.
+    pub fn metrics_snapshot(&mut self) -> Snapshot {
+        let refs_total = self.totals().refs.sum();
+        self.metrics.store(self.ids.refs_total, refs_total);
+        // Lossy sinks (ring eviction, I/O failure) surface here instead of
+        // dropping events silently.
+        let trace_dropped = self.sink.dropped();
+        self.stage
+            .store_stats(&mut self.metrics, &self.stage_ids, trace_dropped);
+        self.pmptw_cache
+            .stats()
+            .store(&mut self.metrics, &self.ids.pmptw_cache);
+        self.mem_sys.stats().store(&mut self.metrics, &self.ids.mem);
+        self.ids.latency.store(&mut self.metrics, &self.hists);
+        self.metrics.snapshot()
+    }
+
+    /// Checks that every reference the machine claims to have issued is
+    /// visible in the memory system: completed-access references plus
+    /// aborted-access and DMA references equal `mem.accesses`. Holds
+    /// whenever all traffic goes through the machine's access and DMA
+    /// entry points since the last [`AccessPipeline::reset_stats`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the mismatch when the counters disagree.
+    pub fn verify_accounting(&self) -> Result<(), String> {
+        let totals = self.totals();
+        let refs = totals.refs.sum();
+        let side = T::side_refs(&self.metrics, &self.stage_ids);
+        let claimed = totals.issued_refs() + side;
+        let observed = self.mem_sys.stats().accesses;
+        if claimed == observed {
+            Ok(())
+        } else {
+            Err(format!(
+                "{} claims {claimed} references (refs {refs} + aborted {} + dma {side}) but \
+                 the memory system observed {observed}",
+                T::PREFIX,
+                totals.aborted_refs
+            ))
+        }
+    }
+
+    /// Clears all counters and histograms (cache contents are untouched;
+    /// the event sequence number keeps running).
+    pub fn reset_stats(&mut self) {
+        let ids = &self.ids;
+        let own = [ids.accesses, ids.cycles, ids.faults, ids.walks]
+            .into_iter()
+            .chain([ids.aborted_refs, ids.refs_total])
+            .chain(ids.refs.iter().copied());
+        for id in own {
+            self.metrics.store(id, 0);
+        }
+        self.stage.reset_stats(&mut self.metrics, &self.stage_ids);
+        self.mem_sys.reset_stats();
+        self.pmptw_cache.reset_stats();
+        self.hists.reset();
+    }
+
+    /// The pipeline cycles every access pays before its first reference.
+    fn pipeline_cycles(&self) -> u64 {
+        self.core.pipeline_overhead + T::TLB_TAX
+    }
+
+    /// Performs one access at `va` in `space`: the whole sequence of
+    /// Figures 2, 4 and 8.
+    ///
+    /// * TLB hit (with permission inlining): one data reference, no
+    ///   permission walk — identical latency for every isolation scheme
+    ///   (TC4). Without inlining (the Implication-2 ablation) the data
+    ///   page is re-checked on every hit.
+    /// * TLB miss: for each page-table reference of the walk, a permission
+    ///   check (0 refs in segment mode, up to `depth` pmpte reads in table
+    ///   mode), then the PTE read; finally the permission check for the
+    ///   data page, the TLB refill and the data reference itself.
+    pub(crate) fn run(
+        &mut self,
+        space: &T::Space,
+        va: VirtAddr,
+        kind: AccessKind,
+        mode: PrivMode,
+    ) -> Result<Done<T::Refs>, Fault> {
+        let mut a = InFlight {
+            va,
+            kind,
+            mode,
+            tlb: TlbOutcome::Miss,
+            pwc_level: None,
+            pmptw: None,
+            cycles: self.pipeline_cycles(),
+            refs: T::Refs::default(),
+            steps: Vec::new(),
+        };
+        let asid = self.stage.asid(space);
+
+        // 1. TLB lookup. The hit already knows the frame.
+        if let Some((entry, hit)) = self.stage.tlb(kind).lookup(asid, va) {
+            a.tlb = if hit == TlbHit::L2 {
+                TlbOutcome::L2Hit
+            } else {
+                TlbOutcome::L1Hit
+            };
+            let paddr = apply_translation(&entry, va);
+            if !entry.page_perms.allows(kind) {
+                return Err(self.abort(a, Fault::PtePermission(va), Some(paddr)));
+            }
+            if !self.tlb_inlining {
+                if let Err(fault) = self.guard(&mut a, paddr, kind, StepKind::Data) {
+                    return Err(self.abort(a, fault, Some(paddr)));
+                }
+            } else if !entry.isolation_perms.allows(kind) {
+                return Err(self.abort(a, Fault::IsolationOnData(paddr), Some(paddr)));
+            }
+            if hit == TlbHit::L2 && T::CHARGES_L2_HIT {
+                let l2 = self.stage.tlb(kind).config().l2_hit_latency;
+                Self::step(&mut a, StepKind::TlbL2, None, PhysAddr::new(0), l2);
+            }
+            return Ok(self.complete(a, paddr, Some(hit)));
+        }
+
+        // 2. TLB miss: the walk. Each page-table reference is first
+        //    validated by the isolation layer, then read.
+        self.metrics.bump(self.ids.walks, 1);
+        let walk = self.stage.walk(&self.phys, space, va);
+        a.pwc_level = walk.pwc_level();
+        for (addr, step, level) in walk.refs() {
+            if let Err(fault) = self.guard(&mut a, addr, AccessKind::Read, step) {
+                return Err(self.abort(a, fault, None));
+            }
+            let cycles = self.mem_sys.access_ptw(addr).cycles;
+            Self::step(&mut a, step, Some(level), addr, cycles);
+            *a.refs.reads(step) += 1;
+        }
+        let Some(t) = walk.translation() else {
+            return Err(self.abort(a, Fault::PageFault(va), None));
+        };
+        if !t.perms.allows(kind) {
+            return Err(self.abort(a, Fault::PtePermission(va), None));
+        }
+
+        // 3. Isolation check for the data page, then the TLB refill with
+        //    the inlined isolation permission and the data reference.
+        let isolation_perms = match self.guard(&mut a, t.paddr, kind, StepKind::Data) {
+            Ok(perms) => perms,
+            Err(fault) => return Err(self.abort(a, fault, Some(t.paddr))),
+        };
+        self.stage.tlb(kind).fill(TlbEntry {
+            asid,
+            vpn: va.page_number(),
+            frame: t.paddr.page_base(),
+            page_perms: t.perms,
+            isolation_perms,
+            user: t.user,
+            epoch: 0,
+        });
+        Ok(self.complete(a, t.paddr, None))
+    }
+
+    /// One isolation check of `addr` for a reference of kind `guarded`,
+    /// through the cached plan (rebuilt iff the register file mutated
+    /// since it was decoded; CSR writes are orders of magnitude rarer than
+    /// checks). Charges the pmpte reads the check issued and returns the
+    /// granted permission, or the fault: a malformed pmpte fails closed as
+    /// [`Fault::CorruptPmpte`].
+    #[inline]
+    fn guard(
+        &mut self,
+        a: &mut InFlight<T::Refs>,
+        addr: PhysAddr,
+        kind: AccessKind,
+        guarded: StepKind,
+    ) -> Result<Perms, Fault> {
+        if self.check_plan.generation() != self.regs.generation() {
+            self.check_plan = self.regs.plan();
+        }
+        let check = self
+            .check_plan
+            .check(&self.phys, &mut self.pmptw_cache, addr, kind, a.mode);
+        *a.refs.pmptes(guarded) += check.refs.len() as u64;
+        // Walk references are a dependent pointer chase: the out-of-order
+        // window cannot overlap them, so they cost their raw latency.
+        for r in &check.refs {
+            let cycles = self.mem_sys.access_ptw(r.addr).cycles;
+            let step = if r.is_root {
+                StepKind::PmptRoot
+            } else {
+                StepKind::PmptLeaf
+            };
+            Self::step(a, step, None, r.addr, cycles);
+        }
+        a.pmptw = check.pmptw.or(a.pmptw);
+        if check.allowed {
+            Ok(check.perms)
+        } else if check.malformed {
+            Err(Fault::CorruptPmpte(addr))
+        } else if guarded == StepKind::Data {
+            Err(Fault::IsolationOnData(addr))
+        } else {
+            Err(Fault::IsolationOnPtPage(addr))
+        }
+    }
+
+    /// Charges one reference's cycles and records its trace step.
+    #[inline]
+    fn step(
+        a: &mut InFlight<T::Refs>,
+        kind: StepKind,
+        level: Option<u8>,
+        addr: PhysAddr,
+        cycles: u64,
+    ) {
+        a.cycles += cycles;
+        if S::ENABLED {
+            a.steps.push(WalkStep {
+                kind,
+                level,
+                addr: addr.raw(),
+                cycles,
+            });
+        }
+    }
+
+    /// Issues the data reference (with the store-miss penalty) and books
+    /// the successful access.
+    fn complete(
+        &mut self,
+        mut a: InFlight<T::Refs>,
+        paddr: PhysAddr,
+        tlb_hit: Option<TlbHit>,
+    ) -> Done<T::Refs> {
+        let outcome = self.mem_sys.access(paddr);
+        let hit = outcome.level != HitLevel::Dram;
+        let mut cycles = self.core.observed_ref_cycles(outcome.cycles, hit);
+        if a.kind == AccessKind::Write && outcome.level != HitLevel::L1 {
+            cycles += self.core.store_miss_penalty;
+        }
+        Self::step(&mut a, StepKind::Data, None, paddr, cycles);
+        *a.refs.reads(StepKind::Data) += 1;
+        self.metrics.bump(self.ids.accesses, 1);
+        self.metrics.bump(self.ids.cycles, a.cycles);
+        for (&id, n) in self.ids.refs.iter().zip(a.refs.counts()) {
+            self.metrics.bump(id, n);
+        }
+        self.hists.record(
+            AccessClass::classify(op_of(a.kind), tlb_hit.is_some()),
+            a.cycles,
+        );
+        let done = Done {
+            cycles: a.cycles,
+            refs: a.refs,
+            tlb_hit,
+            paddr,
+        };
+        self.emit(a, Some(paddr), None);
+        done
+    }
+
+    /// Books a faulting access: counts the fault, rolls its partial
+    /// references into `aborted_refs`, emits the trace event, and hands the
+    /// fault back for the caller to return.
+    fn abort(&mut self, a: InFlight<T::Refs>, fault: Fault, paddr: Option<PhysAddr>) -> Fault {
+        self.metrics.bump(self.ids.faults, 1);
+        self.metrics.bump(self.ids.aborted_refs, a.refs.sum());
+        self.emit(a, paddr, Some(fault.cause()));
+        fault
+    }
+
+    /// Emits one trace event. Compiles to nothing when the sink is
+    /// disabled.
+    fn emit(&mut self, a: InFlight<T::Refs>, paddr: Option<PhysAddr>, fault: Option<FaultCause>) {
+        if !S::ENABLED {
+            return;
+        }
+        let (hart, world) = self.stage.stamps();
+        let event = WalkEvent {
+            seq: self.seq,
+            hart,
+            world,
+            op: op_of(a.kind),
+            privilege: priv_of(a.mode),
+            va: a.va.raw(),
+            paddr: paddr.map(PhysAddr::raw),
+            tlb: a.tlb,
+            pwc_level: a.pwc_level,
+            pmptw: a.pmptw,
+            pipeline_cycles: self.pipeline_cycles(),
+            cycles: a.cycles,
+            fault,
+            steps: a.steps,
+        };
+        self.seq += 1;
+        self.sink.record(&event);
+    }
+}

@@ -12,27 +12,26 @@
 //!   hypervisor backs them with a segment: only the 2 data-page permission
 //!   references remain.
 //!
-//! Like [`Machine`](crate::machine::Machine), the virtualized machine is
-//! generic over a [`TraceSink`]: the default [`NullSink`] variant records
-//! nothing, and a recording sink gets one [`WalkEvent`] per guest access
-//! whose nested/guest PT steps reproduce Figure 8's square/circle sequence.
+//! [`VirtMachine`] is the same [`AccessPipeline`] as
+//! [`Machine`](crate::machine::Machine), run over the nested translation
+//! stage, [`NestedStage`]: a combined gVA → hPA TLB, the G-stage TLB, the
+//! guest-stage walk cache and the nested walk. Checks, accounting, faults
+//! and trace events are the pipeline's (see [`crate::pipeline`]); a
+//! recording sink gets one [`WalkEvent`](hpmp_trace::WalkEvent) per guest
+//! access whose nested/guest PT steps reproduce Figure 8's square/circle
+//! sequence. This module adds the scheme, the fixture that builds the
+//! guest, Figure 8's reference categories and the `hfence.*` operations.
 
-use hpmp_core::{FillPolicy, PmpRegion, PmpTable, TableLevels};
-use hpmp_memsim::{
-    AccessKind, CoreModel, HitLevel, MemSystem, Perms, PhysAddr, PhysMem, PrivMode, VirtAddr,
-    PAGE_SIZE,
-};
+use hpmp_core::{FillPolicy, HpmpRegFile, PmpRegion, PmpTable, TableLevels};
+use hpmp_memsim::{AccessKind, Perms, PhysAddr, PhysMem, PrivMode, VirtAddr, PAGE_SIZE};
 use hpmp_paging::{
-    apply_translation, nested_walk, AddressSpace, GuestView, NestedPageTable, NestedRefKind, Tlb,
-    TlbEntry, TlbHit, TranslationMode, WalkCache,
+    nested_walk, AddressSpace, GuestView, NestedPageTable, NestedRefKind, NestedWalkResult, Tlb,
+    Translation, TranslationMode, WalkCache,
 };
-use hpmp_trace::{
-    AccessClass, AccessOp, CounterId, FaultCause, LatencyHistograms, LatencyHistogramsWiring,
-    MetricsRegistry, NullSink, PmptwOutcome, PrivLevel, Snapshot, StepKind, TlbOutcome, TraceSink,
-    WalkEvent, WalkStep, World,
-};
+use hpmp_trace::{MetricsRegistry, NullSink, StepKind, TraceSink, World};
 
 use crate::machine::{Fault, MachineConfig};
+use crate::pipeline::{AccessPipeline, AccessStats, RefLedger, StageWalk, TranslationStage};
 use crate::setup::IsolationScheme;
 
 /// The isolation scheme for the virtualized experiments, which adds the
@@ -99,6 +98,55 @@ impl VirtRefBreakdown {
     }
 }
 
+impl RefLedger for VirtRefBreakdown {
+    const NAMES: &'static [&'static str] = &[
+        "npt_reads",
+        "gpt_reads",
+        "data_reads",
+        "pmpte_for_npt",
+        "pmpte_for_gpt",
+        "pmpte_for_data",
+    ];
+
+    fn counts(&self) -> impl IntoIterator<Item = u64> {
+        [
+            self.npt_reads,
+            self.gpt_reads,
+            self.data_reads,
+            self.pmpte_for_npt,
+            self.pmpte_for_gpt,
+            self.pmpte_for_data,
+        ]
+    }
+
+    fn from_counts(c: &[u64]) -> VirtRefBreakdown {
+        VirtRefBreakdown {
+            npt_reads: c[0],
+            gpt_reads: c[1],
+            data_reads: c[2],
+            pmpte_for_npt: c[3],
+            pmpte_for_gpt: c[4],
+            pmpte_for_data: c[5],
+        }
+    }
+
+    fn reads(&mut self, step: StepKind) -> &mut u64 {
+        match step {
+            StepKind::NestedPt => &mut self.npt_reads,
+            StepKind::GuestPt => &mut self.gpt_reads,
+            _ => &mut self.data_reads,
+        }
+    }
+
+    fn pmptes(&mut self, guarded: StepKind) -> &mut u64 {
+        match guarded {
+            StepKind::NestedPt => &mut self.pmpte_for_npt,
+            StepKind::GuestPt => &mut self.pmpte_for_gpt,
+            _ => &mut self.pmpte_for_data,
+        }
+    }
+}
+
 /// Outcome of one guest access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct VirtAccessOutcome {
@@ -113,129 +161,11 @@ pub struct VirtAccessOutcome {
 }
 
 /// Aggregate counters for a virtualized machine.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct VirtMachineStats {
-    /// Successful guest accesses.
-    pub accesses: u64,
-    /// Total cycles across those accesses.
-    pub cycles: u64,
-    /// Faults taken.
-    pub faults: u64,
-    /// Combined-TLB-miss walks performed.
-    pub walks: u64,
-    /// Sum of all reference breakdowns (successful accesses only).
-    pub refs: VirtRefBreakdown,
-    /// References already issued by accesses that then faulted.
-    pub aborted_refs: u64,
-}
+pub type VirtMachineStats = AccessStats<VirtRefBreakdown>;
 
-impl VirtMachineStats {
-    /// Total references pushed into the memory system.
-    pub fn issued_refs(&self) -> u64 {
-        self.refs.total() + self.aborted_refs
-    }
-
-    /// Publishes every counter into `reg` under `prefix`.
-    pub fn export(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        reg.set(format!("{prefix}.accesses"), self.accesses);
-        reg.set(format!("{prefix}.cycles"), self.cycles);
-        reg.set(format!("{prefix}.faults"), self.faults);
-        reg.set(format!("{prefix}.walks"), self.walks);
-        reg.set(format!("{prefix}.aborted_refs"), self.aborted_refs);
-        reg.set(format!("{prefix}.refs"), self.refs.total());
-        reg.set(format!("{prefix}.refs.npt_reads"), self.refs.npt_reads);
-        reg.set(format!("{prefix}.refs.gpt_reads"), self.refs.gpt_reads);
-        reg.set(format!("{prefix}.refs.data_reads"), self.refs.data_reads);
-        reg.set(
-            format!("{prefix}.refs.pmpte_for_npt"),
-            self.refs.pmpte_for_npt,
-        );
-        reg.set(
-            format!("{prefix}.refs.pmpte_for_gpt"),
-            self.refs.pmpte_for_gpt,
-        );
-        reg.set(
-            format!("{prefix}.refs.pmpte_for_data"),
-            self.refs.pmpte_for_data,
-        );
-    }
-}
-
-/// Interned counter handles for everything a [`VirtMachine`] accounts,
-/// wired once at construction (mirrors `MachineWiring` with the `virt.*`
-/// prefix and the nested-walk reference breakdown).
+/// The nested translation stage: the NPT and one guest, walked two-stage.
 #[derive(Debug)]
-struct VirtWiring {
-    accesses: CounterId,
-    cycles: CounterId,
-    faults: CounterId,
-    walks: CounterId,
-    aborted_refs: CounterId,
-    refs_total: CounterId,
-    npt_reads: CounterId,
-    gpt_reads: CounterId,
-    data_reads: CounterId,
-    pmpte_for_npt: CounterId,
-    pmpte_for_gpt: CounterId,
-    pmpte_for_data: CounterId,
-    tlb: hpmp_paging::TlbStatsIds,
-    gtlb: hpmp_paging::TlbStatsIds,
-    gpwc: hpmp_paging::WalkCacheStatsIds,
-    pmptw_cache: hpmp_core::PmptwCacheStatsIds,
-    mem: hpmp_memsim::MemSystemStatsIds,
-    latency: LatencyHistogramsWiring,
-}
-
-impl VirtWiring {
-    fn wire(reg: &mut MetricsRegistry) -> VirtWiring {
-        VirtWiring {
-            accesses: reg.counter("virt.accesses"),
-            cycles: reg.counter("virt.cycles"),
-            faults: reg.counter("virt.faults"),
-            walks: reg.counter("virt.walks"),
-            aborted_refs: reg.counter("virt.aborted_refs"),
-            refs_total: reg.counter("virt.refs"),
-            npt_reads: reg.counter("virt.refs.npt_reads"),
-            gpt_reads: reg.counter("virt.refs.gpt_reads"),
-            data_reads: reg.counter("virt.refs.data_reads"),
-            pmpte_for_npt: reg.counter("virt.refs.pmpte_for_npt"),
-            pmpte_for_gpt: reg.counter("virt.refs.pmpte_for_gpt"),
-            pmpte_for_data: reg.counter("virt.refs.pmpte_for_data"),
-            tlb: hpmp_paging::TlbStatsIds::wire(reg, "virt.tlb"),
-            gtlb: hpmp_paging::TlbStatsIds::wire(reg, "virt.gtlb"),
-            gpwc: hpmp_paging::WalkCacheStatsIds::wire(reg, "virt.gpwc"),
-            pmptw_cache: hpmp_core::PmptwCacheStatsIds::wire(reg, "virt.pmptw_cache"),
-            mem: hpmp_memsim::MemSystemStatsIds::wire(reg, "virt.mem"),
-            latency: LatencyHistogramsWiring::wire(reg, "virt.latency"),
-        }
-    }
-
-    /// The virtualized machine's own counters, for bulk reset.
-    fn own_ids(&self) -> [CounterId; 12] {
-        [
-            self.accesses,
-            self.cycles,
-            self.faults,
-            self.walks,
-            self.aborted_refs,
-            self.refs_total,
-            self.npt_reads,
-            self.gpt_reads,
-            self.data_reads,
-            self.pmpte_for_npt,
-            self.pmpte_for_gpt,
-            self.pmpte_for_data,
-        ]
-    }
-}
-
-/// A virtualized system: host memory, NPT, one guest, and the isolation
-/// layer programmed per [`VirtScheme`].
-#[derive(Debug)]
-pub struct VirtMachine<S: TraceSink = NullSink> {
-    core: CoreModel,
-    mem_sys: MemSystem,
-    phys: PhysMem,
+pub struct NestedStage {
     npt: NestedPageTable,
     guest: AddressSpace,
     /// Combined TLB: gVA page → hPA page.
@@ -244,18 +174,99 @@ pub struct VirtMachine<S: TraceSink = NullSink> {
     gtlb: Tlb,
     /// Guest-stage walk cache.
     gpwc: WalkCache,
-    regs: hpmp_core::HpmpRegFile,
-    pmptw_cache: hpmp_core::PmptwCache,
-    /// Pre-decoded check plan over `regs` (see `Machine::planned_check`).
-    check_plan: hpmp_core::EntryPlan,
     scheme: VirtScheme,
-    guest_data_gpa: PhysAddr,
-    metrics: MetricsRegistry,
-    ids: VirtWiring,
-    hists: LatencyHistograms,
-    sink: S,
-    seq: u64,
 }
+
+/// Counter handles for the nested stage.
+#[derive(Clone, Debug)]
+pub struct NestedIds {
+    tlb: hpmp_paging::TlbStatsIds,
+    gtlb: hpmp_paging::TlbStatsIds,
+    gpwc: hpmp_paging::WalkCacheStatsIds,
+}
+
+impl StageWalk for NestedWalkResult {
+    fn refs(&self) -> impl Iterator<Item = (PhysAddr, StepKind, u8)> + '_ {
+        self.refs.iter().map(|r| match r.kind {
+            NestedRefKind::NestedPt { level } => (r.addr, StepKind::NestedPt, level as u8),
+            NestedRefKind::GuestPt { level } => (r.addr, StepKind::GuestPt, level as u8),
+        })
+    }
+
+    fn translation(&self) -> Option<Translation> {
+        self.translation
+    }
+
+    /// Guest walks report no PWC level.
+    fn pwc_level(&self) -> Option<u8> {
+        None
+    }
+}
+
+impl TranslationStage for NestedStage {
+    type Space = ();
+    type Refs = VirtRefBreakdown;
+    type Walk = NestedWalkResult;
+    type Ids = NestedIds;
+    const PREFIX: &'static str = "virt";
+    const TLB_TAX: u64 = 2;
+    /// The combined TLB's L2 hits are modelled without the L2 probe
+    /// latency (DESIGN.md §14).
+    const CHARGES_L2_HIT: bool = false;
+
+    fn tlb(&mut self, _: AccessKind) -> &mut Tlb {
+        &mut self.tlb
+    }
+
+    fn asid(&self, _: &()) -> u16 {
+        self.guest.asid()
+    }
+
+    fn walk(&mut self, phys: &PhysMem, _: &(), gva: VirtAddr) -> NestedWalkResult {
+        let (guest, npt) = (&self.guest, &self.npt);
+        nested_walk(phys, guest, npt, &mut self.gtlb, &mut self.gpwc, gva)
+    }
+
+    /// The virtualized stack is only driven single-hart.
+    fn stamps(&self) -> (u16, World) {
+        (0, World::Guest)
+    }
+
+    fn flush_all(&mut self) {
+        self.tlb.flush_all();
+        self.gpwc.flush_all();
+        self.gtlb.flush_all();
+    }
+
+    fn wire(reg: &mut MetricsRegistry) -> NestedIds {
+        NestedIds {
+            tlb: hpmp_paging::TlbStatsIds::wire(reg, "virt.tlb"),
+            gtlb: hpmp_paging::TlbStatsIds::wire(reg, "virt.gtlb"),
+            gpwc: hpmp_paging::WalkCacheStatsIds::wire(reg, "virt.gpwc"),
+        }
+    }
+
+    /// The virt snapshot carries no `trace.dropped` counter.
+    fn store_stats(&self, reg: &mut MetricsRegistry, ids: &NestedIds, _: u64) {
+        self.tlb.stats().store(reg, &ids.tlb);
+        self.gtlb.stats().store(reg, &ids.gtlb);
+        self.gpwc.stats().store(reg, &ids.gpwc);
+    }
+
+    fn reset_stats(&mut self, _: &mut MetricsRegistry, _: &NestedIds) {
+        self.tlb.reset_stats();
+        self.gtlb.reset_stats();
+        self.gpwc.reset_stats();
+    }
+
+    fn side_refs(_: &MetricsRegistry, _: &NestedIds) -> u64 {
+        0
+    }
+}
+
+/// A virtualized system: host memory, NPT, one guest, and the isolation
+/// layer programmed per [`VirtScheme`].
+pub type VirtMachine<S = NullSink> = AccessPipeline<NestedStage, S>;
 
 /// Host RAM layout constants for the virtualized fixture.
 const RAM_BASE: u64 = 0x8000_0000;
@@ -306,8 +317,8 @@ impl VirtMachine {
 }
 
 impl<S: TraceSink> VirtMachine<S> {
-    /// As [`VirtMachine::new`], recording one [`WalkEvent`] per guest access
-    /// into `sink`.
+    /// As [`VirtMachine::new`], recording one
+    /// [`WalkEvent`](hpmp_trace::WalkEvent) per guest access into `sink`.
     ///
     /// # Panics
     ///
@@ -377,7 +388,7 @@ impl<S: TraceSink> VirtMachine<S> {
 
         // Program the isolation layer.
         let ram = PmpRegion::new(PhysAddr::new(RAM_BASE), RAM_SIZE);
-        let mut regs = hpmp_core::HpmpRegFile::new();
+        let mut regs = HpmpRegFile::with_entries(config.hpmp_entries);
         let mut table_frames =
             hpmp_memsim::FrameAllocator::new(PhysAddr::new(TABLE_POOL), TABLE_POOL_SIZE);
         match scheme {
@@ -420,522 +431,59 @@ impl<S: TraceSink> VirtMachine<S> {
             }
         }
 
-        let mut metrics = MetricsRegistry::new();
-        let ids = VirtWiring::wire(&mut metrics);
-        VirtMachine {
-            core: config.core,
-            mem_sys: MemSystem::new(config.mem),
-            phys,
+        let stage = NestedStage {
             npt,
             guest,
             tlb: Tlb::new(config.tlb),
             gtlb: Tlb::new(config.tlb),
             gpwc: WalkCache::new(config.pwc),
-            regs,
-            pmptw_cache: hpmp_core::PmptwCache::new(config.pmptw_cache),
-            check_plan: hpmp_core::EntryPlan::default(),
             scheme,
-            guest_data_gpa: PhysAddr::new(GPA_DATA),
-            metrics,
-            ids,
-            hists: LatencyHistograms::new(),
-            sink,
-            seq: 0,
-        }
+        };
+        AccessPipeline::assemble(&config, phys, regs, stage, sink)
     }
 
     /// The scheme this machine was built for.
     pub fn scheme(&self) -> VirtScheme {
-        self.scheme
+        self.stage.scheme
     }
 
     /// Guest-physical base of the guest's data pool (for tests).
     pub fn guest_data_gpa(&self) -> PhysAddr {
-        self.guest_data_gpa
+        PhysAddr::new(GPA_DATA)
     }
 
-    /// The trace sink.
-    pub fn sink(&self) -> &S {
-        &self.sink
-    }
-
-    /// Mutable access to the trace sink.
-    pub fn sink_mut(&mut self) -> &mut S {
-        &mut self.sink
-    }
-
-    /// Consumes the machine, returning the sink.
-    pub fn into_sink(self) -> S {
-        self.sink
-    }
-
-    /// Aggregate counters, reconstructed from the interned registry (the
-    /// live accounting is a `Vec<u64>` behind [`CounterId`] handles).
+    /// Aggregate counters, reconstructed from the interned registry.
     pub fn stats(&self) -> VirtMachineStats {
-        VirtMachineStats {
-            accesses: self.metrics.get(self.ids.accesses),
-            cycles: self.metrics.get(self.ids.cycles),
-            faults: self.metrics.get(self.ids.faults),
-            walks: self.metrics.get(self.ids.walks),
-            refs: VirtRefBreakdown {
-                npt_reads: self.metrics.get(self.ids.npt_reads),
-                gpt_reads: self.metrics.get(self.ids.gpt_reads),
-                data_reads: self.metrics.get(self.ids.data_reads),
-                pmpte_for_npt: self.metrics.get(self.ids.pmpte_for_npt),
-                pmpte_for_gpt: self.metrics.get(self.ids.pmpte_for_gpt),
-                pmpte_for_data: self.metrics.get(self.ids.pmpte_for_data),
-            },
-            aborted_refs: self.metrics.get(self.ids.aborted_refs),
-        }
-    }
-
-    /// Per-access-class latency histograms.
-    pub fn histograms(&self) -> &LatencyHistograms {
-        &self.hists
-    }
-
-    /// One snapshot unifying the virtualized machine's counters under
-    /// dotted `virt.*` names.
-    pub fn metrics_snapshot(&mut self) -> Snapshot {
-        let refs_total = self.stats().refs.total();
-        self.metrics.store(self.ids.refs_total, refs_total);
-        self.tlb.stats().store(&mut self.metrics, &self.ids.tlb);
-        self.gtlb.stats().store(&mut self.metrics, &self.ids.gtlb);
-        self.gpwc.stats().store(&mut self.metrics, &self.ids.gpwc);
-        self.pmptw_cache
-            .stats()
-            .store(&mut self.metrics, &self.ids.pmptw_cache);
-        self.mem_sys.stats().store(&mut self.metrics, &self.ids.mem);
-        self.ids.latency.store(&mut self.metrics, &self.hists);
-        self.metrics.snapshot()
-    }
-
-    /// Checks that every reference the machine claims to have issued is
-    /// visible in the memory system (as
-    /// [`Machine::verify_accounting`](crate::machine::Machine::verify_accounting)).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the mismatch when the counters disagree.
-    pub fn verify_accounting(&self) -> Result<(), String> {
-        let stats = self.stats();
-        let claimed = stats.issued_refs();
-        let observed = self.mem_sys.stats().accesses;
-        if claimed == observed {
-            Ok(())
-        } else {
-            Err(format!(
-                "virt machine claims {claimed} references (refs {} + aborted {}) but \
-                 the memory system observed {observed}",
-                stats.refs.total(),
-                stats.aborted_refs
-            ))
-        }
-    }
-
-    /// Clears all counters and histograms (cache contents untouched; the
-    /// event sequence number keeps running).
-    pub fn reset_stats(&mut self) {
-        for id in self.ids.own_ids() {
-            self.metrics.store(id, 0);
-        }
-        self.mem_sys.reset_stats();
-        self.tlb.reset_stats();
-        self.gtlb.reset_stats();
-        self.gpwc.reset_stats();
-        self.pmptw_cache.reset_stats();
-        self.hists.reset();
+        self.totals()
     }
 
     /// `hfence.vvma`: flush guest-stage translations, keep the G-stage TLB.
     pub fn hfence_vvma(&mut self) {
-        self.tlb.flush_all();
-        self.gpwc.flush_all();
+        self.stage.tlb.flush_all();
+        self.stage.gpwc.flush_all();
     }
 
     /// `hfence.gvma`: flush everything derived from the NPT as well.
     pub fn hfence_gvma(&mut self) {
-        self.tlb.flush_all();
-        self.gpwc.flush_all();
-        self.gtlb.flush_all();
-    }
-
-    /// Cold state: empty caches and TLBs (TC1).
-    pub fn flush_microarch(&mut self) {
-        self.mem_sys.flush_all();
-        self.hfence_gvma();
-        self.pmptw_cache.flush_all();
+        self.stage.flush_all();
     }
 
     /// Performs one guest load/store (the paper uses `hlv.d` from the host
     /// to avoid guest-software noise; the reference sequence is identical).
+    /// VS-mode accesses are checked like S-mode ones.
     ///
     /// # Errors
     ///
     /// Returns a [`Fault`] on translation failure in either stage or an
     /// isolation denial.
     pub fn access(&mut self, gva: VirtAddr, kind: AccessKind) -> Result<VirtAccessOutcome, Fault> {
-        let mode = PrivMode::Supervisor; // VS-mode accesses are checked like S.
-        let mut cycles = self.core.pipeline_overhead + 2; // two-stage TLB tax
-        let mut refs = VirtRefBreakdown::default();
-        let mut steps: Vec<WalkStep> = Vec::new();
-        let mut pmptw: Option<PmptwOutcome> = None;
-
-        // Combined TLB hit: data reference only (permission inlined).
-        if let Some((entry, hit)) = self.tlb.lookup(self.guest.asid(), gva) {
-            let tlb_out = if hit == TlbHit::L2 {
-                TlbOutcome::L2Hit
-            } else {
-                TlbOutcome::L1Hit
-            };
-            let paddr = apply_translation(&entry, gva);
-            if !entry.page_perms.allows(kind) {
-                return Err(self.abort(
-                    Fault::PtePermission(gva),
-                    refs,
-                    kind,
-                    gva,
-                    Some(paddr.raw()),
-                    tlb_out,
-                    pmptw,
-                    cycles,
-                    steps,
-                ));
-            }
-            if !entry.isolation_perms.allows(kind) {
-                return Err(self.abort(
-                    Fault::IsolationOnData(paddr),
-                    refs,
-                    kind,
-                    gva,
-                    Some(paddr.raw()),
-                    tlb_out,
-                    pmptw,
-                    cycles,
-                    steps,
-                ));
-            }
-            let data_cycles = self.data_ref(paddr, kind);
-            cycles += data_cycles;
-            if S::ENABLED {
-                steps.push(WalkStep {
-                    kind: StepKind::Data,
-                    level: None,
-                    addr: paddr.raw(),
-                    cycles: data_cycles,
-                });
-            }
-            refs.data_reads = 1;
-            self.metrics.bump(self.ids.accesses, 1);
-            self.metrics.bump(self.ids.cycles, cycles);
-            self.accumulate(refs);
-            self.hists
-                .record(AccessClass::classify(op_of(kind), true), cycles);
-            self.emit(
-                kind,
-                gva,
-                Some(paddr.raw()),
-                tlb_out,
-                pmptw,
-                cycles,
-                None,
-                steps,
-            );
-            return Ok(VirtAccessOutcome {
-                cycles,
-                refs,
-                tlb_hit: true,
-                paddr,
-            });
-        }
-
-        // Two-stage walk.
-        self.metrics.bump(self.ids.walks, 1);
-        let result = nested_walk(
-            &self.phys,
-            &self.guest,
-            &self.npt,
-            &mut self.gtlb,
-            &mut self.gpwc,
-            gva,
-        );
-        for r in &result.refs {
-            let check = self.planned_check(r.addr, AccessKind::Read, mode);
-            let pmpte_count = check.refs.len() as u64;
-            cycles += self.charge_pmpte_refs(&check.refs, &mut steps);
-            pmptw = check.pmptw.or(pmptw);
-            match r.kind {
-                NestedRefKind::NestedPt { .. } => refs.pmpte_for_npt += pmpte_count,
-                NestedRefKind::GuestPt { .. } => refs.pmpte_for_gpt += pmpte_count,
-            }
-            if !check.allowed {
-                return Err(self.abort(
-                    Fault::IsolationOnPtPage(r.addr),
-                    refs,
-                    kind,
-                    gva,
-                    None,
-                    TlbOutcome::Miss,
-                    pmptw,
-                    cycles,
-                    steps,
-                ));
-            }
-            let pt_cycles = self.mem_sys.access_ptw(r.addr).cycles;
-            cycles += pt_cycles;
-            match r.kind {
-                NestedRefKind::NestedPt { level } => {
-                    refs.npt_reads += 1;
-                    if S::ENABLED {
-                        steps.push(WalkStep {
-                            kind: StepKind::NestedPt,
-                            level: Some(level as u8),
-                            addr: r.addr.raw(),
-                            cycles: pt_cycles,
-                        });
-                    }
-                }
-                NestedRefKind::GuestPt { level } => {
-                    refs.gpt_reads += 1;
-                    if S::ENABLED {
-                        steps.push(WalkStep {
-                            kind: StepKind::GuestPt,
-                            level: Some(level as u8),
-                            addr: r.addr.raw(),
-                            cycles: pt_cycles,
-                        });
-                    }
-                }
-            }
-        }
-        let Some(translation) = result.translation else {
-            return Err(self.abort(
-                Fault::PageFault(gva),
-                refs,
-                kind,
-                gva,
-                None,
-                TlbOutcome::Miss,
-                pmptw,
-                cycles,
-                steps,
-            ));
-        };
-        if !translation.perms.allows(kind) {
-            return Err(self.abort(
-                Fault::PtePermission(gva),
-                refs,
-                kind,
-                gva,
-                None,
-                TlbOutcome::Miss,
-                pmptw,
-                cycles,
-                steps,
-            ));
-        }
-
-        // Data-page permission check + TLB refill + data reference.
-        let check = self.planned_check(translation.paddr, kind, mode);
-        refs.pmpte_for_data += check.refs.len() as u64;
-        cycles += self.charge_pmpte_refs(&check.refs, &mut steps);
-        pmptw = check.pmptw.or(pmptw);
-        if !check.allowed {
-            return Err(self.abort(
-                Fault::IsolationOnData(translation.paddr),
-                refs,
-                kind,
-                gva,
-                Some(translation.paddr.raw()),
-                TlbOutcome::Miss,
-                pmptw,
-                cycles,
-                steps,
-            ));
-        }
-        self.tlb.fill(TlbEntry {
-            asid: self.guest.asid(),
-            vpn: gva.page_number(),
-            frame: translation.paddr.page_base(),
-            page_perms: translation.perms,
-            isolation_perms: check.perms,
-            user: translation.user,
-            epoch: 0,
-        });
-        let data_cycles = self.data_ref(translation.paddr, kind);
-        cycles += data_cycles;
-        if S::ENABLED {
-            steps.push(WalkStep {
-                kind: StepKind::Data,
-                level: None,
-                addr: translation.paddr.raw(),
-                cycles: data_cycles,
-            });
-        }
-        refs.data_reads = 1;
-
-        self.metrics.bump(self.ids.accesses, 1);
-        self.metrics.bump(self.ids.cycles, cycles);
-        self.accumulate(refs);
-        self.hists
-            .record(AccessClass::classify(op_of(kind), false), cycles);
-        self.emit(
-            kind,
-            gva,
-            Some(translation.paddr.raw()),
-            TlbOutcome::Miss,
-            pmptw,
-            cycles,
-            None,
-            steps,
-        );
+        let done = self.run(&(), gva, kind, PrivMode::Supervisor)?;
         Ok(VirtAccessOutcome {
-            cycles,
-            refs,
-            tlb_hit: false,
-            paddr: translation.paddr,
+            cycles: done.cycles,
+            refs: done.refs,
+            tlb_hit: done.tlb_hit.is_some(),
+            paddr: done.paddr,
         })
-    }
-
-    /// Books a faulting access (mirrors `Machine::abort`).
-    #[allow(clippy::too_many_arguments)]
-    fn abort(
-        &mut self,
-        fault: Fault,
-        refs: VirtRefBreakdown,
-        kind: AccessKind,
-        gva: VirtAddr,
-        paddr: Option<u64>,
-        tlb: TlbOutcome,
-        pmptw: Option<PmptwOutcome>,
-        cycles: u64,
-        steps: Vec<WalkStep>,
-    ) -> Fault {
-        self.metrics.bump(self.ids.faults, 1);
-        self.metrics.bump(self.ids.aborted_refs, refs.total());
-        self.emit(
-            kind,
-            gva,
-            paddr,
-            tlb,
-            pmptw,
-            cycles,
-            Some(fault.cause()),
-            steps,
-        );
-        fault
-    }
-
-    /// Emits one trace event; compiles to nothing when the sink is disabled.
-    /// `pipeline_cycles` includes the two-stage TLB tax so events balance.
-    #[allow(clippy::too_many_arguments)]
-    fn emit(
-        &mut self,
-        kind: AccessKind,
-        gva: VirtAddr,
-        paddr: Option<u64>,
-        tlb: TlbOutcome,
-        pmptw: Option<PmptwOutcome>,
-        cycles: u64,
-        fault: Option<FaultCause>,
-        steps: Vec<WalkStep>,
-    ) {
-        if !S::ENABLED {
-            return;
-        }
-        let event = WalkEvent {
-            seq: self.seq,
-            // The virtualized stack is only driven single-hart.
-            hart: 0,
-            world: World::Guest,
-            op: op_of(kind),
-            privilege: PrivLevel::Supervisor,
-            va: gva.raw(),
-            paddr,
-            tlb,
-            pwc_level: None,
-            pmptw,
-            pipeline_cycles: self.core.pipeline_overhead + 2,
-            cycles,
-            fault,
-            steps,
-        };
-        self.seq += 1;
-        self.sink.record(&event);
-    }
-
-    fn accumulate(&mut self, refs: VirtRefBreakdown) {
-        self.metrics.bump(self.ids.npt_reads, refs.npt_reads);
-        self.metrics.bump(self.ids.gpt_reads, refs.gpt_reads);
-        self.metrics.bump(self.ids.data_reads, refs.data_reads);
-        self.metrics
-            .bump(self.ids.pmpte_for_npt, refs.pmpte_for_npt);
-        self.metrics
-            .bump(self.ids.pmpte_for_gpt, refs.pmpte_for_gpt);
-        self.metrics
-            .bump(self.ids.pmpte_for_data, refs.pmpte_for_data);
-    }
-
-    /// Isolation check through the cached pre-decoded plan, rebuilt iff
-    /// the register file mutated (see `Machine::planned_check`).
-    #[inline]
-    fn planned_check(
-        &mut self,
-        addr: PhysAddr,
-        kind: AccessKind,
-        mode: PrivMode,
-    ) -> hpmp_core::CheckOutcome {
-        if self.check_plan.generation() != self.regs.generation() {
-            self.check_plan = self.regs.plan();
-        }
-        self.check_plan
-            .check(&self.phys, &mut self.pmptw_cache, addr, kind, mode)
-    }
-
-    fn charge_pmpte_refs(
-        &mut self,
-        pmpte_refs: &[hpmp_core::PmptRef],
-        steps: &mut Vec<WalkStep>,
-    ) -> u64 {
-        // Walk references are a dependent pointer chase: the out-of-order
-        // window cannot overlap them, so they cost their raw latency.
-        let mut cycles = 0;
-        for r in pmpte_refs {
-            let c = self.mem_sys.access_ptw(r.addr).cycles;
-            if S::ENABLED {
-                steps.push(WalkStep {
-                    kind: if r.is_root {
-                        StepKind::PmptRoot
-                    } else {
-                        StepKind::PmptLeaf
-                    },
-                    level: None,
-                    addr: r.addr.raw(),
-                    cycles: c,
-                });
-            }
-            cycles += c;
-        }
-        cycles
-    }
-
-    fn data_ref(&mut self, paddr: PhysAddr, kind: AccessKind) -> u64 {
-        let outcome = self.mem_sys.access(paddr);
-        let hit = outcome.level != HitLevel::Dram;
-        let mut cycles = self.core.observed_ref_cycles(outcome.cycles, hit);
-        if kind == AccessKind::Write && outcome.level != HitLevel::L1 {
-            cycles += self.core.store_miss_penalty;
-        }
-        cycles
-    }
-}
-
-/// The trace operation for a memsim access kind.
-fn op_of(kind: AccessKind) -> AccessOp {
-    match kind {
-        AccessKind::Read => AccessOp::Read,
-        AccessKind::Write => AccessOp::Write,
-        AccessKind::Fetch => AccessOp::Fetch,
     }
 }
 
@@ -1087,5 +635,56 @@ mod tests {
         assert_eq!(snap.value("virt.accesses"), m.stats().accesses);
         assert_eq!(snap.value("virt.refs"), m.stats().refs.total());
         assert_eq!(snap.value("virt.mem.accesses"), m.stats().issued_refs());
+    }
+
+    /// Mirrors `corrupt_leaf_pmpte_faults_and_recovers` for the native
+    /// machine: a corrupt pmpte met by a guest access fails closed as
+    /// `CorruptPmpte`, not as a policy denial, and service resumes once
+    /// the bit is restored.
+    #[test]
+    fn corrupt_leaf_pmpte_in_guest_access_faults_and_recovers() {
+        let mut m = machine(VirtScheme::PmpTable);
+        m.access(GVA, AccessKind::Read)
+            .expect("intact table allows the read");
+        let data_hpa = PhysAddr::new(DATA_HOST_POOL);
+        let leaf_addr = m
+            .regs
+            .check(
+                &m.phys,
+                &mut hpmp_core::PmptwCache::disabled(),
+                data_hpa,
+                AccessKind::Read,
+                PrivMode::Supervisor,
+            )
+            .refs
+            .last()
+            .expect("table walk has refs")
+            .addr;
+        let raw = m.phys.read_u64(leaf_addr);
+        m.phys.write_u64(leaf_addr, raw ^ 1);
+        m.flush_microarch();
+        let err = m
+            .access(GVA, AccessKind::Read)
+            .expect_err("corrupt pmpte must deny");
+        assert_eq!(err, Fault::CorruptPmpte(data_hpa));
+        m.phys.write_u64(leaf_addr, raw);
+        m.flush_microarch();
+        m.access(GVA, AccessKind::Read)
+            .expect("restored table allows the read again");
+        m.verify_accounting().expect("aborted refs booked");
+    }
+
+    /// The guest's register file has as many entries as the config asks
+    /// for: 64 under ePMP.
+    #[test]
+    fn epmp_config_gives_the_guest_64_entries() {
+        assert_eq!(
+            machine(VirtScheme::Hpmp).regs.len(),
+            hpmp_core::HPMP_ENTRIES
+        );
+        let mut config = MachineConfig::rocket();
+        config.hpmp_entries = hpmp_core::EPMP_ENTRIES;
+        let m = VirtMachine::new(config, VirtScheme::Hpmp, 4);
+        assert_eq!(m.regs.len(), hpmp_core::EPMP_ENTRIES);
     }
 }

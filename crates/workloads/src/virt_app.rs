@@ -7,7 +7,7 @@
 //! walk's cost shows up as end-to-end throughput, the way Figure 12 shows
 //! it for the native case.
 
-use hpmp_machine::{VirtMachine, VirtScheme};
+use hpmp_machine::{MachineConfig, VirtMachine, VirtScheme};
 use hpmp_memsim::{AccessKind, CoreKind, SplitMix64, VirtAddr, PAGE_SIZE};
 
 /// Result of a guest-application run.
@@ -57,6 +57,23 @@ pub fn run_guest_kv_with_sink<S: hpmp_trace::TraceSink>(
     sink: S,
 ) -> (VirtAppOutcome, hpmp_trace::Snapshot) {
     let config = crate::fixture::config_for(core);
+    run_guest_kv_with_config(config, scheme, dataset_pages, requests, sink)
+}
+
+/// As [`run_guest_kv_with_sink`], on a guest machine built from `config`
+/// (so TLB inlining, the HPMP entry count, PWC and PMPTW-Cache geometry
+/// and memory encryption all apply to the guest).
+///
+/// # Panics
+///
+/// As [`run_guest_kv`].
+pub fn run_guest_kv_with_config<S: hpmp_trace::TraceSink>(
+    config: MachineConfig,
+    scheme: VirtScheme,
+    dataset_pages: u64,
+    requests: u64,
+    sink: S,
+) -> (VirtAppOutcome, hpmp_trace::Snapshot) {
     let mut machine = VirtMachine::with_sink(config, scheme, dataset_pages, sink);
     let base = 0x20_0000u64;
     let bytes = dataset_pages * PAGE_SIZE;
@@ -125,6 +142,18 @@ mod tests {
             ratio < 1.05,
             "TLB-resident guest should be scheme-insensitive: {ratio}"
         );
+    }
+
+    /// The same TLB-resident guest stops being scheme-insensitive once
+    /// the config turns permission inlining off: every hit re-checks.
+    #[test]
+    fn config_reaches_the_guest() {
+        let inlined = run_guest_kv(CoreKind::Rocket, VirtScheme::PmpTable, 64, 300);
+        let mut config = MachineConfig::rocket();
+        config.tlb_inlining = false;
+        let (rechecked, _) =
+            run_guest_kv_with_config(config, VirtScheme::PmpTable, 64, 300, hpmp_trace::NullSink);
+        assert!(rechecked.cycles > inlined.cycles);
     }
 
     #[test]

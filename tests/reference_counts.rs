@@ -170,6 +170,16 @@ fn tlb_inlining_ablation() {
         .unwrap();
     assert_eq!(warm.refs.pmpte_for_data, 2);
     assert_eq!(warm.refs.total(), 3);
+
+    // The guest honours the same switch: a warm combined-TLB hit under
+    // the permission table pays the data page's two pmpte references.
+    let gva = VirtAddr::new(0x20_0000);
+    let mut guest = VirtMachine::new(config, VirtScheme::PmpTable, 4);
+    guest.access(gva, AccessKind::Read).unwrap();
+    let warm = guest.access(gva, AccessKind::Read).unwrap();
+    assert!(warm.tlb_hit);
+    assert_eq!(warm.refs.pmpte_for_data, 2);
+    assert_eq!(warm.refs.total(), 3);
 }
 
 /// The §2–§3 arithmetic must survive SMP: on a 2-hart system with one
