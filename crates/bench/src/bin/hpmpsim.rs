@@ -16,6 +16,12 @@
 //!         [--host-profile-out FILE]
 //! ```
 //!
+//! The nine artifact flags (`--jobs`, `--backend`, `--trace-out`,
+//! `--metrics-out`, `--bench-out`, `--snapshot-interval`, `--timeline-out`,
+//! `--spans-out`, `--host-profile-out`) are parsed, checked and written by
+//! [`hpmp_bench::artifacts`], shared with `repro`. A missing or malformed
+//! flag value exits 2 naming the flag.
+//!
 //! `--workload` accepts a comma-separated list; the workloads run on an
 //! in-process pool of `--jobs N` worker threads (default: available
 //! parallelism), each with its own trace sink and metrics registry.
@@ -24,11 +30,12 @@
 //!
 //! `--harts N` (N > 1) runs each workload's SMP shape instead: one tenant
 //! enclave per hart over a shared [`hpmp_penglai::SmpSystem`], with
-//! cross-hart TLB/PMP shootdowns on every GMS change and domain switch.
-//! The hart interleaving is seeded and the run is single-threaded
-//! internally, so artifacts stay byte-identical at any `--jobs`; trace
-//! events carry a `hart` field and the metrics snapshot gains per-hart
-//! `hart.<i>.*` shootdown/fence counters plus `smp.*` totals.
+//! cross-hart TLB/PMP shootdowns on every GMS change and domain switch,
+//! through [`hpmp_workloads::smp::run_smp_with`]. The hart interleaving is
+//! seeded, so artifacts stay byte-identical at any `--jobs`; trace events
+//! carry a `hart` field and the metrics snapshot gains per-hart
+//! `hart.<i>.*` shootdown/fence counters plus `smp.*` totals. A monitor
+//! error (e.g. the PMP flavour's entry wall) exits 1 with its message.
 //!
 //! `--backend threaded` (with `--harts` >= 2) runs the same SMP shape on
 //! the threaded execution backend: one OS thread per hart between monitor
@@ -56,11 +63,11 @@
 //! degradation ladder (normal → compacting → table-only → admission
 //! control). The run honours `--flavor`, `--core`, `--harts` and
 //! `--backend`, uses the fixed SMP seed, and is byte-identical at any
-//! `--jobs` and on either backend. `--metrics-out`/`--bench-out` work as
-//! usual. Exit status: 0 normally, 1 if a robustness invariant broke
-//! (canary loss or a fast-path/oracle disagreement), and **3** if the run
-//! *ended* inside stage-3 admission control — a distinct, non-panicking
-//! signal that the modelled fleet saturated its arena.
+//! `--jobs` and on either backend. `--metrics-out`/`--bench-out`/
+//! `--spans-out` work as usual. Exit status: 0 normally, 1 if a robustness
+//! invariant broke (canary loss or a fast-path/oracle disagreement), and
+//! **3** if the run *ended* inside stage-3 admission control — a distinct,
+//! non-panicking signal that the modelled fleet saturated its arena.
 //!
 //! `--fault-campaign` switches to fault-injection mode instead of running a
 //! workload: the campaign's shards (part of the spec, not derived from
@@ -90,18 +97,20 @@
 //! kick-the-tires tool: pick a stack, run a workload, read the counters.
 
 use std::fmt::Write as _;
-use std::io::Write as _;
+use std::num::{NonZeroU32, NonZeroUsize};
 
+use hpmp_bench::artifacts::{flag_value, write_or_exit, ArtifactFlags, TraceBytes};
 use hpmp_bench::run_ordered;
 use hpmp_core::PmptwCacheConfig;
 use hpmp_faults::{run_shard, CampaignReport, CampaignSpec};
-use hpmp_machine::{ExecBackend, MachineConfig};
+use hpmp_machine::{ExecBackend, Machine, MachineConfig};
 use hpmp_memsim::CoreKind;
 use hpmp_penglai::TeeFlavor;
 use hpmp_trace::{
     walks_in_snapshot, BenchReport, ExperimentRecord, HostProfiler, JsonlSink, NullSink, Snapshot,
     TraceSink,
 };
+use hpmp_workloads::smp::{run_smp_with, spec_for, RunOptions, SmpTelemetry};
 use hpmp_workloads::TeeBench;
 
 #[derive(Debug)]
@@ -109,26 +118,18 @@ struct Options {
     flavor: TeeFlavor,
     core: CoreKind,
     workload: String,
-    scenario: Option<String>,
+    aging: bool,
     churn_ops: Option<u32>,
     harts: usize,
-    backend: ExecBackend,
-    jobs: Option<usize>,
     pwc: Option<usize>,
     pmptw_cache: Option<usize>,
     tlb_inlining: bool,
     encryption: u64,
     epmp: bool,
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
-    bench_out: Option<String>,
-    snapshot_interval: Option<u64>,
-    timeline_out: Option<String>,
-    spans_out: Option<String>,
     fault_campaign: Option<String>,
     fault_seed: u64,
     campaign_out: Option<String>,
-    host_profile_out: Option<String>,
+    artifacts: ArtifactFlags,
 }
 
 fn usage() -> ! {
@@ -153,144 +154,90 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Prints `message` and the usage text, exiting 2.
+fn usage_error(message: impl std::fmt::Display) -> ! {
+    eprintln!("{message}");
+    usage()
+}
+
 fn parse_args() -> Options {
     let mut options = Options {
         flavor: TeeFlavor::PenglaiHpmp,
         core: CoreKind::Rocket,
         workload: "serverless".to_string(),
-        scenario: None,
+        aging: false,
         churn_ops: None,
         harts: 1,
-        backend: ExecBackend::Deterministic,
-        jobs: None,
         pwc: None,
         pmptw_cache: None,
         tlb_inlining: true,
         encryption: 0,
         epmp: false,
-        trace_out: None,
-        metrics_out: None,
-        bench_out: None,
-        snapshot_interval: None,
-        timeline_out: None,
-        spans_out: None,
         fault_campaign: None,
         fault_seed: 0,
         campaign_out: None,
-        host_profile_out: None,
+        artifacts: ArtifactFlags::default(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("missing value for {name}");
-                usage()
-            })
-        };
-        match arg.as_str() {
-            "--flavor" => {
-                options.flavor = match value("--flavor").as_str() {
-                    "pmp" => TeeFlavor::PenglaiPmp,
-                    "pmpt" => TeeFlavor::PenglaiPmpt,
-                    "hpmp" => TeeFlavor::PenglaiHpmp,
-                    other => {
-                        eprintln!("unknown flavor {other}");
-                        usage()
-                    }
-                }
-            }
-            "--core" => {
-                options.core = match value("--core").as_str() {
-                    "rocket" => CoreKind::Rocket,
-                    "boom" => CoreKind::Boom,
-                    other => {
-                        eprintln!("unknown core {other}");
-                        usage()
-                    }
-                }
-            }
-            "--workload" => options.workload = value("--workload"),
-            "--scenario" => match value("--scenario").as_str() {
-                "aging" => options.scenario = Some("aging".to_string()),
-                other => {
-                    eprintln!("unknown scenario {other}");
-                    usage()
-                }
-            },
-            "--churn-ops" => match value("--churn-ops").parse() {
-                Ok(n) if n >= 1 => options.churn_ops = Some(n),
-                _ => {
-                    eprintln!("--churn-ops needs a positive integer");
-                    usage()
-                }
-            },
-            "--harts" => match value("--harts").parse() {
-                Ok(n) if n >= 1 => options.harts = n,
-                _ => {
-                    eprintln!("--harts needs a positive integer");
-                    usage()
-                }
-            },
-            "--backend" => match value("--backend").parse() {
-                Ok(backend) => options.backend = backend,
-                Err(e) => {
-                    eprintln!("{e}");
-                    usage()
-                }
-            },
-            "--jobs" => match value("--jobs").parse() {
-                Ok(n) => options.jobs = Some(n),
-                Err(_) => {
-                    eprintln!("--jobs needs a positive integer");
-                    usage()
-                }
-            },
-            "--pwc" => options.pwc = value("--pwc").parse().ok(),
-            "--pmptw-cache" => options.pmptw_cache = value("--pmptw-cache").parse().ok(),
-            "--no-tlb-inlining" => options.tlb_inlining = false,
-            "--encryption" => options.encryption = value("--encryption").parse().unwrap_or(0),
-            "--epmp" => options.epmp = true,
-            "--trace-out" => options.trace_out = Some(value("--trace-out")),
-            "--metrics-out" => options.metrics_out = Some(value("--metrics-out")),
-            "--bench-out" => options.bench_out = Some(value("--bench-out")),
-            "--snapshot-interval" => match value("--snapshot-interval").parse() {
-                Ok(n) if n >= 1 => options.snapshot_interval = Some(n),
-                _ => {
-                    eprintln!("--snapshot-interval needs a positive cycle count");
-                    usage()
-                }
-            },
-            "--timeline-out" => options.timeline_out = Some(value("--timeline-out")),
-            "--spans-out" => options.spans_out = Some(value("--spans-out")),
-            "--fault-campaign" => options.fault_campaign = Some(value("--fault-campaign")),
-            "--fault-seed" => match value("--fault-seed").parse() {
-                Ok(n) => options.fault_seed = n,
-                Err(_) => {
-                    eprintln!("--fault-seed needs an unsigned integer");
-                    usage()
-                }
-            },
-            "--campaign-out" => options.campaign_out = Some(value("--campaign-out")),
-            "--host-profile-out" => options.host_profile_out = Some(value("--host-profile-out")),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument {other}");
-                usage()
-            }
+        if let Err(e) = parse_flag(&mut options, &arg, &mut args) {
+            usage_error(e)
         }
     }
-    if options.churn_ops.is_some() && options.scenario.is_none() {
-        eprintln!("--churn-ops needs --scenario aging");
-        usage()
+    if options.churn_ops.is_some() && !options.aging {
+        usage_error("--churn-ops needs --scenario aging")
     }
     options
 }
 
+/// Applies one command-line flag to `options`, taking its value from `rest`.
+fn parse_flag(
+    options: &mut Options,
+    arg: &str,
+    rest: &mut impl Iterator<Item = String>,
+) -> Result<(), String> {
+    if options.artifacts.accept(arg, rest)? {
+        return Ok(());
+    }
+    match arg {
+        "--flavor" => {
+            options.flavor = match flag_value::<String>(arg, rest)?.as_str() {
+                "pmp" => TeeFlavor::PenglaiPmp,
+                "pmpt" => TeeFlavor::PenglaiPmpt,
+                "hpmp" => TeeFlavor::PenglaiHpmp,
+                other => return Err(format!("unknown flavor {other}")),
+            }
+        }
+        "--core" => {
+            options.core = match flag_value::<String>(arg, rest)?.as_str() {
+                "rocket" => CoreKind::Rocket,
+                "boom" => CoreKind::Boom,
+                other => return Err(format!("unknown core {other}")),
+            }
+        }
+        "--workload" => options.workload = flag_value(arg, rest)?,
+        "--scenario" => match flag_value::<String>(arg, rest)?.as_str() {
+            "aging" => options.aging = true,
+            other => return Err(format!("unknown scenario {other}")),
+        },
+        "--churn-ops" => options.churn_ops = Some(flag_value::<NonZeroU32>(arg, rest)?.get()),
+        "--harts" => options.harts = flag_value::<NonZeroUsize>(arg, rest)?.get(),
+        "--pwc" => options.pwc = Some(flag_value(arg, rest)?),
+        "--pmptw-cache" => options.pmptw_cache = Some(flag_value(arg, rest)?),
+        "--no-tlb-inlining" => options.tlb_inlining = false,
+        "--encryption" => options.encryption = flag_value(arg, rest)?,
+        "--epmp" => options.epmp = true,
+        "--fault-campaign" => options.fault_campaign = Some(flag_value(arg, rest)?),
+        "--fault-seed" => options.fault_seed = flag_value(arg, rest)?,
+        "--campaign-out" => options.campaign_out = Some(flag_value(arg, rest)?),
+        "--help" | "-h" => usage(),
+        other => return Err(format!("unknown argument {other}")),
+    }
+    Ok(())
+}
+
 fn machine_config(options: &Options) -> MachineConfig {
-    let mut config = match options.core {
-        CoreKind::Rocket => MachineConfig::rocket(),
-        CoreKind::Boom => MachineConfig::boom(),
-    };
+    let mut config = hpmp_workloads::fixture::config_for(options.core);
     if let Some(entries) = options.pwc {
         config.pwc.entries = entries;
     }
@@ -321,7 +268,7 @@ fn main() {
     if options.fault_campaign.is_some() {
         run_fault_campaign(&options);
     }
-    if options.scenario.is_some() {
+    if options.aging {
         run_aging_scenario(&options);
     }
     println!(
@@ -336,6 +283,7 @@ fn main() {
         options.encryption,
         if options.epmp { 64 } else { 16 },
     );
+    let artifacts = &options.artifacts;
     // Only printed for SMP runs so single-hart output stays byte-identical
     // with pre-SMP builds.
     if options.harts > 1 {
@@ -343,7 +291,7 @@ fn main() {
             "  harts        : {} (seed {SMP_SEED}, cross-hart shootdowns on)",
             options.harts
         );
-        if options.backend == ExecBackend::Threaded {
+        if artifacts.backend == ExecBackend::Threaded {
             println!("  backend      : threaded (per-hart OS threads between monitor ops)");
         }
     }
@@ -355,66 +303,40 @@ fn main() {
         .collect();
     for workload in &workloads {
         if !WORKLOADS.contains(workload) {
-            eprintln!("unknown workload {workload}");
-            usage()
+            usage_error(format!("unknown workload {workload}"))
         }
     }
     if workloads.is_empty() {
-        eprintln!("no workload given");
-        usage()
+        usage_error("no workload given")
     }
-    if options.backend == ExecBackend::Threaded && options.harts < 2 {
-        eprintln!("--backend threaded needs --harts >= 2");
-        usage()
+    if artifacts.backend == ExecBackend::Threaded && options.harts < 2 {
+        usage_error("--backend threaded needs --harts >= 2")
     }
-    let telemetry_requested = options.snapshot_interval.is_some()
-        || options.timeline_out.is_some()
-        || options.spans_out.is_some();
-    if telemetry_requested {
-        if options.backend == ExecBackend::Threaded {
-            // Timeline slices and spans live on the global simulated
-            // clock, which only advances serially.
-            eprintln!("time-resolved telemetry requires --backend deterministic");
-            usage()
-        }
+    let run_options = artifacts.run_options().unwrap_or_else(|e| usage_error(e));
+    if artifacts.telemetry_requested() {
         // The timeline/span clock is the SMP global simulated clock, so
         // time-resolved telemetry only exists for multi-hart runs; one
         // artifact file covers one run, so one workload.
         if options.harts < 2 {
-            eprintln!("--snapshot-interval/--timeline-out/--spans-out need --harts >= 2");
-            usage()
+            usage_error("--snapshot-interval/--timeline-out/--spans-out need --harts >= 2")
         }
         if workloads.len() != 1 {
-            eprintln!("telemetry outputs cover one run; pass a single --workload");
-            usage()
-        }
-        if options.timeline_out.is_some() && options.snapshot_interval.is_none() {
-            eprintln!("--timeline-out needs --snapshot-interval");
-            usage()
+            usage_error("telemetry outputs cover one run; pass a single --workload")
         }
     }
-    let jobs = options
-        .jobs
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-        .max(1);
 
     // Run the workloads on the worker pool, each with its own sink and
     // registry; buffered outputs stream in the listed order. The profiler
     // is host-clock only: its measurements go to `--host-profile-out` and
     // stderr, never into stdout or the simulated artifacts.
     let mut profiler = HostProfiler::new("hpmpsim");
-    let tracing = options.trace_out.is_some();
     profiler.begin_phase("run");
     let outputs = run_ordered(
         workloads.len(),
-        jobs,
+        artifacts.jobs(),
         |i| {
             let started = std::time::Instant::now();
-            let mut out = run_one(&options, workloads[i], tracing);
+            let mut out = run_one(&options, run_options, workloads[i]);
             out.wall = started.elapsed();
             out
         },
@@ -428,89 +350,33 @@ fn main() {
         cycles += out.cycles;
         snapshot = snapshot.merge(&out.snap);
     }
-
-    if let Some(path) = &options.trace_out {
-        // One schema header, then each workload's trace bytes in listed
-        // order — identical to a serial shared-sink stream.
-        let sink = JsonlSink::create(path).unwrap_or_else(|e| {
-            eprintln!("cannot create {path}: {e}");
-            std::process::exit(1);
-        });
-        let mut file = sink.into_inner();
-        let write_err = outputs
-            .iter()
-            .try_for_each(|out| file.write_all(&out.trace))
-            .and_then(|()| file.flush());
-        if let Err(e) = write_err {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        let events: u64 = outputs.iter().map(|o| o.trace_events).sum();
-        println!("  trace        : {events} events -> {path}");
-        let io_errors: u64 = outputs.iter().map(|o| o.trace_io_errors).sum();
-        if io_errors > 0 {
-            eprintln!("  warning: {io_errors} events lost to I/O errors");
+    if let Some(line) = artifacts.write_trace(outputs.iter().map(|out| &out.trace)) {
+        println!("  trace        : {line}");
+    }
+    if let Some(line) = artifacts.write_metrics(&snapshot) {
+        println!("  metrics      : {line}");
+    }
+    for out in &outputs {
+        for (label, line) in artifacts.write_telemetry(&out.telemetry) {
+            println!("  {label:<13}: {line}");
         }
     }
-    if let Some(path) = &options.metrics_out {
-        if let Err(e) = std::fs::write(path, snapshot.to_json_versioned()) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("  metrics      : {} counters -> {}", snapshot.len(), path);
+    let mut report = BenchReport::new("hpmpsim");
+    report.set_config("flavor", options.flavor.to_string());
+    report.set_config("core", options.core.to_string());
+    report.set_config("workload", options.workload.clone());
+    if options.harts > 1 {
+        report.set_config("harts", options.harts.to_string());
     }
-    if let Some(interval) = options.snapshot_interval {
-        let path = options.timeline_out.as_deref().unwrap_or("timeline.jsonl");
-        let telemetry = &outputs[0].telemetry;
-        if let Err(e) = std::fs::write(path, &telemetry.timeline) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!(
-            "  timeline     : {} slice(s) every {interval} cycles -> {path}",
-            telemetry.slices
-        );
-        if telemetry.dropped_boundaries > 0 {
-            eprintln!(
-                "  warning: {} slice boundaries folded into the tail (max slices reached)",
-                telemetry.dropped_boundaries
-            );
-        }
+    for (workload, out) in workloads.iter().zip(&outputs) {
+        report.push(ExperimentRecord::from_snapshot(
+            workload.to_string(),
+            out.cycles,
+            out.snap.clone(),
+        ));
     }
-    if let Some(path) = &options.spans_out {
-        let telemetry = &outputs[0].telemetry;
-        if let Err(e) = std::fs::write(path, &telemetry.spans) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!(
-            "  spans        : {} span(s) ({} dropped) -> {path}",
-            telemetry.spans_emitted, telemetry.spans_dropped
-        );
-    }
-    if let Some(path) = &options.bench_out {
-        let mut report = BenchReport::new("hpmpsim");
-        report.set_config("flavor", options.flavor.to_string());
-        report.set_config("core", options.core.to_string());
-        report.set_config("workload", options.workload.clone());
-        if options.harts > 1 {
-            report.set_config("harts", options.harts.to_string());
-        }
-        for (workload, out) in workloads.iter().zip(&outputs) {
-            report.push(ExperimentRecord::from_snapshot(
-                workload.to_string(),
-                out.cycles,
-                out.snap.clone(),
-            ));
-        }
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!(
-            "  bench report : {} experiment(s) -> {path}",
-            report.experiments.len()
-        );
+    if let Some(line) = artifacts.write_bench(&report) {
+        println!("  bench report : {line}");
     }
 
     let core = hpmp_memsim::CoreModel::for_kind(options.core);
@@ -527,15 +393,7 @@ fn main() {
     for (workload, out) in workloads.iter().zip(&outputs) {
         profiler.record_experiment(*workload, out.wall, walks_in_snapshot(&out.snap));
     }
-    let profile = profiler.finish();
-    if let Some(path) = &options.host_profile_out {
-        if let Err(e) = std::fs::write(path, profile.to_json()) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("  host profile : -> {path}");
-    }
-    eprintln!("{}", profile.headline());
+    artifacts.write_host_profile(&profiler.finish());
 }
 
 /// Drives a fault-injection campaign over the worker pool and exits.
@@ -545,22 +403,13 @@ fn main() {
 /// `--campaign-out` bytes) is identical at any parallelism.
 fn run_fault_campaign(options: &Options) -> ! {
     let spec_text = options.fault_campaign.as_deref().unwrap_or_default();
-    let mut spec = CampaignSpec::parse(spec_text).unwrap_or_else(|e| {
-        eprintln!("bad --fault-campaign: {e}");
-        usage()
-    });
+    let mut spec = CampaignSpec::parse(spec_text)
+        .unwrap_or_else(|e| usage_error(format!("bad --fault-campaign: {e}")));
     // `--flavor` applies unless the spec itself picked one.
     if !spec_text.contains("flavor=") {
         spec.flavor = options.flavor;
     }
-    let jobs = options
-        .jobs
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-        .max(1);
+    let jobs = options.artifacts.jobs();
     println!(
         "hpmpsim: fault campaign {} seed {} ({} shards over {} jobs)",
         spec.canonical(),
@@ -592,19 +441,13 @@ fn run_fault_campaign(options: &Options) -> ! {
         let mut bytes = report.records.clone().into_bytes();
         bytes.extend_from_slice(report.summary_json().as_bytes());
         bytes.push(b'\n');
-        if let Err(e) = std::fs::write(path, bytes) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
+        write_or_exit(path, bytes);
         println!("  records      : {} trials -> {path}", report.trials);
     }
-    if let Some(path) = &options.metrics_out {
+    if let Some(path) = &options.artifacts.metrics_out {
         let mut registry = hpmp_trace::MetricsRegistry::new();
         report.export(&mut registry);
-        if let Err(e) = std::fs::write(path, registry.snapshot().to_json_versioned()) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
+        write_or_exit(path, registry.snapshot().to_json_versioned());
         println!("  metrics      : -> {path}");
     }
     println!(
@@ -632,28 +475,26 @@ fn run_fault_campaign(options: &Options) -> ! {
 
 /// Drives the fleet-churn aging scenario and exits.
 ///
-/// The run is single-threaded internally (`--jobs` only sizes the unused
-/// worker pool), so stdout and every artifact are byte-identical at any
-/// parallelism and on either backend. Exit codes: 0 for a clean run, 1 if
-/// a canary or the permission oracle was violated, 3 if the run *ended*
+/// Every lifecycle op is serial and all churn decisions come from one
+/// seeded stream, so stdout and every artifact are byte-identical at any
+/// `--jobs` and on either backend. Exit codes: 0 for a clean run, 1 if a
+/// canary or the permission oracle was violated, 3 if the run *ended*
 /// inside stage-3 admission control.
 fn run_aging_scenario(options: &Options) -> ! {
-    if options.backend == ExecBackend::Threaded && options.harts < 2 {
-        eprintln!("--backend threaded needs --harts >= 2");
-        usage()
+    let artifacts = &options.artifacts;
+    if artifacts.backend == ExecBackend::Threaded && options.harts < 2 {
+        usage_error("--backend threaded needs --harts >= 2")
     }
-    if options.trace_out.is_some()
-        || options.snapshot_interval.is_some()
-        || options.timeline_out.is_some()
+    if artifacts.trace_out.is_some()
+        || artifacts.snapshot_interval.is_some()
+        || artifacts.timeline_out.is_some()
     {
-        eprintln!("--scenario aging supports --metrics-out/--bench-out/--spans-out, not trace/timeline flags");
-        usage()
+        usage_error(
+            "--scenario aging supports --metrics-out/--bench-out/--spans-out, \
+             not trace/timeline flags",
+        )
     }
-    if options.spans_out.is_some() && options.backend == ExecBackend::Threaded {
-        // Spans live on the serial simulated clock.
-        eprintln!("--spans-out with --scenario aging requires --backend deterministic");
-        usage()
-    }
+    let run_options = artifacts.run_options().unwrap_or_else(|e| usage_error(e));
     let churn_ops = options
         .churn_ops
         .unwrap_or(hpmp_workloads::aging::DEFAULT_CHURN_OPS);
@@ -665,42 +506,22 @@ fn run_aging_scenario(options: &Options) -> ! {
         options.core,
         options.harts,
         churn_ops,
-        options.backend.name(),
+        artifacts.backend.name(),
     );
-    let boot_failed = |e: hpmp_penglai::MonitorError| -> ! {
+    let machines = (0..options.harts)
+        .map(|_| Machine::new(machine_config(options)))
+        .collect();
+    let (outcome, snap, _, telemetry) = hpmp_workloads::aging::run_aging_with(
+        machines,
+        options.flavor,
+        SMP_SEED,
+        spec,
+        run_options,
+    )
+    .unwrap_or_else(|e| {
         eprintln!("aging scenario failed to boot: {e}");
         std::process::exit(1);
-    };
-    let mut span_artifact: Option<(Vec<u8>, u64, u64)> = None;
-    let (outcome, snap) = if options.spans_out.is_some() {
-        let machines = (0..options.harts)
-            .map(|_| hpmp_machine::Machine::new(machine_config(options)))
-            .collect();
-        let (outcome, snap, spans, _) = hpmp_workloads::aging::run_aging_spans(
-            machines,
-            options.flavor,
-            SMP_SEED,
-            spec,
-            hpmp_workloads::smp::SmpTelemetrySpec::DEFAULT_SPAN_CAPACITY,
-        )
-        .unwrap_or_else(|e| boot_failed(e));
-        let mut bytes = Vec::new();
-        spans
-            .write_jsonl(&mut bytes)
-            .expect("Vec writes cannot fail");
-        span_artifact = Some((bytes, spans.len() as u64, spans.dropped()));
-        (outcome, snap)
-    } else {
-        hpmp_workloads::aging::run_aging(
-            options.flavor,
-            options.core,
-            options.harts,
-            SMP_SEED,
-            spec,
-            options.backend,
-        )
-        .unwrap_or_else(|e| boot_failed(e))
-    };
+    });
 
     // The path starts with the boot-time (op 0, stage 0) entry.
     let stages = outcome
@@ -738,41 +559,25 @@ fn run_aging_scenario(options: &Options) -> ! {
         "  smp          : {} accesses on {} harts, {} IPIs delivered",
         outcome.accesses, outcome.harts, outcome.ipis_delivered
     );
-    if let Some(path) = &options.metrics_out {
-        if let Err(e) = std::fs::write(path, snap.to_json_versioned()) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("  metrics      : {} counters -> {}", snap.len(), path);
+    if let Some(line) = artifacts.write_metrics(&snap) {
+        eprintln!("  metrics      : {line}");
     }
-    if let Some(path) = &options.spans_out {
-        let (bytes, retained, dropped) = span_artifact.expect("spans collected when requested");
-        if let Err(e) = std::fs::write(path, bytes) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("  spans        : {retained} span(s) ({dropped} dropped) -> {path}");
+    for (label, line) in artifacts.write_telemetry(&telemetry) {
+        eprintln!("  {label:<13}: {line}");
     }
-    if let Some(path) = &options.bench_out {
-        let mut report = BenchReport::new("hpmpsim-aging");
-        report.set_config("flavor", options.flavor.to_string());
-        report.set_config("core", options.core.to_string());
-        report.set_config("scenario", "aging".to_string());
-        report.set_config("harts", options.harts.to_string());
-        report.set_config("churn_ops", churn_ops.to_string());
-        report.push(ExperimentRecord::from_snapshot(
-            "aging".to_string(),
-            outcome.total_cycles,
-            snap.clone(),
-        ));
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "  bench report : {} experiment(s) -> {path}",
-            report.experiments.len()
-        );
+    let mut report = BenchReport::new("hpmpsim-aging");
+    report.set_config("flavor", options.flavor.to_string());
+    report.set_config("core", options.core.to_string());
+    report.set_config("scenario", "aging".to_string());
+    report.set_config("harts", options.harts.to_string());
+    report.set_config("churn_ops", churn_ops.to_string());
+    report.push(ExperimentRecord::from_snapshot(
+        "aging".to_string(),
+        outcome.total_cycles,
+        snap,
+    ));
+    if let Some(line) = artifacts.write_bench(&report) {
+        eprintln!("  bench report : {line}");
     }
     println!("  total cycles : {}", outcome.total_cycles);
     if outcome.canary_failures > 0 || outcome.oracle_violations > 0 {
@@ -795,57 +600,13 @@ struct WorkloadOutput {
     cycles: u64,
     /// The workload machine's metrics snapshot.
     snap: Snapshot,
-    /// Headerless JSONL walk-event bytes (empty unless tracing).
-    trace: Vec<u8>,
-    /// Number of trace events in `trace`.
-    trace_events: u64,
-    /// Events lost to I/O errors while tracing.
-    trace_io_errors: u64,
-    /// Buffered time-resolved artifacts (empty unless requested).
-    telemetry: TelemetryOutput,
+    /// Headerless walk-event bytes (empty unless tracing).
+    trace: TraceBytes,
+    /// Time-resolved artifacts (empty unless requested).
+    telemetry: SmpTelemetry,
     /// Host wall-clock time the workload took; feeds only the host
     /// profile, never a simulated artifact.
     wall: std::time::Duration,
-}
-
-/// Serialized timeline/span artifacts of one SMP run, buffered so the
-/// `--jobs` pool stays byte-deterministic.
-#[derive(Default)]
-struct TelemetryOutput {
-    /// `hpmp-timeline` JSONL bytes (header, slices, footer).
-    timeline: Vec<u8>,
-    /// Slices cut.
-    slices: u64,
-    /// Boundaries folded into the tail slice by the retention bound.
-    dropped_boundaries: u64,
-    /// `hpmp-span-events` JSONL bytes.
-    spans: Vec<u8>,
-    /// Spans retained.
-    spans_emitted: u64,
-    /// Spans dropped by the collector's capacity bound.
-    spans_dropped: u64,
-}
-
-impl TelemetryOutput {
-    /// Buffers the artifacts `run_smp_telemetry` produced.
-    fn from_run(telemetry: &hpmp_workloads::smp::SmpTelemetry) -> TelemetryOutput {
-        let mut out = TelemetryOutput::default();
-        if let Some(timeline) = &telemetry.timeline {
-            timeline
-                .write_jsonl(&mut out.timeline)
-                .expect("Vec writes cannot fail");
-            out.slices = timeline.slices().len() as u64;
-            out.dropped_boundaries = timeline.dropped_boundaries();
-        }
-        if let Some(spans) = &telemetry.spans {
-            spans
-                .write_jsonl(&mut out.spans)
-                .expect("Vec writes cannot fail");
-            out.spans_emitted = spans.len() as u64;
-            out.spans_dropped = spans.dropped();
-        }
-        out
-    }
 }
 
 /// Seed for the SMP interleaver and per-hart access streams. Fixed so
@@ -854,139 +615,59 @@ impl TelemetryOutput {
 const SMP_SEED: u64 = 0x4850_4d50;
 
 /// Runs one workload with a private sink and registry, buffering its output.
-fn run_one(options: &Options, workload: &str, tracing: bool) -> WorkloadOutput {
-    if options.harts > 1 {
-        return run_one_smp(options, workload, tracing);
+fn run_one(options: &Options, run_options: RunOptions, workload: &str) -> WorkloadOutput {
+    if options.artifacts.trace_out.is_none() {
+        return run_with_sinks(options, run_options, workload, || NullSink).0;
     }
-    let config = machine_config(options);
-    let mut stdout = String::new();
-    if tracing {
-        let mut sink = JsonlSink::new_headerless(Vec::new());
-        let (cycles, snap) = run_workload(options, workload, config, &mut sink, &mut stdout);
-        sink.flush();
-        WorkloadOutput {
-            stdout,
-            cycles,
-            snap,
-            trace_events: sink.written(),
-            trace_io_errors: sink.io_errors(),
-            trace: sink.into_inner(),
-            telemetry: TelemetryOutput::default(),
-            wall: std::time::Duration::ZERO,
-        }
-    } else {
-        let (cycles, snap) = run_workload(options, workload, config, NullSink, &mut stdout);
-        WorkloadOutput {
-            stdout,
-            cycles,
-            snap,
-            trace: Vec::new(),
-            trace_events: 0,
-            trace_io_errors: 0,
-            telemetry: TelemetryOutput::default(),
-            wall: std::time::Duration::ZERO,
-        }
-    }
+    let (mut out, sinks) = run_with_sinks(options, run_options, workload, || {
+        JsonlSink::new_headerless(Vec::new())
+    });
+    out.trace = TraceBytes::from_sinks(sinks);
+    out
 }
 
-/// Runs one workload's SMP shape on `--harts` harts: per-hart machines
-/// (each with its own headerless sink when tracing) over one shared
-/// monitor and physical memory. Per-hart trace bytes are spliced in hart
-/// order — events carry their hart id, so analysis does not depend on the
-/// global interleaving order.
-/// Runs one SMP workload on the selected backend. The threaded backend
-/// takes no telemetry spec — telemetry flags were rejected at parse time.
-fn run_smp_dispatch<S: TraceSink + Send>(
+/// Runs one workload with one `sink()` per machine, returning its buffered
+/// output and the sinks. With `--harts` > 1 that is the workload's SMP
+/// shape: per-hart machines over one shared monitor and physical memory,
+/// the sinks in hart order — events carry their hart id, so analysis does
+/// not depend on the global interleaving order.
+fn run_with_sinks<S: TraceSink + Send>(
     options: &Options,
-    machines: Vec<hpmp_machine::Machine<S>>,
-    spec: hpmp_workloads::smp::SmpWorkloadSpec,
-    telemetry_spec: hpmp_workloads::smp::SmpTelemetrySpec,
-) -> (
-    hpmp_workloads::smp::SmpOutcome,
-    Snapshot,
-    Vec<S>,
-    hpmp_workloads::smp::SmpTelemetry,
-) {
-    match options.backend {
-        ExecBackend::Deterministic => hpmp_workloads::smp::run_smp_telemetry(
-            machines,
-            options.flavor,
-            SMP_SEED,
-            spec,
-            telemetry_spec,
-        )
-        .expect("SMP workload"),
-        ExecBackend::Threaded => {
-            let (outcome, snap, sinks) =
-                hpmp_workloads::smp::run_smp_threaded(machines, options.flavor, SMP_SEED, spec)
-                    .expect("SMP workload");
-            (
-                outcome,
-                snap,
-                sinks,
-                hpmp_workloads::smp::SmpTelemetry::default(),
-            )
-        }
-    }
-}
-
-fn run_one_smp(options: &Options, workload: &str, tracing: bool) -> WorkloadOutput {
+    run_options: RunOptions,
+    workload: &str,
+    sink: impl Fn() -> S,
+) -> (WorkloadOutput, Vec<S>) {
     let config = machine_config(options);
-    let spec =
-        hpmp_workloads::smp::spec_for(workload).expect("every hpmpsim workload has an SMP shape");
-    let telemetry_spec = hpmp_workloads::smp::SmpTelemetrySpec {
-        snapshot_interval: options.snapshot_interval,
-        span_capacity: options
-            .spans_out
-            .as_ref()
-            .map(|_| hpmp_workloads::smp::SmpTelemetrySpec::DEFAULT_SPAN_CAPACITY),
-    };
     let mut stdout = String::new();
-    if tracing {
+    let (cycles, snap, sinks, telemetry) = if options.harts > 1 {
+        let spec = spec_for(workload).expect("every hpmpsim workload has an SMP shape");
         let machines = (0..options.harts)
-            .map(|_| {
-                hpmp_machine::Machine::with_sink(config, JsonlSink::new_headerless(Vec::new()))
-            })
+            .map(|_| Machine::with_sink(config, sink()))
             .collect();
         let (outcome, snap, sinks, telemetry) =
-            run_smp_dispatch(options, machines, spec, telemetry_spec);
+            run_smp_with(machines, options.flavor, SMP_SEED, spec, run_options).unwrap_or_else(
+                |e| {
+                    eprintln!("SMP workload {workload} failed: {e}");
+                    std::process::exit(1);
+                },
+            );
         report_smp(&outcome, &snap, &mut stdout);
-        let mut trace = Vec::new();
-        let mut trace_events = 0;
-        let mut trace_io_errors = 0;
-        for sink in sinks {
-            trace_events += sink.written();
-            trace_io_errors += sink.io_errors();
-            trace.extend_from_slice(&sink.into_inner());
-        }
-        WorkloadOutput {
-            stdout,
-            cycles: outcome.total_cycles,
-            snap,
-            trace,
-            trace_events,
-            trace_io_errors,
-            telemetry: TelemetryOutput::from_run(&telemetry),
-            wall: std::time::Duration::ZERO,
-        }
+        (outcome.total_cycles, snap, sinks, telemetry)
     } else {
-        let machines = (0..options.harts)
-            .map(|_| hpmp_machine::Machine::new(config))
-            .collect();
-        let (outcome, snap, _, telemetry) =
-            run_smp_dispatch(options, machines, spec, telemetry_spec);
-        report_smp(&outcome, &snap, &mut stdout);
-        WorkloadOutput {
-            stdout,
-            cycles: outcome.total_cycles,
-            snap,
-            trace: Vec::new(),
-            trace_events: 0,
-            trace_io_errors: 0,
-            telemetry: TelemetryOutput::from_run(&telemetry),
-            wall: std::time::Duration::ZERO,
-        }
-    }
+        let mut sink = sink();
+        let (cycles, snap) = run_workload(options, workload, config, &mut sink, &mut stdout);
+        sink.flush();
+        (cycles, snap, vec![sink], SmpTelemetry::default())
+    };
+    let out = WorkloadOutput {
+        stdout,
+        cycles,
+        snap,
+        trace: TraceBytes::default(),
+        telemetry,
+        wall: std::time::Duration::ZERO,
+    };
+    (out, sinks)
 }
 
 /// Per-hart console lines for an SMP run: who got shot down, who stalled.

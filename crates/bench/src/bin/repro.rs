@@ -1,14 +1,17 @@
 //! `repro` — regenerates every table and figure of the paper.
 //!
-//! Usage: `repro [--jobs N] [--serial] [--trace-out <walks.jsonl>]
-//! [--metrics-out <m.json>] [--bench-out <BENCH_name.json>]
-//! [--snapshot-interval <cycles>] [--timeline-out <timeline.jsonl>]
-//! [--spans-out <spans.jsonl>] [--host-profile-out <host.json>]
-//! [experiment...]` where experiment is one of `table1 fig2 fig3 fig10
-//! table3 fig11 fig12ac fig12de fig13 fig14 fig15 fig16 fig17 table4
-//! svsweep virtapp tenancy encryption multihart all` (default: `all`).
-//! Unknown flags and experiment names are rejected (exit 2) — see
-//! `--help`.
+//! Usage: `repro [--jobs N] [--serial] [--backend deterministic|threaded]
+//! [--trace-out <walks.jsonl>] [--metrics-out <m.json>]
+//! [--bench-out <BENCH_name.json>] [--snapshot-interval <cycles>]
+//! [--timeline-out <timeline.jsonl>] [--spans-out <spans.jsonl>]
+//! [--host-profile-out <host.json>] [experiment...]` where experiment is
+//! one of `table1 fig2 fig3 fig10 table3 fig11 fig12ac fig12de fig13 fig14
+//! fig15 fig16 fig17 table4 svsweep virtapp tenancy encryption multihart
+//! all` (default: `all`). Unknown flags and experiment names, and a flag
+//! whose value is missing or malformed, are rejected (exit 2) — see
+//! `--help`. The nine artifact flags are parsed, checked and written by
+//! [`hpmp_bench::artifacts`], shared with `hpmpsim`; an artifact that
+//! cannot be written exits 1.
 //!
 //! Experiments build independent machines, so they run on an in-process
 //! worker pool (`--jobs N`, default: the machine's available parallelism;
@@ -34,12 +37,16 @@
 //! byte-identical whether or not profiling is on (see DESIGN.md §10, the
 //! dual-clock quarantine).
 //!
+//! `--snapshot-interval`/`--timeline-out`/`--spans-out` record
+//! time-resolved telemetry on `multihart`'s 4-hart HPMP run, the one run on
+//! the SMP global clock. They need `multihart` in the worklist (`all`
+//! includes it) and the deterministic backend; otherwise repro exits 2.
+//!
 //! Absolute cycle counts come from the simulated SoC, not the authors'
 //! FPGA; the *shapes* (who wins, by what factor, where crossovers are) are
 //! the reproduction targets — see EXPERIMENTS.md.
 
-use std::io::Write as _;
-
+use hpmp_bench::artifacts::{ArtifactFlags, TraceBytes};
 use hpmp_bench::{capture_reports, pct, pct_f, run_ordered, Report};
 use hpmp_core::{estimate_resources, HardwareParams, PmptwCacheConfig};
 use hpmp_machine::{IsolationScheme, MachineConfig, VirtScheme};
@@ -52,6 +59,7 @@ use hpmp_trace::{
 use hpmp_workloads::latency::{
     figure_10_panel, measure_virt_with_sink, TestCase, VirtCase, VIRT_CASES,
 };
+use hpmp_workloads::smp::{RunOptions, SmpTelemetry};
 use hpmp_workloads::{frag, gap, lmbench, redis, rv8, serverless};
 
 const SCHEMES: [IsolationScheme; 3] = [
@@ -100,79 +108,35 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Prints `message` and the usage text, exiting 2.
+fn usage_error(message: impl std::fmt::Display) -> ! {
+    eprintln!("repro: {message}");
+    usage()
+}
+
 fn main() {
-    let mut jobs: Option<usize> = None;
-    let mut backend = hpmp_machine::ExecBackend::Deterministic;
-    let mut trace_out: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut bench_out: Option<String> = None;
-    let mut host_profile_out: Option<String> = None;
-    let mut telemetry = TelemetryOptions::default();
+    let mut artifacts = ArtifactFlags::default();
     let mut args: Vec<String> = Vec::new();
     let mut raw = std::env::args().skip(1);
     while let Some(arg) = raw.next() {
+        match artifacts.accept(&arg, &mut raw) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(e) => usage_error(e),
+        }
         match arg.as_str() {
-            "--serial" => jobs = Some(1),
-            "--jobs" => match raw.next().as_deref().map(str::parse) {
-                Some(Ok(n)) => jobs = Some(n),
-                _ => {
-                    eprintln!("repro: --jobs needs a positive integer");
-                    std::process::exit(2);
-                }
-            },
-            "--backend" => match raw.next().as_deref().map(str::parse) {
-                Some(Ok(b)) => backend = b,
-                Some(Err(e)) => {
-                    eprintln!("repro: {e}");
-                    std::process::exit(2);
-                }
-                None => {
-                    eprintln!("repro: --backend needs a value");
-                    std::process::exit(2);
-                }
-            },
-            "--trace-out" => trace_out = raw.next(),
-            "--metrics-out" => metrics_out = raw.next(),
-            "--bench-out" => bench_out = raw.next(),
-            "--snapshot-interval" => match raw.next().as_deref().map(str::parse) {
-                Some(Ok(n)) if n >= 1 => telemetry.snapshot_interval = Some(n),
-                _ => {
-                    eprintln!("repro: --snapshot-interval needs a positive cycle count");
-                    std::process::exit(2);
-                }
-            },
-            "--timeline-out" => telemetry.timeline_out = raw.next(),
-            "--spans-out" => telemetry.spans_out = raw.next(),
-            "--host-profile-out" => host_profile_out = raw.next(),
+            "--serial" => artifacts.jobs = Some(1),
             "--help" | "-h" => usage(),
-            other if other.starts_with('-') => {
-                eprintln!("repro: unknown flag {other}");
-                usage()
-            }
+            other if other.starts_with('-') => usage_error(format!("unknown flag {other}")),
             _ => args.push(arg),
         }
     }
     for name in &args {
         if name != "all" && !EXPERIMENTS.contains(&name.as_str()) {
-            eprintln!("repro: unknown experiment {name}");
-            usage()
+            usage_error(format!("unknown experiment {name}"))
         }
     }
-    if telemetry.timeline_out.is_some() && telemetry.snapshot_interval.is_none() {
-        eprintln!("repro: --timeline-out needs --snapshot-interval");
-        std::process::exit(2);
-    }
-    if backend == hpmp_machine::ExecBackend::Threaded && telemetry.requested() {
-        eprintln!("repro: time-resolved telemetry requires --backend deterministic");
-        std::process::exit(2);
-    }
-    let jobs = jobs
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-        .max(1);
+    let run_options = artifacts.run_options().unwrap_or_else(|e| usage_error(e));
     let wanted: Vec<&str> = if args.is_empty() {
         vec!["all"]
     } else {
@@ -184,6 +148,11 @@ fn main() {
         .copied()
         .filter(|name| all || wanted.contains(name))
         .collect();
+    if artifacts.telemetry_requested() && !worklist.contains(&"multihart") {
+        // Only multihart runs on the SMP global clock that timelines and
+        // spans live on; any other worklist would silently drop them.
+        usage_error("--snapshot-interval/--timeline-out/--spans-out need the multihart experiment")
+    }
 
     // Run the selected experiments on the worker pool. Each experiment gets
     // its own sink and registry; stdout buffers stream out as soon as all
@@ -192,14 +161,14 @@ fn main() {
     // `--host-profile-out` and stderr, never into stdout or the simulated
     // artifacts.
     let mut profiler = HostProfiler::new("repro");
-    let tracing = trace_out.is_some();
+    let tracing = artifacts.trace_out.is_some();
     profiler.begin_phase("run");
     let outputs = run_ordered(
         worklist.len(),
-        jobs,
+        artifacts.jobs(),
         |i| {
             let started = std::time::Instant::now();
-            let mut out = run_one(worklist[i], tracing, &telemetry, backend);
+            let mut out = run_one(worklist[i], tracing, run_options);
             out.wall = started.elapsed();
             out
         },
@@ -217,49 +186,19 @@ fn main() {
             record(&mut report, &mut metrics, name, snap.clone());
         }
     }
-
-    if let Some(path) = &trace_out {
-        // One schema header, then each experiment's trace bytes spliced in
-        // presentation order — the same stream a serial shared-sink run
-        // would have produced.
-        let sink = match JsonlSink::create(path) {
-            Ok(sink) => sink,
-            Err(e) => {
-                eprintln!("repro: cannot create {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        let mut file = sink.into_inner();
-        for out in &outputs {
-            if let Err(e) = file.write_all(&out.trace) {
-                eprintln!("repro: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-        if let Err(e) = file.flush() {
-            eprintln!("repro: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        let events: u64 = outputs.iter().map(|o| o.trace_events).sum();
-        eprintln!("repro: trace: {events} events -> {path}");
+    if let Some(line) = artifacts.write_trace(outputs.iter().map(|out| &out.trace)) {
+        eprintln!("repro: trace: {line}");
     }
-    if let Some(path) = &metrics_out {
-        if let Err(e) = std::fs::write(path, metrics.to_json_versioned()) {
-            eprintln!("repro: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("repro: metrics: {} counters -> {}", metrics.len(), path);
+    if let Some(line) = artifacts.write_metrics(&metrics) {
+        eprintln!("repro: metrics: {line}");
     }
-    if let Some(path) = &bench_out {
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("repro: cannot write {path}: {e}");
-            std::process::exit(1);
+    if let Some(line) = artifacts.write_bench(&report) {
+        eprintln!("repro: bench report: {line}");
+    }
+    for out in &outputs {
+        for (label, line) in artifacts.write_telemetry(&out.telemetry) {
+            eprintln!("repro: {label} (4-hart HPMP multihart run): {line}");
         }
-        eprintln!(
-            "repro: bench report: {} experiments -> {}",
-            report.experiments.len(),
-            path
-        );
     }
 
     // Host-clock epilogue: stderr and the dedicated profile artifact only,
@@ -269,15 +208,7 @@ fn main() {
         let walks = out.snap.as_ref().map(walks_in_snapshot).unwrap_or(0);
         profiler.record_experiment(*name, out.wall, walks);
     }
-    let profile = profiler.finish();
-    if let Some(path) = &host_profile_out {
-        if let Err(e) = std::fs::write(path, profile.to_json()) {
-            eprintln!("repro: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("repro: host profile -> {path}");
-    }
-    eprintln!("{}", profile.headline());
+    artifacts.write_host_profile(&profiler.finish());
 }
 
 /// Everything one experiment produced, buffered so the main thread can
@@ -287,72 +218,44 @@ struct ExperimentOutput {
     stdout: String,
     /// Its metrics snapshot, for the traced experiments.
     snap: Option<Snapshot>,
-    /// Headerless JSONL walk-event bytes (empty unless tracing).
-    trace: Vec<u8>,
-    /// Number of trace events in `trace`.
-    trace_events: u64,
+    /// Headerless walk-event bytes (empty unless tracing).
+    trace: TraceBytes,
+    /// Time-resolved artifacts (recorded by `multihart` only).
+    telemetry: SmpTelemetry,
     /// Host wall-clock time the experiment took; feeds only the host
     /// profile, never a simulated artifact.
     wall: std::time::Duration,
 }
 
-/// Time-resolved telemetry outputs, recorded by the one experiment with a
-/// global simulated clock (`multihart`, on its 4-hart HPMP run).
-#[derive(Default)]
-struct TelemetryOptions {
-    /// Cut a timeline slice every N global simulated cycles.
-    snapshot_interval: Option<u64>,
-    /// Where the timeline JSONL goes (default `timeline.jsonl`).
-    timeline_out: Option<String>,
-    /// Where the monitor-operation span JSONL goes.
-    spans_out: Option<String>,
-}
-
-impl TelemetryOptions {
-    fn requested(&self) -> bool {
-        self.snapshot_interval.is_some() || self.spans_out.is_some()
-    }
-}
-
 /// Runs one experiment with a private sink and registry, capturing its
 /// report output instead of printing it.
-fn run_one(
-    name: &str,
-    tracing: bool,
-    telemetry: &TelemetryOptions,
-    backend: hpmp_machine::ExecBackend,
-) -> ExperimentOutput {
-    if tracing {
+fn run_one(name: &str, tracing: bool, run_options: RunOptions) -> ExperimentOutput {
+    let mut trace = TraceBytes::default();
+    let ((snap, telemetry), stdout) = if tracing {
         let mut sink = JsonlSink::new_headerless(Vec::new());
-        let (snap, stdout) = capture_reports(|| dispatch(name, &mut sink, telemetry, backend));
-        let trace_events = sink.written();
-        ExperimentOutput {
-            stdout,
-            snap,
-            trace: sink.into_inner(),
-            trace_events,
-            wall: std::time::Duration::ZERO,
-        }
+        let result = capture_reports(|| dispatch(name, &mut sink, run_options));
+        trace = TraceBytes::from_sinks([sink]);
+        result
     } else {
-        let (snap, stdout) = capture_reports(|| dispatch(name, &mut NullSink, telemetry, backend));
-        ExperimentOutput {
-            stdout,
-            snap,
-            trace: Vec::new(),
-            trace_events: 0,
-            wall: std::time::Duration::ZERO,
-        }
+        capture_reports(|| dispatch(name, &mut NullSink, run_options))
+    };
+    ExperimentOutput {
+        stdout,
+        snap,
+        trace,
+        telemetry,
+        wall: std::time::Duration::ZERO,
     }
 }
 
 /// Runs the named experiment, lending `sink` to the ones that drive the
-/// instrumented machine directly and returning their metrics snapshot.
+/// instrumented machine directly and returning their metrics snapshot,
+/// plus the telemetry `multihart` records.
 fn dispatch<S: TraceSink>(
     name: &str,
     sink: &mut S,
-    telemetry: &TelemetryOptions,
-    backend: hpmp_machine::ExecBackend,
-) -> Option<Snapshot> {
+    run_options: RunOptions,
+) -> (Option<Snapshot>, SmpTelemetry) {
     let snap = match name {
         "table1" => return none_after(table1),
         "fig2" => fig2(sink),
@@ -372,16 +275,19 @@ fn dispatch<S: TraceSink>(
         "virtapp" => virtapp(sink),
         "tenancy" => tenancy(sink),
         "encryption" => encryption(sink),
-        "multihart" => multihart(telemetry, backend),
+        "multihart" => {
+            let (snap, telemetry) = multihart(run_options);
+            return (Some(snap), telemetry);
+        }
         _ => unreachable!("worklist is filtered against EXPERIMENTS"),
     };
     sink.flush();
-    Some(snap)
+    (Some(snap), SmpTelemetry::default())
 }
 
-fn none_after(experiment: fn()) -> Option<Snapshot> {
+fn none_after(experiment: fn()) -> (Option<Snapshot>, SmpTelemetry) {
     experiment();
-    None
+    (None, SmpTelemetry::default())
 }
 
 /// Folds one traced experiment's snapshot into both the merged metrics and
@@ -1223,23 +1129,27 @@ fn tenancy<S: TraceSink>(sink: &mut S) -> Snapshot {
 /// 1/2/4/8 harts — every GMS change on one hart shoots down all the
 /// others, so the interesting number is how much of the total the remote
 /// fence/reprogram stalls eat as the hart count grows. Untraced: the run
-/// is single-threaded and seeded, so it is deterministic regardless.
+/// is seeded, so it is deterministic regardless.
 ///
-/// When `--snapshot-interval`/`--spans-out` are given, the 4-hart HPMP
-/// run additionally records time-resolved telemetry — timeline slices and
-/// monitor-operation spans — written directly to the requested paths (the
-/// run is internally deterministic, so the bytes don't depend on `--jobs`).
-/// `backend` selects the SMP execution backend for every run in the
-/// sweep; the threaded backend's snapshots are byte-identical to the
-/// deterministic ones (enforced by the conformance battery), so the table
-/// and artifacts do not change — only wall-clock does.
-fn multihart(telemetry: &TelemetryOptions, backend: hpmp_machine::ExecBackend) -> Snapshot {
-    use hpmp_workloads::smp::{run_smp_backend, run_smp_telemetry, spec_for, SmpTelemetrySpec};
-    let run_smp =
-        |flavor, core, harts, seed, spec| run_smp_backend(flavor, core, harts, seed, spec, backend);
+/// Every run uses `run_options`' backend; the threaded backend's snapshots
+/// are byte-identical to the deterministic ones (enforced by the
+/// conformance battery), so the table does not change — only wall-clock
+/// does. The 4-hart HPMP run also records the telemetry `run_options`
+/// asks for (timeline slices, monitor-operation spans), returned for the
+/// caller to write.
+fn multihart(run_options: RunOptions) -> (Snapshot, SmpTelemetry) {
+    use hpmp_workloads::smp::{run_smp_with, spec_for};
     let spec = spec_for("tenancy").expect("tenancy has an SMP shape");
     let seed = 0xA11CE;
+    let run = |flavor, harts, options| {
+        let machines = (0..harts)
+            .map(|_| hpmp_machine::Machine::new(MachineConfig::rocket()))
+            .collect();
+        run_smp_with(machines, flavor, seed, spec, options).expect("multihart run")
+    };
+    let counters_only = RunOptions::from(run_options.backend());
     let mut metrics = Snapshot::new();
+    let mut telemetry = SmpTelemetry::default();
     let mut r = Report::new(
         "SMP scaling (Rocket): tenancy shape, cross-hart shootdown overhead",
         &[
@@ -1252,59 +1162,16 @@ fn multihart(telemetry: &TelemetryOptions, backend: hpmp_machine::ExecBackend) -
         ],
     );
     for harts in [1usize, 2, 4, 8] {
-        let (pmpt, _) =
-            run_smp(TeeFlavor::PenglaiPmpt, CoreKind::Rocket, harts, seed, spec).expect("pmpt");
-        let (hpmp, snap) = if harts == 4 && telemetry.requested() {
-            let machines = (0..harts)
-                .map(|_| {
-                    hpmp_machine::Machine::new(hpmp_workloads::fixture::config_for(
-                        CoreKind::Rocket,
-                    ))
-                })
-                .collect();
-            let telemetry_spec = SmpTelemetrySpec {
-                snapshot_interval: telemetry.snapshot_interval,
-                span_capacity: telemetry
-                    .spans_out
-                    .as_ref()
-                    .map(|_| SmpTelemetrySpec::DEFAULT_SPAN_CAPACITY),
-            };
-            let (outcome, snap, _, recorded) =
-                run_smp_telemetry(machines, TeeFlavor::PenglaiHpmp, seed, spec, telemetry_spec)
-                    .expect("hpmp");
-            if let (Some(timeline), Some(interval)) =
-                (&recorded.timeline, telemetry.snapshot_interval)
-            {
-                let path = telemetry
-                    .timeline_out
-                    .as_deref()
-                    .unwrap_or("timeline.jsonl");
-                let mut bytes = Vec::new();
-                timeline
-                    .write_jsonl(&mut bytes)
-                    .expect("Vec writes cannot fail");
-                std::fs::write(path, bytes).expect("timeline artifact");
-                eprintln!(
-                    "repro: timeline: {} slice(s) every {interval} cycles (4-hart HPMP) -> {path}",
-                    timeline.slices().len()
-                );
-            }
-            if let (Some(spans), Some(path)) = (&recorded.spans, &telemetry.spans_out) {
-                let mut bytes = Vec::new();
-                spans
-                    .write_jsonl(&mut bytes)
-                    .expect("Vec writes cannot fail");
-                std::fs::write(path, bytes).expect("span artifact");
-                eprintln!(
-                    "repro: spans: {} span(s) ({} dropped, 4-hart HPMP) -> {path}",
-                    spans.len(),
-                    spans.dropped()
-                );
-            }
-            (outcome, snap)
+        let (pmpt, ..) = run(TeeFlavor::PenglaiPmpt, harts, counters_only);
+        let options = if harts == 4 {
+            run_options
         } else {
-            run_smp(TeeFlavor::PenglaiHpmp, CoreKind::Rocket, harts, seed, spec).expect("hpmp")
+            counters_only
         };
+        let (hpmp, snap, _, recorded) = run(TeeFlavor::PenglaiHpmp, harts, options);
+        if harts == 4 {
+            telemetry = recorded;
+        }
         let stall: u64 = (0..harts)
             .map(|h| snap.value(&format!("hart.{h}.fence_stall_cycles")))
             .sum();
@@ -1320,7 +1187,7 @@ fn multihart(telemetry: &TelemetryOptions, backend: hpmp_machine::ExecBackend) -
     }
     r.note("IPIs grow ~quadratically with harts, but cheap segment reprograms cap the stall share");
     r.print();
-    metrics
+    (metrics, telemetry)
 }
 
 const SCHEMES_ORDERED: [IsolationScheme; 3] = [

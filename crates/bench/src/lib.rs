@@ -2,11 +2,13 @@
 //!
 //! The reproduction harness: text-table formatting shared by the `repro`
 //! binary (which regenerates every table and figure of the paper) and the
-//! Criterion benches.
+//! Criterion benches, the worker pool both binaries run jobs on, and the
+//! [`artifacts`] flags and writers `repro` and `hpmpsim` share.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod artifacts;
 mod harness;
 
 pub use harness::{

@@ -207,6 +207,89 @@ fn repro_rejects_unknown_flags() {
 }
 
 #[test]
+fn repro_rejects_a_value_flag_without_its_value() {
+    // Every value flag goes through the shared parser, so a trailing flag
+    // is a usage error rather than a silent no-op.
+    for flag in [
+        "--trace-out",
+        "--metrics-out",
+        "--bench-out",
+        "--spans-out",
+        "--host-profile-out",
+    ] {
+        let (code, err) = run(env!("CARGO_BIN_EXE_repro"), &["fig2", flag]);
+        assert_eq!(code, 2, "{flag}: {err}");
+        assert!(err.contains(flag), "{flag}: {err}");
+    }
+}
+
+#[test]
+fn hpmpsim_rejects_malformed_numeric_values() {
+    for (flag, value) in [
+        ("--pwc", "abc"),
+        ("--pmptw-cache", "abc"),
+        ("--encryption", "xyz"),
+    ] {
+        let (code, err) = run(env!("CARGO_BIN_EXE_hpmpsim"), &[flag, value]);
+        assert_eq!(code, 2, "{flag} {value}: {err}");
+        assert!(err.contains(flag), "{flag} {value}: {err}");
+    }
+}
+
+#[test]
+fn repro_rejects_telemetry_without_the_multihart_experiment() {
+    // Only multihart records telemetry; anything else would drop it.
+    let (code, err) = run(
+        env!("CARGO_BIN_EXE_repro"),
+        &["fig2", "--spans-out", "never-written.jsonl"],
+    );
+    assert_eq!(code, 2, "{err}");
+    assert!(err.contains("multihart"), "{err}");
+}
+
+#[test]
+fn repro_reports_an_unwritable_timeline_instead_of_panicking() {
+    let (code, err) = run(
+        env!("CARGO_BIN_EXE_repro"),
+        &[
+            "multihart",
+            "--jobs",
+            "1",
+            "--snapshot-interval",
+            "50000",
+            "--timeline-out",
+            "/nonexistent/dir/t.jsonl",
+        ],
+    );
+    assert_eq!(code, 1, "{err}");
+    assert!(
+        err.contains("cannot write /nonexistent/dir/t.jsonl"),
+        "{err}"
+    );
+}
+
+#[test]
+fn hpmpsim_reports_the_pmp_entry_wall_instead_of_panicking() {
+    for backend in ["deterministic", "threaded"] {
+        let (code, err) = run(
+            env!("CARGO_BIN_EXE_hpmpsim"),
+            &[
+                "--flavor",
+                "pmp",
+                "--harts",
+                "7",
+                "--workload",
+                "tenancy",
+                "--backend",
+                backend,
+            ],
+        );
+        assert_eq!(code, 1, "{backend}: {err}");
+        assert!(err.contains("no available PMP entries"), "{backend}: {err}");
+    }
+}
+
+#[test]
 fn repro_rejects_unknown_experiments() {
     // Before the usage fix a typo here silently ran *nothing* — it has to
     // be a hard error.

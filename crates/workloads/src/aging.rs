@@ -20,6 +20,12 @@
 //! cache-free oracle at the affected base, so a fast-path grant the oracle
 //! denies (the fail-open bug class) is counted, not silently survived.
 //!
+//! The campaign runs on the SMP harness of [`crate::smp`]:
+//! [`run_aging_with`] takes pre-built machines and a
+//! [`RunOptions`](crate::smp::RunOptions) value (backend plus telemetry),
+//! and [`run_aging`] wraps it over fresh machines. Residents touch their
+//! working sets through the same tenant batch loop as the SMP workloads.
+//!
 //! Determinism: all churn decisions come from one `SplitMix64` stream and
 //! every monitor operation is serial under both backends, so outcomes and
 //! metric snapshots are byte-identical across `--jobs` and across the
@@ -28,12 +34,12 @@
 
 use hpmp_core::PmptwCache;
 use hpmp_machine::{ExecBackend, Machine};
-use hpmp_memsim::{AccessKind, CoreKind, PhysAddr, PrivMode, SplitMix64, VirtAddr, PAGE_SIZE};
+use hpmp_memsim::{AccessKind, CoreKind, PhysAddr, PrivMode, SplitMix64};
 use hpmp_penglai::{DegradeStage, DomainId, GmsLabel, MonitorError, SmpSystem, TeeFlavor};
-use hpmp_trace::{Snapshot, SpanCollector, TraceSink};
+use hpmp_trace::{Snapshot, TraceSink};
 
 use crate::fixture::{config_for, RAM_BASE};
-use crate::smp::{setup_tenants, SmpTenant};
+use crate::smp::{Harness, RunOptions, SmpTelemetry};
 
 /// NAPOT RAM for the aging fleet: the monitor's 128 MiB floor, leaving a
 /// ~64 MiB region arena — small enough that a thousand-lifecycle churn
@@ -114,37 +120,6 @@ pub struct AgingOutcome {
     pub ipis_delivered: u64,
 }
 
-/// Per-hart working set for the access phases.
-#[derive(Debug)]
-struct ResidentWork {
-    tenant: SmpTenant,
-    rng: SplitMix64,
-}
-
-fn access_phase<S: TraceSink>(
-    machine: &mut Machine<S>,
-    work: &mut ResidentWork,
-    batch: u32,
-) -> (u64, u64) {
-    let mut cycles = 0u64;
-    let mut accesses = 0u64;
-    for i in 0..batch {
-        let page = work.rng.gen_range(0..work.tenant.pages);
-        let va = VirtAddr::new(work.tenant.va_base.raw() + page * PAGE_SIZE);
-        let kind = if i % 4 == 3 {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        let out = machine
-            .access(&work.tenant.space, va, kind, PrivMode::User)
-            .expect("resident reaches its own memory");
-        cycles += out.cycles;
-        accesses += 1;
-    }
-    (cycles, accesses)
-}
-
 /// Draws the next churn enclave size: 64 KiB to 4 MiB, geometric.
 fn draw_size(rng: &mut SplitMix64) -> u64 {
     let mut size = 64 * 1024;
@@ -154,7 +129,7 @@ fn draw_size(rng: &mut SplitMix64) -> u64 {
     size
 }
 
-/// Runs the aging campaign on fresh machines.
+/// Runs the aging campaign on fresh, untraced machines.
 ///
 /// # Errors
 ///
@@ -169,86 +144,36 @@ pub fn run_aging(
     backend: ExecBackend,
 ) -> Result<(AgingOutcome, Snapshot), MonitorError> {
     let machines = (0..harts).map(|_| Machine::new(config_for(core))).collect();
-    let (outcome, snapshot, _) = run_aging_machines(machines, flavor, seed, spec, backend)?;
+    let (outcome, snapshot, _, _) = run_aging_with(machines, flavor, seed, spec, backend.into())?;
     Ok((outcome, snapshot))
 }
 
-/// As [`run_aging`], over pre-built machines (one per hart), returning
-/// the per-hart sinks.
+/// Runs the aging campaign over pre-built machines (one per hart),
+/// returning the outcome, the merged snapshot, the per-hart sinks and the
+/// telemetry `options` asked for. With spans on, every monitor op opens a
+/// span and each compaction pass emits a `compact` child span, so
+/// `hpmp-analyze profile --spans` can attribute degradation cycles; a
+/// timeline is sampled after every lifecycle op.
 ///
 /// # Errors
 ///
 /// As [`run_aging`].
-pub fn run_aging_machines<S: TraceSink + Send>(
+pub fn run_aging_with<S: TraceSink + Send>(
     machines: Vec<Machine<S>>,
     flavor: TeeFlavor,
     seed: u64,
     spec: AgingSpec,
-    backend: ExecBackend,
-) -> Result<(AgingOutcome, Snapshot, Vec<S>), MonitorError> {
-    let (outcome, snapshot, _, sinks) =
-        run_aging_inner(machines, flavor, seed, spec, backend, None)?;
-    Ok((outcome, snapshot, sinks))
-}
-
-/// As [`run_aging_machines`], with span collection on (deterministic
-/// backend only — spans live on the serial global clock): every monitor
-/// op opens a span and each compaction pass emits a `compact` child span,
-/// so `hpmp-analyze profile --spans` can attribute degradation cycles.
-///
-/// # Errors
-///
-/// As [`run_aging`].
-pub fn run_aging_spans<S: TraceSink + Send>(
-    machines: Vec<Machine<S>>,
-    flavor: TeeFlavor,
-    seed: u64,
-    spec: AgingSpec,
-    span_capacity: usize,
-) -> Result<(AgingOutcome, Snapshot, SpanCollector, Vec<S>), MonitorError> {
-    run_aging_inner(
-        machines,
-        flavor,
-        seed,
-        spec,
-        ExecBackend::Deterministic,
-        Some(span_capacity),
-    )
-}
-
-fn run_aging_inner<S: TraceSink + Send>(
-    machines: Vec<Machine<S>>,
-    flavor: TeeFlavor,
-    seed: u64,
-    spec: AgingSpec,
-    backend: ExecBackend,
-    span_capacity: Option<usize>,
-) -> Result<(AgingOutcome, Snapshot, SpanCollector, Vec<S>), MonitorError> {
+    options: RunOptions,
+) -> Result<(AgingOutcome, Snapshot, Vec<S>, SmpTelemetry), MonitorError> {
     let harts = machines.len();
     let ram = hpmp_core::PmpRegion::new(PhysAddr::new(RAM_BASE), AGING_RAM_SIZE);
-    let mut smp = SmpSystem::boot_machines(machines, flavor, ram)?;
-    if let Some(capacity) = span_capacity {
-        smp.enable_spans(capacity);
-    }
-
+    let mut run = Harness::boot(machines, flavor, ram, spec.resident_pages, seed, options)?;
     // Pinned residents: live guest page tables make them immovable.
-    let tenants = setup_tenants(&mut smp, spec.resident_pages)?;
-    for tenant in &tenants {
-        smp.pin_domain(tenant.domain)?;
+    for work in &mut run.works {
+        run.smp.pin_domain(work.tenant.domain)?;
+        work.rounds = 1;
     }
-    let mut works: Vec<ResidentWork> = tenants
-        .into_iter()
-        .enumerate()
-        .map(|(h, tenant)| ResidentWork {
-            tenant,
-            rng: SplitMix64::seed_from_u64(
-                seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(h as u64 + 1)),
-            ),
-        })
-        .collect();
-    if backend == ExecBackend::Threaded {
-        smp.enable_threaded();
-    }
+    run.start();
 
     // All lifecycle decisions come from this one stream.
     let mut churn_rng = SplitMix64::seed_from_u64(seed ^ 0xA61C_E5EB_D5C3_A6E5);
@@ -263,28 +188,15 @@ fn run_aging_inner<S: TraceSink + Send>(
 
     for op in 0..spec.churn_ops {
         // Parallel phase: residents touch their working sets.
-        match backend {
-            ExecBackend::Deterministic => {
-                for (h, work) in works.iter_mut().enumerate() {
-                    let (cycles, accesses) = access_phase(smp.machine(h as u16), work, spec.batch);
-                    out.total_cycles += cycles;
-                    out.accesses += accesses;
-                }
-            }
-            ExecBackend::Threaded => {
-                for (cycles, accesses) in smp.parallel_epoch(&mut works, |_, machine, work| {
-                    access_phase(machine, work, spec.batch)
-                }) {
-                    out.total_cycles += cycles;
-                    out.accesses += accesses;
-                }
-            }
-        }
+        let (cycles, accesses) = run.epoch(spec.batch, 0);
+        out.total_cycles += cycles;
+        out.accesses += accesses;
 
         // Serial phase: one lifecycle op, driven from a rotating hart that
         // ecalls out to the host for the management call.
         let hart = (op as usize % harts) as u16;
-        let resident = works[usize::from(hart)].tenant.domain;
+        let resident = run.works[usize::from(hart)].tenant.domain;
+        let smp = &mut run.smp;
         out.total_cycles += smp.switch_on(hart, DomainId::HOST)?;
 
         let mortals = live.iter().filter(|e| !e.immortal).count();
@@ -293,7 +205,7 @@ fn run_aging_inner<S: TraceSink + Send>(
             let size = draw_size(&mut churn_rng);
             let immortal = churn_rng.gen_range(0..8) == 0;
             let canary = churn_rng.next_u64();
-            match create_churn_enclave(&mut smp, hart, size, canary, immortal, &mut live) {
+            match create_churn_enclave(smp, hart, size, canary, immortal, &mut live) {
                 Ok(cycles) => {
                     out.creates += 1;
                     out.total_cycles += cycles;
@@ -305,11 +217,10 @@ fn run_aging_inner<S: TraceSink + Send>(
                         Some(oldest) => {
                             out.reliefs += 1;
                             out.total_cycles +=
-                                destroy_churn_enclave(&mut smp, hart, oldest, &mut live, &mut out)?;
+                                destroy_churn_enclave(smp, hart, oldest, &mut live, &mut out)?;
                             out.destroys += 1;
-                            match create_churn_enclave(
-                                &mut smp, hart, size, canary, immortal, &mut live,
-                            ) {
+                            match create_churn_enclave(smp, hart, size, canary, immortal, &mut live)
+                            {
                                 Ok(cycles) => {
                                     out.creates += 1;
                                     out.total_cycles += cycles;
@@ -331,7 +242,7 @@ fn run_aging_inner<S: TraceSink + Send>(
                 .nth(idx)
                 .map(|(i, _)| i)
                 .expect("mortal index in range");
-            out.total_cycles += destroy_churn_enclave(&mut smp, hart, victim, &mut live, &mut out)?;
+            out.total_cycles += destroy_churn_enclave(smp, hart, victim, &mut live, &mut out)?;
             out.destroys += 1;
         }
 
@@ -343,16 +254,14 @@ fn run_aging_inner<S: TraceSink + Send>(
             out.stage_path.push((op + 1, stage.level()));
         }
         out.max_stage = out.max_stage.max(stage.level());
+        run.sample();
     }
 
-    smp.quiesce();
-    smp.flush_sinks();
-    out.final_stage = smp.monitor().degrade_stage().level();
+    out.final_stage = run.smp.monitor().degrade_stage().level();
     out.live_at_end = live.len() as u32;
-    let snapshot = smp.metrics_snapshot();
+    let (snapshot, sinks, telemetry) = run.finish();
     out.ipis_delivered = snapshot.value("smp.ipis_delivered");
-    let spans = smp.take_spans();
-    Ok((out, snapshot, spans, smp.into_sinks()))
+    Ok((out, snapshot, sinks, telemetry))
 }
 
 /// Whether `err` is one of the refusals the campaign absorbs rather than
@@ -447,6 +356,7 @@ fn probe_disagrees<S: TraceSink>(smp: &mut SmpSystem<S>, hart: u16, addr: PhysAd
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::smp::SmpTelemetrySpec;
 
     const SEED: u64 = 0x4850_4d50;
 
@@ -529,8 +439,19 @@ mod tests {
         let machines = (0..2)
             .map(|_| Machine::new(config_for(CoreKind::Rocket)))
             .collect();
-        let (out, _, spans, _) =
-            run_aging_spans(machines, TeeFlavor::PenglaiHpmp, SEED, spec, 1 << 16).unwrap();
+        let telemetry = SmpTelemetrySpec {
+            snapshot_interval: None,
+            span_capacity: Some(1 << 16),
+        };
+        let (out, _, _, telemetry) = run_aging_with(
+            machines,
+            TeeFlavor::PenglaiHpmp,
+            SEED,
+            spec,
+            RunOptions::Deterministic(telemetry),
+        )
+        .unwrap();
+        let spans = telemetry.spans.expect("requested");
         let compact_cycles: u64 = spans
             .spans()
             .iter()

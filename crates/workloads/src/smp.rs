@@ -10,10 +10,17 @@
 //! PMPTW-Caches are exercised — the state the shootdown protocol exists to
 //! keep coherent.
 //!
+//! One entry runs every shape: [`run_smp_with`] takes pre-built machines,
+//! flavour, seed, spec and a [`RunOptions`] value carrying the execution
+//! backend and the telemetry request. [`run_smp`] and [`run_smp_backend`]
+//! are thin wrappers over fresh, untraced machines. The aging campaign
+//! ([`crate::aging`]) boots, batches and finishes through the same
+//! harness.
+//!
 //! Determinism: the hart interleaving comes from
 //! [`HartScheduler`] and each hart's access pattern from
-//! its own `SplitMix64` stream, both derived from the run seed. The run is
-//! single-threaded regardless of `--jobs`, so its artifacts are
+//! its own `SplitMix64` stream, both derived from the run seed. Neither
+//! depends on `--jobs` or on the backend, so the artifacts are
 //! byte-identical at any parallelism.
 
 use hpmp_machine::{ExecBackend, HartScheduler, Machine};
@@ -172,23 +179,6 @@ pub struct SmpOutcome {
     pub ipis_delivered: u64,
 }
 
-/// Runs `spec` on `harts` harts under `flavor`, untraced.
-///
-/// # Errors
-///
-/// Propagates monitor errors.
-pub fn run_smp(
-    flavor: TeeFlavor,
-    core: CoreKind,
-    harts: usize,
-    seed: u64,
-    spec: SmpWorkloadSpec,
-) -> Result<(SmpOutcome, Snapshot), MonitorError> {
-    let machines = (0..harts).map(|_| Machine::new(config_for(core))).collect();
-    let (outcome, snapshot, _) = run_smp_machines(machines, flavor, seed, spec)?;
-    Ok((outcome, snapshot))
-}
-
 /// What an SMP run should record beyond counters. The default records
 /// nothing and is exactly the untraced path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -215,134 +205,100 @@ pub struct SmpTelemetry {
     pub spans: Option<SpanCollector>,
 }
 
-/// Runs `spec` over pre-built machines (one per hart, e.g. each with its
-/// own trace sink). Returns the outcome, the merged metrics snapshot
-/// (`hart.<i>.*`, `smp.*`, `monitor.*`), and the per-hart sinks in hart
-/// order.
+/// How an SMP run executes and what it records beyond counters.
 ///
-/// # Errors
-///
-/// Propagates monitor errors.
-pub fn run_smp_machines<S: TraceSink>(
-    machines: Vec<Machine<S>>,
-    flavor: TeeFlavor,
-    seed: u64,
-    spec: SmpWorkloadSpec,
-) -> Result<(SmpOutcome, Snapshot, Vec<S>), MonitorError> {
-    let (outcome, snapshot, sinks, _) =
-        run_smp_telemetry(machines, flavor, seed, spec, SmpTelemetrySpec::default())?;
-    Ok((outcome, snapshot, sinks))
+/// Timeline slices and spans live on the global simulated clock, which
+/// only advances serially, so a threaded run records counters only: no
+/// value of this type asks for both.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RunOptions {
+    /// The seeded single-threaded interleaver, recording the requested
+    /// telemetry.
+    Deterministic(SmpTelemetrySpec),
+    /// One OS thread per hart between monitor operations, sharded
+    /// physical memory, per-hart metric arenas. Outcomes and snapshots are
+    /// byte-identical to the deterministic backend's.
+    Threaded,
 }
 
-/// As [`run_smp_machines`], additionally recording time-resolved
-/// telemetry: timeline slices cut on the global simulated clock and
-/// monitor-operation/shootdown spans. Telemetry is pure observation — the
-/// outcome and snapshot are identical to the untraced run (modulo the
-/// `trace.*` accounting counters), and both artifacts are byte-identical
-/// at any `--jobs` because boundaries live on the simulated clock.
+/// [`RunOptions::new`]'s refusal: telemetry was requested on the threaded
+/// backend.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ThreadedTelemetry;
+
+impl std::fmt::Display for ThreadedTelemetry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("time-resolved telemetry requires --backend deterministic")
+    }
+}
+
+impl std::error::Error for ThreadedTelemetry {}
+
+impl RunOptions {
+    /// Options for `backend` recording `telemetry`.
+    ///
+    /// # Errors
+    ///
+    /// [`ThreadedTelemetry`] if `backend` is threaded and `telemetry`
+    /// requests anything.
+    pub fn new(
+        backend: ExecBackend,
+        telemetry: SmpTelemetrySpec,
+    ) -> Result<RunOptions, ThreadedTelemetry> {
+        match backend {
+            ExecBackend::Deterministic => Ok(RunOptions::Deterministic(telemetry)),
+            ExecBackend::Threaded if telemetry == SmpTelemetrySpec::default() => {
+                Ok(RunOptions::Threaded)
+            }
+            ExecBackend::Threaded => Err(ThreadedTelemetry),
+        }
+    }
+
+    /// The execution backend.
+    pub fn backend(self) -> ExecBackend {
+        match self {
+            RunOptions::Deterministic(_) => ExecBackend::Deterministic,
+            RunOptions::Threaded => ExecBackend::Threaded,
+        }
+    }
+
+    fn telemetry(self) -> SmpTelemetrySpec {
+        match self {
+            RunOptions::Deterministic(telemetry) => telemetry,
+            RunOptions::Threaded => SmpTelemetrySpec::default(),
+        }
+    }
+}
+
+impl From<ExecBackend> for RunOptions {
+    /// Counters-only options for `backend`.
+    fn from(backend: ExecBackend) -> RunOptions {
+        match backend {
+            ExecBackend::Deterministic => RunOptions::Deterministic(SmpTelemetrySpec::default()),
+            ExecBackend::Threaded => RunOptions::Threaded,
+        }
+    }
+}
+
+/// Runs `spec` on `harts` fresh machines under `flavor`, untraced.
 ///
 /// # Errors
 ///
 /// Propagates monitor errors.
-pub fn run_smp_telemetry<S: TraceSink>(
-    machines: Vec<Machine<S>>,
+pub fn run_smp(
     flavor: TeeFlavor,
+    core: CoreKind,
+    harts: usize,
     seed: u64,
     spec: SmpWorkloadSpec,
-    telemetry: SmpTelemetrySpec,
-) -> Result<(SmpOutcome, Snapshot, Vec<S>, SmpTelemetry), MonitorError> {
-    let harts = machines.len();
-    let ram = hpmp_core::PmpRegion::new(PhysAddr::new(RAM_BASE), RAM_SIZE);
-    let mut smp = SmpSystem::boot_machines(machines, flavor, ram)?;
-    if let Some(capacity) = telemetry.span_capacity {
-        // Enabled before tenant setup so the boot-phase ops are spanned
-        // too — the paper's boot → churn → steady-state story needs them.
-        smp.enable_spans(capacity);
-    }
-    let mut timeline = telemetry.snapshot_interval.map(TimelineSink::new);
-    let tenants = setup_tenants(&mut smp, spec.footprint_pages)?;
-
-    // Per-hart access streams, decorrelated from the interleaver and from
-    // each other.
-    let mut rngs: Vec<SplitMix64> = (0..harts as u64)
-        .map(|h| SplitMix64::seed_from_u64(seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(h + 1))))
-        .collect();
-    let mut steps_of: Vec<u32> = vec![0; harts];
-    let mut scheduler = HartScheduler::fair(seed, harts);
-
-    let mut total_cycles = 0u64;
-    let mut accesses = 0u64;
-    for _ in 0..spec.rounds {
-        let hart = scheduler.next_hart();
-        let h = usize::from(hart);
-        steps_of[h] += 1;
-        let tenant = &tenants[h];
-
-        let machine = smp.machine(hart);
-        for i in 0..spec.batch {
-            let page = rngs[h].gen_range(0..tenant.pages);
-            let va = VirtAddr::new(tenant.va_base.raw() + page * PAGE_SIZE);
-            let kind = if i % 4 == 3 {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            };
-            let out = machine
-                .access(&tenant.space, va, kind, PrivMode::User)
-                .expect("tenant reaches its own memory");
-            total_cycles += out.cycles;
-            accesses += 1;
-        }
-        total_cycles += machine.run_compute(spec.compute);
-
-        if spec.churn_every != 0 && steps_of[h].is_multiple_of(spec.churn_every) {
-            // Grow-then-shrink: a GMS grant and revoke, each a shootdown.
-            let (region, cycles) = smp.alloc_on(hart, tenant.domain, 64 * 1024, GmsLabel::Slow)?;
-            total_cycles += cycles;
-            total_cycles += smp.free_on(hart, tenant.domain, region.base)?;
-        }
-        if spec.switch_every != 0 && steps_of[h].is_multiple_of(spec.switch_every) {
-            // Host round-trip: an ecall-style exit and re-entry.
-            total_cycles += smp.switch_on(hart, DomainId::HOST)?;
-            total_cycles += smp.switch_on(hart, tenant.domain)?;
-        }
-        if let Some(tl) = timeline.as_mut() {
-            // Boundaries are checked on the deterministic simulated clock
-            // at round granularity: slices are ≥ interval wide, and
-            // byte-identical at any `--jobs`/interleaving seed.
-            let now = smp.global_cycles();
-            if tl.due(now) {
-                tl.record(now, &smp.metrics_snapshot());
-            }
-        }
-    }
-
-    smp.flush_sinks();
-    let snapshot = smp.metrics_snapshot();
-    if let Some(tl) = timeline.as_mut() {
-        // The tail slice closes against the exact snapshot returned below,
-        // so re-summing every slice reproduces it byte-for-byte.
-        tl.finish(smp.global_cycles(), &snapshot);
-    }
-    let spans = telemetry.span_capacity.map(|_| smp.take_spans());
-    let outcome = SmpOutcome {
-        harts: harts as u32,
-        total_cycles,
-        accesses,
-        ipis_delivered: snapshot.value("smp.ipis_delivered"),
-    };
-    Ok((
-        outcome,
-        snapshot,
-        smp.into_sinks(),
-        SmpTelemetry { timeline, spans },
-    ))
+) -> Result<(SmpOutcome, Snapshot), MonitorError> {
+    run_smp_backend(flavor, core, harts, seed, spec, ExecBackend::Deterministic)
 }
 
 /// As [`run_smp`], selecting the SMP execution backend. The two backends
 /// produce identical outcomes and metric snapshots by construction (the
-/// cross-backend conformance battery byte-compares them); `Threaded` runs
-/// the epochs on real OS threads, so only its wall-clock differs.
+/// cross-backend conformance battery byte-compares them); only wall-clock
+/// differs.
 ///
 /// # Errors
 ///
@@ -355,19 +311,96 @@ pub fn run_smp_backend(
     spec: SmpWorkloadSpec,
     backend: ExecBackend,
 ) -> Result<(SmpOutcome, Snapshot), MonitorError> {
-    match backend {
-        ExecBackend::Deterministic => run_smp(flavor, core, harts, seed, spec),
-        ExecBackend::Threaded => {
-            let machines = (0..harts).map(|_| Machine::new(config_for(core))).collect();
-            let (outcome, snapshot, _) = run_smp_threaded(machines, flavor, seed, spec)?;
-            Ok((outcome, snapshot))
-        }
-    }
+    let machines = (0..harts).map(|_| Machine::new(config_for(core))).collect();
+    let (outcome, snapshot, _, _) = run_smp_with(machines, flavor, seed, spec, backend.into())?;
+    Ok((outcome, snapshot))
 }
 
-/// One scheduler round of the precomputed interleaving: which hart runs,
-/// and whether its tenant churns memory or round-trips through the host
-/// afterwards (either makes the round *serial* — it closes an epoch).
+/// Runs `spec` over pre-built machines (one per hart, e.g. each with its
+/// own trace sink). Returns the outcome, the merged metrics snapshot
+/// (`hart.<i>.*`, `smp.*`, `monitor.*`, `trace.*`), the per-hart sinks in
+/// hart order, and the telemetry `options` asked for.
+///
+/// The seeded interleaving is precomputed as a round plan and executed in
+/// *epochs*, each closed by one round's monitor ops (churn, then switch).
+/// The deterministic backend runs one round per epoch, so timeline
+/// boundaries are sampled every round. The threaded backend runs every
+/// round up to and including the next one with monitor ops as one
+/// parallel epoch: a round's accesses precede its monitor ops, each
+/// hart's access stream depends only on its own RNG and round count, and
+/// counters are order-independent sums, so the result is byte-identical.
+///
+/// Telemetry is pure observation: apart from the `trace.*` accounting
+/// counters, outcome and snapshot equal the untraced run's, and both
+/// artifacts are byte-identical at any `--jobs`.
+///
+/// # Errors
+///
+/// Propagates monitor errors.
+pub fn run_smp_with<S: TraceSink + Send>(
+    machines: Vec<Machine<S>>,
+    flavor: TeeFlavor,
+    seed: u64,
+    spec: SmpWorkloadSpec,
+    options: RunOptions,
+) -> Result<(SmpOutcome, Snapshot, Vec<S>, SmpTelemetry), MonitorError> {
+    let ram = hpmp_core::PmpRegion::new(PhysAddr::new(RAM_BASE), RAM_SIZE);
+    let mut run = Harness::boot(machines, flavor, ram, spec.footprint_pages, seed, options)?;
+    run.start();
+    let plan = round_plan(seed, run.works.len(), spec);
+
+    let mut total_cycles = 0u64;
+    let mut accesses = 0u64;
+    let mut start = 0usize;
+    while start < plan.len() {
+        let stop = match options {
+            RunOptions::Deterministic(_) => start + 1,
+            RunOptions::Threaded => plan[start..]
+                .iter()
+                .position(|round| round.churn || round.switch)
+                .map_or(plan.len(), |i| start + i + 1),
+        };
+        for work in &mut run.works {
+            work.rounds = 0;
+        }
+        for round in &plan[start..stop] {
+            run.works[usize::from(round.hart)].rounds += 1;
+        }
+        let (cycles, count) = run.epoch(spec.batch, spec.compute);
+        total_cycles += cycles;
+        accesses += count;
+
+        let last = plan[stop - 1];
+        let domain = run.works[usize::from(last.hart)].tenant.domain;
+        let smp = &mut run.smp;
+        if last.churn {
+            // Grow-then-shrink: a GMS grant and revoke, each a shootdown.
+            let (region, cycles) = smp.alloc_on(last.hart, domain, 64 * 1024, GmsLabel::Slow)?;
+            total_cycles += cycles + smp.free_on(last.hart, domain, region.base)?;
+        }
+        if last.switch {
+            // Host round-trip: an ecall-style exit and re-entry.
+            total_cycles += smp.switch_on(last.hart, DomainId::HOST)?;
+            total_cycles += smp.switch_on(last.hart, domain)?;
+        }
+        run.sample();
+        start = stop;
+    }
+
+    let harts = run.works.len() as u32;
+    let (snapshot, sinks, telemetry) = run.finish();
+    let outcome = SmpOutcome {
+        harts,
+        total_cycles,
+        accesses,
+        ipis_delivered: snapshot.value("smp.ipis_delivered"),
+    };
+    Ok((outcome, snapshot, sinks, telemetry))
+}
+
+/// One scheduler round of the seeded interleaving: which hart runs, and
+/// whether its tenant churns memory or round-trips through the host
+/// afterwards.
 #[derive(Clone, Copy, Debug)]
 struct RoundPlan {
     hart: u16,
@@ -375,181 +408,180 @@ struct RoundPlan {
     switch: bool,
 }
 
-impl RoundPlan {
-    fn serial(self) -> bool {
-        self.churn || self.switch
-    }
-}
-
-/// One hart's private working set for the threaded backend: everything its
-/// epoch body needs, moved onto the hart's thread each epoch.
-#[derive(Debug)]
-struct HartWork {
-    tenant: SmpTenant,
-    rng: SplitMix64,
-    /// Rounds assigned to this hart in the current epoch.
-    rounds: u32,
-}
-
-/// Runs `spec` under the **threaded** backend: the same seeded
-/// interleaving as [`run_smp_machines`], but with the scheduler decisions
-/// precomputed and the rounds between monitor operations executed as
-/// parallel epochs — one OS thread per hart, each against its own
-/// [`hpmp_memsim::PhysMem`] shard and metric arena.
-///
-/// An epoch is a maximal run of rounds ending at the first *serial* round
-/// (one whose hart churns memory or switches domains), inclusive: a
-/// round's accesses precede its monitor ops in the deterministic order, so
-/// the closing round's accesses run in the parallel phase and only its
-/// monitor ops run serially after the join. Each hart's access stream
-/// depends only on its own RNG and its number of assigned rounds, and
-/// counters are order-independent sums, so the outcome and snapshot are
-/// byte-identical to the deterministic backend's.
-///
-/// Time-resolved telemetry (timelines, spans) requires the deterministic
-/// backend and is not offered here.
-///
-/// # Errors
-///
-/// Propagates monitor errors.
-pub fn run_smp_threaded<S: TraceSink + Send>(
-    machines: Vec<Machine<S>>,
-    flavor: TeeFlavor,
-    seed: u64,
-    spec: SmpWorkloadSpec,
-) -> Result<(SmpOutcome, Snapshot, Vec<S>), MonitorError> {
-    let harts = machines.len();
-    let ram = hpmp_core::PmpRegion::new(PhysAddr::new(RAM_BASE), RAM_SIZE);
-    let mut smp = SmpSystem::boot_machines(machines, flavor, ram)?;
-    let tenants = setup_tenants(&mut smp, spec.footprint_pages)?;
-
-    // Precompute the interleaving the deterministic loop would draw,
-    // round by round.
+/// The interleaving [`HartScheduler`] draws for `spec`, round by round.
+fn round_plan(seed: u64, harts: usize, spec: SmpWorkloadSpec) -> Vec<RoundPlan> {
     let mut scheduler = HartScheduler::fair(seed, harts);
     let mut steps_of = vec![0u32; harts];
-    let plan: Vec<RoundPlan> = (0..spec.rounds)
+    (0..spec.rounds)
         .map(|_| {
             let hart = scheduler.next_hart();
-            let h = usize::from(hart);
-            steps_of[h] += 1;
+            let steps = &mut steps_of[usize::from(hart)];
+            *steps += 1;
+            let every = |n: u32| n != 0 && steps.is_multiple_of(n);
             RoundPlan {
                 hart,
-                churn: spec.churn_every != 0 && steps_of[h].is_multiple_of(spec.churn_every),
-                switch: spec.switch_every != 0 && steps_of[h].is_multiple_of(spec.switch_every),
+                churn: every(spec.churn_every),
+                switch: every(spec.switch_every),
             }
         })
-        .collect();
-
-    let mut works: Vec<HartWork> = tenants
-        .into_iter()
-        .enumerate()
-        .map(|(h, tenant)| HartWork {
-            tenant,
-            rng: SplitMix64::seed_from_u64(
-                seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(h as u64 + 1)),
-            ),
-            rounds: 0,
-        })
-        .collect();
-
-    // All setup done: unshare physical memory and go parallel.
-    smp.enable_threaded();
-
-    let mut total_cycles = 0u64;
-    let mut accesses = 0u64;
-    let mut start = 0usize;
-    while start < plan.len() {
-        // Epoch rounds `[start, stop)`; `stop - 1` is the first serial
-        // round, or the tail of the plan.
-        let mut stop = start;
-        while stop < plan.len() {
-            let serial = plan[stop].serial();
-            stop += 1;
-            if serial {
-                break;
-            }
-        }
-        for work in works.iter_mut() {
-            work.rounds = 0;
-        }
-        for round in &plan[start..stop] {
-            works[usize::from(round.hart)].rounds += 1;
-        }
-        let per_hart = smp.parallel_epoch(&mut works, |_, machine, work| {
-            let mut cycles = 0u64;
-            let mut accesses = 0u64;
-            for _ in 0..work.rounds {
-                for i in 0..spec.batch {
-                    let page = work.rng.gen_range(0..work.tenant.pages);
-                    let va = VirtAddr::new(work.tenant.va_base.raw() + page * PAGE_SIZE);
-                    let kind = if i % 4 == 3 {
-                        AccessKind::Write
-                    } else {
-                        AccessKind::Read
-                    };
-                    let out = machine
-                        .access(&work.tenant.space, va, kind, PrivMode::User)
-                        .expect("tenant reaches its own memory");
-                    cycles += out.cycles;
-                    accesses += 1;
-                }
-                cycles += machine.run_compute(spec.compute);
-            }
-            (cycles, accesses)
-        });
-        for (cycles, count) in per_hart {
-            total_cycles += cycles;
-            accesses += count;
-        }
-        // Serial phase: the epoch-closing round's monitor ops, in the
-        // deterministic order (churn before switch).
-        let last = plan[stop - 1];
-        if last.serial() {
-            let hart = last.hart;
-            let domain = works[usize::from(hart)].tenant.domain;
-            if last.churn {
-                let (region, cycles) = smp.alloc_on(hart, domain, 64 * 1024, GmsLabel::Slow)?;
-                total_cycles += cycles;
-                total_cycles += smp.free_on(hart, domain, region.base)?;
-            }
-            if last.switch {
-                total_cycles += smp.switch_on(hart, DomainId::HOST)?;
-                total_cycles += smp.switch_on(hart, domain)?;
-            }
-        }
-        start = stop;
-    }
-
-    // Drain shootdowns posted by the final serial phase, then snapshot.
-    smp.quiesce();
-    smp.flush_sinks();
-    let snapshot = smp.metrics_snapshot();
-    let outcome = SmpOutcome {
-        harts: harts as u32,
-        total_cycles,
-        accesses,
-        ipis_delivered: snapshot.value("smp.ipis_delivered"),
-    };
-    Ok((outcome, snapshot, smp.into_sinks()))
+        .collect()
 }
 
-/// As [`run_smp`] but with one sink per hart, returning the sinks.
-///
-/// # Errors
-///
-/// As [`run_smp`].
-pub fn run_smp_with_sinks<S: TraceSink>(
-    flavor: TeeFlavor,
-    core: CoreKind,
-    seed: u64,
-    spec: SmpWorkloadSpec,
-    sinks: Vec<S>,
-) -> Result<(SmpOutcome, Snapshot, Vec<S>), MonitorError> {
-    let machines = sinks
-        .into_iter()
-        .map(|sink| Machine::with_sink(config_for(core), sink))
-        .collect();
-    run_smp_machines(machines, flavor, seed, spec)
+/// One hart's tenant and private access stream, plus the rounds it runs in
+/// the current epoch — everything the epoch body needs, moved onto the
+/// hart's thread under the threaded backend.
+#[derive(Debug)]
+pub(crate) struct HartWork {
+    pub(crate) tenant: SmpTenant,
+    rng: SplitMix64,
+    pub(crate) rounds: u32,
+}
+
+impl HartWork {
+    /// The tenant batch loop: `rounds` times, `batch` accesses to random
+    /// mapped pages (every fourth a write), then `compute` instructions.
+    /// Returns `(cycles, accesses)`.
+    fn run<S: TraceSink>(
+        &mut self,
+        machine: &mut Machine<S>,
+        batch: u32,
+        compute: u64,
+    ) -> (u64, u64) {
+        let mut cycles = 0u64;
+        for _ in 0..self.rounds {
+            for i in 0..batch {
+                let page = self.rng.gen_range(0..self.tenant.pages);
+                let va = VirtAddr::new(self.tenant.va_base.raw() + page * PAGE_SIZE);
+                let kind = if i % 4 == 3 {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                cycles += machine
+                    .access(&self.tenant.space, va, kind, PrivMode::User)
+                    .expect("tenant reaches its own memory")
+                    .cycles;
+            }
+            cycles += machine.run_compute(compute);
+        }
+        (cycles, u64::from(self.rounds) * u64::from(batch))
+    }
+}
+
+/// A booted SMP run: the system, one [`HartWork`] per hart, and the
+/// telemetry being recorded. Shared by [`run_smp_with`] and the aging
+/// campaign.
+pub(crate) struct Harness<S: TraceSink> {
+    pub(crate) smp: SmpSystem<S>,
+    pub(crate) works: Vec<HartWork>,
+    options: RunOptions,
+    timeline: Option<TimelineSink>,
+}
+
+impl<S: TraceSink + Send> Harness<S> {
+    /// Boots `machines` over `ram` and sets up one tenant of `pages` pages
+    /// per hart with its seeded access stream.
+    pub(crate) fn boot(
+        machines: Vec<Machine<S>>,
+        flavor: TeeFlavor,
+        ram: hpmp_core::PmpRegion,
+        pages: u64,
+        seed: u64,
+        options: RunOptions,
+    ) -> Result<Harness<S>, MonitorError> {
+        let mut smp = SmpSystem::boot_machines(machines, flavor, ram)?;
+        let telemetry = options.telemetry();
+        if let Some(capacity) = telemetry.span_capacity {
+            // Enabled before tenant setup so the boot-phase ops are spanned
+            // too — the paper's boot → churn → steady-state story needs them.
+            smp.enable_spans(capacity);
+        }
+        let works = setup_tenants(&mut smp, pages)?
+            .into_iter()
+            .enumerate()
+            .map(|(h, tenant)| HartWork {
+                tenant,
+                // Decorrelated from the interleaver and from each other.
+                rng: SplitMix64::seed_from_u64(
+                    seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(h as u64 + 1)),
+                ),
+                rounds: 0,
+            })
+            .collect();
+        Ok(Harness {
+            smp,
+            works,
+            options,
+            timeline: telemetry.snapshot_interval.map(TimelineSink::new),
+        })
+    }
+
+    /// Unshares physical memory and goes parallel if the run is threaded.
+    /// Call once setup is done.
+    pub(crate) fn start(&mut self) {
+        if self.options == RunOptions::Threaded {
+            self.smp.enable_threaded();
+        }
+    }
+
+    /// Runs every hart's assigned rounds — on the hart threads under the
+    /// threaded backend, hart by hart otherwise. Returns `(cycles,
+    /// accesses)`.
+    pub(crate) fn epoch(&mut self, batch: u32, compute: u64) -> (u64, u64) {
+        let per_hart: Vec<(u64, u64)> = if self.options == RunOptions::Threaded {
+            self.smp
+                .parallel_epoch(&mut self.works, |_, machine, work| {
+                    work.run(machine, batch, compute)
+                })
+        } else {
+            let smp = &mut self.smp;
+            self.works
+                .iter_mut()
+                .enumerate()
+                .filter(|(_, work)| work.rounds > 0)
+                .map(|(h, work)| work.run(smp.machine(h as u16), batch, compute))
+                .collect()
+        };
+        per_hart
+            .into_iter()
+            .fold((0, 0), |(c, a), (cycles, accesses)| {
+                (c + cycles, a + accesses)
+            })
+    }
+
+    /// Cuts a timeline slice if one is due. Boundaries are checked on the
+    /// deterministic simulated clock, so slices are ≥ the interval wide
+    /// and byte-identical at any `--jobs`.
+    pub(crate) fn sample(&mut self) {
+        if let Some(timeline) = self.timeline.as_mut() {
+            let now = self.smp.global_cycles();
+            if timeline.due(now) {
+                timeline.record(now, &self.smp.metrics_snapshot());
+            }
+        }
+    }
+
+    /// Drains pending shootdowns and sinks, then snapshots. The tail slice
+    /// closes against that exact snapshot, so re-summing every slice
+    /// reproduces it byte-for-byte.
+    pub(crate) fn finish(mut self) -> (Snapshot, Vec<S>, SmpTelemetry) {
+        self.smp.quiesce();
+        self.smp.flush_sinks();
+        let snapshot = self.smp.metrics_snapshot();
+        if let Some(timeline) = self.timeline.as_mut() {
+            timeline.finish(self.smp.global_cycles(), &snapshot);
+        }
+        let spans = self
+            .options
+            .telemetry()
+            .span_capacity
+            .map(|_| self.smp.take_spans());
+        let telemetry = SmpTelemetry {
+            timeline: self.timeline,
+            spans,
+        };
+        (snapshot, self.smp.into_sinks(), telemetry)
+    }
 }
 
 /// The `hpmpsim` workload names that have SMP shapes, in report order.
@@ -615,8 +647,14 @@ mod tests {
         let machines = (0..2)
             .map(|_| Machine::new(MachineConfig::rocket()))
             .collect();
-        let (_, snapshot, _, out) =
-            run_smp_telemetry(machines, TeeFlavor::PenglaiHpmp, 42, spec, telemetry).unwrap();
+        let (_, snapshot, _, out) = run_smp_with(
+            machines,
+            TeeFlavor::PenglaiHpmp,
+            42,
+            spec,
+            RunOptions::Deterministic(telemetry),
+        )
+        .unwrap();
         let timeline = out.timeline.expect("requested");
         assert!(timeline.slices().len() > 1, "run spans several slices");
         assert_eq!(
@@ -638,7 +676,14 @@ mod tests {
             let machines = (0..2)
                 .map(|_| Machine::new(MachineConfig::rocket()))
                 .collect();
-            run_smp_telemetry(machines, TeeFlavor::PenglaiHpmp, 42, spec, telemetry).unwrap()
+            run_smp_with(
+                machines,
+                TeeFlavor::PenglaiHpmp,
+                42,
+                spec,
+                RunOptions::Deterministic(telemetry),
+            )
+            .unwrap()
         };
         let telemetry = SmpTelemetrySpec {
             snapshot_interval: Some(25_000),
@@ -686,6 +731,26 @@ mod tests {
             det_snap.to_json_versioned(),
             thr_snap.to_json_versioned(),
             "merged counter snapshots must be byte-identical across backends"
+        );
+    }
+
+    #[test]
+    fn threaded_runs_refuse_telemetry_with_a_typed_error() {
+        let telemetry = SmpTelemetrySpec {
+            snapshot_interval: Some(25_000),
+            span_capacity: None,
+        };
+        assert_eq!(
+            RunOptions::new(ExecBackend::Threaded, telemetry),
+            Err(ThreadedTelemetry)
+        );
+        assert_eq!(
+            RunOptions::new(ExecBackend::Threaded, SmpTelemetrySpec::default()),
+            Ok(RunOptions::Threaded)
+        );
+        assert_eq!(
+            RunOptions::new(ExecBackend::Deterministic, telemetry),
+            Ok(RunOptions::Deterministic(telemetry))
         );
     }
 

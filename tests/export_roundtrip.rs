@@ -15,7 +15,7 @@ use hpmp_suite::trace::{
     walks_in_snapshot, JsonlSink, Snapshot, SpanStream, Timeline, TraceReader, WalkEvent,
     SCHEMA_VERSION, WALK_EVENT_STREAM,
 };
-use hpmp_suite::workloads::smp::{run_smp_telemetry, spec_for, SmpTelemetrySpec};
+use hpmp_suite::workloads::smp::{run_smp_with, spec_for, RunOptions, SmpTelemetrySpec};
 
 /// Same fixed seed and shape as the `hpmpsim --harts 4` CI run.
 const SEED: u64 = 0x4850_4d50;
@@ -45,9 +45,14 @@ fn run_traced() -> Run {
         snapshot_interval: Some(INTERVAL),
         span_capacity: Some(SmpTelemetrySpec::DEFAULT_SPAN_CAPACITY),
     };
-    let (_, snapshot, sinks, telemetry) =
-        run_smp_telemetry(machines, TeeFlavor::PenglaiHpmp, SEED, spec, telemetry_spec)
-            .expect("SMP workload");
+    let (_, snapshot, sinks, telemetry) = run_smp_with(
+        machines,
+        TeeFlavor::PenglaiHpmp,
+        SEED,
+        spec,
+        RunOptions::Deterministic(telemetry_spec),
+    )
+    .expect("SMP workload");
 
     // Splice the per-hart trace bytes under one header, as hpmpsim does.
     let mut trace = format!("{{\"schema\":{SCHEMA_VERSION},\"stream\":\"{WALK_EVENT_STREAM}\"}}\n")
