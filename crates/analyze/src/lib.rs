@@ -12,7 +12,6 @@
 //!   virtualized) recomputed from event data alone;
 //! * [`diff`] — A/B differential reports: per-counter deltas, percent
 //!   change, and histogram percentile shifts between two runs;
-//! * [`gate`] — the regression gate CI runs against a committed baseline;
 //! * [`campaign`] — fault-campaign artifact analysis (`--campaign-out`):
 //!   per-class injected/detected/silent tallies recounted from trial
 //!   records and cross-checked against the embedded summary;
@@ -24,28 +23,22 @@
 //!   Chrome Trace Event JSON (Perfetto / `chrome://tracing`) from span
 //!   streams, and collapsed stacks (flamegraph.pl / inferno) from
 //!   walk-event traces, each with a round-trip validator re-summing the
-//!   exported durations against the run's metrics snapshot;
-//! * [`trend`] — bench-history trend tracking over the committed
-//!   `ci/BENCH_history.jsonl`: per-series step-change detection of the
-//!   deterministic cycle totals, report-only until history exists.
+//!   exported durations against the run's metrics snapshot.
+//!
+//! Regression checking needs no tool of its own: the simulated clock is
+//! deterministic, so CI byte-compares each fresh report against its
+//! committed pin with `cmp`, and [`diff`] explains a pin that fails.
 
 pub mod campaign;
 pub mod diff;
 pub mod export;
-pub mod gate;
 pub mod profile;
 pub mod timeline;
-pub mod trend;
 
 pub use campaign::{CampaignAnalysis, ClassTally};
 pub use diff::{diff_snapshots, load_artifact, percentile_shifts, render_diff, Artifact};
 pub use export::{
     chrome_trace, collapsed_stacks, render_collapsed, verify_collapsed, verify_span_export,
 };
-pub use gate::{gate, Finding, GateOutcome};
 pub use profile::{ColdWalk, EventRefs, IsolationShape, WalkProfile};
 pub use timeline::{analyze_timeline, Attribution, DriftRow, SliceRow, TimelineAnalysis};
-pub use trend::{
-    analyze_trend, parse_history, read_history_file, HistoryEntry, HistoryPoint, SeriesVerdict,
-    TrendReport, BENCH_HISTORY_STREAM,
-};

@@ -3,8 +3,6 @@
 //! ```text
 //! hpmp-analyze profile [<trace.jsonl>] [--spans <spans.jsonl>]
 //! hpmp-analyze diff <a.json> <b.json>
-//! hpmp-analyze gate --baseline <BENCH_seed.json> [--threshold 5%]
-//!                   [--report-only] <BENCH_current.json>
 //! hpmp-analyze campaign <campaign.jsonl>
 //! hpmp-analyze timeline <timeline.jsonl> [--spans <spans.jsonl>]
 //!                       [--final <metrics.json>] [--threshold 95%]
@@ -12,21 +10,18 @@
 //! hpmp-analyze export [--spans <spans.jsonl>] [--timeline <t.jsonl>]
 //!                     [--trace <walks.jsonl>] [--final <metrics.json>]
 //!                     [--chrome <trace.json>] [--collapsed <stacks.txt>]
-//! hpmp-analyze trend <history.jsonl> [--threshold 10%] [--window N]
-//!                    [--append <BENCH.json> --label <label>] [--report-only]
 //! ```
 //!
 //! Exit codes: 0 — analysis clean; 1 — the analysis itself found a problem
-//! (invariant violation, claim mismatch, perf regression); 2 — usage,
+//! (invariant violation, claim mismatch, failed round trip); 2 — usage,
 //! I/O, or schema error.
 
 use hpmp_analyze::{
-    analyze_timeline, analyze_trend, chrome_trace, collapsed_stacks, gate, load_artifact,
+    analyze_timeline, chrome_trace, collapsed_stacks, load_artifact,
     profile::{SpanProfile, WalkProfile},
-    read_history_file, render_collapsed, render_diff, verify_collapsed, verify_span_export,
-    CampaignAnalysis, HistoryEntry,
+    render_collapsed, render_diff, verify_collapsed, verify_span_export, CampaignAnalysis,
 };
-use hpmp_trace::{read_trace_file, BenchReport, Snapshot, SpanStream, Timeline};
+use hpmp_trace::{read_trace_file, Snapshot, SpanStream, Timeline};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -42,13 +37,8 @@ usage:
   hpmp-analyze diff <a.json> <b.json>
       Differential report between two versioned artifacts of the same
       kind (--metrics-out snapshots or --bench-out reports): counter
-      deltas, percent change, latency percentile shifts.
-
-  hpmp-analyze gate --baseline <file> [--threshold <pct>%] [--report-only]
-                    <current.json>
-      Compare a --bench-out report against a committed baseline; exit 1
-      on cycle / walk-reference / p99 regression beyond the threshold
-      (default 5%). --report-only prints the verdict but always exits 0.
+      deltas, percent change, latency percentile shifts. Run it on a
+      committed pin and a fresh report to name what a failed cmp moved.
 
   hpmp-analyze campaign <campaign.jsonl>
       Analyze a fault-campaign artifact (hpmpsim --campaign-out):
@@ -66,7 +56,7 @@ usage:
       against the run's --metrics-out snapshot. Exit 1 on a structural
       violation or when the named receiver-side spans explain less than
       --threshold (default 95%) of the counted sender stall cycles.
-      --report-out writes a gate-compatible bench report.
+      --report-out writes a bench report readable by `diff`.
 
   hpmp-analyze export [--spans <spans.jsonl>] [--timeline <timeline.jsonl>]
                       [--trace <walks.jsonl>] [--final <metrics.json>]
@@ -81,17 +71,6 @@ usage:
       snapshot — receiver handler spans against hart.<i>.shootdown
       counters, per-class stack totals against the latency cycle
       counters — and a mismatch exits 1 instead of rendering a lie.
-
-  hpmp-analyze trend <history.jsonl> [--threshold <pct>%] [--window N]
-                     [--append <BENCH.json> --label <label>] [--report-only]
-      Drift detection over the committed bench history (one
-      self-describing JSON line per CI run). --append first distills a
-      --bench-out report into a new history line under --label. Then
-      every (label, experiment) series is judged: the last point's
-      cycles against the median of its predecessors (the last --window
-      points; default 20). A step change beyond --threshold (default
-      10%) exits 1; series with fewer than two points are baselines and
-      never fail, so CI is report-only until history exists.
 ";
 
 fn fail_usage(message: &str) -> ExitCode {
@@ -195,58 +174,6 @@ fn parse_threshold(raw: &str) -> Option<f64> {
     let trimmed = raw.trim().trim_end_matches('%');
     let value: f64 = trimmed.parse().ok()?;
     (value >= 0.0 && value.is_finite()).then_some(value)
-}
-
-fn cmd_gate(args: &[String]) -> ExitCode {
-    let mut baseline_path: Option<String> = None;
-    let mut current_path: Option<String> = None;
-    let mut threshold = 5.0;
-    let mut report_only = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--baseline" => match it.next() {
-                Some(path) => baseline_path = Some(path.clone()),
-                None => return fail_usage("--baseline needs a file"),
-            },
-            "--threshold" => match it.next().map(|raw| parse_threshold(raw)) {
-                Some(Some(value)) => threshold = value,
-                _ => return fail_usage("--threshold needs a percentage like 5%"),
-            },
-            "--report-only" => report_only = true,
-            other if !other.starts_with('-') && current_path.is_none() => {
-                current_path = Some(other.to_string());
-            }
-            other => return fail_usage(&format!("unknown gate argument \"{other}\"")),
-        }
-    }
-    let Some(baseline_path) = baseline_path else {
-        return fail_usage("gate needs --baseline <file>");
-    };
-    let Some(current_path) = current_path else {
-        return fail_usage("gate needs a current bench report");
-    };
-    let load = |path: &str| -> Result<BenchReport, ExitCode> {
-        let text = read_to_string(path)?;
-        BenchReport::from_json(&text).map_err(|e| {
-            eprintln!("hpmp-analyze: {path}: {e}");
-            ExitCode::from(2)
-        })
-    };
-    let (baseline, current) = match (load(&baseline_path), load(&current_path)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(code), _) | (_, Err(code)) => return code,
-    };
-    let outcome = gate(&current, &baseline, threshold);
-    print!("{}", outcome.render(threshold));
-    if outcome.passed() || report_only {
-        if report_only && !outcome.passed() {
-            println!("(report-only mode: not failing the build)");
-        }
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
 }
 
 fn cmd_campaign(args: &[String]) -> ExitCode {
@@ -487,114 +414,15 @@ fn cmd_export(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_trend(args: &[String]) -> ExitCode {
-    let mut history_path: Option<String> = None;
-    let mut append_path: Option<String> = None;
-    let mut label: Option<String> = None;
-    let mut threshold = 10.0;
-    let mut window = 20usize;
-    let mut report_only = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--append" => match it.next() {
-                Some(path) => append_path = Some(path.clone()),
-                None => return fail_usage("--append needs a bench report file"),
-            },
-            "--label" => match it.next() {
-                Some(value) => label = Some(value.clone()),
-                None => return fail_usage("--label needs a name"),
-            },
-            "--threshold" => match it.next().map(|raw| parse_threshold(raw)) {
-                Some(Some(value)) => threshold = value,
-                _ => return fail_usage("--threshold needs a percentage like 10%"),
-            },
-            "--window" => match it.next().map(|raw| raw.parse()) {
-                Some(Ok(n)) => window = n,
-                _ => return fail_usage("--window needs an entry count (0 = unlimited)"),
-            },
-            "--report-only" => report_only = true,
-            other if !other.starts_with('-') && history_path.is_none() => {
-                history_path = Some(other.to_string());
-            }
-            other => return fail_usage(&format!("unknown trend argument \"{other}\"")),
-        }
-    }
-    let Some(history_path) = history_path else {
-        return fail_usage("trend needs a history file");
-    };
-    if append_path.is_some() != label.is_some() {
-        return fail_usage("--append and --label go together");
-    }
-
-    if let (Some(bench_path), Some(label)) = (&append_path, &label) {
-        let text = match read_to_string(bench_path) {
-            Ok(text) => text,
-            Err(code) => return code,
-        };
-        let report = match BenchReport::from_json(&text) {
-            Ok(report) => report,
-            Err(e) => {
-                eprintln!("hpmp-analyze: {bench_path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let line = HistoryEntry::from_report(label.clone(), &report).to_json_line();
-        let mut existing = match std::fs::read_to_string(&history_path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(e) => {
-                eprintln!("hpmp-analyze: cannot read {history_path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        if !existing.is_empty() && !existing.ends_with('\n') {
-            existing.push('\n');
-        }
-        existing.push_str(&line);
-        existing.push('\n');
-        if let Err(e) = std::fs::write(&history_path, existing) {
-            eprintln!("hpmp-analyze: cannot write {history_path}: {e}");
-            return ExitCode::from(2);
-        }
-        println!("appended {label} entry from {bench_path} -> {history_path}");
-    }
-
-    let entries = match read_history_file(&history_path) {
-        Ok(entries) => entries,
-        Err(e) => {
-            eprintln!("hpmp-analyze: {history_path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let report = analyze_trend(&entries, threshold, window);
-    print!("{}", report.render(threshold));
-    if report.passed() || report_only {
-        if report_only && !report.passed() {
-            println!("(report-only mode: not failing the build)");
-        }
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "hpmp-analyze: bench history regressed beyond {threshold}% \
-             ({} series)",
-            report.regressions
-        );
-        ExitCode::from(1)
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.split_first() {
         Some((cmd, rest)) => match cmd.as_str() {
             "profile" => cmd_profile(rest),
             "diff" => cmd_diff(rest),
-            "gate" => cmd_gate(rest),
             "campaign" => cmd_campaign(rest),
             "timeline" => cmd_timeline(rest),
             "export" => cmd_export(rest),
-            "trend" => cmd_trend(rest),
             "--help" | "-h" | "help" => {
                 print!("{USAGE}");
                 ExitCode::SUCCESS

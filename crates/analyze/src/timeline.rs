@@ -377,7 +377,7 @@ impl TimelineAnalysis {
         out
     }
 
-    /// A gate-compatible perf-trajectory report: one record carrying the
+    /// A perf-trajectory report readable by `diff`: one record carrying the
     /// re-summed end-of-run counters, with the attribution verdict in the
     /// config block.
     pub fn to_bench_report(&self) -> BenchReport {
@@ -547,7 +547,7 @@ mod tests {
         assert_eq!(report.config.get("attribution_pct").unwrap(), "100.00");
         let record = report.experiment("timeline").unwrap();
         assert_eq!(record.counters.value("slice.accesses"), 40);
-        // The report itself round-trips through the gate loader.
+        // The report itself round-trips through the bench-report reader.
         assert!(BenchReport::from_json(&report.to_json()).is_ok());
     }
 }

@@ -1,5 +1,5 @@
-//! CLI-level tests of the `hpmp-analyze` binary: argument handling, exit
-//! codes, and the doctored-baseline gate acceptance criterion.
+//! CLI-level tests of the `hpmp-analyze` binary: argument handling and
+//! exit codes.
 
 use hpmp_trace::{
     AccessClass, BenchReport, ExperimentRecord, LatencyHistograms, MetricsRegistry, Snapshot,
@@ -150,92 +150,6 @@ fn export_fails_when_durations_do_not_re_derive_the_counters() {
 }
 
 #[test]
-fn trend_single_entry_is_baseline_and_passes() {
-    let history = scratch("trend_baseline.jsonl");
-    let _ = std::fs::remove_file(&history);
-    let report = write("trend_baseline.bench.json", &bench_report(1000));
-    let out = run(&[
-        "trend",
-        history.to_str().unwrap(),
-        "--append",
-        report.to_str().unwrap(),
-        "--label",
-        "seed",
-    ]);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("BASELINE"), "{stdout}");
-    assert!(stdout.contains("PASS"), "{stdout}");
-}
-
-#[test]
-fn trend_detects_an_injected_regression() {
-    let history = scratch("trend_regress.jsonl");
-    let _ = std::fs::remove_file(&history);
-    for cycles in [1000, 1005] {
-        let report = write("trend_regress.bench.json", &bench_report(cycles));
-        let out = run(&[
-            "trend",
-            history.to_str().unwrap(),
-            "--append",
-            report.to_str().unwrap(),
-            "--label",
-            "seed",
-        ]);
-        assert_eq!(out.status.code(), Some(0), "stable history passes");
-    }
-    // Inject a +30% cycle regression (threshold defaults to 10%).
-    let slow = write("trend_regress.slow.json", &bench_report(1300));
-    let out = run(&[
-        "trend",
-        history.to_str().unwrap(),
-        "--append",
-        slow.to_str().unwrap(),
-        "--label",
-        "seed",
-    ]);
-    assert_eq!(out.status.code(), Some(1), "regression must fail the build");
-    assert!(String::from_utf8_lossy(&out.stdout).contains("REGRESSION"));
-
-    // --report-only downgrades the same verdict to exit 0.
-    let out = run(&["trend", history.to_str().unwrap(), "--report-only"]);
-    assert_eq!(out.status.code(), Some(0));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("report-only"));
-}
-
-#[test]
-fn trend_append_requires_a_label() {
-    let history = scratch("trend_nolabel.jsonl");
-    let report = write("trend_nolabel.bench.json", &bench_report(1000));
-    let out = run(&[
-        "trend",
-        history.to_str().unwrap(),
-        "--append",
-        report.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--label"));
-}
-
-#[test]
-fn trend_rejects_alien_history_schema() {
-    let history = write(
-        "trend_alien.jsonl",
-        "{\"schema\":99,\"stream\":\"hpmp-bench-history\",\"label\":\"x\",\
-         \"report\":\"r\",\"experiments\":{}}\n",
-    );
-    let out = run(&["trend", history.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("99"), "{stderr}");
-}
-
-#[test]
 fn no_args_is_a_usage_error() {
     let out = run(&[]);
     assert_eq!(out.status.code(), Some(2));
@@ -246,7 +160,7 @@ fn no_args_is_a_usage_error() {
 fn help_prints_usage_and_succeeds() {
     let out = run(&["--help"]);
     assert_eq!(out.status.code(), Some(0));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("hpmp-analyze gate"));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("hpmp-analyze diff"));
 }
 
 #[test]
@@ -280,83 +194,34 @@ fn diff_shows_deltas_and_percentile_shifts() {
 }
 
 #[test]
-fn gate_passes_against_equal_baseline() {
-    let baseline = write("base_ok.json", &bench_report(1000));
-    let current = write("cur_ok.json", &bench_report(1000));
+fn diff_rejects_unversioned_bench_report_naming_the_schema() {
+    let unversioned = write("diff_unversioned.json", "{\"experiments\":[]}");
+    let current = write("diff_versioned.json", &bench_report(1000));
     let out = run(&[
-        "gate",
-        "--baseline",
-        baseline.to_str().unwrap(),
-        "--threshold",
-        "5%",
-        current.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(0));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("PASS"));
-}
-
-#[test]
-fn gate_fails_on_doctored_baseline_with_cycle_regression() {
-    // The acceptance criterion: a baseline doctored to claim the run used
-    // to be >5% faster must make the gate exit nonzero.
-    let baseline = write("base_doctored.json", &bench_report(1000));
-    let current = write("cur_slow.json", &bench_report(1100));
-    let out = run(&[
-        "gate",
-        "--baseline",
-        baseline.to_str().unwrap(),
-        "--threshold",
-        "5%",
-        current.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(1), "gate must fail the build");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("REGRESSION"), "{stdout}");
-    assert!(stdout.contains("FAIL"), "{stdout}");
-}
-
-#[test]
-fn gate_report_only_never_fails_the_build() {
-    let baseline = write("base_ro.json", &bench_report(1000));
-    let current = write("cur_ro.json", &bench_report(1100));
-    let out = run(&[
-        "gate",
-        "--baseline",
-        baseline.to_str().unwrap(),
-        "--report-only",
-        current.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(0), "report-only always exits 0");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("REGRESSION"), "still reports: {stdout}");
-    assert!(stdout.contains("report-only"), "{stdout}");
-}
-
-#[test]
-fn gate_rejects_unversioned_baseline() {
-    let baseline = write("base_unversioned.json", "{\"experiments\":[]}");
-    let current = write("cur_v.json", &bench_report(1000));
-    let out = run(&[
-        "gate",
-        "--baseline",
-        baseline.to_str().unwrap(),
+        "diff",
+        unversioned.to_str().unwrap(),
         current.to_str().unwrap(),
     ]);
     assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("schema"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("schema"), "{stderr}");
+    assert!(stderr.contains("diff_unversioned.json"), "{stderr}");
 }
 
 #[test]
-fn gate_rejects_bad_threshold() {
-    let baseline = write("base_t.json", &bench_report(1000));
-    let current = write("cur_t.json", &bench_report(1000));
-    let out = run(&[
-        "gate",
-        "--baseline",
-        baseline.to_str().unwrap(),
-        "--threshold",
-        "banana",
-        current.to_str().unwrap(),
-    ]);
+fn timeline_rejects_bad_threshold() {
+    let out = run(&["timeline", "unused.jsonl", "--threshold", "banana"]);
     assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--threshold"));
+}
+
+#[test]
+fn retired_gate_and_trend_are_unknown_commands() {
+    for cmd in ["gate", "trend"] {
+        let out = run(&[cmd, "--report-only"]);
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown command"), "{cmd}: {stderr}");
+        assert!(stderr.contains("usage"), "{cmd}: {stderr}");
+    }
 }

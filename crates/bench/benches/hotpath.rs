@@ -5,12 +5,9 @@
 //! stderr after the run).
 //!
 //! These are the operations every simulated memory reference pays, so their
-//! per-op cost bounds full-experiment wall clock. Emit a machine-readable
-//! report for `hpmp-analyze gate` with:
-//!
-//! ```text
-//! cargo bench --bench hotpath -- --bench-out BENCH_hotpath.json
-//! ```
+//! per-op cost bounds full-experiment wall clock. Run with
+//! `cargo bench -p hpmp-bench --bench hotpath`; committed, noise-banded
+//! host-speed numbers come from `hpmpbench` instead (BENCHMARK.json).
 
 use hpmp_bench::{criterion_group, criterion_main, Criterion, Throughput};
 use hpmp_core::{LeafPmpte, PmptwCache, PmptwCacheConfig};
@@ -196,7 +193,7 @@ fn walks(c: &mut Criterion) {
 /// once on the threaded backend. Both runs are observably identical (the
 /// conformance battery byte-compares their snapshots), so one calibration
 /// run fixes the walk count for both throughput declarations, and the
-/// `walks_per_sec` ratio between the two records is exactly the threaded
+/// walks/sec ratio between the two console rows is exactly the threaded
 /// backend's speedup. Wall-clock ratio depends on host core count: on a
 /// single-core host the hart threads timeslice and the ratio is ~1x or
 /// below (thread overhead); the speedup shows from ~4 cores up.

@@ -83,8 +83,8 @@
 //! `hpmp_trace::WalkEvent::to_json`); `--metrics-out` writes the unified
 //! metrics snapshot as versioned JSON after the run; `--bench-out` writes a
 //! perf-trajectory [`hpmp_trace::BenchReport`] (one record for the workload:
-//! cycles, walks, counters, latency percentiles) consumable by
-//! `hpmp-analyze gate`.
+//! cycles, walks, counters, latency percentiles) readable by
+//! `hpmp-analyze diff`.
 //!
 //! `--host-profile-out` writes a [`hpmp_trace::HostProfile`]: *wall-clock*
 //! phase timers, per-workload host time, and the walks-per-second

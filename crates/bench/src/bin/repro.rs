@@ -27,8 +27,8 @@
 //! encryption); `--metrics-out` writes their merged metrics registry snapshot
 //! as versioned JSON. `--bench-out` writes a perf-trajectory
 //! [`hpmp_trace::BenchReport`] with one record per traced experiment (cycles,
-//! walks, walk-reference counters, latency percentiles) for
-//! `hpmp-analyze gate`.
+//! walks, walk-reference counters, latency percentiles), the form CI pins
+//! byte-for-byte and `hpmp-analyze diff` compares.
 //!
 //! `--host-profile-out` writes a [`hpmp_trace::HostProfile`]: *wall-clock*
 //! phase timers and per-experiment host time, with the walks-per-second

@@ -22,82 +22,18 @@ pub enum Throughput {
     Elements(u64),
 }
 
-/// One finished benchmark: `group/function/parameter` plus its mean timing
-/// and, when the group declared throughput, its per-iteration element
-/// (walk) count.
+/// One finished benchmark: its mean timing and, when the group declared
+/// throughput, its per-iteration element (walk) count.
 #[derive(Clone, Debug)]
 struct BenchResult {
-    name: String,
     ns_per_iter: u64,
     iters: u64,
     elements: Option<u64>,
 }
 
 /// Results accumulated across every group in the process, so
-/// [`criterion_main!`] can emit one machine-readable report at exit.
+/// [`criterion_main!`] can print one walks/sec headline at exit.
 static RESULTS: Mutex<Vec<BenchResult>> = Mutex::new(Vec::new());
-
-/// Honours a `--bench-out <path>` argument by writing every recorded
-/// benchmark as an [`hpmp_trace::BenchReport`] (`cycles` carries the mean
-/// ns/iter), consumable by `hpmp-analyze gate`/`diff` exactly like the
-/// reports the `repro` and `hpmpsim` binaries produce.
-///
-/// Called by the [`criterion_main!`] expansion after all groups have run;
-/// without the flag it does nothing. Invoke as
-/// `cargo bench --bench <target> -- --bench-out BENCH_<target>.json`.
-pub fn write_bench_report_if_requested() {
-    let mut args = std::env::args();
-    let binary = args.next().unwrap_or_default();
-    let mut out = None;
-    while let Some(arg) = args.next() {
-        if arg == "--bench-out" {
-            out = args.next();
-        }
-    }
-    let Some(path) = out else { return };
-
-    // Bench executables are named `<target>-<16-hex-digit hash>`.
-    let stem = std::path::Path::new(&binary)
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("bench");
-    let name = match stem.rsplit_once('-') {
-        Some((base, hash)) if hash.len() == 16 && hash.bytes().all(|b| b.is_ascii_hexdigit()) => {
-            base
-        }
-        _ => stem,
-    };
-
-    let mut report = hpmp_trace::BenchReport::new(name);
-    report.set_config("suite", "criterion-shim");
-    let results = RESULTS.lock().expect("bench results poisoned");
-    for result in results.iter() {
-        let mut reg = hpmp_trace::MetricsRegistry::new();
-        reg.set("ns_per_iter", result.ns_per_iter);
-        reg.set("iters", result.iters);
-        let mut record = hpmp_trace::ExperimentRecord::from_snapshot(
-            result.name.clone(),
-            result.ns_per_iter,
-            reg.snapshot(),
-        );
-        if let Some(elements) = result.elements {
-            // Throughput benches carry their walk count and the measured
-            // host-clock rate; both are wall-clock data and only ever
-            // appear in bench reports, never in simulated artifacts.
-            record.walks = elements;
-            record.walks_per_sec = hpmp_trace::walks_per_sec(elements, result.ns_per_iter);
-        }
-        report.push(record);
-    }
-    if let Err(e) = std::fs::write(&path, report.to_json()) {
-        eprintln!("bench: cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!(
-        "bench: report: {} benchmarks -> {path}",
-        report.experiments.len()
-    );
-}
 
 /// Prints the walks-per-second headline to **stderr** — the aggregate over
 /// every throughput-declaring benchmark that ran (total walks retired over
@@ -204,7 +140,7 @@ impl BenchmarkGroup {
 
     /// Declare how much work one timed iteration performs; subsequent
     /// benchmarks in the group report a walks-per-second rate alongside
-    /// ns/iter, in console output and the `--bench-out` report.
+    /// ns/iter in console output.
     pub fn throughput(&mut self, t: Throughput) -> &mut BenchmarkGroup {
         self.throughput = Some(t);
         self
@@ -274,7 +210,6 @@ impl BenchmarkGroup {
         }
         if let Ok(mut results) = RESULTS.lock() {
             results.push(BenchResult {
-                name: format!("{}/{id}", self.name),
                 ns_per_iter: per_iter as u64,
                 iters: b.iters,
                 elements,
@@ -309,14 +244,13 @@ macro_rules! criterion_group {
     };
 }
 
-/// Define `main` running each listed group, then honouring `--bench-out`
-/// (pass it after `--`: `cargo bench --bench <t> -- --bench-out <path>`).
+/// Define `main` running each listed group, then printing the walks/sec
+/// headline.
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
             $($group();)+
-            $crate::write_bench_report_if_requested();
             $crate::print_walks_headline();
         }
     };
@@ -345,10 +279,11 @@ mod tests {
     }
 
     #[test]
-    fn results_are_recorded_for_the_report() {
+    fn results_are_recorded_for_the_headline() {
         let mut c = Criterion;
         let mut group = c.benchmark_group("recorded");
         group.sample_size(2);
+        group.throughput(Throughput::Elements(4_242));
         group.bench_function("noop", |b| b.iter(|| ()));
         group.finish();
         let results = RESULTS.lock().expect("bench results poisoned");
@@ -356,7 +291,7 @@ mod tests {
         // check containment rather than the full contents.
         assert!(results
             .iter()
-            .any(|r| r.name == "recorded/noop" && r.iters == 2));
+            .any(|r| r.elements == Some(4_242) && r.iters == 2));
     }
 
     #[test]

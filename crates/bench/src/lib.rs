@@ -12,8 +12,7 @@ pub mod artifacts;
 mod harness;
 
 pub use harness::{
-    print_walks_headline, write_bench_report_if_requested, Bencher, BenchmarkGroup, BenchmarkId,
-    Criterion, Throughput,
+    print_walks_headline, Bencher, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
 };
 
 use std::cell::RefCell;

@@ -3,11 +3,12 @@
 //! `repro --bench-out` / `hpmpsim --bench-out` emit one [`BenchReport`] per
 //! run: the configuration under test, and for every experiment its total
 //! cycles, the full flat counter set (walk-reference counts included), and
-//! the latency percentiles of every histogram class. `hpmp-analyze gate`
-//! compares two such reports and fails the build on regression, so the
-//! schema lives here in `hpmp-trace` — the one crate both the writer
-//! (`hpmp-bench`) and the reader (`hpmp-analyze`) already depend on — and
-//! is versioned like every other artifact ([`crate::SCHEMA_VERSION`]).
+//! the latency percentiles of every histogram class. CI byte-compares a
+//! fresh report against its committed pin and `hpmp-analyze diff` explains
+//! a mismatch counter by counter, so the schema lives here in `hpmp-trace`
+//! — the one crate both the writer (`hpmp-bench`) and the reader
+//! (`hpmp-analyze`) already depend on — and is versioned like every other
+//! artifact ([`crate::SCHEMA_VERSION`]).
 //!
 //! Counters serialize *flat* (dotted names as literal keys), unlike the
 //! human-oriented nested form of [`Snapshot::to_json`]: a stable trajectory
@@ -81,13 +82,14 @@ pub fn histograms_in_snapshot(snap: &Snapshot) -> BTreeMap<String, LatencyHistog
 }
 
 /// Sum of every page-walk counter in a snapshot: the bare `machine.walks`
-/// of a single-hart run, or the `hart.<i>.machine.walks` copies of an SMP
-/// merge (never both — merged SMP snapshots carry only the per-hart
-/// names).
+/// of a single-hart run, the `virt.walks` of a guest run, or the
+/// `hart.<i>.machine.walks` copies of an SMP merge (never both bare and
+/// per-hart — merged SMP snapshots carry only the per-hart names).
 pub fn walks_in_snapshot(snap: &Snapshot) -> u64 {
     snap.iter()
         .filter(|(name, _)| {
             *name == "machine.walks"
+                || *name == "virt.walks"
                 || (name.starts_with("hart.") && name.ends_with(".machine.walks"))
         })
         .map(|(_, v)| v)
@@ -104,13 +106,6 @@ pub struct ExperimentRecord {
     /// Page walks the experiment performed, summed over harts.
     /// Simulated-clock data: deterministic for a given seed.
     pub walks: u64,
-    /// Simulated page walks retired per host-clock second while the
-    /// experiment ran, or 0 when unmeasured. Host-clock data: the
-    /// deterministic harness paths (`repro`/`hpmpsim` `--bench-out`)
-    /// never set it, only wall-clock contexts (the criterion shim, host
-    /// profiles) do, so byte-compared artifacts stay reproducible. Zero
-    /// is omitted from the serialized form.
-    pub walks_per_sec: u64,
     /// Latency percentiles per histogram base name (e.g.
     /// `machine.latency.read_walk`), derived from the bucket counters at
     /// record time.
@@ -123,7 +118,7 @@ pub struct ExperimentRecord {
 impl ExperimentRecord {
     /// Build a record from an experiment's merged snapshot, deriving the
     /// percentile table from the snapshot's histogram bucket counters and
-    /// the walk total from its `machine.walks` counters.
+    /// the walk total from its walk counters ([`walks_in_snapshot`]).
     pub fn from_snapshot(name: impl Into<String>, cycles: u64, counters: Snapshot) -> Self {
         let percentiles = histograms_in_snapshot(&counters)
             .iter()
@@ -133,7 +128,6 @@ impl ExperimentRecord {
             name: name.into(),
             cycles,
             walks: walks_in_snapshot(&counters),
-            walks_per_sec: 0,
             percentiles,
             counters,
         }
@@ -158,18 +152,12 @@ impl ExperimentRecord {
             .iter()
             .map(|(name, value)| format!("\"{}\":{}", json_escape(name), value))
             .collect();
-        let walks_per_sec = if self.walks_per_sec > 0 {
-            format!(",\"walks_per_sec\":{}", self.walks_per_sec)
-        } else {
-            String::new()
-        };
         format!(
-            "{{\"name\":\"{}\",\"cycles\":{},\"walks\":{}{},\"percentiles\":{{{}}},\
+            "{{\"name\":\"{}\",\"cycles\":{},\"walks\":{},\"percentiles\":{{{}}},\
              \"counters\":{{{}}}}}",
             json_escape(&self.name),
             self.cycles,
             self.walks,
-            walks_per_sec,
             percentiles.join(","),
             counters.join(",")
         )
@@ -221,15 +209,10 @@ impl ExperimentRecord {
             .get("walks")
             .and_then(JsonValue::as_u64)
             .unwrap_or_else(|| walks_in_snapshot(&counters));
-        let walks_per_sec = value
-            .get("walks_per_sec")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
         Ok(ExperimentRecord {
             name,
             cycles,
             walks,
-            walks_per_sec,
             percentiles,
             counters,
         })
@@ -413,35 +396,28 @@ mod tests {
     }
 
     #[test]
+    fn walks_count_guest_walks() {
+        // A guest run's snapshot carries only the virt prefix (fig13).
+        let mut reg = MetricsRegistry::new();
+        reg.set("virt.walks", 32);
+        reg.set("virt.cycles", 999); // not a walk counter
+        assert_eq!(walks_in_snapshot(&reg.snapshot()), 32);
+        let rec = ExperimentRecord::from_snapshot("fig13", 999, reg.snapshot());
+        assert_eq!(rec.walks, 32);
+    }
+
+    #[test]
     fn record_carries_walks_and_round_trips() {
         let mut reg = MetricsRegistry::new();
         reg.set("machine.cycles", 1270);
         reg.set("machine.walks", 42);
         let rec = ExperimentRecord::from_snapshot("fig2", 1270, reg.snapshot());
         assert_eq!(rec.walks, 42);
-        assert_eq!(rec.walks_per_sec, 0, "simulated paths never set it");
 
         let mut report = BenchReport::new("repro");
         report.push(rec);
         let json = report.to_json();
         assert!(json.contains("\"walks\":42"), "{json}");
-        assert!(
-            !json.contains("walks_per_sec"),
-            "zero walks/sec must be omitted so deterministic artifacts \
-             never carry host-clock fields: {json}"
-        );
-        assert_eq!(BenchReport::from_json(&json).unwrap(), report);
-    }
-
-    #[test]
-    fn walks_per_sec_survives_round_trip_when_set() {
-        let mut rec = ExperimentRecord::from_snapshot("hot", 10, Snapshot::new());
-        rec.walks = 1000;
-        rec.walks_per_sec = 250_000;
-        let mut report = BenchReport::new("hotpath");
-        report.push(rec);
-        let json = report.to_json();
-        assert!(json.contains("\"walks_per_sec\":250000"), "{json}");
         assert_eq!(BenchReport::from_json(&json).unwrap(), report);
     }
 

@@ -4,7 +4,6 @@
 //! panic, and never a silent misparse. One test per reader, all driven
 //! off genuine writer output with only the version byte mutated.
 
-use hpmp_suite::analyze::{parse_history, HistoryEntry, BENCH_HISTORY_STREAM};
 use hpmp_suite::trace::{
     BenchReport, HostProfile, MetricsRegistry, ReadError, Snapshot, SpanStream, Timeline,
     TraceReader, SCHEMA_VERSION, SPAN_EVENT_STREAM, TIMELINE_STREAM, WALK_EVENT_STREAM,
@@ -102,33 +101,4 @@ fn timeline_rejects_unknown_version() {
     // A header-only timeline is truncated (no footer) but that is a
     // *later* error; the version check must fire first on a bumped one.
     assert_schema_error(Timeline::parse(bump(&good).as_bytes()).expect_err("must reject"));
-}
-
-#[test]
-fn bench_history_rejects_unknown_version_naming_the_line() {
-    let good = HistoryEntry {
-        label: "seed".to_string(),
-        report: "repro".to_string(),
-        experiments: Default::default(),
-    }
-    .to_json_line();
-    assert_eq!(parse_history(&good).expect("round trip").len(), 1);
-    // Line 1 is fine, line 2 is from the future: the error must name
-    // line 2 so an append-only file is debuggable.
-    let err = parse_history(&format!("{good}\n{}\n", bump(&good))).expect_err("must reject");
-    let msg = err.to_string();
-    assert_schema_error(err);
-    assert!(msg.contains("line 2"), "line number missing: {msg}");
-}
-
-#[test]
-fn bench_history_rejects_foreign_streams() {
-    let good = HistoryEntry::default().to_json_line();
-    let foreign = good.replacen(BENCH_HISTORY_STREAM, WALK_EVENT_STREAM, 1);
-    let err = parse_history(&foreign).expect_err("must reject");
-    assert!(
-        matches!(err, ReadError::Schema { .. }),
-        "expected ReadError::Schema, got: {err:?}"
-    );
-    assert!(err.to_string().contains(WALK_EVENT_STREAM), "{err}");
 }
