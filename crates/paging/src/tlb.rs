@@ -7,6 +7,12 @@
 //!
 //! The geometry mirrors Table 1: a 32-entry fully-associative L1 TLB and a
 //! 1024-entry direct-mapped L2 TLB.
+//!
+//! A full flush costs O(1) host time however large the L2 is: every L2 slot
+//! carries the flush generation it was filled in, and [`Tlb::flush_all`]
+//! moves the generation on instead of rewriting the array. Every monitor
+//! operation flushes every hart's D- and I-TLB, so this is the difference
+//! between a few counter bumps and thousands of slot writes per operation.
 
 use hpmp_memsim::{Perms, PhysAddr, VirtAddr, PAGE_SHIFT};
 
@@ -140,6 +146,30 @@ struct L1Slot {
     lru: u64,
 }
 
+/// One direct-mapped L2 slot. It holds `entry` only while `generation`
+/// equals the TLB's flush generation.
+#[derive(Clone, Copy, Debug)]
+struct L2Slot {
+    entry: TlbEntry,
+    generation: u64,
+}
+
+impl L2Slot {
+    /// An empty slot: generation 0, which no TLB generation ever equals.
+    const EMPTY: L2Slot = L2Slot {
+        entry: TlbEntry {
+            asid: 0,
+            vpn: 0,
+            frame: PhysAddr::new(0),
+            page_perms: Perms::NONE,
+            isolation_perms: Perms::NONE,
+            user: false,
+            epoch: 0,
+        },
+        generation: 0,
+    };
+}
+
 /// A two-level data TLB.
 ///
 /// ```
@@ -159,7 +189,10 @@ struct L1Slot {
 pub struct Tlb {
     config: TlbConfig,
     l1: Vec<L1Slot>,
-    l2: Vec<Option<TlbEntry>>,
+    l2: Vec<L2Slot>,
+    /// Flush generation, starting at 1: an L2 slot is live only while it
+    /// carries this value.
+    generation: u64,
     clock: u64,
     epoch: u64,
     stats: TlbStats,
@@ -180,7 +213,8 @@ impl Tlb {
         Tlb {
             config,
             l1: Vec::with_capacity(config.l1_entries),
-            l2: vec![None; config.l2_entries],
+            l2: vec![L2Slot::EMPTY; config.l2_entries],
+            generation: 1,
             clock: 0,
             epoch: 0,
             stats: TlbStats::default(),
@@ -213,18 +247,15 @@ impl Tlb {
             self.stats.l1_hits += 1;
             return Some((slot.entry, TlbHit::L1));
         }
-        let idx = self.l2_index(asid, vpn);
-        if let Some(entry) = self.l2[idx] {
-            if entry.asid == asid && entry.vpn == vpn {
-                if entry.epoch != epoch {
-                    self.stats.stale += 1;
-                    self.stats.misses += 1;
-                    return None;
-                }
-                self.stats.l2_hits += 1;
-                self.insert_l1(entry);
-                return Some((entry, TlbHit::L2));
+        if let Some(entry) = self.l2_match(asid, vpn) {
+            if entry.epoch != epoch {
+                self.stats.stale += 1;
+                self.stats.misses += 1;
+                return None;
             }
+            self.stats.l2_hits += 1;
+            self.insert_l1(entry);
+            return Some((entry, TlbHit::L2));
         }
         self.stats.misses += 1;
         None
@@ -237,8 +268,11 @@ impl Tlb {
             epoch: self.epoch,
             ..entry
         };
-        let idx = self.l2_index(entry.asid, entry.vpn);
-        self.l2[idx] = Some(entry);
+        let idx = self.l2_index(entry.vpn);
+        self.l2[idx] = L2Slot {
+            entry,
+            generation: self.generation,
+        };
         self.insert_l1(entry);
     }
 
@@ -255,19 +289,22 @@ impl Tlb {
         self.epoch
     }
 
-    /// `sfence.vma` with no arguments / HPMP reconfiguration: drop everything.
+    /// `sfence.vma` with no arguments / HPMP reconfiguration: drop
+    /// everything. O(1): the L1 is truncated and the flush generation moves
+    /// on, which empties every L2 slot at once.
     pub fn flush_all(&mut self) {
         self.l1.clear();
-        self.l2.iter_mut().for_each(|e| *e = None);
+        self.generation += 1;
         self.stats.flushes += 1;
     }
 
     /// `sfence.vma` with an ASID: drop entries belonging to `asid`.
     pub fn flush_asid(&mut self, asid: u16) {
         self.l1.retain(|s| s.entry.asid != asid);
-        for e in self.l2.iter_mut() {
-            if matches!(e, Some(entry) if entry.asid == asid) {
-                *e = None;
+        let generation = self.generation;
+        for slot in &mut self.l2 {
+            if slot.generation == generation && slot.entry.asid == asid {
+                *slot = L2Slot::EMPTY;
             }
         }
         self.stats.flushes += 1;
@@ -278,9 +315,9 @@ impl Tlb {
         let vpn = va.page_number();
         self.l1
             .retain(|s| !(s.entry.asid == asid && s.entry.vpn == vpn));
-        let idx = self.l2_index(asid, vpn);
-        if matches!(self.l2[idx], Some(e) if e.asid == asid && e.vpn == vpn) {
-            self.l2[idx] = None;
+        if self.l2_match(asid, vpn).is_some() {
+            let idx = self.l2_index(vpn);
+            self.l2[idx] = L2Slot::EMPTY;
         }
         self.stats.flushes += 1;
     }
@@ -322,10 +359,16 @@ impl Tlb {
         }
     }
 
-    fn l2_index(&self, asid: u16, vpn: u64) -> usize {
-        // Direct-mapped, indexed by VPN (ASID only disambiguates on compare,
-        // as in a physically-small direct-mapped structure).
-        let _ = asid;
+    /// The live L2 entry for `(asid, vpn)`, whatever its epoch.
+    fn l2_match(&self, asid: u16, vpn: u64) -> Option<TlbEntry> {
+        let slot = self.l2[self.l2_index(vpn)];
+        (slot.generation == self.generation && slot.entry.asid == asid && slot.entry.vpn == vpn)
+            .then_some(slot.entry)
+    }
+
+    /// Direct-mapped, indexed by VPN (the ASID only disambiguates on
+    /// compare, as in a physically-small direct-mapped structure).
+    fn l2_index(&self, vpn: u64) -> usize {
         (vpn as usize) & (self.config.l2_entries - 1)
     }
 }
@@ -419,6 +462,28 @@ mod tests {
         tlb.flush_all();
         assert!(tlb.lookup(2, VirtAddr::new(0x3000)).is_none());
         assert_eq!(tlb.stats().flushes, 3);
+    }
+
+    #[test]
+    fn flush_all_empties_the_l2_until_refilled() {
+        // With a one-entry L1, every older fill lives in the L2 only.
+        let mut tlb = Tlb::new(TlbConfig {
+            l1_entries: 1,
+            l2_entries: 16,
+            l2_hit_latency: 4,
+        });
+        tlb.fill(entry(1, 1));
+        tlb.fill(entry(1, 2));
+        tlb.flush_all();
+        tlb.fill(entry(1, 3));
+        assert!(tlb.lookup(1, VirtAddr::new(0x1000)).is_none());
+        assert!(tlb.lookup(1, VirtAddr::new(0x2000)).is_none());
+        assert_eq!(tlb.stats().stale, 0, "a flushed entry is gone, not stale");
+        // A refill of a flushed slot is live again, in the L2 too.
+        tlb.fill(entry(1, 1));
+        tlb.fill(entry(1, 4));
+        let (_, hit) = tlb.lookup(1, VirtAddr::new(0x1000)).unwrap();
+        assert_eq!(hit, TlbHit::L2);
     }
 
     #[test]
