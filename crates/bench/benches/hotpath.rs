@@ -1,8 +1,8 @@
 //! Microbenches for the simulator's per-access hot path: flat page-directory
-//! reads/writes, TLB/PWC/PMPTW-cache lookups, and interned-counter bumps —
-//! plus an end-to-end page-walk sweep whose throughput declaration turns
-//! the timing into the suite's walks-per-second headline (printed to
-//! stderr after the run).
+//! reads/writes, TLB/PWC/PMPTW-cache lookups, the per-hart invalidation every
+//! monitor operation pays, and interned-counter bumps — plus an end-to-end
+//! page-walk sweep whose throughput declaration turns the timing into the
+//! suite's walks-per-second headline (printed to stderr after the run).
 //!
 //! These are the operations every simulated memory reference pays, so their
 //! per-op cost bounds full-experiment wall clock. Run with
@@ -115,6 +115,36 @@ fn lookups(c: &mut Criterion) {
                 hits += pmptw.lookup_leaf(0, black_box((i % 8) << 16)).is_some() as u64;
             }
             hits
+        })
+    });
+    group.finish();
+}
+
+/// What each monitor operation costs every hart it reaches: the TLB flush
+/// alone, and the whole `invalidate_isolation` (epoch bumps plus D-/I-TLB,
+/// PWC and PMPTW-Cache flushes). Both are O(1) in the TLB size: the L2 is
+/// emptied by moving its flush generation on, not by rewriting its slots.
+fn flushes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("flush");
+    group.sample_size(200);
+
+    let mut tlb = Tlb::new(TlbConfig::default());
+    group.bench_function("tlb_flush_all", |b| {
+        b.iter(|| {
+            for _ in 0..OPS {
+                black_box(&mut tlb).flush_all();
+            }
+            tlb.stats().flushes
+        })
+    });
+
+    let mut sys = SystemBuilder::new(MachineConfig::rocket(), IsolationScheme::Hpmp).build();
+    group.bench_function("invalidate_isolation", |b| {
+        b.iter(|| {
+            for _ in 0..OPS {
+                black_box(&mut sys.machine).invalidate_isolation();
+            }
+            sys.machine.tlb_stats().flushes
         })
     });
     group.finish();
@@ -237,5 +267,13 @@ fn smp_backends(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, physmem, lookups, registry, walks, smp_backends);
+criterion_group!(
+    benches,
+    physmem,
+    lookups,
+    flushes,
+    registry,
+    walks,
+    smp_backends
+);
 criterion_main!(benches);

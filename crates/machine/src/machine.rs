@@ -661,6 +661,33 @@ mod tests {
     }
 
     #[test]
+    fn delivered_fence_empties_both_tlbs_without_stale_counts() {
+        let (mut machine, space) = flat_machine();
+        let (code, data) = (VirtAddr::new(0x1000), VirtAddr::new(0x2000));
+        machine
+            .access(&space, data, AccessKind::Read, PrivMode::User)
+            .expect("warm read");
+        machine
+            .fetch(&space, code, PrivMode::User)
+            .expect("warm fetch");
+        machine.invalidate_isolation();
+        let read = machine
+            .access(&space, data, AccessKind::Read, PrivMode::User)
+            .expect("re-read");
+        let fetch = machine
+            .fetch(&space, code, PrivMode::User)
+            .expect("re-fetch");
+        assert!(read.tlb_hit.is_none(), "the D-TLB was flushed");
+        assert!(fetch.tlb_hit.is_none(), "the I-TLB was flushed");
+        // A flushed entry is gone, so the epoch never has to reject it:
+        // only a suppressed fence leaves entries for `stale` to count.
+        for stats in [machine.tlb_stats(), machine.itlb_stats()] {
+            assert_eq!(stats.stale, 0);
+            assert_eq!(stats.flushes, 1);
+        }
+    }
+
+    #[test]
     fn suppressed_fence_cannot_grant_stale_isolation() {
         let (mut machine, space) = flat_machine();
         let va = VirtAddr::new(0x2000);
