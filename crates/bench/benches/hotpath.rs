@@ -1,5 +1,6 @@
 //! Microbenches for the simulator's per-access hot path: flat page-directory
-//! reads/writes, TLB/PWC/PMPTW-cache lookups, the per-hart invalidation every
+//! reads/writes, TLB/PWC/PMPTW-cache lookups, the cache/DRAM model below the
+//! L1 and its set-up, the per-hart invalidation every
 //! monitor operation pays, and interned-counter bumps — plus an end-to-end
 //! page-walk sweep whose throughput declaration turns the timing into the
 //! suite's walks-per-second headline (printed to stderr after the run).
@@ -12,7 +13,9 @@
 use hpmp_bench::{criterion_group, criterion_main, Criterion, Throughput};
 use hpmp_core::{LeafPmpte, PmptwCache, PmptwCacheConfig};
 use hpmp_machine::{IsolationScheme, MachineConfig, SystemBuilder};
-use hpmp_memsim::{AccessKind, Perms, PhysAddr, PhysMem, PrivMode, VirtAddr, PAGE_SIZE};
+use hpmp_memsim::{
+    AccessKind, MemSystem, MemSystemConfig, Perms, PhysAddr, PhysMem, PrivMode, VirtAddr, PAGE_SIZE,
+};
 use hpmp_paging::{Tlb, TlbConfig, TlbEntry, TranslationMode, WalkCache, WalkCacheConfig};
 use hpmp_trace::{walks_in_snapshot, MetricsRegistry};
 use std::hint::black_box;
@@ -116,6 +119,38 @@ fn lookups(c: &mut Criterion) {
             }
             hits
         })
+    });
+    group.finish();
+}
+
+/// The cache/DRAM model every walk reference pays. `ptw_miss_sweep` issues
+/// PTW references (L1 bypassed) over a region four times the LLC, with a
+/// page-plus-a-line stride that visits every line of it, so each reference
+/// runs the L2 and LLC tag lookups and the DRAM model. `memsystem_new` is
+/// the set-up every machine and hart pays for its hierarchy.
+fn memsim(c: &mut Criterion) {
+    let mut group = c.benchmark_group("memsim");
+    group.sample_size(200);
+
+    let config = MemSystemConfig::rocket();
+    let span = 4 * config.llc.capacity;
+    let mut mem = MemSystem::new(config);
+    let mut offset = 0u64;
+    group.bench_function("ptw_miss_sweep", |b| {
+        b.iter(|| {
+            let mut cycles = 0u64;
+            for _ in 0..OPS {
+                let addr = PhysAddr::new(RAM_BASE + offset);
+                cycles += mem.access_ptw(black_box(addr)).cycles;
+                offset = (offset + PAGE_SIZE + 64) % span;
+            }
+            cycles
+        })
+    });
+    assert_eq!(mem.stats().llc.hits, 0, "the sweep must miss the LLC");
+
+    group.bench_function("memsystem_new", |b| {
+        b.iter(|| MemSystem::new(black_box(config)))
     });
     group.finish();
 }
@@ -271,6 +306,7 @@ criterion_group!(
     benches,
     physmem,
     lookups,
+    memsim,
     flushes,
     registry,
     walks,

@@ -6,6 +6,8 @@
 //! hierarchy it hits, which is what determines the latencies the paper
 //! measures.
 
+use std::ops::Range;
+
 use crate::addr::{PhysAddr, LINE_SHIFT};
 
 /// Configuration of a single cache level.
@@ -93,15 +95,20 @@ impl CacheStatsIds {
     }
 }
 
+/// One tag slot. `lru` is the cache clock at the slot's last touch
+/// (higher = more recently used). The clock is bumped before every stamp,
+/// so a valid slot always carries a stamp of at least 1 and stamp 0 marks
+/// an invalid slot.
 #[derive(Clone, Copy, Debug, Default)]
 struct Way {
-    valid: bool,
     tag: u64,
-    /// Higher = more recently used.
     lru: u64,
 }
 
 /// A set-associative, true-LRU, tags-only cache.
+///
+/// The tags live in one flat `sets × ways` array in set-major order, so a
+/// lookup is a single bounds-checked slice of `ways` adjacent slots.
 ///
 /// ```
 /// use hpmp_memsim::{Cache, CacheConfig, PhysAddr};
@@ -115,9 +122,12 @@ struct Way {
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Way>>,
+    /// Set `s` owns `slots[s * ways..(s + 1) * ways]`.
+    slots: Vec<Way>,
     set_mask: u64,
     line_shift: u32,
+    /// log2 of the set count: the line-number bits the set index uses.
+    set_shift: u32,
     clock: u64,
     stats: CacheStats,
 }
@@ -137,9 +147,10 @@ impl Cache {
         let sets = config.sets();
         Cache {
             config,
-            sets: vec![vec![Way::default(); config.ways]; sets],
+            slots: vec![Way::default(); sets * config.ways],
             set_mask: sets as u64 - 1,
             line_shift: config.line_size.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -152,12 +163,16 @@ impl Cache {
 
     /// Looks up `addr`, filling the line on a miss (allocate-on-miss).
     /// Returns `true` on a hit.
+    ///
+    /// A miss fills the first invalid way in index order, otherwise the
+    /// least recently used one.
+    #[inline]
     pub fn access(&mut self, addr: PhysAddr) -> bool {
         let (set, tag) = self.index(addr);
         self.clock += 1;
         let clock = self.clock;
-        let ways = &mut self.sets[set];
-        if let Some(way) = ways.iter_mut().find(|w| w.valid && w.tag == tag) {
+        let ways = &mut self.slots[set];
+        if let Some(way) = ways.iter_mut().find(|w| w.lru != 0 && w.tag == tag) {
             way.lru = clock;
             self.stats.hits += 1;
             return true;
@@ -165,39 +180,31 @@ impl Cache {
         self.stats.misses += 1;
         let victim = ways
             .iter_mut()
-            .min_by_key(|w| if w.valid { w.lru } else { 0 })
+            .min_by_key(|w| w.lru)
             .expect("cache has at least one way");
-        *victim = Way {
-            valid: true,
-            tag,
-            lru: clock,
-        };
+        *victim = Way { tag, lru: clock };
         false
     }
 
     /// Checks whether `addr` is present without touching LRU state or stats.
     pub fn probe(&self, addr: PhysAddr) -> bool {
         let (set, tag) = self.index(addr);
-        self.sets[set].iter().any(|w| w.valid && w.tag == tag)
+        self.slots[set].iter().any(|w| w.lru != 0 && w.tag == tag)
     }
 
     /// Invalidates the line containing `addr`, if present.
     pub fn invalidate(&mut self, addr: PhysAddr) {
         let (set, tag) = self.index(addr);
-        for way in &mut self.sets[set] {
-            if way.valid && way.tag == tag {
-                way.valid = false;
+        for way in &mut self.slots[set] {
+            if way.lru != 0 && way.tag == tag {
+                way.lru = 0;
             }
         }
     }
 
     /// Invalidates the entire cache (e.g. on a simulated flush).
     pub fn invalidate_all(&mut self) {
-        for set in &mut self.sets {
-            for way in set {
-                way.valid = false;
-            }
-        }
+        self.slots.fill(Way::default());
     }
 
     /// Hit/miss counters accumulated since construction (or the last
@@ -211,12 +218,12 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    fn index(&self, addr: PhysAddr) -> (usize, u64) {
+    /// The slots of `addr`'s set, and `addr`'s tag.
+    #[inline]
+    fn index(&self, addr: PhysAddr) -> (Range<usize>, u64) {
         let line = addr.raw() >> self.line_shift;
-        (
-            (line & self.set_mask) as usize,
-            line >> self.set_mask.count_ones(),
-        )
+        let first = (line & self.set_mask) as usize * self.config.ways;
+        (first..first + self.config.ways, line >> self.set_shift)
     }
 }
 

@@ -164,65 +164,60 @@ impl MemSystem {
     }
 
     /// Issues one reference, filling caches inclusively on the way back.
+    #[inline]
     pub fn access(&mut self, addr: PhysAddr) -> MemAccessOutcome {
-        self.accesses += 1;
+        let l1_latency = self.l1.config().hit_latency;
         let outcome = if self.l1.access(addr) {
             MemAccessOutcome {
                 level: HitLevel::L1,
-                cycles: self.l1.config().hit_latency,
-            }
-        } else if self.l2.access(addr) {
-            MemAccessOutcome {
-                level: HitLevel::L2,
-                cycles: self.l1.config().hit_latency + self.l2.config().hit_latency,
-            }
-        } else if self.llc.access(addr) {
-            MemAccessOutcome {
-                level: HitLevel::Llc,
-                cycles: self.l1.config().hit_latency
-                    + self.l2.config().hit_latency
-                    + self.llc.config().hit_latency,
+                cycles: l1_latency,
             }
         } else {
-            let dram_cycles = self.dram.access(addr);
+            let below = self.below_l1(addr);
             MemAccessOutcome {
-                level: HitLevel::Dram,
-                cycles: self.l1.config().hit_latency
-                    + self.l2.config().hit_latency
-                    + self.llc.config().hit_latency
-                    + dram_cycles
-                    + self.encryption_latency,
+                level: below.level,
+                cycles: l1_latency + below.cycles,
             }
         };
-        self.cycles += outcome.cycles;
-        outcome
+        self.record(outcome)
     }
 
     /// Issues a page-table-walker reference: the PTW port bypasses the L1
     /// data cache (as in Rocket and BOOM, whose walkers refill from L2), so
     /// the lookup starts at L2 and never allocates into L1.
+    #[inline]
     pub fn access_ptw(&mut self, addr: PhysAddr) -> MemAccessOutcome {
-        self.accesses += 1;
-        let outcome = if self.l2.access(addr) {
-            MemAccessOutcome {
+        let outcome = self.below_l1(addr);
+        self.record(outcome)
+    }
+
+    /// The L2 → LLC → DRAM part of a reference, with the cycles it spends
+    /// below the L1. Does not touch the `accesses`/`cycles` counters.
+    #[inline]
+    fn below_l1(&mut self, addr: PhysAddr) -> MemAccessOutcome {
+        let l2_latency = self.l2.config().hit_latency;
+        if self.l2.access(addr) {
+            return MemAccessOutcome {
                 level: HitLevel::L2,
-                cycles: self.l2.config().hit_latency,
-            }
-        } else if self.llc.access(addr) {
-            MemAccessOutcome {
+                cycles: l2_latency,
+            };
+        }
+        let llc_latency = l2_latency + self.llc.config().hit_latency;
+        if self.llc.access(addr) {
+            return MemAccessOutcome {
                 level: HitLevel::Llc,
-                cycles: self.l2.config().hit_latency + self.llc.config().hit_latency,
-            }
-        } else {
-            let dram_cycles = self.dram.access(addr);
-            MemAccessOutcome {
-                level: HitLevel::Dram,
-                cycles: self.l2.config().hit_latency
-                    + self.llc.config().hit_latency
-                    + dram_cycles
-                    + self.encryption_latency,
-            }
-        };
+                cycles: llc_latency,
+            };
+        }
+        MemAccessOutcome {
+            level: HitLevel::Dram,
+            cycles: llc_latency + self.dram.access(addr) + self.encryption_latency,
+        }
+    }
+
+    #[inline]
+    fn record(&mut self, outcome: MemAccessOutcome) -> MemAccessOutcome {
+        self.accesses += 1;
         self.cycles += outcome.cycles;
         outcome
     }

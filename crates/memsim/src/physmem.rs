@@ -81,13 +81,7 @@ impl PhysMem {
     #[inline]
     pub fn read_u64(&self, addr: PhysAddr) -> u64 {
         assert!(addr.is_aligned(8), "misaligned u64 read at {addr}");
-        let pfn = addr.page_number();
-        match self
-            .dir
-            .get((pfn >> CHUNK_SHIFT) as usize)
-            .and_then(|c| c.as_ref())
-            .and_then(|c| c.slots[(pfn & (CHUNK_PAGES as u64 - 1)) as usize].as_ref())
-        {
+        match self.page(addr.page_number()) {
             Some(page) => page[Self::word_index(addr)],
             None => 0,
         }
@@ -102,10 +96,38 @@ impl PhysMem {
     #[inline]
     pub fn write_u64(&mut self, addr: PhysAddr, value: u64) {
         assert!(addr.is_aligned(8), "misaligned u64 write at {addr}");
-        let page = self.page_mut(addr.page_number());
-        page[Self::word_index(addr)] = value;
+        let pfn = addr.page_number();
+        let word = Self::word_index(addr);
+        // A resident page takes the same two hops a read does; only a
+        // missing one goes through the allocating path.
+        if let Some(page) = self.resident_mut(pfn) {
+            page[word] = value;
+            if self.log_writes {
+                self.dirty.push(pfn);
+            }
+        } else {
+            self.page_mut(pfn)[word] = value;
+        }
     }
 
+    /// The backing page of `pfn`, if it has one.
+    #[inline]
+    fn page(&self, pfn: u64) -> Option<&Page> {
+        self.dir
+            .get((pfn >> CHUNK_SHIFT) as usize)
+            .and_then(|c| c.as_ref())
+            .and_then(|c| c.slots[(pfn & (CHUNK_PAGES as u64 - 1)) as usize].as_ref())
+    }
+
+    #[inline]
+    fn resident_mut(&mut self, pfn: u64) -> Option<&mut Page> {
+        self.dir
+            .get_mut((pfn >> CHUNK_SHIFT) as usize)
+            .and_then(|c| c.as_mut())
+            .and_then(|c| c.slots[(pfn & (CHUNK_PAGES as u64 - 1)) as usize].as_mut())
+    }
+
+    /// The backing page of `pfn`, allocated on first touch; logs `pfn`.
     fn page_mut(&mut self, pfn: u64) -> &mut [u64; WORDS_PER_PAGE] {
         if self.log_writes {
             self.dirty.push(pfn);
@@ -176,16 +198,7 @@ impl PhysMem {
     pub fn copy_page_within(&mut self, src: PhysAddr, dst: PhysAddr) {
         assert!(src.is_aligned(PAGE_SIZE), "copy_page_within from {src}");
         assert!(dst.is_aligned(PAGE_SIZE), "copy_page_within to {dst}");
-        let src_pfn = src.page_number();
-        let hi = (src_pfn >> CHUNK_SHIFT) as usize;
-        let lo = (src_pfn & (CHUNK_PAGES as u64 - 1)) as usize;
-        let words = self
-            .dir
-            .get(hi)
-            .and_then(|c| c.as_ref())
-            .and_then(|c| c.slots[lo].as_ref())
-            .map(|page| **page);
-        match words {
+        match self.page(src.page_number()).map(|page| **page) {
             Some(words) => *self.page_mut(dst.page_number()) = words,
             None => self.zero_page(dst),
         }
@@ -196,14 +209,7 @@ impl PhysMem {
     /// reads as zero again). Used to propagate dirty pages from a
     /// write-logged canonical memory into its shards.
     pub fn copy_page_from(&mut self, src: &PhysMem, pfn: u64) {
-        let hi = (pfn >> CHUNK_SHIFT) as usize;
-        let lo = (pfn & (CHUNK_PAGES as u64 - 1)) as usize;
-        let src_page = src
-            .dir
-            .get(hi)
-            .and_then(|c| c.as_ref())
-            .and_then(|c| c.slots[lo].as_ref());
-        match src_page {
+        match src.page(pfn) {
             Some(page) => *self.page_mut(pfn) = **page,
             None => self.zero_page(PhysAddr::new(pfn << PAGE_SHIFT)),
         }

@@ -3,15 +3,20 @@
 //! seeds (deterministic and reproducible; one historical proptest shrink is
 //! kept as an explicit regression case).
 
-use hpmp_memsim::{Cache, CacheConfig, Dram, DramConfig, PhysAddr, SplitMix64};
+use hpmp_memsim::{
+    Cache, CacheConfig, CacheStats, Dram, DramConfig, HitLevel, MemAccessOutcome, MemSystem,
+    MemSystemConfig, PhysAddr, SplitMix64,
+};
 use std::collections::VecDeque;
 
-/// Reference LRU cache: a bounded deque of line numbers per set.
+/// Reference LRU cache: a bounded deque of tags per set, least recent at
+/// the front.
 struct RefCache {
     sets: Vec<VecDeque<u64>>,
     ways: usize,
     line_shift: u32,
     set_mask: u64,
+    stats: CacheStats,
 }
 
 impl RefCache {
@@ -22,61 +27,228 @@ impl RefCache {
             ways: config.ways,
             line_shift: config.line_size.trailing_zeros(),
             set_mask: sets as u64 - 1,
+            stats: CacheStats::default(),
         }
     }
 
-    fn access(&mut self, addr: u64) -> bool {
+    fn locate(&self, addr: u64) -> (usize, u64) {
         let line = addr >> self.line_shift;
-        let set = &mut self.sets[(line & self.set_mask) as usize];
-        let tag = line >> self.set_mask.count_ones();
+        (
+            (line & self.set_mask) as usize,
+            line >> self.set_mask.count_ones(),
+        )
+    }
+
+    fn access(&mut self, addr: u64) -> bool {
+        let (set, tag) = self.locate(addr);
+        let set = &mut self.sets[set];
         if let Some(pos) = set.iter().position(|&t| t == tag) {
             set.remove(pos);
             set.push_back(tag);
+            self.stats.hits += 1;
             true
         } else {
             if set.len() == self.ways {
                 set.pop_front();
             }
             set.push_back(tag);
+            self.stats.misses += 1;
             false
+        }
+    }
+
+    fn probe(&self, addr: u64) -> bool {
+        let (set, tag) = self.locate(addr);
+        self.sets[set].contains(&tag)
+    }
+
+    fn invalidate(&mut self, addr: u64) {
+        let (set, tag) = self.locate(addr);
+        self.sets[set].retain(|&t| t != tag);
+    }
+
+    fn invalidate_all(&mut self) {
+        self.sets.iter_mut().for_each(VecDeque::clear);
+    }
+}
+
+/// An address drawn so that lines pile up on a few sets of `config`:
+/// `ways * 3` candidate tags over `hot_sets` sets, so hits, conflict
+/// evictions and refills all occur even in a 4 MiB LLC. One draw in eight
+/// is uniform over a wider range instead.
+fn clustered_addr(rng: &mut SplitMix64, config: CacheConfig, hot_sets: u64) -> u64 {
+    if rng.gen_range(0..8) == 0 {
+        return rng.gen_range(0..1 << 30);
+    }
+    let sets = config.sets() as u64;
+    let set = rng.gen_range(0..hot_sets) * (sets / hot_sets).max(1);
+    let tag = rng.gen_range(0..config.ways as u64 * 3);
+    (tag * sets + set) * config.line_size + rng.gen_range(0..config.line_size)
+}
+
+/// Random interleavings of `access`, `probe`, `invalidate` and
+/// `invalidate_all` against the deque reference, on direct-mapped, 2-way
+/// and fully associative caches and on every Rocket/BOOM level. The
+/// hit/miss answer, the probe answer and the counters must agree at every
+/// step; in particular a miss must fill an invalid way before it evicts a
+/// valid one, as the deque only drops its oldest tag when full.
+#[test]
+fn cache_matches_reference_lru() {
+    let small = |capacity, ways, line_size| CacheConfig {
+        capacity,
+        ways,
+        line_size,
+        hit_latency: 1,
+    };
+    let mut configs = vec![
+        small(512, 1, 64),  // direct-mapped, 8 sets
+        small(256, 1, 32),  // direct-mapped, 32-byte lines
+        small(512, 2, 64),  // 2-way, 4 sets
+        small(1024, 4, 64), // 4-way, 4 sets
+        small(512, 8, 64),  // fully associative: one set of 8
+        small(64, 1, 64),   // one set, one way
+    ];
+    configs.extend(
+        [MemSystemConfig::rocket(), MemSystemConfig::boom()]
+            .iter()
+            .flat_map(|m| [m.l1, m.l2, m.llc]),
+    );
+    let mut rng = SplitMix64::seed_from_u64(0xca5e);
+    for config in configs {
+        for round in 0..8 {
+            let mut cache = Cache::new(config);
+            let mut reference = RefCache::new(config);
+            let hot_sets = 1 + round % 4;
+            for step in 0..3_000 {
+                let addr = clustered_addr(&mut rng, config, hot_sets);
+                let at = PhysAddr::new(addr);
+                match rng.gen_range(0..100) {
+                    0..=69 => assert_eq!(
+                        cache.access(at),
+                        reference.access(addr),
+                        "{config:?} step {step}: access {addr:#x}"
+                    ),
+                    70..=84 => {} // probe only, checked below
+                    85..=98 => {
+                        cache.invalidate(at);
+                        reference.invalidate(addr);
+                    }
+                    _ => {
+                        cache.invalidate_all();
+                        reference.invalidate_all();
+                    }
+                }
+                assert_eq!(
+                    cache.probe(at),
+                    reference.probe(addr),
+                    "{config:?} step {step}: probe {addr:#x}"
+                );
+                assert_eq!(cache.stats(), reference.stats, "{config:?} step {step}");
+            }
         }
     }
 }
 
-#[test]
-fn cache_matches_reference_lru() {
-    let configs = [
-        CacheConfig {
-            capacity: 512,
-            ways: 2,
-            line_size: 64,
-            hit_latency: 1,
-        },
-        CacheConfig {
-            capacity: 1024,
-            ways: 4,
-            line_size: 64,
-            hit_latency: 1,
-        },
-        CacheConfig {
-            capacity: 256,
-            ways: 1,
-            line_size: 32,
-            hit_latency: 1,
-        },
-    ];
-    let mut rng = SplitMix64::seed_from_u64(0xca5e);
-    for round in 0..96 {
-        let config = configs[round % configs.len()];
-        let mut cache = Cache::new(config);
-        let mut reference = RefCache::new(config);
-        let len = rng.gen_range(1..400) as usize;
-        for _ in 0..len {
-            let addr = rng.gen_range(0..0x8000);
-            let got = cache.access(PhysAddr::new(addr));
-            let want = reference.access(addr);
-            assert_eq!(got, want, "divergence at {addr:#x}");
+/// Reference memory system: three chained reference caches in front of a
+/// DRAM model, with the latency sums written out per level.
+struct RefMemSystem {
+    config: MemSystemConfig,
+    l1: RefCache,
+    l2: RefCache,
+    llc: RefCache,
+    dram: Dram,
+    accesses: u64,
+    cycles: u64,
+}
+
+impl RefMemSystem {
+    fn new(config: MemSystemConfig) -> RefMemSystem {
+        RefMemSystem {
+            config,
+            l1: RefCache::new(config.l1),
+            l2: RefCache::new(config.l2),
+            llc: RefCache::new(config.llc),
+            dram: Dram::new(config.dram),
+            accesses: 0,
+            cycles: 0,
         }
+    }
+
+    /// A data reference starts at L1; a PTW reference (`via_l1 == false`)
+    /// starts at L2 and leaves L1 untouched.
+    fn access(&mut self, addr: u64, via_l1: bool) -> MemAccessOutcome {
+        let c = self.config;
+        let l1 = if via_l1 { c.l1.hit_latency } else { 0 };
+        let (level, cycles) = if via_l1 && self.l1.access(addr) {
+            (HitLevel::L1, l1)
+        } else if self.l2.access(addr) {
+            (HitLevel::L2, l1 + c.l2.hit_latency)
+        } else if self.llc.access(addr) {
+            (HitLevel::Llc, l1 + c.l2.hit_latency + c.llc.hit_latency)
+        } else {
+            let dram = self.dram.access(PhysAddr::new(addr));
+            (
+                HitLevel::Dram,
+                l1 + c.l2.hit_latency + c.llc.hit_latency + dram + c.encryption_latency,
+            )
+        };
+        self.accesses += 1;
+        self.cycles += cycles;
+        MemAccessOutcome { level, cycles }
+    }
+
+    fn probe(&self, addr: u64) -> HitLevel {
+        if self.l1.probe(addr) {
+            HitLevel::L1
+        } else if self.l2.probe(addr) {
+            HitLevel::L2
+        } else if self.llc.probe(addr) {
+            HitLevel::Llc
+        } else {
+            HitLevel::Dram
+        }
+    }
+}
+
+/// `MemSystem::access` and `access_ptw` against the chained reference on
+/// both SoCs (Rocket also with the encryption engine): level, cycles,
+/// probe and every counter agree after each reference, and PTW references
+/// never fill or count at L1.
+#[test]
+fn mem_system_matches_chained_reference() {
+    let configs = [
+        MemSystemConfig::rocket(),
+        MemSystemConfig::rocket().with_encryption(26),
+        MemSystemConfig::boom(),
+    ];
+    let mut rng = SplitMix64::seed_from_u64(0x4e51);
+    for config in configs {
+        let mut mem = MemSystem::new(config);
+        let mut reference = RefMemSystem::new(config);
+        for step in 0..20_000 {
+            let addr = clustered_addr(&mut rng, config.llc, 2);
+            let at = PhysAddr::new(addr);
+            let ptw = rng.gen_range(0..2) == 0;
+            let (got, want) = if ptw {
+                (mem.access_ptw(at), reference.access(addr, false))
+            } else {
+                (mem.access(at), reference.access(addr, true))
+            };
+            assert_eq!(got, want, "step {step}: ptw={ptw} {addr:#x}");
+            assert_eq!(mem.probe(at), reference.probe(addr), "step {step}");
+            let stats = mem.stats();
+            assert_eq!(stats.l1, reference.l1.stats, "step {step}");
+            assert_eq!(stats.l2, reference.l2.stats, "step {step}");
+            assert_eq!(stats.llc, reference.llc.stats, "step {step}");
+            assert_eq!(stats.dram, reference.dram.stats(), "step {step}");
+            assert_eq!(stats.accesses, reference.accesses, "step {step}");
+            assert_eq!(stats.cycles, reference.cycles, "step {step}");
+        }
+        let levels = mem.stats();
+        assert!(
+            levels.l1.hits > 0 && levels.l2.hits > 0 && levels.llc.hits > 0,
+            "every level must service references: {levels:?}"
+        );
     }
 }
 
