@@ -21,7 +21,7 @@ use hpmp_trace::PmptwOutcome;
 
 use crate::pmp::{napot_decode, napot_encode, AddressMode, PmpConfig, PmpRegion};
 use crate::ptw_cache::PmptwCache;
-use crate::table::{self, LeafPmpte, PmptRef, RootPmpte, TableLevels, TableOffset};
+use crate::table::{self, LeafPmpte, PmptRef, PmptRefs, RootPmpte, TableLevels, TableOffset};
 
 /// Number of HPMP entries in the prototype ("our prototype supports 16
 /// entries").
@@ -97,7 +97,7 @@ pub struct CheckOutcome {
     pub matched_entry: Option<usize>,
     /// pmpte memory references performed by the PMP Table walker (empty in
     /// segment mode or on a PMPTW-Cache leaf hit).
-    pub refs: Vec<PmptRef>,
+    pub refs: PmptRefs,
     /// How the PMPTW-Cache resolved this check: `None` when no PMP Table
     /// walk happened at all (segment mode, M-mode bypass, no match),
     /// `Bypass` when a table walk ran with the cache disabled or at a
@@ -115,7 +115,7 @@ impl CheckOutcome {
             allowed: false,
             perms: Perms::NONE,
             matched_entry: None,
-            refs: Vec::new(),
+            refs: PmptRefs::new(),
             pmptw: None,
             malformed: false,
         }
@@ -445,7 +445,7 @@ impl HpmpRegFile {
                     allowed: true,
                     perms: Perms::RWX,
                     matched_entry: Some(idx),
-                    refs: Vec::new(),
+                    refs: PmptRefs::new(),
                     pmptw: None,
                     malformed: false,
                 };
@@ -456,7 +456,7 @@ impl HpmpRegFile {
                     allowed: perms.allows(kind),
                     perms,
                     matched_entry: Some(idx),
-                    refs: Vec::new(),
+                    refs: PmptRefs::new(),
                     pmptw: None,
                     malformed: false,
                 };
@@ -473,7 +473,7 @@ impl HpmpRegFile {
             };
             let offset = addr.offset_from(region.base);
             let (perms, refs, pmptw, malformed) =
-                walk_with_cache(mem, cache, idx, root, levels, region.base, addr, offset);
+                walk_with_cache(mem, cache, idx, root, levels, offset);
             let perms = perms.unwrap_or(Perms::NONE);
             return CheckOutcome {
                 allowed: perms.allows(kind),
@@ -490,7 +490,7 @@ impl HpmpRegFile {
                 allowed: true,
                 perms: Perms::RWX,
                 matched_entry: None,
-                refs: Vec::new(),
+                refs: PmptRefs::new(),
                 pmptw: None,
                 malformed: false,
             }
@@ -549,24 +549,21 @@ impl HpmpRegFile {
 }
 
 /// Walks a table-mode entry's PMP Table, consulting the PMPTW-Cache.
-#[allow(clippy::too_many_arguments)]
 fn walk_with_cache(
     mem: &dyn WordStore,
     cache: &mut PmptwCache,
     entry_idx: usize,
     root: PhysAddr,
     levels: TableLevels,
-    region_base: PhysAddr,
-    addr: PhysAddr,
     offset: u64,
-) -> (Option<Perms>, Vec<PmptRef>, PmptwOutcome, bool) {
+) -> (Option<Perms>, PmptRefs, PmptwOutcome, bool) {
     let cache_covers = !cache.is_disabled() && levels == TableLevels::Two;
     if cache_covers {
         // Fast path: leaf pmpte cached => zero references.
         if let Some(perms) = cache.lookup_leaf(entry_idx, offset) {
             return (
                 (!perms.is_empty()).then_some(perms),
-                Vec::new(),
+                PmptRefs::new(),
                 PmptwOutcome::LeafHit,
                 false,
             );
@@ -574,23 +571,26 @@ fn walk_with_cache(
         // Root pmpte cached => one reference (the leaf read).
         if let Some(root_pmpte) = cache.lookup_root(entry_idx, offset) {
             if !root_pmpte.is_valid() {
-                return (None, Vec::new(), PmptwOutcome::RootHit, false);
+                return (None, PmptRefs::new(), PmptwOutcome::RootHit, false);
             }
             if root_pmpte.is_huge() {
                 return (
                     Some(root_pmpte.perms()),
-                    Vec::new(),
+                    PmptRefs::new(),
                     PmptwOutcome::RootHit,
                     false,
                 );
             }
             let split = TableOffset::split(offset);
             let leaf_slot = PhysAddr::new(root_pmpte.leaf_table().raw() + split.off0 * 8);
-            let leaf_ref = vec![PmptRef {
+            let bits = mem.read_u64(leaf_slot);
+            let mut leaf_ref = PmptRefs::new();
+            leaf_ref.push(PmptRef {
                 is_root: false,
                 addr: leaf_slot,
-            }];
-            let Ok(leaf) = LeafPmpte::decode(mem.read_u64(leaf_slot)) else {
+                bits,
+            });
+            let Ok(leaf) = LeafPmpte::decode(bits) else {
                 // Corrupt leaf behind a cached root: fail closed, uncached.
                 return (None, leaf_ref, PmptwOutcome::RootHit, true);
             };
@@ -605,23 +605,16 @@ fn walk_with_cache(
         }
         cache.record_miss();
     }
-    let walk = table::walk_from_root(mem, root, levels, region_base, addr, offset);
-    // Refill the cache from the full walk — but never cache a malformed
-    // walk's entries: a corrupt pmpte must stay visible to every re-check.
+    let walk = table::walk_from_root(mem, root, levels, offset);
+    // Refill the cache from the words the walk read — but never cache a
+    // malformed walk's entries: a corrupt pmpte must stay visible to every
+    // re-check.
     if cache_covers && !walk.malformed {
         for r in &walk.refs {
             if r.is_root {
-                cache.insert_root(
-                    entry_idx,
-                    offset,
-                    RootPmpte::from_bits(mem.read_u64(r.addr)),
-                );
+                cache.insert_root(entry_idx, offset, RootPmpte::from_bits(r.bits));
             } else {
-                cache.insert_leaf(
-                    entry_idx,
-                    offset,
-                    LeafPmpte::from_bits(mem.read_u64(r.addr)),
-                );
+                cache.insert_leaf(entry_idx, offset, LeafPmpte::from_bits(r.bits));
             }
         }
     }
@@ -751,7 +744,7 @@ impl EntryPlan {
                     allowed: true,
                     perms: Perms::RWX,
                     matched_entry: Some(entry.idx),
-                    refs: Vec::new(),
+                    refs: PmptRefs::new(),
                     pmptw: None,
                     malformed: false,
                 };
@@ -762,23 +755,15 @@ impl EntryPlan {
                     allowed: perms.allows(kind),
                     perms,
                     matched_entry: Some(entry.idx),
-                    refs: Vec::new(),
+                    refs: PmptRefs::new(),
                     pmptw: None,
                     malformed: false,
                 },
                 PlannedKind::BadTablePointer => CheckOutcome::denied_malformed(entry.idx),
                 PlannedKind::Table(root, levels) => {
                     let offset = addr.offset_from(entry.region.base);
-                    let (perms, refs, pmptw, malformed) = walk_with_cache(
-                        mem,
-                        cache,
-                        entry.idx,
-                        root,
-                        levels,
-                        entry.region.base,
-                        addr,
-                        offset,
-                    );
+                    let (perms, refs, pmptw, malformed) =
+                        walk_with_cache(mem, cache, entry.idx, root, levels, offset);
                     let perms = perms.unwrap_or(Perms::NONE);
                     CheckOutcome {
                         allowed: perms.allows(kind),
@@ -796,7 +781,7 @@ impl EntryPlan {
                 allowed: true,
                 perms: Perms::RWX,
                 matched_entry: None,
-                refs: Vec::new(),
+                refs: PmptRefs::new(),
                 pmptw: None,
                 malformed: false,
             }

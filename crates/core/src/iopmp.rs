@@ -12,7 +12,7 @@
 use hpmp_memsim::{AccessKind, Perms, PhysAddr, WordStore};
 
 use crate::pmp::PmpRegion;
-use crate::table::{walk_from_root, PmptRef, TableLevels};
+use crate::table::{walk_from_root, PmptRefs, TableLevels};
 
 /// Identifier of a DMA initiator (the IOPMP "source id").
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -64,7 +64,7 @@ pub struct IoCheckOutcome {
     /// Index of the deciding entry, if any.
     pub matched_entry: Option<usize>,
     /// pmpte reads performed (table-mode entries).
-    pub refs: Vec<PmptRef>,
+    pub refs: PmptRefs,
 }
 
 /// An IOPMP checker sitting between DMA initiators and memory.
@@ -134,11 +134,11 @@ impl IoPmp {
                 IoPmpMode::Segment(perms) => IoCheckOutcome {
                     allowed: perms.allows(kind),
                     matched_entry: Some(idx),
-                    refs: Vec::new(),
+                    refs: PmptRefs::new(),
                 },
                 IoPmpMode::Table { root, levels } => {
                     let offset = addr.offset_from(entry.region.base);
-                    let walk = walk_from_root(mem, root, levels, entry.region.base, addr, offset);
+                    let walk = walk_from_root(mem, root, levels, offset);
                     IoCheckOutcome {
                         allowed: walk.perms.is_some_and(|p| p.allows(kind)),
                         matched_entry: Some(idx),
@@ -150,7 +150,7 @@ impl IoPmp {
         IoCheckOutcome {
             allowed: false,
             matched_entry: None,
-            refs: Vec::new(),
+            refs: PmptRefs::new(),
         }
     }
 }

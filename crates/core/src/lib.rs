@@ -48,7 +48,7 @@ pub use pmp::{napot_decode, napot_encode, AddressMode, PmpConfig, PmpRegion};
 pub use ptw_cache::{PmptwCache, PmptwCacheConfig, PmptwCacheStats, PmptwCacheStatsIds};
 pub use shootdown::{CopyCost, DeferredShootdown, Ipi, IpiFabric, IpiKind, ShootdownCost};
 pub use table::{
-    FillPolicy, LeafPmpte, MalformedPmpte, PmpTable, PmptRef, RootPmpte, TableError,
+    FillPolicy, LeafPmpte, MalformedPmpte, PmpTable, PmptRef, PmptRefs, RootPmpte, TableError,
     TableFrameSource, TableLevels, TableOffset, TableWalk, LEAF_PMPTE_SPAN, LEAF_TABLE_SPAN,
     ROOT_TABLE_SPAN,
 };

@@ -29,7 +29,7 @@
 //! single-bit corruption of a stored pmpte is guaranteed to decode as
 //! [`MalformedPmpte`] — the walker then fails closed instead of granting.
 
-use hpmp_memsim::{Perms, PhysAddr, WordStore, PAGE_SHIFT, PAGE_SIZE};
+use hpmp_memsim::{InlineVec, Perms, PhysAddr, WordStore, PAGE_SHIFT, PAGE_SIZE};
 
 use crate::pmp::PmpRegion;
 
@@ -58,6 +58,9 @@ pub enum TableLevels {
 }
 
 impl TableLevels {
+    /// Depth of the deepest table: the most pmpte reads one walk performs.
+    pub const MAX_DEPTH: usize = TableLevels::Three.depth();
+
     /// Number of pmpte reads a full (uncached) walk performs.
     pub const fn depth(self) -> usize {
         match self {
@@ -430,19 +433,25 @@ impl std::fmt::Display for TableError {
 impl std::error::Error for TableError {}
 
 /// One pmpte read performed by the PMP Table walker.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PmptRef {
     /// `true` for a root pmpte, `false` for a leaf pmpte.
     pub is_root: bool,
     /// Physical address of the pmpte.
     pub addr: PhysAddr,
+    /// The raw pmpte word that was read.
+    pub bits: u64,
 }
+
+/// The pmpte reads of one table walk, stored inline: at most one per
+/// level of the deepest table.
+pub type PmptRefs = InlineVec<PmptRef, { TableLevels::MAX_DEPTH }>;
 
 /// Outcome of walking a PMP Table for one physical address.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TableWalk {
     /// pmpte reads performed, in order (≤ 2 for a 2-level table).
-    pub refs: Vec<PmptRef>,
+    pub refs: PmptRefs,
     /// The permission found, or `None` if the walk hit an invalid entry.
     pub perms: Option<Perms>,
     /// `true` if the walk read a pmpte that failed its integrity check
@@ -699,13 +708,13 @@ impl PmpTable {
     pub fn walk(&self, mem: &dyn WordStore, addr: PhysAddr) -> TableWalk {
         if !self.region.contains(addr) {
             return TableWalk {
-                refs: Vec::new(),
+                refs: PmptRefs::new(),
                 perms: None,
                 malformed: false,
             };
         }
         let offset = addr.offset_from(self.region.base);
-        walk_from_root(mem, self.root, self.levels, self.region.base, addr, offset)
+        walk_from_root(mem, self.root, self.levels, offset)
     }
 
     /// Software query without reference accounting.
@@ -716,27 +725,29 @@ impl PmpTable {
 
 /// Walks a PMP Table given only what the hardware knows: the root page
 /// (from the next HPMP entry's address register), the depth (from its `Mode`
-/// field) and the base of the protected region (from the entry's address
-/// matching). Used by the HPMP checker, which has no [`PmpTable`] handle.
+/// field) and the access's offset within the protected region (from the
+/// entry's address matching). Used by the HPMP checker, which has no
+/// [`PmpTable`] handle. Each reference carries the word it read, so a
+/// caller can cache the entries without reading them again.
 pub(crate) fn walk_from_root(
     mem: &dyn WordStore,
     root: PhysAddr,
     levels: TableLevels,
-    _region_base: PhysAddr,
-    _addr: PhysAddr,
     offset: u64,
 ) -> TableWalk {
     let split = TableOffset::split(offset);
-    let mut refs = Vec::with_capacity(levels.depth());
+    let mut refs = PmptRefs::new();
     let mut table = root;
     for level in (1..levels.depth()).rev() {
         let idx = (offset >> TableLevels::index_shift(level)) & 0x1ff;
         let slot = PhysAddr::new(table.raw() + idx * 8);
+        let bits = mem.read_u64(slot);
         refs.push(PmptRef {
             is_root: true,
             addr: slot,
+            bits,
         });
-        let entry = match RootPmpte::decode(mem.read_u64(slot)) {
+        let entry = match RootPmpte::decode(bits) {
             Ok(entry) => entry,
             Err(_) => {
                 return TableWalk {
@@ -763,11 +774,13 @@ pub(crate) fn walk_from_root(
         table = entry.leaf_table();
     }
     let leaf_slot = PhysAddr::new(table.raw() + split.off0 * 8);
+    let bits = mem.read_u64(leaf_slot);
     refs.push(PmptRef {
         is_root: false,
         addr: leaf_slot,
+        bits,
     });
-    let leaf = match LeafPmpte::decode(mem.read_u64(leaf_slot)) {
+    let leaf = match LeafPmpte::decode(bits) {
         Ok(leaf) => leaf,
         Err(_) => {
             return TableWalk {
@@ -1098,6 +1111,12 @@ mod tests {
         let walk = table.walk(&mem, page);
         assert_eq!(walk.refs.len(), 3);
         assert_eq!(walk.perms, Some(Perms::RX));
+        // The deepest table's cold walk fills the inline buffer exactly,
+        // and every reference carries the word the walker read.
+        assert_eq!(walk.refs.len(), PmptRefs::CAPACITY);
+        for r in &walk.refs {
+            assert_eq!(r.bits, mem.read_u64(r.addr));
+        }
     }
 
     #[test]

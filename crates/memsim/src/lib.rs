@@ -30,6 +30,7 @@ mod config;
 mod dram;
 mod hash;
 mod hierarchy;
+mod inline;
 mod perm;
 mod physmem;
 mod rng;
@@ -43,6 +44,7 @@ pub use hash::Fnv1a;
 pub use hierarchy::{
     HitLevel, MemAccessOutcome, MemSystem, MemSystemConfig, MemSystemStats, MemSystemStatsIds,
 };
+pub use inline::InlineVec;
 pub use perm::{AccessKind, Perms, PrivMode};
 pub use physmem::{FrameAllocator, PhysMem};
 pub use rng::SplitMix64;

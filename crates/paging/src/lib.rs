@@ -36,12 +36,12 @@ mod walker;
 
 pub use mode::TranslationMode;
 pub use nested::{
-    nested_walk, GuestPhysAddr, GuestView, NestedPageTable, NestedRef, NestedRefKind,
-    NestedWalkResult, GSTAGE_VMID,
+    nested_walk, GuestPhysAddr, GuestView, NestedPageTable, NestedRef, NestedRefKind, NestedRefs,
+    NestedWalkResult, NptRefs, GSTAGE_VMID, MAX_NESTED_REFS,
 };
 pub use pte::Pte;
 pub use pwc::{WalkCache, WalkCacheConfig, WalkCacheStats, WalkCacheStatsIds};
 pub use satp::{Hgatp, Satp};
 pub use space::{AddressSpace, MapError, PtFrameSource, Translation};
 pub use tlb::{apply_translation, Tlb, TlbConfig, TlbEntry, TlbHit, TlbStats, TlbStatsIds};
-pub use walker::{walk, PtRef, WalkResult};
+pub use walker::{walk, PtRef, PtRefs, WalkResult};

@@ -18,6 +18,10 @@ pub enum TranslationMode {
 }
 
 impl TranslationMode {
+    /// Levels of the deepest mode (Sv57): the most PT references one
+    /// walk can read.
+    pub const MAX_LEVELS: usize = TranslationMode::Sv57.levels();
+
     /// Number of page-table levels (equivalently, PT-page references on a
     /// full TLB-miss walk).
     pub const fn levels(self) -> usize {

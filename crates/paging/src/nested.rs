@@ -7,16 +7,20 @@
 //! G-stage TLB and a guest-stage walk cache shortening it for the warm cases
 //! of Figure 13.
 
-use hpmp_memsim::{PhysAddr, PhysMem, VirtAddr, WordStore, PAGE_SHIFT, PAGE_SIZE};
+use hpmp_memsim::{InlineVec, PhysAddr, PhysMem, VirtAddr, WordStore, PAGE_SHIFT, PAGE_SIZE};
 
 use crate::pwc::WalkCache;
 use crate::space::{AddressSpace, MapError, PtFrameSource, Translation};
 use crate::tlb::{Tlb, TlbEntry};
-use crate::Pte;
+use crate::{Pte, TranslationMode};
 
 /// A guest-physical address (the output of the guest page table, the input
 /// of the nested page table).
 pub type GuestPhysAddr = PhysAddr;
+
+/// The nested-PT reads of one G-stage walk, root to leaf: `(level, hPA)`,
+/// at most one per NPT level.
+pub type NptRefs = InlineVec<(usize, PhysAddr), { NestedPageTable::LEVELS }>;
 
 /// The nested page table (hgatp, Sv39x4): maps guest-physical to
 /// host-physical addresses.
@@ -142,8 +146,8 @@ impl NestedPageTable {
         &self,
         mem: &dyn WordStore,
         gpa: GuestPhysAddr,
-    ) -> (Vec<(usize, PhysAddr)>, Option<PhysAddr>) {
-        let mut refs = Vec::with_capacity(Self::LEVELS);
+    ) -> (NptRefs, Option<PhysAddr>) {
+        let mut refs = NptRefs::new();
         if gpa.raw() >> 41 != 0 {
             return (refs, None);
         }
@@ -233,8 +237,15 @@ pub enum NestedRefKind {
     },
 }
 
+/// Fills the unused slots of a [`NestedRefs`] buffer; never reported.
+impl Default for NestedRefKind {
+    fn default() -> NestedRefKind {
+        NestedRefKind::NestedPt { level: 0 }
+    }
+}
+
 /// One host-physical reference performed during a nested walk.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NestedRef {
     /// What the reference was for.
     pub kind: NestedRefKind,
@@ -242,12 +253,22 @@ pub struct NestedRef {
     pub addr: PhysAddr,
 }
 
+/// The most references one nested walk performs: a cold walk of the
+/// deepest guest mode reads, per guest level, the G-stage sub-walk of the
+/// guest PTE's address plus the guest PTE itself, then the data page's
+/// G-stage sub-walk.
+pub const MAX_NESTED_REFS: usize =
+    TranslationMode::MAX_LEVELS * (NestedPageTable::LEVELS + 1) + NestedPageTable::LEVELS;
+
+/// The references of one nested walk, stored inline.
+pub type NestedRefs = InlineVec<NestedRef, MAX_NESTED_REFS>;
+
 /// Outcome of a nested (two-stage) walk.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NestedWalkResult {
     /// Ordered host-physical references performed (excluding the final data
     /// reference, which the machine layer issues).
-    pub refs: Vec<NestedRef>,
+    pub refs: NestedRefs,
     /// Final translation (gVA → hPA) or `None` on a fault in either stage.
     pub translation: Option<Translation>,
 }
@@ -293,7 +314,7 @@ pub fn nested_walk(
 ) -> NestedWalkResult {
     let mode = guest.mode();
     let asid = guest.asid();
-    let mut refs = Vec::new();
+    let mut refs = NestedRefs::new();
     if !mode.is_canonical(gva) {
         return NestedWalkResult {
             refs,
@@ -302,7 +323,7 @@ pub fn nested_walk(
     }
 
     // G-stage helper: translate a gPA, appending nL* refs on a G-TLB miss.
-    let mut g_translate = |gpa: GuestPhysAddr, refs: &mut Vec<NestedRef>| -> Option<PhysAddr> {
+    let mut g_translate = |gpa: GuestPhysAddr, refs: &mut NestedRefs| -> Option<PhysAddr> {
         let page_va = VirtAddr::new(gpa.page_base().raw());
         if let Some((entry, _)) = gtlb.lookup(GSTAGE_VMID, page_va) {
             return Some(PhysAddr::new(
@@ -310,7 +331,7 @@ pub fn nested_walk(
             ));
         }
         let (nrefs, hpa) = npt.walk_refs(mem, gpa);
-        for (level, addr) in nrefs {
+        for &(level, addr) in &nrefs {
             refs.push(NestedRef {
                 kind: NestedRefKind::NestedPt { level },
                 addr,
@@ -400,6 +421,11 @@ mod tests {
     const HOST_OFF: u64 = 0x4000_0000;
 
     fn fixture() -> (PhysMem, NestedPageTable, AddressSpace) {
+        fixture_in(TranslationMode::Sv39)
+    }
+
+    /// As [`fixture`], with a guest page table of `mode`.
+    fn fixture_in(mode: TranslationMode) -> (PhysMem, NestedPageTable, AddressSpace) {
         let mut mem = PhysMem::new();
         let mut host_frames = FrameAllocator::new(PhysAddr::new(0x8000_0000), 512 * PAGE_SIZE);
         let mut npt = NestedPageTable::new(&mut mem, &mut host_frames).unwrap();
@@ -416,8 +442,7 @@ mod tests {
         // Guest PT frames come from the guest-physical pool.
         let mut guest_pt_frames = FrameAllocator::new(PhysAddr::new(gpa_pool_base), 32 * PAGE_SIZE);
         let mut view = GuestView::new(&mut mem, &npt);
-        let mut guest =
-            AddressSpace::new(TranslationMode::Sv39, 9, &mut view, &mut guest_pt_frames).unwrap();
+        let mut guest = AddressSpace::new(mode, 9, &mut view, &mut guest_pt_frames).unwrap();
         let data_gpa = GuestPhysAddr::new(gpa_pool_base + 40 * PAGE_SIZE);
         guest
             .map_page(
@@ -459,6 +484,31 @@ mod tests {
             result.refs[3].kind,
             NestedRefKind::GuestPt { level: 2 }
         ));
+    }
+
+    /// A cold walk under the deepest guest mode (Sv57) fills the inline
+    /// buffer exactly: per guest level a 3-read G-stage sub-walk plus the
+    /// guest PTE, then the data page's sub-walk.
+    #[test]
+    fn cold_sv57_walk_fills_its_buffer() {
+        let (mem, npt, guest) = fixture_in(TranslationMode::Sv57);
+        let (mut gtlb, mut gpwc) = caches();
+        let result = nested_walk(&mem, &guest, &npt, &mut gtlb, &mut gpwc, GVA);
+        assert!(result.translation.is_some());
+        assert_eq!(result.guest_refs(), TranslationMode::MAX_LEVELS);
+        assert_eq!(result.nested_refs(), 6 * NestedPageTable::LEVELS);
+        assert_eq!(result.refs.len(), NestedRefs::CAPACITY);
+    }
+
+    /// A G-stage walk reads one nested PTE per NPT level.
+    #[test]
+    fn gstage_walk_fills_its_buffer() {
+        let (mem, npt, guest) = fixture();
+        let (refs, hpa) = npt.walk_refs(&mem, guest.root());
+        assert_eq!(hpa, Some(PhysAddr::new(guest.root().raw() + HOST_OFF)));
+        assert_eq!(refs.len(), NptRefs::CAPACITY);
+        let levels: Vec<usize> = refs.iter().map(|&(level, _)| level).collect();
+        assert_eq!(levels, [2, 1, 0]);
     }
 
     #[test]

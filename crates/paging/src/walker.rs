@@ -8,14 +8,14 @@
 //! happen" (here) from "what each reference costs" (machine layer) is what
 //! lets one walker serve the PMP, PMP-Table and HPMP configurations.
 
-use hpmp_memsim::{PhysAddr, PhysMem, VirtAddr};
+use hpmp_memsim::{InlineVec, PhysAddr, PhysMem, VirtAddr};
 
 use crate::pwc::WalkCache;
 use crate::space::{AddressSpace, Translation};
-use crate::Pte;
+use crate::{Pte, TranslationMode};
 
 /// One PT-page reference performed by a walk.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PtRef {
     /// Page-table level of the PTE that was read (root = `levels - 1`).
     pub level: usize,
@@ -25,11 +25,15 @@ pub struct PtRef {
     pub pte: Pte,
 }
 
+/// The PT references of one walk, stored inline: at most one per level of
+/// the deepest mode.
+pub type PtRefs = InlineVec<PtRef, { TranslationMode::MAX_LEVELS }>;
+
 /// The outcome of one hardware page-table walk.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WalkResult {
     /// PT-page references actually performed, in order.
-    pub pt_refs: Vec<PtRef>,
+    pub pt_refs: PtRefs,
     /// The translation, or `None` on a page fault.
     pub translation: Option<Translation>,
     /// Deepest PWC level that hit, if any (1 = skipped everything above the
@@ -73,7 +77,7 @@ pub fn walk(mem: &PhysMem, space: &AddressSpace, pwc: &mut WalkCache, va: VirtAd
     let asid = space.asid();
     if !mode.is_canonical(va) {
         return WalkResult {
-            pt_refs: Vec::new(),
+            pt_refs: PtRefs::new(),
             translation: None,
             pwc_hit_level: None,
         };
@@ -94,7 +98,7 @@ pub fn walk(mem: &PhysMem, space: &AddressSpace, pwc: &mut WalkCache, va: VirtAd
         }
     }
 
-    let mut pt_refs = Vec::with_capacity(level + 1);
+    let mut pt_refs = PtRefs::new();
     loop {
         let slot = AddressSpace::pte_addr(table, va, level);
         let pte = Pte::from_bits(mem.read_u64(slot));
@@ -252,6 +256,31 @@ mod tests {
         let t = result.translation.unwrap();
         assert_eq!(t.level, 2);
         assert_eq!(t.paddr, PhysAddr::new(0x4012_3456));
+    }
+
+    /// A cold Sv57 walk, the deepest mode, fills the inline buffer exactly.
+    #[test]
+    fn cold_sv57_walk_fills_its_buffer() {
+        let mut mem = PhysMem::new();
+        let mut frames = FrameAllocator::new(PhysAddr::new(0x8000_0000), 64 * PAGE_SIZE);
+        let mut space = AddressSpace::new(TranslationMode::Sv57, 1, &mut mem, &mut frames).unwrap();
+        let va = VirtAddr::new(0x1000);
+        space
+            .map_page(
+                &mut mem,
+                &mut frames,
+                va,
+                PhysAddr::new(0x9000_0000),
+                Perms::RW,
+                true,
+            )
+            .unwrap();
+        let mut pwc = WalkCache::new(WalkCacheConfig::default());
+        let result = walk(&mem, &space, &mut pwc, va);
+        assert!(result.translation.is_some());
+        assert_eq!(result.ref_count(), PtRefs::CAPACITY);
+        let levels: Vec<usize> = result.pt_refs.iter().map(|r| r.level).collect();
+        assert_eq!(levels, [4, 3, 2, 1, 0]);
     }
 
     #[test]
