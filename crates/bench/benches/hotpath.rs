@@ -1,7 +1,7 @@
 //! Microbenches for the simulator's per-access hot path: flat page-directory
 //! reads/writes, TLB/PWC/PMPTW-cache lookups, the cache/DRAM model below the
 //! L1 and its set-up, the per-hart invalidation every
-//! monitor operation pays, and interned-counter bumps — plus end-to-end
+//! monitor operation pays, and metrics snapshots — plus end-to-end
 //! native and guest page-walk sweeps whose throughput declarations turn the
 //! timing into the suite's walks-per-second headline (printed to stderr
 //! after the run).
@@ -187,52 +187,68 @@ fn flushes(c: &mut Criterion) {
     group.finish();
 }
 
+/// The string-keyed registry update, and the one place counter names are
+/// formatted: a full `metrics_snapshot` of a warmed Rocket HPMP machine
+/// (every TLB, cache and latency-histogram counter exported).
 fn registry(c: &mut Criterion) {
     let mut group = c.benchmark_group("registry");
     group.sample_size(200);
 
     let mut reg = MetricsRegistry::new();
-    let id = reg.counter("machine.refs.pt_reads");
-    group.bench_function("bump_interned", |b| {
-        b.iter(|| {
-            for i in 0..OPS {
-                reg.bump(black_box(id), i & 1);
-            }
-            reg.get(id)
-        })
-    });
     group.bench_function("add_by_name", |b| {
         b.iter(|| {
             for i in 0..OPS {
                 reg.add(black_box("machine.refs.pt_reads"), i & 1);
             }
-            reg.get(id)
+            reg.value("machine.refs.pt_reads")
         })
     });
-    group.finish();
-}
-
-/// End-to-end accesses through a full HPMP machine: a cyclic read sweep
-/// over 1024 mapped pages — 32× the L1 TLB, but exactly the 1,024 slots of
-/// the direct-mapped L2, so only the cold first sweep walks and the timed
-/// iterations are L2 TLB hits; then the 3-D walk, uniform random reads
-/// over a prefaulted HPMP guest whose 8,192 pages are 8× its TLB, so most
-/// accesses walk guest PT × nested PT × permission table. Each row
-/// declares the walk count of one calibration sweep as throughput, so
-/// these benchmarks carry the suite's walks-per-second headline.
-fn walks(c: &mut Criterion) {
-    let mut group = c.benchmark_group("walk");
-    group.sample_size(50);
 
     let base = 0x10_0000u64;
     let mut sys = SystemBuilder::new(MachineConfig::rocket(), IsolationScheme::Hpmp).build();
     sys.map_range(VirtAddr::new(base), OPS, Perms::RW);
     sys.sync_pt_grants();
+    for i in 0..OPS {
+        let kind = if i % 2 == 0 {
+            AccessKind::Read
+        } else {
+            AccessKind::Write
+        };
+        let va = VirtAddr::new(base + i * PAGE_SIZE);
+        sys.machine
+            .access(&sys.space, va, kind, PrivMode::Supervisor)
+            .expect("warm-up stays fault-free");
+    }
+    group.bench_function("machine_snapshot", |b| {
+        b.iter(|| black_box(&mut sys.machine).metrics_snapshot().len())
+    });
+    group.finish();
+}
 
-    let sweep = |sys: &mut hpmp_machine::System| {
+/// End-to-end accesses through a full HPMP machine: uniform random reads
+/// over 8,192 mapped pages, 8× the 1,024-slot L2 TLB, so most accesses
+/// walk the page table and the permission table; then the 3-D walk,
+/// uniform random reads over a prefaulted HPMP guest whose 8,192 pages are
+/// 8× its TLB, so most accesses walk guest PT × nested PT × permission
+/// table. Both draw a fresh random stream every iteration: replaying one
+/// fixed list of 1,024 pages would leave them resident in the L2 TLB. Each
+/// row declares the walk count of one calibration sweep as throughput, so
+/// these benchmarks carry the suite's walks-per-second headline.
+fn walks(c: &mut Criterion) {
+    let mut group = c.benchmark_group("walk");
+    group.sample_size(50);
+
+    const NATIVE_PAGES: u64 = 8 * 1024;
+    let base = 0x10_0000u64;
+    let mut sys = SystemBuilder::new(MachineConfig::rocket(), IsolationScheme::Hpmp).build();
+    sys.map_range(VirtAddr::new(base), NATIVE_PAGES, Perms::RW);
+    sys.sync_pt_grants();
+
+    let mut rng = SplitMix64::seed_from_u64(0x4850_4d50);
+    let mut sweep = |sys: &mut hpmp_machine::System| {
         let mut hits = 0u64;
-        for i in 0..OPS {
-            let va = VirtAddr::new(base + i * PAGE_SIZE);
+        for _ in 0..OPS {
+            let va = VirtAddr::new(base + rng.gen_range(0..NATIVE_PAGES) * PAGE_SIZE);
             hits += sys
                 .machine
                 .access(
@@ -247,10 +263,18 @@ fn walks(c: &mut Criterion) {
     };
 
     // Calibrate the throughput declaration against the machine's own walk
-    // counter rather than assuming one walk per access.
-    let before = walks_in_snapshot(&sys.machine.metrics_snapshot());
+    // counter (`machine.walks`) rather than assuming one walk per access.
+    // Every page is touched once first, so the calibration sweep sees the
+    // steady state the timed iterations do.
+    for page in 0..NATIVE_PAGES {
+        let va = VirtAddr::new(base + page * PAGE_SIZE);
+        sys.machine
+            .access(&sys.space, va, AccessKind::Read, PrivMode::Supervisor)
+            .expect("prefault the native space");
+    }
+    let before = sys.machine.stats().walks;
     assert_eq!(sweep(&mut sys), OPS, "sweep must stay fault-free");
-    let walks = walks_in_snapshot(&sys.machine.metrics_snapshot()) - before;
+    let walks = sys.machine.stats().walks - before;
     assert!(walks > 0, "the sweep must page-walk");
     group.throughput(Throughput::Elements(walks));
 
@@ -263,8 +287,6 @@ fn walks(c: &mut Criterion) {
         vm.access(VirtAddr::new(GUEST_VA + page * PAGE_SIZE), AccessKind::Read)
             .expect("prefault the guest");
     }
-    // A fresh random stream every iteration: replaying one fixed list of
-    // 1,024 pages would leave them resident in the 1,024-slot L2 TLB.
     let mut rng = SplitMix64::seed_from_u64(0x4850_4d50);
     let mut guest_sweep = |vm: &mut VirtMachine| {
         let mut hits = 0u64;

@@ -45,7 +45,7 @@ pub use hpmp::{
 pub use hpmp_trace::PmptwOutcome;
 pub use iopmp::{DeviceId, IoCheckOutcome, IoPmp, IoPmpEntry, IoPmpMode};
 pub use pmp::{napot_decode, napot_encode, AddressMode, PmpConfig, PmpRegion};
-pub use ptw_cache::{PmptwCache, PmptwCacheConfig, PmptwCacheStats, PmptwCacheStatsIds};
+pub use ptw_cache::{PmptwCache, PmptwCacheConfig, PmptwCacheStats};
 pub use shootdown::{CopyCost, DeferredShootdown, Ipi, IpiFabric, IpiKind, ShootdownCost};
 pub use table::{
     FillPolicy, LeafPmpte, MalformedPmpte, PmpTable, PmptRef, PmptRefs, RootPmpte, TableError,

@@ -54,42 +54,11 @@ pub struct PmptwCacheStats {
     pub stale: u64,
 }
 
-impl PmptwCacheStats {
-    /// Publishes the counters into `reg` under `prefix`.
-    pub fn export(&self, reg: &mut hpmp_trace::MetricsRegistry, prefix: &str) {
-        let ids = PmptwCacheStatsIds::wire(reg, prefix);
-        self.store(reg, &ids);
-    }
+impl hpmp_trace::Counters for PmptwCacheStats {
+    const NAMES: &'static [&'static str] = &["leaf_hits", "root_hits", "misses", "stale"];
 
-    /// Publishes the counters through handles wired by
-    /// [`PmptwCacheStatsIds::wire`].
-    pub fn store(&self, reg: &mut hpmp_trace::MetricsRegistry, ids: &PmptwCacheStatsIds) {
-        reg.store(ids.leaf_hits, self.leaf_hits);
-        reg.store(ids.root_hits, self.root_hits);
-        reg.store(ids.misses, self.misses);
-        reg.store(ids.stale, self.stale);
-    }
-}
-
-/// Interned counter handles for publishing [`PmptwCacheStats`] repeatedly
-/// without re-formatting names.
-#[derive(Clone, Copy, Debug)]
-pub struct PmptwCacheStatsIds {
-    leaf_hits: hpmp_trace::CounterId,
-    root_hits: hpmp_trace::CounterId,
-    misses: hpmp_trace::CounterId,
-    stale: hpmp_trace::CounterId,
-}
-
-impl PmptwCacheStatsIds {
-    /// Intern the counter names under `prefix` once.
-    pub fn wire(reg: &mut hpmp_trace::MetricsRegistry, prefix: &str) -> PmptwCacheStatsIds {
-        PmptwCacheStatsIds {
-            leaf_hits: reg.counter(format!("{prefix}.leaf_hits")),
-            root_hits: reg.counter(format!("{prefix}.root_hits")),
-            misses: reg.counter(format!("{prefix}.misses")),
-            stale: reg.counter(format!("{prefix}.stale")),
-        }
+    fn values(&self) -> impl IntoIterator<Item = u64> {
+        [self.leaf_hits, self.root_hits, self.misses, self.stale]
     }
 }
 

@@ -31,8 +31,8 @@ mod threaded;
 mod virt;
 
 pub use machine::{AccessOutcome, Fault, Machine, MachineConfig, MachineStats, RefBreakdown};
-pub use multihart::{HartScheduler, MultiHartMachine};
-pub use pipeline::AccessPipeline;
+pub use multihart::{HartCounters, HartScheduler, MultiHartMachine};
+pub use pipeline::{AccessPipeline, AccessStats};
 pub use setup::{IsolationScheme, ScatteredPtFrames, System, SystemBuilder};
 pub use threaded::{ExecBackend, SpscMailbox};
 pub use virt::{VirtAccessOutcome, VirtMachine, VirtRefBreakdown, VirtScheme};

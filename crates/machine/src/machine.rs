@@ -15,7 +15,7 @@ use hpmp_memsim::{AccessKind, CoreModel, MemSystemConfig, PhysAddr, PhysMem, Pri
 use hpmp_paging::{
     walk, AddressSpace, Tlb, TlbConfig, TlbHit, Translation, WalkCache, WalkCacheConfig, WalkResult,
 };
-use hpmp_trace::{CounterId, MetricsRegistry, NullSink, StepKind, TraceSink, World};
+use hpmp_trace::{Counters, MetricsRegistry, NullSink, StepKind, TraceSink, World};
 
 pub use crate::pipeline::Fault;
 use crate::pipeline::{AccessPipeline, RefLedger, StageWalk, TranslationStage};
@@ -41,11 +41,11 @@ impl RefBreakdown {
     }
 }
 
-impl RefLedger for RefBreakdown {
+impl Counters for RefBreakdown {
     const NAMES: &'static [&'static str] =
         &["pt_reads", "data_reads", "pmpte_for_pt", "pmpte_for_data"];
 
-    fn counts(&self) -> impl IntoIterator<Item = u64> {
+    fn values(&self) -> impl IntoIterator<Item = u64> {
         [
             self.pt_reads,
             self.data_reads,
@@ -53,16 +53,18 @@ impl RefLedger for RefBreakdown {
             self.pmpte_for_data,
         ]
     }
+}
 
-    fn from_counts(c: &[u64]) -> RefBreakdown {
-        RefBreakdown {
-            pt_reads: c[0],
-            data_reads: c[1],
-            pmpte_for_pt: c[2],
-            pmpte_for_data: c[3],
-        }
+impl std::ops::AddAssign for RefBreakdown {
+    fn add_assign(&mut self, other: RefBreakdown) {
+        self.pt_reads += other.pt_reads;
+        self.data_reads += other.data_reads;
+        self.pmpte_for_pt += other.pmpte_for_pt;
+        self.pmpte_for_data += other.pmpte_for_data;
     }
+}
 
+impl RefLedger for RefBreakdown {
     fn reads(&mut self, step: StepKind) -> &mut u64 {
         if step == StepKind::Data {
             &mut self.data_reads
@@ -183,15 +185,8 @@ pub struct NativeStage {
     suppress_fences: bool,
     world: World,
     hart_id: u16,
-}
-
-/// Counter handles for the native stage.
-#[derive(Clone, Debug)]
-pub struct NativeIds {
-    dtlb: hpmp_paging::TlbStatsIds,
-    itlb: hpmp_paging::TlbStatsIds,
-    pwc: hpmp_paging::WalkCacheStatsIds,
-    dma_refs: CounterId,
+    /// Memory references issued by DMA transfers.
+    dma_refs: u64,
 }
 
 impl StageWalk for WalkResult {
@@ -214,7 +209,6 @@ impl TranslationStage for NativeStage {
     type Space = AddressSpace;
     type Refs = RefBreakdown;
     type Walk = WalkResult;
-    type Ids = NativeIds;
     const PREFIX: &'static str = "machine";
     const TLB_TAX: u64 = 0;
     const CHARGES_L2_HIT: bool = true;
@@ -247,31 +241,23 @@ impl TranslationStage for NativeStage {
         self.pwc.flush_all();
     }
 
-    fn wire(reg: &mut MetricsRegistry) -> NativeIds {
-        NativeIds {
-            dtlb: hpmp_paging::TlbStatsIds::wire(reg, "machine.dtlb"),
-            itlb: hpmp_paging::TlbStatsIds::wire(reg, "machine.itlb"),
-            pwc: hpmp_paging::WalkCacheStatsIds::wire(reg, "machine.pwc"),
-            dma_refs: reg.counter("machine.dma_refs"),
-        }
-    }
-
-    fn store_stats(&self, reg: &mut MetricsRegistry, ids: &NativeIds, trace_dropped: u64) {
+    fn export(&self, reg: &mut MetricsRegistry, trace_dropped: u64) {
         reg.set("machine.trace.dropped", trace_dropped);
-        self.tlb.stats().store(reg, &ids.dtlb);
-        self.itlb.stats().store(reg, &ids.itlb);
-        self.pwc.stats().store(reg, &ids.pwc);
+        reg.set("machine.dma_refs", self.dma_refs);
+        self.tlb.stats().export(reg, "machine.dtlb");
+        self.itlb.stats().export(reg, "machine.itlb");
+        self.pwc.stats().export(reg, "machine.pwc");
     }
 
-    fn reset_stats(&mut self, reg: &mut MetricsRegistry, ids: &NativeIds) {
-        reg.store(ids.dma_refs, 0);
+    fn reset_stats(&mut self) {
+        self.dma_refs = 0;
         self.tlb.reset_stats();
         self.itlb.reset_stats();
         self.pwc.reset_stats();
     }
 
-    fn side_refs(reg: &MetricsRegistry, ids: &NativeIds) -> u64 {
-        reg.get(ids.dma_refs)
+    fn side_refs(&self) -> u64 {
+        self.dma_refs
     }
 }
 
@@ -307,6 +293,7 @@ impl<S: TraceSink> Machine<S> {
             suppress_fences: false,
             world: World::Host,
             hart_id: 0,
+            dma_refs: 0,
         };
         let regs = HpmpRegFile::with_entries(config.hpmp_entries);
         AccessPipeline::assemble(&config, PhysMem::new(), regs, stage, sink)
@@ -392,10 +379,9 @@ impl<S: TraceSink> Machine<S> {
         self.stage.pwc.flush_asid(asid);
     }
 
-    /// Aggregate counters, reconstructed from the interned registry (the
-    /// live accounting is a `Vec<u64>` behind [`CounterId`] handles).
+    /// Aggregate counters.
     pub fn stats(&self) -> MachineStats {
-        let t = self.totals();
+        let t = self.stats;
         MachineStats {
             accesses: t.accesses,
             cycles: t.cycles,
@@ -403,7 +389,7 @@ impl<S: TraceSink> Machine<S> {
             faults: t.faults,
             walks: t.walks,
             aborted_refs: t.aborted_refs,
-            dma_refs: self.metrics.get(self.stage_ids.dma_refs),
+            dma_refs: self.stage.dma_refs,
         }
     }
 
@@ -472,7 +458,6 @@ impl<S: TraceSink> Machine<S> {
         len: u64,
         kind: AccessKind,
     ) -> Result<u64, Fault> {
-        let dma_refs = self.stage_ids.dma_refs;
         let mut cycles = 0;
         let mut offset = 0;
         let mut checked_page = None;
@@ -484,15 +469,15 @@ impl<S: TraceSink> Machine<S> {
                 for r in &outcome.refs {
                     cycles += self.mem_sys.access_ptw(r.addr).cycles;
                 }
-                self.metrics.bump(dma_refs, outcome.refs.len() as u64);
+                self.stage.dma_refs += outcome.refs.len() as u64;
                 if !outcome.allowed {
-                    self.metrics.bump(self.ids.faults, 1);
+                    self.stats.faults += 1;
                     return Err(Fault::IsolationOnData(addr));
                 }
                 checked_page = Some(addr.page_number());
             }
             cycles += self.mem_sys.access_ptw(addr).cycles;
-            self.metrics.bump(dma_refs, 1);
+            self.stage.dma_refs += 1;
             offset += hpmp_memsim::LINE_SIZE;
         }
         self.charge_cycles(cycles);

@@ -34,27 +34,41 @@
 use crate::machine::{Machine, MachineConfig};
 use hpmp_core::{Ipi, IpiFabric, IpiKind, ShootdownCost};
 use hpmp_memsim::SplitMix64;
-use hpmp_trace::{CounterId, MetricsRegistry, NullSink, Snapshot, TraceSink};
+use hpmp_trace::{Counters, MetricsRegistry, NullSink, Snapshot, TraceSink};
 
-/// Per-hart counter ids in the [`MultiHartMachine`]'s own registry.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct HartWiring {
-    ipis_sent: CounterId,
-    ipis_received: CounterId,
-    pub(crate) shootdowns: CounterId,
-    pub(crate) shootdown_cycles: CounterId,
-    fence_stall_cycles: CounterId,
+/// One hart's cross-hart synchronization counters, exported as
+/// `hart.<i>.*`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HartCounters {
+    /// Shootdown IPIs this hart posted.
+    pub ipis_sent: u64,
+    /// Shootdown IPIs this hart took.
+    pub ipis_received: u64,
+    /// Shootdown handlers this hart ran.
+    pub shootdowns: u64,
+    /// Cycles those handlers cost.
+    pub shootdown_cycles: u64,
+    /// Sender-side stall cycles waiting for shootdown acknowledgements.
+    pub fence_stall_cycles: u64,
 }
 
-impl HartWiring {
-    fn wire(metrics: &mut MetricsRegistry, hart: usize) -> HartWiring {
-        HartWiring {
-            ipis_sent: metrics.counter(format!("hart.{hart}.ipis_sent")),
-            ipis_received: metrics.counter(format!("hart.{hart}.ipis_received")),
-            shootdowns: metrics.counter(format!("hart.{hart}.shootdowns")),
-            shootdown_cycles: metrics.counter(format!("hart.{hart}.shootdown_cycles")),
-            fence_stall_cycles: metrics.counter(format!("hart.{hart}.fence_stall_cycles")),
-        }
+impl Counters for HartCounters {
+    const NAMES: &'static [&'static str] = &[
+        "ipis_sent",
+        "ipis_received",
+        "shootdowns",
+        "shootdown_cycles",
+        "fence_stall_cycles",
+    ];
+
+    fn values(&self) -> impl IntoIterator<Item = u64> {
+        [
+            self.ipis_sent,
+            self.ipis_received,
+            self.shootdowns,
+            self.shootdown_cycles,
+            self.fence_stall_cycles,
+        ]
     }
 }
 
@@ -68,10 +82,10 @@ pub struct MultiHartMachine<S: TraceSink = NullSink> {
     pub(crate) active: usize,
     fabric: IpiFabric,
     cost: ShootdownCost,
-    pub(crate) metrics: MetricsRegistry,
-    pub(crate) ids: Vec<HartWiring>,
-    /// Threaded-backend state (per-hart shootdown mailboxes and metric
-    /// arenas); `None` under the deterministic interleaver. See
+    /// One per hart, in hart order.
+    pub(crate) counters: Vec<HartCounters>,
+    /// Threaded-backend state (per-hart shootdown mailboxes); `None`
+    /// under the deterministic interleaver. See
     /// [`crate::threaded`].
     pub(crate) threaded: Option<crate::threaded::ThreadedState>,
 }
@@ -94,10 +108,6 @@ impl<S: TraceSink> MultiHartMachine<S> {
     pub fn from_machines(mut machines: Vec<Machine<S>>) -> MultiHartMachine<S> {
         assert!(!machines.is_empty(), "a machine needs at least one hart");
         assert!(machines.len() <= usize::from(u16::MAX), "too many harts");
-        let mut metrics = MetricsRegistry::new();
-        let ids = (0..machines.len())
-            .map(|i| HartWiring::wire(&mut metrics, i))
-            .collect();
         for (i, m) in machines.iter_mut().enumerate() {
             m.set_hart_id(i as u16);
         }
@@ -107,8 +117,7 @@ impl<S: TraceSink> MultiHartMachine<S> {
             active: 0,
             fabric: IpiFabric::new(harts),
             cost: ShootdownCost::DEFAULT,
-            metrics,
-            ids,
+            counters: vec![HartCounters::default(); harts],
             threaded: None,
         }
     }
@@ -163,7 +172,7 @@ impl<S: TraceSink> MultiHartMachine<S> {
     pub fn post_ipi(&mut self, from: u16, to: u16, kind: IpiKind) -> u64 {
         assert_ne!(from, to, "a hart does not IPI itself");
         self.fabric.post(to, Ipi { from, kind });
-        self.metrics.bump(self.ids[usize::from(from)].ipis_sent, 1);
+        self.counters[usize::from(from)].ipis_sent += 1;
         let cost = self.cost.ipi_post;
         self.harts[usize::from(from)].charge_cycles(cost);
         cost
@@ -175,8 +184,7 @@ impl<S: TraceSink> MultiHartMachine<S> {
     pub fn take_ipi(&mut self, hart: u16) -> Option<Ipi> {
         let ipi = self.fabric.take(hart);
         if ipi.is_some() {
-            self.metrics
-                .bump(self.ids[usize::from(hart)].ipis_received, 1);
+            self.counters[usize::from(hart)].ipis_received += 1;
         }
         ipi
     }
@@ -186,9 +194,9 @@ impl<S: TraceSink> MultiHartMachine<S> {
     /// `hart.<i>.shootdown_cycles`, and folds the cycles into the hart's
     /// own cycle counter.
     pub fn charge_shootdown(&mut self, hart: u16, cycles: u64) {
-        let ids = self.ids[usize::from(hart)];
-        self.metrics.bump(ids.shootdowns, 1);
-        self.metrics.bump(ids.shootdown_cycles, cycles);
+        let counters = &mut self.counters[usize::from(hart)];
+        counters.shootdowns += 1;
+        counters.shootdown_cycles += cycles;
         self.harts[usize::from(hart)].charge_cycles(cycles);
     }
 
@@ -196,8 +204,7 @@ impl<S: TraceSink> MultiHartMachine<S> {
     /// interconnect flight plus waiting for the slowest receiver's ack —
     /// to `hart` as `hart.<i>.fence_stall_cycles`.
     pub fn charge_fence_stall(&mut self, hart: u16, cycles: u64) {
-        self.metrics
-            .bump(self.ids[usize::from(hart)].fence_stall_cycles, cycles);
+        self.counters[usize::from(hart)].fence_stall_cycles += cycles;
         self.harts[usize::from(hart)].charge_cycles(cycles);
     }
 
@@ -215,16 +222,14 @@ impl<S: TraceSink> MultiHartMachine<S> {
     }
 
     /// One merged snapshot: this driver's `hart.<i>.*` shootdown/fence
-    /// counters, each hart's full machine registry re-prefixed under
+    /// counters, each hart's full machine snapshot re-prefixed under
     /// `hart.<i>.`, and `smp.*` aggregates (`smp.harts`, `smp.cycles` =
     /// total cycles across harts, `smp.ipis_sent/delivered/merged`).
     pub fn metrics_snapshot(&mut self) -> Snapshot {
         let mut merged = MetricsRegistry::new();
-        for (name, value) in self.metrics.snapshot().iter() {
-            merged.set(name, value);
-        }
         let mut total_cycles = 0;
         for hart in 0..self.harts.len() {
+            self.counters[hart].export(&mut merged, &format!("hart.{hart}"));
             let snap = self.harts[hart].metrics_snapshot();
             total_cycles += snap.value("machine.cycles");
             for (name, value) in snap.iter() {
@@ -236,7 +241,7 @@ impl<S: TraceSink> MultiHartMachine<S> {
         merged.set("smp.ipis_sent", self.fabric.sent());
         merged.set("smp.ipis_delivered", self.fabric.delivered());
         merged.set("smp.ipis_merged", self.fabric.merged());
-        merged.snapshot()
+        merged.into_snapshot()
     }
 
     /// Flushes every hart's trace sink.
@@ -270,8 +275,7 @@ impl<S: TraceSink + Clone> Clone for MultiHartMachine<S> {
             active: self.active,
             fabric: self.fabric.clone(),
             cost: self.cost,
-            metrics: self.metrics.clone(),
-            ids: self.ids.clone(),
+            counters: self.counters.clone(),
             threaded: None,
         }
     }

@@ -37,9 +37,8 @@ use hpmp_memsim::{
 };
 use hpmp_paging::{apply_translation, Tlb, TlbEntry, TlbHit, Translation};
 use hpmp_trace::{
-    AccessClass, AccessOp, CounterId, FaultCause, LatencyHistograms, LatencyHistogramsWiring,
-    MetricsRegistry, NullSink, PmptwOutcome, PrivLevel, Snapshot, StepKind, TlbOutcome, TraceSink,
-    WalkEvent, WalkStep, World,
+    AccessClass, AccessOp, Counters, FaultCause, LatencyHistograms, MetricsRegistry, NullSink,
+    PmptwOutcome, PrivLevel, Snapshot, StepKind, TlbOutcome, TraceSink, WalkEvent, WalkStep, World,
 };
 
 use crate::machine::MachineConfig;
@@ -114,21 +113,15 @@ fn priv_of(mode: PrivMode) -> PrivLevel {
 
 /// A per-access reference breakdown, split into the categories of its
 /// figure: `RefBreakdown` for Figures 2/4, `VirtRefBreakdown` for Figure 8.
-pub trait RefLedger: Copy + Default + std::fmt::Debug {
-    /// Counter names of the categories, below `<prefix>.refs.`, in
-    /// [`RefLedger::counts`] order.
-    const NAMES: &'static [&'static str];
-    /// The category counts, in [`RefLedger::NAMES`] order.
-    fn counts(&self) -> impl IntoIterator<Item = u64>;
-    /// Rebuilds a breakdown from counts in [`RefLedger::NAMES`] order.
-    fn from_counts(counts: &[u64]) -> Self;
+/// Its [`Counters`] names are exported below `<prefix>.refs.`.
+pub trait RefLedger: Counters + Copy + Default + std::fmt::Debug + std::ops::AddAssign {
     /// The count of references of kind `step`.
     fn reads(&mut self, step: StepKind) -> &mut u64;
     /// The count of pmpte reads guarding references of kind `guarded`.
     fn pmptes(&mut self, guarded: StepKind) -> &mut u64;
     /// All references.
     fn sum(&self) -> u64 {
-        self.counts().into_iter().sum()
+        self.values().into_iter().sum()
     }
 }
 
@@ -153,8 +146,6 @@ pub trait TranslationStage {
     type Refs: RefLedger;
     /// A finished walk.
     type Walk: StageWalk;
-    /// Counter handles for the stage's own structures.
-    type Ids: Clone + std::fmt::Debug;
     /// Counter-name prefix (`machine` or `virt`).
     const PREFIX: &'static str;
     /// Pipeline cycles on top of the core's overhead (the two-stage TLB
@@ -173,15 +164,13 @@ pub trait TranslationStage {
     fn stamps(&self) -> (u16, World);
     /// Flushes every TLB and walk cache of the stage.
     fn flush_all(&mut self);
-    /// Interns the stage's counters.
-    fn wire(reg: &mut MetricsRegistry) -> Self::Ids;
     /// Publishes the stage's stats (and the sink's drop count, where the
     /// stage reports it) at snapshot time.
-    fn store_stats(&self, reg: &mut MetricsRegistry, ids: &Self::Ids, trace_dropped: u64);
+    fn export(&self, reg: &mut MetricsRegistry, trace_dropped: u64);
     /// Clears the stage's stats and its own counters.
-    fn reset_stats(&mut self, reg: &mut MetricsRegistry, ids: &Self::Ids);
+    fn reset_stats(&mut self);
     /// References issued outside the access pipeline (DMA).
-    fn side_refs(reg: &MetricsRegistry, ids: &Self::Ids) -> u64;
+    fn side_refs(&self) -> u64;
 }
 
 /// Aggregate counters of an access pipeline.
@@ -208,43 +197,27 @@ impl<R: RefLedger> AccessStats<R> {
     }
 }
 
-/// Interned counter handles for everything the pipeline itself accounts,
-/// wired once at construction so the per-access bookkeeping is a
-/// `Vec<u64>` index bump — counter names are only materialized again when
-/// a snapshot is taken.
-#[derive(Clone, Debug)]
-pub(crate) struct Wiring {
-    accesses: CounterId,
-    cycles: CounterId,
-    pub(crate) faults: CounterId,
-    walks: CounterId,
-    aborted_refs: CounterId,
-    refs_total: CounterId,
-    /// One per reference category, in [`RefLedger::NAMES`] order.
-    refs: Vec<CounterId>,
-    pmptw_cache: hpmp_core::PmptwCacheStatsIds,
-    mem: hpmp_memsim::MemSystemStatsIds,
-    latency: LatencyHistogramsWiring,
-}
+/// The pipeline's own counters; the reference breakdown is exported
+/// separately below `<prefix>.refs.`, and `refs` here is its sum.
+impl<R: RefLedger> Counters for AccessStats<R> {
+    const NAMES: &'static [&'static str] = &[
+        "accesses",
+        "cycles",
+        "faults",
+        "walks",
+        "aborted_refs",
+        "refs",
+    ];
 
-impl Wiring {
-    fn wire(reg: &mut MetricsRegistry, prefix: &str, ref_names: &[&str]) -> Wiring {
-        let name = |suffix: &str| format!("{prefix}.{suffix}");
-        Wiring {
-            accesses: reg.counter(name("accesses")),
-            cycles: reg.counter(name("cycles")),
-            faults: reg.counter(name("faults")),
-            walks: reg.counter(name("walks")),
-            aborted_refs: reg.counter(name("aborted_refs")),
-            refs_total: reg.counter(name("refs")),
-            refs: ref_names
-                .iter()
-                .map(|n| reg.counter(name(&format!("refs.{n}"))))
-                .collect(),
-            pmptw_cache: hpmp_core::PmptwCacheStatsIds::wire(reg, &name("pmptw_cache")),
-            mem: hpmp_memsim::MemSystemStatsIds::wire(reg, &name("mem")),
-            latency: LatencyHistogramsWiring::wire(reg, &name("latency")),
-        }
+    fn values(&self) -> impl IntoIterator<Item = u64> {
+        [
+            self.accesses,
+            self.cycles,
+            self.faults,
+            self.walks,
+            self.aborted_refs,
+            self.refs.sum(),
+        ]
     }
 }
 
@@ -266,9 +239,7 @@ pub struct AccessPipeline<T: TranslationStage, S: TraceSink = NullSink> {
     pub(crate) pmptw_cache: PmptwCache,
     /// TLB permission inlining (§7); see `MachineConfig::tlb_inlining`.
     tlb_inlining: bool,
-    pub(crate) metrics: MetricsRegistry,
-    pub(crate) ids: Wiring,
-    pub(crate) stage_ids: T::Ids,
+    pub(crate) stats: AccessStats<T::Refs>,
     hists: LatencyHistograms,
     sink: S,
     seq: u64,
@@ -308,9 +279,6 @@ impl<T: TranslationStage, S: TraceSink> AccessPipeline<T, S> {
         stage: T,
         sink: S,
     ) -> AccessPipeline<T, S> {
-        let mut metrics = MetricsRegistry::new();
-        let ids = Wiring::wire(&mut metrics, T::PREFIX, <T::Refs as RefLedger>::NAMES);
-        let stage_ids = T::wire(&mut metrics);
         AccessPipeline {
             core: config.core,
             mem_sys: MemSystem::new(config.mem),
@@ -319,9 +287,7 @@ impl<T: TranslationStage, S: TraceSink> AccessPipeline<T, S> {
             check_plan: EntryPlan::default(),
             pmptw_cache: PmptwCache::new(config.pmptw_cache),
             tlb_inlining: config.tlb_inlining,
-            metrics,
-            ids,
-            stage_ids,
+            stats: AccessStats::default(),
             hists: LatencyHistograms::new(),
             sink,
             seq: 0,
@@ -399,7 +365,7 @@ impl<T: TranslationStage, S: TraceSink> AccessPipeline<T, S> {
     /// remote reprogramming, fence stalls — into this machine's cycle
     /// counter so per-hart totals include synchronization overhead.
     pub fn charge_cycles(&mut self, cycles: u64) {
-        self.metrics.bump(self.ids.cycles, cycles);
+        self.stats.cycles += cycles;
     }
 
     /// Adds pure-compute cycles to the running total (used by workload
@@ -417,39 +383,23 @@ impl<T: TranslationStage, S: TraceSink> AccessPipeline<T, S> {
         self.pmptw_cache.flush_all();
     }
 
-    /// The pipeline's own counters, reconstructed from the interned
-    /// registry.
-    pub(crate) fn totals(&self) -> AccessStats<T::Refs> {
-        let get = |id| self.metrics.get(id);
-        let counts: Vec<u64> = self.ids.refs.iter().map(|&id| get(id)).collect();
-        AccessStats {
-            accesses: get(self.ids.accesses),
-            cycles: get(self.ids.cycles),
-            faults: get(self.ids.faults),
-            walks: get(self.ids.walks),
-            refs: T::Refs::from_counts(&counts),
-            aborted_refs: get(self.ids.aborted_refs),
-        }
-    }
-
     /// One snapshot unifying every counter the machine keeps: its totals,
     /// the stage's TLBs and walk caches, the PMPTW-Cache, the memory
     /// hierarchy, and the per-class latency summaries, under dotted
     /// `machine.*` or `virt.*` names.
     pub fn metrics_snapshot(&mut self) -> Snapshot {
-        let refs_total = self.totals().refs.sum();
-        self.metrics.store(self.ids.refs_total, refs_total);
+        let prefix = T::PREFIX;
+        let mut reg = MetricsRegistry::new();
+        self.stats.export(&mut reg, prefix);
+        self.stats.refs.export(&mut reg, &format!("{prefix}.refs"));
         // Lossy sinks (ring eviction, I/O failure) surface here instead of
         // dropping events silently.
-        let trace_dropped = self.sink.dropped();
-        self.stage
-            .store_stats(&mut self.metrics, &self.stage_ids, trace_dropped);
-        self.pmptw_cache
-            .stats()
-            .store(&mut self.metrics, &self.ids.pmptw_cache);
-        self.mem_sys.stats().store(&mut self.metrics, &self.ids.mem);
-        self.ids.latency.store(&mut self.metrics, &self.hists);
-        self.metrics.snapshot()
+        self.stage.export(&mut reg, self.sink.dropped());
+        let (pmptw_cache, mem) = (self.pmptw_cache.stats(), self.mem_sys.stats());
+        pmptw_cache.export(&mut reg, &format!("{prefix}.pmptw_cache"));
+        mem.export(&mut reg, &format!("{prefix}.mem"));
+        self.hists.export(&mut reg, &format!("{prefix}.latency"));
+        reg.into_snapshot()
     }
 
     /// Checks that every reference the machine claims to have issued is
@@ -462,10 +412,9 @@ impl<T: TranslationStage, S: TraceSink> AccessPipeline<T, S> {
     ///
     /// Returns a description of the mismatch when the counters disagree.
     pub fn verify_accounting(&self) -> Result<(), String> {
-        let totals = self.totals();
-        let refs = totals.refs.sum();
-        let side = T::side_refs(&self.metrics, &self.stage_ids);
-        let claimed = totals.issued_refs() + side;
+        let refs = self.stats.refs.sum();
+        let side = self.stage.side_refs();
+        let claimed = self.stats.issued_refs() + side;
         let observed = self.mem_sys.stats().accesses;
         if claimed == observed {
             Ok(())
@@ -474,7 +423,7 @@ impl<T: TranslationStage, S: TraceSink> AccessPipeline<T, S> {
                 "{} claims {claimed} references (refs {refs} + aborted {} + dma {side}) but \
                  the memory system observed {observed}",
                 T::PREFIX,
-                totals.aborted_refs
+                self.stats.aborted_refs
             ))
         }
     }
@@ -482,15 +431,8 @@ impl<T: TranslationStage, S: TraceSink> AccessPipeline<T, S> {
     /// Clears all counters and histograms (cache contents are untouched;
     /// the event sequence number keeps running).
     pub fn reset_stats(&mut self) {
-        let ids = &self.ids;
-        let own = [ids.accesses, ids.cycles, ids.faults, ids.walks]
-            .into_iter()
-            .chain([ids.aborted_refs, ids.refs_total])
-            .chain(ids.refs.iter().copied());
-        for id in own {
-            self.metrics.store(id, 0);
-        }
-        self.stage.reset_stats(&mut self.metrics, &self.stage_ids);
+        self.stats = AccessStats::default();
+        self.stage.reset_stats();
         self.mem_sys.reset_stats();
         self.pmptw_cache.reset_stats();
         self.hists.reset();
@@ -559,7 +501,7 @@ impl<T: TranslationStage, S: TraceSink> AccessPipeline<T, S> {
 
         // 2. TLB miss: the walk. Each page-table reference is first
         //    validated by the isolation layer, then read.
-        self.metrics.bump(self.ids.walks, 1);
+        self.stats.walks += 1;
         let walk = self.stage.walk(&self.phys, space, va);
         a.pwc_level = walk.pwc_level();
         for (addr, step, level) in walk.refs() {
@@ -675,11 +617,9 @@ impl<T: TranslationStage, S: TraceSink> AccessPipeline<T, S> {
         }
         Self::step(&mut a, StepKind::Data, None, paddr, cycles);
         *a.refs.reads(StepKind::Data) += 1;
-        self.metrics.bump(self.ids.accesses, 1);
-        self.metrics.bump(self.ids.cycles, a.cycles);
-        for (&id, n) in self.ids.refs.iter().zip(a.refs.counts()) {
-            self.metrics.bump(id, n);
-        }
+        self.stats.accesses += 1;
+        self.stats.cycles += a.cycles;
+        self.stats.refs += a.refs;
         self.hists.record(
             AccessClass::classify(op_of(a.kind), tlb_hit.is_some()),
             a.cycles,
@@ -698,8 +638,8 @@ impl<T: TranslationStage, S: TraceSink> AccessPipeline<T, S> {
     /// references into `aborted_refs`, emits the trace event, and hands the
     /// fault back for the caller to return.
     fn abort(&mut self, a: InFlight<T::Refs>, fault: Fault, paddr: Option<PhysAddr>) -> Fault {
-        self.metrics.bump(self.ids.faults, 1);
-        self.metrics.bump(self.ids.aborted_refs, a.refs.sum());
+        self.stats.faults += 1;
+        self.stats.aborted_refs += a.refs.sum();
         self.emit(a, paddr, Some(fault.cause()));
         fault
     }

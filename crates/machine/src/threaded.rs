@@ -17,12 +17,12 @@
 //!    boundary the dirty pages are broadcast to the other shards. Inside an
 //!    epoch every hart only **reads** its shard, so no synchronization is
 //!    needed on the hot path.
-//! 2. **Per-hart metric arenas.** Counter interning
-//!    ([`hpmp_trace::CounterId`]) happens once, up front; during an epoch
-//!    each hart bumps plain `u64` slots in a private
-//!    [`hpmp_trace::CounterArena`], and the driver adds the arenas into the
-//!    shared [`hpmp_trace::MetricsRegistry`] at the join. Counter totals
-//!    are sums, so per-hart accumulation order cannot change them.
+//! 2. **Per-hart counters.** Every counter a hart bumps during an epoch is
+//!    a plain field of state it owns exclusively for the epoch: its
+//!    [`Machine`]'s stats and its own
+//!    [`HartCounters`](crate::multihart::HartCounters), which
+//!    [`MultiHartMachine::parallel_epoch`] hands to the hart's thread
+//!    alongside the machine. Nothing is merged at the join.
 //! 3. **Mailbox IPIs with an acknowledgement barrier.** A monitor
 //!    operation that would synchronously run each remote hart's shootdown
 //!    handler instead posts a [`DeferredShootdown`] (handler cost fully
@@ -46,10 +46,10 @@ use std::fmt;
 use std::str::FromStr;
 
 use hpmp_core::DeferredShootdown;
-use hpmp_trace::{CounterArena, TraceSink};
+use hpmp_trace::TraceSink;
 
 use crate::machine::Machine;
-use crate::multihart::{HartWiring, MultiHartMachine};
+use crate::multihart::{HartCounters, MultiHartMachine};
 
 /// Which SMP execution backend drives a multi-hart run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -59,7 +59,7 @@ pub enum ExecBackend {
     #[default]
     Deterministic,
     /// One OS thread per hart inside each epoch, with sharded physical
-    /// memory, per-hart metric arenas, and mailbox shootdown delivery.
+    /// memory, per-hart counters, and mailbox shootdown delivery.
     /// Produces the same merged counter snapshot as `Deterministic`.
     Threaded,
 }
@@ -140,11 +140,6 @@ impl SpscMailbox {
 pub(crate) struct ThreadedState {
     /// One shootdown mailbox per hart.
     mailboxes: Vec<SpscMailbox>,
-    /// One metric arena per hart, sized to the registry at enable time.
-    /// Sizing once is sound: the multi-hart registry interns all of its
-    /// counters in `from_machines`, and the merged snapshot is rebuilt
-    /// from scratch on every call, never grown in place.
-    arenas: Vec<CounterArena>,
 }
 
 /// Runs one hart's epoch-start mailbox drain, then its epoch body.
@@ -155,14 +150,13 @@ pub(crate) struct ThreadedState {
 fn drain_mailbox<S: TraceSink>(
     machine: &mut Machine<S>,
     mailbox: &mut SpscMailbox,
-    arena: &mut CounterArena,
-    ids: HartWiring,
+    counters: &mut HartCounters,
 ) {
     while let Some(deferred) = mailbox.take() {
         machine.invalidate_isolation();
         machine.charge_cycles(deferred.handler_cycles);
-        arena.bump(ids.shootdowns, 1);
-        arena.bump(ids.shootdown_cycles, deferred.handler_cycles);
+        counters.shootdowns += 1;
+        counters.shootdown_cycles += deferred.handler_cycles;
     }
 }
 
@@ -175,7 +169,7 @@ impl<S: TraceSink> MultiHartMachine<S> {
 
     /// Switches this machine to the threaded backend: unshares physical
     /// memory into per-hart shards, starts write-logging on the canonical
-    /// copy, and allocates per-hart mailboxes and metric arenas.
+    /// copy, and allocates per-hart mailboxes.
     ///
     /// Call after all setup (tenant mapping, monitor programming) is done,
     /// at the point where the deterministic backend would begin its round
@@ -200,7 +194,6 @@ impl<S: TraceSink> MultiHartMachine<S> {
         self.harts[self.active].phys_mut().set_write_log(true);
         self.threaded = Some(ThreadedState {
             mailboxes: (0..harts).map(|_| SpscMailbox::default()).collect(),
-            arenas: (0..harts).map(|_| self.metrics.arena()).collect(),
         });
     }
 
@@ -243,9 +236,8 @@ impl<S: TraceSink> MultiHartMachine<S> {
 
     /// Runs one epoch: broadcasts dirty pages, spawns one OS thread per
     /// hart (each drains its shootdown mailbox, then runs `body` against
-    /// its own machine, shard, and `extra`), joins them all — the
-    /// acknowledgement barrier — and folds every hart's metric arena into
-    /// the shared registry.
+    /// its own machine, shard, and `extra`) and joins them all — the
+    /// acknowledgement barrier.
     ///
     /// `body` must not touch monitor or cross-hart state; anything that
     /// would (domain switches, grants, revocations) belongs in the serial
@@ -274,19 +266,18 @@ impl<S: TraceSink> MultiHartMachine<S> {
             .threaded
             .as_mut()
             .expect("threaded backend not enabled");
-        let ids = &self.ids;
         let body = &body;
         let results: Vec<R> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .harts
                 .iter_mut()
                 .zip(state.mailboxes.iter_mut())
-                .zip(state.arenas.iter_mut())
+                .zip(self.counters.iter_mut())
                 .zip(extras.iter_mut())
                 .enumerate()
-                .map(|(hart, (((machine, mailbox), arena), extra))| {
+                .map(|(hart, (((machine, mailbox), counters), extra))| {
                     scope.spawn(move || {
-                        drain_mailbox(machine, mailbox, arena, ids[hart]);
+                        drain_mailbox(machine, mailbox, counters);
                         body(hart as u16, machine, extra)
                     })
                 })
@@ -296,16 +287,12 @@ impl<S: TraceSink> MultiHartMachine<S> {
                 .map(|handle| handle.join().expect("hart thread panicked"))
                 .collect()
         });
-        for arena in &mut state.arenas {
-            self.metrics.absorb_arena(arena);
-        }
         results
     }
 
-    /// Drains every mailbox serially and folds any arena remainder into
-    /// the shared registry, so a final snapshot taken after the last epoch
-    /// accounts for shootdowns posted by the last serial phase. No-op
-    /// under the deterministic backend.
+    /// Drains every mailbox serially, so a final snapshot taken after the
+    /// last epoch accounts for shootdowns posted by the last serial phase.
+    /// No-op under the deterministic backend.
     pub fn quiesce_threaded(&mut self) {
         if self.threaded.is_none() {
             return;
@@ -319,10 +306,6 @@ impl<S: TraceSink> MultiHartMachine<S> {
                 self.machine(hart).invalidate_isolation();
                 self.charge_shootdown(hart, deferred.handler_cycles);
             }
-        }
-        let state = self.threaded.as_mut().expect("checked above");
-        for arena in &mut state.arenas {
-            self.metrics.absorb_arena(arena);
         }
     }
 }

@@ -28,7 +28,7 @@ use hpmp_paging::{
     nested_walk, AddressSpace, GuestView, NestedPageTable, NestedRefKind, NestedWalkResult, Tlb,
     Translation, TranslationMode, WalkCache,
 };
-use hpmp_trace::{MetricsRegistry, NullSink, StepKind, TraceSink, World};
+use hpmp_trace::{Counters, MetricsRegistry, NullSink, StepKind, TraceSink, World};
 
 use crate::machine::{Fault, MachineConfig};
 use crate::pipeline::{AccessPipeline, AccessStats, RefLedger, StageWalk, TranslationStage};
@@ -98,7 +98,7 @@ impl VirtRefBreakdown {
     }
 }
 
-impl RefLedger for VirtRefBreakdown {
+impl Counters for VirtRefBreakdown {
     const NAMES: &'static [&'static str] = &[
         "npt_reads",
         "gpt_reads",
@@ -108,7 +108,7 @@ impl RefLedger for VirtRefBreakdown {
         "pmpte_for_data",
     ];
 
-    fn counts(&self) -> impl IntoIterator<Item = u64> {
+    fn values(&self) -> impl IntoIterator<Item = u64> {
         [
             self.npt_reads,
             self.gpt_reads,
@@ -118,18 +118,20 @@ impl RefLedger for VirtRefBreakdown {
             self.pmpte_for_data,
         ]
     }
+}
 
-    fn from_counts(c: &[u64]) -> VirtRefBreakdown {
-        VirtRefBreakdown {
-            npt_reads: c[0],
-            gpt_reads: c[1],
-            data_reads: c[2],
-            pmpte_for_npt: c[3],
-            pmpte_for_gpt: c[4],
-            pmpte_for_data: c[5],
-        }
+impl std::ops::AddAssign for VirtRefBreakdown {
+    fn add_assign(&mut self, other: VirtRefBreakdown) {
+        self.npt_reads += other.npt_reads;
+        self.gpt_reads += other.gpt_reads;
+        self.data_reads += other.data_reads;
+        self.pmpte_for_npt += other.pmpte_for_npt;
+        self.pmpte_for_gpt += other.pmpte_for_gpt;
+        self.pmpte_for_data += other.pmpte_for_data;
     }
+}
 
+impl RefLedger for VirtRefBreakdown {
     fn reads(&mut self, step: StepKind) -> &mut u64 {
         match step {
             StepKind::NestedPt => &mut self.npt_reads,
@@ -177,14 +179,6 @@ pub struct NestedStage {
     scheme: VirtScheme,
 }
 
-/// Counter handles for the nested stage.
-#[derive(Clone, Debug)]
-pub struct NestedIds {
-    tlb: hpmp_paging::TlbStatsIds,
-    gtlb: hpmp_paging::TlbStatsIds,
-    gpwc: hpmp_paging::WalkCacheStatsIds,
-}
-
 impl StageWalk for NestedWalkResult {
     fn refs(&self) -> impl Iterator<Item = (PhysAddr, StepKind, u8)> + '_ {
         self.refs.iter().map(|r| match r.kind {
@@ -207,7 +201,6 @@ impl TranslationStage for NestedStage {
     type Space = ();
     type Refs = VirtRefBreakdown;
     type Walk = NestedWalkResult;
-    type Ids = NestedIds;
     const PREFIX: &'static str = "virt";
     const TLB_TAX: u64 = 2;
     /// The combined TLB's L2 hits are modelled without the L2 probe
@@ -238,28 +231,20 @@ impl TranslationStage for NestedStage {
         self.gtlb.flush_all();
     }
 
-    fn wire(reg: &mut MetricsRegistry) -> NestedIds {
-        NestedIds {
-            tlb: hpmp_paging::TlbStatsIds::wire(reg, "virt.tlb"),
-            gtlb: hpmp_paging::TlbStatsIds::wire(reg, "virt.gtlb"),
-            gpwc: hpmp_paging::WalkCacheStatsIds::wire(reg, "virt.gpwc"),
-        }
-    }
-
     /// The virt snapshot carries no `trace.dropped` counter.
-    fn store_stats(&self, reg: &mut MetricsRegistry, ids: &NestedIds, _: u64) {
-        self.tlb.stats().store(reg, &ids.tlb);
-        self.gtlb.stats().store(reg, &ids.gtlb);
-        self.gpwc.stats().store(reg, &ids.gpwc);
+    fn export(&self, reg: &mut MetricsRegistry, _: u64) {
+        self.tlb.stats().export(reg, "virt.tlb");
+        self.gtlb.stats().export(reg, "virt.gtlb");
+        self.gpwc.stats().export(reg, "virt.gpwc");
     }
 
-    fn reset_stats(&mut self, _: &mut MetricsRegistry, _: &NestedIds) {
+    fn reset_stats(&mut self) {
         self.tlb.reset_stats();
         self.gtlb.reset_stats();
         self.gpwc.reset_stats();
     }
 
-    fn side_refs(_: &MetricsRegistry, _: &NestedIds) -> u64 {
+    fn side_refs(&self) -> u64 {
         0
     }
 }
@@ -452,9 +437,9 @@ impl<S: TraceSink> VirtMachine<S> {
         PhysAddr::new(GPA_DATA)
     }
 
-    /// Aggregate counters, reconstructed from the interned registry.
+    /// Aggregate counters.
     pub fn stats(&self) -> VirtMachineStats {
-        self.totals()
+        self.stats
     }
 
     /// `hfence.vvma`: flush guest-stage translations, keep the G-stage TLB.

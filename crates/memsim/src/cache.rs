@@ -61,37 +61,13 @@ impl CacheStats {
             self.hits as f64 / self.accesses() as f64
         }
     }
-
-    /// Publishes the counters into `reg` under `prefix` (as
-    /// `<prefix>.hits` and `<prefix>.misses`).
-    pub fn export(&self, reg: &mut hpmp_trace::MetricsRegistry, prefix: &str) {
-        let ids = CacheStatsIds::wire(reg, prefix);
-        self.store(reg, &ids);
-    }
-
-    /// Publishes the counters through handles wired by
-    /// [`CacheStatsIds::wire`].
-    pub fn store(&self, reg: &mut hpmp_trace::MetricsRegistry, ids: &CacheStatsIds) {
-        reg.store(ids.hits, self.hits);
-        reg.store(ids.misses, self.misses);
-    }
 }
 
-/// Interned counter handles for publishing [`CacheStats`] repeatedly
-/// without re-formatting names.
-#[derive(Clone, Copy, Debug)]
-pub struct CacheStatsIds {
-    hits: hpmp_trace::CounterId,
-    misses: hpmp_trace::CounterId,
-}
+impl hpmp_trace::Counters for CacheStats {
+    const NAMES: &'static [&'static str] = &["hits", "misses"];
 
-impl CacheStatsIds {
-    /// Intern the counter names under `prefix` once.
-    pub fn wire(reg: &mut hpmp_trace::MetricsRegistry, prefix: &str) -> CacheStatsIds {
-        CacheStatsIds {
-            hits: reg.counter(format!("{prefix}.hits")),
-            misses: reg.counter(format!("{prefix}.misses")),
-        }
+    fn values(&self) -> impl IntoIterator<Item = u64> {
+        [self.hits, self.misses]
     }
 }
 

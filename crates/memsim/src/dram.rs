@@ -42,36 +42,11 @@ pub struct DramStats {
     pub row_misses: u64,
 }
 
-impl DramStats {
-    /// Publishes the counters into `reg` under `prefix`.
-    pub fn export(&self, reg: &mut hpmp_trace::MetricsRegistry, prefix: &str) {
-        let ids = DramStatsIds::wire(reg, prefix);
-        self.store(reg, &ids);
-    }
+impl hpmp_trace::Counters for DramStats {
+    const NAMES: &'static [&'static str] = &["row_hits", "row_misses"];
 
-    /// Publishes the counters through handles wired by
-    /// [`DramStatsIds::wire`].
-    pub fn store(&self, reg: &mut hpmp_trace::MetricsRegistry, ids: &DramStatsIds) {
-        reg.store(ids.row_hits, self.row_hits);
-        reg.store(ids.row_misses, self.row_misses);
-    }
-}
-
-/// Interned counter handles for publishing [`DramStats`] repeatedly
-/// without re-formatting names.
-#[derive(Clone, Copy, Debug)]
-pub struct DramStatsIds {
-    row_hits: hpmp_trace::CounterId,
-    row_misses: hpmp_trace::CounterId,
-}
-
-impl DramStatsIds {
-    /// Intern the counter names under `prefix` once.
-    pub fn wire(reg: &mut hpmp_trace::MetricsRegistry, prefix: &str) -> DramStatsIds {
-        DramStatsIds {
-            row_hits: reg.counter(format!("{prefix}.row_hits")),
-            row_misses: reg.counter(format!("{prefix}.row_misses")),
-        }
+    fn values(&self) -> impl IntoIterator<Item = u64> {
+        [self.row_hits, self.row_misses]
     }
 }
 

@@ -81,49 +81,34 @@ pub struct MemSystemStats {
     pub cycles: u64,
 }
 
-impl MemSystemStats {
-    /// Publishes every counter into `reg` under `prefix` (e.g.
-    /// `mem.l1.hits`, `mem.dram.row_misses`, `mem.accesses`).
-    pub fn export(&self, reg: &mut hpmp_trace::MetricsRegistry, prefix: &str) {
-        let ids = MemSystemStatsIds::wire(reg, prefix);
-        self.store(reg, &ids);
-    }
+/// Flattened as `l1.hits` … `dram.row_misses`, `accesses`, `cycles`.
+impl hpmp_trace::Counters for MemSystemStats {
+    const NAMES: &'static [&'static str] = &[
+        "l1.hits",
+        "l1.misses",
+        "l2.hits",
+        "l2.misses",
+        "llc.hits",
+        "llc.misses",
+        "dram.row_hits",
+        "dram.row_misses",
+        "accesses",
+        "cycles",
+    ];
 
-    /// Publishes the counters through handles wired by
-    /// [`MemSystemStatsIds::wire`].
-    pub fn store(&self, reg: &mut hpmp_trace::MetricsRegistry, ids: &MemSystemStatsIds) {
-        self.l1.store(reg, &ids.l1);
-        self.l2.store(reg, &ids.l2);
-        self.llc.store(reg, &ids.llc);
-        self.dram.store(reg, &ids.dram);
-        reg.store(ids.accesses, self.accesses);
-        reg.store(ids.cycles, self.cycles);
-    }
-}
-
-/// Interned counter handles for publishing [`MemSystemStats`] repeatedly
-/// without re-formatting names.
-#[derive(Clone, Copy, Debug)]
-pub struct MemSystemStatsIds {
-    l1: crate::cache::CacheStatsIds,
-    l2: crate::cache::CacheStatsIds,
-    llc: crate::cache::CacheStatsIds,
-    dram: crate::dram::DramStatsIds,
-    accesses: hpmp_trace::CounterId,
-    cycles: hpmp_trace::CounterId,
-}
-
-impl MemSystemStatsIds {
-    /// Intern the counter names under `prefix` once.
-    pub fn wire(reg: &mut hpmp_trace::MetricsRegistry, prefix: &str) -> MemSystemStatsIds {
-        MemSystemStatsIds {
-            l1: crate::cache::CacheStatsIds::wire(reg, &format!("{prefix}.l1")),
-            l2: crate::cache::CacheStatsIds::wire(reg, &format!("{prefix}.l2")),
-            llc: crate::cache::CacheStatsIds::wire(reg, &format!("{prefix}.llc")),
-            dram: crate::dram::DramStatsIds::wire(reg, &format!("{prefix}.dram")),
-            accesses: reg.counter(format!("{prefix}.accesses")),
-            cycles: reg.counter(format!("{prefix}.cycles")),
-        }
+    fn values(&self) -> impl IntoIterator<Item = u64> {
+        [
+            self.l1.hits,
+            self.l1.misses,
+            self.l2.hits,
+            self.l2.misses,
+            self.llc.hits,
+            self.llc.misses,
+            self.dram.row_hits,
+            self.dram.row_misses,
+            self.accesses,
+            self.cycles,
+        ]
     }
 }
 

@@ -37,13 +37,11 @@ mod rng;
 mod store;
 
 pub use addr::{PhysAddr, VirtAddr, LINE_SHIFT, LINE_SIZE, PAGE_SHIFT, PAGE_SIZE};
-pub use cache::{lines_spanned, Cache, CacheConfig, CacheStats, CacheStatsIds};
+pub use cache::{lines_spanned, Cache, CacheConfig, CacheStats};
 pub use config::{CoreKind, CoreModel};
-pub use dram::{Dram, DramConfig, DramStats, DramStatsIds};
+pub use dram::{Dram, DramConfig, DramStats};
 pub use hash::Fnv1a;
-pub use hierarchy::{
-    HitLevel, MemAccessOutcome, MemSystem, MemSystemConfig, MemSystemStats, MemSystemStatsIds,
-};
+pub use hierarchy::{HitLevel, MemAccessOutcome, MemSystem, MemSystemConfig, MemSystemStats};
 pub use inline::InlineVec;
 pub use perm::{AccessKind, Perms, PrivMode};
 pub use physmem::{FrameAllocator, PhysMem};

@@ -40,8 +40,8 @@ pub use nested::{
     NestedWalkResult, NptRefs, GSTAGE_VMID, MAX_NESTED_REFS,
 };
 pub use pte::Pte;
-pub use pwc::{WalkCache, WalkCacheConfig, WalkCacheStats, WalkCacheStatsIds};
+pub use pwc::{WalkCache, WalkCacheConfig, WalkCacheStats};
 pub use satp::{Hgatp, Satp};
 pub use space::{AddressSpace, MapError, PtFrameSource, Translation};
-pub use tlb::{apply_translation, Tlb, TlbConfig, TlbEntry, TlbHit, TlbStats, TlbStatsIds};
+pub use tlb::{apply_translation, Tlb, TlbConfig, TlbEntry, TlbHit, TlbStats};
 pub use walker::{walk, PtRef, PtRefs, WalkResult};

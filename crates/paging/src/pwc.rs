@@ -39,36 +39,11 @@ pub struct WalkCacheStats {
     pub misses: u64,
 }
 
-impl WalkCacheStats {
-    /// Publishes the counters into `reg` under `prefix`.
-    pub fn export(&self, reg: &mut hpmp_trace::MetricsRegistry, prefix: &str) {
-        let ids = WalkCacheStatsIds::wire(reg, prefix);
-        self.store(reg, &ids);
-    }
+impl hpmp_trace::Counters for WalkCacheStats {
+    const NAMES: &'static [&'static str] = &["hits", "misses"];
 
-    /// Publishes the counters through handles wired by
-    /// [`WalkCacheStatsIds::wire`].
-    pub fn store(&self, reg: &mut hpmp_trace::MetricsRegistry, ids: &WalkCacheStatsIds) {
-        reg.store(ids.hits, self.hits);
-        reg.store(ids.misses, self.misses);
-    }
-}
-
-/// Interned counter handles for publishing [`WalkCacheStats`] repeatedly
-/// without re-formatting names.
-#[derive(Clone, Copy, Debug)]
-pub struct WalkCacheStatsIds {
-    hits: hpmp_trace::CounterId,
-    misses: hpmp_trace::CounterId,
-}
-
-impl WalkCacheStatsIds {
-    /// Intern the counter names under `prefix` once.
-    pub fn wire(reg: &mut hpmp_trace::MetricsRegistry, prefix: &str) -> WalkCacheStatsIds {
-        WalkCacheStatsIds {
-            hits: reg.counter(format!("{prefix}.hits")),
-            misses: reg.counter(format!("{prefix}.misses")),
-        }
+    fn values(&self) -> impl IntoIterator<Item = u64> {
+        [self.hits, self.misses]
     }
 }
 

@@ -78,44 +78,19 @@ impl TlbStats {
             (self.l1_hits + self.l2_hits) as f64 / lookups as f64
         }
     }
-
-    /// Publishes the counters into `reg` under `prefix`.
-    pub fn export(&self, reg: &mut hpmp_trace::MetricsRegistry, prefix: &str) {
-        let ids = TlbStatsIds::wire(reg, prefix);
-        self.store(reg, &ids);
-    }
-
-    /// Publishes the counters through handles wired by [`TlbStatsIds::wire`].
-    pub fn store(&self, reg: &mut hpmp_trace::MetricsRegistry, ids: &TlbStatsIds) {
-        reg.store(ids.l1_hits, self.l1_hits);
-        reg.store(ids.l2_hits, self.l2_hits);
-        reg.store(ids.misses, self.misses);
-        reg.store(ids.flushes, self.flushes);
-        reg.store(ids.stale, self.stale);
-    }
 }
 
-/// Interned counter handles for publishing [`TlbStats`] repeatedly without
-/// re-formatting names.
-#[derive(Clone, Copy, Debug)]
-pub struct TlbStatsIds {
-    l1_hits: hpmp_trace::CounterId,
-    l2_hits: hpmp_trace::CounterId,
-    misses: hpmp_trace::CounterId,
-    flushes: hpmp_trace::CounterId,
-    stale: hpmp_trace::CounterId,
-}
+impl hpmp_trace::Counters for TlbStats {
+    const NAMES: &'static [&'static str] = &["l1_hits", "l2_hits", "misses", "flushes", "stale"];
 
-impl TlbStatsIds {
-    /// Intern the counter names under `prefix` once.
-    pub fn wire(reg: &mut hpmp_trace::MetricsRegistry, prefix: &str) -> TlbStatsIds {
-        TlbStatsIds {
-            l1_hits: reg.counter(format!("{prefix}.l1_hits")),
-            l2_hits: reg.counter(format!("{prefix}.l2_hits")),
-            misses: reg.counter(format!("{prefix}.misses")),
-            flushes: reg.counter(format!("{prefix}.flushes")),
-            stale: reg.counter(format!("{prefix}.stale")),
-        }
+    fn values(&self) -> impl IntoIterator<Item = u64> {
+        [
+            self.l1_hits,
+            self.l2_hits,
+            self.misses,
+            self.flushes,
+            self.stale,
+        ]
     }
 }
 

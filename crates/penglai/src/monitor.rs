@@ -23,7 +23,7 @@ use hpmp_core::{
 };
 use hpmp_machine::Machine;
 use hpmp_memsim::{AccessKind, FrameAllocator, Perms, PhysAddr, PAGE_SIZE};
-use hpmp_trace::{CounterId, MetricsRegistry, Snapshot, TraceSink, World};
+use hpmp_trace::{Counters, MetricsRegistry, Snapshot, TraceSink, World};
 
 use crate::degrade::{DegradationPolicy, DegradeStage, DegradeState};
 use crate::gms::{Gms, GmsLabel};
@@ -179,7 +179,7 @@ struct Domain {
     table: Option<PmpTable>,
 }
 
-/// Counters for monitor activity.
+/// Counters and gauges for monitor activity, exported as `monitor.*`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MonitorStats {
     /// Domain switches performed.
@@ -190,53 +190,63 @@ pub struct MonitorStats {
     pub table_writes: u64,
     /// Total modelled cycles spent inside the monitor.
     pub cycles: u64,
-}
-
-/// Interned counter handles for the monitor's activity accounting; wired
-/// once at boot so every bump is a plain `Vec<u64>` index operation.
-#[derive(Clone, Debug)]
-struct MonitorWiring {
-    switches: CounterId,
-    csr_writes: CounterId,
-    table_writes: CounterId,
-    cycles: CounterId,
     /// Current degradation stage (a gauge: set, not bumped).
-    degrade_stage: CounterId,
+    pub degrade_stage: u64,
     /// First entries into stages 1..=3, one counter each.
-    degrade_enter: [CounterId; 3],
+    pub degrade_enter: [u64; 3],
     /// Hysteresis promotions back toward normal.
-    degrade_repromotions: CounterId,
+    pub degrade_repromotions: u64,
     /// Allocations forcibly degraded to table-only `Slow` regions.
-    degrade_slow_allocs: CounterId,
+    pub degrade_slow_allocs: u64,
     /// Allocations refused with `ResourceExhausted` backpressure.
-    degrade_rejected: CounterId,
-    compact_passes: CounterId,
-    compact_moved_regions: CounterId,
-    compact_moved_pages: CounterId,
-    compact_cycles: CounterId,
+    pub degrade_rejected: u64,
+    /// Compaction passes run.
+    pub compact_passes: u64,
+    /// GMS regions compaction relocated.
+    pub compact_moved_regions: u64,
+    /// Pages compaction copied.
+    pub compact_moved_pages: u64,
+    /// Modelled cycles compaction cost.
+    pub compact_cycles: u64,
 }
 
-impl MonitorWiring {
-    fn wire(reg: &mut MetricsRegistry) -> MonitorWiring {
-        MonitorWiring {
-            switches: reg.counter("monitor.switches"),
-            csr_writes: reg.counter("monitor.csr_writes"),
-            table_writes: reg.counter("monitor.table_writes"),
-            cycles: reg.counter("monitor.cycles"),
-            degrade_stage: reg.counter("monitor.degrade.stage"),
-            degrade_enter: [
-                reg.counter("monitor.degrade.enter_stage1"),
-                reg.counter("monitor.degrade.enter_stage2"),
-                reg.counter("monitor.degrade.enter_stage3"),
-            ],
-            degrade_repromotions: reg.counter("monitor.degrade.repromotions"),
-            degrade_slow_allocs: reg.counter("monitor.degrade.slow_allocs"),
-            degrade_rejected: reg.counter("monitor.degrade.rejected"),
-            compact_passes: reg.counter("monitor.compact.passes"),
-            compact_moved_regions: reg.counter("monitor.compact.moved_regions"),
-            compact_moved_pages: reg.counter("monitor.compact.moved_pages"),
-            compact_cycles: reg.counter("monitor.compact.cycles"),
-        }
+impl Counters for MonitorStats {
+    const NAMES: &'static [&'static str] = &[
+        "switches",
+        "csr_writes",
+        "table_writes",
+        "cycles",
+        "degrade.stage",
+        "degrade.enter_stage1",
+        "degrade.enter_stage2",
+        "degrade.enter_stage3",
+        "degrade.repromotions",
+        "degrade.slow_allocs",
+        "degrade.rejected",
+        "compact.passes",
+        "compact.moved_regions",
+        "compact.moved_pages",
+        "compact.cycles",
+    ];
+
+    fn values(&self) -> impl IntoIterator<Item = u64> {
+        [
+            self.switches,
+            self.csr_writes,
+            self.table_writes,
+            self.cycles,
+            self.degrade_stage,
+            self.degrade_enter[0],
+            self.degrade_enter[1],
+            self.degrade_enter[2],
+            self.degrade_repromotions,
+            self.degrade_slow_allocs,
+            self.degrade_rejected,
+            self.compact_passes,
+            self.compact_moved_regions,
+            self.compact_moved_pages,
+            self.compact_cycles,
+        ]
     }
 }
 
@@ -296,8 +306,7 @@ pub struct SecureMonitor {
     next_id: u32,
     iopmp: IoPmp,
     devices: Vec<(DeviceId, DomainId)>,
-    metrics: MetricsRegistry,
-    ids: MonitorWiring,
+    stats: MonitorStats,
     /// Monitor-private copy of the register values it last programmed —
     /// `(addr, cfg)` per entry. [`SecureMonitor::scrub`] compares the live
     /// file against this and force-restores any divergence, so register
@@ -364,8 +373,6 @@ impl SecureMonitor {
             .regs_mut()
             .configure_segment(0, monitor_region, Perms::NONE)?;
 
-        let mut metrics = MetricsRegistry::new();
-        let ids = MonitorWiring::wire(&mut metrics);
         let host_region = PmpRegion::new(region_base, ram.end().raw() - region_base.raw());
         let mut monitor = SecureMonitor {
             flavor,
@@ -384,8 +391,7 @@ impl SecureMonitor {
             next_id: 1,
             iopmp: IoPmp::new(),
             devices: Vec::new(),
-            metrics,
-            ids,
+            stats: MonitorStats::default(),
             shadow_regs: Vec::new(),
             pending_shootdowns: Vec::new(),
         };
@@ -408,7 +414,7 @@ impl SecureMonitor {
                 Perms::RWX,
                 FillPolicy::HugeWhenAligned,
             )?;
-            monitor.metrics.bump(monitor.ids.table_writes, writes);
+            monitor.stats.table_writes += writes;
             host.table = Some(table);
         }
         host.gmss
@@ -446,21 +452,17 @@ impl SecureMonitor {
         self.domains.iter().map(|d| d.id).collect()
     }
 
-    /// Activity counters, reconstructed from the interned registry (the
-    /// live accounting is a `Vec<u64>` behind [`CounterId`] handles).
+    /// Activity counters and gauges.
     pub fn stats(&self) -> MonitorStats {
-        MonitorStats {
-            switches: self.metrics.get(self.ids.switches),
-            csr_writes: self.metrics.get(self.ids.csr_writes),
-            table_writes: self.metrics.get(self.ids.table_writes),
-            cycles: self.metrics.get(self.ids.cycles),
-        }
+        self.stats
     }
 
     /// A point-in-time view of the monitor's activity counters under the
     /// `monitor.*` prefix, for merging into experiment-level metrics.
     pub fn metrics_snapshot(&self) -> Snapshot {
-        self.metrics.snapshot()
+        let mut reg = MetricsRegistry::new();
+        self.stats.export(&mut reg, "monitor");
+        reg.into_snapshot()
     }
 
     /// GMSs owned by `domain`.
@@ -606,7 +608,7 @@ impl SecureMonitor {
             return Err(MonitorError::OutOfPmpEntries);
         }
 
-        self.metrics.bump(self.ids.cycles, cycles);
+        self.stats.cycles += cycles;
         Ok((id, cycles))
     }
 
@@ -712,7 +714,7 @@ impl SecureMonitor {
         }
         self.note_shootdown(id);
         self.settle_degradation();
-        self.metrics.bump(self.ids.cycles, cycles);
+        self.stats.cycles += cycles;
         Ok(cycles)
     }
 
@@ -764,8 +766,6 @@ impl SecureMonitor {
             cycles += self.grant_in_host_table(machine, region, Perms::NONE)?;
         }
         if flavor != TeeFlavor::PenglaiPmp {
-            let table_writes_id = self.ids.table_writes;
-            let metrics = &mut self.metrics;
             let table_frames = &mut self.table_frames;
             let d = self
                 .domains
@@ -788,7 +788,7 @@ impl SecureMonitor {
                     FillPolicy::PerPage
                 },
             )?;
-            metrics.bump(table_writes_id, writes);
+            self.stats.table_writes += writes;
             cycles += writes * cost::TABLE_ENTRY_WRITE;
         }
 
@@ -812,7 +812,7 @@ impl SecureMonitor {
         }
         self.note_shootdown(domain);
         self.settle_degradation();
-        self.metrics.bump(self.ids.cycles, cycles);
+        self.stats.cycles += cycles;
         Ok((region, cycles))
     }
 
@@ -843,8 +843,6 @@ impl SecureMonitor {
 
         if flavor != TeeFlavor::PenglaiPmp {
             // Revoke in the owner's table…
-            let table_writes_id = self.ids.table_writes;
-            let metrics = &mut self.metrics;
             let table_frames = &mut self.table_frames;
             let table = self.domains[d_idx]
                 .table
@@ -858,7 +856,7 @@ impl SecureMonitor {
                 Perms::NONE,
                 FillPolicy::PerPage,
             )?;
-            metrics.bump(table_writes_id, writes);
+            self.stats.table_writes += writes;
             cycles += writes * cost::TABLE_ENTRY_WRITE;
             // …and return it to the host.
             if domain != DomainId::HOST {
@@ -873,7 +871,7 @@ impl SecureMonitor {
         self.reclaim_region(gms.region);
         self.note_shootdown(domain);
         self.settle_degradation();
-        self.metrics.bump(self.ids.cycles, cycles);
+        self.stats.cycles += cycles;
         Ok(cycles)
     }
 
@@ -908,7 +906,7 @@ impl SecureMonitor {
             cycles += cost::FENCE;
         }
         self.note_shootdown(domain);
-        self.metrics.bump(self.ids.cycles, cycles);
+        self.stats.cycles += cycles;
         Ok(cycles)
     }
 
@@ -985,7 +983,7 @@ impl SecureMonitor {
                 if self.degrade.recover_to(DegradeStage::TableOnly) {
                     self.store_stage_gauge();
                 }
-                self.metrics.bump(self.ids.degrade_slow_allocs, 1);
+                self.stats.degrade_slow_allocs += 1;
                 Ok((PmpRegion::new(base, exact), GmsLabel::Slow))
             }
             None => self.refuse_admission(),
@@ -996,7 +994,7 @@ impl SecureMonitor {
     /// hard failure.
     fn refuse_admission<T>(&mut self) -> Result<T, MonitorError> {
         self.enter_stage(DegradeStage::Admission);
-        self.metrics.bump(self.ids.degrade_rejected, 1);
+        self.stats.degrade_rejected += 1;
         Err(MonitorError::ResourceExhausted {
             retry_after_ops: self.degrade.policy.retry_after_ops,
         })
@@ -1005,17 +1003,13 @@ impl SecureMonitor {
     /// Records a genuine escalation in the stage-entry counters and gauge.
     fn enter_stage(&mut self, to: DegradeStage) {
         if self.degrade.escalate(to) {
-            self.metrics
-                .bump(self.ids.degrade_enter[usize::from(to.level() - 1)], 1);
+            self.stats.degrade_enter[usize::from(to.level() - 1)] += 1;
             self.store_stage_gauge();
         }
     }
 
     fn store_stage_gauge(&mut self) {
-        self.metrics.store(
-            self.ids.degrade_stage,
-            u64::from(self.degrade.stage().level()),
-        );
+        self.stats.degrade_stage = u64::from(self.degrade.stage().level());
     }
 
     /// Feeds the pool's recovery signal into the hysteresis after every
@@ -1028,7 +1022,7 @@ impl SecureMonitor {
             if self.flavor == TeeFlavor::PenglaiPmp {
                 self.degrade.recover_to(DegradeStage::Compacting);
             }
-            self.metrics.bump(self.ids.degrade_repromotions, 1);
+            self.stats.degrade_repromotions += 1;
             self.store_stage_gauge();
         }
     }
@@ -1102,7 +1096,7 @@ impl SecureMonitor {
         let pre = cost::TRAP_ROUND_TRIP;
         let mut report = self.compact_pass(machine, max_moves, pre)?;
         report.cycles += pre;
-        self.metrics.bump(self.ids.cycles, report.cycles);
+        self.stats.cycles += report.cycles;
         Ok(report)
     }
 
@@ -1130,12 +1124,10 @@ impl SecureMonitor {
             report.moved_pages += old.size / PAGE_SIZE;
         }
         report.remaining = self.compaction_candidates().len() as u64;
-        self.metrics.bump(self.ids.compact_passes, 1);
-        self.metrics
-            .bump(self.ids.compact_moved_regions, report.moved_regions);
-        self.metrics
-            .bump(self.ids.compact_moved_pages, report.moved_pages);
-        self.metrics.bump(self.ids.compact_cycles, report.cycles);
+        self.stats.compact_passes += 1;
+        self.stats.compact_moved_regions += report.moved_regions;
+        self.stats.compact_moved_pages += report.moved_pages;
+        self.stats.compact_cycles += report.cycles;
         self.compaction_note = Some(CompactNote {
             offset: note_offset,
             cycles: report.cycles,
@@ -1216,7 +1208,6 @@ impl SecureMonitor {
             .ok_or(MonitorError::NotOwned)?
             .perms;
         if flavor != TeeFlavor::PenglaiPmp {
-            let table_writes_id = self.ids.table_writes;
             let table_frames = &mut self.table_frames;
             let d = self
                 .domains
@@ -1247,7 +1238,7 @@ impl SecureMonitor {
                 Perms::NONE,
                 FillPolicy::PerPage,
             )?;
-            self.metrics.bump(table_writes_id, writes);
+            self.stats.table_writes += writes;
             cycles += writes * cost::TABLE_ENTRY_WRITE;
         }
 
@@ -1347,8 +1338,6 @@ impl SecureMonitor {
         region: PmpRegion,
         perms: Perms,
     ) -> Result<u64, MonitorError> {
-        let table_writes_id = self.ids.table_writes;
-        let metrics = &mut self.metrics;
         let table_frames = &mut self.table_frames;
         let d = self
             .domains
@@ -1366,7 +1355,7 @@ impl SecureMonitor {
             perms,
             FillPolicy::PerPage,
         )?;
-        metrics.bump(table_writes_id, writes);
+        self.stats.table_writes += writes;
         Ok(writes * cost::TABLE_ENTRY_WRITE)
     }
 
@@ -1392,7 +1381,7 @@ impl SecureMonitor {
         self.devices.retain(|(d, _)| *d != device);
         self.devices.push((device, domain));
         let cycles = cost::TRAP_ROUND_TRIP + cost::BOOKKEEPING + self.sync_iopmp(machine);
-        self.metrics.bump(self.ids.cycles, cycles);
+        self.stats.cycles += cycles;
         Ok(cycles)
     }
 
@@ -1404,7 +1393,7 @@ impl SecureMonitor {
     ) -> u64 {
         self.devices.retain(|(d, _)| *d != device);
         let cycles = cost::TRAP_ROUND_TRIP + cost::BOOKKEEPING + self.sync_iopmp(machine);
-        self.metrics.bump(self.ids.cycles, cycles);
+        self.stats.cycles += cycles;
         cycles
     }
 
@@ -1512,7 +1501,7 @@ impl SecureMonitor {
             machine.invalidate_isolation();
             cycles += cost::FENCE;
         }
-        self.metrics.bump(self.ids.cycles, cycles);
+        self.stats.cycles += cycles;
         Ok(cycles)
     }
 
@@ -1544,7 +1533,7 @@ impl SecureMonitor {
             machine.invalidate_isolation();
             cycles += cost::FENCE;
         }
-        self.metrics.bump(self.ids.cycles, cycles);
+        self.stats.cycles += cycles;
         Ok(cycles)
     }
 
@@ -1572,8 +1561,8 @@ impl SecureMonitor {
         cycles += self.program_current(machine)?;
         machine.invalidate_isolation();
         cycles += cost::FENCE;
-        self.metrics.bump(self.ids.switches, 1);
-        self.metrics.bump(self.ids.cycles, cycles);
+        self.stats.switches += 1;
+        self.stats.cycles += cycles;
         Ok(cycles)
     }
 
@@ -1614,7 +1603,7 @@ impl SecureMonitor {
             }
         }
         let cycles = cost::BOOKKEEPING + report.repaired_registers * 2 * cost::CSR_WRITE;
-        self.metrics.bump(self.ids.cycles, cycles);
+        self.stats.cycles += cycles;
         report
     }
 
@@ -1685,7 +1674,7 @@ impl SecureMonitor {
             .find(|d| d.id == domain)
             .ok_or(MonitorError::NoSuchDomain(domain))?;
         d.table = Some(table);
-        self.metrics.bump(self.ids.table_writes, writes);
+        self.stats.table_writes += writes;
         cycles += writes * cost::TABLE_ENTRY_WRITE;
         // IOPMP entries may reference the replaced table root.
         cycles += self.sync_iopmp(machine);
@@ -1695,7 +1684,7 @@ impl SecureMonitor {
             cycles += cost::FENCE;
         }
         self.note_shootdown(domain);
-        self.metrics.bump(self.ids.cycles, cycles);
+        self.stats.cycles += cycles;
         Ok(cycles)
     }
 
@@ -1907,7 +1896,7 @@ impl SecureMonitor {
         }
 
         let writes = machine.regs().csr_writes() - before;
-        self.metrics.bump(self.ids.csr_writes, writes);
+        self.stats.csr_writes += writes;
         // Refresh the shadow copy scrub compares against.
         let regs = machine.regs();
         self.shadow_regs = (0..regs.len())
@@ -1923,8 +1912,6 @@ impl SecureMonitor {
         region: PmpRegion,
         perms: Perms,
     ) -> Result<u64, MonitorError> {
-        let table_writes_id = self.ids.table_writes;
-        let metrics = &mut self.metrics;
         let table_frames = &mut self.table_frames;
         let host = self
             .domains
@@ -1944,7 +1931,7 @@ impl SecureMonitor {
             perms,
             FillPolicy::PerPage,
         )?;
-        metrics.bump(table_writes_id, writes);
+        self.stats.table_writes += writes;
         Ok(writes * cost::TABLE_ENTRY_WRITE)
     }
 

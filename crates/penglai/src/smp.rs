@@ -622,9 +622,9 @@ impl<S: TraceSink> SmpSystem<S> {
         self.mh.parallel_epoch(extras, body)
     }
 
-    /// Drains any still-deferred shootdowns and folds per-hart arenas into
-    /// the shared registry, so a following [`SmpSystem::metrics_snapshot`]
-    /// is complete. No-op under the deterministic backend.
+    /// Drains any still-deferred shootdowns, so a following
+    /// [`SmpSystem::metrics_snapshot`] is complete. No-op under the
+    /// deterministic backend.
     pub fn quiesce(&mut self) {
         self.mh.quiesce_threaded();
     }

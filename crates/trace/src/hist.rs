@@ -7,7 +7,7 @@
 //! [`AccessClass`] and records every access's cycle cost.
 
 use crate::event::AccessOp;
-use crate::metrics::{CounterId, MetricsRegistry};
+use crate::metrics::MetricsRegistry;
 
 /// The access classes a machine histograms separately: operation kind ×
 /// whether the TLB served it or a walk was needed.
@@ -260,9 +260,18 @@ impl LatencyHistogram {
 }
 
 /// One histogram per [`AccessClass`].
+///
+/// Exported bucket names are sticky: once a bucket was non-zero at an
+/// [`LatencyHistograms::export`], every later export writes it, so a
+/// [`LatencyHistograms::reset`] shows up as an explicit zero rather than a
+/// vanished counter. A bucket that is recorded and reset between two
+/// exports never appears.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LatencyHistograms {
     hists: [LatencyHistogram; 6],
+    /// Per class, bit `i` set when bucket `i` was non-zero at an earlier
+    /// export. Not cleared by [`LatencyHistograms::reset`].
+    exported: [u128; 6],
 }
 
 impl LatencyHistograms {
@@ -309,9 +318,23 @@ impl LatencyHistograms {
     /// [`crate::Snapshot::delta`]; analysis tools rebuild the distribution
     /// with [`LatencyHistogram::from_bucket_counts`] and compute percentiles
     /// at read time.
-    pub fn export(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        let mut wiring = LatencyHistogramsWiring::wire(reg, prefix);
-        wiring.store(reg, self);
+    ///
+    /// A bucket is written when it is non-zero now or was at an earlier
+    /// export (see the type docs).
+    pub fn export(&mut self, reg: &mut MetricsRegistry, prefix: &str) {
+        for class in AccessClass::ALL {
+            let (idx, label) = (class.index(), class.label());
+            let h = &self.hists[idx];
+            reg.set(format!("{prefix}.{label}.count"), h.count());
+            reg.set(format!("{prefix}.{label}.cycles"), h.sum());
+            for (i, &n) in h.buckets.iter().enumerate() {
+                self.exported[idx] |= u128::from(n != 0) << i;
+                if self.exported[idx] & (1 << i) != 0 {
+                    let lo = LatencyHistogram::bucket_bounds(i).0;
+                    reg.set(format!("{prefix}.{label}.bucket.{lo}"), n);
+                }
+            }
+        }
     }
 
     /// Export every class as JSON, keyed by class label.
@@ -321,85 +344,6 @@ impl LatencyHistograms {
             .map(|&c| format!("\"{}\":{}", c.label(), self.class(c).to_json()))
             .collect();
         format!("{{{}}}", body.join(","))
-    }
-}
-
-/// Interned counter handles for publishing a [`LatencyHistograms`] into a
-/// [`MetricsRegistry`] repeatedly without re-formatting any names.
-///
-/// The per-class `count`/`cycles` names are interned eagerly at wiring
-/// time. Bucket names stay sparse: a bucket's name is only interned the
-/// first time that bucket is non-zero, and from then on it is stored on
-/// every [`LatencyHistogramsWiring::store`] (so a later reset writes an
-/// explicit zero rather than leaving a stale count behind).
-#[derive(Clone, Debug)]
-pub struct LatencyHistogramsWiring {
-    prefix: String,
-    count: [CounterId; 6],
-    cycles: [CounterId; 6],
-    buckets: Box<[[Option<CounterId>; HIST_BUCKETS]; 6]>,
-}
-
-impl LatencyHistogramsWiring {
-    /// Intern the summary counter names for every class under `prefix`.
-    pub fn wire(reg: &mut MetricsRegistry, prefix: &str) -> LatencyHistogramsWiring {
-        LatencyHistogramsWiring {
-            prefix: prefix.to_string(),
-            count: AccessClass::ALL.map(|c| reg.counter(format!("{prefix}.{}.count", c.label()))),
-            cycles: AccessClass::ALL.map(|c| reg.counter(format!("{prefix}.{}.cycles", c.label()))),
-            buckets: Box::new([[None; HIST_BUCKETS]; 6]),
-        }
-    }
-
-    /// Publish the current state of `hists` through the wired handles.
-    pub fn store(&mut self, reg: &mut MetricsRegistry, hists: &LatencyHistograms) {
-        for class in AccessClass::ALL {
-            let idx = class.index();
-            let h = hists.class(class);
-            reg.store(self.count[idx], h.count());
-            reg.store(self.cycles[idx], h.sum());
-            for i in 0..HIST_BUCKETS {
-                let n = h.bucket(i);
-                match self.buckets[idx][i] {
-                    Some(id) => reg.store(id, n),
-                    None if n != 0 => {
-                        let lo = LatencyHistogram::bucket_bounds(i).0;
-                        let id =
-                            reg.counter(format!("{}.{}.bucket.{lo}", self.prefix, class.label()));
-                        reg.store(id, n);
-                        self.buckets[idx][i] = Some(id);
-                    }
-                    None => {}
-                }
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod wiring_tests {
-    use super::*;
-
-    #[test]
-    fn wiring_matches_export_and_tracks_resets() {
-        let mut set = LatencyHistograms::new();
-        set.record(AccessClass::ReadWalk, 3);
-        set.record(AccessClass::WriteTlbHit, 100);
-
-        let mut exported = MetricsRegistry::new();
-        set.export(&mut exported, "hist");
-
-        let mut reg = MetricsRegistry::new();
-        let mut wiring = LatencyHistogramsWiring::wire(&mut reg, "hist");
-        wiring.store(&mut reg, &set);
-        assert_eq!(reg.snapshot(), exported.snapshot());
-
-        // After a reset, previously-seen buckets are written as zero.
-        set.reset();
-        wiring.store(&mut reg, &set);
-        let snap = reg.snapshot();
-        assert_eq!(snap.value("hist.read_walk.bucket.2"), 0);
-        assert_eq!(snap.value("hist.read_walk.count"), 0);
     }
 }
 
@@ -572,5 +516,39 @@ mod tests {
         assert_eq!(h.percentile(100.0), Some(1));
         assert_eq!(h.min(), Some(0));
         assert_eq!(h.max(), Some(0));
+    }
+
+    #[test]
+    fn export_keeps_seen_buckets_across_resets() {
+        let mut set = LatencyHistograms::new();
+        set.record(AccessClass::ReadWalk, 3);
+        set.record(AccessClass::WriteTlbHit, 100);
+        let mut reg = MetricsRegistry::new();
+        set.export(&mut reg, "hist");
+        assert_eq!(reg.value("hist.read_walk.bucket.2"), 1);
+        assert_eq!(reg.value("hist.write_tlb_hit.bucket.64"), 1);
+
+        // After a reset, previously-exported buckets are written as zero.
+        set.reset();
+        let mut reg = MetricsRegistry::new();
+        set.export(&mut reg, "hist");
+        let snap = reg.snapshot();
+        assert_eq!(snap.get("hist.read_walk.bucket.2"), Some(0));
+        assert_eq!(snap.get("hist.write_tlb_hit.bucket.64"), Some(0));
+        assert_eq!(snap.get("hist.read_walk.count"), Some(0));
+    }
+
+    #[test]
+    fn bucket_recorded_and_reset_before_any_export_stays_absent() {
+        let mut set = LatencyHistograms::new();
+        set.record(AccessClass::ReadWalk, 3);
+        set.reset();
+        set.record(AccessClass::ReadWalk, 57);
+        let mut reg = MetricsRegistry::new();
+        set.export(&mut reg, "hist");
+        let snap = reg.snapshot();
+        assert_eq!(snap.get("hist.read_walk.bucket.2"), None);
+        assert_eq!(snap.get("hist.read_walk.bucket.32"), Some(1));
+        assert_eq!(snap.get("hist.read_walk.count"), Some(1));
     }
 }

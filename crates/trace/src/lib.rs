@@ -11,9 +11,10 @@
 //!   `ENABLED == false` and monomorphizes to nothing; [`RingSink`] keeps the
 //!   last N events in memory; [`JsonlSink`] streams one JSON object per
 //!   line.
-//! * [`MetricsRegistry`] / [`Snapshot`] — hierarchical dotted counter names
-//!   unifying every `*Stats` struct in the workspace behind one exportable,
-//!   diffable, mergeable view.
+//! * [`Counters`] / [`MetricsRegistry`] / [`Snapshot`] — every `*Stats`
+//!   struct in the workspace is a plain [`Counters`] struct that publishes
+//!   itself under hierarchical dotted names into one exportable, diffable,
+//!   mergeable view.
 //! * [`LatencyHistogram`] — log2-bucketed latency distributions per
 //!   [`AccessClass`], so Fig 10-style breakdowns come from real per-access
 //!   samples rather than means.
@@ -47,14 +48,12 @@ mod timeline;
 pub use event::{
     AccessOp, FaultCause, PmptwOutcome, PrivLevel, StepKind, TlbOutcome, WalkEvent, WalkStep, World,
 };
-pub use hist::{
-    AccessClass, LatencyHistogram, LatencyHistograms, LatencyHistogramsWiring, HIST_BUCKETS,
-};
+pub use hist::{AccessClass, LatencyHistogram, LatencyHistograms, HIST_BUCKETS};
 pub use host::{
     alloc_stats, walks_per_sec, AllocStats, HostExperiment, HostProfile, HostProfiler,
     HOST_PROFILE_KIND,
 };
-pub use metrics::{CounterArena, CounterId, MetricsRegistry, Snapshot};
+pub use metrics::{Counters, MetricsRegistry, Snapshot};
 pub use read::{
     check_schema, parse_event, read_trace_file, ReadError, TraceReader, WALK_EVENT_STREAM,
 };

@@ -1,7 +1,7 @@
 //! A unified metrics registry with hierarchical counter names.
 //!
-//! Every `*Stats` struct in the workspace exports into a
-//! [`MetricsRegistry`] under a dotted prefix (`machine.tlb.l1_hits`,
+//! Every `*Stats` struct in the workspace implements [`Counters`] and
+//! exports into a [`MetricsRegistry`] under a dotted prefix (`machine.tlb.l1_hits`,
 //! `mem.dram.row_misses`, …). A [`Snapshot`] is an immutable copy that can
 //! be diffed against an earlier snapshot (`delta`), merged with a snapshot
 //! from another machine (`merge`), and exported as nested JSON.
@@ -9,31 +9,37 @@
 use crate::json::{parse_json, JsonValue};
 use crate::read::{check_schema, ReadError};
 use crate::{json_escape, SCHEMA_VERSION};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// A handle to one interned counter in a [`MetricsRegistry`].
+/// A plain struct of `u64` counters that publishes itself into a
+/// [`MetricsRegistry`].
 ///
-/// Handles are resolved from names once, at wiring time; afterwards every
-/// update through the handle is a plain `Vec<u64>` index bump with no
-/// hashing, comparison, or allocation. A handle is only meaningful for the
-/// registry that produced it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct CounterId(u32);
+/// The struct's fields are the live counter store: the hot path adds to
+/// them directly, and names are only formatted when [`Counters::export`]
+/// runs at snapshot time.
+pub trait Counters {
+    /// Counter names below the export prefix, in [`Counters::values`]
+    /// order.
+    const NAMES: &'static [&'static str];
 
-/// A mutable bag of named counters.
-///
-/// Counter names are interned: [`MetricsRegistry::counter`] resolves a
-/// dotted name to a [`CounterId`] exactly once, and the hot-path updates
-/// ([`MetricsRegistry::bump`] / [`MetricsRegistry::store`]) index a flat
-/// `Vec<u64>`. String names are only materialized again when a
-/// [`Snapshot`] is taken. The string-keyed `set`/`add`/`value` methods
-/// remain for cold paths and intern on first use.
+    /// The counter values, in [`Counters::NAMES`] order.
+    fn values(&self) -> impl IntoIterator<Item = u64>;
+
+    /// Sets `<prefix>.<name>` in `reg` for every name in
+    /// [`Counters::NAMES`].
+    fn export(&self, reg: &mut MetricsRegistry, prefix: &str) {
+        for (name, value) in Self::NAMES.iter().zip(self.values()) {
+            reg.set(format!("{prefix}.{name}"), value);
+        }
+    }
+}
+
+/// A mutable bag of named counters, the staging area a [`Snapshot`] is
+/// frozen from.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
-    names: Vec<String>,
-    index: HashMap<String, u32>,
-    values: Vec<u64>,
+    values: BTreeMap<String, u64>,
 }
 
 impl MetricsRegistry {
@@ -42,144 +48,41 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Intern `name`, returning a stable handle for hot-path updates.
-    ///
-    /// Interning an already-known name returns the existing handle (and
-    /// leaves its value untouched); a new name starts at zero.
-    pub fn counter(&mut self, name: impl Into<String>) -> CounterId {
-        let name = name.into();
-        if let Some(&id) = self.index.get(&name) {
-            return CounterId(id);
-        }
-        let id = u32::try_from(self.names.len()).expect("too many counters");
-        self.index.insert(name.clone(), id);
-        self.names.push(name);
-        self.values.push(0);
-        CounterId(id)
-    }
-
-    /// Add `delta` to the counter behind `id`.
-    #[inline]
-    pub fn bump(&mut self, id: CounterId, delta: u64) {
-        self.values[id.0 as usize] += delta;
-    }
-
-    /// Set the counter behind `id` to `value`.
-    #[inline]
-    pub fn store(&mut self, id: CounterId, value: u64) {
-        self.values[id.0 as usize] = value;
-    }
-
-    /// Current value of the counter behind `id`.
-    #[inline]
-    pub fn get(&self, id: CounterId) -> u64 {
-        self.values[id.0 as usize]
-    }
-
     /// Set `name` to `value`, creating it if needed.
     pub fn set(&mut self, name: impl Into<String>, value: u64) {
-        let id = self.counter(name);
-        self.store(id, value);
+        self.values.insert(name.into(), value);
     }
 
     /// Add `delta` to `name`, creating it at zero if needed.
     pub fn add(&mut self, name: impl Into<String>, delta: u64) {
-        let id = self.counter(name);
-        self.bump(id, delta);
+        *self.values.entry(name.into()).or_insert(0) += delta;
     }
 
     /// Current value of `name` (0 when absent).
     pub fn value(&self, name: &str) -> u64 {
-        match self.index.get(name) {
-            Some(&id) => self.values[id as usize],
-            None => 0,
-        }
+        self.values.get(name).copied().unwrap_or(0)
     }
 
-    /// Number of interned counters.
+    /// Number of counters.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.values.len()
     }
 
-    /// Whether no counters have been interned.
+    /// Whether no counters have been set.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.values.is_empty()
     }
 
-    /// A private arena sized for this registry's current counters, all
-    /// zero. Threads bump the arena through the same [`CounterId`]s and
-    /// the owner folds it back in with
-    /// [`MetricsRegistry::absorb_arena`] at a quiesce point.
-    pub fn arena(&self) -> CounterArena {
-        CounterArena {
-            values: vec![0; self.values.len()],
-        }
-    }
-
-    /// Adds an arena's accumulated deltas into this registry index-wise
-    /// and clears the arena for reuse. The arena must have been created
-    /// by [`MetricsRegistry::arena`] on this registry (counters interned
-    /// since then are fine — the arena simply has no slot for them).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arena has more slots than the registry has counters.
-    pub fn absorb_arena(&mut self, arena: &mut CounterArena) {
-        assert!(
-            arena.values.len() <= self.values.len(),
-            "arena from a different (larger) registry"
-        );
-        for (slot, delta) in self.values.iter_mut().zip(&mut arena.values) {
-            *slot += std::mem::take(delta);
-        }
-    }
-
-    /// Freeze the current state into an immutable snapshot. This is the
-    /// point where counter names are materialized (sorted) again.
+    /// Freeze the current state into an immutable snapshot.
     pub fn snapshot(&self) -> Snapshot {
+        self.clone().into_snapshot()
+    }
+
+    /// Freeze the registry into a snapshot without copying it.
+    pub fn into_snapshot(self) -> Snapshot {
         Snapshot {
-            values: self
-                .names
-                .iter()
-                .zip(&self.values)
-                .map(|(name, &value)| (name.clone(), value))
-                .collect(),
+            values: self.values,
         }
-    }
-}
-
-/// A thread-private accumulation buffer over a registry's interned
-/// counters: a bare `Vec<u64>` bumped through [`CounterId`]s with no
-/// locking, merged back into the owning [`MetricsRegistry`] at quiesce
-/// points. This is how the threaded SMP backend lets every hart count
-/// into shared (`hart.<i>.*`) counters without contending on the shared
-/// registry: counter addition is commutative, so absorbing per-hart
-/// arenas in any order reproduces the serial totals exactly.
-#[derive(Clone, Debug, Default)]
-pub struct CounterArena {
-    values: Vec<u64>,
-}
-
-impl CounterArena {
-    /// Add `delta` to the arena slot behind `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was interned after this arena was created.
-    #[inline]
-    pub fn bump(&mut self, id: CounterId, delta: u64) {
-        self.values[id.0 as usize] += delta;
-    }
-
-    /// Current accumulated value behind `id` (for tests/inspection).
-    #[inline]
-    pub fn get(&self, id: CounterId) -> u64 {
-        self.values[id.0 as usize]
-    }
-
-    /// Whether every slot is zero (nothing pending absorption).
-    pub fn is_clear(&self) -> bool {
-        self.values.iter().all(|&v| v == 0)
     }
 }
 
@@ -414,49 +317,6 @@ mod tests {
         assert_eq!(reg.value("machine.accesses"), 15);
         assert_eq!(reg.value("machine.walks"), 2);
         assert_eq!(reg.value("absent"), 0);
-    }
-
-    #[test]
-    fn interned_counters_bump_and_snapshot() {
-        let mut reg = MetricsRegistry::new();
-        let a = reg.counter("machine.walks");
-        let b = reg.counter("machine.cycles");
-        assert_eq!(reg.counter("machine.walks"), a, "interning is idempotent");
-        reg.bump(a, 3);
-        reg.bump(a, 4);
-        reg.store(b, 100);
-        assert_eq!(reg.get(a), 7);
-        assert_eq!(reg.value("machine.walks"), 7);
-        // The string API shares the same slot as the interned handle.
-        reg.add("machine.walks", 1);
-        assert_eq!(reg.get(a), 8);
-        let snap = reg.snapshot();
-        assert_eq!(snap.value("machine.walks"), 8);
-        assert_eq!(snap.value("machine.cycles"), 100);
-        assert_eq!(snap.len(), 2);
-    }
-
-    #[test]
-    fn arenas_absorb_index_wise_and_clear() {
-        let mut reg = MetricsRegistry::new();
-        let a = reg.counter("hart.0.shootdowns");
-        let b = reg.counter("hart.0.shootdown_cycles");
-        reg.bump(a, 2);
-        let mut arena0 = reg.arena();
-        let mut arena1 = reg.arena();
-        // A counter interned after arena creation must not shift slots.
-        let late = reg.counter("smp.late");
-        arena0.bump(a, 3);
-        arena0.bump(b, 100);
-        arena1.bump(a, 5);
-        reg.absorb_arena(&mut arena0);
-        reg.absorb_arena(&mut arena1);
-        assert_eq!(reg.get(a), 10);
-        assert_eq!(reg.get(b), 100);
-        assert_eq!(reg.get(late), 0);
-        assert!(arena0.is_clear() && arena1.is_clear());
-        reg.absorb_arena(&mut arena0); // absorbing a clear arena is a no-op
-        assert_eq!(reg.get(a), 10);
     }
 
     #[test]

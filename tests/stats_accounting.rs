@@ -216,6 +216,40 @@ fn snapshot_delta_isolates_a_measurement_phase() {
     assert!(delta.value("machine.cycles") > 0);
 }
 
+/// The `machine.latency.<class>.bucket.<lo>` names a snapshot carries.
+fn bucket_names(snap: &hpmp_suite::trace::Snapshot) -> Vec<String> {
+    snap.iter()
+        .filter(|(name, _)| name.starts_with("machine.latency.") && name.contains(".bucket."))
+        .map(|(name, _)| name.to_string())
+        .collect()
+}
+
+#[test]
+fn latency_buckets_stick_once_snapshotted_and_only_then() {
+    // Snapshotted, then reset: every bucket seen stays, as an explicit 0.
+    let mut sys = drive(IsolationScheme::Hpmp, NullSink, 16, 48);
+    let seen = bucket_names(&sys.machine.metrics_snapshot());
+    assert!(!seen.is_empty(), "the drive must fill some buckets");
+    sys.machine.reset_stats();
+    let after = sys.machine.metrics_snapshot();
+    assert_eq!(bucket_names(&after), seen);
+    for name in &seen {
+        assert_eq!(after.get(name), Some(0), "{name} after reset");
+    }
+    assert_eq!(after.get("machine.latency.read_walk.count"), Some(0));
+
+    // Recorded, then reset before any snapshot: the buckets never appear,
+    // while the per-class summaries do.
+    let mut sys = drive(IsolationScheme::Hpmp, NullSink, 16, 48);
+    sys.machine.reset_stats();
+    let snap = sys.machine.metrics_snapshot();
+    assert!(bucket_names(&snap).is_empty(), "{:?}", bucket_names(&snap));
+    for class in AccessClass::ALL {
+        let count = format!("machine.latency.{}.count", class.label());
+        assert_eq!(snap.get(&count), Some(0), "{count}");
+    }
+}
+
 #[test]
 fn latency_histogram_buckets_and_merge() {
     // Bucket 0 is the exact value 0; bucket k covers [2^(k-1), 2^k).
