@@ -58,21 +58,26 @@ fn physmem(c: &mut Criterion) {
     group.finish();
 }
 
+/// A resident RAM page's translation for ASID 1.
+fn tlb_entry(vpn: u64) -> TlbEntry {
+    TlbEntry {
+        asid: 1,
+        vpn,
+        frame: PhysAddr::new(RAM_BASE + vpn * PAGE_SIZE),
+        page_perms: Perms::RW,
+        isolation_perms: Perms::RWX,
+        user: false,
+        epoch: 0,
+    }
+}
+
 fn lookups(c: &mut Criterion) {
     let mut group = c.benchmark_group("lookup");
     group.sample_size(200);
 
     let mut tlb = Tlb::new(TlbConfig::default());
     for vpn in 0..32u64 {
-        tlb.fill(TlbEntry {
-            asid: 1,
-            vpn,
-            frame: PhysAddr::new(RAM_BASE + vpn * PAGE_SIZE),
-            page_perms: Perms::RW,
-            isolation_perms: Perms::RWX,
-            user: false,
-            epoch: 0,
-        });
+        tlb.fill(tlb_entry(vpn));
     }
     group.bench_function("tlb_hit", |b| {
         b.iter(|| {
@@ -82,6 +87,27 @@ fn lookups(c: &mut Criterion) {
                 hits += tlb.lookup(1, black_box(va)).is_some() as u64;
             }
             hits
+        })
+    });
+
+    // native-walk's shape: uniform pages over 64 times the L2, so nearly
+    // every lookup misses both levels and the refill evicts the L1's LRU.
+    let mut tlb = Tlb::new(TlbConfig::default());
+    let mut rng = SplitMix64::seed_from_u64(19);
+    group.bench_function("tlb_miss_fill", |b| {
+        b.iter(|| {
+            let mut misses = 0u64;
+            for _ in 0..OPS {
+                let vpn = rng.gen_range(0..65_536);
+                if tlb
+                    .lookup(1, black_box(VirtAddr::new(vpn * PAGE_SIZE)))
+                    .is_none()
+                {
+                    tlb.fill(tlb_entry(vpn));
+                    misses += 1;
+                }
+            }
+            misses
         })
     });
 
@@ -160,7 +186,11 @@ fn memsim(c: &mut Criterion) {
 /// What each monitor operation costs every hart it reaches: the TLB flush
 /// alone, and the whole `invalidate_isolation` (epoch bumps plus D-/I-TLB,
 /// PWC and PMPTW-Cache flushes). Both are O(1) in the TLB size: the L2 is
-/// emptied by moving its flush generation on, not by rewriting its slots.
+/// emptied by moving its flush generation on, not by rewriting its slots,
+/// and the L1 resets only the index buckets its entries use.
+/// `tlb_flush_all` fills two entries between flushes, about what an
+/// smp-churn hart accesses between monitor operations, so a flush whose
+/// cost grows with the TLB's size rather than its contents shows here.
 fn flushes(c: &mut Criterion) {
     let mut group = c.benchmark_group("flush");
     group.sample_size(200);
@@ -168,7 +198,9 @@ fn flushes(c: &mut Criterion) {
     let mut tlb = Tlb::new(TlbConfig::default());
     group.bench_function("tlb_flush_all", |b| {
         b.iter(|| {
-            for _ in 0..OPS {
+            for i in 0..OPS {
+                tlb.fill(tlb_entry(2 * i));
+                tlb.fill(tlb_entry(2 * i + 1));
                 black_box(&mut tlb).flush_all();
             }
             tlb.stats().flushes

@@ -5,7 +5,8 @@
 //! buffers. This binary installs a counting global allocator and asserts
 //! that, once the model caches are warm, thousands of `NullSink` accesses
 //! allocate exactly nothing: native and guest, TLB hits and walks, with
-//! and without the PMPTW-Cache, and on the fault paths.
+//! and without the PMPTW-Cache, on the fault paths, and between the fences
+//! that drop TLB entries.
 //!
 //! The count is thread-local, so tests running on parallel threads do not
 //! see each other's allocations.
@@ -142,6 +143,35 @@ fn native_hpmp_without_pmptw_cache_is_allocation_free() {
 fn native_pmp_table_is_allocation_free() {
     let mut sys = native(IsolationScheme::PmpTable, PmptwCacheConfig::DISABLED);
     native_sweep("native PMP Table", &mut sys);
+}
+
+/// Accesses interleaved with every fence that drops TLB entries: a page
+/// fence on the page just touched, an ASID fence, and the monitor's
+/// `invalidate_isolation` (epoch bump plus full flush). Removing entries
+/// from a live TLB and refilling it afterwards must not allocate.
+#[test]
+fn native_fences_are_allocation_free() {
+    let mut sys = native(IsolationScheme::Hpmp, PmptwCacheConfig::ENABLED_8);
+    let asid = sys.space.asid();
+    let mut rng = SplitMix64::seed_from_u64(13);
+    assert_alloc_free(
+        "native HPMP with fences",
+        &mut sys,
+        |sys, i| {
+            // Every walk refills the L1 TLB, so each fence finds it full.
+            let va = VirtAddr::new(NATIVE_VA + rng.gen_range(0..PAGES) * PAGE_SIZE);
+            sys.machine
+                .access(&sys.space, va, AccessKind::Read, PrivMode::Supervisor)
+                .expect("mapped pages are accessible");
+            match i % 64 {
+                7 | 23 | 39 | 55 => sys.machine.sfence_vma_page(asid, va),
+                31 => sys.machine.sfence_vma_asid(asid),
+                63 => sys.machine.invalidate_isolation(),
+                _ => {}
+            }
+        },
+        |sys| sys.machine.stats().walks,
+    );
 }
 
 fn guest_sweep(scheme: VirtScheme) {

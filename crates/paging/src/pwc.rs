@@ -102,15 +102,16 @@ impl WalkCache {
 
     /// Looks up the cached next-level table for the walk step that consumes
     /// the PTE at `level` for `va`. `level` is the level of the PTE being
-    /// skipped (root = `mode.root_level()`).
+    /// skipped (root = `mode.root_level()`). The mode does not enter the
+    /// tag: the ASID, `level` and the VA bits above it name the step.
     pub fn lookup(
         &mut self,
-        mode: crate::TranslationMode,
+        _mode: crate::TranslationMode,
         asid: u16,
         level: usize,
         va: VirtAddr,
     ) -> Option<PhysAddr> {
-        let key = Self::key(mode, asid, level, va);
+        let key = Self::key(asid, level, va);
         self.clock += 1;
         let clock = self.clock;
         match self.slots.iter_mut().find(|s| s.key == key) {
@@ -129,7 +130,7 @@ impl WalkCache {
     /// Records that the PTE at `level` for `va` points to `table`.
     pub fn insert(
         &mut self,
-        mode: crate::TranslationMode,
+        _mode: crate::TranslationMode,
         asid: u16,
         level: usize,
         va: VirtAddr,
@@ -138,7 +139,7 @@ impl WalkCache {
         if self.config.entries == 0 {
             return;
         }
-        let key = Self::key(mode, asid, level, va);
+        let key = Self::key(asid, level, va);
         self.clock += 1;
         let clock = self.clock;
         if let Some(slot) = self.slots.iter_mut().find(|s| s.key == key) {
@@ -183,10 +184,9 @@ impl WalkCache {
         self.stats = WalkCacheStats::default();
     }
 
-    fn key(mode: crate::TranslationMode, asid: u16, level: usize, va: VirtAddr) -> Key {
+    fn key(asid: u16, level: usize, va: VirtAddr) -> Key {
         // The prefix is every VPN field *above and including* `level`.
         let shift = PAGE_SHIFT as usize + 9 * level;
-        let _ = mode;
         Key {
             asid,
             level,

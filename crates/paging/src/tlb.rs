@@ -13,6 +13,11 @@
 //! moves the generation on instead of rewriting the array. Every monitor
 //! operation flushes every hart's D- and I-TLB, so this is the difference
 //! between a few counter bumps and thousands of slot writes per operation.
+//!
+//! The L1 finds, touches, fills and evicts in O(1) host time: a hashed tag
+//! index finds the slot and an intrusive recency list names the victim.
+//! Its replacement policy is exact LRU, the victim a scan for the oldest
+//! touch would pick.
 
 use hpmp_memsim::{Perms, PhysAddr, VirtAddr, PAGE_SHIFT};
 
@@ -115,10 +120,206 @@ impl Default for TlbConfig {
     }
 }
 
+/// Link value meaning "no slot".
+const NIL: u16 = u16::MAX;
+/// Bucket heads in the L1 tag index: twice the shipped 32-entry L1, so a
+/// probe meets about one tag. A power of two, and small enough that a
+/// bucket number fits the slot's `u8`.
+const L1_BUCKETS: usize = 64;
+const _: () = assert!(L1_BUCKETS.is_power_of_two() && L1_BUCKETS <= 256);
+
+/// One L1 slot with its links. A slot is on exactly one of two lists: the
+/// recency list and its hash bucket's chain while live, the free list
+/// (through `next`) once removed.
 #[derive(Clone, Copy, Debug)]
 struct L1Slot {
     entry: TlbEntry,
-    lru: u64,
+    /// Next slot in the same hash bucket.
+    chain: u16,
+    /// More recently used neighbour.
+    prev: u16,
+    /// Less recently used neighbour (next free slot while free).
+    next: u16,
+    /// The hash bucket of `entry`'s tag.
+    bucket: u8,
+}
+
+/// The fully-associative L1: slots in one `Vec` allocated once, a hashed
+/// tag index over them, and an intrusive recency list with the most
+/// recently used slot at `head` and the victim at `tail`.
+///
+/// Every touch moves a slot to the head, so the tail is always the least
+/// recently touched slot; removals unlink a slot and leave the order of
+/// the rest as it was.
+#[derive(Clone, Debug)]
+struct L1 {
+    capacity: usize,
+    slots: Vec<L1Slot>,
+    buckets: [u16; L1_BUCKETS],
+    head: u16,
+    tail: u16,
+    free: u16,
+}
+
+impl L1 {
+    fn new(capacity: usize) -> L1 {
+        assert!(capacity < NIL as usize, "L1 TLB slots are u16-linked");
+        L1 {
+            capacity,
+            slots: Vec::with_capacity(capacity),
+            buckets: [NIL; L1_BUCKETS],
+            head: NIL,
+            tail: NIL,
+            free: NIL,
+        }
+    }
+
+    /// Multiplicative (Fibonacci) hash of the tag onto a bucket.
+    fn bucket(asid: u16, vpn: u64) -> usize {
+        let key = vpn ^ (u64::from(asid) << 48);
+        (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - L1_BUCKETS.trailing_zeros())) as usize
+    }
+
+    /// The live slot holding `(asid, vpn)`, whatever its epoch; `bucket`
+    /// is the tag's [`L1::bucket`].
+    fn find(&self, bucket: usize, asid: u16, vpn: u64) -> Option<usize> {
+        let mut i = self.buckets[bucket];
+        while i != NIL {
+            let slot = &self.slots[i as usize];
+            if slot.entry.vpn == vpn && slot.entry.asid == asid {
+                return Some(i as usize);
+            }
+            i = slot.chain;
+        }
+        None
+    }
+
+    /// Makes slot `i` the most recently used.
+    fn touch(&mut self, i: usize) {
+        if self.head as usize != i {
+            self.unlink(i);
+            self.slots[i].prev = NIL;
+            self.slots[i].next = self.head;
+            self.link_head(i);
+        }
+    }
+
+    /// Installs `entry`: in place (and touched) if its tag is present,
+    /// otherwise in a fresh slot.
+    fn insert(&mut self, entry: TlbEntry) {
+        let bucket = Self::bucket(entry.asid, entry.vpn);
+        match self.find(bucket, entry.asid, entry.vpn) {
+            Some(i) => {
+                self.slots[i].entry = entry;
+                self.touch(i);
+            }
+            None => self.push(bucket, entry),
+        }
+    }
+
+    /// Installs `entry`, whose tag is absent and hashes to `bucket`, as
+    /// the most recently used slot: a free slot if there is one, else the
+    /// least recently used.
+    fn push(&mut self, bucket: usize, entry: TlbEntry) {
+        let i = if self.free != NIL {
+            let i = self.free as usize;
+            self.free = self.slots[i].next;
+            i
+        } else if self.slots.len() < self.capacity {
+            self.slots.len()
+        } else {
+            let victim = self.tail as usize;
+            self.unchain(victim);
+            self.unlink(victim);
+            victim
+        };
+        let slot = L1Slot {
+            entry,
+            chain: self.buckets[bucket],
+            prev: NIL,
+            next: self.head,
+            bucket: bucket as u8,
+        };
+        if i == self.slots.len() {
+            self.slots.push(slot);
+        } else {
+            self.slots[i] = slot;
+        }
+        self.buckets[bucket] = i as u16;
+        self.link_head(i);
+    }
+
+    /// Removes live slot `i` onto the free list, keeping the recency
+    /// order of the rest.
+    fn remove(&mut self, i: usize) {
+        self.unchain(i);
+        self.unlink(i);
+        self.slots[i].next = self.free;
+        self.free = i as u16;
+    }
+
+    /// Removes every live slot whose entry fails `keep`, in O(live slots)
+    /// and without allocating.
+    fn retain(&mut self, keep: impl Fn(&TlbEntry) -> bool) {
+        let mut i = self.head;
+        while i != NIL {
+            let next = self.slots[i as usize].next;
+            if !keep(&self.slots[i as usize].entry) {
+                self.remove(i as usize);
+            }
+            i = next;
+        }
+    }
+
+    /// Empties the L1 in O(slots in use): only the buckets those slots
+    /// hashed to are reset, never the whole index. (A free slot's bucket
+    /// may be reset too; everything is emptied anyway.)
+    fn clear(&mut self) {
+        for slot in &self.slots {
+            self.buckets[slot.bucket as usize] = NIL;
+        }
+        self.slots.clear();
+        self.head = NIL;
+        self.tail = NIL;
+        self.free = NIL;
+    }
+
+    /// Takes live slot `i` out of its bucket's chain.
+    fn unchain(&mut self, i: usize) {
+        let L1Slot { chain, bucket, .. } = self.slots[i];
+        let mut j = self.buckets[bucket as usize];
+        if j as usize == i {
+            self.buckets[bucket as usize] = chain;
+            return;
+        }
+        while self.slots[j as usize].chain as usize != i {
+            j = self.slots[j as usize].chain;
+        }
+        self.slots[j as usize].chain = chain;
+    }
+
+    /// Takes live slot `i` out of the recency list.
+    fn unlink(&mut self, i: usize) {
+        let L1Slot { prev, next, .. } = self.slots[i];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+    }
+
+    /// Makes slot `i`, whose `prev` (NIL) and `next` (the old head) are
+    /// already set, the head of the recency list.
+    fn link_head(&mut self, i: usize) {
+        match self.head {
+            NIL => self.tail = i as u16,
+            h => self.slots[h as usize].prev = i as u16,
+        }
+        self.head = i as u16;
+    }
 }
 
 /// One direct-mapped L2 slot. It holds `entry` only while `generation`
@@ -163,12 +364,11 @@ impl L2Slot {
 #[derive(Clone, Debug)]
 pub struct Tlb {
     config: TlbConfig,
-    l1: Vec<L1Slot>,
+    l1: L1,
     l2: Vec<L2Slot>,
     /// Flush generation, starting at 1: an L2 slot is live only while it
     /// carries this value.
     generation: u64,
-    clock: u64,
     epoch: u64,
     stats: TlbStats,
 }
@@ -178,7 +378,8 @@ impl Tlb {
     ///
     /// # Panics
     ///
-    /// Panics if `l2_entries` is not a power of two or either size is zero.
+    /// Panics if `l2_entries` is not a power of two, either size is zero, or
+    /// `l1_entries` does not fit the L1's 16-bit links.
     pub fn new(config: TlbConfig) -> Tlb {
         assert!(config.l1_entries > 0, "L1 TLB needs entries");
         assert!(
@@ -187,10 +388,9 @@ impl Tlb {
         );
         Tlb {
             config,
-            l1: Vec::with_capacity(config.l1_entries),
+            l1: L1::new(config.l1_entries),
             l2: vec![L2Slot::EMPTY; config.l2_entries],
             generation: 1,
-            clock: 0,
             epoch: 0,
             stats: TlbStats::default(),
         }
@@ -205,22 +405,18 @@ impl Tlb {
     /// Entries stamped with an older isolation epoch read as misses.
     pub fn lookup(&mut self, asid: u16, va: VirtAddr) -> Option<(TlbEntry, TlbHit)> {
         let vpn = va.page_number();
-        self.clock += 1;
-        let clock = self.clock;
         let epoch = self.epoch;
-        if let Some(slot) = self
-            .l1
-            .iter_mut()
-            .find(|s| s.entry.asid == asid && s.entry.vpn == vpn)
-        {
-            if slot.entry.epoch != epoch {
+        let bucket = L1::bucket(asid, vpn);
+        if let Some(i) = self.l1.find(bucket, asid, vpn) {
+            let entry = self.l1.slots[i].entry;
+            if entry.epoch != epoch {
                 self.stats.stale += 1;
                 self.stats.misses += 1;
                 return None;
             }
-            slot.lru = clock;
+            self.l1.touch(i);
             self.stats.l1_hits += 1;
-            return Some((slot.entry, TlbHit::L1));
+            return Some((entry, TlbHit::L1));
         }
         if let Some(entry) = self.l2_match(asid, vpn) {
             if entry.epoch != epoch {
@@ -229,7 +425,7 @@ impl Tlb {
                 return None;
             }
             self.stats.l2_hits += 1;
-            self.insert_l1(entry);
+            self.l1.push(bucket, entry);
             return Some((entry, TlbHit::L2));
         }
         self.stats.misses += 1;
@@ -248,7 +444,7 @@ impl Tlb {
             entry,
             generation: self.generation,
         };
-        self.insert_l1(entry);
+        self.l1.insert(entry);
     }
 
     /// Advances the isolation epoch: every current entry becomes unhittable
@@ -265,8 +461,10 @@ impl Tlb {
     }
 
     /// `sfence.vma` with no arguments / HPMP reconfiguration: drop
-    /// everything. O(1): the L1 is truncated and the flush generation moves
-    /// on, which empties every L2 slot at once.
+    /// everything. O(L1 slots in use), never O(L1 index size): the L1
+    /// resets only the buckets its slots hash to, and the flush generation
+    /// moves on, which empties every L2 slot at once.
+    #[inline]
     pub fn flush_all(&mut self) {
         self.l1.clear();
         self.generation += 1;
@@ -275,7 +473,7 @@ impl Tlb {
 
     /// `sfence.vma` with an ASID: drop entries belonging to `asid`.
     pub fn flush_asid(&mut self, asid: u16) {
-        self.l1.retain(|s| s.entry.asid != asid);
+        self.l1.retain(|e| e.asid != asid);
         let generation = self.generation;
         for slot in &mut self.l2 {
             if slot.generation == generation && slot.entry.asid == asid {
@@ -288,8 +486,9 @@ impl Tlb {
     /// `sfence.vma` with an address: drop the entry covering `va` in `asid`.
     pub fn flush_page(&mut self, asid: u16, va: VirtAddr) {
         let vpn = va.page_number();
-        self.l1
-            .retain(|s| !(s.entry.asid == asid && s.entry.vpn == vpn));
+        if let Some(i) = self.l1.find(L1::bucket(asid, vpn), asid, vpn) {
+            self.l1.remove(i);
+        }
         if self.l2_match(asid, vpn).is_some() {
             let idx = self.l2_index(vpn);
             self.l2[idx] = L2Slot::EMPTY;
@@ -305,33 +504,6 @@ impl Tlb {
     /// Clears counters without touching entries.
     pub fn reset_stats(&mut self) {
         self.stats = TlbStats::default();
-    }
-
-    fn insert_l1(&mut self, entry: TlbEntry) {
-        self.clock += 1;
-        if let Some(slot) = self
-            .l1
-            .iter_mut()
-            .find(|s| s.entry.asid == entry.asid && s.entry.vpn == entry.vpn)
-        {
-            slot.entry = entry;
-            slot.lru = self.clock;
-            return;
-        }
-        let slot = L1Slot {
-            entry,
-            lru: self.clock,
-        };
-        if self.l1.len() < self.config.l1_entries {
-            self.l1.push(slot);
-        } else {
-            let victim = self
-                .l1
-                .iter_mut()
-                .min_by_key(|s| s.lru)
-                .expect("L1 TLB is non-empty when full");
-            *victim = slot;
-        }
     }
 
     /// The live L2 entry for `(asid, vpn)`, whatever its epoch.

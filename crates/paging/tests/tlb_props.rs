@@ -6,7 +6,7 @@
 use hpmp_memsim::{FrameAllocator, Perms, PhysAddr, PhysMem, SplitMix64, VirtAddr, PAGE_SIZE};
 use hpmp_paging::{
     walk, AddressSpace, Tlb, TlbConfig, TlbEntry, TlbHit, TlbStats, TranslationMode, WalkCache,
-    WalkCacheConfig,
+    WalkCacheConfig, GSTAGE_VMID,
 };
 
 fn entry(asid: u16, vpn: u64) -> TlbEntry {
@@ -83,10 +83,12 @@ fn fills_are_faithful() {
     }
 }
 
-/// The TLB as a plain model: an L2 of `Option` slots that every flush
-/// rewrites in full. The real TLB empties its L2 by moving a generation
-/// on instead, and must be indistinguishable from this, outcome for
-/// outcome and counter for counter.
+/// The TLB as a plain model: an L1 that scans for its tags and for the
+/// oldest timestamp, and an L2 of `Option` slots that every flush rewrites
+/// in full. The real TLB indexes its L1 by hash, evicts the tail of a
+/// recency list, and empties its L2 by moving a generation on instead; it
+/// must be indistinguishable from this, outcome for outcome and counter
+/// for counter.
 struct RefTlb {
     l1_entries: usize,
     l1: Vec<(TlbEntry, u64)>,
@@ -197,6 +199,48 @@ impl RefTlb {
     }
 }
 
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    Lookup,
+    Fill,
+    FlushAll,
+    FlushAsid,
+    FlushPage,
+    AdvanceEpoch,
+}
+
+/// Applies `op` to the TLB and the model alike and requires the same
+/// lookup outcome and the same counters.
+fn apply(tlb: &mut Tlb, model: &mut RefTlb, op: Op, asid: u16, vpn: u64, step: usize) {
+    match op {
+        Op::Lookup => {
+            let got = tlb.lookup(asid, VirtAddr::new(vpn << 12));
+            assert_eq!(got, model.lookup(asid, vpn), "step {step}: lookup");
+        }
+        Op::Fill => {
+            tlb.fill(entry(asid, vpn));
+            model.fill(entry(asid, vpn));
+        }
+        Op::FlushAll => {
+            tlb.flush_all();
+            model.flush_all();
+        }
+        Op::FlushAsid => {
+            tlb.flush_asid(asid);
+            model.flush_asid(asid);
+        }
+        Op::FlushPage => {
+            tlb.flush_page(asid, VirtAddr::new(vpn << 12));
+            model.flush_page(asid, vpn);
+        }
+        Op::AdvanceEpoch => {
+            tlb.advance_epoch();
+            model.epoch += 1;
+        }
+    }
+    assert_eq!(tlb.stats(), model.stats, "step {step}: counters");
+}
+
 #[test]
 fn generation_flush_matches_the_rewriting_model() {
     let mut rng = SplitMix64::seed_from_u64(0x71b4);
@@ -213,34 +257,129 @@ fn generation_flush_matches_the_rewriting_model() {
         for step in 0..400 {
             let asid = rng.gen_range(0..3) as u16;
             let vpn = rng.gen_range(0..48);
-            match rng.gen_range(0..16) {
-                0..=5 => {
-                    let got = tlb.lookup(asid, VirtAddr::new(vpn << 12));
-                    assert_eq!(got, model.lookup(asid, vpn), "step {step}: lookup");
-                }
-                6..=10 => {
-                    tlb.fill(entry(asid, vpn));
-                    model.fill(entry(asid, vpn));
-                }
-                11 => {
-                    tlb.flush_all();
-                    model.flush_all();
-                }
-                12 => {
-                    tlb.flush_asid(asid);
-                    model.flush_asid(asid);
-                }
-                13 => {
-                    tlb.flush_page(asid, VirtAddr::new(vpn << 12));
-                    model.flush_page(asid, vpn);
-                }
-                _ => {
-                    tlb.advance_epoch();
-                    model.epoch += 1;
-                }
-            }
-            assert_eq!(tlb.stats(), model.stats, "step {step}: counters");
+            let op = match rng.gen_range(0..16) {
+                0..=5 => Op::Lookup,
+                6..=10 => Op::Fill,
+                11 => Op::FlushAll,
+                12 => Op::FlushAsid,
+                13 => Op::FlushPage,
+                _ => Op::AdvanceEpoch,
+            };
+            apply(&mut tlb, &mut model, op, asid, vpn, step);
         }
+    }
+}
+
+/// VPN high parts: zero, canonical Sv39 and Sv48 upper halves (sign
+/// extended to the 52-bit VPN), and two non-canonical patterns. Their low
+/// ten bits are zero, so a key's L2 slot comes from its low part alone.
+const HIGH_VPNS: [u64; 5] = [
+    0,
+    0xf_ffff_fc00_0000,
+    0xf_fff8_0000_0000,
+    0x8_0000_0000_0000,
+    0x0_4000_0400_0000,
+];
+
+/// ASIDs on both sides of the TLB's users: small process ASIDs, the
+/// largest 16-bit one, and the G-stage VMID every nested walk fills under.
+const ASIDS: [u16; 4] = [0, 1, u16::MAX - 1, GSTAGE_VMID];
+
+/// The shipped geometry (32/1024) and a 64-entry L1 against the model,
+/// over 160 tags with high and non-canonical VPN bits, far more than the
+/// L1's hash index has buckets, so many tags share one. Half the draws
+/// come from 16 hot tags, half from all 160, so L1 hits, L2 hits, in-place
+/// refills and LRU evictions all happen between the flushes.
+#[test]
+fn shipped_geometry_matches_the_rewriting_model() {
+    let mut rng = SplitMix64::seed_from_u64(0x71b5);
+    // A distinct low part per tag gives each its own L2 slot, so the L2
+    // catches L1 evictions.
+    let mut tags: Vec<(u16, u64)> = (0..160u64)
+        .map(|t| {
+            let high = HIGH_VPNS[t as usize % HIGH_VPNS.len()];
+            (ASIDS[t as usize / 40], high | ((t * 97) & 1023))
+        })
+        .collect();
+    for config in [
+        TlbConfig::default(),
+        TlbConfig {
+            l1_entries: 64,
+            ..TlbConfig::default()
+        },
+    ] {
+        for _ in 0..8 {
+            for i in (1..tags.len()).rev() {
+                tags.swap(i, rng.gen_range(0..i as u64 + 1) as usize);
+            }
+            let mut tlb = Tlb::new(config);
+            let mut model = RefTlb::new(config);
+            for step in 0..4000 {
+                let drawn_from = if rng.gen_range(0..2) == 0 { 16 } else { 160 };
+                let (asid, vpn) = tags[rng.gen_range(0..drawn_from) as usize];
+                // Rare enough flushes and epoch moves that a 64-entry L1
+                // fills up between them.
+                let op = match rng.gen_range(0..1024) {
+                    0..=511 => Op::Lookup,
+                    512..=1011 => Op::Fill,
+                    1012 => Op::FlushAll,
+                    1013..=1015 => Op::FlushAsid,
+                    1016..=1021 => Op::FlushPage,
+                    _ => Op::AdvanceEpoch,
+                };
+                apply(&mut tlb, &mut model, op, asid, vpn, step);
+            }
+            let s = model.stats;
+            assert!(
+                s.l1_hits > 0 && s.l2_hits > 0 && s.stale > 0 && s.misses > 0,
+                "every lookup outcome must occur: {s:?}"
+            );
+        }
+    }
+}
+
+/// Fills the shipped 32-entry L1, re-touches all but two of its keys (by
+/// lookup and by in-place refill, in an order of their own), then fills
+/// three more keys: the two untouched keys leave first, oldest first, then
+/// the least recently re-touched one.
+#[test]
+fn l1_evicts_the_least_recently_touched_key() {
+    let key = |i: u64| {
+        let asid = if i.is_multiple_of(2) { 1 } else { GSTAGE_VMID };
+        (asid, HIGH_VPNS[i as usize % HIGH_VPNS.len()] | (i * 3))
+    };
+    let mut tlb = Tlb::new(TlbConfig::default());
+    for i in 0..32 {
+        let (asid, vpn) = key(i);
+        tlb.fill(entry(asid, vpn));
+    }
+    let retouched: Vec<u64> = (0..32).rev().filter(|&i| i != 17 && i != 20).collect();
+    for (n, &i) in retouched.iter().enumerate() {
+        let (asid, vpn) = key(i);
+        if n % 2 == 0 {
+            let (_, hit) = tlb.lookup(asid, VirtAddr::new(vpn << 12)).unwrap();
+            assert_eq!(hit, TlbHit::L1, "key {i} is resident");
+        } else {
+            tlb.fill(entry(asid, vpn));
+        }
+    }
+    let mut resident: Vec<u64> = (0..32).collect();
+    for (new, expected) in [(32, 17), (33, 20), (34, retouched[0])] {
+        let (asid, vpn) = key(new);
+        tlb.fill(entry(asid, vpn));
+        // Probe each key on a copy, so the probes do not reorder the L1.
+        let left: Vec<u64> = resident
+            .iter()
+            .copied()
+            .filter(|&i| {
+                let (asid, vpn) = key(i);
+                let probe = tlb.clone().lookup(asid, VirtAddr::new(vpn << 12));
+                probe.map(|(_, hit)| hit) != Some(TlbHit::L1)
+            })
+            .collect();
+        assert_eq!(left, [expected], "filling key {new}");
+        resident.retain(|&i| i != expected);
+        resident.push(new);
     }
 }
 
