@@ -18,7 +18,7 @@ use hpmp_memsim::{
     AccessKind, MemSystem, MemSystemConfig, Perms, PhysAddr, PhysMem, PrivMode, SplitMix64,
     VirtAddr, PAGE_SIZE,
 };
-use hpmp_paging::{Tlb, TlbConfig, TlbEntry, TranslationMode, WalkCache, WalkCacheConfig};
+use hpmp_paging::{Tlb, TlbConfig, TlbEntry, WalkCache, WalkCacheConfig};
 use hpmp_trace::{walks_in_snapshot, MetricsRegistry};
 use std::hint::black_box;
 
@@ -114,24 +114,39 @@ fn lookups(c: &mut Criterion) {
     let mut pwc = WalkCache::new(WalkCacheConfig::default());
     for i in 0..8u64 {
         let va = VirtAddr::new(i << 30);
-        pwc.insert(
-            TranslationMode::Sv39,
-            1,
-            2,
-            va,
-            PhysAddr::new(RAM_BASE + i * PAGE_SIZE),
-        );
+        pwc.insert(1, 2, va, PhysAddr::new(RAM_BASE + i * PAGE_SIZE));
     }
     group.bench_function("pwc_hit", |b| {
         b.iter(|| {
             let mut hits = 0u64;
             for i in 0..OPS {
                 let va = VirtAddr::new((i % 8) << 30);
-                hits += pwc
-                    .lookup(TranslationMode::Sv39, 1, 2, black_box(va))
-                    .is_some() as u64;
+                hits += pwc.lookup(1, 2, black_box(va)).is_some() as u64;
             }
             hits
+        })
+    });
+
+    // native-walk's PWC shape: uniform pages over 256 MiB, probed deepest
+    // level first as the walker does. The level-1 probe (one entry per
+    // 2 MiB) mostly misses, the level-2 probe (1 GiB) hits, and refilling
+    // level 1 evicts the least recently used entry.
+    let mut pwc = WalkCache::new(WalkCacheConfig::default());
+    let mut rng = SplitMix64::seed_from_u64(20);
+    group.bench_function("pwc_miss_fill", |b| {
+        b.iter(|| {
+            let mut fills = 0u64;
+            for _ in 0..OPS {
+                let va = black_box(VirtAddr::new(rng.gen_range(0..65_536) * PAGE_SIZE));
+                let hit = (1..=2)
+                    .find(|&level| pwc.lookup(1, level, va).is_some())
+                    .unwrap_or(3);
+                for level in 1..hit {
+                    pwc.insert(1, level, va, PhysAddr::new(RAM_BASE));
+                    fills += 1;
+                }
+            }
+            fills
         })
     });
 

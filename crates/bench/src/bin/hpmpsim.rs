@@ -104,7 +104,7 @@ use hpmp_bench::run_ordered;
 use hpmp_core::PmptwCacheConfig;
 use hpmp_faults::{run_shard, CampaignReport, CampaignSpec};
 use hpmp_machine::{ExecBackend, Machine, MachineConfig};
-use hpmp_memsim::CoreKind;
+use hpmp_memsim::{CoreKind, LRU_MAX_ENTRIES};
 use hpmp_penglai::TeeFlavor;
 use hpmp_trace::{
     walks_in_snapshot, BenchReport, ExperimentRecord, HostProfiler, JsonlSink, NullSink, Snapshot,
@@ -222,8 +222,8 @@ fn parse_flag(
         },
         "--churn-ops" => options.churn_ops = Some(flag_value::<NonZeroU32>(arg, rest)?.get()),
         "--harts" => options.harts = flag_value::<NonZeroUsize>(arg, rest)?.get(),
-        "--pwc" => options.pwc = Some(flag_value(arg, rest)?),
-        "--pmptw-cache" => options.pmptw_cache = Some(flag_value(arg, rest)?),
+        "--pwc" => options.pwc = Some(cache_entries(arg, rest)?),
+        "--pmptw-cache" => options.pmptw_cache = Some(cache_entries(arg, rest)?),
         "--no-tlb-inlining" => options.tlb_inlining = false,
         "--encryption" => options.encryption = flag_value(arg, rest)?,
         "--epmp" => options.epmp = true,
@@ -234,6 +234,18 @@ fn parse_flag(
         other => return Err(format!("unknown argument {other}")),
     }
     Ok(())
+}
+
+/// Reads the entry count of a fully-associative cache for `flag`, refusing
+/// one larger than the store behind the cache can hold.
+fn cache_entries(flag: &str, rest: &mut impl Iterator<Item = String>) -> Result<usize, String> {
+    let entries = flag_value(flag, rest)?;
+    if entries > LRU_MAX_ENTRIES {
+        return Err(format!(
+            "bad value for {flag} '{entries}': at most {LRU_MAX_ENTRIES} entries"
+        ));
+    }
+    Ok(entries)
 }
 
 fn machine_config(options: &Options) -> MachineConfig {
@@ -719,7 +731,7 @@ fn run_workload<S: TraceSink>(
         "redis" => {
             let mut server = hpmp_workloads::redis::RedisServer::start_with_sink(
                 options.flavor,
-                options.core,
+                config,
                 hpmp_workloads::redis::DEFAULT_DATASET_PAGES,
                 sink,
             )
@@ -740,7 +752,7 @@ fn run_workload<S: TraceSink>(
             for kernel in hpmp_workloads::gap::GAP_KERNELS {
                 let (cycles, snap) = hpmp_workloads::gap::run_gap_with_sink(
                     options.flavor,
-                    options.core,
+                    config,
                     kernel,
                     &graph,
                     5_000,
@@ -758,7 +770,7 @@ fn run_workload<S: TraceSink>(
             for kernel in hpmp_workloads::rv8::RV8_KERNELS {
                 let (cycles, snap) = hpmp_workloads::rv8::run_rv8_with_sink(
                     options.flavor,
-                    options.core,
+                    config,
                     kernel,
                     &mut sink,
                 )
@@ -771,7 +783,7 @@ fn run_workload<S: TraceSink>(
         "lmbench" => {
             let mut ctx = hpmp_workloads::lmbench::LmbenchContext::new_with_sink(
                 options.flavor,
-                options.core,
+                config,
                 sink,
             )
             .expect("boot");
@@ -803,7 +815,7 @@ fn run_workload<S: TraceSink>(
         "tenancy" => {
             let (result, snap) = hpmp_workloads::multi_tenant::run_tenancy_with_sink(
                 options.flavor,
-                options.core,
+                config,
                 100,
                 2,
                 sink,

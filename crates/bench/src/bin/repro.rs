@@ -56,6 +56,7 @@ use hpmp_trace::{
     walks_in_snapshot, BenchReport, ExperimentRecord, HostProfiler, JsonlSink, NullSink, Snapshot,
     TraceSink,
 };
+use hpmp_workloads::fixture::config_for;
 use hpmp_workloads::latency::{
     figure_10_panel, measure_virt_with_sink, TestCase, VirtCase, VIRT_CASES,
 };
@@ -492,7 +493,8 @@ fn fig11<S: TraceSink>(sink: &mut S) -> Snapshot {
     for kernel in rv8::RV8_KERNELS {
         let mut run = |flavor| {
             let (cycles, snap) =
-                rv8::run_rv8_with_sink(flavor, CoreKind::Rocket, kernel, &mut *sink).expect("rv8");
+                rv8::run_rv8_with_sink(flavor, config_for(CoreKind::Rocket), kernel, &mut *sink)
+                    .expect("rv8");
             metrics = metrics.merge(&snap);
             cycles
         };
@@ -518,9 +520,15 @@ fn fig11<S: TraceSink>(sink: &mut S) -> Snapshot {
         );
         for kernel in gap::GAP_KERNELS {
             let mut run = |flavor| {
-                let (cycles, snap) =
-                    gap::run_gap_with_sink(flavor, core, kernel, &graph, budget, &mut *sink)
-                        .expect("gap");
+                let (cycles, snap) = gap::run_gap_with_sink(
+                    flavor,
+                    config_for(core),
+                    kernel,
+                    &graph,
+                    budget,
+                    &mut *sink,
+                )
+                .expect("gap");
                 metrics = metrics.merge(&snap);
                 cycles
             };
@@ -599,7 +607,7 @@ fn fig12de<S: TraceSink>(sink: &mut S) -> Snapshot {
         );
         let mut pmp_srv = redis::RedisServer::start_with_sink(
             TeeFlavor::PenglaiPmp,
-            core,
+            config_for(core),
             redis::DEFAULT_DATASET_PAGES,
             &mut *sink,
         )
@@ -1106,7 +1114,8 @@ fn tenancy<S: TraceSink>(sink: &mut S) -> Snapshot {
         TeeFlavor::PenglaiHpmp,
     ] {
         let (out, snap) =
-            run_tenancy_with_sink(flavor, CoreKind::Rocket, 100, 2, &mut *sink).expect("tenancy");
+            run_tenancy_with_sink(flavor, config_for(CoreKind::Rocket), 100, 2, &mut *sink)
+                .expect("tenancy");
         metrics = metrics.merge(&snap);
         r.row(&[
             flavor.to_string(),

@@ -2,7 +2,8 @@
 //! appear in its `--help` output, and unknown flags/experiments must be
 //! rejected loudly (exit 2) instead of being silently swallowed — the
 //! failure mode that let the usage text rot behind the parsers in the
-//! first place.
+//! first place. An accepted machine flag must also take effect on every
+//! workload, not only in the header line.
 
 use std::process::Command;
 
@@ -229,6 +230,9 @@ fn hpmpsim_rejects_malformed_numeric_values() {
         ("--pwc", "abc"),
         ("--pmptw-cache", "abc"),
         ("--encryption", "xyz"),
+        // Parse as numbers, but no cache can hold that many entries.
+        ("--pwc", "18446744073709551615"),
+        ("--pmptw-cache", "65535"),
     ] {
         let (code, err) = run(env!("CARGO_BIN_EXE_hpmpsim"), &[flag, value]);
         assert_eq!(code, 2, "{flag} {value}: {err}");
@@ -296,4 +300,45 @@ fn repro_rejects_unknown_experiments() {
     let (code, err) = run(env!("CARGO_BIN_EXE_repro"), &["fig99"]);
     assert_eq!(code, 2);
     assert!(err.contains("fig99"), "{err}");
+}
+
+/// The total cycles `hpmpsim --workload <workload> <flags>` reports.
+fn hpmpsim_cycles(workload: &str, flags: &[&str]) -> u64 {
+    let output = Command::new(env!("CARGO_BIN_EXE_hpmpsim"))
+        .args(["--workload", workload])
+        .args(flags)
+        .output()
+        .expect("spawn hpmpsim");
+    assert!(output.status.success(), "{workload} {flags:?}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    stdout
+        .lines()
+        .find_map(|line| line.trim().strip_prefix("total cycles :"))
+        .and_then(|cycles| cycles.trim().parse().ok())
+        .unwrap_or_else(|| panic!("{workload}: no total cycles in {stdout}"))
+}
+
+/// Every workload runs on the machine the flags describe, not on its
+/// core's default machine. Memory encryption slows each workload whose
+/// accesses reach DRAM. Tenancy charges its requests a fixed latency and
+/// never reaches DRAM, so its flag is `--epmp`, which moves its PMP entry
+/// wall.
+#[test]
+fn hpmpsim_machine_flags_reach_every_workload() {
+    let encryption: &[&str] = &["--encryption", "40"];
+    for (workload, flags) in [
+        ("serverless", encryption),
+        ("redis", encryption),
+        ("gap", encryption),
+        ("rv8", encryption),
+        ("lmbench", encryption),
+        ("virtapp", encryption),
+        ("tenancy", &["--epmp"]),
+    ] {
+        assert_ne!(
+            hpmpsim_cycles(workload, &[]),
+            hpmpsim_cycles(workload, flags),
+            "{workload}: {flags:?} changed nothing"
+        );
+    }
 }

@@ -1,10 +1,12 @@
 //! PMPTW-Cache: a dedicated walk cache for PMP Table entries (§8.9).
 //!
 //! The paper adds an 8-entry, fully-associative cache (same replacement rule
-//! as the page-walk cache) in front of the PMP Table walker. We cache both
-//! root pmptes (keyed by the 32 MiB slice) and leaf pmptes (keyed by the
-//! 64 KiB span), so a hit on the leaf key answers the check with zero memory
-//! references and a hit on only the root key costs one.
+//! as the page-walk cache) in front of the PMP Table walker. Here it is the
+//! very store the PWC uses, an exact-LRU [`LruMap`]. We cache both root
+//! pmptes (keyed by the 32 MiB slice) and leaf pmptes (keyed by the 64 KiB
+//! span), so a hit on the leaf key answers the check with zero memory
+//! references and a hit on only the root key costs one. An entry keeps the
+//! pmpte's raw bits, decoded again on a hit.
 //!
 //! The cache is *disabled by default* (entries = 0), matching the paper's
 //! methodology ("We disable PMPTW-Cache by default, and will analyze the
@@ -16,7 +18,7 @@
 //! surviving a suppressed invalidation can never satisfy a lookup: a stale
 //! stamp reads as a miss and forces a fresh walk.
 
-use hpmp_memsim::Perms;
+use hpmp_memsim::{LruEntry, LruMap, Perms};
 
 use crate::table::{LeafPmpte, RootPmpte};
 
@@ -62,26 +64,34 @@ impl hpmp_trace::Counters for PmptwCacheStats {
     }
 }
 
+/// What a cached pmpte covers: a root pmpte's 32 MiB slice or a leaf
+/// pmpte's 64 KiB span, each under one HPMP entry index.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum CachedEntry {
-    Root {
-        entry_idx: usize,
-        slice: u64,
-        pmpte: RootPmpte,
-    },
-    Leaf {
-        entry_idx: usize,
-        span: u64,
-        pmpte: LeafPmpte,
-    },
+enum Key {
+    Root(usize, u64),
+    Leaf(usize, u64),
 }
 
+/// One cached pmpte, with the isolation epoch current at insert time;
+/// entries from older epochs never hit.
 #[derive(Clone, Copy, Debug)]
-struct Slot {
-    entry: CachedEntry,
-    lru: u64,
-    /// Isolation epoch at insert time; entries from older epochs never hit.
+struct Cached {
+    key: Key,
+    bits: u64,
     epoch: u64,
+}
+
+impl LruEntry for Cached {
+    type Key = Key;
+
+    fn key(&self) -> Key {
+        self.key
+    }
+
+    fn mix(key: Key) -> u64 {
+        let (Key::Root(entry_idx, at) | Key::Leaf(entry_idx, at)) = key;
+        at ^ ((entry_idx as u64) << 40)
+    }
 }
 
 /// The PMPTW-Cache.
@@ -91,19 +101,21 @@ struct Slot {
 #[derive(Clone, Debug)]
 pub struct PmptwCache {
     config: PmptwCacheConfig,
-    slots: Vec<Slot>,
-    clock: u64,
+    slots: LruMap<Cached>,
     epoch: u64,
     stats: PmptwCacheStats,
 }
 
 impl PmptwCache {
     /// Builds a cache; `PmptwCacheConfig::DISABLED` yields a no-op cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entries` exceeds [`hpmp_memsim::LRU_MAX_ENTRIES`].
     pub fn new(config: PmptwCacheConfig) -> PmptwCache {
         PmptwCache {
             config,
-            slots: Vec::with_capacity(config.entries),
-            clock: 0,
+            slots: LruMap::new(config.entries),
             epoch: 0,
             stats: PmptwCacheStats::default(),
         }
@@ -127,47 +139,16 @@ impl PmptwCache {
     /// Looks up the leaf pmpte covering `offset` (region-relative) for HPMP
     /// entry `entry_idx`. Returns the per-page permission on a hit.
     pub fn lookup_leaf(&mut self, entry_idx: usize, offset: u64) -> Option<Perms> {
-        let span = offset >> 16;
-        let page_index = ((offset >> 12) & 0xf) as usize;
-        self.clock += 1;
-        let clock = self.clock;
-        let epoch = self.epoch;
-        let slot = self.slots.iter_mut().find(|s| {
-            matches!(s.entry,
-                CachedEntry::Leaf { entry_idx: e, span: sp, .. } if e == entry_idx && sp == span)
-        })?;
-        if slot.epoch != epoch {
-            self.stats.stale += 1;
-            return None;
-        }
-        slot.lru = clock;
-        let CachedEntry::Leaf { pmpte, .. } = slot.entry else {
-            unreachable!()
-        };
+        let bits = self.lookup(Key::Leaf(entry_idx, offset >> 16))?;
         self.stats.leaf_hits += 1;
-        Some(pmpte.perm(page_index))
+        Some(LeafPmpte::from_bits(bits).perm(((offset >> 12) & 0xf) as usize))
     }
 
     /// Looks up the root pmpte covering `offset` for HPMP entry `entry_idx`.
     pub fn lookup_root(&mut self, entry_idx: usize, offset: u64) -> Option<RootPmpte> {
-        let slice = offset >> 25;
-        self.clock += 1;
-        let clock = self.clock;
-        let epoch = self.epoch;
-        let slot = self.slots.iter_mut().find(|s| {
-            matches!(s.entry,
-                CachedEntry::Root { entry_idx: e, slice: sl, .. } if e == entry_idx && sl == slice)
-        })?;
-        if slot.epoch != epoch {
-            self.stats.stale += 1;
-            return None;
-        }
-        slot.lru = clock;
-        let CachedEntry::Root { pmpte, .. } = slot.entry else {
-            unreachable!()
-        };
+        let bits = self.lookup(Key::Root(entry_idx, offset >> 25))?;
         self.stats.root_hits += 1;
-        Some(pmpte)
+        Some(RootPmpte::from_bits(bits))
     }
 
     /// Records a full miss (for the hit-rate statistics).
@@ -177,23 +158,16 @@ impl PmptwCache {
 
     /// Caches a root pmpte read from memory.
     pub fn insert_root(&mut self, entry_idx: usize, offset: u64, pmpte: RootPmpte) {
-        self.insert(CachedEntry::Root {
-            entry_idx,
-            slice: offset >> 25,
-            pmpte,
-        });
+        self.insert(Key::Root(entry_idx, offset >> 25), pmpte.to_bits());
     }
 
     /// Caches a leaf pmpte read from memory.
     pub fn insert_leaf(&mut self, entry_idx: usize, offset: u64, pmpte: LeafPmpte) {
-        self.insert(CachedEntry::Leaf {
-            entry_idx,
-            span: offset >> 16,
-            pmpte,
-        });
+        self.insert(Key::Leaf(entry_idx, offset >> 16), pmpte.to_bits());
     }
 
     /// Drops everything (on any PMP-Table or HPMP-register update).
+    #[inline]
     pub fn flush_all(&mut self) {
         self.slots.clear();
     }
@@ -221,62 +195,26 @@ impl PmptwCache {
         self.stats = PmptwCacheStats::default();
     }
 
-    fn insert(&mut self, entry: CachedEntry) {
-        if self.config.entries == 0 {
-            return;
+    /// The bits cached under `key`, touched, if they are from the current
+    /// epoch; a stale match counts `stale` and is left untouched.
+    fn lookup(&mut self, key: Key) -> Option<u64> {
+        let (i, cached) = self.slots.find(key)?;
+        if cached.epoch != self.epoch {
+            self.stats.stale += 1;
+            return None;
         }
-        self.clock += 1;
-        let clock = self.clock;
-        // Replace an existing slot with the same key if present.
-        let same_key = |e: &CachedEntry| match (*e, entry) {
-            (
-                CachedEntry::Root {
-                    entry_idx: a,
-                    slice: b,
-                    ..
-                },
-                CachedEntry::Root {
-                    entry_idx: c,
-                    slice: d,
-                    ..
-                },
-            ) => a == c && b == d,
-            (
-                CachedEntry::Leaf {
-                    entry_idx: a,
-                    span: b,
-                    ..
-                },
-                CachedEntry::Leaf {
-                    entry_idx: c,
-                    span: d,
-                    ..
-                },
-            ) => a == c && b == d,
-            _ => false,
-        };
-        let epoch = self.epoch;
-        if let Some(slot) = self.slots.iter_mut().find(|s| same_key(&s.entry)) {
-            slot.entry = entry;
-            slot.lru = clock;
-            slot.epoch = epoch;
-            return;
-        }
-        let slot = Slot {
-            entry,
-            lru: clock,
-            epoch,
-        };
-        if self.slots.len() < self.config.entries {
-            self.slots.push(slot);
-        } else {
-            let victim = self
-                .slots
-                .iter_mut()
-                .min_by_key(|s| s.lru)
-                .expect("non-empty when full");
-            *victim = slot;
-        }
+        self.slots.touch(i);
+        Some(cached.bits)
+    }
+
+    /// Caches `bits` under `key` in the current epoch, replacing any entry
+    /// with the same key.
+    fn insert(&mut self, key: Key, bits: u64) {
+        self.slots.insert(Cached {
+            key,
+            bits,
+            epoch: self.epoch,
+        });
     }
 }
 

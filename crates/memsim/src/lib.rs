@@ -2,7 +2,8 @@
 //!
 //! The memory-system substrate for the HPMP (MICRO '23) reproduction: address
 //! and permission primitives, a sparse physical-memory backing store, a
-//! set-associative cache hierarchy, an open-row DRAM timing model, and core
+//! set-associative cache hierarchy, an open-row DRAM timing model, the
+//! fully-associative LRU store behind the TLB and walk caches, and core
 //! timing parameters for the two SoCs the paper evaluates (RocketCore and
 //! BOOM, per its Table 1).
 //!
@@ -31,6 +32,7 @@ mod dram;
 mod hash;
 mod hierarchy;
 mod inline;
+mod lru;
 mod perm;
 mod physmem;
 mod rng;
@@ -43,6 +45,7 @@ pub use dram::{Dram, DramConfig, DramStats};
 pub use hash::Fnv1a;
 pub use hierarchy::{HitLevel, MemAccessOutcome, MemSystem, MemSystemConfig, MemSystemStats};
 pub use inline::InlineVec;
+pub use lru::{LruEntry, LruMap, LRU_MAX_ENTRIES};
 pub use perm::{AccessKind, Perms, PrivMode};
 pub use physmem::{FrameAllocator, PhysMem};
 pub use rng::SplitMix64;

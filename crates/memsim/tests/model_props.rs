@@ -1,11 +1,11 @@
-//! Randomised tests: the cache and DRAM models against simple reference
-//! implementations, driven by the in-repo [`SplitMix64`] PRNG with fixed
+//! Randomised tests: the cache and DRAM models and the fully-associative
+//! LRU store against simple reference implementations, driven by the in-repo [`SplitMix64`] PRNG with fixed
 //! seeds (deterministic and reproducible; one historical proptest shrink is
 //! kept as an explicit regression case).
 
 use hpmp_memsim::{
-    Cache, CacheConfig, CacheStats, Dram, DramConfig, HitLevel, MemAccessOutcome, MemSystem,
-    MemSystemConfig, PhysAddr, SplitMix64,
+    Cache, CacheConfig, CacheStats, Dram, DramConfig, HitLevel, LruEntry, LruMap, MemAccessOutcome,
+    MemSystem, MemSystemConfig, PhysAddr, SplitMix64, LRU_MAX_ENTRIES,
 };
 use std::collections::VecDeque;
 
@@ -326,4 +326,157 @@ fn dram_row_behaviour() {
         assert_eq!(stats.row_hits + stats.row_misses, total);
         assert!(stats.row_hits >= rows.len() as u64);
     }
+}
+
+/// An [`LruMap`] test entry: `key` names it and `value` tells two inserts
+/// of one key apart. Its mix keeps only the key's low bit, so every key
+/// lands in one of two index buckets and the hash chains grow long.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Item {
+    key: u64,
+    value: u64,
+}
+
+impl LruEntry for Item {
+    type Key = u64;
+
+    fn key(&self) -> u64 {
+        self.key
+    }
+
+    fn mix(key: u64) -> u64 {
+        key & 1
+    }
+}
+
+/// The LRU store as a deque: most recently used at the front, the victim
+/// at the back.
+struct RefLru {
+    capacity: usize,
+    items: VecDeque<Item>,
+}
+
+impl RefLru {
+    fn position(&self, key: u64) -> Option<usize> {
+        self.items.iter().position(|item| item.key == key)
+    }
+
+    fn touch(&mut self, key: u64) {
+        if let Some(pos) = self.position(key) {
+            let item = self.items.remove(pos).unwrap();
+            self.items.push_front(item);
+        }
+    }
+
+    fn insert(&mut self, item: Item) {
+        if self.capacity == 0 {
+            return;
+        }
+        if let Some(pos) = self.position(item.key) {
+            self.items.remove(pos);
+        } else if self.items.len() == self.capacity {
+            self.items.pop_back();
+        }
+        self.items.push_front(item);
+    }
+}
+
+/// Seeded find/touch/insert/remove/retain/clear sequences against the
+/// deque, at capacities 0, 1, 2, 8, 32 and 64. After every step the store
+/// must hold the same entries in the same recency order, so every victim
+/// matches too, and `find` must agree for a random key.
+#[test]
+fn lru_map_matches_reference_deque() {
+    let mut rng = SplitMix64::seed_from_u64(0x1a0);
+    for capacity in [0usize, 1, 2, 8, 32, 64] {
+        for round in 0..4 {
+            let mut map = LruMap::new(capacity);
+            let mut reference = RefLru {
+                capacity,
+                items: VecDeque::new(),
+            };
+            // Twice the capacity plus a few keys: hits and evictions both
+            // happen, and more so in the later rounds' narrower key sets.
+            let keys = (2 * capacity as u64 + 3) >> (round % 2);
+            for step in 0..2_000 {
+                let key = rng.gen_range(0..keys.max(1));
+                match rng.gen_range(0..100) {
+                    0..=29 => {
+                        if let Some((i, _)) = map.find(key) {
+                            map.touch(i);
+                        }
+                        reference.touch(key);
+                    }
+                    30..=79 => {
+                        let item = Item {
+                            key,
+                            value: rng.next_u64(),
+                        };
+                        map.insert(item);
+                        reference.insert(item);
+                    }
+                    80..=93 => {
+                        if let Some((i, _)) = map.find(key) {
+                            map.remove(i);
+                        }
+                        reference.items.retain(|item| item.key != key);
+                    }
+                    94..=98 => {
+                        let modulus = rng.gen_range(2..5);
+                        map.retain(|item| item.key % modulus != 0);
+                        reference.items.retain(|item| item.key % modulus != 0);
+                    }
+                    _ => {
+                        map.clear();
+                        reference.items.clear();
+                    }
+                }
+                let got: Vec<Item> = map.iter().copied().collect();
+                assert!(
+                    got.iter().eq(reference.items.iter()),
+                    "capacity {capacity} step {step}: {got:?} vs {:?}",
+                    reference.items
+                );
+                let probe = rng.gen_range(0..keys.max(1));
+                assert_eq!(
+                    map.find(probe).map(|(_, item)| item),
+                    reference.position(probe).map(|pos| reference.items[pos]),
+                    "capacity {capacity} step {step}: find {probe}"
+                );
+            }
+        }
+    }
+}
+
+/// An entry whose mix is its whole key, so a full store spreads over
+/// every index bucket.
+#[derive(Clone, Copy, Debug)]
+struct Spread(u64);
+
+impl LruEntry for Spread {
+    type Key = u64;
+
+    fn key(&self) -> u64 {
+        self.0
+    }
+
+    fn mix(key: u64) -> u64 {
+        key
+    }
+}
+
+/// The largest capacity the 16-bit links allow fills up and evicts in
+/// order; one more panics in the constructor rather than corrupting a
+/// link later.
+#[test]
+fn lru_map_capacity_bound() {
+    let mut map = LruMap::new(LRU_MAX_ENTRIES);
+    for key in 0..LRU_MAX_ENTRIES as u64 + 2 {
+        map.insert(Spread(key));
+    }
+    assert!(map.find(0).is_none() && map.find(1).is_none());
+    assert_eq!(map.iter().count(), LRU_MAX_ENTRIES);
+    assert_eq!(map.iter().last().map(|s| s.0), Some(2), "the next victim");
+    let too_big = std::panic::catch_unwind(|| LruMap::<Spread>::new(LRU_MAX_ENTRIES + 1));
+    assert!(too_big.is_err());
 }

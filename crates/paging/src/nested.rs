@@ -354,7 +354,7 @@ pub fn nested_walk(
     let mut table_gpa = GuestPhysAddr::new(guest.root().raw());
     let mut level = mode.root_level();
     for probe in 1..=mode.root_level() {
-        if let Some(cached) = gpwc.lookup(mode, asid, probe, gva) {
+        if let Some(cached) = gpwc.lookup(asid, probe, gva) {
             table_gpa = GuestPhysAddr::new(cached.raw());
             level = probe - 1;
             break;
@@ -401,7 +401,7 @@ pub fn nested_walk(
                 translation: None,
             };
         }
-        gpwc.insert(mode, asid, level, gva, pte.target());
+        gpwc.insert(asid, level, gva, pte.target());
         table_gpa = GuestPhysAddr::new(pte.target().raw());
         level -= 1;
     }

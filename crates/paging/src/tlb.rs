@@ -14,12 +14,10 @@
 //! operation flushes every hart's D- and I-TLB, so this is the difference
 //! between a few counter bumps and thousands of slot writes per operation.
 //!
-//! The L1 finds, touches, fills and evicts in O(1) host time: a hashed tag
-//! index finds the slot and an intrusive recency list names the victim.
-//! Its replacement policy is exact LRU, the victim a scan for the oldest
-//! touch would pick.
+//! The L1 is an [`LruMap`]: it finds, touches, fills and evicts in O(1)
+//! host time, and its replacement policy is exact LRU.
 
-use hpmp_memsim::{Perms, PhysAddr, VirtAddr, PAGE_SHIFT};
+use hpmp_memsim::{LruEntry, LruMap, Perms, PhysAddr, VirtAddr, PAGE_SHIFT};
 
 /// One cached translation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,6 +39,18 @@ pub struct TlbEntry {
     /// as misses, so a dropped invalidation degrades to a re-walk rather
     /// than a stale grant.
     pub epoch: u64,
+}
+
+impl LruEntry for TlbEntry {
+    type Key = (u16, u64);
+
+    fn key(&self) -> (u16, u64) {
+        (self.asid, self.vpn)
+    }
+
+    fn mix((asid, vpn): (u16, u64)) -> u64 {
+        vpn ^ (u64::from(asid) << 48)
+    }
 }
 
 /// Where a TLB lookup hit.
@@ -120,208 +130,6 @@ impl Default for TlbConfig {
     }
 }
 
-/// Link value meaning "no slot".
-const NIL: u16 = u16::MAX;
-/// Bucket heads in the L1 tag index: twice the shipped 32-entry L1, so a
-/// probe meets about one tag. A power of two, and small enough that a
-/// bucket number fits the slot's `u8`.
-const L1_BUCKETS: usize = 64;
-const _: () = assert!(L1_BUCKETS.is_power_of_two() && L1_BUCKETS <= 256);
-
-/// One L1 slot with its links. A slot is on exactly one of two lists: the
-/// recency list and its hash bucket's chain while live, the free list
-/// (through `next`) once removed.
-#[derive(Clone, Copy, Debug)]
-struct L1Slot {
-    entry: TlbEntry,
-    /// Next slot in the same hash bucket.
-    chain: u16,
-    /// More recently used neighbour.
-    prev: u16,
-    /// Less recently used neighbour (next free slot while free).
-    next: u16,
-    /// The hash bucket of `entry`'s tag.
-    bucket: u8,
-}
-
-/// The fully-associative L1: slots in one `Vec` allocated once, a hashed
-/// tag index over them, and an intrusive recency list with the most
-/// recently used slot at `head` and the victim at `tail`.
-///
-/// Every touch moves a slot to the head, so the tail is always the least
-/// recently touched slot; removals unlink a slot and leave the order of
-/// the rest as it was.
-#[derive(Clone, Debug)]
-struct L1 {
-    capacity: usize,
-    slots: Vec<L1Slot>,
-    buckets: [u16; L1_BUCKETS],
-    head: u16,
-    tail: u16,
-    free: u16,
-}
-
-impl L1 {
-    fn new(capacity: usize) -> L1 {
-        assert!(capacity < NIL as usize, "L1 TLB slots are u16-linked");
-        L1 {
-            capacity,
-            slots: Vec::with_capacity(capacity),
-            buckets: [NIL; L1_BUCKETS],
-            head: NIL,
-            tail: NIL,
-            free: NIL,
-        }
-    }
-
-    /// Multiplicative (Fibonacci) hash of the tag onto a bucket.
-    fn bucket(asid: u16, vpn: u64) -> usize {
-        let key = vpn ^ (u64::from(asid) << 48);
-        (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - L1_BUCKETS.trailing_zeros())) as usize
-    }
-
-    /// The live slot holding `(asid, vpn)`, whatever its epoch; `bucket`
-    /// is the tag's [`L1::bucket`].
-    fn find(&self, bucket: usize, asid: u16, vpn: u64) -> Option<usize> {
-        let mut i = self.buckets[bucket];
-        while i != NIL {
-            let slot = &self.slots[i as usize];
-            if slot.entry.vpn == vpn && slot.entry.asid == asid {
-                return Some(i as usize);
-            }
-            i = slot.chain;
-        }
-        None
-    }
-
-    /// Makes slot `i` the most recently used.
-    fn touch(&mut self, i: usize) {
-        if self.head as usize != i {
-            self.unlink(i);
-            self.slots[i].prev = NIL;
-            self.slots[i].next = self.head;
-            self.link_head(i);
-        }
-    }
-
-    /// Installs `entry`: in place (and touched) if its tag is present,
-    /// otherwise in a fresh slot.
-    fn insert(&mut self, entry: TlbEntry) {
-        let bucket = Self::bucket(entry.asid, entry.vpn);
-        match self.find(bucket, entry.asid, entry.vpn) {
-            Some(i) => {
-                self.slots[i].entry = entry;
-                self.touch(i);
-            }
-            None => self.push(bucket, entry),
-        }
-    }
-
-    /// Installs `entry`, whose tag is absent and hashes to `bucket`, as
-    /// the most recently used slot: a free slot if there is one, else the
-    /// least recently used.
-    fn push(&mut self, bucket: usize, entry: TlbEntry) {
-        let i = if self.free != NIL {
-            let i = self.free as usize;
-            self.free = self.slots[i].next;
-            i
-        } else if self.slots.len() < self.capacity {
-            self.slots.len()
-        } else {
-            let victim = self.tail as usize;
-            self.unchain(victim);
-            self.unlink(victim);
-            victim
-        };
-        let slot = L1Slot {
-            entry,
-            chain: self.buckets[bucket],
-            prev: NIL,
-            next: self.head,
-            bucket: bucket as u8,
-        };
-        if i == self.slots.len() {
-            self.slots.push(slot);
-        } else {
-            self.slots[i] = slot;
-        }
-        self.buckets[bucket] = i as u16;
-        self.link_head(i);
-    }
-
-    /// Removes live slot `i` onto the free list, keeping the recency
-    /// order of the rest.
-    fn remove(&mut self, i: usize) {
-        self.unchain(i);
-        self.unlink(i);
-        self.slots[i].next = self.free;
-        self.free = i as u16;
-    }
-
-    /// Removes every live slot whose entry fails `keep`, in O(live slots)
-    /// and without allocating.
-    fn retain(&mut self, keep: impl Fn(&TlbEntry) -> bool) {
-        let mut i = self.head;
-        while i != NIL {
-            let next = self.slots[i as usize].next;
-            if !keep(&self.slots[i as usize].entry) {
-                self.remove(i as usize);
-            }
-            i = next;
-        }
-    }
-
-    /// Empties the L1 in O(slots in use): only the buckets those slots
-    /// hashed to are reset, never the whole index. (A free slot's bucket
-    /// may be reset too; everything is emptied anyway.)
-    fn clear(&mut self) {
-        for slot in &self.slots {
-            self.buckets[slot.bucket as usize] = NIL;
-        }
-        self.slots.clear();
-        self.head = NIL;
-        self.tail = NIL;
-        self.free = NIL;
-    }
-
-    /// Takes live slot `i` out of its bucket's chain.
-    fn unchain(&mut self, i: usize) {
-        let L1Slot { chain, bucket, .. } = self.slots[i];
-        let mut j = self.buckets[bucket as usize];
-        if j as usize == i {
-            self.buckets[bucket as usize] = chain;
-            return;
-        }
-        while self.slots[j as usize].chain as usize != i {
-            j = self.slots[j as usize].chain;
-        }
-        self.slots[j as usize].chain = chain;
-    }
-
-    /// Takes live slot `i` out of the recency list.
-    fn unlink(&mut self, i: usize) {
-        let L1Slot { prev, next, .. } = self.slots[i];
-        match prev {
-            NIL => self.head = next,
-            p => self.slots[p as usize].next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.slots[n as usize].prev = prev,
-        }
-    }
-
-    /// Makes slot `i`, whose `prev` (NIL) and `next` (the old head) are
-    /// already set, the head of the recency list.
-    fn link_head(&mut self, i: usize) {
-        match self.head {
-            NIL => self.tail = i as u16,
-            h => self.slots[h as usize].prev = i as u16,
-        }
-        self.head = i as u16;
-    }
-}
-
 /// One direct-mapped L2 slot. It holds `entry` only while `generation`
 /// equals the TLB's flush generation.
 #[derive(Clone, Copy, Debug)]
@@ -364,7 +172,7 @@ impl L2Slot {
 #[derive(Clone, Debug)]
 pub struct Tlb {
     config: TlbConfig,
-    l1: L1,
+    l1: LruMap<TlbEntry>,
     l2: Vec<L2Slot>,
     /// Flush generation, starting at 1: an L2 slot is live only while it
     /// carries this value.
@@ -379,7 +187,7 @@ impl Tlb {
     /// # Panics
     ///
     /// Panics if `l2_entries` is not a power of two, either size is zero, or
-    /// `l1_entries` does not fit the L1's 16-bit links.
+    /// `l1_entries` exceeds [`hpmp_memsim::LRU_MAX_ENTRIES`].
     pub fn new(config: TlbConfig) -> Tlb {
         assert!(config.l1_entries > 0, "L1 TLB needs entries");
         assert!(
@@ -388,7 +196,7 @@ impl Tlb {
         );
         Tlb {
             config,
-            l1: L1::new(config.l1_entries),
+            l1: LruMap::new(config.l1_entries),
             l2: vec![L2Slot::EMPTY; config.l2_entries],
             generation: 1,
             epoch: 0,
@@ -406,9 +214,7 @@ impl Tlb {
     pub fn lookup(&mut self, asid: u16, va: VirtAddr) -> Option<(TlbEntry, TlbHit)> {
         let vpn = va.page_number();
         let epoch = self.epoch;
-        let bucket = L1::bucket(asid, vpn);
-        if let Some(i) = self.l1.find(bucket, asid, vpn) {
-            let entry = self.l1.slots[i].entry;
+        if let Some((i, entry)) = self.l1.find((asid, vpn)) {
             if entry.epoch != epoch {
                 self.stats.stale += 1;
                 self.stats.misses += 1;
@@ -425,7 +231,7 @@ impl Tlb {
                 return None;
             }
             self.stats.l2_hits += 1;
-            self.l1.push(bucket, entry);
+            self.l1.insert(entry);
             return Some((entry, TlbHit::L2));
         }
         self.stats.misses += 1;
@@ -486,7 +292,7 @@ impl Tlb {
     /// `sfence.vma` with an address: drop the entry covering `va` in `asid`.
     pub fn flush_page(&mut self, asid: u16, va: VirtAddr) {
         let vpn = va.page_number();
-        if let Some(i) = self.l1.find(L1::bucket(asid, vpn), asid, vpn) {
+        if let Some((i, _)) = self.l1.find((asid, vpn)) {
             self.l1.remove(i);
         }
         if self.l2_match(asid, vpn).is_some() {

@@ -90,7 +90,7 @@ pub fn walk(mem: &PhysMem, space: &AddressSpace, pwc: &mut WalkCache, va: VirtAd
     let mut level = mode.root_level();
     let mut pwc_hit_level = None;
     for probe in 1..=mode.root_level() {
-        if let Some(cached) = pwc.lookup(mode, asid, probe, va) {
+        if let Some(cached) = pwc.lookup(asid, probe, va) {
             table = cached;
             level = probe - 1;
             pwc_hit_level = Some(probe);
@@ -131,7 +131,7 @@ pub fn walk(mem: &PhysMem, space: &AddressSpace, pwc: &mut WalkCache, va: VirtAd
             };
         }
         // Refill the PWC with this non-leaf step.
-        pwc.insert(mode, asid, level, va, pte.target());
+        pwc.insert(asid, level, va, pte.target());
         table = pte.target();
         level -= 1;
     }

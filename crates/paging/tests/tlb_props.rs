@@ -1,12 +1,12 @@
-//! Randomised tests: the two-level TLB against a reference model, and walk
-//! determinism under arbitrary PWC state. Driven by the in-repo
+//! Randomised tests: the two-level TLB and the page-walk cache against
+//! reference models, and walk determinism under arbitrary PWC state. Driven by the in-repo
 //! [`SplitMix64`] PRNG with fixed seeds, so every run is deterministic and
 //! reproducible.
 
 use hpmp_memsim::{FrameAllocator, Perms, PhysAddr, PhysMem, SplitMix64, VirtAddr, PAGE_SIZE};
 use hpmp_paging::{
     walk, AddressSpace, Tlb, TlbConfig, TlbEntry, TlbHit, TlbStats, TranslationMode, WalkCache,
-    WalkCacheConfig, GSTAGE_VMID,
+    WalkCacheConfig, WalkCacheStats, GSTAGE_VMID,
 };
 
 fn entry(asid: u16, vpn: u64) -> TlbEntry {
@@ -380,6 +380,109 @@ fn l1_evicts_the_least_recently_touched_key() {
         assert_eq!(left, [expected], "filling key {new}");
         resident.retain(|&i| i != expected);
         resident.push(new);
+    }
+}
+
+/// The PWC as it was built before it shared the TLB's LRU store: slots
+/// in a `Vec`, a clock stamped on every touch, a linear scan for the tag
+/// and another for the oldest stamp.
+struct RefWalkCache {
+    entries: usize,
+    slots: Vec<((u16, usize, u64), PhysAddr, u64)>,
+    clock: u64,
+    stats: WalkCacheStats,
+}
+
+impl RefWalkCache {
+    fn key(asid: u16, level: usize, va: VirtAddr) -> (u16, usize, u64) {
+        (asid, level, va.raw() >> (12 + 9 * level))
+    }
+
+    fn lookup(&mut self, asid: u16, level: usize, va: VirtAddr) -> Option<PhysAddr> {
+        let key = Self::key(asid, level, va);
+        self.clock += 1;
+        let clock = self.clock;
+        match self.slots.iter_mut().find(|s| s.0 == key) {
+            Some(slot) => {
+                slot.2 = clock;
+                self.stats.hits += 1;
+                Some(slot.1)
+            }
+            None => {
+                self.stats.misses += 1;
+                None
+            }
+        }
+    }
+
+    fn insert(&mut self, asid: u16, level: usize, va: VirtAddr, table: PhysAddr) {
+        if self.entries == 0 {
+            return;
+        }
+        let key = Self::key(asid, level, va);
+        self.clock += 1;
+        let clock = self.clock;
+        if let Some(slot) = self.slots.iter_mut().find(|s| s.0 == key) {
+            *slot = (key, table, clock);
+        } else if self.slots.len() < self.entries {
+            self.slots.push((key, table, clock));
+        } else {
+            let victim = self.slots.iter_mut().min_by_key(|s| s.2).unwrap();
+            *victim = (key, table, clock);
+        }
+    }
+}
+
+/// The PWC at the default 8 entries and Figure 17's 32 against the
+/// stamp-and-scan model, over three ASIDs and three levels of VA prefixes
+/// (165 steps in all, half the draws from 16 hot VAs), with flushes by
+/// ASID and in full between them. Every lookup must return the same table
+/// and every step leave the same counters.
+#[test]
+fn pwc_matches_the_stamp_and_scan_model() {
+    let mut rng = SplitMix64::seed_from_u64(0x71b6);
+    for entries in [8, 32] {
+        for _ in 0..8 {
+            let config = WalkCacheConfig {
+                entries,
+                hit_latency: 1,
+            };
+            let mut pwc = WalkCache::new(config);
+            let mut model = RefWalkCache {
+                entries,
+                slots: Vec::new(),
+                clock: 0,
+                stats: WalkCacheStats::default(),
+            };
+            for step in 0..4000 {
+                let asid = rng.gen_range(0..3) as u16;
+                let level = 1 + rng.gen_range(0..3) as usize;
+                let drawn_from = if rng.gen_range(0..2) == 0 { 16 } else { 48 };
+                let va = VirtAddr::new(rng.gen_range(0..drawn_from) << 27);
+                match rng.gen_range(0..256) {
+                    0..=127 => assert_eq!(
+                        pwc.lookup(asid, level, va),
+                        model.lookup(asid, level, va),
+                        "step {step}: lookup"
+                    ),
+                    128..=251 => {
+                        let table = PhysAddr::new(rng.gen_range(0..1 << 20) << 12);
+                        pwc.insert(asid, level, va, table);
+                        model.insert(asid, level, va, table);
+                    }
+                    252..=254 => {
+                        pwc.flush_asid(asid);
+                        model.slots.retain(|s| s.0 .0 != asid);
+                    }
+                    _ => {
+                        pwc.flush_all();
+                        model.slots.clear();
+                    }
+                }
+                assert_eq!(pwc.stats(), model.stats, "step {step}: counters");
+            }
+            assert!(model.stats.hits > 0 && model.stats.misses > 0);
+        }
     }
 }
 

@@ -7,6 +7,7 @@
 //! random property-array reads whose footprint is what produces the TLB-miss
 //! profile GAP is known for.
 
+use hpmp_machine::MachineConfig;
 use hpmp_memsim::{AccessKind, CoreKind, SplitMix64};
 use hpmp_penglai::{OsError, TeeFlavor};
 use hpmp_trace::TraceSink;
@@ -286,24 +287,26 @@ pub fn run_gap(
     graph: &KronGraph,
     budget: u64,
 ) -> Result<u64, OsError> {
-    Ok(run_gap_with_sink(flavor, core, kernel, graph, budget, hpmp_trace::NullSink)?.0)
+    let config = crate::fixture::config_for(core);
+    Ok(run_gap_with_sink(flavor, config, kernel, graph, budget, hpmp_trace::NullSink)?.0)
 }
 
-/// As [`run_gap`], recording walk events into `sink` and returning the
-/// machine's metrics snapshot alongside the cycle count.
+/// As [`run_gap`] on a machine built from `config`, recording walk events
+/// into `sink` and returning the machine's metrics snapshot alongside the
+/// cycle count.
 ///
 /// # Errors
 ///
 /// Propagates OS errors.
 pub fn run_gap_with_sink<S: TraceSink>(
     flavor: TeeFlavor,
-    core: CoreKind,
+    config: MachineConfig,
     kernel: GapKernel,
     graph: &KronGraph,
     budget: u64,
     sink: S,
 ) -> Result<(u64, hpmp_trace::Snapshot), OsError> {
-    let mut tee = TeeBench::boot_with_sink(flavor, crate::fixture::config_for(core), sink);
+    let mut tee = TeeBench::boot_with_sink(flavor, config, sink);
     let (_, bytes) = layout(graph);
     let pages = bytes.div_ceil(hpmp_memsim::PAGE_SIZE) + 1;
     let arena = UserArena::create(&mut tee.os, &mut tee.machine, pages)?;

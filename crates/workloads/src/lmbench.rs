@@ -8,6 +8,7 @@
 //! ~100% in every scheme; `fork+exec` rebuilds address spaces and lands at
 //! the top of the table.
 
+use hpmp_machine::MachineConfig;
 use hpmp_memsim::{AccessKind, CoreKind, PhysAddr, SplitMix64};
 use hpmp_penglai::{OsError, Pid, TeeFlavor};
 use hpmp_trace::TraceSink;
@@ -84,7 +85,11 @@ impl LmbenchContext {
     ///
     /// Propagates OS boot errors.
     pub fn new(flavor: TeeFlavor, core: CoreKind) -> Result<LmbenchContext, OsError> {
-        LmbenchContext::new_with_sink(flavor, core, hpmp_trace::NullSink)
+        LmbenchContext::new_with_sink(
+            flavor,
+            crate::fixture::config_for(core),
+            hpmp_trace::NullSink,
+        )
     }
 }
 
@@ -99,17 +104,18 @@ impl<S: TraceSink> LmbenchContext<S> {
         &mut self.tee
     }
 
-    /// As [`LmbenchContext::new`], recording walk events into `sink`.
+    /// As [`LmbenchContext::new`] on a machine built from `config`,
+    /// recording walk events into `sink`.
     ///
     /// # Errors
     ///
     /// Propagates OS boot errors.
     pub fn new_with_sink(
         flavor: TeeFlavor,
-        core: CoreKind,
+        config: MachineConfig,
         sink: S,
     ) -> Result<LmbenchContext<S>, OsError> {
-        let mut tee = TeeBench::boot_with_sink(flavor, crate::fixture::config_for(core), sink);
+        let mut tee = TeeBench::boot_with_sink(flavor, config, sink);
         let (proc, _) = tee.os.spawn(&mut tee.machine, 8)?;
         tee.os.mmap(&mut tee.machine, proc, 8)?;
         // Kernel objects live in the OS's kernel area inside the data GMS.

@@ -9,7 +9,7 @@
 //! of the evaluation).
 
 use hpmp_core::PmpRegion;
-use hpmp_machine::Machine;
+use hpmp_machine::{Machine, MachineConfig};
 use hpmp_memsim::{AccessKind, CoreKind, PhysAddr, PrivMode, SplitMix64};
 use hpmp_penglai::{DomainId, GmsLabel, MonitorError, SecureMonitor, TeeFlavor};
 
@@ -46,23 +46,24 @@ pub fn run_tenancy(
     tenants: u32,
     rounds: u32,
 ) -> Result<TenancyOutcome, MonitorError> {
-    Ok(run_tenancy_with_sink(flavor, core, tenants, rounds, hpmp_trace::NullSink)?.0)
+    let config = crate::fixture::config_for(core);
+    Ok(run_tenancy_with_sink(flavor, config, tenants, rounds, hpmp_trace::NullSink)?.0)
 }
 
-/// As [`run_tenancy`], recording walk events into `sink` and returning the
-/// machine's metrics snapshot alongside the outcome.
+/// As [`run_tenancy`] on a machine built from `config`, recording walk
+/// events into `sink` and returning the machine's metrics snapshot
+/// alongside the outcome.
 ///
 /// # Errors
 ///
 /// As [`run_tenancy`].
 pub fn run_tenancy_with_sink<S: hpmp_trace::TraceSink>(
     flavor: TeeFlavor,
-    core: CoreKind,
+    config: MachineConfig,
     tenants: u32,
     rounds: u32,
     sink: S,
 ) -> Result<(TenancyOutcome, hpmp_trace::Snapshot), MonitorError> {
-    let config = crate::fixture::config_for(core);
     let mut machine = Machine::with_sink(config, sink);
     let ram = PmpRegion::new(PhysAddr::new(0x8000_0000), 1 << 30);
     let mut monitor = SecureMonitor::boot(&mut machine, flavor, ram).expect("monitor boots");

@@ -7,6 +7,7 @@
 //! reported as requests-per-second, so the scheme overhead appears as an
 //! RPS *drop*, largest for pointer-chasing commands like `LRANGE`.
 
+use hpmp_machine::MachineConfig;
 use hpmp_memsim::{AccessKind, CoreKind, SplitMix64, PAGE_SIZE};
 use hpmp_penglai::{OsError, TeeFlavor};
 use hpmp_trace::TraceSink;
@@ -145,7 +146,12 @@ impl RedisServer {
         core: CoreKind,
         dataset_pages: u64,
     ) -> Result<RedisServer, OsError> {
-        RedisServer::start_with_sink(flavor, core, dataset_pages, hpmp_trace::NullSink)
+        RedisServer::start_with_sink(
+            flavor,
+            crate::fixture::config_for(core),
+            dataset_pages,
+            hpmp_trace::NullSink,
+        )
     }
 }
 
@@ -160,18 +166,19 @@ impl<S: TraceSink> RedisServer<S> {
         &mut self.tee
     }
 
-    /// As [`RedisServer::start`], recording walk events into `sink`.
+    /// As [`RedisServer::start`] on a machine built from `config`,
+    /// recording walk events into `sink`.
     ///
     /// # Errors
     ///
     /// Propagates OS errors.
     pub fn start_with_sink(
         flavor: TeeFlavor,
-        core: CoreKind,
+        config: MachineConfig,
         dataset_pages: u64,
         sink: S,
     ) -> Result<RedisServer<S>, OsError> {
-        let mut tee = TeeBench::boot_with_sink(flavor, crate::fixture::config_for(core), sink);
+        let mut tee = TeeBench::boot_with_sink(flavor, config, sink);
         let arena = UserArena::create(&mut tee.os, &mut tee.machine, dataset_pages)?;
         // Pre-fault every page once.
         let warm: Vec<TraceStep> = (0..dataset_pages)

@@ -6,6 +6,7 @@
 //! Each kernel is modelled by its compute:memory ratio, working-set size and
 //! access pattern.
 
+use hpmp_machine::MachineConfig;
 use hpmp_memsim::CoreKind;
 use hpmp_penglai::{OsError, TeeFlavor};
 use hpmp_trace::TraceSink;
@@ -150,23 +151,25 @@ fn profile(kernel: Rv8Kernel) -> Profile {
 ///
 /// Propagates OS errors.
 pub fn run_rv8(flavor: TeeFlavor, core: CoreKind, kernel: Rv8Kernel) -> Result<u64, OsError> {
-    Ok(run_rv8_with_sink(flavor, core, kernel, hpmp_trace::NullSink)?.0)
+    let config = crate::fixture::config_for(core);
+    Ok(run_rv8_with_sink(flavor, config, kernel, hpmp_trace::NullSink)?.0)
 }
 
-/// As [`run_rv8`], recording walk events into `sink` and returning the
-/// machine's metrics snapshot alongside the cycle count.
+/// As [`run_rv8`] on a machine built from `config`, recording walk events
+/// into `sink` and returning the machine's metrics snapshot alongside the
+/// cycle count.
 ///
 /// # Errors
 ///
 /// Propagates OS errors.
 pub fn run_rv8_with_sink<S: TraceSink>(
     flavor: TeeFlavor,
-    core: CoreKind,
+    config: MachineConfig,
     kernel: Rv8Kernel,
     sink: S,
 ) -> Result<(u64, hpmp_trace::Snapshot), OsError> {
     let p = profile(kernel);
-    let mut tee = TeeBench::boot_with_sink(flavor, crate::fixture::config_for(core), sink);
+    let mut tee = TeeBench::boot_with_sink(flavor, config, sink);
     let pages = p.ws.div_ceil(hpmp_memsim::PAGE_SIZE);
     let arena = UserArena::create(&mut tee.os, &mut tee.machine, pages)?;
     let mut patterns = Patterns::new(kernel as u64 + 1);
