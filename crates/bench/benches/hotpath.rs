@@ -169,8 +169,12 @@ fn lookups(c: &mut Criterion) {
 /// The cache/DRAM model every walk reference pays. `ptw_miss_sweep` issues
 /// PTW references (L1 bypassed) over a region four times the LLC, with a
 /// page-plus-a-line stride that visits every line of it, so each reference
-/// runs the L2 and LLC tag lookups and the DRAM model. `memsystem_new` is
-/// the set-up every machine and hart pays for its hierarchy.
+/// runs the L2 and LLC tag lookups and the DRAM model. `ptw_hit_sweep`
+/// warms a region exactly the size of the L2, then issues PTW references to
+/// random lines of it: every set holds all eight of its lines, so each
+/// reference hits the L2, at whatever recency position the random order
+/// left its line. `memsystem_new` is the set-up every machine and hart pays
+/// for its hierarchy.
 fn memsim(c: &mut Criterion) {
     let mut group = c.benchmark_group("memsim");
     group.sample_size(200);
@@ -191,6 +195,28 @@ fn memsim(c: &mut Criterion) {
         })
     });
     assert_eq!(mem.stats().llc.hits, 0, "the sweep must miss the LLC");
+
+    let line_size = config.l2.line_size;
+    let lines = config.l2.capacity / line_size;
+    let mut mem = MemSystem::new(config);
+    for line in 0..lines {
+        mem.access_ptw(PhysAddr::new(RAM_BASE + line * line_size));
+    }
+    let mut rng = SplitMix64::seed_from_u64(21);
+    group.bench_function("ptw_hit_sweep", |b| {
+        b.iter(|| {
+            let mut cycles = 0u64;
+            for _ in 0..OPS {
+                let line = rng.gen_range(0..lines);
+                let addr = PhysAddr::new(RAM_BASE + line * line_size);
+                cycles += mem.access_ptw(black_box(addr)).cycles;
+            }
+            cycles
+        })
+    });
+    let l2 = mem.stats().l2;
+    assert!(l2.hits > 0, "the sweep must hit the L2");
+    assert_eq!(l2.misses, lines, "only the warm-up may miss the L2");
 
     group.bench_function("memsystem_new", |b| {
         b.iter(|| MemSystem::new(black_box(config)))

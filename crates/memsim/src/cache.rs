@@ -17,7 +17,7 @@ pub struct CacheConfig {
     pub capacity: u64,
     /// Associativity (ways per set). `1` = direct mapped.
     pub ways: usize,
-    /// Line size in bytes (must be a power of two).
+    /// Line size in bytes (a power of two, at least 8).
     pub line_size: u64,
     /// Latency of a hit at this level, in core cycles.
     pub hit_latency: u64,
@@ -71,20 +71,19 @@ impl hpmp_trace::Counters for CacheStats {
     }
 }
 
-/// One tag slot. `lru` is the cache clock at the slot's last touch
-/// (higher = more recently used). The clock is bumped before every stamp,
-/// so a valid slot always carries a stamp of at least 1 and stamp 0 marks
-/// an invalid slot.
-#[derive(Clone, Copy, Debug, Default)]
-struct Way {
-    tag: u64,
-    lru: u64,
-}
+/// Marks an empty way. A tag is a line number shifted right by the set
+/// bits, and [`Cache::new`] requires lines of at least 8 bytes, so no real
+/// tag reaches `u64::MAX`.
+const EMPTY: u64 = u64::MAX;
 
 /// A set-associative, true-LRU, tags-only cache.
 ///
-/// The tags live in one flat `sets × ways` array in set-major order, so a
-/// lookup is a single bounds-checked slice of `ways` adjacent slots.
+/// The tags live in one flat `sets × ways` array in set-major order. Each
+/// set keeps its tags in recency order, most recently used first, with the
+/// empty ways ([`EMPTY`]) at the tail. A hit moves its tag to the front; a
+/// miss shifts the whole set down one way, dropping the last (an empty way
+/// if there is one, else the least recently used), and puts the new tag at
+/// the front.
 ///
 /// ```
 /// use hpmp_memsim::{Cache, CacheConfig, PhysAddr};
@@ -98,13 +97,12 @@ struct Way {
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
-    /// Set `s` owns `slots[s * ways..(s + 1) * ways]`.
-    slots: Vec<Way>,
+    /// Set `s` owns `tags[s * ways..(s + 1) * ways]`, most recent first.
+    tags: Vec<u64>,
     set_mask: u64,
     line_shift: u32,
     /// log2 of the set count: the line-number bits the set index uses.
     set_shift: u32,
-    clock: u64,
     stats: CacheStats,
 }
 
@@ -113,21 +111,23 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is inconsistent (see [`CacheConfig::sets`]).
+    /// Panics if the geometry is inconsistent (see [`CacheConfig::sets`]),
+    /// or if `line_size` is below 8 bytes, where a tag could equal the
+    /// empty-way marker.
     pub fn new(config: CacheConfig) -> Cache {
         assert!(
             config.line_size.is_power_of_two(),
             "line size must be a power of two"
         );
+        assert!(config.line_size >= 8, "line size must be at least 8 bytes");
         assert!(config.ways >= 1, "cache needs at least one way");
         let sets = config.sets();
         Cache {
             config,
-            slots: vec![Way::default(); sets * config.ways],
+            tags: vec![EMPTY; sets * config.ways],
             set_mask: sets as u64 - 1,
             line_shift: config.line_size.trailing_zeros(),
             set_shift: sets.trailing_zeros(),
-            clock: 0,
             stats: CacheStats::default(),
         }
     }
@@ -140,47 +140,46 @@ impl Cache {
     /// Looks up `addr`, filling the line on a miss (allocate-on-miss).
     /// Returns `true` on a hit.
     ///
-    /// A miss fills the first invalid way in index order, otherwise the
-    /// least recently used one.
+    /// A miss fills an empty way if the set has one, otherwise it evicts
+    /// the least recently used way.
     #[inline]
     pub fn access(&mut self, addr: PhysAddr) -> bool {
         let (set, tag) = self.index(addr);
-        self.clock += 1;
-        let clock = self.clock;
-        let ways = &mut self.slots[set];
-        if let Some(way) = ways.iter_mut().find(|w| w.lru != 0 && w.tag == tag) {
-            way.lru = clock;
-            self.stats.hits += 1;
-            return true;
+        // One pass from the front, each way taking its predecessor's tag:
+        // a hit stops where it overwrites `tag`'s old way, having shifted
+        // the more recent ways down one; a miss shifts the last way out.
+        let mut carry = tag;
+        for way in &mut self.tags[set] {
+            let old = std::mem::replace(way, carry);
+            if old == tag {
+                self.stats.hits += 1;
+                return true;
+            }
+            carry = old;
         }
         self.stats.misses += 1;
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|w| w.lru)
-            .expect("cache has at least one way");
-        *victim = Way { tag, lru: clock };
         false
     }
 
     /// Checks whether `addr` is present without touching LRU state or stats.
     pub fn probe(&self, addr: PhysAddr) -> bool {
         let (set, tag) = self.index(addr);
-        self.slots[set].iter().any(|w| w.lru != 0 && w.tag == tag)
+        self.tags[set].contains(&tag)
     }
 
     /// Invalidates the line containing `addr`, if present.
     pub fn invalidate(&mut self, addr: PhysAddr) {
         let (set, tag) = self.index(addr);
-        for way in &mut self.slots[set] {
-            if way.lru != 0 && way.tag == tag {
-                way.lru = 0;
-            }
+        let ways = &mut self.tags[set];
+        if let Some(p) = ways.iter().position(|&t| t == tag) {
+            ways.copy_within(p + 1.., p);
+            ways[ways.len() - 1] = EMPTY;
         }
     }
 
     /// Invalidates the entire cache (e.g. on a simulated flush).
     pub fn invalidate_all(&mut self) {
-        self.slots.fill(Way::default());
+        self.tags.fill(EMPTY);
     }
 
     /// Hit/miss counters accumulated since construction (or the last
@@ -194,7 +193,7 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    /// The slots of `addr`'s set, and `addr`'s tag.
+    /// The ways of `addr`'s set, and `addr`'s tag.
     #[inline]
     fn index(&self, addr: PhysAddr) -> (Range<usize>, u64) {
         let line = addr.raw() >> self.line_shift;
@@ -307,6 +306,17 @@ mod tests {
             capacity: 192,
             ways: 1,
             line_size: 64,
+            hit_latency: 1,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 8 bytes")]
+    fn sub_word_lines_panic() {
+        Cache::new(CacheConfig {
+            capacity: 64,
+            ways: 4,
+            line_size: 4,
             hit_latency: 1,
         });
     }

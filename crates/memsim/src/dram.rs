@@ -11,7 +11,7 @@ use crate::addr::PhysAddr;
 /// Configuration of the DRAM model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DramConfig {
-    /// Number of banks (across all ranks).
+    /// Number of banks (across all ranks, a power of two).
     pub banks: usize,
     /// Bytes per DRAM row (row-buffer reach).
     pub row_bytes: u64,
@@ -63,6 +63,10 @@ impl hpmp_trace::Counters for DramStats {
 pub struct Dram {
     config: DramConfig,
     open_rows: Vec<Option<u64>>,
+    /// log2 of `row_bytes`: an address's row is `addr >> row_shift`.
+    row_shift: u32,
+    /// `banks - 1`: a row's bank is `row & bank_mask`.
+    bank_mask: u64,
     stats: DramStats,
 }
 
@@ -71,9 +75,13 @@ impl Dram {
     ///
     /// # Panics
     ///
-    /// Panics if `banks` is zero or `row_bytes` is not a power of two.
+    /// Panics if `banks` or `row_bytes` is not a power of two (so zero
+    /// banks panics too).
     pub fn new(config: DramConfig) -> Dram {
-        assert!(config.banks > 0, "DRAM needs at least one bank");
+        assert!(
+            config.banks.is_power_of_two(),
+            "bank count must be a power of two"
+        );
         assert!(
             config.row_bytes.is_power_of_two(),
             "row size must be a power of two"
@@ -81,6 +89,8 @@ impl Dram {
         Dram {
             config,
             open_rows: vec![None; config.banks],
+            row_shift: config.row_bytes.trailing_zeros(),
+            bank_mask: config.banks as u64 - 1,
             stats: DramStats::default(),
         }
     }
@@ -93,9 +103,9 @@ impl Dram {
     /// Services one access, returning its latency in core cycles and
     /// updating the open-row state.
     pub fn access(&mut self, addr: PhysAddr) -> u64 {
-        let row = addr.raw() / self.config.row_bytes;
+        let row = addr.raw() >> self.row_shift;
         // Interleave consecutive rows across banks.
-        let bank = (row % self.config.banks as u64) as usize;
+        let bank = (row & self.bank_mask) as usize;
         if self.open_rows[bank] == Some(row) {
             self.stats.row_hits += 1;
             self.config.row_hit_latency
@@ -168,6 +178,15 @@ mod tests {
         d.access(PhysAddr::new(4096)); // row 1 -> bank 1
         assert_eq!(d.access(PhysAddr::new(8)), cfg.row_hit_latency);
         assert_eq!(d.access(PhysAddr::new(4096 + 8)), cfg.row_hit_latency);
+    }
+
+    #[test]
+    #[should_panic(expected = "bank count must be a power of two")]
+    fn non_power_of_two_banks_panics() {
+        Dram::new(DramConfig {
+            banks: 3,
+            ..DramConfig::default()
+        });
     }
 
     #[test]

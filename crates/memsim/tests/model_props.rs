@@ -4,8 +4,8 @@
 //! kept as an explicit regression case).
 
 use hpmp_memsim::{
-    Cache, CacheConfig, CacheStats, Dram, DramConfig, HitLevel, LruEntry, LruMap, MemAccessOutcome,
-    MemSystem, MemSystemConfig, PhysAddr, SplitMix64, LRU_MAX_ENTRIES,
+    Cache, CacheConfig, CacheStats, Dram, DramConfig, DramStats, HitLevel, LruEntry, LruMap,
+    MemAccessOutcome, MemSystem, MemSystemConfig, PhysAddr, SplitMix64, LRU_MAX_ENTRIES,
 };
 use std::collections::VecDeque;
 
@@ -62,6 +62,14 @@ impl RefCache {
         self.sets[set].contains(&tag)
     }
 
+    /// How many more recently used lines `addr`'s set holds than `addr`'s
+    /// (0 = most recent), or `None` if it is absent.
+    fn recency(&self, addr: u64) -> Option<usize> {
+        let (set, tag) = self.locate(addr);
+        let set = &self.sets[set];
+        set.iter().rev().position(|&t| t == tag)
+    }
+
     fn invalidate(&mut self, addr: u64) {
         let (set, tag) = self.locate(addr);
         self.sets[set].retain(|&t| t != tag);
@@ -86,14 +94,9 @@ fn clustered_addr(rng: &mut SplitMix64, config: CacheConfig, hot_sets: u64) -> u
     (tag * sets + set) * config.line_size + rng.gen_range(0..config.line_size)
 }
 
-/// Random interleavings of `access`, `probe`, `invalidate` and
-/// `invalidate_all` against the deque reference, on direct-mapped, 2-way
-/// and fully associative caches and on every Rocket/BOOM level. The
-/// hit/miss answer, the probe answer and the counters must agree at every
-/// step; in particular a miss must fill an invalid way before it evicts a
-/// valid one, as the deque only drops its oldest tag when full.
-#[test]
-fn cache_matches_reference_lru() {
+/// The cache geometries the randomised cache tests run: small direct-mapped,
+/// 2-, 4- and 16-way, fully associative ones, and every Rocket/BOOM level.
+fn cache_configs() -> Vec<CacheConfig> {
     let small = |capacity, ways, line_size| CacheConfig {
         capacity,
         ways,
@@ -101,20 +104,33 @@ fn cache_matches_reference_lru() {
         hit_latency: 1,
     };
     let mut configs = vec![
-        small(512, 1, 64),  // direct-mapped, 8 sets
-        small(256, 1, 32),  // direct-mapped, 32-byte lines
-        small(512, 2, 64),  // 2-way, 4 sets
-        small(1024, 4, 64), // 4-way, 4 sets
-        small(512, 8, 64),  // fully associative: one set of 8
-        small(64, 1, 64),   // one set, one way
+        small(512, 1, 64),   // direct-mapped, 8 sets
+        small(256, 1, 32),   // direct-mapped, 32-byte lines
+        small(512, 2, 64),   // 2-way, 4 sets
+        small(1024, 4, 64),  // 4-way, 4 sets
+        small(4096, 16, 64), // 16-way, 4 sets
+        small(256, 4, 64),   // fully associative: one set of 4
+        small(512, 8, 64),   // fully associative: one set of 8
+        small(64, 1, 64),    // one set, one way
     ];
     configs.extend(
         [MemSystemConfig::rocket(), MemSystemConfig::boom()]
             .iter()
             .flat_map(|m| [m.l1, m.l2, m.llc]),
     );
+    configs
+}
+
+/// Random interleavings of `access`, `probe`, `invalidate` and
+/// `invalidate_all` against the deque reference, on every geometry of
+/// [`cache_configs`]. The hit/miss answer, the probe answer and the
+/// counters must agree at every step; in particular a miss must fill an
+/// invalid way before it evicts a valid one, as the deque only drops its
+/// oldest tag when full.
+#[test]
+fn cache_matches_reference_lru() {
     let mut rng = SplitMix64::seed_from_u64(0xca5e);
-    for config in configs {
+    for config in cache_configs() {
         for round in 0..8 {
             let mut cache = Cache::new(config);
             let mut reference = RefCache::new(config);
@@ -146,6 +162,51 @@ fn cache_matches_reference_lru() {
                 assert_eq!(cache.stats(), reference.stats, "{config:?} step {step}");
             }
         }
+    }
+}
+
+/// A hot set that fits: `ways` lines of one set in random order, so the hits
+/// land at every recency position of the set, not only at the front. One
+/// access in twenty goes to one of `ways` other lines of the set instead,
+/// and one in fifty invalidates a hot line, so the evictions and refills
+/// that follow depend on the recency order each hit left behind; both are
+/// checked against the deque reference at every step.
+#[test]
+fn cache_hits_at_every_recency_position() {
+    let mut rng = SplitMix64::seed_from_u64(0x4e7);
+    for config in cache_configs() {
+        let mut cache = Cache::new(config);
+        let mut reference = RefCache::new(config);
+        let stride = config.sets() as u64 * config.line_size;
+        let set = rng.gen_range(0..config.sets() as u64) * config.line_size;
+        let ways = config.ways as u64;
+        let mut hits_at = vec![0u64; config.ways];
+        for step in 0..200 * config.ways {
+            let tag = match rng.gen_range(0..20) {
+                0 => ways + rng.gen_range(0..ways),
+                _ => rng.gen_range(0..ways),
+            };
+            let addr = set + tag * stride;
+            let at = PhysAddr::new(addr);
+            if rng.gen_range(0..50) == 0 {
+                cache.invalidate(at);
+                reference.invalidate(addr);
+                continue;
+            }
+            if let Some(position) = reference.recency(addr) {
+                hits_at[position] += 1;
+            }
+            assert_eq!(
+                cache.access(at),
+                reference.access(addr),
+                "{config:?} step {step}: access {addr:#x}"
+            );
+            assert_eq!(cache.stats(), reference.stats, "{config:?} step {step}");
+        }
+        assert!(
+            hits_at.iter().all(|&n| n > 0),
+            "{config:?}: hits per recency position {hits_at:?}"
+        );
     }
 }
 
@@ -325,6 +386,71 @@ fn dram_row_behaviour() {
         let stats = dram.stats();
         assert_eq!(stats.row_hits + stats.row_misses, total);
         assert!(stats.row_hits >= rows.len() as u64);
+    }
+}
+
+/// Reference DRAM: per-bank open rows, indexed by division.
+struct RefDram {
+    config: DramConfig,
+    open_rows: Vec<Option<u64>>,
+    stats: DramStats,
+}
+
+impl RefDram {
+    fn access(&mut self, addr: u64) -> u64 {
+        let row = addr / self.config.row_bytes;
+        let bank = (row % self.config.banks as u64) as usize;
+        if self.open_rows[bank] == Some(row) {
+            self.stats.row_hits += 1;
+            self.config.row_hit_latency
+        } else {
+            self.stats.row_misses += 1;
+            self.open_rows[bank] = Some(row);
+            self.config.row_miss_latency
+        }
+    }
+}
+
+/// The shift-and-mask DRAM indexing against the division reference, for
+/// 1, 4 and 32 banks and 2 KiB and 8 KiB rows: addresses mostly within a
+/// few dozen rows (so row hits and bank conflicts both occur), one in eight
+/// uniform over all 64 bits, with an occasional `precharge_all`. Every
+/// latency and both counters agree after each access.
+#[test]
+fn dram_matches_division_reference() {
+    let mut rng = SplitMix64::seed_from_u64(0xd4a8);
+    for banks in [1usize, 4, 32] {
+        for row_bytes in [2048u64, 8192] {
+            let config = DramConfig {
+                banks,
+                row_bytes,
+                row_hit_latency: 10,
+                row_miss_latency: 50,
+            };
+            let mut dram = Dram::new(config);
+            let mut reference = RefDram {
+                config,
+                open_rows: vec![None; banks],
+                stats: DramStats::default(),
+            };
+            for step in 0..5_000 {
+                let addr = match rng.gen_range(0..8) {
+                    0 => rng.next_u64(),
+                    _ => rng.gen_range(0..48) * row_bytes + rng.gen_range(0..row_bytes),
+                };
+                if rng.gen_range(0..200) == 0 {
+                    dram.precharge_all();
+                    reference.open_rows.fill(None);
+                }
+                assert_eq!(
+                    dram.access(PhysAddr::new(addr)),
+                    reference.access(addr),
+                    "{config:?} step {step}: {addr:#x}"
+                );
+                assert_eq!(dram.stats(), reference.stats, "{config:?} step {step}");
+            }
+            assert!(reference.stats.row_hits > 0 && reference.stats.row_misses > 0);
+        }
     }
 }
 
