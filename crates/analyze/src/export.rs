@@ -140,7 +140,7 @@ pub fn chrome_trace(spans: &SpanStream, timeline: Option<&Timeline>) -> String {
 ///
 /// * per hart, the receiver-side handler spans (`trap` + `reprogram` +
 ///   `fence`) sum to `hart.<i>.shootdown_cycles` — the cycles
-///   [`charge_shootdown`](hpmp_machine) charged;
+///   `hpmp_machine`'s `charge_shootdown` charged;
 /// * per hart, the `shootdown_recv` span count equals
 ///   `hart.<i>.shootdowns`.
 ///

@@ -1,7 +1,8 @@
 //! Microbenches for the simulator's per-access hot path: flat page-directory
 //! reads/writes, TLB/PWC/PMPTW-cache lookups, the cache/DRAM model below the
 //! L1 and its set-up, the per-hart invalidation every
-//! monitor operation pays, and metrics snapshots — plus end-to-end
+//! monitor operation pays, metrics snapshots, and the table construction
+//! every fresh machine pays before its first access — plus end-to-end
 //! native and guest page-walk sweeps whose throughput declarations turn the
 //! timing into the suite's walks-per-second headline (printed to stderr
 //! after the run).
@@ -12,11 +13,11 @@
 //! host-speed numbers come from `hpmpbench` instead (BENCHMARK.json).
 
 use hpmp_bench::{criterion_group, criterion_main, Criterion, Throughput};
-use hpmp_core::{LeafPmpte, PmptwCache, PmptwCacheConfig};
+use hpmp_core::{FillPolicy, LeafPmpte, PmpRegion, PmpTable, PmptwCache, PmptwCacheConfig};
 use hpmp_machine::{IsolationScheme, MachineConfig, SystemBuilder, VirtMachine, VirtScheme};
 use hpmp_memsim::{
-    AccessKind, MemSystem, MemSystemConfig, Perms, PhysAddr, PhysMem, PrivMode, SplitMix64,
-    VirtAddr, PAGE_SIZE,
+    AccessKind, FrameAllocator, MemSystem, MemSystemConfig, Perms, PhysAddr, PhysMem, PrivMode,
+    SplitMix64, VirtAddr, PAGE_SIZE,
 };
 use hpmp_paging::{Tlb, TlbConfig, TlbEntry, WalkCache, WalkCacheConfig};
 use hpmp_trace::{walks_in_snapshot, MetricsRegistry};
@@ -298,6 +299,52 @@ fn registry(c: &mut Criterion) {
     group.finish();
 }
 
+/// Table construction, which every fresh machine pays before its first
+/// access: a fresh 512 MiB PMP Table filled per page (the virtualized
+/// fixture's fill), and `System::map_range` over 65,536 pages on a fresh
+/// HPMP system (native-walk's set-up, `build` included). Each iteration
+/// checks the count it expects: one `writes` per page, and every page
+/// mapped.
+fn tables(c: &mut Criterion) {
+    let mut group = c.benchmark_group("tables");
+    group.sample_size(20);
+
+    const FILL: u64 = 512 << 20;
+    let region = PmpRegion::new(PhysAddr::new(RAM_BASE), 2 * FILL);
+    group.bench_function("pmp_range_fill", |b| {
+        b.iter(|| {
+            let mut mem = PhysMem::new();
+            let mut frames = FrameAllocator::new(region.end(), 64 * PAGE_SIZE);
+            let mut table = PmpTable::new(region, &mut mem, &mut frames).expect("table root");
+            let writes = table
+                .set_range_perm(
+                    &mut mem,
+                    &mut frames,
+                    region.base,
+                    black_box(FILL),
+                    Perms::RWX,
+                    FillPolicy::PerPage,
+                )
+                .expect("fill stays in the region");
+            assert_eq!(writes, FILL / PAGE_SIZE, "one write per page");
+            writes
+        })
+    });
+
+    const PAGES: u64 = 65_536;
+    group.bench_function("map_run", |b| {
+        b.iter(|| {
+            let mut sys =
+                SystemBuilder::new(MachineConfig::rocket(), IsolationScheme::Hpmp).build();
+            sys.map_range(VirtAddr::new(0x10_0000), black_box(PAGES), Perms::RW);
+            sys.sync_pt_grants();
+            assert_eq!(sys.space.mapped_pages(), PAGES, "every page mapped");
+            sys.space.mapped_pages()
+        })
+    });
+    group.finish();
+}
+
 /// End-to-end accesses through a full HPMP machine: uniform random reads
 /// over 8,192 mapped pages, 8× the 1,024-slot L2 TLB, so most accesses
 /// walk the page table and the permission table; then the 3-D walk,
@@ -441,6 +488,7 @@ criterion_group!(
     memsim,
     flushes,
     registry,
+    tables,
     walks,
     smp_backends
 );

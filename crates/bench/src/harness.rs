@@ -38,7 +38,7 @@ static RESULTS: Mutex<Vec<BenchResult>> = Mutex::new(Vec::new());
 /// Prints the walks-per-second headline to **stderr** — the aggregate over
 /// every throughput-declaring benchmark that ran (total walks retired over
 /// total timed host seconds). Silent when no benchmark declared
-/// throughput. Called by the [`criterion_main!`] expansion; stderr keeps
+/// throughput. Called by the [`criterion_main!`](crate::criterion_main!) expansion; stderr keeps
 /// the rate out of any byte-compared stdout stream.
 pub fn print_walks_headline() {
     let results = RESULTS.lock().expect("bench results poisoned");

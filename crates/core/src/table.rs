@@ -333,21 +333,30 @@ impl LeafPmpte {
     ///
     /// Panics if `index >= 16`.
     pub fn with_perm(self, index: usize, perms: Perms) -> LeafPmpte {
-        assert!(index < 16, "leaf pmpte holds 16 page permissions");
-        let shift = index * 4;
+        self.with_perm_run(index, 1, perms)
+    }
+
+    /// Returns a copy with pages `first..first + count` all set to `perms`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run is empty or reaches past page 15.
+    pub fn with_perm_run(self, first: usize, count: usize, perms: Perms) -> LeafPmpte {
+        assert!(
+            count > 0 && first + count <= 16,
+            "leaf pmpte holds 16 page permissions"
+        );
+        let mask = (u64::MAX >> (64 - 4 * count)) << (4 * first);
         LeafPmpte {
-            bits: (self.bits & !(0xf << shift)) | (Self::nibble(perms) << shift),
+            bits: (self.bits & !mask) | (Self::splat(perms).bits & mask),
         }
     }
 
     /// Builds a pmpte with the same permission for all 16 pages.
-    pub fn splat(perms: Perms) -> LeafPmpte {
-        let nibble = Self::nibble(perms);
-        let mut bits = 0;
-        for i in 0..16 {
-            bits |= nibble << (i * 4);
+    pub const fn splat(perms: Perms) -> LeafPmpte {
+        LeafPmpte {
+            bits: Self::nibble(perms) * 0x1111_1111_1111_1111,
         }
-        LeafPmpte { bits }
     }
 }
 
@@ -546,11 +555,13 @@ impl PmpTable {
         &self.table_pages
     }
 
-    /// Sets the permission of the 4 KiB page containing `addr`.
+    /// Sets the permission of the 4 KiB page containing `addr`: the
+    /// one-page case of [`PmpTable::set_range_perm`].
     ///
     /// # Errors
     ///
-    /// Fails if `addr` is outside the region or frames run out.
+    /// Fails if `addr` is outside the region, frames run out, or a pmpte on
+    /// the path fails its integrity check.
     pub fn set_page_perm(
         &mut self,
         mem: &mut dyn WordStore,
@@ -561,11 +572,38 @@ impl PmpTable {
         if !self.region.contains(addr) {
             return Err(TableError::OutsideRegion(addr));
         }
-        let offset = addr.offset_from(self.region.base);
-        let split = TableOffset::split(offset);
+        self.fill_run(mem, frames, addr.offset_from(self.region.base), 1, perms)
+    }
 
-        // Descend the non-leaf levels, materialising tables as needed and
-        // expanding huge entries into explicit children.
+    /// Sets `pages` consecutive nibbles of one leaf pmpte, starting with the
+    /// page at region `offset`: one descent, one decode and one write for
+    /// the whole run. The caller keeps the run inside the leaf pmpte.
+    fn fill_run(
+        &mut self,
+        mem: &mut dyn WordStore,
+        frames: &mut dyn TableFrameSource,
+        offset: u64,
+        pages: usize,
+        perms: Perms,
+    ) -> Result<(), TableError> {
+        let split = TableOffset::split(offset);
+        let leaf_slot = PhysAddr::new(self.leaf_table(mem, frames, offset)?.raw() + split.off0 * 8);
+        let leaf = LeafPmpte::decode(mem.read_u64(leaf_slot))
+            .map_err(|_| TableError::CorruptEntry(leaf_slot))?;
+        let leaf = leaf.with_perm_run(split.page_index, pages, perms);
+        mem.write_u64(leaf_slot, leaf.to_bits());
+        Ok(())
+    }
+
+    /// Descends the non-leaf levels to the leaf table covering region
+    /// `offset`, materialising tables as needed and expanding huge entries
+    /// into explicit children.
+    fn leaf_table(
+        &mut self,
+        mem: &mut dyn WordStore,
+        frames: &mut dyn TableFrameSource,
+        offset: u64,
+    ) -> Result<PhysAddr, TableError> {
         let mut table = self.root;
         for level in (1..self.levels.depth()).rev() {
             let idx = (offset >> TableLevels::index_shift(level)) & 0x1ff;
@@ -595,11 +633,7 @@ impl PmpTable {
                 child
             };
         }
-        let leaf_slot = PhysAddr::new(table.raw() + split.off0 * 8);
-        let leaf = LeafPmpte::decode(mem.read_u64(leaf_slot))
-            .map_err(|_| TableError::CorruptEntry(leaf_slot))?;
-        mem.write_u64(leaf_slot, leaf.with_perm(split.page_index, perms).to_bits());
-        Ok(())
+        Ok(table)
     }
 
     /// Sets a whole 32 MiB-aligned slice to one permission using a huge root
@@ -659,13 +693,16 @@ impl PmpTable {
     /// one huge root pmpte each (the monitor's large-allocation optimisation
     /// behind Figure 14-d); with [`FillPolicy::PerPage`] every page gets its
     /// own nibble, which is how a domain's scattered ownership actually
-    /// looks. Returns the number of pmpte *writes* performed, which the
-    /// monitor uses to model reconfiguration cost.
+    /// looks. Pages are written one leaf pmpte at a time: each run of up to
+    /// 16 pages costs one descent and one word write. Returns the number of
+    /// pmpte *writes* the monitor models for reconfiguration cost: one per
+    /// page set, and one per huge root pmpte.
     ///
     /// # Errors
     ///
-    /// Fails if the range leaves the region, is unaligned, or frames run
-    /// out.
+    /// Fails if the range leaves the region, is unaligned, frames run out,
+    /// or a pmpte on the path fails its integrity check. Pages before the
+    /// failing one keep their new permission.
     pub fn set_range_perm(
         &mut self,
         mem: &mut dyn WordStore,
@@ -682,6 +719,9 @@ impl PmpTable {
         let mut cursor = base;
         let end = PhysAddr::new(base.raw() + len);
         while cursor < end {
+            if !self.region.contains(cursor) {
+                return Err(TableError::OutsideRegion(cursor));
+            }
             let remaining = end.raw() - cursor.raw();
             let offset = cursor.offset_from(self.region.base);
             if policy == FillPolicy::HugeWhenAligned
@@ -694,9 +734,14 @@ impl PmpTable {
                 writes += 1;
                 cursor += LEAF_TABLE_SPAN;
             } else {
-                self.set_page_perm(mem, frames, cursor, perms)?;
-                writes += 1;
-                cursor += PAGE_SIZE;
+                // The rest of this leaf pmpte, cut at the range's end and at
+                // the last page that still starts inside the region.
+                let pages = (16 - TableOffset::split(offset).page_index as u64)
+                    .min(remaining / PAGE_SIZE)
+                    .min((self.region.size - offset).div_ceil(PAGE_SIZE));
+                self.fill_run(mem, frames, offset, pages as usize, perms)?;
+                writes += pages;
+                cursor += pages * PAGE_SIZE;
             }
         }
         Ok(writes)

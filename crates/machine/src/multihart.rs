@@ -283,7 +283,7 @@ impl<S: TraceSink + Clone> Clone for MultiHartMachine<S> {
 
 /// A deterministic hart interleaver: seeded, weighted, wall-clock-free.
 ///
-/// Each call to [`HartScheduler::next`] picks a hart with probability
+/// Each call to [`HartScheduler::next_hart`] picks a hart with probability
 /// proportional to its weight, from a [`SplitMix64`] stream. Equal weights
 /// give a fair random interleaving; skewed weights model asymmetric load.
 /// The sequence depends only on `(seed, weights)`, never on thread timing,

@@ -87,29 +87,38 @@ pub struct System<S: TraceSink = NullSink> {
     pub table_frames: FrameAllocator,
     /// The protected RAM region.
     pub ram: PmpRegion,
+    /// How many of `space`'s PT pages the table already grants.
+    pt_granted: usize,
 }
 
 impl<S: TraceSink> System<S> {
     /// Maps `pages` consecutive virtual pages starting at `va`, pulling data
-    /// frames from the data pool and granting `perms`.
+    /// frames from the data pool and granting `perms`. Each run of
+    /// contiguous frames is granted and mapped in one go.
     ///
     /// # Panics
     ///
     /// Panics if the pools run dry (fixtures size them generously).
     pub fn map_range(&mut self, va: VirtAddr, pages: u64, perms: Perms) {
-        for i in 0..pages {
-            let frame = self.data_frames.alloc().expect("data frames exhausted");
-            self.grant_data_page(frame);
+        let mut done = 0;
+        while done < pages {
+            let (frame, run) = self
+                .data_frames
+                .alloc_run(pages - done)
+                .expect("data frames exhausted");
+            self.grant(frame, run, Perms::RWX);
             self.space
-                .map_page(
+                .map_run(
                     self.machine.phys_mut(),
                     self.pt_frames.as_mut(),
-                    va + i * PAGE_SIZE,
+                    va + done * PAGE_SIZE,
                     frame,
+                    run,
                     perms,
                     true,
                 )
                 .expect("mapping failed");
+            done += run;
         }
     }
 
@@ -119,7 +128,7 @@ impl<S: TraceSink> System<S> {
     ///
     /// Panics if the mapping fails.
     pub fn map_page_at(&mut self, va: VirtAddr, frame: PhysAddr, perms: Perms) {
-        self.grant_data_page(frame);
+        self.grant(frame, 1, Perms::RWX);
         self.space
             .map_page(
                 self.machine.phys_mut(),
@@ -132,17 +141,20 @@ impl<S: TraceSink> System<S> {
             .expect("mapping failed");
     }
 
-    /// Ensures the PMP Table (if any) grants RWX on a data page. Idempotent.
-    fn grant_data_page(&mut self, frame: PhysAddr) {
+    /// Sets `perms` on `pages` frames from `frame` in the PMP Table, if the
+    /// scheme has one. Idempotent.
+    fn grant(&mut self, frame: PhysAddr, pages: u64, perms: Perms) {
         if let Some(table) = &mut self.pmp_table {
             table
-                .set_page_perm(
+                .set_range_perm(
                     self.machine.phys_mut(),
                     &mut self.table_frames,
                     frame,
-                    Perms::RWX,
+                    pages * PAGE_SIZE,
+                    perms,
+                    FillPolicy::PerPage,
                 )
-                .expect("PMP table fill failed");
+                .expect("PMP table grant failed");
         }
     }
 }
@@ -301,21 +313,8 @@ impl<S: TraceSink> SystemBuilder<S> {
         let space = AddressSpace::new(self.mode, 1, machine.phys_mut(), pt_frames.as_mut())
             .expect("address space root");
 
-        // In table schemes, PT pages must be granted in the table (the OS
-        // reads/writes them, and the PTW checks them). Grant the root now;
-        // System::map_range grants further PT pages lazily via
-        // grant_pt_pages below.
-        let system_pt_pages: Vec<PhysAddr> = space.pt_pages().to_vec();
-        if let Some(table) = &mut pmp_table {
-            for page in &system_pt_pages {
-                table
-                    .set_page_perm(machine.phys_mut(), &mut table_frames, *page, Perms::RW)
-                    .expect("grant PT page");
-            }
-        }
-
         let data_frames = FrameAllocator::new(data_base, data_size / 2);
-        System {
+        let mut system = System {
             machine,
             space,
             data_frames,
@@ -323,7 +322,13 @@ impl<S: TraceSink> SystemBuilder<S> {
             pmp_table,
             table_frames,
             ram,
-        }
+            pt_granted: 0,
+        };
+        // In table schemes, PT pages must be granted in the table (the OS
+        // reads/writes them, and the PTW checks them). Grant the root now;
+        // later PT pages are granted by System::sync_pt_grants.
+        system.sync_pt_grants();
+        system
     }
 }
 
@@ -331,22 +336,18 @@ impl<S: TraceSink> System<S> {
     /// Grants table permissions for any PT pages created since the last
     /// call. Call after a batch of mappings when running a table scheme
     /// (PMPT grants PT pages in the table; HPMP *also* includes them, per
-    /// the cache-like management rule).
+    /// the cache-like management rule). Pages granted by an earlier call
+    /// are not touched again, and each run of contiguous new PT pages is
+    /// granted in one range write.
     pub fn sync_pt_grants(&mut self) {
-        let Some(table) = &mut self.pmp_table else {
+        if self.pmp_table.is_none() {
             return;
-        };
-        let pages: Vec<PhysAddr> = self.space.pt_pages().to_vec();
-        for page in pages {
-            // set_page_perm is idempotent for already-granted pages.
-            table
-                .set_page_perm(
-                    self.machine.phys_mut(),
-                    &mut self.table_frames,
-                    page,
-                    Perms::RW,
-                )
-                .expect("grant PT page");
+        }
+        // Copied out: `grant` borrows the whole system.
+        let pages = self.space.pt_pages()[self.pt_granted..].to_vec();
+        self.pt_granted += pages.len();
+        for run in pages.chunk_by(|a, b| b.raw() == a.raw() + PAGE_SIZE) {
+            self.grant(run[0], run.len() as u64, Perms::RW);
         }
     }
 }
@@ -547,6 +548,63 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, crate::machine::Fault::IsolationOnData(_)));
+    }
+
+    /// Every word of every PMP-Table page, in `table_pages()` order.
+    fn table_words(sys: &System) -> Vec<u64> {
+        let table = sys.pmp_table.as_ref().unwrap();
+        let mem = sys.machine.phys();
+        table
+            .table_pages()
+            .iter()
+            .flat_map(|&page| (0..PAGE_SIZE / 8).map(move |i| mem.read_u64(page + i * 8)))
+            .collect()
+    }
+
+    /// A second `sync_pt_grants` in a row writes nothing, and a PT page
+    /// revoked after the first stays revoked: only new PT pages are granted.
+    #[test]
+    fn repeated_sync_leaves_table_words_unchanged() {
+        let mut sys = system(IsolationScheme::PmpTable);
+        let words = table_words(&sys);
+        sys.sync_pt_grants();
+        assert_eq!(table_words(&sys), words);
+
+        let page = sys.space.pt_pages()[1];
+        let table = sys.pmp_table.as_mut().unwrap();
+        table
+            .set_page_perm(
+                sys.machine.phys_mut(),
+                &mut sys.table_frames,
+                page,
+                Perms::NONE,
+            )
+            .unwrap();
+        let words = table_words(&sys);
+        sys.sync_pt_grants();
+        assert_eq!(table_words(&sys), words);
+    }
+
+    /// The PT pages a `map_range` creates between two calls get RW.
+    #[test]
+    fn sync_grants_pt_pages_created_since_the_last_call() {
+        let mut sys = system(IsolationScheme::PmpTable);
+        let granted = sys.space.pt_pages().len();
+        // A new 1 GiB slot: a new level-1 and a new leaf page table.
+        sys.map_range(VirtAddr::new(1 << 30), 1, Perms::RW);
+        let created = sys.space.pt_pages()[granted..].to_vec();
+        assert_eq!(created.len(), 2);
+        let lookup = |sys: &System, page| {
+            let table = sys.pmp_table.as_ref().unwrap();
+            table.lookup(sys.machine.phys(), page)
+        };
+        for &page in &created {
+            assert_eq!(lookup(&sys, page), None, "not granted before the sync");
+        }
+        sys.sync_pt_grants();
+        for &page in &created {
+            assert_eq!(lookup(&sys, page), Some(Perms::RW));
+        }
     }
 
     /// Sv48 under PMPT: 4 PT reads, each with 2 pmpte reads => 15 total.

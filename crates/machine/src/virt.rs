@@ -334,25 +334,28 @@ impl<S: TraceSink> VirtMachine<S> {
             hpmp_memsim::FrameAllocator::new(PhysAddr::new(NPT_POOL), NPT_POOL_SIZE);
         let mut npt = NestedPageTable::new(&mut phys, &mut npt_frames).expect("NPT root");
 
-        // Back the guest-physical PT pool and data pool with host frames.
-        let mut gpt_host =
-            hpmp_memsim::FrameAllocator::new(PhysAddr::new(GPT_HOST_POOL), GPT_HOST_POOL_SIZE);
-        for i in 0..GPA_PT_POOL_SIZE / PAGE_SIZE {
-            let gpa = PhysAddr::new(GPA_PT_POOL + i * PAGE_SIZE);
-            let hpa = gpt_host.alloc().expect("guest PT host frames");
-            npt.map_page(&mut phys, &mut npt_frames, gpa, hpa, true)
-                .expect("NPT map");
-        }
+        // Back the guest-physical PT pool and data pool with host frames:
+        // contiguous backing is one run per pool, while fragmented backing
+        // strides the data frames 2 MiB + one page apart, a run each.
+        npt.map_run(
+            &mut phys,
+            &mut npt_frames,
+            PhysAddr::new(GPA_PT_POOL),
+            PhysAddr::new(GPT_HOST_POOL),
+            GPA_PT_POOL_SIZE / PAGE_SIZE,
+            true,
+        )
+        .expect("NPT map");
         let data_pages_backed = guest_pages.max(64) * 2;
-        let backing_stride = if fragmented_backing {
-            (2u64 << 20) / PAGE_SIZE + 1
+        let (run, stride) = if fragmented_backing {
+            (1, (2u64 << 20) / PAGE_SIZE + 1)
         } else {
-            1
+            (data_pages_backed, 1)
         };
-        for i in 0..data_pages_backed {
-            let gpa = PhysAddr::new(GPA_DATA + i * PAGE_SIZE);
-            let hpa = PhysAddr::new(DATA_HOST_POOL + i * backing_stride * PAGE_SIZE);
-            npt.map_page(&mut phys, &mut npt_frames, gpa, hpa, true)
+        for first in (0..data_pages_backed).step_by(run as usize) {
+            let gpa = PhysAddr::new(GPA_DATA + first * PAGE_SIZE);
+            let hpa = PhysAddr::new(DATA_HOST_POOL + first * stride * PAGE_SIZE);
+            npt.map_run(&mut phys, &mut npt_frames, gpa, hpa, run, true)
                 .expect("NPT map");
         }
 
@@ -363,13 +366,17 @@ impl<S: TraceSink> VirtMachine<S> {
         let mut guest =
             AddressSpace::new(TranslationMode::Sv39, 5, &mut view, &mut guest_pt_frames)
                 .expect("guest root");
-        for i in 0..guest_pages {
-            let gva = VirtAddr::new(0x20_0000 + i * PAGE_SIZE);
-            let gpa = PhysAddr::new(GPA_DATA + i * PAGE_SIZE);
-            guest
-                .map_page(&mut view, &mut guest_pt_frames, gva, gpa, Perms::RW, true)
-                .expect("guest map");
-        }
+        guest
+            .map_run(
+                &mut view,
+                &mut guest_pt_frames,
+                VirtAddr::new(0x20_0000),
+                PhysAddr::new(GPA_DATA),
+                guest_pages,
+                Perms::RW,
+                true,
+            )
+            .expect("guest map");
 
         // Program the isolation layer.
         let ram = PmpRegion::new(PhysAddr::new(RAM_BASE), RAM_SIZE);

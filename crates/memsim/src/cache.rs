@@ -80,7 +80,7 @@ const EMPTY: u64 = u64::MAX;
 ///
 /// The tags live in one flat `sets × ways` array in set-major order. Each
 /// set keeps its tags in recency order, most recently used first, with the
-/// empty ways ([`EMPTY`]) at the tail. A hit moves its tag to the front; a
+/// empty ways (the `EMPTY` marker) at the tail. A hit moves its tag to the front; a
 /// miss shifts the whole set down one way, dropping the last (an empty way
 /// if there is one, else the least recently used), and puts the new tag at
 /// the front.

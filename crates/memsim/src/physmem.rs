@@ -293,6 +293,24 @@ impl FrameAllocator {
         Some(frame)
     }
 
+    /// Allocates a run of up to `max` physically contiguous frames,
+    /// returning its first frame and length, or `None` when exhausted. The
+    /// frames come out in the order `max` calls to
+    /// [`FrameAllocator::alloc`] would hand them out: a recycled frame is a
+    /// run of one, and the bump cursor yields the rest.
+    pub fn alloc_run(&mut self, max: u64) -> Option<(PhysAddr, u64)> {
+        if let Some(frame) = self.released.pop() {
+            return Some((frame, 1));
+        }
+        let pages = max.min((self.end.raw() - self.next.raw()) >> PAGE_SHIFT);
+        if pages == 0 {
+            return None;
+        }
+        let frame = self.next;
+        self.next += pages * PAGE_SIZE;
+        Some((frame, pages))
+    }
+
     /// Feeds the allocator's logical state (bump cursor and recycled-frame
     /// stack) into a state fingerprint. Two allocators hashing equal will
     /// hand out identical frame sequences forever.
@@ -321,17 +339,6 @@ impl FrameAllocator {
             "release of foreign frame {frame}"
         );
         self.released.push(frame);
-    }
-
-    /// Allocates `n` physically contiguous frames, returning the base.
-    pub fn alloc_contiguous(&mut self, n: u64) -> Option<PhysAddr> {
-        let bytes = n.checked_mul(PAGE_SIZE)?;
-        if self.next.raw().checked_add(bytes)? > self.end.raw() {
-            return None;
-        }
-        let base = self.next;
-        self.next += bytes;
-        Some(base)
     }
 
     /// Number of frames still available (untouched plus recycled).
@@ -484,10 +491,13 @@ mod tests {
     #[test]
     fn frame_allocator_contiguous() {
         let mut fa = FrameAllocator::new(PhysAddr::new(0x8000_0000), 4 * PAGE_SIZE);
-        let base = fa.alloc_contiguous(3).unwrap();
-        assert_eq!(base, PhysAddr::new(0x8000_0000));
+        assert_eq!(fa.alloc_run(3), Some((PhysAddr::new(0x8000_0000), 3)));
         assert_eq!(fa.remaining(), 1);
-        assert!(fa.alloc_contiguous(2).is_none());
-        assert!(fa.alloc_contiguous(1).is_some());
+        // A recycled frame is a run of one, handed out before the cursor.
+        fa.release(PhysAddr::new(0x8000_1000));
+        assert_eq!(fa.alloc_run(2), Some((PhysAddr::new(0x8000_1000), 1)));
+        // The cursor's run stops at the end of the range.
+        assert_eq!(fa.alloc_run(2), Some((PhysAddr::new(0x8000_3000), 1)));
+        assert_eq!(fa.alloc_run(1), None);
     }
 }

@@ -85,7 +85,8 @@ impl NestedPageTable {
         self.mapped_pages
     }
 
-    /// Maps one 4 KiB guest-physical page to a host frame.
+    /// Maps one 4 KiB guest-physical page to a host frame: the one-page
+    /// case of [`NestedPageTable::map_run`].
     ///
     /// # Errors
     ///
@@ -99,6 +100,59 @@ impl NestedPageTable {
         hpa: PhysAddr,
         writable: bool,
     ) -> Result<(), MapError> {
+        self.map_run(mem, frames, gpa, hpa, 1, writable)
+    }
+
+    /// Maps `pages` consecutive guest-physical pages, `gpa + i * 4 KiB` to
+    /// `hpa + i * 4 KiB` for every `i < pages`. The table is descended once
+    /// per leaf page table, then the run fills consecutive PTE slots.
+    ///
+    /// # Errors
+    ///
+    /// As [`NestedPageTable::map_page`], for the first page that fails; the
+    /// pages before it stay mapped.
+    pub fn map_run(
+        &mut self,
+        mem: &mut dyn WordStore,
+        frames: &mut dyn PtFrameSource,
+        gpa: GuestPhysAddr,
+        hpa: PhysAddr,
+        pages: u64,
+        writable: bool,
+    ) -> Result<(), MapError> {
+        let perms = if writable {
+            hpmp_memsim::Perms::RWX
+        } else {
+            hpmp_memsim::Perms::RX
+        };
+        let mut done = 0;
+        while done < pages {
+            let first = gpa + done * PAGE_SIZE;
+            let table = self.leaf_table(mem, frames, first)?;
+            let slots = (512 - ((first.raw() >> PAGE_SHIFT) & 0x1ff)).min(pages - done);
+            for slot in 0..slots {
+                let slot_gpa = first + slot * PAGE_SIZE;
+                let pte_slot = Self::pte_addr(table, slot_gpa, 0);
+                if Pte::from_bits(mem.read_u64(pte_slot)).is_valid() {
+                    return Err(MapError::AlreadyMapped(VirtAddr::new(slot_gpa.raw())));
+                }
+                let frame = hpa + (done + slot) * PAGE_SIZE;
+                mem.write_u64(pte_slot, Pte::leaf(frame, perms, true).to_bits());
+                self.mapped_pages += 1;
+            }
+            done += slots;
+        }
+        Ok(())
+    }
+
+    /// Descends to the leaf table covering `gpa`, creating missing tables
+    /// on the way.
+    fn leaf_table(
+        &mut self,
+        mem: &mut dyn WordStore,
+        frames: &mut dyn PtFrameSource,
+        gpa: GuestPhysAddr,
+    ) -> Result<PhysAddr, MapError> {
         if gpa.raw() >> 41 != 0 {
             return Err(MapError::NonCanonical(VirtAddr::new(gpa.raw())));
         }
@@ -121,18 +175,7 @@ impl NestedPageTable {
             };
             level -= 1;
         }
-        let slot = Self::pte_addr(table, gpa, 0);
-        if Pte::from_bits(mem.read_u64(slot)).is_valid() {
-            return Err(MapError::AlreadyMapped(VirtAddr::new(gpa.raw())));
-        }
-        let perms = if writable {
-            hpmp_memsim::Perms::RWX
-        } else {
-            hpmp_memsim::Perms::RX
-        };
-        mem.write_u64(slot, Pte::leaf(hpa, perms, true).to_bits());
-        self.mapped_pages += 1;
-        Ok(())
+        Ok(table)
     }
 
     /// Software G-stage walk: translates `gpa` without timing.

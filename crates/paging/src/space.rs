@@ -149,7 +149,7 @@ impl AddressSpace {
         self.mapped_pages
     }
 
-    /// Maps one 4 KiB page.
+    /// Maps one 4 KiB page: the one-page case of [`AddressSpace::map_run`].
     ///
     /// # Errors
     ///
@@ -164,7 +164,46 @@ impl AddressSpace {
         perms: Perms,
         user: bool,
     ) -> Result<(), MapError> {
-        self.map_at_level(mem, frames, va, pa, perms, user, 0)
+        self.map_run(mem, frames, va, pa, 1, perms, user)
+    }
+
+    /// Maps `pages` consecutive 4 KiB pages: `va + i * 4 KiB` to
+    /// `pa + i * 4 KiB` for every `i < pages`. The tree is descended once
+    /// per leaf page table, then the run fills consecutive PTE slots.
+    ///
+    /// # Errors
+    ///
+    /// As [`AddressSpace::map_page`], for the first page that fails; the
+    /// pages before it stay mapped.
+    #[allow(clippy::too_many_arguments)]
+    pub fn map_run(
+        &mut self,
+        mem: &mut dyn WordStore,
+        frames: &mut dyn PtFrameSource,
+        va: VirtAddr,
+        pa: PhysAddr,
+        pages: u64,
+        perms: Perms,
+        user: bool,
+    ) -> Result<(), MapError> {
+        let mut done = 0;
+        while done < pages {
+            let first = va + done * PAGE_SIZE;
+            let table = self.descend(mem, frames, first, 0)?;
+            let slots = (512 - first.vpn(0)).min(pages - done);
+            for slot in 0..slots {
+                let slot_va = first + slot * PAGE_SIZE;
+                let pte_slot = Self::pte_addr(table, slot_va, 0);
+                if Pte::from_bits(mem.read_u64(pte_slot)).is_valid() {
+                    return Err(MapError::AlreadyMapped(slot_va));
+                }
+                let frame = pa + (done + slot) * PAGE_SIZE;
+                mem.write_u64(pte_slot, Pte::leaf(frame, perms, user).to_bits());
+                self.mapped_pages += 1;
+            }
+            done += slots;
+        }
+        Ok(())
     }
 
     /// Maps a huge page at `level` (1 = 2 MiB, 2 = 1 GiB, ...).
@@ -188,20 +227,24 @@ impl AddressSpace {
         if !va.is_aligned(span) || !pa.is_aligned(span) {
             return Err(MapError::Misaligned(va));
         }
-        self.map_at_level(mem, frames, va, pa, perms, user, level)
+        let slot = Self::pte_addr(self.descend(mem, frames, va, level)?, va, level);
+        if Pte::from_bits(mem.read_u64(slot)).is_valid() {
+            return Err(MapError::AlreadyMapped(va));
+        }
+        mem.write_u64(slot, Pte::leaf(pa, perms, user).to_bits());
+        self.mapped_pages += 1;
+        Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn map_at_level(
+    /// Descends from the root to the table at `target_level` covering `va`,
+    /// creating missing tables on the way.
+    fn descend(
         &mut self,
         mem: &mut dyn WordStore,
         frames: &mut dyn PtFrameSource,
         va: VirtAddr,
-        pa: PhysAddr,
-        perms: Perms,
-        user: bool,
         target_level: usize,
-    ) -> Result<(), MapError> {
+    ) -> Result<PhysAddr, MapError> {
         if !self.mode.is_canonical(va) {
             return Err(MapError::NonCanonical(va));
         }
@@ -224,14 +267,7 @@ impl AddressSpace {
             };
             level -= 1;
         }
-        let slot = Self::pte_addr(table, va, target_level);
-        let existing = Pte::from_bits(mem.read_u64(slot));
-        if existing.is_valid() {
-            return Err(MapError::AlreadyMapped(va));
-        }
-        mem.write_u64(slot, Pte::leaf(pa, perms, user).to_bits());
-        self.mapped_pages += 1;
-        Ok(())
+        Ok(table)
     }
 
     /// Changes the permissions of the leaf mapping covering `va`

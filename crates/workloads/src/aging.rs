@@ -22,7 +22,7 @@
 //!
 //! The campaign runs on the SMP harness of [`crate::smp`]:
 //! [`run_aging_with`] takes pre-built machines and a
-//! [`RunOptions`](crate::smp::RunOptions) value (backend plus telemetry),
+//! [`RunOptions`] value (backend plus telemetry),
 //! and [`run_aging`] wraps it over fresh machines. Residents touch their
 //! working sets through the same tenant batch loop as the SMP workloads.
 //!
