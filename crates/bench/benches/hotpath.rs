@@ -1,6 +1,6 @@
 //! Microbenches for the simulator's per-access hot path: flat page-directory
-//! reads/writes, TLB/PWC/PMPTW-cache lookups, the cache/DRAM model below the
-//! L1 and its set-up, the per-hart invalidation every
+//! reads/writes, TLB/PWC/PMPTW-cache lookups, the HPMP permission check,
+//! the cache/DRAM model below the L1 and its set-up, the per-hart invalidation every
 //! monitor operation pays, metrics snapshots, and the table construction
 //! every fresh machine pays before its first access — plus end-to-end
 //! native and guest page-walk sweeps whose throughput declarations turn the
@@ -163,6 +163,62 @@ fn lookups(c: &mut Criterion) {
             }
             hits
         })
+    });
+    group.finish();
+}
+
+/// The HPMP permission check every walk reference pays, in the visitor
+/// form the access pipeline runs, on a warmed Rocket HPMP machine:
+/// `plan_segment` checks addresses in the PT-pool segment (no pmpte read),
+/// `plan_table` addresses of mapped data pages behind the PMP Table with
+/// the PMPTW-Cache off, so each check walks the root and the leaf pmpte.
+/// Each iteration counts the pmptes its visitor received against the
+/// count it expects.
+fn checks(c: &mut Criterion) {
+    let mut group = c.benchmark_group("check");
+    group.sample_size(200);
+
+    let base = 0x10_0000u64;
+    let mut sys = SystemBuilder::new(MachineConfig::rocket(), IsolationScheme::Hpmp).build();
+    sys.map_range(VirtAddr::new(base), OPS, Perms::RW);
+    sys.sync_pt_grants();
+    let mut data = Vec::new();
+    for i in 0..OPS {
+        let va = VirtAddr::new(base + i * PAGE_SIZE);
+        let done = sys
+            .machine
+            .access(&sys.space, va, AccessKind::Read, PrivMode::Supervisor)
+            .expect("warm-up stays fault-free");
+        data.push(done.paddr);
+    }
+    let plan = sys.machine.regs().plan();
+    let phys = sys.machine.phys();
+    let mut cache = PmptwCache::disabled();
+    let mut run = |addrs: &[PhysAddr]| {
+        let mut pmptes = 0u64;
+        for &addr in addrs {
+            let verdict = plan.check_with(
+                phys,
+                &mut cache,
+                black_box(addr),
+                AccessKind::Read,
+                PrivMode::Supervisor,
+                |_| pmptes += 1,
+            );
+            assert!(verdict.allowed, "every checked page is granted");
+        }
+        pmptes
+    };
+
+    // The PT pool is the segment at the base of RAM.
+    let segment: Vec<PhysAddr> = (0..OPS)
+        .map(|i| PhysAddr::new(RAM_BASE + (i % 64) * PAGE_SIZE))
+        .collect();
+    group.bench_function("plan_segment", |b| {
+        b.iter(|| assert_eq!(run(&segment), 0, "a segment check reads no pmpte"))
+    });
+    group.bench_function("plan_table", |b| {
+        b.iter(|| assert_eq!(run(&data), 2 * OPS, "a table check reads two pmptes"))
     });
     group.finish();
 }
@@ -485,6 +541,7 @@ criterion_group!(
     benches,
     physmem,
     lookups,
+    checks,
     memsim,
     flushes,
     registry,

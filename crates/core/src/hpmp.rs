@@ -9,8 +9,10 @@
 //!   check; or
 //! * **table mode** (`T = 1`): permissions come from a PMP Table whose root
 //!   page (and depth, via the `Mode` field) is recorded in the *next*
-//!   entry's address register; the checker walks the table, issuing the
-//!   pmpte reads reported in [`CheckOutcome::refs`].
+//!   entry's address register; the checker walks the table, reporting
+//!   each pmpte read to the caller's visitor as it performs it
+//!   ([`EntryPlan::check_with`]) or collecting them into
+//!   [`CheckOutcome::refs`].
 //!
 //! An entry whose predecessor is in table mode is a table-pointer register
 //! and never participates in address matching. The last entry cannot be in
@@ -21,7 +23,7 @@ use hpmp_trace::PmptwOutcome;
 
 use crate::pmp::{napot_decode, napot_encode, AddressMode, PmpConfig, PmpRegion};
 use crate::ptw_cache::PmptwCache;
-use crate::table::{self, LeafPmpte, PmptRef, PmptRefs, RootPmpte, TableLevels, TableOffset};
+use crate::table::{self, LeafPmpte, PmptRef, PmptRefs, RootPmpte, TableLevels, TableVerdict};
 
 /// Number of HPMP entries in the prototype ("our prototype supports 16
 /// entries").
@@ -86,18 +88,18 @@ impl std::fmt::Display for HpmpError {
 
 impl std::error::Error for HpmpError {}
 
-/// Outcome of one HPMP permission check.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CheckOutcome {
+/// What one HPMP permission check decided. The visitor form of the check
+/// ([`EntryPlan::check_with`]) returns it and reports each pmpte read to
+/// its visitor as the walk performs it; [`CheckOutcome`] adds the reads,
+/// collected into a list.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CheckVerdict {
     /// Whether the access is permitted.
     pub allowed: bool,
     /// The effective permission found (empty when no entry matched).
     pub perms: Perms,
     /// Index of the entry that decided, if any.
     pub matched_entry: Option<usize>,
-    /// pmpte memory references performed by the PMP Table walker (empty in
-    /// segment mode or on a PMPTW-Cache leaf hit).
-    pub refs: PmptRefs,
     /// How the PMPTW-Cache resolved this check: `None` when no PMP Table
     /// walk happened at all (segment mode, M-mode bypass, no match),
     /// `Bypass` when a table walk ran with the cache disabled or at a
@@ -109,23 +111,106 @@ pub struct CheckOutcome {
     pub malformed: bool,
 }
 
-impl CheckOutcome {
-    fn denied() -> CheckOutcome {
-        CheckOutcome {
-            allowed: false,
-            perms: Perms::NONE,
-            matched_entry: None,
-            refs: PmptRefs::new(),
+impl CheckVerdict {
+    /// Full access without a table walk: the M-mode bypass of an unlocked
+    /// entry, or M-mode's default when no entry matched.
+    const fn machine(matched_entry: Option<usize>) -> CheckVerdict {
+        CheckVerdict {
+            allowed: true,
+            perms: Perms::RWX,
+            matched_entry,
             pmptw: None,
             malformed: false,
         }
     }
 
-    fn denied_malformed(entry: usize) -> CheckOutcome {
-        CheckOutcome {
+    /// No entry matched: M-mode has default full access, S/U none.
+    fn unmatched(mode: PrivMode) -> CheckVerdict {
+        if mode == PrivMode::Machine {
+            CheckVerdict::machine(None)
+        } else {
+            CheckVerdict {
+                allowed: false,
+                perms: Perms::NONE,
+                matched_entry: None,
+                pmptw: None,
+                malformed: false,
+            }
+        }
+    }
+
+    /// Entry `entry` holds an encoding no legal write produces: fail closed.
+    const fn malformed(entry: usize) -> CheckVerdict {
+        CheckVerdict {
+            allowed: false,
+            perms: Perms::NONE,
             matched_entry: Some(entry),
+            pmptw: None,
             malformed: true,
-            ..CheckOutcome::denied()
+        }
+    }
+
+    /// Segment-mode entry `entry` decides with its in-register `perms`.
+    fn segment(entry: usize, perms: Perms, kind: AccessKind) -> CheckVerdict {
+        CheckVerdict {
+            allowed: perms.allows(kind),
+            perms,
+            matched_entry: Some(entry),
+            pmptw: None,
+            malformed: false,
+        }
+    }
+
+    /// Table-mode entry `entry` decides with what its table walk found.
+    fn table(
+        entry: usize,
+        kind: AccessKind,
+        (walk, pmptw): (TableVerdict, PmptwOutcome),
+    ) -> CheckVerdict {
+        let perms = walk.perms.unwrap_or(Perms::NONE);
+        CheckVerdict {
+            allowed: perms.allows(kind),
+            perms,
+            matched_entry: Some(entry),
+            pmptw: Some(pmptw),
+            malformed: walk.malformed,
+        }
+    }
+}
+
+/// Outcome of one HPMP permission check, with its pmpte reads collected:
+/// a [`CheckVerdict`] plus the list.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CheckOutcome {
+    /// Whether the access is permitted.
+    pub allowed: bool,
+    /// The effective permission found (empty when no entry matched).
+    pub perms: Perms,
+    /// Index of the entry that decided, if any.
+    pub matched_entry: Option<usize>,
+    /// pmpte memory references performed by the PMP Table walker (empty in
+    /// segment mode or on a PMPTW-Cache leaf hit).
+    pub refs: PmptRefs,
+    /// How the PMPTW-Cache resolved this check (see [`CheckVerdict`]).
+    pub pmptw: Option<PmptwOutcome>,
+    /// `true` if the check decoded a malformed encoding and failed closed
+    /// (see [`CheckVerdict`]).
+    pub malformed: bool,
+}
+
+impl CheckOutcome {
+    /// Runs a visitor-form check, collecting the pmpte reads it reports.
+    #[inline]
+    fn collect(check: impl FnOnce(&mut PmptRefs) -> CheckVerdict) -> CheckOutcome {
+        let mut refs = PmptRefs::new();
+        let verdict = check(&mut refs);
+        CheckOutcome {
+            allowed: verdict.allowed,
+            perms: verdict.perms,
+            matched_entry: verdict.matched_entry,
+            refs,
+            pmptw: verdict.pmptw,
+            malformed: verdict.malformed,
         }
     }
 }
@@ -415,6 +500,9 @@ impl HpmpRegFile {
     /// in standard PMP. The pmpte reads performed by the table walker are
     /// returned in [`CheckOutcome::refs`]; the caller charges them to the
     /// cache hierarchy.
+    ///
+    /// This is the reference checker: it re-decodes every register on every
+    /// call, and [`EntryPlan`] is tested against it.
     pub fn check(
         &self,
         mem: &dyn WordStore,
@@ -423,6 +511,21 @@ impl HpmpRegFile {
         kind: AccessKind,
         mode: PrivMode,
     ) -> CheckOutcome {
+        CheckOutcome::collect(|refs| {
+            self.check_with(mem, cache, addr, kind, mode, |r| refs.push(r))
+        })
+    }
+
+    /// [`HpmpRegFile::check`], reporting each pmpte read to `visit`.
+    fn check_with(
+        &self,
+        mem: &dyn WordStore,
+        cache: &mut PmptwCache,
+        addr: PhysAddr,
+        kind: AccessKind,
+        mode: PrivMode,
+        visit: impl FnMut(PmptRef),
+    ) -> CheckVerdict {
         for idx in 0..self.len() {
             if self.is_pointer_slot(idx) {
                 continue;
@@ -438,65 +541,29 @@ impl HpmpRegFile {
             if cfg.is_malformed() {
                 // A legal WARL write can never set the reserved bit; this is
                 // physically corrupted register state. Fail closed.
-                return CheckOutcome::denied_malformed(idx);
+                return CheckVerdict::malformed(idx);
             }
             if mode == PrivMode::Machine && !cfg.locked() {
-                return CheckOutcome {
-                    allowed: true,
-                    perms: Perms::RWX,
-                    matched_entry: Some(idx),
-                    refs: PmptRefs::new(),
-                    pmptw: None,
-                    malformed: false,
-                };
+                return CheckVerdict::machine(Some(idx));
             }
             if !cfg.table_mode() {
-                let perms = cfg.perms();
-                return CheckOutcome {
-                    allowed: perms.allows(kind),
-                    perms,
-                    matched_entry: Some(idx),
-                    refs: PmptRefs::new(),
-                    pmptw: None,
-                    malformed: false,
-                };
+                return CheckVerdict::segment(idx, cfg.perms(), kind);
             }
             if idx == self.len() - 1 {
                 // Table mode on the last entry has no pointer slot: only
                 // register corruption can produce it. Fail closed.
-                return CheckOutcome::denied_malformed(idx);
+                return CheckVerdict::malformed(idx);
             }
             // Table mode: walk the PMP Table via the next entry's pointer.
             let Some((root, levels)) = table_pointer_decode(self.addr[idx + 1]) else {
                 // The reserved `Mode` encoding: malformed pointer register.
-                return CheckOutcome::denied_malformed(idx);
+                return CheckVerdict::malformed(idx);
             };
             let offset = addr.offset_from(region.base);
-            let (perms, refs, pmptw, malformed) =
-                walk_with_cache(mem, cache, idx, root, levels, offset);
-            let perms = perms.unwrap_or(Perms::NONE);
-            return CheckOutcome {
-                allowed: perms.allows(kind),
-                perms,
-                matched_entry: Some(idx),
-                refs,
-                pmptw: Some(pmptw),
-                malformed,
-            };
+            let walk = walk_with_cache(mem, cache, idx, root, levels, offset, visit);
+            return CheckVerdict::table(idx, kind, walk);
         }
-        // No entry matched: M-mode has default full access, S/U none.
-        if mode == PrivMode::Machine {
-            CheckOutcome {
-                allowed: true,
-                perms: Perms::RWX,
-                matched_entry: None,
-                refs: PmptRefs::new(),
-                pmptw: None,
-                malformed: false,
-            }
-        } else {
-            CheckOutcome::denied()
-        }
+        CheckVerdict::unmatched(mode)
     }
 
     /// Validates every entry against the WARL invariants a legal
@@ -548,82 +615,69 @@ impl HpmpRegFile {
     }
 }
 
-/// Walks a table-mode entry's PMP Table, consulting the PMPTW-Cache.
-fn walk_with_cache(
-    mem: &dyn WordStore,
+/// Walks a table-mode entry's PMP Table, consulting the PMPTW-Cache, and
+/// reports each pmpte read to `visit` as it happens. A miss refills the
+/// cache from the words the walk read.
+#[inline]
+fn walk_with_cache<M: WordStore + ?Sized>(
+    mem: &M,
     cache: &mut PmptwCache,
     entry_idx: usize,
     root: PhysAddr,
     levels: TableLevels,
     offset: u64,
-) -> (Option<Perms>, PmptRefs, PmptwOutcome, bool) {
-    let cache_covers = !cache.is_disabled() && levels == TableLevels::Two;
-    if cache_covers {
-        // Fast path: leaf pmpte cached => zero references.
-        if let Some(perms) = cache.lookup_leaf(entry_idx, offset) {
-            return (
-                (!perms.is_empty()).then_some(perms),
-                PmptRefs::new(),
-                PmptwOutcome::LeafHit,
-                false,
-            );
-        }
-        // Root pmpte cached => one reference (the leaf read).
-        if let Some(root_pmpte) = cache.lookup_root(entry_idx, offset) {
-            if !root_pmpte.is_valid() {
-                return (None, PmptRefs::new(), PmptwOutcome::RootHit, false);
-            }
-            if root_pmpte.is_huge() {
-                return (
-                    Some(root_pmpte.perms()),
-                    PmptRefs::new(),
-                    PmptwOutcome::RootHit,
-                    false,
-                );
-            }
-            let split = TableOffset::split(offset);
-            let leaf_slot = PhysAddr::new(root_pmpte.leaf_table().raw() + split.off0 * 8);
-            let bits = mem.read_u64(leaf_slot);
-            let mut leaf_ref = PmptRefs::new();
-            leaf_ref.push(PmptRef {
-                is_root: false,
-                addr: leaf_slot,
-                bits,
+    mut visit: impl FnMut(PmptRef),
+) -> (TableVerdict, PmptwOutcome) {
+    if cache.is_disabled() || levels != TableLevels::Two {
+        let walk = table::walk_from_root(mem, root, levels, offset, visit);
+        return (walk, PmptwOutcome::Bypass);
+    }
+    // Fast path: leaf pmpte cached => zero references.
+    if let Some(perms) = cache.lookup_leaf(entry_idx, offset) {
+        return (TableVerdict::found(perms), PmptwOutcome::LeafHit);
+    }
+    // Root pmpte cached => one reference (the leaf read).
+    if let Some(root_pmpte) = cache.lookup_root(entry_idx, offset) {
+        let walk = if !root_pmpte.is_valid() {
+            TableVerdict::default()
+        } else if root_pmpte.is_huge() {
+            TableVerdict::found(root_pmpte.perms())
+        } else {
+            let mut leaf = 0;
+            let walk = table::read_leaf(mem, root_pmpte.leaf_table(), offset, |r| {
+                leaf = r.bits;
+                visit(r);
             });
-            let Ok(leaf) = LeafPmpte::decode(bits) else {
-                // Corrupt leaf behind a cached root: fail closed, uncached.
-                return (None, leaf_ref, PmptwOutcome::RootHit, true);
-            };
-            cache.insert_leaf(entry_idx, offset, leaf);
-            let perms = leaf.perm(split.page_index);
-            return (
-                (!perms.is_empty()).then_some(perms),
-                leaf_ref,
-                PmptwOutcome::RootHit,
-                false,
-            );
-        }
-        cache.record_miss();
-    }
-    let walk = table::walk_from_root(mem, root, levels, offset);
-    // Refill the cache from the words the walk read — but never cache a
-    // malformed walk's entries: a corrupt pmpte must stay visible to every
-    // re-check.
-    if cache_covers && !walk.malformed {
-        for r in &walk.refs {
-            if r.is_root {
-                cache.insert_root(entry_idx, offset, RootPmpte::from_bits(r.bits));
-            } else {
-                cache.insert_leaf(entry_idx, offset, LeafPmpte::from_bits(r.bits));
+            // A corrupt leaf behind a cached root fails closed, uncached.
+            if !walk.malformed {
+                cache.insert_leaf(entry_idx, offset, LeafPmpte::from_bits(leaf));
             }
+            walk
+        };
+        return (walk, PmptwOutcome::RootHit);
+    }
+    cache.record_miss();
+    // The words the walk read, root then leaf: they refill the cache once
+    // the walk is known to be well formed, since a corrupt pmpte must stay
+    // visible to every re-check.
+    let (mut root_word, mut leaf_word) = (None, None);
+    let walk = table::walk_from_root(mem, root, levels, offset, |r| {
+        if r.is_root {
+            root_word = Some(r.bits);
+        } else {
+            leaf_word = Some(r.bits);
+        }
+        visit(r);
+    });
+    if !walk.malformed {
+        if let Some(bits) = root_word {
+            cache.insert_root(entry_idx, offset, RootPmpte::from_bits(bits));
+        }
+        if let Some(bits) = leaf_word {
+            cache.insert_leaf(entry_idx, offset, LeafPmpte::from_bits(bits));
         }
     }
-    let outcome = if cache_covers {
-        PmptwOutcome::Miss
-    } else {
-        PmptwOutcome::Bypass
-    };
-    (walk.perms, walk.refs, outcome, walk.malformed)
+    (walk, PmptwOutcome::Miss)
 }
 
 /// How a planned entry decides an access that its region matched, with
@@ -720,15 +774,35 @@ impl EntryPlan {
         self.generation
     }
 
-    /// As [`HpmpRegFile::check`], over the pre-decoded entries.
-    pub fn check(
+    /// As [`HpmpRegFile::check`], over the pre-decoded entries: a thin
+    /// wrapper that collects [`EntryPlan::check_with`]'s pmpte reads.
+    pub fn check<M: WordStore + ?Sized>(
         &self,
-        mem: &dyn WordStore,
+        mem: &M,
         cache: &mut PmptwCache,
         addr: PhysAddr,
         kind: AccessKind,
         mode: PrivMode,
     ) -> CheckOutcome {
+        CheckOutcome::collect(|refs| {
+            self.check_with(mem, cache, addr, kind, mode, |r| refs.push(r))
+        })
+    }
+
+    /// The permission check for one physical access, reporting each pmpte
+    /// read to `visit` as the table walk performs it, in issue order. The
+    /// access pipeline charges the reads to the memory hierarchy from
+    /// inside `visit`, so no list of them is ever built.
+    #[inline]
+    pub fn check_with<M: WordStore + ?Sized>(
+        &self,
+        mem: &M,
+        cache: &mut PmptwCache,
+        addr: PhysAddr,
+        kind: AccessKind,
+        mode: PrivMode,
+        visit: impl FnMut(PmptRef),
+    ) -> CheckVerdict {
         for entry in &self.entries {
             if !entry.region.contains(addr) {
                 continue;
@@ -737,57 +811,23 @@ impl EntryPlan {
             // (malformed, M-mode bypass, then mode) mirrors the
             // architectural checker exactly.
             if matches!(entry.kind, PlannedKind::Malformed) {
-                return CheckOutcome::denied_malformed(entry.idx);
+                return CheckVerdict::malformed(entry.idx);
             }
             if mode == PrivMode::Machine && !entry.locked {
-                return CheckOutcome {
-                    allowed: true,
-                    perms: Perms::RWX,
-                    matched_entry: Some(entry.idx),
-                    refs: PmptRefs::new(),
-                    pmptw: None,
-                    malformed: false,
-                };
+                return CheckVerdict::machine(Some(entry.idx));
             }
             return match entry.kind {
                 PlannedKind::Malformed => unreachable!("handled above"),
-                PlannedKind::Segment(perms) => CheckOutcome {
-                    allowed: perms.allows(kind),
-                    perms,
-                    matched_entry: Some(entry.idx),
-                    refs: PmptRefs::new(),
-                    pmptw: None,
-                    malformed: false,
-                },
-                PlannedKind::BadTablePointer => CheckOutcome::denied_malformed(entry.idx),
+                PlannedKind::Segment(perms) => CheckVerdict::segment(entry.idx, perms, kind),
+                PlannedKind::BadTablePointer => CheckVerdict::malformed(entry.idx),
                 PlannedKind::Table(root, levels) => {
                     let offset = addr.offset_from(entry.region.base);
-                    let (perms, refs, pmptw, malformed) =
-                        walk_with_cache(mem, cache, entry.idx, root, levels, offset);
-                    let perms = perms.unwrap_or(Perms::NONE);
-                    CheckOutcome {
-                        allowed: perms.allows(kind),
-                        perms,
-                        matched_entry: Some(entry.idx),
-                        refs,
-                        pmptw: Some(pmptw),
-                        malformed,
-                    }
+                    let walk = walk_with_cache(mem, cache, entry.idx, root, levels, offset, visit);
+                    CheckVerdict::table(entry.idx, kind, walk)
                 }
             };
         }
-        if mode == PrivMode::Machine {
-            CheckOutcome {
-                allowed: true,
-                perms: Perms::RWX,
-                matched_entry: None,
-                refs: PmptRefs::new(),
-                pmptw: None,
-                malformed: false,
-            }
-        } else {
-            CheckOutcome::denied()
-        }
+        CheckVerdict::unmatched(mode)
     }
 }
 
@@ -814,17 +854,76 @@ mod tests {
         (mem, table, regs)
     }
 
+    /// The three checkers under test, each with its own PMPTW-Cache: the
+    /// reference [`HpmpRegFile::check`], the plan's visitor form and the
+    /// plan's collecting wrapper.
+    struct Checkers {
+        reference: PmptwCache,
+        visitor: PmptwCache,
+        wrapper: PmptwCache,
+    }
+
+    impl Checkers {
+        fn new() -> Checkers {
+            Checkers {
+                reference: PmptwCache::new(PmptwCacheConfig::ENABLED_8),
+                visitor: PmptwCache::new(PmptwCacheConfig::ENABLED_8),
+                wrapper: PmptwCache::new(PmptwCacheConfig::ENABLED_8),
+            }
+        }
+
+        /// Runs one check through all three and asserts they agree: the
+        /// refs the visitor received, in order and with their words, the
+        /// verdict, and each PMPTW-Cache's stats afterwards. Returns the
+        /// reference outcome.
+        fn check(
+            &mut self,
+            regs: &HpmpRegFile,
+            plan: &EntryPlan,
+            mem: &PhysMem,
+            (addr, kind, mode): (PhysAddr, AccessKind, PrivMode),
+            what: &str,
+        ) -> CheckOutcome {
+            let reference = regs.check(mem, &mut self.reference, addr, kind, mode);
+            let mut visited = Vec::new();
+            let verdict = plan.check_with(mem, &mut self.visitor, addr, kind, mode, |r| {
+                visited.push(r)
+            });
+            let wrapped = plan.check(mem, &mut self.wrapper, addr, kind, mode);
+            assert_eq!(reference, wrapped, "wrapper diverges at {what} for {addr}");
+            assert_eq!(
+                &reference.refs[..],
+                &visited[..],
+                "visitor refs diverge at {what} for {addr}"
+            );
+            let expected = CheckVerdict {
+                allowed: reference.allowed,
+                perms: reference.perms,
+                matched_entry: reference.matched_entry,
+                pmptw: reference.pmptw,
+                malformed: reference.malformed,
+            };
+            assert_eq!(expected, verdict, "verdict diverges at {what} for {addr}");
+            let stats = self.reference.stats();
+            assert_eq!(stats, self.visitor.stats(), "visitor cache at {what}");
+            assert_eq!(stats, self.wrapper.stats(), "wrapper cache at {what}");
+            reference
+        }
+    }
+
     /// The pre-decoded [`EntryPlan`] must be observably indistinguishable
-    /// from the architectural checker: same outcome, same pmpte refs,
+    /// from the architectural checker, in both its visitor form and its
+    /// collecting wrapper: same verdict, same pmpte refs in the same order,
     /// same PMPTW-Cache evolution — across segment/table/malformed
     /// entries, all access kinds and privilege modes, and through
     /// fault-injected register corruption (which only the generation
-    /// stamp can make the plan notice).
+    /// stamp can make the plan notice). A closing case corrupts the leaf
+    /// pmpte behind a cached root.
     #[test]
     fn plan_check_matches_reference_check_exactly() {
         use hpmp_memsim::SplitMix64;
 
-        let (mem, _table, mut regs) = table_fixture();
+        let (mut mem, table, mut regs) = table_fixture();
         regs.configure_segment(
             2,
             PmpRegion::new(PhysAddr::new(0x8000_0000), 0x1000_0000),
@@ -839,11 +938,18 @@ mod tests {
         .unwrap();
 
         let mut rng = SplitMix64::seed_from_u64(0xE9_7A5);
-        let mut ref_cache = PmptwCache::new(PmptwCacheConfig::ENABLED_8);
-        let mut plan_cache = PmptwCache::new(PmptwCacheConfig::ENABLED_8);
+        let mut checkers = Checkers::new();
         let mut plan = regs.plan();
         let kinds = [AccessKind::Read, AccessKind::Write, AccessKind::Fetch];
         let modes = [PrivMode::User, PrivMode::Supervisor, PrivMode::Machine];
+        // Scrubs the file back to the known-good table fixture, as the
+        // monitor does after register corruption.
+        let restore = |regs: &mut HpmpRegFile| {
+            let (_, _, fresh) = table_fixture();
+            for idx in 0..regs.len() {
+                regs.force_restore(idx, fresh.addr_reg(idx), fresh.cfg_reg(idx));
+            }
+        };
         for step in 0..4096u64 {
             if step % 97 == 0 {
                 let idx = rng.gen_range(0..regs.len() as u64) as usize;
@@ -854,13 +960,8 @@ mod tests {
                 regs.corrupt_addr(idx, rng.next_u64());
             }
             if step % 611 == 0 {
-                // Recover: scrub back to a known-good file, as the monitor
-                // does, exercising force_restore invalidation too.
-                let (m, _t, fresh) = table_fixture();
-                drop(m);
-                for idx in 0..regs.len() {
-                    regs.force_restore(idx, fresh.addr_reg(idx), fresh.cfg_reg(idx));
-                }
+                // Recover, exercising force_restore invalidation too.
+                restore(&mut regs);
                 regs.configure_segment(
                     2,
                     PmpRegion::new(PhysAddr::new(0x8000_0000), 0x1000_0000),
@@ -879,9 +980,35 @@ mod tests {
             };
             let kind = kinds[(rng.next_u64() % 3) as usize];
             let mode = modes[(rng.next_u64() % 3) as usize];
-            let reference = regs.check(&mem, &mut ref_cache, addr, kind, mode);
-            let planned = plan.check(&mem, &mut plan_cache, addr, kind, mode);
-            assert_eq!(reference, planned, "divergence at step {step} for {addr}");
+            let access = (addr, kind, mode);
+            checkers.check(&regs, &plan, &mem, access, &format!("step {step}"));
+        }
+
+        // A corrupt leaf pmpte behind a cached root. The cold walk meets
+        // the corruption and caches nothing, not even its clean root; a
+        // sibling span of the same 32 MiB slice primes the root; then
+        // every re-check reads the corrupt leaf through the root hit.
+        restore(&mut regs);
+        let plan = regs.plan();
+        let mut checkers = Checkers::new();
+        let page = PhysAddr::new(0x9000_2abc);
+        let leaf_slot = table.walk(&mem, page).refs[1].addr;
+        mem.write_u64(leaf_slot, mem.read_u64(leaf_slot) ^ (1 << 9));
+        let mut check = |addr: PhysAddr, what: &str| {
+            checkers.check(&regs, &plan, &mem, (addr, AccessKind::Read, S), what)
+        };
+        let cold = check(page, "corrupt leaf, cold");
+        assert!(!cold.allowed && cold.malformed);
+        assert_eq!(cold.pmptw, Some(PmptwOutcome::Miss));
+        let sibling = check(PhysAddr::new(0x9001_2000), "sibling primes the root");
+        assert!(!sibling.malformed);
+        assert_eq!(sibling.pmptw, Some(PmptwOutcome::Miss), "root not cached");
+        for attempt in 0..2 {
+            let via_root = check(page, &format!("corrupt leaf, root hit {attempt}"));
+            assert!(!via_root.allowed && via_root.malformed);
+            assert_eq!(via_root.pmptw, Some(PmptwOutcome::RootHit));
+            assert_eq!(via_root.refs.len(), 1, "only the leaf is read");
+            assert_eq!(via_root.refs[0].addr, leaf_slot);
         }
     }
 

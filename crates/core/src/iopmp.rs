@@ -65,6 +65,9 @@ pub struct IoCheckOutcome {
     pub matched_entry: Option<usize>,
     /// pmpte reads performed (table-mode entries).
     pub refs: PmptRefs,
+    /// `true` if the table walk read a pmpte that failed its integrity
+    /// check (`allowed` is then `false`: the checker fails closed).
+    pub malformed: bool,
 }
 
 /// An IOPMP checker sitting between DMA initiators and memory.
@@ -118,10 +121,12 @@ impl IoPmp {
 
     /// Checks one DMA access from `device`. The lowest-numbered entry whose
     /// source mask and region both match decides; unmatched accesses are
-    /// denied (devices have no default access).
-    pub fn check(
+    /// denied (devices have no default access). A table-mode entry runs the
+    /// same PMP Table walk as the CPU-side checker, so a corrupt pmpte fails
+    /// closed and is flagged `malformed` here too.
+    pub fn check<M: WordStore + ?Sized>(
         &self,
-        mem: &dyn WordStore,
+        mem: &M,
         device: DeviceId,
         addr: PhysAddr,
         kind: AccessKind,
@@ -135,14 +140,17 @@ impl IoPmp {
                     allowed: perms.allows(kind),
                     matched_entry: Some(idx),
                     refs: PmptRefs::new(),
+                    malformed: false,
                 },
                 IoPmpMode::Table { root, levels } => {
                     let offset = addr.offset_from(entry.region.base);
-                    let walk = walk_from_root(mem, root, levels, offset);
+                    let mut refs = PmptRefs::new();
+                    let walk = walk_from_root(mem, root, levels, offset, |r| refs.push(r));
                     IoCheckOutcome {
                         allowed: walk.perms.is_some_and(|p| p.allows(kind)),
                         matched_entry: Some(idx),
-                        refs: walk.refs,
+                        refs,
+                        malformed: walk.malformed,
                     }
                 }
             };
@@ -151,6 +159,7 @@ impl IoPmp {
             allowed: false,
             matched_entry: None,
             refs: PmptRefs::new(),
+            malformed: false,
         }
     }
 }

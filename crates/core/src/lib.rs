@@ -7,9 +7,10 @@
 //! with statically-prioritized matching, the **PMPTW-Cache**, and an
 //! analytic hardware-cost model standing in for the paper's Vivado report.
 //!
-//! The checker returns the exact pmpte memory references each permission
-//! check performs; the `hpmp-machine` crate charges those to the simulated
-//! cache hierarchy to produce the paper's latencies.
+//! The checker reports the exact pmpte memory references each permission
+//! check performs, one by one to a visitor as its table walk reads them;
+//! the `hpmp-machine` crate charges each to the simulated cache hierarchy
+//! to produce the paper's latencies.
 //!
 //! ```
 //! use hpmp_core::{HpmpRegFile, PmpRegion, PmptwCache};
@@ -39,8 +40,8 @@ mod table;
 
 pub use cost::{estimate_resources, HardwareParams, ResourceReport};
 pub use hpmp::{
-    table_pointer_decode, table_pointer_encode, CheckOutcome, EntryPlan, HpmpError, HpmpRegFile,
-    EPMP_ENTRIES, HPMP_ENTRIES,
+    table_pointer_decode, table_pointer_encode, CheckOutcome, CheckVerdict, EntryPlan, HpmpError,
+    HpmpRegFile, EPMP_ENTRIES, HPMP_ENTRIES,
 };
 pub use hpmp_trace::PmptwOutcome;
 pub use iopmp::{DeviceId, IoCheckOutcome, IoPmp, IoPmpEntry, IoPmpMode};

@@ -456,7 +456,35 @@ pub struct PmptRef {
 /// level of the deepest table.
 pub type PmptRefs = InlineVec<PmptRef, { TableLevels::MAX_DEPTH }>;
 
-/// Outcome of walking a PMP Table for one physical address.
+/// What a PMP Table walk decided, without its pmpte reads: the walker
+/// reports those to its visitor as it performs them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct TableVerdict {
+    /// The permission found, or `None` if the walk hit an invalid entry.
+    pub(crate) perms: Option<Perms>,
+    /// `true` if the walk read a pmpte that failed its integrity check
+    /// (`perms` is then `None`: the walker fails closed).
+    pub(crate) malformed: bool,
+}
+
+impl TableVerdict {
+    /// A walk that read a corrupt pmpte.
+    const MALFORMED: TableVerdict = TableVerdict {
+        perms: None,
+        malformed: true,
+    };
+
+    /// A well-formed walk that found `perms`; an empty permission denies.
+    pub(crate) fn found(perms: Perms) -> TableVerdict {
+        TableVerdict {
+            perms: (!perms.is_empty()).then_some(perms),
+            malformed: false,
+        }
+    }
+}
+
+/// Outcome of walking a PMP Table for one physical address, with the pmpte
+/// reads collected into a list.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TableWalk {
     /// pmpte reads performed, in order (≤ 2 for a 2-level table).
@@ -747,23 +775,26 @@ impl PmpTable {
         Ok(writes)
     }
 
-    /// Walks the table for `addr`, reporting the pmpte reads performed.
+    /// Walks the table for `addr`, collecting the pmpte reads performed.
     /// Addresses outside the region produce an empty walk with no
     /// permission.
-    pub fn walk(&self, mem: &dyn WordStore, addr: PhysAddr) -> TableWalk {
-        if !self.region.contains(addr) {
-            return TableWalk {
-                refs: PmptRefs::new(),
-                perms: None,
-                malformed: false,
-            };
+    pub fn walk<M: WordStore + ?Sized>(&self, mem: &M, addr: PhysAddr) -> TableWalk {
+        let mut refs = PmptRefs::new();
+        let verdict = if self.region.contains(addr) {
+            let offset = addr.offset_from(self.region.base);
+            walk_from_root(mem, self.root, self.levels, offset, |r| refs.push(r))
+        } else {
+            TableVerdict::default()
+        };
+        TableWalk {
+            refs,
+            perms: verdict.perms,
+            malformed: verdict.malformed,
         }
-        let offset = addr.offset_from(self.region.base);
-        walk_from_root(mem, self.root, self.levels, offset)
     }
 
     /// Software query without reference accounting.
-    pub fn lookup(&self, mem: &dyn WordStore, addr: PhysAddr) -> Option<Perms> {
+    pub fn lookup<M: WordStore + ?Sized>(&self, mem: &M, addr: PhysAddr) -> Option<Perms> {
         self.walk(mem, addr).perms
     }
 }
@@ -771,75 +802,63 @@ impl PmpTable {
 /// Walks a PMP Table given only what the hardware knows: the root page
 /// (from the next HPMP entry's address register), the depth (from its `Mode`
 /// field) and the access's offset within the protected region (from the
-/// entry's address matching). Used by the HPMP checker, which has no
-/// [`PmpTable`] handle. Each reference carries the word it read, so a
-/// caller can cache the entries without reading them again.
-pub(crate) fn walk_from_root(
-    mem: &dyn WordStore,
+/// entry's address matching). This is the one pmpte walk: the HPMP checker,
+/// the IOPMP and [`PmpTable::walk`] all run it. Each pmpte read goes to
+/// `visit` as it happens, carrying the word it read, so a caller can charge
+/// the reference or cache the entry without reading it again.
+#[inline]
+pub(crate) fn walk_from_root<M: WordStore + ?Sized>(
+    mem: &M,
     root: PhysAddr,
     levels: TableLevels,
     offset: u64,
-) -> TableWalk {
-    let split = TableOffset::split(offset);
-    let mut refs = PmptRefs::new();
+    mut visit: impl FnMut(PmptRef),
+) -> TableVerdict {
     let mut table = root;
     for level in (1..levels.depth()).rev() {
         let idx = (offset >> TableLevels::index_shift(level)) & 0x1ff;
-        let slot = PhysAddr::new(table.raw() + idx * 8);
-        let bits = mem.read_u64(slot);
-        refs.push(PmptRef {
+        let addr = PhysAddr::new(table.raw() + idx * 8);
+        let bits = mem.read_u64(addr);
+        visit(PmptRef {
             is_root: true,
-            addr: slot,
+            addr,
             bits,
         });
-        let entry = match RootPmpte::decode(bits) {
-            Ok(entry) => entry,
-            Err(_) => {
-                return TableWalk {
-                    refs,
-                    perms: None,
-                    malformed: true,
-                }
-            }
+        let Ok(entry) = RootPmpte::decode(bits) else {
+            return TableVerdict::MALFORMED;
         };
         if !entry.is_valid() {
-            return TableWalk {
-                refs,
-                perms: None,
-                malformed: false,
-            };
+            return TableVerdict::default();
         }
         if entry.is_huge() {
-            return TableWalk {
-                refs,
-                perms: Some(entry.perms()),
-                malformed: false,
-            };
+            return TableVerdict::found(entry.perms());
         }
         table = entry.leaf_table();
     }
-    let leaf_slot = PhysAddr::new(table.raw() + split.off0 * 8);
-    let bits = mem.read_u64(leaf_slot);
-    refs.push(PmptRef {
+    read_leaf(mem, table, offset, visit)
+}
+
+/// Reads the leaf pmpte for region `offset` from the leaf table at `table`,
+/// reporting the read to `visit`, and decodes the page's permission. The
+/// last step of every walk, and the whole walk behind a cached root pmpte.
+#[inline]
+pub(crate) fn read_leaf<M: WordStore + ?Sized>(
+    mem: &M,
+    table: PhysAddr,
+    offset: u64,
+    mut visit: impl FnMut(PmptRef),
+) -> TableVerdict {
+    let split = TableOffset::split(offset);
+    let addr = PhysAddr::new(table.raw() + split.off0 * 8);
+    let bits = mem.read_u64(addr);
+    visit(PmptRef {
         is_root: false,
-        addr: leaf_slot,
+        addr,
         bits,
     });
-    let leaf = match LeafPmpte::decode(bits) {
-        Ok(leaf) => leaf,
-        Err(_) => {
-            return TableWalk {
-                refs,
-                perms: None,
-                malformed: true,
-            }
-        }
-    };
-    let perms = leaf.perm(split.page_index);
-    TableWalk {
-        refs,
-        perms: if perms.is_empty() { None } else { Some(perms) },
-        malformed: false,
+    match LeafPmpte::decode(bits) {
+        Ok(leaf) => TableVerdict::found(leaf.perm(split.page_index)),
+        Err(_) => TableVerdict::MALFORMED,
     }
 }
 

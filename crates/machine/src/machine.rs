@@ -449,7 +449,9 @@ impl<S: TraceSink> Machine<S> {
     ///
     /// # Errors
     ///
-    /// Returns [`Fault::IsolationOnData`] at the first denied page.
+    /// Returns [`Fault::IsolationOnData`] at the first denied page, or
+    /// [`Fault::CorruptPmpte`] if the IOPMP's table walk read a corrupt
+    /// pmpte (the check fails closed, as on the CPU path).
     pub fn dma_transfer(
         &mut self,
         iopmp: &hpmp_core::IoPmp,
@@ -472,7 +474,11 @@ impl<S: TraceSink> Machine<S> {
                 self.stage.dma_refs += outcome.refs.len() as u64;
                 if !outcome.allowed {
                     self.stats.faults += 1;
-                    return Err(Fault::IsolationOnData(addr));
+                    return Err(if outcome.malformed {
+                        Fault::CorruptPmpte(addr)
+                    } else {
+                        Fault::IsolationOnData(addr)
+                    });
                 }
                 checked_page = Some(addr.page_number());
             }

@@ -540,7 +540,8 @@ impl<T: TranslationStage, S: TraceSink> AccessPipeline<T, S> {
     /// One isolation check of `addr` for a reference of kind `guarded`,
     /// through the cached plan (rebuilt iff the register file mutated
     /// since it was decoded; CSR writes are orders of magnitude rarer than
-    /// checks). Charges the pmpte reads the check issued and returns the
+    /// checks). Each pmpte the check's table walk reads is charged to the
+    /// memory hierarchy from the walk's visitor as it is read. Returns the
     /// granted permission, or the fault: a malformed pmpte fails closed as
     /// [`Fault::CorruptPmpte`].
     #[inline]
@@ -554,21 +555,26 @@ impl<T: TranslationStage, S: TraceSink> AccessPipeline<T, S> {
         if self.check_plan.generation() != self.regs.generation() {
             self.check_plan = self.regs.plan();
         }
-        let check = self
-            .check_plan
-            .check(&self.phys, &mut self.pmptw_cache, addr, kind, a.mode);
-        *a.refs.pmptes(guarded) += check.refs.len() as u64;
-        // Walk references are a dependent pointer chase: the out-of-order
-        // window cannot overlap them, so they cost their raw latency.
-        for r in &check.refs {
-            let cycles = self.mem_sys.access_ptw(r.addr).cycles;
-            let step = if r.is_root {
-                StepKind::PmptRoot
-            } else {
-                StepKind::PmptLeaf
-            };
-            Self::step(a, step, None, r.addr, cycles);
-        }
+        let check = self.check_plan.check_with(
+            &self.phys,
+            &mut self.pmptw_cache,
+            addr,
+            kind,
+            a.mode,
+            |r| {
+                // Walk references are a dependent pointer chase: the
+                // out-of-order window cannot overlap them, so they cost
+                // their raw latency.
+                let cycles = self.mem_sys.access_ptw(r.addr).cycles;
+                let step = if r.is_root {
+                    StepKind::PmptRoot
+                } else {
+                    StepKind::PmptLeaf
+                };
+                Self::step(a, step, None, r.addr, cycles);
+                *a.refs.pmptes(guarded) += 1;
+            },
+        );
         a.pmptw = check.pmptw.or(a.pmptw);
         if check.allowed {
             Ok(check.perms)

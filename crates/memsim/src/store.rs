@@ -20,14 +20,17 @@ pub trait WordStore {
 }
 
 impl WordStore for PhysMem {
+    #[inline]
     fn read_u64(&self, addr: PhysAddr) -> u64 {
         PhysMem::read_u64(self, addr)
     }
 
+    #[inline]
     fn write_u64(&mut self, addr: PhysAddr, value: u64) {
         PhysMem::write_u64(self, addr, value)
     }
 
+    #[inline]
     fn zero_page(&mut self, base: PhysAddr) {
         PhysMem::zero_page(self, base)
     }

@@ -185,9 +185,9 @@ impl NestedPageTable {
 
     /// Performs the G-stage walk, returning the host-physical addresses of
     /// every nested PTE read (root → leaf) and the final translation.
-    pub fn walk_refs(
+    pub fn walk_refs<M: WordStore + ?Sized>(
         &self,
-        mem: &dyn WordStore,
+        mem: &M,
         gpa: GuestPhysAddr,
     ) -> (NptRefs, Option<PhysAddr>) {
         let mut refs = NptRefs::new();

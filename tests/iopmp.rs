@@ -184,3 +184,38 @@ fn destroy_severs_devices() {
         "device loses access when its domain dies"
     );
 }
+
+/// A corrupt pmpte behind an IOPMP table entry fails closed as the same
+/// fault the CPU path raises, not as a policy denial; restoring the word
+/// restores the DMA.
+#[test]
+fn corrupt_iopmp_pmpte_is_reported_as_corruption() {
+    let (mut machine, mut monitor) = boot(TeeFlavor::PenglaiHpmp);
+    let (enclave, _) = monitor
+        .create_domain(&mut machine, 1 << 20, GmsLabel::Slow)
+        .expect("create");
+    let page = PhysAddr::new(monitor.regions_of(enclave).unwrap()[0].region.base.raw());
+    let nic = DeviceId(3);
+    monitor
+        .assign_device(&mut machine, nic, enclave)
+        .expect("assign");
+    let check = monitor
+        .iopmp()
+        .check(machine.phys(), nic, page, AccessKind::Write);
+    assert!(check.allowed && !check.malformed);
+    let leaf = *check.refs.last().expect("a table-mode entry walks");
+    assert!(!leaf.is_root, "the enclave's page has its own leaf pmpte");
+
+    machine
+        .phys_mut()
+        .write_u64(leaf.addr, leaf.bits ^ (1 << 9));
+    let err = machine
+        .dma_transfer(monitor.iopmp(), nic, page, 4096, AccessKind::Write)
+        .expect_err("a corrupt pmpte must never grant");
+    assert_eq!(err, Fault::CorruptPmpte(page));
+
+    machine.phys_mut().write_u64(leaf.addr, leaf.bits);
+    machine
+        .dma_transfer(monitor.iopmp(), nic, page, 4096, AccessKind::Write)
+        .expect("the restored pmpte grants again");
+}
