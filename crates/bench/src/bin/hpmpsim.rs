@@ -146,6 +146,7 @@ fn usage() -> ! {
          \x20              [--spans-out spans.jsonl]\n\
          \x20              [--fault-campaign SPEC] [--fault-seed N] [--campaign-out FILE]\n\
          \x20              [--host-profile-out FILE]\n\
+         CYCLES for --encryption: added to every DRAM access, at most {MAX_ENCRYPTION_CYCLES}\n\
          SPEC: comma-separated key=value pairs, e.g.\n\
          \x20    faults=1000,classes=pmpte+regs+stale+interpose,flavor=hpmp,domains=2,shards=8\n\
          exit codes: 0 ok, 1 failed invariant, 2 usage,\n\
@@ -222,10 +223,12 @@ fn parse_flag(
         },
         "--churn-ops" => options.churn_ops = Some(flag_value::<NonZeroU32>(arg, rest)?.get()),
         "--harts" => options.harts = flag_value::<NonZeroUsize>(arg, rest)?.get(),
-        "--pwc" => options.pwc = Some(cache_entries(arg, rest)?),
-        "--pmptw-cache" => options.pmptw_cache = Some(cache_entries(arg, rest)?),
+        "--pwc" => options.pwc = Some(at_most(arg, rest, LRU_MAX_ENTRIES, "entries")?),
+        "--pmptw-cache" => {
+            options.pmptw_cache = Some(at_most(arg, rest, LRU_MAX_ENTRIES, "entries")?)
+        }
         "--no-tlb-inlining" => options.tlb_inlining = false,
-        "--encryption" => options.encryption = flag_value(arg, rest)?,
+        "--encryption" => options.encryption = at_most(arg, rest, MAX_ENCRYPTION_CYCLES, "cycles")?,
         "--epmp" => options.epmp = true,
         "--fault-campaign" => options.fault_campaign = Some(flag_value(arg, rest)?),
         "--fault-seed" => options.fault_seed = flag_value(arg, rest)?,
@@ -236,16 +239,31 @@ fn parse_flag(
     Ok(())
 }
 
-/// Reads the entry count of a fully-associative cache for `flag`, refusing
-/// one larger than the store behind the cache can hold.
-fn cache_entries(flag: &str, rest: &mut impl Iterator<Item = String>) -> Result<usize, String> {
-    let entries = flag_value(flag, rest)?;
-    if entries > LRU_MAX_ENTRIES {
+/// The largest `--encryption` latency accepted. The engine's cycles are
+/// added to every DRAM access, so an unbounded value overflows the cycle
+/// counters.
+const MAX_ENCRYPTION_CYCLES: u64 = 10_000;
+
+/// Reads the value of `flag`, refusing one above `max` (counted in `unit`).
+/// Bounds the cache sizes by what their LRU store can hold and the
+/// encryption latency by [`MAX_ENCRYPTION_CYCLES`].
+fn at_most<T>(
+    flag: &str,
+    rest: &mut impl Iterator<Item = String>,
+    max: T,
+    unit: &str,
+) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd + std::fmt::Display,
+    T::Err: std::fmt::Display,
+{
+    let value = flag_value(flag, rest)?;
+    if value > max {
         return Err(format!(
-            "bad value for {flag} '{entries}': at most {LRU_MAX_ENTRIES} entries"
+            "bad value for {flag} '{value}': at most {max} {unit}"
         ));
     }
-    Ok(entries)
+    Ok(value)
 }
 
 fn machine_config(options: &Options) -> MachineConfig {

@@ -88,6 +88,10 @@ fn hpmpsim_help_lists_every_flag() {
     for flag in HPMPSIM_FLAGS {
         assert!(help.contains(flag), "{flag} missing from hpmpsim --help");
     }
+    assert!(
+        help.contains("--encryption: added to every DRAM access, at most 10000"),
+        "the --encryption ceiling must be documented: {help}"
+    );
 }
 
 #[test]
@@ -233,6 +237,9 @@ fn hpmpsim_rejects_malformed_numeric_values() {
         // Parse as numbers, but no cache can hold that many entries.
         ("--pwc", "18446744073709551615"),
         ("--pmptw-cache", "65535"),
+        // Added to every DRAM access, so it would overflow the cycle count.
+        ("--encryption", "18446744073709551615"),
+        ("--encryption", "10001"),
     ] {
         let (code, err) = run(env!("CARGO_BIN_EXE_hpmpsim"), &[flag, value]);
         assert_eq!(code, 2, "{flag} {value}: {err}");

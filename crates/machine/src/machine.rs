@@ -357,11 +357,6 @@ impl<S: TraceSink> Machine<S> {
         self.stage.suppress_fences = suppress;
     }
 
-    /// Whether the flush half of invalidation is currently suppressed.
-    pub fn fence_suppressed(&self) -> bool {
-        self.stage.suppress_fences
-    }
-
     /// Flushes translation state for one ASID (`sfence.vma` with ASID).
     pub fn sfence_vma_asid(&mut self, asid: u16) {
         self.stage.tlb.flush_asid(asid);

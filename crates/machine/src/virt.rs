@@ -439,11 +439,6 @@ impl<S: TraceSink> VirtMachine<S> {
         self.stage.scheme
     }
 
-    /// Guest-physical base of the guest's data pool (for tests).
-    pub fn guest_data_gpa(&self) -> PhysAddr {
-        PhysAddr::new(GPA_DATA)
-    }
-
     /// Aggregate counters.
     pub fn stats(&self) -> VirtMachineStats {
         self.stats

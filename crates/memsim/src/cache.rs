@@ -8,7 +8,7 @@
 
 use std::ops::Range;
 
-use crate::addr::{PhysAddr, LINE_SHIFT};
+use crate::addr::PhysAddr;
 
 /// Configuration of a single cache level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -202,17 +202,6 @@ impl Cache {
     }
 }
 
-/// Returns the number of distinct cache lines touched by the byte range
-/// `[addr, addr + len)` — useful for modelling multi-line objects.
-pub fn lines_spanned(addr: PhysAddr, len: u64) -> u64 {
-    if len == 0 {
-        return 0;
-    }
-    let first = addr.raw() >> LINE_SHIFT;
-    let last = (addr.raw() + len - 1) >> LINE_SHIFT;
-    last - first + 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,14 +278,6 @@ mod tests {
         c.access(PhysAddr::new(0x000));
         c.access(PhysAddr::new(0x080)); // maps to same set, evicts
         assert!(!c.probe(PhysAddr::new(0x000)));
-    }
-
-    #[test]
-    fn spanned_lines() {
-        assert_eq!(lines_spanned(PhysAddr::new(0x00), 0), 0);
-        assert_eq!(lines_spanned(PhysAddr::new(0x00), 1), 1);
-        assert_eq!(lines_spanned(PhysAddr::new(0x3f), 2), 2);
-        assert_eq!(lines_spanned(PhysAddr::new(0x00), 129), 3);
     }
 
     #[test]

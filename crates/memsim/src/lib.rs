@@ -39,7 +39,7 @@ mod rng;
 mod store;
 
 pub use addr::{PhysAddr, VirtAddr, LINE_SHIFT, LINE_SIZE, PAGE_SHIFT, PAGE_SIZE};
-pub use cache::{lines_spanned, Cache, CacheConfig, CacheStats};
+pub use cache::{Cache, CacheConfig, CacheStats};
 pub use config::{CoreKind, CoreModel};
 pub use dram::{Dram, DramConfig, DramStats};
 pub use hash::Fnv1a;

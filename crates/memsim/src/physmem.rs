@@ -220,11 +220,6 @@ impl PhysMem {
         self.resident
     }
 
-    /// Total bytes of simulated memory currently backed by host storage.
-    pub fn resident_bytes(&self) -> u64 {
-        self.resident as u64 * PAGE_SIZE
-    }
-
     #[inline]
     fn word_index(addr: PhysAddr) -> usize {
         ((addr.raw() & (PAGE_SIZE - 1)) >> 3) as usize

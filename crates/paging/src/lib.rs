@@ -29,7 +29,6 @@ mod mode;
 mod nested;
 mod pte;
 mod pwc;
-mod satp;
 mod space;
 mod tlb;
 mod walker;
@@ -41,7 +40,6 @@ pub use nested::{
 };
 pub use pte::Pte;
 pub use pwc::{WalkCache, WalkCacheConfig, WalkCacheStats};
-pub use satp::{Hgatp, Satp};
 pub use space::{AddressSpace, MapError, PtFrameSource, Translation};
 pub use tlb::{apply_translation, Tlb, TlbConfig, TlbEntry, TlbHit, TlbStats};
 pub use walker::{walk, PtRef, PtRefs, WalkResult};

@@ -11,22 +11,15 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod attest;
 mod degrade;
 mod gms;
-mod ipc;
-mod merkle;
 mod monitor;
 mod os;
 mod pool;
-mod sdk;
 mod smp;
 
-pub use attest::{AttestError, AttestationReport, Attestor};
 pub use degrade::{DegradationPolicy, DegradeStage};
 pub use gms::{Gms, GmsLabel};
-pub use ipc::{Channel, ChannelId, IpcError, IpcTable};
-pub use merkle::{IntegrityError, MerkleTree, SUBTREE_PAGES};
 pub use monitor::{
     cost, CompactNote, CompactReport, DomainId, MonitorError, MonitorStats, ScrubReport,
     SecureMonitor, TeeFlavor,
@@ -36,5 +29,4 @@ pub use os::{
     USER_CODE_BASE, USER_HEAP_BASE,
 };
 pub use pool::RegionPool;
-pub use sdk::{CallError, EnclaveSdk};
 pub use smp::SmpSystem;

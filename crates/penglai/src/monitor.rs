@@ -910,25 +910,6 @@ impl SecureMonitor {
         Ok(cycles)
     }
 
-    /// Carves a monitor-owned buffer (not a domain GMS) from the region
-    /// area. Returns `(region, cycles)`. Monitor buffers are permanent:
-    /// they are never returned to the pool.
-    ///
-    /// # Errors
-    ///
-    /// Fails when memory runs out.
-    pub(crate) fn alloc_monitor_buffer(
-        &mut self,
-        len: u64,
-    ) -> Result<(PmpRegion, u64), MonitorError> {
-        let size = len.next_power_of_two().max(PAGE_SIZE);
-        let base = self
-            .pool
-            .alloc_aligned(size, size)
-            .ok_or(MonitorError::OutOfMemory)?;
-        Ok((PmpRegion::new(base, size), cost::BOOKKEEPING))
-    }
-
     /// Chooses where a new region lands under the degradation state machine
     /// (DESIGN.md §12), escalating through compaction, the table-only
     /// fallback and admission control as the pool runs dry. Returns the
@@ -1072,11 +1053,6 @@ impl SecureMonitor {
     /// Total free bytes in the region arena.
     pub fn arena_total_free(&self) -> u64 {
         self.pool.total_free()
-    }
-
-    /// Number of disjoint free ranges in the arena (fragmentation signal).
-    pub fn arena_fragments(&self) -> usize {
-        self.pool.fragments()
     }
 
     /// Runs segment compaction explicitly (outside an allocation): slides
@@ -1321,42 +1297,6 @@ impl SecureMonitor {
             }
         }
         Ok(())
-    }
-
-    /// Grants `region` with `perms` in `domain`'s permission table without
-    /// making it a GMS of the domain (shared-buffer support). No-op access
-    /// change for the PMP flavour (segments are per-GMS); callers that need
-    /// PMP-flavour sharing must use whole GMSs.
-    ///
-    /// # Errors
-    ///
-    /// Fails for unknown domains.
-    pub(crate) fn grant_in_domain_table<S: TraceSink>(
-        &mut self,
-        machine: &mut Machine<S>,
-        domain: DomainId,
-        region: PmpRegion,
-        perms: Perms,
-    ) -> Result<u64, MonitorError> {
-        let table_frames = &mut self.table_frames;
-        let d = self
-            .domains
-            .iter_mut()
-            .find(|d| d.id == domain)
-            .ok_or(MonitorError::NoSuchDomain(domain))?;
-        let Some(table) = d.table.as_mut() else {
-            return Ok(0);
-        };
-        let writes = table.set_range_perm(
-            machine.phys_mut(),
-            table_frames,
-            region.base,
-            region.size,
-            perms,
-            FillPolicy::PerPage,
-        )?;
-        self.stats.table_writes += writes;
-        Ok(writes * cost::TABLE_ENTRY_WRITE)
     }
 
     /// The IOPMP checker for DMA initiators (§9). Pass to
@@ -1609,9 +1549,7 @@ impl SecureMonitor {
 
     /// Quarantine recovery: discards `domain`'s (possibly corrupt)
     /// permission table and rebuilds it from the monitor's authoritative
-    /// GMS bookkeeping. Grants made outside the GMS list (shared IPC
-    /// buffers) are conservatively dropped — fail-closed — and must be
-    /// re-granted by their owners. Returns the modelled cycle cost.
+    /// GMS bookkeeping. Returns the modelled cycle cost.
     ///
     /// # Errors
     ///

@@ -94,7 +94,16 @@ pub struct RegionHint {
     pub region: PmpRegion,
 }
 
-impl std::error::Error for OsError {}
+impl std::error::Error for OsError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            OsError::Map(e) => Some(e),
+            OsError::Access(e) => Some(e),
+            OsError::Monitor(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 impl From<MapError> for OsError {
     fn from(e: MapError) -> OsError {

@@ -1,11 +1,11 @@
-//! Cross-feature composition: the extensions (hints, DMA, SDK calls,
+//! Cross-feature composition: the extensions (hints, DMA, a peer enclave,
 //! relabelling) interact with the base system on one live stack, in
 //! sequence — the "does it all still hold together" test a downstream
 //! adopter runs first.
 
 use hpmp_suite::core::DeviceId;
 use hpmp_suite::memsim::{AccessKind, CoreKind, VirtAddr, PAGE_SIZE};
-use hpmp_suite::penglai::{EnclaveSdk, GmsLabel, TeeFlavor, USER_HEAP_BASE};
+use hpmp_suite::penglai::{GmsLabel, TeeFlavor, USER_HEAP_BASE};
 use hpmp_suite::workloads::TeeBench;
 
 #[test]
@@ -59,22 +59,11 @@ fn full_feature_walkthrough() {
         )
         .expect("DMA into own domain");
 
-    // 4. Create a second enclave; ecall into it while the first keeps its
-    //    memory private.
+    // 4. Create a second enclave; the first keeps its memory private.
     let (peer, _) = tee
         .monitor
         .create_domain(&mut tee.machine, 1 << 20, GmsLabel::Slow)
         .expect("peer enclave");
-    let mut sdk = EnclaveSdk::bind(&mut tee.machine, &mut tee.monitor, peer).expect("bind");
-    let cycles = sdk
-        .ecall(&mut tee.machine, &mut tee.monitor, 256, 2_000, 128)
-        .expect("ecall");
-    assert!(cycles > 2_000);
-    // The ecall hands control back to the *host*; our OS lives inside the
-    // first enclave domain, so schedule it back in before touching it.
-    tee.monitor
-        .switch_to(&mut tee.machine, domain)
-        .expect("switch back to OS domain");
     // The DMA device does not follow into the peer.
     let peer_page = tee.monitor.regions_of(peer).expect("regions")[0]
         .region

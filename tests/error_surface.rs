@@ -3,15 +3,18 @@
 //! Sync` (the API-guideline requirements that make the crates usable with
 //! `?` and error-handling libraries).
 
-use hpmp_suite::core::{HpmpError, TableError};
+use std::error::Error;
+
+use hpmp_suite::core::{HpmpError, MalformedPmpte, TableError};
 use hpmp_suite::machine::Fault;
 use hpmp_suite::memsim::{PhysAddr, VirtAddr};
 use hpmp_suite::paging::MapError;
-use hpmp_suite::penglai::{
-    AttestError, CallError, DomainId, HintId, IntegrityError, IpcError, MonitorError, OsError, Pid,
-};
+use hpmp_suite::penglai::{DomainId, HintId, MonitorError, OsError, Pid};
+use hpmp_suite::trace::json::JsonError;
+use hpmp_suite::trace::ReadError;
+use hpmp_suite::workloads::smp::ThreadedTelemetry;
 
-fn assert_error<E: std::error::Error + Send + Sync + 'static>(e: E) {
+fn assert_error<E: Error + Send + Sync + 'static>(e: E) {
     let msg = e.to_string();
     assert!(!msg.is_empty(), "{e:?} renders empty");
     assert!(!msg.ends_with('.'), "{msg:?} has trailing punctuation");
@@ -36,21 +39,33 @@ fn all_public_errors_behave() {
     assert_error(HpmpError::BadRegion);
     assert_error(HpmpError::RegionTooLarge);
     assert_error(HpmpError::PointerSlotBusy(4));
+    assert_error(HpmpError::MalformedEntry(5));
 
     assert_error(TableError::OutOfReach(1 << 40));
     assert_error(TableError::OutOfTableFrames);
     assert_error(TableError::Misaligned(pa));
     assert_error(TableError::OutsideRegion(pa));
+    assert_error(TableError::CorruptEntry(pa));
+
+    assert_error(MalformedPmpte::ReservedBits(1 << 63));
+    assert_error(MalformedPmpte::ParityMismatch(0x1f));
 
     assert_error(Fault::PageFault(va));
     assert_error(Fault::PtePermission(va));
     assert_error(Fault::IsolationOnPtPage(pa));
     assert_error(Fault::IsolationOnData(pa));
+    assert_error(Fault::CorruptPmpte(pa));
 
     assert_error(MonitorError::OutOfPmpEntries);
     assert_error(MonitorError::OutOfMemory);
     assert_error(MonitorError::NoSuchDomain(DomainId(9)));
     assert_error(MonitorError::NotOwned);
+    assert_error(MonitorError::Hpmp(HpmpError::Locked(2)));
+    assert_error(MonitorError::Table(TableError::OutOfTableFrames));
+    assert_error(MonitorError::BadBootRam("not NAPOT"));
+    assert_error(MonitorError::IntegrityLost(DomainId(6)));
+    assert_error(MonitorError::AlreadyScheduled(DomainId(7)));
+    assert_error(MonitorError::ResourceExhausted { retry_after_ops: 8 });
 
     assert_error(OsError::NoSuchProcess(Pid(1)));
     assert_error(OsError::OutOfMemory);
@@ -58,22 +73,22 @@ fn all_public_errors_behave() {
     assert_error(OsError::Access(Fault::PageFault(va)));
     assert_error(OsError::BadHintRange(va));
     assert_error(OsError::NoSuchHint(HintId(2)));
+    assert_error(OsError::Monitor(MonitorError::NotOwned));
 
-    assert_error(IntegrityError::TamperDetected(pa));
-    assert_error(IntegrityError::OutOfRange(pa));
-    assert_error(IntegrityError::NotMounted(pa));
+    assert_error(ReadError::Io(std::io::Error::other("disk gone")));
+    assert_error(ReadError::Parse {
+        line: 3,
+        message: "expected an object".into(),
+    });
+    assert_error(ReadError::Schema {
+        message: "unknown schema 9".into(),
+    });
+    assert_error(JsonError {
+        offset: 12,
+        message: "unexpected end of input".into(),
+    });
 
-    assert_error(AttestError::BadTag);
-    assert_error(AttestError::MeasurementMismatch);
-    assert_error(AttestError::UnknownDomain(DomainId(3)));
-
-    assert_error(IpcError::Busy);
-    assert_error(IpcError::Empty);
-    assert_error(IpcError::TooLarge(9000));
-    assert_error(IpcError::NotEndpoint(DomainId(4)));
-
-    assert_error(CallError::NoSuchEnclave(DomainId(5)));
-    assert_error(CallError::ArgsTooLarge(9000));
+    assert_error(ThreadedTelemetry);
 }
 
 #[test]
@@ -87,16 +102,42 @@ fn error_conversions_compose() {
         Err(OsError::Map(MapError::OutOfPtFrames))
     ));
 
-    fn ipc_level() -> Result<(), IpcError> {
-        Err(MonitorError::OutOfMemory)?
+    fn monitor_level() -> Result<(), MonitorError> {
+        Err(HpmpError::Locked(3))?
     }
-    assert!(matches!(
-        ipc_level(),
-        Err(IpcError::Monitor(MonitorError::OutOfMemory))
-    ));
+    fn os_monitor_level() -> Result<(), OsError> {
+        monitor_level()?;
+        Ok(())
+    }
+    let err = os_monitor_level().unwrap_err();
+    assert_eq!(
+        err,
+        OsError::Monitor(MonitorError::Hpmp(HpmpError::Locked(3)))
+    );
 
-    fn call_level() -> Result<(), CallError> {
-        Err(IpcError::Busy)?
-    }
-    assert!(matches!(call_level(), Err(CallError::Ipc(IpcError::Busy))));
+    // `source()` walks the same chain back down.
+    let monitor = err.source().expect("OsError::Monitor has a source");
+    assert_eq!(
+        monitor.downcast_ref::<MonitorError>(),
+        Some(&MonitorError::Hpmp(HpmpError::Locked(3)))
+    );
+    let hpmp = monitor.source().expect("MonitorError::Hpmp has a source");
+    assert_eq!(
+        hpmp.downcast_ref::<HpmpError>(),
+        Some(&HpmpError::Locked(3))
+    );
+    assert!(hpmp.source().is_none());
+
+    let map = OsError::Map(MapError::OutOfPtFrames);
+    assert_eq!(
+        map.source().and_then(|e| e.downcast_ref::<MapError>()),
+        Some(&MapError::OutOfPtFrames)
+    );
+    let va = VirtAddr::new(0x2000);
+    let access = OsError::Access(Fault::PageFault(va));
+    assert_eq!(
+        access.source().and_then(|e| e.downcast_ref::<Fault>()),
+        Some(&Fault::PageFault(va))
+    );
+    assert!(OsError::OutOfMemory.source().is_none());
 }

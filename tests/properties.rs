@@ -323,37 +323,6 @@ fn iopmp_priority_stable() {
 }
 
 #[test]
-fn merkle_tracks_updates() {
-    use hpmp_suite::penglai::MerkleTree;
-    let mut rng = SplitMix64::seed_from_u64(0x9a0c);
-    for _ in 0..32 {
-        let base = PhysAddr::new(0x9000_0000);
-        let mut mem = PhysMem::new();
-        let mut tree = MerkleTree::build(&mem, base, 32);
-        let n_writes = rng.gen_range(1..16) as usize;
-        let writes: Vec<(u64, u64)> = (0..n_writes)
-            .map(|_| (rng.gen_range(0..32), rng.next_u64()))
-            .collect();
-        for &(page, value) in &writes {
-            let addr = PhysAddr::new(base.raw() + page * PAGE_SIZE);
-            tree.mount(&mem, addr).expect("mount");
-            mem.write_u64(addr, value);
-            tree.update_page(&mem, addr).expect("update");
-        }
-        for &(page, _) in &writes {
-            let addr = PhysAddr::new(base.raw() + page * PAGE_SIZE);
-            assert!(tree.verify_page(&mem, addr).is_ok());
-        }
-        // One unrecorded write is always caught.
-        let victim = PhysAddr::new(base.raw() + rng.gen_range(0..32) * PAGE_SIZE);
-        tree.mount(&mem, victim).expect("mount victim");
-        let old = mem.read_u64(victim);
-        mem.write_u64(victim, old ^ 0x1);
-        assert!(tree.verify_page(&mem, victim).is_err());
-    }
-}
-
-#[test]
 fn perms_algebra() {
     for a_bits in 0..8u8 {
         for b_bits in 0..8u8 {
