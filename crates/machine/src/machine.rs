@@ -13,12 +13,12 @@
 use hpmp_core::{HpmpRegFile, PmptwCacheConfig};
 use hpmp_memsim::{AccessKind, CoreModel, MemSystemConfig, PhysAddr, PhysMem, PrivMode, VirtAddr};
 use hpmp_paging::{
-    walk, AddressSpace, Tlb, TlbConfig, TlbHit, Translation, WalkCache, WalkCacheConfig, WalkResult,
+    walk_with, AddressSpace, Tlb, TlbConfig, TlbHit, Translation, WalkCache, WalkCacheConfig,
 };
 use hpmp_trace::{Counters, MetricsRegistry, NullSink, StepKind, TraceSink, World};
 
 pub use crate::pipeline::Fault;
-use crate::pipeline::{AccessPipeline, RefLedger, StageWalk, TranslationStage};
+use crate::pipeline::{AccessPipeline, RefLedger, TranslationStage};
 
 /// Per-access breakdown of memory references, mirroring the squares and
 /// circles of Figures 2 and 4.
@@ -189,26 +189,9 @@ pub struct NativeStage {
     dma_refs: u64,
 }
 
-impl StageWalk for WalkResult {
-    fn refs(&self) -> impl Iterator<Item = (PhysAddr, StepKind, u8)> + '_ {
-        self.pt_refs
-            .iter()
-            .map(|r| (r.addr, StepKind::Pt, r.level as u8))
-    }
-
-    fn translation(&self) -> Option<Translation> {
-        self.translation
-    }
-
-    fn pwc_level(&self) -> Option<u8> {
-        self.pwc_hit_level.map(|l| l as u8)
-    }
-}
-
 impl TranslationStage for NativeStage {
     type Space = AddressSpace;
     type Refs = RefBreakdown;
-    type Walk = WalkResult;
     const PREFIX: &'static str = "machine";
     const TLB_TAX: u64 = 0;
     const CHARGES_L2_HIT: bool = true;
@@ -227,8 +210,14 @@ impl TranslationStage for NativeStage {
         space.asid()
     }
 
-    fn walk(&mut self, phys: &PhysMem, space: &AddressSpace, va: VirtAddr) -> WalkResult {
-        walk(phys, space, &mut self.pwc, va)
+    fn walk(
+        &mut self,
+        phys: &PhysMem,
+        space: &AddressSpace,
+        va: VirtAddr,
+        visit: impl FnMut(PhysAddr, StepKind, usize),
+    ) -> (Option<Translation>, Option<usize>) {
+        walk_with(phys, space, &mut self.pwc, va, visit)
     }
 
     fn stamps(&self) -> (u16, World) {

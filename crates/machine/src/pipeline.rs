@@ -125,17 +125,6 @@ pub trait RefLedger: Counters + Copy + Default + std::fmt::Debug + std::ops::Add
     }
 }
 
-/// A finished translation walk, as the pipeline consumes it.
-pub trait StageWalk {
-    /// The walk's page-table references in issue order: address, step
-    /// kind and table level.
-    fn refs(&self) -> impl Iterator<Item = (PhysAddr, StepKind, u8)> + '_;
-    /// The translation, or `None` when the walk faulted.
-    fn translation(&self) -> Option<Translation>;
-    /// The page-walk-cache level that shortened the walk, if reported.
-    fn pwc_level(&self) -> Option<u8>;
-}
-
 /// The translation stage of an [`AccessPipeline`]: everything that differs
 /// between a native and a virtualized access.
 pub trait TranslationStage {
@@ -144,8 +133,6 @@ pub trait TranslationStage {
     type Space: ?Sized;
     /// The reference categories of one access.
     type Refs: RefLedger;
-    /// A finished walk.
-    type Walk: StageWalk;
     /// Counter-name prefix (`machine` or `virt`).
     const PREFIX: &'static str;
     /// Pipeline cycles on top of the core's overhead (the two-stage TLB
@@ -158,8 +145,18 @@ pub trait TranslationStage {
     fn tlb(&mut self, kind: AccessKind) -> &mut Tlb;
     /// The ASID the TLB entries of `space` carry.
     fn asid(&self, space: &Self::Space) -> u16;
-    /// Walks the translation of `va` after a TLB miss.
-    fn walk(&mut self, phys: &PhysMem, space: &Self::Space, va: VirtAddr) -> Self::Walk;
+    /// Walks the translation of `va` after a TLB miss, reporting each
+    /// page-table reference to `visit` as `(address, step kind, level)`
+    /// when the walk reads it. Returns the translation (`None` when the
+    /// walk faulted) and the page-walk-cache level that shortened the
+    /// walk, if the stage reports it.
+    fn walk(
+        &mut self,
+        phys: &PhysMem,
+        space: &Self::Space,
+        va: VirtAddr,
+        visit: impl FnMut(PhysAddr, StepKind, usize),
+    ) -> (Option<Translation>, Option<usize>);
     /// The hart and world stamped on emitted events.
     fn stamps(&self) -> (u16, World);
     /// Flushes every TLB and walk cache of the stage.
@@ -259,6 +256,17 @@ struct InFlight<R> {
     /// Step records for the trace event. With a disabled sink nothing is
     /// ever pushed (and `Vec::new` does not allocate), so this is free.
     steps: Vec<WalkStep>,
+}
+
+/// What an isolation check reads and charges, borrowed apart from the
+/// translation stage so that a walk's visitor can check each reference
+/// while the stage walks.
+struct Checker<'p> {
+    plan: &'p mut EntryPlan,
+    regs: &'p HpmpRegFile,
+    pmptw_cache: &'p mut PmptwCache,
+    mem_sys: &'p mut MemSystem,
+    phys: &'p PhysMem,
 }
 
 /// A completed access, before each machine shapes its outcome type.
@@ -473,6 +481,13 @@ impl<T: TranslationStage, S: TraceSink> AccessPipeline<T, S> {
             steps: Vec::new(),
         };
         let asid = self.stage.asid(space);
+        let mut checker = Checker {
+            plan: &mut self.check_plan,
+            regs: &self.regs,
+            pmptw_cache: &mut self.pmptw_cache,
+            mem_sys: &mut self.mem_sys,
+            phys: &self.phys,
+        };
 
         // 1. TLB lookup. The hit already knows the frame.
         if let Some((entry, hit)) = self.stage.tlb(kind).lookup(asid, va) {
@@ -486,7 +501,7 @@ impl<T: TranslationStage, S: TraceSink> AccessPipeline<T, S> {
                 return Err(self.abort(a, Fault::PtePermission(va), Some(paddr)));
             }
             if !self.tlb_inlining {
-                if let Err(fault) = self.guard(&mut a, paddr, kind, StepKind::Data) {
+                if let Err(fault) = Self::guard(&mut checker, &mut a, paddr, kind, StepKind::Data) {
                     return Err(self.abort(a, fault, Some(paddr)));
                 }
             } else if !entry.isolation_perms.allows(kind) {
@@ -499,20 +514,33 @@ impl<T: TranslationStage, S: TraceSink> AccessPipeline<T, S> {
             return Ok(self.complete(a, paddr, Some(hit)));
         }
 
-        // 2. TLB miss: the walk. Each page-table reference is first
-        //    validated by the isolation layer, then read.
+        // 2. TLB miss: the walk. Each page-table reference is validated by
+        //    the isolation layer, then charged, as the walk reads it. The
+        //    walk runs to its end whatever the checks say: after the first
+        //    denial its remaining references (and their walk-cache and
+        //    G-TLB refills) go uncharged, and the access aborts once the
+        //    walk returns.
         self.stats.walks += 1;
-        let walk = self.stage.walk(&self.phys, space, va);
-        a.pwc_level = walk.pwc_level();
-        for (addr, step, level) in walk.refs() {
-            if let Err(fault) = self.guard(&mut a, addr, AccessKind::Read, step) {
-                return Err(self.abort(a, fault, None));
-            }
-            let cycles = self.mem_sys.access_ptw(addr).cycles;
-            Self::step(&mut a, step, Some(level), addr, cycles);
-            *a.refs.reads(step) += 1;
+        let mut denied = None;
+        let (translation, pwc_level) =
+            self.stage.walk(&self.phys, space, va, |addr, step, level| {
+                if denied.is_some() {
+                    return;
+                }
+                match Self::guard(&mut checker, &mut a, addr, AccessKind::Read, step) {
+                    Ok(_) => {
+                        let cycles = checker.mem_sys.access_ptw(addr).cycles;
+                        Self::step(&mut a, step, Some(level as u8), addr, cycles);
+                        *a.refs.reads(step) += 1;
+                    }
+                    Err(fault) => denied = Some(fault),
+                }
+            });
+        a.pwc_level = pwc_level.map(|l| l as u8);
+        if let Some(fault) = denied {
+            return Err(self.abort(a, fault, None));
         }
-        let Some(t) = walk.translation() else {
+        let Some(t) = translation else {
             return Err(self.abort(a, Fault::PageFault(va), None));
         };
         if !t.perms.allows(kind) {
@@ -521,7 +549,8 @@ impl<T: TranslationStage, S: TraceSink> AccessPipeline<T, S> {
 
         // 3. Isolation check for the data page, then the TLB refill with
         //    the inlined isolation permission and the data reference.
-        let isolation_perms = match self.guard(&mut a, t.paddr, kind, StepKind::Data) {
+        let data_check = Self::guard(&mut checker, &mut a, t.paddr, kind, StepKind::Data);
+        let isolation_perms = match data_check {
             Ok(perms) => perms,
             Err(fault) => return Err(self.abort(a, fault, Some(t.paddr))),
         };
@@ -546,35 +575,35 @@ impl<T: TranslationStage, S: TraceSink> AccessPipeline<T, S> {
     /// [`Fault::CorruptPmpte`].
     #[inline]
     fn guard(
-        &mut self,
+        checker: &mut Checker<'_>,
         a: &mut InFlight<T::Refs>,
         addr: PhysAddr,
         kind: AccessKind,
         guarded: StepKind,
     ) -> Result<Perms, Fault> {
-        if self.check_plan.generation() != self.regs.generation() {
-            self.check_plan = self.regs.plan();
+        let Checker {
+            plan,
+            regs,
+            pmptw_cache,
+            mem_sys,
+            phys,
+        } = checker;
+        if plan.generation() != regs.generation() {
+            **plan = regs.plan();
         }
-        let check = self.check_plan.check_with(
-            &self.phys,
-            &mut self.pmptw_cache,
-            addr,
-            kind,
-            a.mode,
-            |r| {
-                // Walk references are a dependent pointer chase: the
-                // out-of-order window cannot overlap them, so they cost
-                // their raw latency.
-                let cycles = self.mem_sys.access_ptw(r.addr).cycles;
-                let step = if r.is_root {
-                    StepKind::PmptRoot
-                } else {
-                    StepKind::PmptLeaf
-                };
-                Self::step(a, step, None, r.addr, cycles);
-                *a.refs.pmptes(guarded) += 1;
-            },
-        );
+        let check = plan.check_with(*phys, pmptw_cache, addr, kind, a.mode, |r| {
+            // Walk references are a dependent pointer chase: the
+            // out-of-order window cannot overlap them, so they cost
+            // their raw latency.
+            let cycles = mem_sys.access_ptw(r.addr).cycles;
+            let step = if r.is_root {
+                StepKind::PmptRoot
+            } else {
+                StepKind::PmptLeaf
+            };
+            Self::step(a, step, None, r.addr, cycles);
+            *a.refs.pmptes(guarded) += 1;
+        });
         a.pmptw = check.pmptw.or(a.pmptw);
         if check.allowed {
             Ok(check.perms)

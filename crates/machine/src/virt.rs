@@ -25,13 +25,13 @@
 use hpmp_core::{FillPolicy, HpmpRegFile, PmpRegion, PmpTable, TableLevels};
 use hpmp_memsim::{AccessKind, Perms, PhysAddr, PhysMem, PrivMode, VirtAddr, PAGE_SIZE};
 use hpmp_paging::{
-    nested_walk, AddressSpace, GuestView, NestedPageTable, NestedRefKind, NestedWalkResult, Tlb,
-    Translation, TranslationMode, WalkCache,
+    nested_walk, AddressSpace, GuestView, NestedPageTable, Tlb, Translation, TranslationMode,
+    WalkCache,
 };
 use hpmp_trace::{Counters, MetricsRegistry, NullSink, StepKind, TraceSink, World};
 
 use crate::machine::{Fault, MachineConfig};
-use crate::pipeline::{AccessPipeline, AccessStats, RefLedger, StageWalk, TranslationStage};
+use crate::pipeline::{AccessPipeline, AccessStats, RefLedger, TranslationStage};
 use crate::setup::IsolationScheme;
 
 /// The isolation scheme for the virtualized experiments, which adds the
@@ -179,28 +179,9 @@ pub struct NestedStage {
     scheme: VirtScheme,
 }
 
-impl StageWalk for NestedWalkResult {
-    fn refs(&self) -> impl Iterator<Item = (PhysAddr, StepKind, u8)> + '_ {
-        self.refs.iter().map(|r| match r.kind {
-            NestedRefKind::NestedPt { level } => (r.addr, StepKind::NestedPt, level as u8),
-            NestedRefKind::GuestPt { level } => (r.addr, StepKind::GuestPt, level as u8),
-        })
-    }
-
-    fn translation(&self) -> Option<Translation> {
-        self.translation
-    }
-
-    /// Guest walks report no PWC level.
-    fn pwc_level(&self) -> Option<u8> {
-        None
-    }
-}
-
 impl TranslationStage for NestedStage {
     type Space = ();
     type Refs = VirtRefBreakdown;
-    type Walk = NestedWalkResult;
     const PREFIX: &'static str = "virt";
     const TLB_TAX: u64 = 2;
     /// The combined TLB's L2 hits are modelled without the L2 probe
@@ -215,9 +196,17 @@ impl TranslationStage for NestedStage {
         self.guest.asid()
     }
 
-    fn walk(&mut self, phys: &PhysMem, _: &(), gva: VirtAddr) -> NestedWalkResult {
+    /// Guest walks report no PWC level.
+    fn walk(
+        &mut self,
+        phys: &PhysMem,
+        _: &(),
+        gva: VirtAddr,
+        visit: impl FnMut(PhysAddr, StepKind, usize),
+    ) -> (Option<Translation>, Option<usize>) {
         let (guest, npt) = (&self.guest, &self.npt);
-        nested_walk(phys, guest, npt, &mut self.gtlb, &mut self.gpwc, gva)
+        let t = nested_walk(phys, guest, npt, &mut self.gtlb, &mut self.gpwc, gva, visit);
+        (t, None)
     }
 
     /// The virtualized stack is only driven single-hart.

@@ -1,12 +1,12 @@
 //! Steady-state accesses perform no heap allocation.
 //!
-//! Every walk list (PT references, nested references, pmpte reads) has a
-//! small structural bound, so the access pipeline keeps them in inline
-//! buffers. This binary installs a counting global allocator and asserts
-//! that, once the model caches are warm, thousands of `NullSink` accesses
-//! allocate exactly nothing: native and guest, TLB hits and walks, with
-//! and without the PMPTW-Cache, on the fault paths, and between the fences
-//! that drop TLB entries.
+//! The access pipeline builds no walk list: each PT, nested-PT, guest-PT
+//! and pmpte reference is checked and charged from a visitor on the stack
+//! as the walk reads it. This binary installs a counting global allocator
+//! and asserts that, once the model caches are warm, thousands of
+//! `NullSink` accesses allocate exactly nothing: native and guest, TLB
+//! hits and walks, with and without the PMPTW-Cache, on the fault paths,
+//! and between the fences that drop TLB entries.
 //!
 //! The count is thread-local, so tests running on parallel threads do not
 //! see each other's allocations.

@@ -2,8 +2,8 @@
 //!
 //! RISC-V virtual-memory substrate for the HPMP (MICRO '23) reproduction:
 //! Sv39/Sv48/Sv57 page tables built in simulated physical memory, the
-//! hardware page-table walker (which reports the exact memory-reference
-//! sequence of Figure 2), a two-level TLB with permission inlining, a
+//! hardware page-table walker (which reports each memory reference of
+//! Figure 2 as it reads it), a two-level TLB with permission inlining, a
 //! page-walk cache (the paper's PTECache), and the hypervisor extension's
 //! two-stage Sv39×Sv39x4 walk (Figure 8).
 //!
@@ -19,7 +19,7 @@
 //!
 //! let mut pwc = WalkCache::new(WalkCacheConfig::default());
 //! let result = walk(&mem, &space, &mut pwc, VirtAddr::new(0x1000));
-//! assert_eq!(result.ref_count(), 3); // the three squares of Figure 2-a
+//! assert_eq!(result.pt_refs.len(), 3); // the three squares of Figure 2-a
 //! ```
 
 #![warn(missing_docs)]
@@ -34,12 +34,9 @@ mod tlb;
 mod walker;
 
 pub use mode::TranslationMode;
-pub use nested::{
-    nested_walk, GuestPhysAddr, GuestView, NestedPageTable, NestedRef, NestedRefKind, NestedRefs,
-    NestedWalkResult, NptRefs, GSTAGE_VMID, MAX_NESTED_REFS,
-};
+pub use nested::{nested_walk, GuestView, NestedPageTable, GSTAGE_VMID};
 pub use pte::Pte;
 pub use pwc::{WalkCache, WalkCacheConfig, WalkCacheStats};
 pub use space::{AddressSpace, MapError, PtFrameSource, Translation};
 pub use tlb::{apply_translation, Tlb, TlbConfig, TlbEntry, TlbHit, TlbStats};
-pub use walker::{walk, PtRef, PtRefs, WalkResult};
+pub use walker::{walk, walk_with, PtRef, PtRefs, WalkResult};

@@ -3,24 +3,20 @@
 //! With the hypervisor extension a guest access goes through a 3-D walk:
 //! guest page table (vsatp, Sv39) × nested page table (hgatp, Sv39x4) ×
 //! permission table. Figure 8 of the paper enumerates the resulting 16
-//! memory references; [`nested_walk`] reproduces that exact sequence, with a
-//! G-stage TLB and a guest-stage walk cache shortening it for the warm cases
-//! of Figure 13.
+//! memory references; [`nested_walk`] reports that exact sequence to its
+//! visitor as it reads it, with a G-stage TLB and a guest-stage walk cache
+//! shortening it for the warm cases of Figure 13. Both stages are the one
+//! radix walk of the walker module: the guest stage with a G-stage
+//! translation as its slot hook, the G-stage with the identity.
 
-use hpmp_memsim::{InlineVec, PhysAddr, PhysMem, VirtAddr, WordStore, PAGE_SHIFT, PAGE_SIZE};
+use hpmp_memsim::{PhysAddr, PhysMem, VirtAddr, WordStore, PAGE_SHIFT, PAGE_SIZE};
+use hpmp_trace::StepKind;
 
 use crate::pwc::WalkCache;
 use crate::space::{AddressSpace, MapError, PtFrameSource, Translation};
 use crate::tlb::{Tlb, TlbEntry};
-use crate::{Pte, TranslationMode};
-
-/// A guest-physical address (the output of the guest page table, the input
-/// of the nested page table).
-pub type GuestPhysAddr = PhysAddr;
-
-/// The nested-PT reads of one G-stage walk, root to leaf: `(level, hPA)`,
-/// at most one per NPT level.
-pub type NptRefs = InlineVec<(usize, PhysAddr), { NestedPageTable::LEVELS }>;
+use crate::walker::{radix_walk, Radix};
+use crate::Pte;
 
 /// The nested page table (hgatp, Sv39x4): maps guest-physical to
 /// host-physical addresses.
@@ -70,11 +66,6 @@ impl NestedPageTable {
         })
     }
 
-    /// Host-physical base of the (16 KiB) root.
-    pub fn root(&self) -> PhysAddr {
-        self.root
-    }
-
     /// All nested-PT pages, root pages first.
     pub fn pt_pages(&self) -> &[PhysAddr] {
         &self.pt_pages
@@ -96,7 +87,7 @@ impl NestedPageTable {
         &mut self,
         mem: &mut dyn WordStore,
         frames: &mut dyn PtFrameSource,
-        gpa: GuestPhysAddr,
+        gpa: PhysAddr,
         hpa: PhysAddr,
         writable: bool,
     ) -> Result<(), MapError> {
@@ -115,7 +106,7 @@ impl NestedPageTable {
         &mut self,
         mem: &mut dyn WordStore,
         frames: &mut dyn PtFrameSource,
-        gpa: GuestPhysAddr,
+        gpa: PhysAddr,
         hpa: PhysAddr,
         pages: u64,
         writable: bool,
@@ -125,6 +116,7 @@ impl NestedPageTable {
         } else {
             hpmp_memsim::Perms::RX
         };
+        let radix = self.radix();
         let mut done = 0;
         while done < pages {
             let first = gpa + done * PAGE_SIZE;
@@ -132,7 +124,7 @@ impl NestedPageTable {
             let slots = (512 - ((first.raw() >> PAGE_SHIFT) & 0x1ff)).min(pages - done);
             for slot in 0..slots {
                 let slot_gpa = first + slot * PAGE_SIZE;
-                let pte_slot = Self::pte_addr(table, slot_gpa, 0);
+                let pte_slot = radix.slot(table, slot_gpa.raw(), 0);
                 if Pte::from_bits(mem.read_u64(pte_slot)).is_valid() {
                     return Err(MapError::AlreadyMapped(VirtAddr::new(slot_gpa.raw())));
                 }
@@ -151,15 +143,16 @@ impl NestedPageTable {
         &mut self,
         mem: &mut dyn WordStore,
         frames: &mut dyn PtFrameSource,
-        gpa: GuestPhysAddr,
+        gpa: PhysAddr,
     ) -> Result<PhysAddr, MapError> {
-        if gpa.raw() >> 41 != 0 {
+        let radix = self.radix();
+        if gpa.raw() >> radix.va_bits != 0 {
             return Err(MapError::NonCanonical(VirtAddr::new(gpa.raw())));
         }
-        let mut table = self.slot_table_for_root(gpa);
-        let mut level = Self::LEVELS - 1;
+        let mut table = self.root;
+        let mut level = radix.root_level;
         while level > 0 {
-            let slot = Self::pte_addr(table, gpa, level);
+            let slot = radix.slot(table, gpa.raw(), level);
             let pte = Pte::from_bits(mem.read_u64(slot));
             if pte.is_leaf() {
                 return Err(MapError::HugePageConflict(VirtAddr::new(gpa.raw())));
@@ -179,50 +172,34 @@ impl NestedPageTable {
     }
 
     /// Software G-stage walk: translates `gpa` without timing.
-    pub fn translate(&self, mem: &dyn WordStore, gpa: GuestPhysAddr) -> Option<PhysAddr> {
-        self.walk_refs(mem, gpa).1
+    pub fn translate(&self, mem: &dyn WordStore, gpa: PhysAddr) -> Option<PhysAddr> {
+        self.walk(mem, gpa, &mut |_, _, _| {})
     }
 
-    /// Performs the G-stage walk, returning the host-physical addresses of
-    /// every nested PTE read (root → leaf) and the final translation.
-    pub fn walk_refs<M: WordStore + ?Sized>(
-        &self,
-        mem: &M,
-        gpa: GuestPhysAddr,
-    ) -> (NptRefs, Option<PhysAddr>) {
-        let mut refs = NptRefs::new();
-        if gpa.raw() >> 41 != 0 {
-            return (refs, None);
+    /// The G-stage walk of `gpa`, reporting each nested PTE read to
+    /// `visit`: the radix walk with the identity slot hook and no walk
+    /// cache.
+    fn walk<M, V>(&self, mem: &M, gpa: PhysAddr, visit: &mut V) -> Option<PhysAddr>
+    where
+        M: WordStore + ?Sized,
+        V: FnMut(PhysAddr, StepKind, usize),
+    {
+        let gpa = VirtAddr::new(gpa.raw());
+        let (translation, _) = radix_walk(mem, self.radix(), None, gpa, |s, _| Some(s), visit);
+        translation.map(|t| t.paddr)
+    }
+
+    /// The table as the walker sees it: Sv39x4 takes a 41-bit guest-physical
+    /// address, so the root index has 11 bits and spans the four root
+    /// pages.
+    fn radix(&self) -> Radix {
+        Radix {
+            root: self.root,
+            root_level: Self::LEVELS - 1,
+            va_bits: 41,
+            asid: 0,
+            step: StepKind::NestedPt,
         }
-        let mut table = self.slot_table_for_root(gpa);
-        let mut level = Self::LEVELS - 1;
-        loop {
-            let slot = Self::pte_addr(table, gpa, level);
-            refs.push((level, slot));
-            let pte = Pte::from_bits(mem.read_u64(slot));
-            if pte.is_leaf() {
-                let span = 1u64 << (PAGE_SHIFT as usize + 9 * level);
-                let offset = gpa.raw() & (span - 1);
-                return (refs, Some(PhysAddr::new(pte.target().raw() + offset)));
-            }
-            if !pte.is_table() || level == 0 {
-                return (refs, None);
-            }
-            table = pte.target();
-            level -= 1;
-        }
-    }
-
-    /// Sv39x4: the two extra root-index bits select one of the four root
-    /// pages; the in-page index is the usual 9-bit VPN\[2\].
-    fn slot_table_for_root(&self, gpa: GuestPhysAddr) -> PhysAddr {
-        let wide = (gpa.raw() >> 39) & 0b11;
-        PhysAddr::new(self.root.raw() + wide * PAGE_SIZE)
-    }
-
-    fn pte_addr(table: PhysAddr, gpa: GuestPhysAddr, level: usize) -> PhysAddr {
-        let idx = (gpa.raw() >> (PAGE_SHIFT as usize + 9 * level)) & 0x1ff;
-        PhysAddr::new(table.raw() + idx * 8)
     }
 }
 
@@ -241,7 +218,7 @@ impl<'a> GuestView<'a> {
         GuestView { mem, npt }
     }
 
-    fn host(&self, gpa: GuestPhysAddr) -> PhysAddr {
+    fn host(&self, gpa: PhysAddr) -> PhysAddr {
         self.npt
             .translate(self.mem, gpa)
             .unwrap_or_else(|| panic!("guest-physical address {gpa} not mapped in NPT"))
@@ -265,79 +242,13 @@ impl WordStore for GuestView<'_> {
     }
 }
 
-/// Kind of memory reference performed during a nested walk.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum NestedRefKind {
-    /// A nested-page-table PTE read (the `nL*` squares of Figure 8).
-    NestedPt {
-        /// NPT level of the PTE.
-        level: usize,
-    },
-    /// A guest-page-table PTE read (the `gL*` circles of Figure 8).
-    GuestPt {
-        /// Guest PT level of the PTE.
-        level: usize,
-    },
-}
-
-/// Fills the unused slots of a [`NestedRefs`] buffer; never reported.
-impl Default for NestedRefKind {
-    fn default() -> NestedRefKind {
-        NestedRefKind::NestedPt { level: 0 }
-    }
-}
-
-/// One host-physical reference performed during a nested walk.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NestedRef {
-    /// What the reference was for.
-    pub kind: NestedRefKind,
-    /// Host-physical address that was read.
-    pub addr: PhysAddr,
-}
-
-/// The most references one nested walk performs: a cold walk of the
-/// deepest guest mode reads, per guest level, the G-stage sub-walk of the
-/// guest PTE's address plus the guest PTE itself, then the data page's
-/// G-stage sub-walk.
-pub const MAX_NESTED_REFS: usize =
-    TranslationMode::MAX_LEVELS * (NestedPageTable::LEVELS + 1) + NestedPageTable::LEVELS;
-
-/// The references of one nested walk, stored inline.
-pub type NestedRefs = InlineVec<NestedRef, MAX_NESTED_REFS>;
-
-/// Outcome of a nested (two-stage) walk.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NestedWalkResult {
-    /// Ordered host-physical references performed (excluding the final data
-    /// reference, which the machine layer issues).
-    pub refs: NestedRefs,
-    /// Final translation (gVA → hPA) or `None` on a fault in either stage.
-    pub translation: Option<Translation>,
-}
-
-impl NestedWalkResult {
-    /// Number of references that read nested-PT pages.
-    pub fn nested_refs(&self) -> usize {
-        self.refs
-            .iter()
-            .filter(|r| matches!(r.kind, NestedRefKind::NestedPt { .. }))
-            .count()
-    }
-
-    /// Number of references that read guest-PT pages.
-    pub fn guest_refs(&self) -> usize {
-        self.refs
-            .iter()
-            .filter(|r| matches!(r.kind, NestedRefKind::GuestPt { .. }))
-            .count()
-    }
-}
-
 /// Virtual-machine identifier used to tag G-stage TLB entries.
 pub const GSTAGE_VMID: u16 = 0xfff;
 
-/// Performs the full two-stage walk of Figure 8 for `gva`.
+/// Performs the full two-stage walk of Figure 8 for `gva`, reporting each
+/// host-physical reference to `visit` as `(address, step kind, level)`
+/// when it is read: `NestedPt` for the `nL*` squares, `GuestPt` for the
+/// `gL*` circles.
 ///
 /// * `gtlb` caches G-stage translations (gPA page → hPA page); a hit removes
 ///   the three `nL*` references of that sub-walk. It survives `hfence.vvma`
@@ -345,42 +256,32 @@ pub const GSTAGE_VMID: u16 = 0xfff;
 /// * `gpwc` is the guest-stage walk cache over guest VAs (skips upper guest
 ///   levels *and* their G-stage sub-walks in the TC3 case).
 ///
-/// The final data reference is **not** included in `refs`; the caller issues
-/// it (and its own G-stage sub-walk *is* included, as references 13–15).
-pub fn nested_walk(
-    mem: &PhysMem,
+/// The final data reference is **not** reported; the caller issues it
+/// (and its own G-stage sub-walk *is* reported, as references 13–15).
+/// Returns the translation (gVA → hPA), or `None` on a fault in either
+/// stage.
+pub fn nested_walk<M, V>(
+    mem: &M,
     guest: &AddressSpace,
     npt: &NestedPageTable,
     gtlb: &mut Tlb,
     gpwc: &mut WalkCache,
     gva: VirtAddr,
-) -> NestedWalkResult {
-    let mode = guest.mode();
-    let asid = guest.asid();
-    let mut refs = NestedRefs::new();
-    if !mode.is_canonical(gva) {
-        return NestedWalkResult {
-            refs,
-            translation: None,
-        };
-    }
-
-    // G-stage helper: translate a gPA, appending nL* refs on a G-TLB miss.
-    let mut g_translate = |gpa: GuestPhysAddr, refs: &mut NestedRefs| -> Option<PhysAddr> {
+    mut visit: V,
+) -> Option<Translation>
+where
+    M: WordStore + ?Sized,
+    V: FnMut(PhysAddr, StepKind, usize),
+{
+    // The slot hook: a G-TLB hit, or the G-stage sub-walk and a G-TLB fill.
+    let g_translate = |gpa: PhysAddr, visit: &mut V| -> Option<PhysAddr> {
         let page_va = VirtAddr::new(gpa.page_base().raw());
         if let Some((entry, _)) = gtlb.lookup(GSTAGE_VMID, page_va) {
             return Some(PhysAddr::new(
                 entry.frame.page_base().raw() | gpa.page_offset(),
             ));
         }
-        let (nrefs, hpa) = npt.walk_refs(mem, gpa);
-        for &(level, addr) in &nrefs {
-            refs.push(NestedRef {
-                kind: NestedRefKind::NestedPt { level },
-                addr,
-            });
-        }
-        let hpa = hpa?;
+        let hpa = npt.walk(mem, gpa, visit)?;
         gtlb.fill(TlbEntry {
             asid: GSTAGE_VMID,
             vpn: page_va.page_number(),
@@ -392,62 +293,8 @@ pub fn nested_walk(
         });
         Some(hpa)
     };
-
-    // Guest-stage walk, possibly shortened by the guest PWC.
-    let mut table_gpa = GuestPhysAddr::new(guest.root().raw());
-    let mut level = mode.root_level();
-    for probe in 1..=mode.root_level() {
-        if let Some(cached) = gpwc.lookup(asid, probe, gva) {
-            table_gpa = GuestPhysAddr::new(cached.raw());
-            level = probe - 1;
-            break;
-        }
-    }
-
-    loop {
-        let slot_gpa = GuestPhysAddr::new(table_gpa.raw() + gva.vpn(level) * 8);
-        let Some(slot_hpa) = g_translate(slot_gpa, &mut refs) else {
-            return NestedWalkResult {
-                refs,
-                translation: None,
-            };
-        };
-        refs.push(NestedRef {
-            kind: NestedRefKind::GuestPt { level },
-            addr: slot_hpa,
-        });
-        let pte = Pte::from_bits(mem.read_u64(slot_hpa));
-        if pte.is_leaf() {
-            let span = mode.level_span(level);
-            let offset = gva.raw() & (span - 1);
-            let data_gpa = GuestPhysAddr::new(pte.target().raw() + offset);
-            let Some(data_hpa) = g_translate(data_gpa, &mut refs) else {
-                return NestedWalkResult {
-                    refs,
-                    translation: None,
-                };
-            };
-            let translation = Translation {
-                paddr: data_hpa,
-                perms: pte.perms(),
-                level,
-                user: pte.is_user(),
-            };
-            return NestedWalkResult {
-                refs,
-                translation: Some(translation),
-            };
-        }
-        if !pte.is_table() || level == 0 {
-            return NestedWalkResult {
-                refs,
-                translation: None,
-            };
-        }
-        gpwc.insert(asid, level, gva, pte.target());
-        table_gpa = GuestPhysAddr::new(pte.target().raw());
-        level -= 1;
-    }
+    let table = Radix::of(guest, StepKind::GuestPt);
+    radix_walk(mem, table, Some(gpwc), gva, g_translate, &mut visit).0
 }
 
 #[cfg(test)]
@@ -476,7 +323,7 @@ mod tests {
         // Guest-physical pool: gPAs 0x1000_0000.. ; back each gPA on demand.
         let gpa_pool_base = 0x1000_0000u64;
         for i in 0..64u64 {
-            let gpa = GuestPhysAddr::new(gpa_pool_base + i * PAGE_SIZE);
+            let gpa = PhysAddr::new(gpa_pool_base + i * PAGE_SIZE);
             let hpa = PhysAddr::new(gpa.raw() + HOST_OFF);
             npt.map_page(&mut mem, &mut host_frames, gpa, hpa, true)
                 .unwrap();
@@ -486,7 +333,7 @@ mod tests {
         let mut guest_pt_frames = FrameAllocator::new(PhysAddr::new(gpa_pool_base), 32 * PAGE_SIZE);
         let mut view = GuestView::new(&mut mem, &npt);
         let mut guest = AddressSpace::new(mode, 9, &mut view, &mut guest_pt_frames).unwrap();
-        let data_gpa = GuestPhysAddr::new(gpa_pool_base + 40 * PAGE_SIZE);
+        let data_gpa = PhysAddr::new(gpa_pool_base + 40 * PAGE_SIZE);
         guest
             .map_page(
                 &mut view,
@@ -507,58 +354,80 @@ mod tests {
         )
     }
 
+    /// One nested walk's references, `(kind, level)` in issue order, and
+    /// its translation.
+    struct Walked {
+        refs: Vec<(StepKind, usize)>,
+        translation: Option<Translation>,
+    }
+
+    impl Walked {
+        fn count(&self, kind: StepKind) -> usize {
+            self.refs.iter().filter(|&&(k, _)| k == kind).count()
+        }
+    }
+
+    fn walk(
+        mem: &PhysMem,
+        guest: &AddressSpace,
+        npt: &NestedPageTable,
+        (gtlb, gpwc): &mut (Tlb, WalkCache),
+        gva: VirtAddr,
+    ) -> Walked {
+        let mut refs = Vec::new();
+        let translation = nested_walk(mem, guest, npt, gtlb, gpwc, gva, |_, kind, level| {
+            refs.push((kind, level))
+        });
+        Walked { refs, translation }
+    }
+
     #[test]
     fn cold_walk_matches_figure_8() {
         let (mem, npt, guest) = fixture();
-        let (mut gtlb, mut gpwc) = caches();
-        let result = nested_walk(&mem, &guest, &npt, &mut gtlb, &mut gpwc, GVA);
+        let result = walk(&mem, &guest, &npt, &mut caches(), GVA);
         // Figure 8: 12 nested-PT refs + 3 guest-PT refs (data ref issued by
         // the caller as the 16th).
-        assert_eq!(result.nested_refs(), 12);
-        assert_eq!(result.guest_refs(), 3);
+        assert_eq!(result.count(StepKind::NestedPt), 12);
+        assert_eq!(result.count(StepKind::GuestPt), 3);
         assert_eq!(result.refs.len(), 15);
         assert!(result.translation.is_some());
         // Order check: walk starts with the nL2 for the guest root.
-        assert!(matches!(
-            result.refs[0].kind,
-            NestedRefKind::NestedPt { level: 2 }
-        ));
-        assert!(matches!(
-            result.refs[3].kind,
-            NestedRefKind::GuestPt { level: 2 }
-        ));
+        assert_eq!(result.refs[0], (StepKind::NestedPt, 2));
+        assert_eq!(result.refs[3], (StepKind::GuestPt, 2));
     }
 
-    /// A cold walk under the deepest guest mode (Sv57) fills the inline
-    /// buffer exactly: per guest level a 3-read G-stage sub-walk plus the
-    /// guest PTE, then the data page's sub-walk.
+    /// A cold walk under the deepest guest mode (Sv57): per guest level a
+    /// 3-read G-stage sub-walk plus the guest PTE, then the data page's
+    /// sub-walk.
     #[test]
-    fn cold_sv57_walk_fills_its_buffer() {
+    fn cold_sv57_walk_reads_every_level() {
         let (mem, npt, guest) = fixture_in(TranslationMode::Sv57);
-        let (mut gtlb, mut gpwc) = caches();
-        let result = nested_walk(&mem, &guest, &npt, &mut gtlb, &mut gpwc, GVA);
+        let result = walk(&mem, &guest, &npt, &mut caches(), GVA);
         assert!(result.translation.is_some());
-        assert_eq!(result.guest_refs(), TranslationMode::MAX_LEVELS);
-        assert_eq!(result.nested_refs(), 6 * NestedPageTable::LEVELS);
-        assert_eq!(result.refs.len(), NestedRefs::CAPACITY);
+        let guest_levels = TranslationMode::MAX_LEVELS;
+        assert_eq!(result.count(StepKind::GuestPt), guest_levels);
+        let nested = (guest_levels + 1) * NestedPageTable::LEVELS;
+        assert_eq!(result.count(StepKind::NestedPt), nested);
+        assert_eq!(result.refs.len(), guest_levels + nested);
     }
 
     /// A G-stage walk reads one nested PTE per NPT level.
     #[test]
-    fn gstage_walk_fills_its_buffer() {
+    fn gstage_walk_reads_one_pte_per_level() {
         let (mem, npt, guest) = fixture();
-        let (refs, hpa) = npt.walk_refs(&mem, guest.root());
+        let mut refs = Vec::new();
+        let hpa = npt.walk(&mem, guest.root(), &mut |_, kind, level| {
+            refs.push((kind, level))
+        });
         assert_eq!(hpa, Some(PhysAddr::new(guest.root().raw() + HOST_OFF)));
-        assert_eq!(refs.len(), NptRefs::CAPACITY);
-        let levels: Vec<usize> = refs.iter().map(|&(level, _)| level).collect();
-        assert_eq!(levels, [2, 1, 0]);
+        let nested = |level| (StepKind::NestedPt, level);
+        assert_eq!(refs, [nested(2), nested(1), nested(0)]);
     }
 
     #[test]
     fn translation_is_correct() {
         let (mem, npt, guest) = fixture();
-        let (mut gtlb, mut gpwc) = caches();
-        let result = nested_walk(&mem, &guest, &npt, &mut gtlb, &mut gpwc, GVA + 0x123);
+        let result = walk(&mem, &guest, &npt, &mut caches(), GVA + 0x123);
         let t = result.translation.unwrap();
         // gPA of data page = pool base + 40 pages; hPA = gPA + HOST_OFF.
         assert_eq!(
@@ -570,50 +439,43 @@ mod tests {
     #[test]
     fn gstage_tlb_removes_nested_refs() {
         let (mem, npt, guest) = fixture();
-        let (mut gtlb, mut gpwc) = caches();
-        nested_walk(&mem, &guest, &npt, &mut gtlb, &mut gpwc, GVA);
+        let mut caches = caches();
+        walk(&mem, &guest, &npt, &mut caches, GVA);
         // Second walk of the same VA: guest PWC skips to the leaf guest PTE;
         // its sub-walk and the data sub-walk hit the G-stage TLB.
-        let result = nested_walk(&mem, &guest, &npt, &mut gtlb, &mut gpwc, GVA);
-        assert_eq!(result.nested_refs(), 0);
-        assert_eq!(result.guest_refs(), 1);
+        let result = walk(&mem, &guest, &npt, &mut caches, GVA);
+        assert_eq!(result.count(StepKind::NestedPt), 0);
+        assert_eq!(result.count(StepKind::GuestPt), 1);
     }
 
     #[test]
     fn hfence_vvma_keeps_gstage() {
         let (mem, npt, guest) = fixture();
-        let (mut gtlb, mut gpwc) = caches();
-        nested_walk(&mem, &guest, &npt, &mut gtlb, &mut gpwc, GVA);
+        let mut caches = caches();
+        walk(&mem, &guest, &npt, &mut caches, GVA);
         // hfence.vvma: guest-stage state flushed, G-stage retained.
-        gpwc.flush_all();
-        let result = nested_walk(&mem, &guest, &npt, &mut gtlb, &mut gpwc, GVA);
-        assert_eq!(result.guest_refs(), 3); // full guest walk again
-        assert_eq!(result.nested_refs(), 0); // all G-stage sub-walks hit
+        caches.1.flush_all();
+        let result = walk(&mem, &guest, &npt, &mut caches, GVA);
+        assert_eq!(result.count(StepKind::GuestPt), 3); // full guest walk again
+        assert_eq!(result.count(StepKind::NestedPt), 0); // all G-stage sub-walks hit
     }
 
     #[test]
     fn hfence_gvma_flushes_everything() {
         let (mem, npt, guest) = fixture();
-        let (mut gtlb, mut gpwc) = caches();
-        nested_walk(&mem, &guest, &npt, &mut gtlb, &mut gpwc, GVA);
-        gpwc.flush_all();
-        gtlb.flush_all();
-        let result = nested_walk(&mem, &guest, &npt, &mut gtlb, &mut gpwc, GVA);
+        let mut caches = caches();
+        walk(&mem, &guest, &npt, &mut caches, GVA);
+        caches.1.flush_all();
+        caches.0.flush_all();
+        let result = walk(&mem, &guest, &npt, &mut caches, GVA);
         assert_eq!(result.refs.len(), 15);
     }
 
     #[test]
     fn unmapped_gva_faults() {
         let (mem, npt, guest) = fixture();
-        let (mut gtlb, mut gpwc) = caches();
-        let result = nested_walk(
-            &mem,
-            &guest,
-            &npt,
-            &mut gtlb,
-            &mut gpwc,
-            VirtAddr::new(0x5000_0000),
-        );
+        let gva = VirtAddr::new(0x5000_0000);
+        let result = walk(&mem, &guest, &npt, &mut caches(), gva);
         assert!(result.translation.is_none());
     }
 
@@ -622,7 +484,7 @@ mod tests {
         let mut mem = PhysMem::new();
         let mut frames = FrameAllocator::new(PhysAddr::new(0x8000_0000), 64 * PAGE_SIZE);
         let mut npt = NestedPageTable::new(&mut mem, &mut frames).unwrap();
-        let gpa = GuestPhysAddr::new(0x1000);
+        let gpa = PhysAddr::new(0x1000);
         npt.map_page(&mut mem, &mut frames, gpa, PhysAddr::new(0x9000_0000), true)
             .unwrap();
         assert!(matches!(
@@ -637,7 +499,7 @@ mod tests {
         let mut frames = FrameAllocator::new(PhysAddr::new(0x8000_0000), 64 * PAGE_SIZE);
         let mut npt = NestedPageTable::new(&mut mem, &mut frames).unwrap();
         // A gPA beyond 2^39 uses the extra root-index bits.
-        let gpa = GuestPhysAddr::new(1 << 40);
+        let gpa = PhysAddr::new(1 << 40);
         npt.map_page(
             &mut mem,
             &mut frames,
@@ -647,12 +509,16 @@ mod tests {
         )
         .unwrap();
         assert_eq!(npt.translate(&mem, gpa), Some(PhysAddr::new(0x9000_0000)));
+        // The 11-bit root index selects root page 2 (gPA bits 40:39) at
+        // in-page index 0 (bits 38:30).
+        let root_slot = npt.root + 2 * PAGE_SIZE;
+        assert!(Pte::from_bits(mem.read_u64(root_slot)).is_table());
         // Beyond 41 bits is rejected.
         assert!(matches!(
             npt.map_page(
                 &mut mem,
                 &mut frames,
-                GuestPhysAddr::new(1 << 41),
+                PhysAddr::new(1 << 41),
                 PhysAddr::new(0x9000_1000),
                 false
             ),

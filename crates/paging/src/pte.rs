@@ -28,7 +28,6 @@ impl Pte {
     const W: u64 = 1 << 2;
     const X: u64 = 1 << 3;
     const U: u64 = 1 << 4;
-    const G: u64 = 1 << 5;
     const A: u64 = 1 << 6;
     const D: u64 = 1 << 7;
     const PPN_SHIFT: u32 = 10;
@@ -100,12 +99,6 @@ impl Pte {
     #[inline]
     pub const fn is_user(self) -> bool {
         self.bits & Self::U != 0
-    }
-
-    /// True if the G (global mapping) bit is set.
-    #[inline]
-    pub const fn is_global(self) -> bool {
-        self.bits & Self::G != 0
     }
 
     /// The R/W/X permission set of a leaf entry.

@@ -12,22 +12,18 @@
 
 use hpmp_memsim::{LruEntry, LruMap, PhysAddr, VirtAddr, PAGE_SHIFT};
 
-/// Configuration of a walk cache.
+/// Configuration of a walk cache. A probe costs no cycles: it is checked
+/// in parallel with the walk start, and the paper's PTECache is small and
+/// fast.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WalkCacheConfig {
     /// Number of entries (fully associative).
     pub entries: usize,
-    /// Hit latency in cycles (checked in parallel with the walk start; the
-    /// paper's PTECache is small and fast, so this defaults to 1).
-    pub hit_latency: u64,
 }
 
 impl Default for WalkCacheConfig {
     fn default() -> WalkCacheConfig {
-        WalkCacheConfig {
-            entries: 8,
-            hit_latency: 1,
-        }
+        WalkCacheConfig { entries: 8 }
     }
 }
 
@@ -81,7 +77,6 @@ impl LruEntry for Step {
 /// ```
 #[derive(Clone, Debug)]
 pub struct WalkCache {
-    config: WalkCacheConfig,
     steps: LruMap<Step>,
     stats: WalkCacheStats,
 }
@@ -95,15 +90,9 @@ impl WalkCache {
     /// Panics if `entries` exceeds [`hpmp_memsim::LRU_MAX_ENTRIES`].
     pub fn new(config: WalkCacheConfig) -> WalkCache {
         WalkCache {
-            config,
             steps: LruMap::new(config.entries),
             stats: WalkCacheStats::default(),
         }
-    }
-
-    /// The configuration this cache was built with.
-    pub fn config(&self) -> &WalkCacheConfig {
-        &self.config
     }
 
     /// Looks up the cached next-level table for the walk step that consumes
@@ -197,10 +186,7 @@ mod tests {
 
     #[test]
     fn lru_eviction() {
-        let mut pwc = WalkCache::new(WalkCacheConfig {
-            entries: 2,
-            hit_latency: 1,
-        });
+        let mut pwc = WalkCache::new(WalkCacheConfig { entries: 2 });
         pwc.insert(1, 2, VirtAddr::new(0 << 30), PhysAddr::new(0x1000));
         pwc.insert(1, 2, VirtAddr::new(1 << 30), PhysAddr::new(0x2000));
         pwc.lookup(1, 2, VirtAddr::new(0 << 30)); // refresh first
@@ -211,10 +197,7 @@ mod tests {
 
     #[test]
     fn zero_entry_cache_never_hits() {
-        let mut pwc = WalkCache::new(WalkCacheConfig {
-            entries: 0,
-            hit_latency: 1,
-        });
+        let mut pwc = WalkCache::new(WalkCacheConfig { entries: 0 });
         pwc.insert(1, 2, VirtAddr::new(0x1000), PhysAddr::new(0x8000_0000));
         assert!(pwc.lookup(1, 2, VirtAddr::new(0x1000)).is_none());
     }

@@ -347,7 +347,7 @@ impl AddressSpace {
     }
 
     /// Physical address of the PTE slot for `va` at `level` inside `table`.
-    pub fn pte_addr(table: PhysAddr, va: VirtAddr, level: usize) -> PhysAddr {
+    fn pte_addr(table: PhysAddr, va: VirtAddr, level: usize) -> PhysAddr {
         debug_assert!(table.is_aligned(PAGE_SIZE));
         PhysAddr::new(table.raw() + va.vpn(level) * 8)
     }

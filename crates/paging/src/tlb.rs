@@ -261,11 +261,6 @@ impl Tlb {
         self.epoch += 1;
     }
 
-    /// The current isolation epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// `sfence.vma` with no arguments / HPMP reconfiguration: drop
     /// everything. O(L1 slots in use), never O(L1 index size): the L1
     /// resets only the buckets its slots hash to, and the flush generation
@@ -451,7 +446,7 @@ mod tests {
         // A refill under the new epoch hits again.
         tlb.fill(entry(1, 1));
         assert!(tlb.lookup(1, VirtAddr::new(0x1000)).is_some());
-        assert_eq!(tlb.epoch(), 1);
+        assert_eq!(tlb.epoch, 1);
         // The L2 copy of the old entry is equally unhittable: evict the L1
         // copy and check.
         let mut tlb = Tlb::new(TlbConfig {

@@ -1,14 +1,22 @@
-//! The page-table walker (PTW).
+//! The page-table walker (PTW): one radix walk for every page table.
 //!
 //! On a TLB miss the PTW performs the radix walk, consulting the page-walk
-//! cache first to skip upper levels. The walker's product is the *exact
-//! ordered list of PT-page memory references* it performed — the squares in
-//! the paper's Figure 2 — which the machine layer then pushes through the
-//! isolation checker and the cache hierarchy. Splitting "which references
-//! happen" (here) from "what each reference costs" (machine layer) is what
-//! lets one walker serve the PMP, PMP-Table and HPMP configurations.
+//! cache first to skip upper levels. The walk reports each PT-page memory
+//! reference — the squares in the paper's Figure 2 — to a visitor at the
+//! moment it reads it, and the machine layer checks and charges each one
+//! from inside that visitor. Splitting "which references happen" (here)
+//! from "what each reference costs" (machine layer) is what lets one
+//! walker serve the PMP, PMP-Table and HPMP configurations.
+//!
+//! The native walk, the guest stage of a nested walk and the G-stage walk
+//! of the nested page table are all [`radix_walk`]. What differs comes in
+//! through its arguments: the table's geometry and step kind, whether a
+//! walk cache shortens it, and the slot hook every table slot and the
+//! final address pass through — the identity natively and in the G-stage,
+//! a G-stage translation for a guest (Figure 8).
 
-use hpmp_memsim::{InlineVec, PhysAddr, PhysMem, VirtAddr};
+use hpmp_memsim::{InlineVec, PhysAddr, VirtAddr, WordStore, PAGE_SHIFT};
+use hpmp_trace::StepKind;
 
 use crate::pwc::WalkCache;
 use crate::space::{AddressSpace, Translation};
@@ -21,15 +29,13 @@ pub struct PtRef {
     pub level: usize,
     /// Physical address of the PTE.
     pub addr: PhysAddr,
-    /// The PTE value that was read.
-    pub pte: Pte,
 }
 
 /// The PT references of one walk, stored inline: at most one per level of
 /// the deepest mode.
 pub type PtRefs = InlineVec<PtRef, { TranslationMode::MAX_LEVELS }>;
 
-/// The outcome of one hardware page-table walk.
+/// The outcome of one hardware page-table walk, as [`walk`] collects it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WalkResult {
     /// PT-page references actually performed, in order.
@@ -41,15 +47,131 @@ pub struct WalkResult {
     pub pwc_hit_level: Option<usize>,
 }
 
-impl WalkResult {
-    /// Number of PT-page memory references the walk performed.
-    pub fn ref_count(&self) -> usize {
-        self.pt_refs.len()
+/// A radix page table as the walker sees it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Radix {
+    /// Base of the root table.
+    pub(crate) root: PhysAddr,
+    /// Level of the root (leaf = 0).
+    pub(crate) root_level: usize,
+    /// Width of the input address. The root index takes every input bit
+    /// above the next level's, so Sv39x4's 16 KiB root has an 11-bit index.
+    pub(crate) va_bits: u32,
+    /// ASID of the walk-cache entries.
+    pub(crate) asid: u16,
+    /// What each reference reads, as reported to the visitor.
+    pub(crate) step: StepKind,
+}
+
+impl Radix {
+    /// The walk over `space`'s table, reporting references of kind `step`.
+    pub(crate) fn of(space: &AddressSpace, step: StepKind) -> Radix {
+        Radix {
+            root: space.root(),
+            root_level: space.mode().root_level(),
+            va_bits: space.mode().va_bits(),
+            asid: space.asid(),
+            step,
+        }
+    }
+
+    /// The PTE slot for input address `va` at `level` of the table at
+    /// `table`: nine index bits per level below the root.
+    #[inline]
+    pub(crate) fn slot(&self, table: PhysAddr, va: u64, level: usize) -> PhysAddr {
+        let index = va >> (PAGE_SHIFT as usize + 9 * level);
+        let index = if level == self.root_level {
+            index
+        } else {
+            index & 0x1ff
+        };
+        PhysAddr::new(table.raw() + index * 8)
     }
 }
 
+/// The one radix walk: translates `va` through `table`, reporting each PTE
+/// read to `visit` as `(address, table.step, level)` when it reads it.
+///
+/// With a walk cache, the walk first probes it from the deepest skippable
+/// level upward — an entry at level `L` holds the table walked at `L - 1`
+/// — starts from the table and level it leaves, and refills it with every
+/// non-leaf step. Each table slot, and the address the leaf PTE yields,
+/// passes through `slot_hook` before use; the hook may report references
+/// of its own to `visit`, and `None` from it faults the walk.
+///
+/// Returns the translation (`None` on a fault in the table or the hook)
+/// and the walk-cache level that shortened the walk.
+#[inline]
+pub(crate) fn radix_walk<M, V>(
+    mem: &M,
+    table: Radix,
+    mut pwc: Option<&mut WalkCache>,
+    va: VirtAddr,
+    mut slot_hook: impl FnMut(PhysAddr, &mut V) -> Option<PhysAddr>,
+    visit: &mut V,
+) -> (Option<Translation>, Option<usize>)
+where
+    M: WordStore + ?Sized,
+    V: FnMut(PhysAddr, StepKind, usize),
+{
+    if va.raw() >> table.va_bits != 0 {
+        return (None, None);
+    }
+    let (mut base, mut level, mut pwc_level) = (table.root, table.root_level, None);
+    if let Some(pwc) = pwc.as_deref_mut() {
+        for probe in 1..=table.root_level {
+            if let Some(cached) = pwc.lookup(table.asid, probe, va) {
+                (base, level, pwc_level) = (cached, probe - 1, Some(probe));
+                break;
+            }
+        }
+    }
+    loop {
+        let Some(slot) = slot_hook(table.slot(base, va.raw(), level), visit) else {
+            return (None, pwc_level);
+        };
+        visit(slot, table.step, level);
+        let pte = Pte::from_bits(mem.read_u64(slot));
+        if pte.is_leaf() {
+            let offset = va.raw() & ((1 << (PAGE_SHIFT as usize + 9 * level)) - 1);
+            let translation = slot_hook(pte.target() + offset, visit).map(|paddr| Translation {
+                paddr,
+                perms: pte.perms(),
+                level,
+                user: pte.is_user(),
+            });
+            return (translation, pwc_level);
+        }
+        if !pte.is_table() || level == 0 {
+            // Page fault: invalid PTE or a pointer where a leaf must be.
+            return (None, pwc_level);
+        }
+        if let Some(pwc) = pwc.as_deref_mut() {
+            pwc.insert(table.asid, level, va, pte.target());
+        }
+        base = pte.target();
+        level -= 1;
+    }
+}
+
+/// Performs one native page-table walk for `va` in `space`, using (and
+/// refilling) `pwc`, and reports each PT reference to `visit` as it reads
+/// it. Returns the translation (`None` on a page fault) and the deepest
+/// PWC level that hit.
+#[inline]
+pub fn walk_with<M: WordStore + ?Sized>(
+    mem: &M,
+    space: &AddressSpace,
+    pwc: &mut WalkCache,
+    va: VirtAddr,
+    mut visit: impl FnMut(PhysAddr, StepKind, usize),
+) -> (Option<Translation>, Option<usize>) {
+    let table = Radix::of(space, StepKind::Pt);
+    radix_walk(mem, table, Some(pwc), va, |slot, _| Some(slot), &mut visit)
+}
+
 /// Performs one page-table walk for `va` in `space`, using (and refilling)
-/// `pwc`.
+/// `pwc`: [`walk_with`], collecting its references.
 ///
 /// The PWC is probed from the deepest skippable level upward, so a hit at
 /// level `L` means the walk starts by reading the PTE at level `L - 1`
@@ -68,72 +190,24 @@ impl WalkResult {
 /// let mut pwc = WalkCache::new(WalkCacheConfig::default());
 ///
 /// let cold = walk(&mem, &space, &mut pwc, VirtAddr::new(0x1000));
-/// assert_eq!(cold.ref_count(), 3); // Sv39: L2, L1, L0
+/// assert_eq!(cold.pt_refs.len(), 3); // Sv39: L2, L1, L0
 /// let warm = walk(&mem, &space, &mut pwc, VirtAddr::new(0x1000));
-/// assert_eq!(warm.ref_count(), 1); // PWC skips to the leaf PTE
+/// assert_eq!(warm.pt_refs.len(), 1); // PWC skips to the leaf PTE
 /// ```
-pub fn walk(mem: &PhysMem, space: &AddressSpace, pwc: &mut WalkCache, va: VirtAddr) -> WalkResult {
-    let mode = space.mode();
-    let asid = space.asid();
-    if !mode.is_canonical(va) {
-        return WalkResult {
-            pt_refs: PtRefs::new(),
-            translation: None,
-            pwc_hit_level: None,
-        };
-    }
-
-    // Probe the PWC from the deepest (most useful) level upward. An entry at
-    // `level` caches the table produced by consuming the PTE *at* `level`,
-    // i.e. the table walked at `level - 1`.
-    let mut table = space.root();
-    let mut level = mode.root_level();
-    let mut pwc_hit_level = None;
-    for probe in 1..=mode.root_level() {
-        if let Some(cached) = pwc.lookup(asid, probe, va) {
-            table = cached;
-            level = probe - 1;
-            pwc_hit_level = Some(probe);
-            break;
-        }
-    }
-
+pub fn walk<M: WordStore + ?Sized>(
+    mem: &M,
+    space: &AddressSpace,
+    pwc: &mut WalkCache,
+    va: VirtAddr,
+) -> WalkResult {
     let mut pt_refs = PtRefs::new();
-    loop {
-        let slot = AddressSpace::pte_addr(table, va, level);
-        let pte = Pte::from_bits(mem.read_u64(slot));
-        pt_refs.push(PtRef {
-            level,
-            addr: slot,
-            pte,
-        });
-        if pte.is_leaf() {
-            let span = mode.level_span(level);
-            let offset = va.raw() & (span - 1);
-            let translation = Translation {
-                paddr: PhysAddr::new(pte.target().raw() + offset),
-                perms: pte.perms(),
-                level,
-                user: pte.is_user(),
-            };
-            return WalkResult {
-                pt_refs,
-                translation: Some(translation),
-                pwc_hit_level,
-            };
-        }
-        if !pte.is_table() || level == 0 {
-            // Page fault: invalid PTE or a pointer where a leaf must be.
-            return WalkResult {
-                pt_refs,
-                translation: None,
-                pwc_hit_level,
-            };
-        }
-        // Refill the PWC with this non-leaf step.
-        pwc.insert(asid, level, va, pte.target());
-        table = pte.target();
-        level -= 1;
+    let (translation, pwc_hit_level) = walk_with(mem, space, pwc, va, |addr, _, level| {
+        pt_refs.push(PtRef { level, addr })
+    });
+    WalkResult {
+        pt_refs,
+        translation,
+        pwc_hit_level,
     }
 }
 
@@ -142,7 +216,7 @@ mod tests {
     use super::*;
     use crate::pwc::WalkCacheConfig;
     use crate::TranslationMode;
-    use hpmp_memsim::{FrameAllocator, Perms, PAGE_SIZE};
+    use hpmp_memsim::{FrameAllocator, Perms, PhysMem, PAGE_SIZE};
 
     fn fixture() -> (PhysMem, FrameAllocator, AddressSpace, WalkCache) {
         let mut mem = PhysMem::new();
@@ -166,7 +240,7 @@ mod tests {
             )
             .unwrap();
         let result = walk(&mem, &space, &mut pwc, VirtAddr::new(0x1234));
-        assert_eq!(result.ref_count(), 3);
+        assert_eq!(result.pt_refs.len(), 3);
         assert_eq!(result.pt_refs[0].level, 2);
         assert_eq!(result.pt_refs[1].level, 1);
         assert_eq!(result.pt_refs[2].level, 0);
@@ -193,7 +267,7 @@ mod tests {
         walk(&mem, &space, &mut pwc, VirtAddr::new(0x1000));
         // Adjacent page: both upper PTEs cached.
         let result = walk(&mem, &space, &mut pwc, VirtAddr::new(0x2000));
-        assert_eq!(result.ref_count(), 1);
+        assert_eq!(result.pt_refs.len(), 1);
         assert_eq!(result.pt_refs[0].level, 0);
         assert_eq!(result.pwc_hit_level, Some(1));
     }
@@ -225,7 +299,7 @@ mod tests {
         walk(&mem, &space, &mut pwc, VirtAddr::new(0x0000_1000));
         let result = walk(&mem, &space, &mut pwc, VirtAddr::new(0x0020_0000));
         // L2 step cached (same 1 GiB), L1 differs => read L1 + L0.
-        assert_eq!(result.ref_count(), 2);
+        assert_eq!(result.pt_refs.len(), 2);
         assert_eq!(result.pwc_hit_level, Some(2));
     }
 
@@ -234,7 +308,7 @@ mod tests {
         let (mem, _frames, space, mut pwc) = fixture();
         let result = walk(&mem, &space, &mut pwc, VirtAddr::new(0x1000));
         assert!(result.translation.is_none());
-        assert_eq!(result.ref_count(), 1); // read the invalid root PTE
+        assert_eq!(result.pt_refs.len(), 1); // read the invalid root PTE
     }
 
     #[test]
@@ -252,7 +326,7 @@ mod tests {
             )
             .unwrap();
         let result = walk(&mem, &space, &mut pwc, VirtAddr::new(0x4012_3456));
-        assert_eq!(result.ref_count(), 1); // 1 GiB leaf at the root level
+        assert_eq!(result.pt_refs.len(), 1); // 1 GiB leaf at the root level
         let t = result.translation.unwrap();
         assert_eq!(t.level, 2);
         assert_eq!(t.paddr, PhysAddr::new(0x4012_3456));
@@ -278,7 +352,7 @@ mod tests {
         let mut pwc = WalkCache::new(WalkCacheConfig::default());
         let result = walk(&mem, &space, &mut pwc, va);
         assert!(result.translation.is_some());
-        assert_eq!(result.ref_count(), PtRefs::CAPACITY);
+        assert_eq!(result.pt_refs.len(), PtRefs::CAPACITY);
         let levels: Vec<usize> = result.pt_refs.iter().map(|r| r.level).collect();
         assert_eq!(levels, [4, 3, 2, 1, 0]);
     }
@@ -288,7 +362,7 @@ mod tests {
         let (mem, _frames, space, mut pwc) = fixture();
         let result = walk(&mem, &space, &mut pwc, VirtAddr::new(1 << 40));
         assert!(result.translation.is_none());
-        assert_eq!(result.ref_count(), 0);
+        assert_eq!(result.pt_refs.len(), 0);
     }
 
     #[test]

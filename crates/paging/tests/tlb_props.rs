@@ -443,11 +443,7 @@ fn pwc_matches_the_stamp_and_scan_model() {
     let mut rng = SplitMix64::seed_from_u64(0x71b6);
     for entries in [8, 32] {
         for _ in 0..8 {
-            let config = WalkCacheConfig {
-                entries,
-                hit_latency: 1,
-            };
-            let mut pwc = WalkCache::new(config);
+            let mut pwc = WalkCache::new(WalkCacheConfig { entries });
             let mut model = RefWalkCache {
                 entries,
                 slots: Vec::new(),
@@ -507,16 +503,12 @@ fn walk_invariant_under_pwc_state() {
         let pwc_entries = rng.gen_range(0..9) as usize;
         let mut pwc = WalkCache::new(WalkCacheConfig {
             entries: pwc_entries,
-            hit_latency: 1,
         });
         let n_probes = rng.gen_range(1..16) as usize;
         for _ in 0..n_probes {
             let va = VirtAddr::new(0x40_0000 + rng.gen_range(0..256) * PAGE_SIZE);
             let with_pwc = walk(&mem, &space, &mut pwc, va).translation;
-            let mut cold = WalkCache::new(WalkCacheConfig {
-                entries: 0,
-                hit_latency: 1,
-            });
+            let mut cold = WalkCache::new(WalkCacheConfig { entries: 0 });
             let without = walk(&mem, &space, &mut cold, va).translation;
             assert_eq!(with_pwc, without, "PWC changed a translation at {va}");
         }

@@ -140,4 +140,19 @@ fn error_conversions_compose() {
         Some(&Fault::PageFault(va))
     );
     assert!(OsError::OutOfMemory.source().is_none());
+
+    // A trace read that failed in the reader keeps the `io::Error`.
+    fn read_level() -> Result<(), ReadError> {
+        Err(std::io::Error::other("disk gone"))?
+    }
+    let read = read_level().unwrap_err();
+    let io = read
+        .source()
+        .and_then(|e| e.downcast_ref::<std::io::Error>());
+    assert_eq!(io.map(ToString::to_string).as_deref(), Some("disk gone"));
+    let parse = ReadError::Parse {
+        line: 1,
+        message: "bad".into(),
+    };
+    assert!(parse.source().is_none());
 }

@@ -31,10 +31,7 @@ fn sequence(scheme: IsolationScheme) -> Vec<(Ref, u64)> {
     sys.sync_pt_grants();
 
     let mut out = Vec::new();
-    let mut pwc = WalkCache::new(WalkCacheConfig {
-        entries: 0,
-        hit_latency: 1,
-    });
+    let mut pwc = WalkCache::new(WalkCacheConfig { entries: 0 });
     let result = walk(sys.machine.phys(), &sys.space, &mut pwc, va);
     let mut cache = PmptwCache::disabled();
     for pt_ref in &result.pt_refs {

@@ -272,8 +272,7 @@ fn nested_walk_is_composition() {
         let gva = VirtAddr::new(0x40_0000 + probe_page * PAGE_SIZE + 0x18);
         let mut gtlb = Tlb::new(TlbConfig::default());
         let mut gpwc = Wc::new(WcCfg::default());
-        let walked = nested_walk(&mem, &guest, &npt, &mut gtlb, &mut gpwc, gva)
-            .translation
+        let walked = nested_walk(&mem, &guest, &npt, &mut gtlb, &mut gpwc, gva, |_, _, _| {})
             .map(|t| t.paddr);
         let composed = {
             let view = GuestView::new(&mut mem, &npt);

@@ -3,9 +3,12 @@
 //! through data-structure state).
 
 use hpmp_suite::core::PmpRegion;
-use hpmp_suite::machine::{Fault, IsolationScheme, Machine, MachineConfig, SystemBuilder};
-use hpmp_suite::memsim::{AccessKind, Perms, PhysAddr, PrivMode, VirtAddr};
+use hpmp_suite::machine::{
+    Fault, IsolationScheme, Machine, MachineConfig, System, SystemBuilder, VirtMachine, VirtScheme,
+};
+use hpmp_suite::memsim::{AccessKind, Perms, PhysAddr, PrivMode, VirtAddr, PAGE_SIZE};
 use hpmp_suite::penglai::{DomainId, GmsLabel, SecureMonitor, TeeFlavor};
+use hpmp_suite::trace::{RingSink, StepKind};
 
 const RAM: PmpRegion = PmpRegion::new(PhysAddr::new(0x8000_0000), 1 << 30);
 
@@ -225,6 +228,95 @@ fn pt_page_checks_guard_the_walk() {
         .access(&sys.space, va, AccessKind::Read, PrivMode::Supervisor)
         .unwrap_err();
     assert!(matches!(err, Fault::IsolationOnPtPage(_)));
+}
+
+/// An access denied at a PT reference still walks to the end, uncharged,
+/// so it leaves the page-walk cache as a completed walk leaves it: once the
+/// PT pages are granted again, without a fence, the repeat hits the PWC at
+/// level 1 and reads only the leaf PTE.
+#[test]
+fn denied_walk_leaves_the_pwc_warm() {
+    let mut sys = SystemBuilder::new(MachineConfig::rocket(), IsolationScheme::PmpTable).build();
+    let va = VirtAddr::new(0x10_0000);
+    sys.map_range(va, 1, Perms::RW);
+    let pt_pages: Vec<PhysAddr> = sys.space.pt_pages().to_vec();
+    let set_pt_perms = |sys: &mut System, perms| {
+        let table = sys.pmp_table.as_mut().expect("table scheme");
+        for page in &pt_pages[1..] {
+            table
+                .set_page_perm(sys.machine.phys_mut(), &mut sys.table_frames, *page, perms)
+                .expect("set PT page permission");
+        }
+    };
+    set_pt_perms(&mut sys, Perms::NONE);
+    sys.machine.sfence_vma_all();
+    let err = sys
+        .machine
+        .access(&sys.space, va, AccessKind::Read, PrivMode::Supervisor)
+        .unwrap_err();
+    assert_eq!(err, Fault::IsolationOnPtPage(pt_pages[1]));
+
+    set_pt_perms(&mut sys, Perms::RW);
+    let out = sys
+        .machine
+        .access(&sys.space, va, AccessKind::Read, PrivMode::Supervisor)
+        .expect("re-granted PT pages allow the walk");
+    assert_eq!(out.tlb_hit, None, "the denied access filled no TLB entry");
+    assert_eq!(out.refs.pt_reads, 1, "PWC hit at level 1: leaf PTE only");
+    let pwc = sys.machine.metrics_snapshot();
+    assert_eq!(pwc.value("machine.pwc.hits"), 1);
+    assert_eq!(pwc.value("machine.pwc.misses"), 2);
+}
+
+/// The guest form of `denied_walk_leaves_the_pwc_warm`: a guest access
+/// denied at its first NPT or guest-PT reference still fills the G-stage
+/// TLB and the guest PWC, so once the page is granted again the repeat
+/// reads one guest PTE and no nested PTE, as after a completed walk.
+#[test]
+fn denied_guest_walk_leaves_the_gtlb_and_guest_pwc_warm() {
+    let gva = VirtAddr::new(0x20_0000);
+    for denied in [StepKind::NestedPt, StepKind::GuestPt] {
+        let mut m = VirtMachine::with_sink(
+            MachineConfig::rocket(),
+            VirtScheme::Pmp,
+            16,
+            RingSink::new(4),
+        );
+        m.flush_microarch();
+        m.access(gva, AccessKind::Read).expect("cold guest walk");
+        let event = m.sink().events().last().cloned().expect("one event");
+        let step = event
+            .steps
+            .iter()
+            .find(|s| s.kind == denied)
+            .expect("the walk reads this kind");
+        let addr = PhysAddr::new(step.addr);
+        let page = PmpRegion::new(addr.page_base(), PAGE_SIZE);
+
+        m.flush_microarch();
+        let regs = m.regs_mut();
+        regs.configure_segment(0, page, Perms::NONE).expect("deny");
+        regs.configure_segment(1, RAM, Perms::RWX).expect("RAM");
+        let err = m.access(gva, AccessKind::Read).unwrap_err();
+        assert_eq!(err, Fault::IsolationOnPtPage(addr), "{denied:?}");
+
+        m.regs_mut()
+            .configure_segment(0, page, Perms::RWX)
+            .expect("re-grant");
+        let out = m.access(gva, AccessKind::Read).expect("re-granted walk");
+        assert!(
+            !out.tlb_hit,
+            "{denied:?}: the denied access filled no TLB entry"
+        );
+        assert_eq!(
+            out.refs.gpt_reads, 1,
+            "{denied:?}: guest PWC hit at level 1"
+        );
+        assert_eq!(
+            out.refs.npt_reads, 0,
+            "{denied:?}: every sub-walk hit the G-TLB"
+        );
+    }
 }
 
 /// PTE permissions and isolation permissions compose: either one alone
