@@ -3,16 +3,17 @@
 //! the cache/DRAM model below the L1 and its set-up, the per-hart invalidation every
 //! monitor operation pays, metrics snapshots, and the table construction
 //! every fresh machine pays before its first access — plus end-to-end
-//! native and guest page-walk sweeps whose throughput declarations turn the
+//! native and guest page-walk sweeps whose declared walk counts turn the
 //! timing into the suite's walks-per-second headline (printed to stderr
 //! after the run).
 //!
 //! These are the operations every simulated memory reference pays, so their
 //! per-op cost bounds full-experiment wall clock. Run with
 //! `cargo bench -p hpmp-bench --bench hotpath`; committed, noise-banded
-//! host-speed numbers come from `hpmpbench` instead (BENCHMARK.json).
+//! host-speed numbers come from `hpmpbench` instead (BENCHMARK.json), and
+//! each `repro` experiment's wall time from `repro --host-profile-out`.
 
-use hpmp_bench::{criterion_group, criterion_main, Criterion, Throughput};
+use hpmp_bench::Timer;
 use hpmp_core::{FillPolicy, LeafPmpte, PmpRegion, PmpTable, PmptwCache, PmptwCacheConfig};
 use hpmp_machine::{IsolationScheme, MachineConfig, SystemBuilder, VirtMachine, VirtScheme};
 use hpmp_memsim::{
@@ -28,9 +29,8 @@ const OPS: u64 = 1024;
 
 const RAM_BASE: u64 = 0x8000_0000;
 
-fn physmem(c: &mut Criterion) {
-    let mut group = c.benchmark_group("physmem");
-    group.sample_size(200);
+fn physmem(timer: &mut Timer) {
+    let mut group = timer.group("physmem", 200);
 
     // Pages spread over several directory chunks, as a walk's pointer
     // chases are.
@@ -39,24 +39,18 @@ fn physmem(c: &mut Criterion) {
     for i in 0..OPS {
         mem.write_u64(PhysAddr::new(RAM_BASE + i * stride), i);
     }
-    group.bench_function("read_u64", |b| {
-        b.iter(|| {
-            let mut sum = 0u64;
-            for i in 0..OPS {
-                sum =
-                    sum.wrapping_add(mem.read_u64(black_box(PhysAddr::new(RAM_BASE + i * stride))));
-            }
-            sum
-        })
+    group.row("read_u64", || {
+        let mut sum = 0u64;
+        for i in 0..OPS {
+            sum = sum.wrapping_add(mem.read_u64(black_box(PhysAddr::new(RAM_BASE + i * stride))));
+        }
+        sum
     });
-    group.bench_function("write_u64", |b| {
-        b.iter(|| {
-            for i in 0..OPS {
-                mem.write_u64(black_box(PhysAddr::new(RAM_BASE + i * stride + 8)), i);
-            }
-        })
+    group.row("write_u64", || {
+        for i in 0..OPS {
+            mem.write_u64(black_box(PhysAddr::new(RAM_BASE + i * stride + 8)), i);
+        }
     });
-    group.finish();
 }
 
 /// A resident RAM page's translation for ASID 1.
@@ -72,44 +66,39 @@ fn tlb_entry(vpn: u64) -> TlbEntry {
     }
 }
 
-fn lookups(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lookup");
-    group.sample_size(200);
+fn lookups(timer: &mut Timer) {
+    let mut group = timer.group("lookup", 200);
 
     let mut tlb = Tlb::new(TlbConfig::default());
     for vpn in 0..32u64 {
         tlb.fill(tlb_entry(vpn));
     }
-    group.bench_function("tlb_hit", |b| {
-        b.iter(|| {
-            let mut hits = 0u64;
-            for i in 0..OPS {
-                let va = VirtAddr::new((i % 32) * PAGE_SIZE);
-                hits += tlb.lookup(1, black_box(va)).is_some() as u64;
-            }
-            hits
-        })
+    group.row("tlb_hit", || {
+        let mut hits = 0u64;
+        for i in 0..OPS {
+            let va = VirtAddr::new((i % 32) * PAGE_SIZE);
+            hits += tlb.lookup(1, black_box(va)).is_some() as u64;
+        }
+        hits
     });
 
     // native-walk's shape: uniform pages over 64 times the L2, so nearly
     // every lookup misses both levels and the refill evicts the L1's LRU.
     let mut tlb = Tlb::new(TlbConfig::default());
     let mut rng = SplitMix64::seed_from_u64(19);
-    group.bench_function("tlb_miss_fill", |b| {
-        b.iter(|| {
-            let mut misses = 0u64;
-            for _ in 0..OPS {
-                let vpn = rng.gen_range(0..65_536);
-                if tlb
-                    .lookup(1, black_box(VirtAddr::new(vpn * PAGE_SIZE)))
-                    .is_none()
-                {
-                    tlb.fill(tlb_entry(vpn));
-                    misses += 1;
-                }
+    group.row("tlb_miss_fill", || {
+        let mut misses = 0u64;
+        for _ in 0..OPS {
+            let vpn = rng.gen_range(0..65_536);
+            if tlb
+                .lookup(1, black_box(VirtAddr::new(vpn * PAGE_SIZE)))
+                .is_none()
+            {
+                tlb.fill(tlb_entry(vpn));
+                misses += 1;
             }
-            misses
-        })
+        }
+        misses
     });
 
     let mut pwc = WalkCache::new(WalkCacheConfig::default());
@@ -117,15 +106,13 @@ fn lookups(c: &mut Criterion) {
         let va = VirtAddr::new(i << 30);
         pwc.insert(1, 2, va, PhysAddr::new(RAM_BASE + i * PAGE_SIZE));
     }
-    group.bench_function("pwc_hit", |b| {
-        b.iter(|| {
-            let mut hits = 0u64;
-            for i in 0..OPS {
-                let va = VirtAddr::new((i % 8) << 30);
-                hits += pwc.lookup(1, 2, black_box(va)).is_some() as u64;
-            }
-            hits
-        })
+    group.row("pwc_hit", || {
+        let mut hits = 0u64;
+        for i in 0..OPS {
+            let va = VirtAddr::new((i % 8) << 30);
+            hits += pwc.lookup(1, 2, black_box(va)).is_some() as u64;
+        }
+        hits
     });
 
     // native-walk's PWC shape: uniform pages over 256 MiB, probed deepest
@@ -134,37 +121,32 @@ fn lookups(c: &mut Criterion) {
     // level 1 evicts the least recently used entry.
     let mut pwc = WalkCache::new(WalkCacheConfig::default());
     let mut rng = SplitMix64::seed_from_u64(20);
-    group.bench_function("pwc_miss_fill", |b| {
-        b.iter(|| {
-            let mut fills = 0u64;
-            for _ in 0..OPS {
-                let va = black_box(VirtAddr::new(rng.gen_range(0..65_536) * PAGE_SIZE));
-                let hit = (1..=2)
-                    .find(|&level| pwc.lookup(1, level, va).is_some())
-                    .unwrap_or(3);
-                for level in 1..hit {
-                    pwc.insert(1, level, va, PhysAddr::new(RAM_BASE));
-                    fills += 1;
-                }
+    group.row("pwc_miss_fill", || {
+        let mut fills = 0u64;
+        for _ in 0..OPS {
+            let va = black_box(VirtAddr::new(rng.gen_range(0..65_536) * PAGE_SIZE));
+            let hit = (1..=2)
+                .find(|&level| pwc.lookup(1, level, va).is_some())
+                .unwrap_or(3);
+            for level in 1..hit {
+                pwc.insert(1, level, va, PhysAddr::new(RAM_BASE));
+                fills += 1;
             }
-            fills
-        })
+        }
+        fills
     });
 
     let mut pmptw = PmptwCache::new(PmptwCacheConfig::ENABLED_8);
     for i in 0..8u64 {
         pmptw.insert_leaf(0, i << 16, LeafPmpte::splat(Perms::RW));
     }
-    group.bench_function("pmptw_cache_hit", |b| {
-        b.iter(|| {
-            let mut hits = 0u64;
-            for i in 0..OPS {
-                hits += pmptw.lookup_leaf(0, black_box((i % 8) << 16)).is_some() as u64;
-            }
-            hits
-        })
+    group.row("pmptw_cache_hit", || {
+        let mut hits = 0u64;
+        for i in 0..OPS {
+            hits += pmptw.lookup_leaf(0, black_box((i % 8) << 16)).is_some() as u64;
+        }
+        hits
     });
-    group.finish();
 }
 
 /// The HPMP permission check every walk reference pays, in the visitor
@@ -174,9 +156,8 @@ fn lookups(c: &mut Criterion) {
 /// the PMPTW-Cache off, so each check walks the root and the leaf pmpte.
 /// Each iteration counts the pmptes its visitor received against the
 /// count it expects.
-fn checks(c: &mut Criterion) {
-    let mut group = c.benchmark_group("check");
-    group.sample_size(200);
+fn checks(timer: &mut Timer) {
+    let mut group = timer.group("check", 200);
 
     let base = 0x10_0000u64;
     let mut sys = SystemBuilder::new(MachineConfig::rocket(), IsolationScheme::Hpmp).build();
@@ -214,13 +195,12 @@ fn checks(c: &mut Criterion) {
     let segment: Vec<PhysAddr> = (0..OPS)
         .map(|i| PhysAddr::new(RAM_BASE + (i % 64) * PAGE_SIZE))
         .collect();
-    group.bench_function("plan_segment", |b| {
-        b.iter(|| assert_eq!(run(&segment), 0, "a segment check reads no pmpte"))
+    group.row("plan_segment", || {
+        assert_eq!(run(&segment), 0, "a segment check reads no pmpte")
     });
-    group.bench_function("plan_table", |b| {
-        b.iter(|| assert_eq!(run(&data), 2 * OPS, "a table check reads two pmptes"))
+    group.row("plan_table", || {
+        assert_eq!(run(&data), 2 * OPS, "a table check reads two pmptes")
     });
-    group.finish();
 }
 
 /// The cache/DRAM model every walk reference pays. `ptw_miss_sweep` issues
@@ -232,24 +212,21 @@ fn checks(c: &mut Criterion) {
 /// reference hits the L2, at whatever recency position the random order
 /// left its line. `memsystem_new` is the set-up every machine and hart pays
 /// for its hierarchy.
-fn memsim(c: &mut Criterion) {
-    let mut group = c.benchmark_group("memsim");
-    group.sample_size(200);
+fn memsim(timer: &mut Timer) {
+    let mut group = timer.group("memsim", 200);
 
     let config = MemSystemConfig::rocket();
     let span = 4 * config.llc.capacity;
     let mut mem = MemSystem::new(config);
     let mut offset = 0u64;
-    group.bench_function("ptw_miss_sweep", |b| {
-        b.iter(|| {
-            let mut cycles = 0u64;
-            for _ in 0..OPS {
-                let addr = PhysAddr::new(RAM_BASE + offset);
-                cycles += mem.access_ptw(black_box(addr)).cycles;
-                offset = (offset + PAGE_SIZE + 64) % span;
-            }
-            cycles
-        })
+    group.row("ptw_miss_sweep", || {
+        let mut cycles = 0u64;
+        for _ in 0..OPS {
+            let addr = PhysAddr::new(RAM_BASE + offset);
+            cycles += mem.access_ptw(black_box(addr)).cycles;
+            offset = (offset + PAGE_SIZE + 64) % span;
+        }
+        cycles
     });
     assert_eq!(mem.stats().llc.hits, 0, "the sweep must miss the LLC");
 
@@ -260,25 +237,20 @@ fn memsim(c: &mut Criterion) {
         mem.access_ptw(PhysAddr::new(RAM_BASE + line * line_size));
     }
     let mut rng = SplitMix64::seed_from_u64(21);
-    group.bench_function("ptw_hit_sweep", |b| {
-        b.iter(|| {
-            let mut cycles = 0u64;
-            for _ in 0..OPS {
-                let line = rng.gen_range(0..lines);
-                let addr = PhysAddr::new(RAM_BASE + line * line_size);
-                cycles += mem.access_ptw(black_box(addr)).cycles;
-            }
-            cycles
-        })
+    group.row("ptw_hit_sweep", || {
+        let mut cycles = 0u64;
+        for _ in 0..OPS {
+            let line = rng.gen_range(0..lines);
+            let addr = PhysAddr::new(RAM_BASE + line * line_size);
+            cycles += mem.access_ptw(black_box(addr)).cycles;
+        }
+        cycles
     });
     let l2 = mem.stats().l2;
     assert!(l2.hits > 0, "the sweep must hit the L2");
     assert_eq!(l2.misses, lines, "only the warm-up may miss the L2");
 
-    group.bench_function("memsystem_new", |b| {
-        b.iter(|| MemSystem::new(black_box(config)))
-    });
-    group.finish();
+    group.row("memsystem_new", || MemSystem::new(black_box(config)));
 }
 
 /// What each monitor operation costs every hart it reaches: the TLB flush
@@ -289,49 +261,40 @@ fn memsim(c: &mut Criterion) {
 /// `tlb_flush_all` fills two entries between flushes, about what an
 /// smp-churn hart accesses between monitor operations, so a flush whose
 /// cost grows with the TLB's size rather than its contents shows here.
-fn flushes(c: &mut Criterion) {
-    let mut group = c.benchmark_group("flush");
-    group.sample_size(200);
+fn flushes(timer: &mut Timer) {
+    let mut group = timer.group("flush", 200);
 
     let mut tlb = Tlb::new(TlbConfig::default());
-    group.bench_function("tlb_flush_all", |b| {
-        b.iter(|| {
-            for i in 0..OPS {
-                tlb.fill(tlb_entry(2 * i));
-                tlb.fill(tlb_entry(2 * i + 1));
-                black_box(&mut tlb).flush_all();
-            }
-            tlb.stats().flushes
-        })
+    group.row("tlb_flush_all", || {
+        for i in 0..OPS {
+            tlb.fill(tlb_entry(2 * i));
+            tlb.fill(tlb_entry(2 * i + 1));
+            black_box(&mut tlb).flush_all();
+        }
+        tlb.stats().flushes
     });
 
     let mut sys = SystemBuilder::new(MachineConfig::rocket(), IsolationScheme::Hpmp).build();
-    group.bench_function("invalidate_isolation", |b| {
-        b.iter(|| {
-            for _ in 0..OPS {
-                black_box(&mut sys.machine).invalidate_isolation();
-            }
-            sys.machine.tlb_stats().flushes
-        })
+    group.row("invalidate_isolation", || {
+        for _ in 0..OPS {
+            black_box(&mut sys.machine).invalidate_isolation();
+        }
+        sys.machine.tlb_stats().flushes
     });
-    group.finish();
 }
 
 /// The string-keyed registry update, and the one place counter names are
 /// formatted: a full `metrics_snapshot` of a warmed Rocket HPMP machine
 /// (every TLB, cache and latency-histogram counter exported).
-fn registry(c: &mut Criterion) {
-    let mut group = c.benchmark_group("registry");
-    group.sample_size(200);
+fn registry(timer: &mut Timer) {
+    let mut group = timer.group("registry", 200);
 
     let mut reg = MetricsRegistry::new();
-    group.bench_function("add_by_name", |b| {
-        b.iter(|| {
-            for i in 0..OPS {
-                reg.add(black_box("machine.refs.pt_reads"), i & 1);
-            }
-            reg.value("machine.refs.pt_reads")
-        })
+    group.row("add_by_name", || {
+        for i in 0..OPS {
+            reg.add(black_box("machine.refs.pt_reads"), i & 1);
+        }
+        reg.value("machine.refs.pt_reads")
     });
 
     let base = 0x10_0000u64;
@@ -349,10 +312,9 @@ fn registry(c: &mut Criterion) {
             .access(&sys.space, va, kind, PrivMode::Supervisor)
             .expect("warm-up stays fault-free");
     }
-    group.bench_function("machine_snapshot", |b| {
-        b.iter(|| black_box(&mut sys.machine).metrics_snapshot().len())
+    group.row("machine_snapshot", || {
+        black_box(&mut sys.machine).metrics_snapshot().len()
     });
-    group.finish();
 }
 
 /// Table construction, which every fresh machine pays before its first
@@ -361,44 +323,37 @@ fn registry(c: &mut Criterion) {
 /// HPMP system (native-walk's set-up, `build` included). Each iteration
 /// checks the count it expects: one `writes` per page, and every page
 /// mapped.
-fn tables(c: &mut Criterion) {
-    let mut group = c.benchmark_group("tables");
-    group.sample_size(20);
+fn tables(timer: &mut Timer) {
+    let mut group = timer.group("tables", 20);
 
     const FILL: u64 = 512 << 20;
     let region = PmpRegion::new(PhysAddr::new(RAM_BASE), 2 * FILL);
-    group.bench_function("pmp_range_fill", |b| {
-        b.iter(|| {
-            let mut mem = PhysMem::new();
-            let mut frames = FrameAllocator::new(region.end(), 64 * PAGE_SIZE);
-            let mut table = PmpTable::new(region, &mut mem, &mut frames).expect("table root");
-            let writes = table
-                .set_range_perm(
-                    &mut mem,
-                    &mut frames,
-                    region.base,
-                    black_box(FILL),
-                    Perms::RWX,
-                    FillPolicy::PerPage,
-                )
-                .expect("fill stays in the region");
-            assert_eq!(writes, FILL / PAGE_SIZE, "one write per page");
-            writes
-        })
+    group.row("pmp_range_fill", || {
+        let mut mem = PhysMem::new();
+        let mut frames = FrameAllocator::new(region.end(), 64 * PAGE_SIZE);
+        let mut table = PmpTable::new(region, &mut mem, &mut frames).expect("table root");
+        let writes = table
+            .set_range_perm(
+                &mut mem,
+                &mut frames,
+                region.base,
+                black_box(FILL),
+                Perms::RWX,
+                FillPolicy::PerPage,
+            )
+            .expect("fill stays in the region");
+        assert_eq!(writes, FILL / PAGE_SIZE, "one write per page");
+        writes
     });
 
     const PAGES: u64 = 65_536;
-    group.bench_function("map_run", |b| {
-        b.iter(|| {
-            let mut sys =
-                SystemBuilder::new(MachineConfig::rocket(), IsolationScheme::Hpmp).build();
-            sys.map_range(VirtAddr::new(0x10_0000), black_box(PAGES), Perms::RW);
-            sys.sync_pt_grants();
-            assert_eq!(sys.space.mapped_pages(), PAGES, "every page mapped");
-            sys.space.mapped_pages()
-        })
+    group.row("map_run", || {
+        let mut sys = SystemBuilder::new(MachineConfig::rocket(), IsolationScheme::Hpmp).build();
+        sys.map_range(VirtAddr::new(0x10_0000), black_box(PAGES), Perms::RW);
+        sys.sync_pt_grants();
+        assert_eq!(sys.space.mapped_pages(), PAGES, "every page mapped");
+        sys.space.mapped_pages()
     });
-    group.finish();
 }
 
 /// End-to-end accesses through a full HPMP machine: uniform random reads
@@ -408,11 +363,10 @@ fn tables(c: &mut Criterion) {
 /// 8× its TLB, so most accesses walk guest PT × nested PT × permission
 /// table. Both draw a fresh random stream every iteration: replaying one
 /// fixed list of 1,024 pages would leave them resident in the L2 TLB. Each
-/// row declares the walk count of one calibration sweep as throughput, so
-/// these benchmarks carry the suite's walks-per-second headline.
-fn walks(c: &mut Criterion) {
-    let mut group = c.benchmark_group("walk");
-    group.sample_size(50);
+/// row declares the walk count of one calibration sweep, so these rows
+/// carry the suite's walks-per-second headline.
+fn walks(timer: &mut Timer) {
+    let mut group = timer.group("walk", 50);
 
     const NATIVE_PAGES: u64 = 8 * 1024;
     let base = 0x10_0000u64;
@@ -438,7 +392,7 @@ fn walks(c: &mut Criterion) {
         hits
     };
 
-    // Calibrate the throughput declaration against the machine's own walk
+    // Calibrate the declared walk count against the machine's own walk
     // counter (`machine.walks`) rather than assuming one walk per access.
     // Every page is touched once first, so the calibration sweep sees the
     // steady state the timed iterations do.
@@ -452,9 +406,9 @@ fn walks(c: &mut Criterion) {
     assert_eq!(sweep(&mut sys), OPS, "sweep must stay fault-free");
     let walks = sys.machine.stats().walks - before;
     assert!(walks > 0, "the sweep must page-walk");
-    group.throughput(Throughput::Elements(walks));
+    group.walks(walks);
 
-    group.bench_function("hpmp_read_sweep", |b| b.iter(|| sweep(&mut sys)));
+    group.row("hpmp_read_sweep", || sweep(&mut sys));
 
     const GUEST_PAGES: u64 = 8 * 1024;
     const GUEST_VA: u64 = 0x20_0000;
@@ -482,22 +436,21 @@ fn walks(c: &mut Criterion) {
     );
     let guest_walks = vm.stats().walks - before;
     assert!(guest_walks > 0, "the guest sweep must walk");
-    group.throughput(Throughput::Elements(guest_walks));
+    group.walks(guest_walks);
 
-    group.bench_function("guest_hpmp_sweep", |b| b.iter(|| guest_sweep(&mut vm)));
-    group.finish();
+    group.row("guest_hpmp_sweep", || guest_sweep(&mut vm));
 }
 
 /// End-to-end SMP walk throughput per execution backend: the fixed-seed
 /// tenancy shape at 4 harts, once on the deterministic interleaver and
 /// once on the threaded backend. Both runs are observably identical (the
 /// conformance battery byte-compares their snapshots), so one calibration
-/// run fixes the walk count for both throughput declarations, and the
+/// run fixes the walk count both rows declare, and the
 /// walks/sec ratio between the two console rows is exactly the threaded
 /// backend's speedup. Wall-clock ratio depends on host core count: on a
 /// single-core host the hart threads timeslice and the ratio is ~1x or
 /// below (thread overhead); the speedup shows from ~4 cores up.
-fn smp_backends(c: &mut Criterion) {
+fn smp_backends(timer: &mut Timer) {
     use hpmp_machine::ExecBackend;
     use hpmp_memsim::CoreKind;
     use hpmp_penglai::TeeFlavor;
@@ -508,8 +461,7 @@ fn smp_backends(c: &mut Criterion) {
     const SMP_SEED: u64 = 0x4850_4d50;
     const HARTS: usize = 4;
 
-    let mut group = c.benchmark_group("smp");
-    group.sample_size(20);
+    let mut group = timer.group("smp", 20);
     let spec = spec_for("tenancy").expect("tenancy has an SMP shape");
     let run = |backend| {
         run_smp_backend(
@@ -526,27 +478,26 @@ fn smp_backends(c: &mut Criterion) {
     let (_, snap) = run(ExecBackend::Deterministic);
     let walks = walks_in_snapshot(&snap);
     assert!(walks > 0, "the SMP sweep must page-walk");
-    group.throughput(Throughput::Elements(walks));
+    group.walks(walks);
 
-    group.bench_function("tenancy_x4_deterministic", |b| {
-        b.iter(|| black_box(run(ExecBackend::Deterministic)).0.accesses)
+    group.row("tenancy_x4_deterministic", || {
+        black_box(run(ExecBackend::Deterministic)).0.accesses
     });
-    group.bench_function("tenancy_x4_threaded", |b| {
-        b.iter(|| black_box(run(ExecBackend::Threaded)).0.accesses)
+    group.row("tenancy_x4_threaded", || {
+        black_box(run(ExecBackend::Threaded)).0.accesses
     });
-    group.finish();
 }
 
-criterion_group!(
-    benches,
-    physmem,
-    lookups,
-    checks,
-    memsim,
-    flushes,
-    registry,
-    tables,
-    walks,
-    smp_backends
-);
-criterion_main!(benches);
+fn main() {
+    let mut timer = Timer::default();
+    physmem(&mut timer);
+    lookups(&mut timer);
+    checks(&mut timer);
+    memsim(&mut timer);
+    flushes(&mut timer);
+    registry(&mut timer);
+    tables(&mut timer);
+    walks(&mut timer);
+    smp_backends(&mut timer);
+    timer.print_walks_headline();
+}

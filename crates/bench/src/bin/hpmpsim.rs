@@ -110,7 +110,7 @@ use hpmp_trace::{
     walks_in_snapshot, BenchReport, ExperimentRecord, HostProfiler, JsonlSink, NullSink, Snapshot,
     TraceSink,
 };
-use hpmp_workloads::smp::{run_smp_with, spec_for, RunOptions, SmpTelemetry};
+use hpmp_workloads::smp::{run_smp_with, spec_for, RunOptions, SmpTelemetry, SMP_WORKLOADS};
 use hpmp_workloads::TeeBench;
 
 #[derive(Debug)]
@@ -124,7 +124,7 @@ struct Options {
     pwc: Option<usize>,
     pmptw_cache: Option<usize>,
     tlb_inlining: bool,
-    encryption: u64,
+    encryption: u16,
     epmp: bool,
     fault_campaign: Option<String>,
     fault_seed: u64,
@@ -239,10 +239,9 @@ fn parse_flag(
     Ok(())
 }
 
-/// The largest `--encryption` latency accepted. The engine's cycles are
-/// added to every DRAM access, so an unbounded value overflows the cycle
-/// counters.
-const MAX_ENCRYPTION_CYCLES: u64 = 10_000;
+/// The largest `--encryption` latency accepted, well inside the `u16`
+/// [`hpmp_memsim::MemSystemConfig::with_encryption`] takes.
+const MAX_ENCRYPTION_CYCLES: u16 = 10_000;
 
 /// Reads the value of `flag`, refusing one above `max` (counted in `unit`).
 /// Bounds the cache sizes by what their LRU store can hold and the
@@ -281,17 +280,6 @@ fn machine_config(options: &Options) -> MachineConfig {
     }
     config
 }
-
-/// Workloads `--workload` understands, validated before the pool starts.
-const WORKLOADS: [&str; 7] = [
-    "serverless",
-    "redis",
-    "gap",
-    "rv8",
-    "lmbench",
-    "virtapp",
-    "tenancy",
-];
 
 fn main() {
     let options = parse_args();
@@ -332,7 +320,7 @@ fn main() {
         .filter(|w| !w.is_empty())
         .collect();
     for workload in &workloads {
-        if !WORKLOADS.contains(workload) {
+        if !SMP_WORKLOADS.contains(workload) {
             usage_error(format!("unknown workload {workload}"))
         }
     }
@@ -846,7 +834,7 @@ fn run_workload<S: TraceSink>(
             );
             (result.total_cycles, snap)
         }
-        _ => unreachable!("workloads are validated against WORKLOADS"),
+        _ => unreachable!("workloads are validated against SMP_WORKLOADS"),
     }
 }
 

@@ -1065,7 +1065,7 @@ fn encryption<S: TraceSink>(sink: &mut S) -> Snapshot {
         "Memory-encryption interaction (Rocket): cold TLB-miss ld, cycles",
         &["Engine", "PMP", "PMPT", "HPMP", "PMPT-PMP gap"],
     );
-    for (name, latency) in [("off", 0u64), ("AES-XTS 26c", 26), ("AES-XTS 40c", 40)] {
+    for (name, latency) in [("off", 0u16), ("AES-XTS 26c", 26), ("AES-XTS 40c", 40)] {
         let mut cycles = Vec::new();
         for scheme in SCHEMES_ORDERED {
             let mut config = MachineConfig::rocket();

@@ -1,9 +1,9 @@
 //! # hpmp-bench
 //!
-//! The reproduction harness: text-table formatting shared by the `repro`
-//! binary (which regenerates every table and figure of the paper) and the
-//! Criterion benches, the worker pool both binaries run jobs on, and the
-//! [`artifacts`] flags and writers `repro` and `hpmpsim` share.
+//! The reproduction harness: the text tables the `repro` binary prints
+//! (it regenerates every table and figure of the paper), the worker pool
+//! `repro` and `hpmpsim` run jobs on, the [`artifacts`] flags and writers
+//! they share, and the [`Timer`] behind the `hotpath` bench.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -11,9 +11,7 @@
 pub mod artifacts;
 mod harness;
 
-pub use harness::{
-    print_walks_headline, Bencher, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
-};
+pub use harness::{Timer, TimerGroup};
 
 use std::cell::RefCell;
 use std::fmt::Write as _;

@@ -71,9 +71,11 @@ fn assert_quarantined(off: &RunOutput, on: &RunOutput) {
     assert_eq!(off.trace, on.trace, "trace differs with profiling on");
 }
 
-/// Parse the profile artifact and cross-check its deterministic half
-/// (names, walk counts) against the simulated bench report.
-fn check_profile(run: &RunOutput, harness: &str) {
+/// Parse the profile artifact, check that every requested experiment has a
+/// timed row (stdout-only experiments included: they are absent from the
+/// bench report), and cross-check the deterministic half (names, walk
+/// counts) against the simulated bench report.
+fn check_profile(run: &RunOutput, harness: &str, requested: &[&str]) {
     let profile =
         HostProfile::from_json(run.profile.as_deref().expect("profile requested")).expect("parses");
     assert_eq!(profile.name, harness);
@@ -83,6 +85,14 @@ fn check_profile(run: &RunOutput, harness: &str) {
         "phase rows missing: {:?}",
         profile.phases
     );
+    for name in requested {
+        let host = profile
+            .experiments
+            .iter()
+            .find(|e| e.name == *name)
+            .unwrap_or_else(|| panic!("{name} missing from the host profile"));
+        assert!(host.wall_ns > 0, "{name} must be timed");
+    }
 
     let report = BenchReport::from_json(&String::from_utf8(run.bench.clone()).unwrap()).unwrap();
     for record in &report.experiments {
@@ -103,11 +113,13 @@ fn check_profile(run: &RunOutput, harness: &str) {
 
 #[test]
 fn repro_profile_never_perturbs_simulated_artifacts() {
-    let args = ["fig2", "svsweep", "--jobs", "2"];
+    // fig10 writes stdout only, so its host-profile row is the one record
+    // of its wall time.
+    let args = ["fig2", "svsweep", "fig10", "--jobs", "2"];
     let off = run(env!("CARGO_BIN_EXE_repro"), "repro", &args, false);
     let on = run(env!("CARGO_BIN_EXE_repro"), "repro", &args, true);
     assert_quarantined(&off, &on);
-    check_profile(&on, "repro");
+    check_profile(&on, "repro", &args[..3]);
 }
 
 #[test]
@@ -125,5 +137,5 @@ fn hpmpsim_smp_profile_never_perturbs_simulated_artifacts() {
     let off = run(env!("CARGO_BIN_EXE_hpmpsim"), "hpmpsim", &args, false);
     let on = run(env!("CARGO_BIN_EXE_hpmpsim"), "hpmpsim", &args, true);
     assert_quarantined(&off, &on);
-    check_profile(&on, "hpmpsim");
+    check_profile(&on, "hpmpsim", &["tenancy", "lmbench"]);
 }

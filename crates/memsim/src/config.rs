@@ -75,7 +75,7 @@ impl MemSystemConfig {
     /// Returns a copy with the inline memory-encryption engine enabled at
     /// `latency` extra cycles per DRAM access (Penglai's physical-attack
     /// defence; ~26 cycles is typical for a pipelined AES-XTS at 1 GHz).
-    pub fn with_encryption(mut self, latency: u64) -> MemSystemConfig {
+    pub fn with_encryption(mut self, latency: u16) -> MemSystemConfig {
         self.encryption_latency = latency;
         self
     }

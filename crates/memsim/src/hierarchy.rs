@@ -60,8 +60,9 @@ pub struct MemSystemConfig {
     /// Extra cycles per DRAM-level access for the inline memory-encryption
     /// engine (Penglai defends against physical attacks with encryption;
     /// an AES-XTS pipeline adds a fixed latency at the memory boundary).
-    /// Zero disables the engine.
-    pub encryption_latency: u64,
+    /// Zero disables the engine. The `u16` bounds what every DRAM access
+    /// can add, so no run can overflow the 64-bit cycle counters.
+    pub encryption_latency: u16,
 }
 
 /// Aggregate counters for the memory system.
@@ -142,7 +143,7 @@ impl MemSystem {
             l2: Cache::new(config.l2),
             llc: Cache::new(config.llc),
             dram: Dram::new(config.dram),
-            encryption_latency: config.encryption_latency,
+            encryption_latency: u64::from(config.encryption_latency),
             accesses: 0,
             cycles: 0,
         }

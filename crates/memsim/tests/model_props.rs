@@ -250,7 +250,7 @@ impl RefMemSystem {
             let dram = self.dram.access(PhysAddr::new(addr));
             (
                 HitLevel::Dram,
-                l1 + c.l2.hit_latency + c.llc.hit_latency + dram + c.encryption_latency,
+                l1 + c.l2.hit_latency + c.llc.hit_latency + dram + u64::from(c.encryption_latency),
             )
         };
         self.accesses += 1;

@@ -4,8 +4,10 @@
 //! Measures a single `ld`/`sd` under the four microarchitectural states of
 //! Table 2 (TC1 cold … TC4 all-warm) for each isolation scheme.
 
-use hpmp_machine::{IsolationScheme, MachineConfig, SystemBuilder, VirtMachine, VirtScheme};
+use hpmp_machine::{IsolationScheme, SystemBuilder, VirtMachine, VirtScheme};
 use hpmp_memsim::{AccessKind, CoreKind, Perms, PrivMode, VirtAddr, PAGE_SIZE};
+
+use crate::fixture::config_for;
 
 /// The microarchitectural states of Table 2.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -35,28 +37,10 @@ impl std::fmt::Display for TestCase {
     }
 }
 
-fn machine_config(core: CoreKind) -> MachineConfig {
-    match core {
-        CoreKind::Rocket => MachineConfig::rocket(),
-        CoreKind::Boom => MachineConfig::boom(),
-    }
-}
-
 /// Measures one memory instruction's latency in cycles for the given core,
 /// scheme, operation (`Read` = `ld`, `Write` = `sd`) and test case.
 pub fn measure(core: CoreKind, scheme: IsolationScheme, op: AccessKind, case: TestCase) -> u64 {
-    measure_with_config(machine_config(core), scheme, op, case)
-}
-
-/// As [`measure`], with an explicit machine configuration (PWC/PMPTW-Cache
-/// sweeps).
-pub fn measure_with_config(
-    config: MachineConfig,
-    scheme: IsolationScheme,
-    op: AccessKind,
-    case: TestCase,
-) -> u64 {
-    let mut sys = SystemBuilder::new(config, scheme).build();
+    let mut sys = SystemBuilder::new(config_for(core), scheme).build();
     // Map a small working set: the measured page plus an adjacent page used
     // to pre-warm the shared upper PT levels for TC3. The VA is chosen with
     // non-zero VPN fields (9/17/33) so PTE slots land in distinct cache
@@ -184,7 +168,7 @@ pub fn measure_virt_with_sink<S: hpmp_trace::TraceSink>(
     case: VirtCase,
     sink: S,
 ) -> (u64, hpmp_trace::Snapshot) {
-    let mut m = VirtMachine::with_sink(machine_config(core), scheme, 8, sink);
+    let mut m = VirtMachine::with_sink(config_for(core), scheme, 8, sink);
     let target = VirtAddr::new(0x20_0000);
     let neighbour = VirtAddr::new(0x20_0000 + PAGE_SIZE);
     match case {

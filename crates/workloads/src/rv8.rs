@@ -7,7 +7,6 @@
 //! access pattern.
 
 use hpmp_machine::MachineConfig;
-use hpmp_memsim::CoreKind;
 use hpmp_penglai::{OsError, TeeFlavor};
 use hpmp_trace::TraceSink;
 
@@ -145,19 +144,9 @@ fn profile(kernel: Rv8Kernel) -> Profile {
     }
 }
 
-/// Runs one RV8 kernel; returns total cycles.
-///
-/// # Errors
-///
-/// Propagates OS errors.
-pub fn run_rv8(flavor: TeeFlavor, core: CoreKind, kernel: Rv8Kernel) -> Result<u64, OsError> {
-    let config = crate::fixture::config_for(core);
-    Ok(run_rv8_with_sink(flavor, config, kernel, hpmp_trace::NullSink)?.0)
-}
-
-/// As [`run_rv8`] on a machine built from `config`, recording walk events
-/// into `sink` and returning the machine's metrics snapshot alongside the
-/// cycle count.
+/// Runs one RV8 kernel on a machine built from `config`, recording walk
+/// events into `sink`; returns the total cycles and the machine's metrics
+/// snapshot.
 ///
 /// # Errors
 ///
@@ -190,14 +179,24 @@ pub fn run_rv8_with_sink<S: TraceSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixture::config_for;
+    use hpmp_memsim::CoreKind;
+    use hpmp_trace::NullSink;
+
+    /// Total cycles of `kernel` on a Rocket core.
+    fn rocket_cycles(flavor: TeeFlavor, kernel: Rv8Kernel) -> u64 {
+        run_rv8_with_sink(flavor, config_for(CoreKind::Rocket), kernel, NullSink)
+            .unwrap()
+            .0
+    }
 
     #[test]
     fn overheads_are_small() {
         // Figure 11-a: PMPT ≤ ~2% over PMP on RV8 (good locality).
         for kernel in [Rv8Kernel::Dhrystone, Rv8Kernel::Bigint, Rv8Kernel::Qsort] {
-            let pmp = run_rv8(TeeFlavor::PenglaiPmp, CoreKind::Rocket, kernel).unwrap();
-            let pmpt = run_rv8(TeeFlavor::PenglaiPmpt, CoreKind::Rocket, kernel).unwrap();
-            let hpmp = run_rv8(TeeFlavor::PenglaiHpmp, CoreKind::Rocket, kernel).unwrap();
+            let pmp = rocket_cycles(TeeFlavor::PenglaiPmp, kernel);
+            let pmpt = rocket_cycles(TeeFlavor::PenglaiPmpt, kernel);
+            let hpmp = rocket_cycles(TeeFlavor::PenglaiHpmp, kernel);
             let pmpt_over = pmpt as f64 / pmp as f64;
             let hpmp_over = hpmp as f64 / pmp as f64;
             assert!(
@@ -214,8 +213,8 @@ mod tests {
     #[test]
     fn compute_bound_kernels_are_insensitive() {
         // Dhrystone/bigint: tiny WS => all TLB hits => near-zero overhead.
-        let pmp = run_rv8(TeeFlavor::PenglaiPmp, CoreKind::Rocket, Rv8Kernel::Bigint).unwrap();
-        let pmpt = run_rv8(TeeFlavor::PenglaiPmpt, CoreKind::Rocket, Rv8Kernel::Bigint).unwrap();
+        let pmp = rocket_cycles(TeeFlavor::PenglaiPmp, Rv8Kernel::Bigint);
+        let pmpt = rocket_cycles(TeeFlavor::PenglaiPmpt, Rv8Kernel::Bigint);
         let over = pmpt as f64 / pmp as f64;
         assert!(over < 1.02, "bigint overhead should be ~0%: {over}");
     }

@@ -584,7 +584,8 @@ impl<S: TraceSink + Send> Harness<S> {
     }
 }
 
-/// The `hpmpsim` workload names that have SMP shapes, in report order.
+/// The workload names `hpmpsim --workload` accepts, in report order. Each
+/// one also has an SMP shape ([`spec_for`]).
 pub const SMP_WORKLOADS: [&str; 7] = [
     "serverless",
     "redis",
