@@ -288,11 +288,6 @@ impl<S: TraceSink> Machine<S> {
         AccessPipeline::assemble(&config, PhysMem::new(), regs, stage, sink)
     }
 
-    /// The hart id stamped on emitted events (0 on single-hart machines).
-    pub fn hart_id(&self) -> u16 {
-        self.stage.hart_id
-    }
-
     /// Sets the hart id stamped on emitted events. The multi-hart driver
     /// calls this once per hart at construction.
     pub fn set_hart_id(&mut self, hart: u16) {

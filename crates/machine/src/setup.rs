@@ -159,13 +159,17 @@ impl<S: TraceSink> System<S> {
     }
 }
 
+/// Base of the protected RAM region.
+const RAM_BASE: u64 = 0x8000_0000;
+/// Size of the protected RAM region: 1 GiB, so the region is one NAPOT
+/// segment.
+const RAM_SIZE: u64 = 1 << 30;
+
 /// Builder for the canonical single-domain system.
 #[derive(Debug)]
 pub struct SystemBuilder<S: TraceSink = NullSink> {
     config: MachineConfig,
     scheme: IsolationScheme,
-    ram_base: u64,
-    ram_size: u64,
     contiguous_pt: Option<bool>,
     mode: TranslationMode,
     sink: S,
@@ -177,8 +181,6 @@ impl SystemBuilder {
         SystemBuilder {
             config,
             scheme,
-            ram_base: 0x8000_0000,
-            ram_size: 1 << 30,
             contiguous_pt: None,
             mode: TranslationMode::Sv39,
             sink: NullSink,
@@ -187,13 +189,6 @@ impl SystemBuilder {
 }
 
 impl<S: TraceSink> SystemBuilder<S> {
-    /// Overrides the protected RAM region (must be NAPOT-representable).
-    pub fn ram(mut self, base: u64, size: u64) -> SystemBuilder<S> {
-        self.ram_base = base;
-        self.ram_size = size;
-        self
-    }
-
     /// Overrides PT-page placement. Defaults to contiguous for every scheme
     /// — the Penglai family always keeps PT pages in one region (Penglai
     /// already requires it to trap page-table modifications, §5); scattered
@@ -215,8 +210,6 @@ impl<S: TraceSink> SystemBuilder<S> {
         SystemBuilder {
             config: self.config,
             scheme: self.scheme,
-            ram_base: self.ram_base,
-            ram_size: self.ram_size,
             contiguous_pt: self.contiguous_pt,
             mode: self.mode,
             sink,
@@ -226,24 +219,18 @@ impl<S: TraceSink> SystemBuilder<S> {
     /// Builds the machine, programs the HPMP entries for the scheme, and
     /// creates an empty address space.
     ///
-    /// Layout inside RAM: `[pt pool 16 MiB][table pages 16 MiB][data ...]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the region is too small or not NAPOT-encodable — fixture
-    /// misuse, not a runtime condition.
+    /// Layout inside the 1 GiB of RAM at `0x8000_0000`: `[pt pool 16 MiB]
+    /// [table pages 16 MiB][data ...]`.
     pub fn build(self) -> System<S> {
-        let ram = PmpRegion::new(PhysAddr::new(self.ram_base), self.ram_size);
-        assert!(ram.is_napot(), "RAM region must be NAPOT-encodable");
-        assert!(self.ram_size >= 64 << 20, "RAM must be at least 64 MiB");
+        let ram = PmpRegion::new(PhysAddr::new(RAM_BASE), RAM_SIZE);
         let mut machine = Machine::with_sink(self.config, self.sink);
 
-        let pt_pool_base = PhysAddr::new(self.ram_base);
+        let pt_pool_base = PhysAddr::new(RAM_BASE);
         let pt_pool_size = 16u64 << 20;
-        let table_base = PhysAddr::new(self.ram_base + pt_pool_size);
+        let table_base = PhysAddr::new(RAM_BASE + pt_pool_size);
         let table_size = 16u64 << 20;
-        let data_base = PhysAddr::new(self.ram_base + pt_pool_size + table_size);
-        let data_size = self.ram_size - pt_pool_size - table_size;
+        let data_base = PhysAddr::new(RAM_BASE + pt_pool_size + table_size);
+        let data_size = RAM_SIZE - pt_pool_size - table_size;
 
         let mut table_frames = FrameAllocator::new(table_base, table_size);
         let contiguous_pt = self.contiguous_pt.unwrap_or(true);

@@ -25,8 +25,7 @@
 use hpmp_core::{FillPolicy, HpmpRegFile, PmpRegion, PmpTable, TableLevels};
 use hpmp_memsim::{AccessKind, Perms, PhysAddr, PhysMem, PrivMode, VirtAddr, PAGE_SIZE};
 use hpmp_paging::{
-    nested_walk, AddressSpace, GuestView, NestedPageTable, Tlb, Translation, TranslationMode,
-    WalkCache,
+    nested_walk, AddressSpace, GuestView, Tlb, Translation, TranslationMode, WalkCache,
 };
 use hpmp_trace::{Counters, MetricsRegistry, NullSink, StepKind, TraceSink, World};
 
@@ -168,7 +167,8 @@ pub type VirtMachineStats = AccessStats<VirtRefBreakdown>;
 /// The nested translation stage: the NPT and one guest, walked two-stage.
 #[derive(Debug)]
 pub struct NestedStage {
-    npt: NestedPageTable,
+    /// The nested page table (Sv39x4).
+    npt: AddressSpace,
     guest: AddressSpace,
     /// Combined TLB: gVA page → hPA page.
     tlb: Tlb,
@@ -269,24 +269,7 @@ impl VirtMachine {
     /// Panics if the fixed pools are exhausted — enlarge the constants
     /// rather than handling it at runtime; this is a fixture.
     pub fn new(config: MachineConfig, scheme: VirtScheme, guest_pages: u64) -> VirtMachine {
-        Self::with_options(config, scheme, guest_pages, false)
-    }
-
-    /// As [`VirtMachine::new`], with control over guest-data backing:
-    /// `fragmented_backing` strides the host frames behind the guest's data
-    /// pages (2 MiB + one page apart), reproducing the paper's §8.8 cases
-    /// (3)/(4) where "fragmented host virtual pages" back the guest.
-    ///
-    /// # Panics
-    ///
-    /// As [`VirtMachine::new`].
-    pub fn with_options(
-        config: MachineConfig,
-        scheme: VirtScheme,
-        guest_pages: u64,
-        fragmented_backing: bool,
-    ) -> VirtMachine {
-        Self::with_sink_options(config, scheme, guest_pages, fragmented_backing, NullSink)
+        Self::with_sink_options(config, scheme, guest_pages, false, NullSink)
     }
 }
 
@@ -307,6 +290,9 @@ impl<S: TraceSink> VirtMachine<S> {
     }
 
     /// The fully general constructor: scheme, backing layout, and sink.
+    /// `fragmented_backing` strides the host frames behind the guest's data
+    /// pages (2 MiB + one page apart), reproducing the paper's §8.8 cases
+    /// (3)/(4) where "fragmented host virtual pages" back the guest.
     ///
     /// # Panics
     ///
@@ -321,7 +307,8 @@ impl<S: TraceSink> VirtMachine<S> {
         let mut phys = PhysMem::new();
         let mut npt_frames =
             hpmp_memsim::FrameAllocator::new(PhysAddr::new(NPT_POOL), NPT_POOL_SIZE);
-        let mut npt = NestedPageTable::new(&mut phys, &mut npt_frames).expect("NPT root");
+        let mut npt = AddressSpace::new(TranslationMode::Sv39x4, 0, &mut phys, &mut npt_frames)
+            .expect("NPT root");
 
         // Back the guest-physical PT pool and data pool with host frames:
         // contiguous backing is one run per pool, while fragmented backing
@@ -329,9 +316,10 @@ impl<S: TraceSink> VirtMachine<S> {
         npt.map_run(
             &mut phys,
             &mut npt_frames,
-            PhysAddr::new(GPA_PT_POOL),
+            VirtAddr::new(GPA_PT_POOL),
             PhysAddr::new(GPT_HOST_POOL),
             GPA_PT_POOL_SIZE / PAGE_SIZE,
+            Perms::RWX,
             true,
         )
         .expect("NPT map");
@@ -342,9 +330,9 @@ impl<S: TraceSink> VirtMachine<S> {
             (data_pages_backed, 1)
         };
         for first in (0..data_pages_backed).step_by(run as usize) {
-            let gpa = PhysAddr::new(GPA_DATA + first * PAGE_SIZE);
+            let gpa = VirtAddr::new(GPA_DATA + first * PAGE_SIZE);
             let hpa = PhysAddr::new(DATA_HOST_POOL + first * stride * PAGE_SIZE);
-            npt.map_run(&mut phys, &mut npt_frames, gpa, hpa, run, true)
+            npt.map_run(&mut phys, &mut npt_frames, gpa, hpa, run, Perms::RWX, true)
                 .expect("NPT map");
         }
 

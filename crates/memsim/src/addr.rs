@@ -182,21 +182,6 @@ addr_type! {
     VirtAddr
 }
 
-impl VirtAddr {
-    /// Extracts the 9-bit virtual page number field for page-table `level`
-    /// (RISC-V Sv39/48/57 convention: level 0 is the leaf).
-    ///
-    /// ```
-    /// use hpmp_memsim::VirtAddr;
-    /// let va = VirtAddr::new(0x1_2345_6789);
-    /// assert_eq!(va.vpn(0), (0x1_2345_6789u64 >> 12) & 0x1ff);
-    /// ```
-    #[inline]
-    pub const fn vpn(self, level: usize) -> u64 {
-        (self.0 >> (PAGE_SHIFT as usize + 9 * level)) & 0x1ff
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,17 +211,6 @@ mod tests {
             PhysAddr::new(0x12000).align_up(0x1000),
             PhysAddr::new(0x12000)
         );
-    }
-
-    #[test]
-    fn vpn_extraction() {
-        // VA = vpn2:vpn1:vpn0:offset = 5 : 7 : 9 : 0x123
-        let raw = (5u64 << 30) | (7 << 21) | (9 << 12) | 0x123;
-        let va = VirtAddr::new(raw);
-        assert_eq!(va.vpn(2), 5);
-        assert_eq!(va.vpn(1), 7);
-        assert_eq!(va.vpn(0), 9);
-        assert_eq!(va.page_offset(), 0x123);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! # hpmp-paging
 //!
 //! RISC-V virtual-memory substrate for the HPMP (MICRO '23) reproduction:
-//! Sv39/Sv48/Sv57 page tables built in simulated physical memory, the
-//! hardware page-table walker (which reports each memory reference of
+//! Sv39/Sv48/Sv57 page tables and the hypervisor's Sv39x4 nested page
+//! table, all one [`AddressSpace`] type built in simulated physical memory;
+//! the hardware page-table walker (which reports each memory reference of
 //! Figure 2 as it reads it), a two-level TLB with permission inlining, a
 //! page-walk cache (the paper's PTECache), and the hypervisor extension's
 //! two-stage Sv39×Sv39x4 walk (Figure 8).
@@ -34,7 +35,7 @@ mod tlb;
 mod walker;
 
 pub use mode::TranslationMode;
-pub use nested::{nested_walk, GuestView, NestedPageTable, GSTAGE_VMID};
+pub use nested::{nested_walk, GuestView, GSTAGE_VMID};
 pub use pte::Pte;
 pub use pwc::{WalkCache, WalkCacheConfig, WalkCacheStats};
 pub use space::{AddressSpace, MapError, PtFrameSource, Translation};

@@ -1,4 +1,4 @@
-//! Translation modes (Sv39 / Sv48 / Sv57).
+//! Translation modes (Sv39 / Sv48 / Sv57, and the G-stage's Sv39x4).
 
 use hpmp_memsim::{VirtAddr, PAGE_SHIFT};
 
@@ -6,7 +6,9 @@ use hpmp_memsim::{VirtAddr, PAGE_SHIFT};
 ///
 /// The paper's headline numbers use Sv39 (3-level); the extra-dimension cost
 /// grows with Sv48 and Sv57, which is why the problem "is even more serious
-/// for 4-level or 5-level page table architectures".
+/// for 4-level or 5-level page table architectures". Sv39x4 is the
+/// hypervisor extension's G-stage scheme for the nested page table: Sv39
+/// with a 2-bit wider input and a root four pages long.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TranslationMode {
     /// 39-bit VA, 3-level page table.
@@ -15,6 +17,9 @@ pub enum TranslationMode {
     Sv48,
     /// 57-bit VA, 5-level page table.
     Sv57,
+    /// 41-bit guest-physical address, 3-level page table with a 16 KiB
+    /// root (hgatp).
+    Sv39x4,
 }
 
 impl TranslationMode {
@@ -26,7 +31,7 @@ impl TranslationMode {
     /// full TLB-miss walk).
     pub const fn levels(self) -> usize {
         match self {
-            TranslationMode::Sv39 => 3,
+            TranslationMode::Sv39 | TranslationMode::Sv39x4 => 3,
             TranslationMode::Sv48 => 4,
             TranslationMode::Sv57 => 5,
         }
@@ -38,12 +43,32 @@ impl TranslationMode {
             TranslationMode::Sv39 => 39,
             TranslationMode::Sv48 => 48,
             TranslationMode::Sv57 => 57,
+            TranslationMode::Sv39x4 => 41,
         }
     }
 
     /// Index of the root level (levels are numbered leaf = 0).
     pub const fn root_level(self) -> usize {
         self.levels() - 1
+    }
+
+    /// Pages in the root table: the input bits above the levels' nine-bit
+    /// indices, as a power of two (four for Sv39x4, one otherwise).
+    pub(crate) const fn root_pages(self) -> u64 {
+        1 << (self.va_bits() as usize - PAGE_SHIFT as usize - 9 * self.levels())
+    }
+
+    /// The PTE index of `va` in its table at `level`: nine bits below the
+    /// root, and at the root every input bit above them, so that Sv39x4's
+    /// index spans all four root pages.
+    pub(crate) const fn index(self, va: VirtAddr, level: usize) -> u64 {
+        let shift = PAGE_SHIFT as usize + 9 * level;
+        let bits = if level == self.root_level() {
+            self.va_bits() as usize - shift
+        } else {
+            9
+        };
+        (va.raw() >> shift) & ((1 << bits) - 1)
     }
 
     /// Bytes of VA space covered by one entry at `level`.
@@ -65,6 +90,7 @@ impl std::fmt::Display for TranslationMode {
             TranslationMode::Sv39 => "Sv39",
             TranslationMode::Sv48 => "Sv48",
             TranslationMode::Sv57 => "Sv57",
+            TranslationMode::Sv39x4 => "Sv39x4",
         })
     }
 }
@@ -78,7 +104,31 @@ mod tests {
         assert_eq!(TranslationMode::Sv39.levels(), 3);
         assert_eq!(TranslationMode::Sv48.levels(), 4);
         assert_eq!(TranslationMode::Sv57.levels(), 5);
+        assert_eq!(TranslationMode::Sv39x4.levels(), 3);
         assert_eq!(TranslationMode::Sv39.root_level(), 2);
+    }
+
+    #[test]
+    fn indices() {
+        // VA = vpn2:vpn1:vpn0:offset = 5 : 7 : 9 : 0x123
+        let va = VirtAddr::new((5u64 << 30) | (7 << 21) | (9 << 12) | 0x123);
+        let sv39 = TranslationMode::Sv39;
+        assert_eq!(
+            [sv39.index(va, 2), sv39.index(va, 1), sv39.index(va, 0)],
+            [5, 7, 9]
+        );
+        // Sv39x4's root index takes the two extra input bits, reaching the
+        // fourth root page; lower levels keep nine.
+        let gpa = VirtAddr::new((1 << 41) - 1);
+        assert_eq!(TranslationMode::Sv39x4.index(gpa, 2), 4 * 512 - 1);
+        assert_eq!(TranslationMode::Sv39x4.index(gpa, 1), 511);
+    }
+
+    #[test]
+    fn root_pages() {
+        assert_eq!(TranslationMode::Sv39.root_pages(), 1);
+        assert_eq!(TranslationMode::Sv57.root_pages(), 1);
+        assert_eq!(TranslationMode::Sv39x4.root_pages(), 4);
     }
 
     #[test]
@@ -93,10 +143,13 @@ mod tests {
         assert!(TranslationMode::Sv39.is_canonical(VirtAddr::new((1 << 39) - 1)));
         assert!(!TranslationMode::Sv39.is_canonical(VirtAddr::new(1 << 39)));
         assert!(TranslationMode::Sv48.is_canonical(VirtAddr::new(1 << 39)));
+        assert!(TranslationMode::Sv39x4.is_canonical(VirtAddr::new((1 << 41) - 1)));
+        assert!(!TranslationMode::Sv39x4.is_canonical(VirtAddr::new(1 << 41)));
     }
 
     #[test]
     fn display() {
         assert_eq!(TranslationMode::Sv39.to_string(), "Sv39");
+        assert_eq!(TranslationMode::Sv39x4.to_string(), "Sv39x4");
     }
 }

@@ -8,199 +8,39 @@
 //! shortening it for the warm cases of Figure 13. Both stages are the one
 //! radix walk of the walker module: the guest stage with a G-stage
 //! translation as its slot hook, the G-stage with the identity.
+//!
+//! The nested page table is an [`AddressSpace`] in
+//! [`TranslationMode::Sv39x4`], built by `map_run` and read in software by
+//! `translate` like any other table; only its root is wider. [`GuestView`]
+//! and [`nested_walk`] read it with the G-stage walk.
 
-use hpmp_memsim::{PhysAddr, PhysMem, VirtAddr, WordStore, PAGE_SHIFT, PAGE_SIZE};
+use hpmp_memsim::{PhysAddr, PhysMem, VirtAddr, WordStore};
 use hpmp_trace::StepKind;
 
 use crate::pwc::WalkCache;
-use crate::space::{AddressSpace, MapError, PtFrameSource, Translation};
+use crate::space::{AddressSpace, Translation};
 use crate::tlb::{Tlb, TlbEntry};
 use crate::walker::{radix_walk, Radix};
-use crate::Pte;
+use crate::TranslationMode;
 
-/// The nested page table (hgatp, Sv39x4): maps guest-physical to
-/// host-physical addresses.
-///
-/// Sv39x4 widens the root index by two bits, making the root table four
-/// contiguous pages (16 KiB); lower levels are ordinary Sv39 tables.
-#[derive(Debug)]
-pub struct NestedPageTable {
-    root: PhysAddr,
-    pt_pages: Vec<PhysAddr>,
-    mapped_pages: u64,
-}
-
-impl NestedPageTable {
-    /// Number of levels in the nested table.
-    pub const LEVELS: usize = 3;
-
-    /// Creates an empty nested page table; allocates the 4-page root.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MapError::OutOfPtFrames`] if the frame source cannot supply
-    /// four contiguous-equivalent root frames.
-    pub fn new(
-        mem: &mut dyn WordStore,
-        frames: &mut dyn PtFrameSource,
-    ) -> Result<NestedPageTable, MapError> {
-        let mut pages = Vec::with_capacity(4);
-        for _ in 0..4 {
-            let frame = frames.alloc_pt_frame().ok_or(MapError::OutOfPtFrames)?;
-            mem.zero_page(frame);
-            pages.push(frame);
-        }
-        // Sv39x4 requires the root to be 16 KiB-aligned and contiguous; the
-        // monitor's PT pools hand out consecutive frames, which we verify.
-        for w in pages.windows(2) {
-            assert_eq!(
-                w[1].raw(),
-                w[0].raw() + PAGE_SIZE,
-                "Sv39x4 root requires 4 contiguous frames"
-            );
-        }
-        Ok(NestedPageTable {
-            root: pages[0],
-            pt_pages: pages,
-            mapped_pages: 0,
-        })
+/// The G-stage walk of `gpa` through the nested page table `npt`,
+/// reporting each nested PTE read to `visit`: the radix walk with the
+/// identity slot hook and no walk cache. Sv39x4 is the one G-stage mode
+/// modelled, so a table in any other mode faults.
+fn gstage_walk<M, V>(mem: &M, npt: &AddressSpace, gpa: PhysAddr, visit: &mut V) -> Option<PhysAddr>
+where
+    M: WordStore + ?Sized,
+    V: FnMut(PhysAddr, StepKind, usize),
+{
+    // Past this test the compiler knows the mode, so the walk's geometry
+    // is folded to constants.
+    if npt.mode() != TranslationMode::Sv39x4 {
+        return None;
     }
-
-    /// All nested-PT pages, root pages first.
-    pub fn pt_pages(&self) -> &[PhysAddr] {
-        &self.pt_pages
-    }
-
-    /// Number of guest pages currently mapped.
-    pub fn mapped_pages(&self) -> u64 {
-        self.mapped_pages
-    }
-
-    /// Maps one 4 KiB guest-physical page to a host frame: the one-page
-    /// case of [`NestedPageTable::map_run`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on re-mapping, exhausted frames, or a guest-physical address
-    /// beyond the 41-bit Sv39x4 input space.
-    pub fn map_page(
-        &mut self,
-        mem: &mut dyn WordStore,
-        frames: &mut dyn PtFrameSource,
-        gpa: PhysAddr,
-        hpa: PhysAddr,
-        writable: bool,
-    ) -> Result<(), MapError> {
-        self.map_run(mem, frames, gpa, hpa, 1, writable)
-    }
-
-    /// Maps `pages` consecutive guest-physical pages, `gpa + i * 4 KiB` to
-    /// `hpa + i * 4 KiB` for every `i < pages`. The table is descended once
-    /// per leaf page table, then the run fills consecutive PTE slots.
-    ///
-    /// # Errors
-    ///
-    /// As [`NestedPageTable::map_page`], for the first page that fails; the
-    /// pages before it stay mapped.
-    pub fn map_run(
-        &mut self,
-        mem: &mut dyn WordStore,
-        frames: &mut dyn PtFrameSource,
-        gpa: PhysAddr,
-        hpa: PhysAddr,
-        pages: u64,
-        writable: bool,
-    ) -> Result<(), MapError> {
-        let perms = if writable {
-            hpmp_memsim::Perms::RWX
-        } else {
-            hpmp_memsim::Perms::RX
-        };
-        let radix = self.radix();
-        let mut done = 0;
-        while done < pages {
-            let first = gpa + done * PAGE_SIZE;
-            let table = self.leaf_table(mem, frames, first)?;
-            let slots = (512 - ((first.raw() >> PAGE_SHIFT) & 0x1ff)).min(pages - done);
-            for slot in 0..slots {
-                let slot_gpa = first + slot * PAGE_SIZE;
-                let pte_slot = radix.slot(table, slot_gpa.raw(), 0);
-                if Pte::from_bits(mem.read_u64(pte_slot)).is_valid() {
-                    return Err(MapError::AlreadyMapped(VirtAddr::new(slot_gpa.raw())));
-                }
-                let frame = hpa + (done + slot) * PAGE_SIZE;
-                mem.write_u64(pte_slot, Pte::leaf(frame, perms, true).to_bits());
-                self.mapped_pages += 1;
-            }
-            done += slots;
-        }
-        Ok(())
-    }
-
-    /// Descends to the leaf table covering `gpa`, creating missing tables
-    /// on the way.
-    fn leaf_table(
-        &mut self,
-        mem: &mut dyn WordStore,
-        frames: &mut dyn PtFrameSource,
-        gpa: PhysAddr,
-    ) -> Result<PhysAddr, MapError> {
-        let radix = self.radix();
-        if gpa.raw() >> radix.va_bits != 0 {
-            return Err(MapError::NonCanonical(VirtAddr::new(gpa.raw())));
-        }
-        let mut table = self.root;
-        let mut level = radix.root_level;
-        while level > 0 {
-            let slot = radix.slot(table, gpa.raw(), level);
-            let pte = Pte::from_bits(mem.read_u64(slot));
-            if pte.is_leaf() {
-                return Err(MapError::HugePageConflict(VirtAddr::new(gpa.raw())));
-            }
-            table = if pte.is_table() {
-                pte.target()
-            } else {
-                let frame = frames.alloc_pt_frame().ok_or(MapError::OutOfPtFrames)?;
-                mem.zero_page(frame);
-                mem.write_u64(slot, Pte::table(frame).to_bits());
-                self.pt_pages.push(frame);
-                frame
-            };
-            level -= 1;
-        }
-        Ok(table)
-    }
-
-    /// Software G-stage walk: translates `gpa` without timing.
-    pub fn translate(&self, mem: &dyn WordStore, gpa: PhysAddr) -> Option<PhysAddr> {
-        self.walk(mem, gpa, &mut |_, _, _| {})
-    }
-
-    /// The G-stage walk of `gpa`, reporting each nested PTE read to
-    /// `visit`: the radix walk with the identity slot hook and no walk
-    /// cache.
-    fn walk<M, V>(&self, mem: &M, gpa: PhysAddr, visit: &mut V) -> Option<PhysAddr>
-    where
-        M: WordStore + ?Sized,
-        V: FnMut(PhysAddr, StepKind, usize),
-    {
-        let gpa = VirtAddr::new(gpa.raw());
-        let (translation, _) = radix_walk(mem, self.radix(), None, gpa, |s, _| Some(s), visit);
-        translation.map(|t| t.paddr)
-    }
-
-    /// The table as the walker sees it: Sv39x4 takes a 41-bit guest-physical
-    /// address, so the root index has 11 bits and spans the four root
-    /// pages.
-    fn radix(&self) -> Radix {
-        Radix {
-            root: self.root,
-            root_level: Self::LEVELS - 1,
-            va_bits: 41,
-            asid: 0,
-            step: StepKind::NestedPt,
-        }
-    }
+    let table = Radix::of(npt, StepKind::NestedPt);
+    let gpa = VirtAddr::new(gpa.raw());
+    let (translation, _) = radix_walk(mem, table, None, gpa, |s, _| Some(s), visit);
+    translation.map(|t| t.paddr)
 }
 
 /// A view of guest-physical memory: reads and writes are translated through
@@ -209,18 +49,18 @@ impl NestedPageTable {
 #[derive(Debug)]
 pub struct GuestView<'a> {
     mem: &'a mut PhysMem,
-    npt: &'a NestedPageTable,
+    npt: &'a AddressSpace,
 }
 
 impl<'a> GuestView<'a> {
-    /// Wraps host memory with G-stage translation.
-    pub fn new(mem: &'a mut PhysMem, npt: &'a NestedPageTable) -> GuestView<'a> {
+    /// Wraps host memory with G-stage translation through the Sv39x4 table
+    /// `npt`.
+    pub fn new(mem: &'a mut PhysMem, npt: &'a AddressSpace) -> GuestView<'a> {
         GuestView { mem, npt }
     }
 
     fn host(&self, gpa: PhysAddr) -> PhysAddr {
-        self.npt
-            .translate(self.mem, gpa)
+        gstage_walk(&*self.mem, self.npt, gpa, &mut |_, _, _| {})
             .unwrap_or_else(|| panic!("guest-physical address {gpa} not mapped in NPT"))
     }
 }
@@ -250,6 +90,8 @@ pub const GSTAGE_VMID: u16 = 0xfff;
 /// when it is read: `NestedPt` for the `nL*` squares, `GuestPt` for the
 /// `gL*` circles.
 ///
+/// `npt` is the Sv39x4 nested page table.
+///
 /// * `gtlb` caches G-stage translations (gPA page → hPA page); a hit removes
 ///   the three `nL*` references of that sub-walk. It survives `hfence.vvma`
 ///   but not `hfence.gvma`.
@@ -263,7 +105,7 @@ pub const GSTAGE_VMID: u16 = 0xfff;
 pub fn nested_walk<M, V>(
     mem: &M,
     guest: &AddressSpace,
-    npt: &NestedPageTable,
+    npt: &AddressSpace,
     gtlb: &mut Tlb,
     gpwc: &mut WalkCache,
     gva: VirtAddr,
@@ -281,7 +123,7 @@ where
                 entry.frame.page_base().raw() | gpa.page_offset(),
             ));
         }
-        let hpa = npt.walk(mem, gpa, visit)?;
+        let hpa = gstage_walk(mem, npt, gpa, visit)?;
         gtlb.fill(TlbEntry {
             asid: GSTAGE_VMID,
             vpn: page_va.page_number(),
@@ -301,32 +143,50 @@ where
 mod tests {
     use super::*;
     use crate::pwc::WalkCacheConfig;
+    use crate::space::MapError;
     use crate::tlb::TlbConfig;
-    use crate::TranslationMode;
-    use hpmp_memsim::{FrameAllocator, Perms};
+    use crate::Pte;
+    use hpmp_memsim::{FrameAllocator, Perms, PAGE_SIZE};
 
     /// Builds a guest with one data page mapped at `GVA`, with NPT identity
     /// offset: gPA x maps to hPA x + 0x4000_0000.
     const GVA: VirtAddr = VirtAddr::new(0x20_1000);
     const HOST_OFF: u64 = 0x4000_0000;
 
-    fn fixture() -> (PhysMem, NestedPageTable, AddressSpace) {
+    /// An empty Sv39x4 nested page table.
+    fn npt_in(mem: &mut PhysMem, frames: &mut FrameAllocator) -> AddressSpace {
+        AddressSpace::new(TranslationMode::Sv39x4, 0, mem, frames).unwrap()
+    }
+
+    /// Maps `pages` guest-physical pages from `gpa` to host frames from
+    /// `hpa`, as the hypervisor does.
+    fn npt_map(
+        npt: &mut AddressSpace,
+        mem: &mut PhysMem,
+        frames: &mut FrameAllocator,
+        gpa: u64,
+        hpa: u64,
+        pages: u64,
+    ) -> Result<(), MapError> {
+        let (gpa, hpa) = (VirtAddr::new(gpa), PhysAddr::new(hpa));
+        npt.map_run(mem, frames, gpa, hpa, pages, Perms::RWX, true)
+    }
+
+    fn fixture() -> (PhysMem, AddressSpace, AddressSpace) {
         fixture_in(TranslationMode::Sv39)
     }
 
     /// As [`fixture`], with a guest page table of `mode`.
-    fn fixture_in(mode: TranslationMode) -> (PhysMem, NestedPageTable, AddressSpace) {
+    fn fixture_in(mode: TranslationMode) -> (PhysMem, AddressSpace, AddressSpace) {
         let mut mem = PhysMem::new();
         let mut host_frames = FrameAllocator::new(PhysAddr::new(0x8000_0000), 512 * PAGE_SIZE);
-        let mut npt = NestedPageTable::new(&mut mem, &mut host_frames).unwrap();
+        let mut npt = npt_in(&mut mem, &mut host_frames);
 
         // Guest-physical pool: gPAs 0x1000_0000.. ; back each gPA on demand.
         let gpa_pool_base = 0x1000_0000u64;
         for i in 0..64u64 {
-            let gpa = PhysAddr::new(gpa_pool_base + i * PAGE_SIZE);
-            let hpa = PhysAddr::new(gpa.raw() + HOST_OFF);
-            npt.map_page(&mut mem, &mut host_frames, gpa, hpa, true)
-                .unwrap();
+            let gpa = gpa_pool_base + i * PAGE_SIZE;
+            npt_map(&mut npt, &mut mem, &mut host_frames, gpa, gpa + HOST_OFF, 1).unwrap();
         }
 
         // Guest PT frames come from the guest-physical pool.
@@ -370,7 +230,7 @@ mod tests {
     fn walk(
         mem: &PhysMem,
         guest: &AddressSpace,
-        npt: &NestedPageTable,
+        npt: &AddressSpace,
         (gtlb, gpwc): &mut (Tlb, WalkCache),
         gva: VirtAddr,
     ) -> Walked {
@@ -406,7 +266,7 @@ mod tests {
         assert!(result.translation.is_some());
         let guest_levels = TranslationMode::MAX_LEVELS;
         assert_eq!(result.count(StepKind::GuestPt), guest_levels);
-        let nested = (guest_levels + 1) * NestedPageTable::LEVELS;
+        let nested = (guest_levels + 1) * TranslationMode::Sv39x4.levels();
         assert_eq!(result.count(StepKind::NestedPt), nested);
         assert_eq!(result.refs.len(), guest_levels + nested);
     }
@@ -416,12 +276,25 @@ mod tests {
     fn gstage_walk_reads_one_pte_per_level() {
         let (mem, npt, guest) = fixture();
         let mut refs = Vec::new();
-        let hpa = npt.walk(&mem, guest.root(), &mut |_, kind, level| {
+        let hpa = gstage_walk(&mem, &npt, guest.root(), &mut |_, kind, level| {
             refs.push((kind, level))
         });
         assert_eq!(hpa, Some(PhysAddr::new(guest.root().raw() + HOST_OFF)));
         let nested = |level| (StepKind::NestedPt, level);
         assert_eq!(refs, [nested(2), nested(1), nested(0)]);
+    }
+
+    /// The G-stage walk reads only an Sv39x4 table: the same mapping in an
+    /// Sv39 table faults.
+    #[test]
+    fn gstage_walk_needs_an_sv39x4_table() {
+        let mut mem = PhysMem::new();
+        let mut frames = FrameAllocator::new(PhysAddr::new(0x8000_0000), 64 * PAGE_SIZE);
+        let mut sv39 = AddressSpace::new(TranslationMode::Sv39, 0, &mut mem, &mut frames).unwrap();
+        npt_map(&mut sv39, &mut mem, &mut frames, 0x1000, 0x9000_0000, 1).unwrap();
+        let gpa = PhysAddr::new(0x1000);
+        assert!(sv39.translate(&mem, VirtAddr::new(gpa.raw())).is_some());
+        assert_eq!(gstage_walk(&mem, &sv39, gpa, &mut |_, _, _| {}), None);
     }
 
     #[test]
@@ -483,45 +356,46 @@ mod tests {
     fn npt_rejects_double_map() {
         let mut mem = PhysMem::new();
         let mut frames = FrameAllocator::new(PhysAddr::new(0x8000_0000), 64 * PAGE_SIZE);
-        let mut npt = NestedPageTable::new(&mut mem, &mut frames).unwrap();
-        let gpa = PhysAddr::new(0x1000);
-        npt.map_page(&mut mem, &mut frames, gpa, PhysAddr::new(0x9000_0000), true)
-            .unwrap();
+        let mut npt = npt_in(&mut mem, &mut frames);
+        npt_map(&mut npt, &mut mem, &mut frames, 0x1000, 0x9000_0000, 1).unwrap();
         assert!(matches!(
-            npt.map_page(&mut mem, &mut frames, gpa, PhysAddr::new(0x9000_1000), true),
+            npt_map(&mut npt, &mut mem, &mut frames, 0x1000, 0x9000_1000, 1),
             Err(MapError::AlreadyMapped(_))
         ));
     }
 
+    /// Sv39x4's 11-bit root index: gPAs with bits 39–40 set land in root
+    /// pages 1–3, and the software translation and the G-stage walk agree
+    /// on them.
     #[test]
     fn npt_wide_root_indexing() {
         let mut mem = PhysMem::new();
         let mut frames = FrameAllocator::new(PhysAddr::new(0x8000_0000), 64 * PAGE_SIZE);
-        let mut npt = NestedPageTable::new(&mut mem, &mut frames).unwrap();
-        // A gPA beyond 2^39 uses the extra root-index bits.
-        let gpa = PhysAddr::new(1 << 40);
-        npt.map_page(
-            &mut mem,
-            &mut frames,
-            gpa,
-            PhysAddr::new(0x9000_0000),
-            false,
-        )
-        .unwrap();
-        assert_eq!(npt.translate(&mem, gpa), Some(PhysAddr::new(0x9000_0000)));
-        // The 11-bit root index selects root page 2 (gPA bits 40:39) at
-        // in-page index 0 (bits 38:30).
-        let root_slot = npt.root + 2 * PAGE_SIZE;
-        assert!(Pte::from_bits(mem.read_u64(root_slot)).is_table());
+        let mut npt = npt_in(&mut mem, &mut frames);
+        // (gPA, root page its root slot sits in): bit 40 alone, then bits
+        // 39 and 40 together.
+        for (gpa, root_page) in [(1u64 << 40, 2), ((3 << 39) + 0x5000, 3)] {
+            let hpa = 0x9000_0000 + root_page * 0x10_0000;
+            npt_map(&mut npt, &mut mem, &mut frames, gpa, hpa, 4).unwrap();
+            for i in 0..4 {
+                let (gpa, hpa) = (gpa + i * PAGE_SIZE, PhysAddr::new(hpa + i * PAGE_SIZE));
+                let translated = npt.translate(&mem, VirtAddr::new(gpa)).unwrap();
+                assert_eq!(translated.paddr, hpa);
+                let mut refs = Vec::new();
+                let walked = gstage_walk(&mem, &npt, PhysAddr::new(gpa), &mut |addr, _, level| {
+                    refs.push((addr, level))
+                });
+                assert_eq!(walked, Some(hpa));
+                // The root slot: in-page index 0 (bits 38:30) of the root
+                // page that bits 40:39 select.
+                let root_slot = npt.root() + root_page * PAGE_SIZE;
+                assert_eq!(refs[0], (root_slot, 2));
+                assert!(Pte::from_bits(mem.read_u64(root_slot)).is_table());
+            }
+        }
         // Beyond 41 bits is rejected.
         assert!(matches!(
-            npt.map_page(
-                &mut mem,
-                &mut frames,
-                PhysAddr::new(1 << 41),
-                PhysAddr::new(0x9000_1000),
-                false
-            ),
+            npt_map(&mut npt, &mut mem, &mut frames, 1 << 41, 0x9000_1000, 1),
             Err(MapError::NonCanonical(_))
         ));
     }

@@ -6,6 +6,10 @@
 //! all PT pages in one contiguous "fast" GMS. That placement is injected via
 //! the [`PtFrameSource`] trait, so the OS layer can choose between a
 //! scattered allocator (the baseline) and a contiguous pool (HPMP).
+//!
+//! One [`AddressSpace`] type serves every radix table: a native or guest
+//! table (Sv39/Sv48/Sv57) and the hypervisor's nested page table (Sv39x4),
+//! which differs only in its four-page root.
 
 use hpmp_memsim::{FrameAllocator, Perms, PhysAddr, VirtAddr, WordStore, PAGE_SIZE};
 
@@ -43,6 +47,9 @@ pub enum MapError {
     HugePageConflict(VirtAddr),
     /// Address not aligned to the requested page size.
     Misaligned(VirtAddr),
+    /// The frame source returned root frames that are not consecutive, for
+    /// a mode whose root spans several pages (Sv39x4).
+    RootNotContiguous,
 }
 
 impl std::fmt::Display for MapError {
@@ -55,6 +62,7 @@ impl std::fmt::Display for MapError {
                 write!(f, "huge page conflicts with table at {va}")
             }
             MapError::Misaligned(va) => write!(f, "address {va} not aligned to page size"),
+            MapError::RootNotContiguous => f.write_str("root page-table frames not consecutive"),
         }
     }
 }
@@ -74,7 +82,8 @@ pub struct Translation {
     pub user: bool,
 }
 
-/// A page-table tree rooted in simulated physical memory.
+/// A page-table tree rooted in simulated physical memory: a native or
+/// guest table, or the nested page table in [`TranslationMode::Sv39x4`].
 ///
 /// ```
 /// use hpmp_memsim::{FrameAllocator, Perms, PhysAddr, PhysMem, VirtAddr, PAGE_SIZE};
@@ -96,30 +105,43 @@ pub struct AddressSpace {
     mode: TranslationMode,
     asid: u16,
     root: PhysAddr,
-    /// Every PT page in this tree, in allocation order (root first).
+    /// Every PT page in this tree, in allocation order (root pages first).
     pt_pages: Vec<PhysAddr>,
     mapped_pages: u64,
 }
 
 impl AddressSpace {
-    /// Creates an empty address space, allocating the root PT page.
+    /// Creates an empty address space, allocating the root PT pages (one,
+    /// or four consecutive ones for Sv39x4).
     ///
     /// # Errors
     ///
-    /// Returns [`MapError::OutOfPtFrames`] if the frame source is exhausted.
+    /// Returns [`MapError::OutOfPtFrames`] if the frame source is exhausted,
+    /// and [`MapError::RootNotContiguous`] if it returns a multi-page root
+    /// in frames that are not consecutive.
     pub fn new(
         mode: TranslationMode,
         asid: u16,
         mem: &mut dyn WordStore,
         frames: &mut dyn PtFrameSource,
     ) -> Result<AddressSpace, MapError> {
-        let root = frames.alloc_pt_frame().ok_or(MapError::OutOfPtFrames)?;
-        mem.zero_page(root);
+        let mut pt_pages = Vec::with_capacity(mode.root_pages() as usize);
+        for page in 0..mode.root_pages() {
+            let frame = frames.alloc_pt_frame().ok_or(MapError::OutOfPtFrames)?;
+            if pt_pages
+                .first()
+                .is_some_and(|&root| frame != root + page * PAGE_SIZE)
+            {
+                return Err(MapError::RootNotContiguous);
+            }
+            mem.zero_page(frame);
+            pt_pages.push(frame);
+        }
         Ok(AddressSpace {
             mode,
             asid,
-            root,
-            pt_pages: vec![root],
+            root: pt_pages[0],
+            pt_pages,
             mapped_pages: 0,
         })
     }
@@ -134,12 +156,13 @@ impl AddressSpace {
         self.asid
     }
 
-    /// Physical address of the root page-table page (the `satp` PPN).
+    /// Physical address of the root page-table page (the `satp` or `hgatp`
+    /// PPN); an Sv39x4 root is the first of four consecutive pages.
     pub fn root(&self) -> PhysAddr {
         self.root
     }
 
-    /// All page-table pages in this tree, root first.
+    /// All page-table pages in this tree, root pages first.
     pub fn pt_pages(&self) -> &[PhysAddr] {
         &self.pt_pages
     }
@@ -190,12 +213,12 @@ impl AddressSpace {
         while done < pages {
             let first = va + done * PAGE_SIZE;
             let table = self.descend(mem, frames, first, 0)?;
-            let slots = (512 - first.vpn(0)).min(pages - done);
+            let index = self.mode.index(first, 0);
+            let slots = (512 - index).min(pages - done);
             for slot in 0..slots {
-                let slot_va = first + slot * PAGE_SIZE;
-                let pte_slot = Self::pte_addr(table, slot_va, 0);
+                let pte_slot = table + (index + slot) * 8;
                 if Pte::from_bits(mem.read_u64(pte_slot)).is_valid() {
-                    return Err(MapError::AlreadyMapped(slot_va));
+                    return Err(MapError::AlreadyMapped(first + slot * PAGE_SIZE));
                 }
                 let frame = pa + (done + slot) * PAGE_SIZE;
                 mem.write_u64(pte_slot, Pte::leaf(frame, perms, user).to_bits());
@@ -227,7 +250,8 @@ impl AddressSpace {
         if !va.is_aligned(span) || !pa.is_aligned(span) {
             return Err(MapError::Misaligned(va));
         }
-        let slot = Self::pte_addr(self.descend(mem, frames, va, level)?, va, level);
+        let table = self.descend(mem, frames, va, level)?;
+        let slot = self.pte_addr(table, va, level);
         if Pte::from_bits(mem.read_u64(slot)).is_valid() {
             return Err(MapError::AlreadyMapped(va));
         }
@@ -251,7 +275,7 @@ impl AddressSpace {
         let mut table = self.root;
         let mut level = self.mode.root_level();
         while level > target_level {
-            let slot = Self::pte_addr(table, va, level);
+            let slot = self.pte_addr(table, va, level);
             let pte = Pte::from_bits(mem.read_u64(slot));
             if pte.is_leaf() {
                 return Err(MapError::HugePageConflict(va));
@@ -314,18 +338,26 @@ impl AddressSpace {
     }
 
     /// Software walk: translates `va` without modelling timing.
-    pub fn translate(&self, mem: &dyn WordStore, va: VirtAddr) -> Option<Translation> {
+    pub fn translate<M: WordStore + ?Sized>(&self, mem: &M, va: VirtAddr) -> Option<Translation> {
         self.locate(mem, va).map(|(_, t)| t)
     }
 
-    fn locate(&self, mem: &dyn WordStore, va: VirtAddr) -> Option<(PhysAddr, Translation)> {
+    /// The leaf PTE slot covering `va` and its translation: the software
+    /// reference walk, written apart from the hardware walker's
+    /// `radix_walk` so that the walker tests have something to disagree
+    /// with.
+    fn locate<M: WordStore + ?Sized>(
+        &self,
+        mem: &M,
+        va: VirtAddr,
+    ) -> Option<(PhysAddr, Translation)> {
         if !self.mode.is_canonical(va) {
             return None;
         }
         let mut table = self.root;
         let mut level = self.mode.root_level();
         loop {
-            let slot = Self::pte_addr(table, va, level);
+            let slot = self.pte_addr(table, va, level);
             let pte = Pte::from_bits(mem.read_u64(slot));
             if pte.is_leaf() {
                 let span = self.mode.level_span(level);
@@ -347,9 +379,9 @@ impl AddressSpace {
     }
 
     /// Physical address of the PTE slot for `va` at `level` inside `table`.
-    fn pte_addr(table: PhysAddr, va: VirtAddr, level: usize) -> PhysAddr {
+    fn pte_addr(&self, table: PhysAddr, va: VirtAddr, level: usize) -> PhysAddr {
         debug_assert!(table.is_aligned(PAGE_SIZE));
-        PhysAddr::new(table.raw() + va.vpn(level) * 8)
+        table + self.mode.index(va, level) * 8
     }
 }
 
@@ -636,6 +668,36 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err, MapError::OutOfPtFrames);
+    }
+
+    /// A frame source that skips every other frame.
+    #[derive(Debug)]
+    struct Strided(PhysAddr);
+
+    impl PtFrameSource for Strided {
+        fn alloc_pt_frame(&mut self) -> Option<PhysAddr> {
+            let frame = self.0;
+            self.0 += 2 * PAGE_SIZE;
+            Some(frame)
+        }
+    }
+
+    /// An Sv39x4 root is four consecutive frames, taken first; a frame
+    /// source that cannot supply them gets a typed error.
+    #[test]
+    fn sv39x4_root_needs_four_consecutive_frames() {
+        let mut mem = PhysMem::new();
+        let mut frames = FrameAllocator::new(PhysAddr::new(0x8000_0000), 64 * PAGE_SIZE);
+        let npt = AddressSpace::new(TranslationMode::Sv39x4, 0, &mut mem, &mut frames).unwrap();
+        let pages: Vec<PhysAddr> = (0..4).map(|i| npt.root() + i * PAGE_SIZE).collect();
+        assert_eq!(npt.pt_pages(), pages);
+        assert_eq!(frames.remaining(), 60);
+
+        let mut strided = Strided(PhysAddr::new(0x8000_0000));
+        let err = AddressSpace::new(TranslationMode::Sv39x4, 0, &mut mem, &mut strided);
+        assert_eq!(err.unwrap_err(), MapError::RootNotContiguous);
+        // A one-page root takes any frame.
+        assert!(AddressSpace::new(TranslationMode::Sv39, 0, &mut mem, &mut strided).is_ok());
     }
 
     #[test]

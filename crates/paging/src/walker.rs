@@ -51,16 +51,16 @@ pub struct WalkResult {
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Radix {
     /// Base of the root table.
-    pub(crate) root: PhysAddr,
+    root: PhysAddr,
     /// Level of the root (leaf = 0).
-    pub(crate) root_level: usize,
+    root_level: usize,
     /// Width of the input address. The root index takes every input bit
     /// above the next level's, so Sv39x4's 16 KiB root has an 11-bit index.
-    pub(crate) va_bits: u32,
+    va_bits: u32,
     /// ASID of the walk-cache entries.
-    pub(crate) asid: u16,
+    asid: u16,
     /// What each reference reads, as reported to the visitor.
-    pub(crate) step: StepKind,
+    step: StepKind,
 }
 
 impl Radix {
@@ -78,7 +78,7 @@ impl Radix {
     /// The PTE slot for input address `va` at `level` of the table at
     /// `table`: nine index bits per level below the root.
     #[inline]
-    pub(crate) fn slot(&self, table: PhysAddr, va: u64, level: usize) -> PhysAddr {
+    fn slot(&self, table: PhysAddr, va: u64, level: usize) -> PhysAddr {
         let index = va >> (PAGE_SHIFT as usize + 9 * level);
         let index = if level == self.root_level {
             index

@@ -1,8 +1,7 @@
-//! Randomised test: the run writers `AddressSpace::map_run` and
-//! `NestedPageTable::map_run`, which descend once per leaf page table,
-//! against the per-page `map_page` loops they replaced — for a native
-//! space, for the nested page table, and for a guest page table built
-//! through `GuestView`. Both sides replay the same seeded history and must
+//! Randomised test: the run writer `AddressSpace::map_run`, which descends
+//! once per leaf page table, against the per-page `map_page` loop it
+//! replaced — for a native space, for the Sv39x4 nested page table, and
+//! for a guest page table built through `GuestView`. Both sides replay the same seeded history and must
 //! end with the same PT words, the same PT pages in the same order, the
 //! same `mapped_pages`, the same frames left and, when a run fails
 //! part-way, the same error. Driven by the in-repo [`SplitMix64`] PRNG
@@ -11,7 +10,7 @@
 use hpmp_memsim::{
     FrameAllocator, Perms, PhysAddr, PhysMem, SplitMix64, VirtAddr, WordStore, PAGE_SIZE,
 };
-use hpmp_paging::{AddressSpace, GuestView, MapError, NestedPageTable, TranslationMode};
+use hpmp_paging::{AddressSpace, GuestView, MapError, TranslationMode};
 
 const PT_BASE: u64 = 0x8000_0000;
 const DATA_BASE: u64 = 0x9000_0000;
@@ -80,34 +79,41 @@ fn native_side(
     (mem, frames, space)
 }
 
+/// An empty Sv39x4 nested page table.
+fn new_npt(mem: &mut PhysMem, frames: &mut FrameAllocator) -> AddressSpace {
+    AddressSpace::new(TranslationMode::Sv39x4, 0, mem, frames).unwrap()
+}
+
 /// A nested page table with random earlier mappings.
-fn nested_side(rng: &mut SplitMix64) -> (PhysMem, FrameAllocator, NestedPageTable) {
+fn nested_side(rng: &mut SplitMix64) -> (PhysMem, FrameAllocator, AddressSpace) {
     let mut mem = PhysMem::new();
     let budget = frame_budget(rng, 4..9);
     let mut frames = FrameAllocator::new(PhysAddr::new(PT_BASE), budget * PAGE_SIZE);
-    let mut npt = NestedPageTable::new(&mut mem, &mut frames).unwrap();
+    let mut npt = new_npt(&mut mem, &mut frames);
     for _ in 0..rng.gen_range(0..4) {
-        let gpa = PhysAddr::new(rng.gen_range(0..8 * LEAF_PAGES) * PAGE_SIZE);
-        let _ = npt.map_page(&mut mem, &mut frames, gpa, PhysAddr::new(DATA_BASE), true);
+        let gpa = VirtAddr::new(rng.gen_range(0..8 * LEAF_PAGES) * PAGE_SIZE);
+        let hpa = PhysAddr::new(DATA_BASE);
+        let _ = npt.map_page(&mut mem, &mut frames, gpa, hpa, Perms::RWX, true);
     }
     (mem, frames, npt)
 }
 
 /// Host memory, a nested page table backing a guest-physical PT pool, and
 /// a guest space in that pool with random earlier mappings.
-fn guest_side(rng: &mut SplitMix64) -> (PhysMem, NestedPageTable, FrameAllocator, AddressSpace) {
+fn guest_side(rng: &mut SplitMix64) -> (PhysMem, AddressSpace, FrameAllocator, AddressSpace) {
     const GPA_PT_POOL: u64 = 0x1000_0000;
     const GPA_PT_POOL_PAGES: u64 = 64;
     let mut mem = PhysMem::new();
     let mut npt_frames = FrameAllocator::new(PhysAddr::new(PT_BASE), 64 * PAGE_SIZE);
-    let mut npt = NestedPageTable::new(&mut mem, &mut npt_frames).unwrap();
+    let mut npt = new_npt(&mut mem, &mut npt_frames);
     let pool = PhysAddr::new(GPA_PT_POOL);
     npt.map_run(
         &mut mem,
         &mut npt_frames,
-        pool,
+        VirtAddr::new(GPA_PT_POOL),
         PhysAddr::new(0xa000_0000),
         GPA_PT_POOL_PAGES,
+        Perms::RWX,
         true,
     )
     .unwrap();
@@ -204,25 +210,29 @@ fn nested_runs_match_the_per_page_loop() {
         let (start, pages) = random_range(&mut rng);
         // Some runs climb past the 41-bit Sv39x4 input space.
         let gpa = if rng.gen_bool(0.1) {
-            PhysAddr::new((1 << 41) - rng.gen_range(1..30) * PAGE_SIZE)
+            VirtAddr::new((1 << 41) - rng.gen_range(1..30) * PAGE_SIZE)
         } else {
-            PhysAddr::new(start * PAGE_SIZE)
+            VirtAddr::new(start * PAGE_SIZE)
         };
         let hpa = PhysAddr::new(DATA_BASE + rng.gen_range(0..1024) * PAGE_SIZE);
-        let writable = rng.gen_bool(0.5);
+        let perms = if rng.gen_bool(0.5) {
+            Perms::RWX
+        } else {
+            Perms::RX
+        };
 
         let before = npt.mapped_pages();
-        let got = npt.map_run(&mut mem, &mut frames, gpa, hpa, pages, writable);
+        let got = npt.map_run(&mut mem, &mut frames, gpa, hpa, pages, perms, true);
         let want = (0..pages).try_for_each(|i| {
             let (gpa, hpa) = (gpa + i * PAGE_SIZE, hpa + i * PAGE_SIZE);
-            reference.map_page(&mut ref_mem, &mut ref_frames, gpa, hpa, writable)
+            reference.map_page(&mut ref_mem, &mut ref_frames, gpa, hpa, perms, true)
         });
         let label = format!("case {case}: {gpa} + {pages} pages");
         assert_eq!(got, want, "{label}: result");
         let added = npt.mapped_pages() - before;
         assert!(got.is_err() || added == pages, "{label}: pages mapped");
         for i in 0..added {
-            let host = npt.translate(&mem, gpa + i * PAGE_SIZE);
+            let host = npt.translate(&mem, gpa + i * PAGE_SIZE).map(|t| t.paddr);
             assert_eq!(host, Some(hpa + i * PAGE_SIZE), "{label}: page {i}");
         }
         assert_eq!(npt.pt_pages(), reference.pt_pages(), "{label}: PT pages");

@@ -348,11 +348,6 @@ impl SimOs {
         self.pt_pool_region
     }
 
-    /// The kernel's address space (for issuing raw kernel accesses).
-    pub fn kernel_space(&self) -> &AddressSpace {
-        &self.kernel_space
-    }
-
     /// Kernel virtual address of a physical address via the direct map.
     pub fn kernel_va(&self, pa: PhysAddr) -> VirtAddr {
         VirtAddr::new(KERNEL_DIRECT_MAP + (pa.raw() - self.ram_base.raw()))

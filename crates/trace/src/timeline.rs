@@ -10,10 +10,11 @@
 //!
 //! Boundaries are decided on the deterministic simulated clock, never on
 //! wall time, so timelines are byte-identical at any `--jobs`. Slice
-//! count is bounded: past [`TimelineSink::max_slices`] new deltas fold
-//! into the last slice (keeping the telescoping sum exact) and the folded
-//! boundary is counted in [`TimelineSink::dropped_boundaries`] — the
-//! lossy-but-honest discipline every trace artifact in this crate follows.
+//! count is bounded: past the bound set by
+//! [`TimelineSink::with_max_slices`] new deltas fold into the last slice
+//! (keeping the telescoping sum exact) and the folded boundary is counted
+//! in [`TimelineSink::dropped_boundaries`] — the lossy-but-honest
+//! discipline every trace artifact in this crate follows.
 //!
 //! The on-disk form is JSONL: a schema-versioned header carrying the
 //! interval, one slice object per line, and a summary footer.
@@ -100,11 +101,6 @@ impl TimelineSink {
     /// The configured slice interval in cycles.
     pub fn interval(&self) -> u64 {
         self.interval
-    }
-
-    /// The configured slice bound.
-    pub fn max_slices(&self) -> usize {
-        self.max_slices
     }
 
     /// Whether a checkpoint at `now` should cut a slice.

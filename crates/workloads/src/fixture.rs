@@ -35,17 +35,7 @@ impl TeeBench {
     ///
     /// Panics if monitor or OS boot fails — fixture sizing is static.
     pub fn boot(flavor: TeeFlavor, core: CoreKind) -> TeeBench {
-        Self::boot_with_config(flavor, config_for(core))
-    }
-
-    /// Boots with an explicit machine configuration (for PWC/PMPTW-Cache
-    /// sweeps).
-    ///
-    /// # Panics
-    ///
-    /// As [`TeeBench::boot`].
-    pub fn boot_with_config(flavor: TeeFlavor, config: MachineConfig) -> TeeBench {
-        Self::boot_with_sink(flavor, config, NullSink)
+        Self::boot_with_sink(flavor, config_for(core), NullSink)
     }
 }
 

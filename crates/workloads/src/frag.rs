@@ -112,12 +112,13 @@ pub fn measure(
 /// the hypervisor placed the frames behind them.
 pub fn measure_virt(core: CoreKind, scheme: hpmp_machine::VirtScheme, backing: PaLayout) -> u64 {
     use hpmp_machine::VirtMachine;
+    use hpmp_trace::NullSink;
     let config = match core {
         CoreKind::Rocket => MachineConfig::rocket(),
         CoreKind::Boom => MachineConfig::boom(),
     };
-    let mut m =
-        VirtMachine::with_options(config, scheme, FRAG_PAGES, backing == PaLayout::Fragmented);
+    let fragmented = backing == PaLayout::Fragmented;
+    let mut m = VirtMachine::with_sink_options(config, scheme, FRAG_PAGES, fragmented, NullSink);
     m.flush_microarch();
     let mut total = 0;
     for i in 0..FRAG_PAGES {

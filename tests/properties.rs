@@ -243,18 +243,18 @@ fn checker_priority_is_static() {
 #[test]
 fn nested_walk_is_composition() {
     use hpmp_suite::paging::{
-        nested_walk, GuestView, NestedPageTable, Tlb, TlbConfig, WalkCache as Wc,
-        WalkCacheConfig as WcCfg,
+        nested_walk, GuestView, Tlb, TlbConfig, WalkCache as Wc, WalkCacheConfig as WcCfg,
     };
     for probe_page in 0..32u64 {
         let mut mem = PhysMem::new();
         let mut host_frames = FrameAllocator::new(PhysAddr::new(0x8000_0000), 512 * PAGE_SIZE);
-        let mut npt = NestedPageTable::new(&mut mem, &mut host_frames).expect("npt");
+        let mut npt =
+            AddressSpace::new(TranslationMode::Sv39x4, 0, &mut mem, &mut host_frames).expect("npt");
         // Guest-physical pool at 0x100_0000, identity+offset host backing.
         for i in 0..64u64 {
-            let gpa = PhysAddr::new(0x100_0000 + i * PAGE_SIZE);
+            let gpa = VirtAddr::new(0x100_0000 + i * PAGE_SIZE);
             let hpa = PhysAddr::new(0x4000_0000 + i * PAGE_SIZE);
-            npt.map_page(&mut mem, &mut host_frames, gpa, hpa, true)
+            npt.map_page(&mut mem, &mut host_frames, gpa, hpa, Perms::RWX, true)
                 .expect("npt map");
         }
         let mut guest_pt = FrameAllocator::new(PhysAddr::new(0x100_0000), 16 * PAGE_SIZE);
@@ -278,7 +278,8 @@ fn nested_walk_is_composition() {
             let view = GuestView::new(&mut mem, &npt);
             guest
                 .translate(&view, gva)
-                .and_then(|t| npt.translate(&mem, t.paddr))
+                .and_then(|t| npt.translate(&mem, VirtAddr::new(t.paddr.raw())))
+                .map(|t| t.paddr)
         };
         assert_eq!(walked, composed);
     }
