@@ -317,12 +317,18 @@ fn registry(timer: &mut Timer) {
     });
 }
 
+/// The guest of the virtualized rows: guest-3d's size, mapped from
+/// `GUEST_VA` up.
+const GUEST_PAGES: u64 = 8 * 1024;
+const GUEST_VA: u64 = 0x20_0000;
+
 /// Table construction, which every fresh machine pays before its first
 /// access: a fresh 512 MiB PMP Table filled per page (the virtualized
-/// fixture's fill), and `System::map_range` over 65,536 pages on a fresh
-/// HPMP system (native-walk's set-up, `build` included). Each iteration
-/// checks the count it expects: one `writes` per page, and every page
-/// mapped.
+/// fixture's fill), `System::map_range` over 65,536 pages on a fresh HPMP
+/// system (native-walk's set-up, `build` included), and a whole HPMP
+/// guest of 8,192 pages (guest-3d's set-up: nested table, guest table
+/// through `GuestView`, PMP Table). Each iteration checks the count it
+/// expects: one `writes` per page, and every page mapped.
 fn tables(timer: &mut Timer) {
     let mut group = timer.group("tables", 20);
 
@@ -353,6 +359,17 @@ fn tables(timer: &mut Timer) {
         sys.sync_pt_grants();
         assert_eq!(sys.space.mapped_pages(), PAGES, "every page mapped");
         sys.space.mapped_pages()
+    });
+
+    group.row("virt_machine_new", || {
+        let pages = black_box(GUEST_PAGES);
+        let mut vm = VirtMachine::new(MachineConfig::rocket(), VirtScheme::Hpmp, pages);
+        let last = VirtAddr::new(GUEST_VA + (pages - 1) * PAGE_SIZE);
+        assert!(
+            vm.access(last, AccessKind::Read).is_ok(),
+            "every page mapped"
+        );
+        pages
     });
 }
 
@@ -410,8 +427,6 @@ fn walks(timer: &mut Timer) {
 
     group.row("hpmp_read_sweep", || sweep(&mut sys));
 
-    const GUEST_PAGES: u64 = 8 * 1024;
-    const GUEST_VA: u64 = 0x20_0000;
     let mut vm = VirtMachine::new(MachineConfig::rocket(), VirtScheme::Hpmp, GUEST_PAGES);
     for page in 0..GUEST_PAGES {
         vm.access(VirtAddr::new(GUEST_VA + page * PAGE_SIZE), AccessKind::Read)

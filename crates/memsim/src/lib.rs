@@ -47,6 +47,6 @@ pub use hierarchy::{HitLevel, MemAccessOutcome, MemSystem, MemSystemConfig, MemS
 pub use inline::InlineVec;
 pub use lru::{LruEntry, LruMap, LRU_MAX_ENTRIES};
 pub use perm::{AccessKind, Perms, PrivMode};
-pub use physmem::{FrameAllocator, PhysMem};
+pub use physmem::{FrameAllocator, PageWords, PhysMem, WORDS_PER_PAGE};
 pub use rng::SplitMix64;
 pub use store::WordStore;

@@ -14,7 +14,7 @@
 //! `translate` like any other table; only its root is wider. [`GuestView`]
 //! and [`nested_walk`] read it with the G-stage walk.
 
-use hpmp_memsim::{PhysAddr, PhysMem, VirtAddr, WordStore};
+use hpmp_memsim::{PageWords, PhysAddr, PhysMem, VirtAddr, WordStore};
 use hpmp_trace::StepKind;
 
 use crate::pwc::WalkCache;
@@ -45,7 +45,8 @@ where
 
 /// A view of guest-physical memory: reads and writes are translated through
 /// the nested page table before touching host memory. Used to *construct*
-/// guest page tables whose slots are guest-physical addresses.
+/// guest page tables whose slots are guest-physical addresses; a borrowed
+/// page is translated once for all its words.
 #[derive(Debug)]
 pub struct GuestView<'a> {
     mem: &'a mut PhysMem,
@@ -79,6 +80,11 @@ impl WordStore for GuestView<'_> {
     fn zero_page(&mut self, base: PhysAddr) {
         let hpa = self.host(base);
         self.mem.zero_page(hpa)
+    }
+
+    fn borrow_page(&mut self, base: PhysAddr) -> PageWords<'_> {
+        let hpa = self.host(base);
+        self.mem.borrow_page(hpa)
     }
 }
 

@@ -1,11 +1,13 @@
 //! Randomised test: the run writer `AddressSpace::map_run`, which descends
 //! once per leaf page table, against the per-page `map_page` loop it
 //! replaced — for a native space, for the Sv39x4 nested page table, and
-//! for a guest page table built through `GuestView`. Both sides replay the same seeded history and must
-//! end with the same PT words, the same PT pages in the same order, the
-//! same `mapped_pages`, the same frames left and, when a run fails
-//! part-way, the same error. Driven by the in-repo [`SplitMix64`] PRNG
-//! with fixed seeds, so every run is deterministic and reproducible.
+//! for a guest page table built through `GuestView`. Both sides replay the
+//! same seeded history and must end with the same PT words, the same PT
+//! pages in the same order, the same `mapped_pages`, the same frames left,
+//! the same resident host pages, the same host pages in the write log and,
+//! when a run fails part-way, the same error. Driven by the in-repo
+//! [`SplitMix64`] PRNG with fixed seeds, so every run is deterministic and
+//! reproducible.
 
 use hpmp_memsim::{
     FrameAllocator, Perms, PhysAddr, PhysMem, SplitMix64, VirtAddr, WordStore, PAGE_SIZE,
@@ -154,6 +156,8 @@ fn native_runs_match_the_per_page_loop() {
         let pa = PhysAddr::new(DATA_BASE + rng.gen_range(0..1024) * PAGE_SIZE);
         let (perms, user) = (random_perms(&mut rng), rng.gen_bool(0.5));
 
+        mem.set_write_log(true);
+        ref_mem.set_write_log(true);
         let before = space.mapped_pages();
         let got = space.map_run(&mut mem, &mut frames, va, pa, pages, perms, user);
         let want = (0..pages).try_for_each(|i| {
@@ -161,6 +165,11 @@ fn native_runs_match_the_per_page_loop() {
             reference.map_page(&mut ref_mem, &mut ref_frames, va, pa, perms, user)
         });
         let label = format!("case {case}: {mode:?} {va} + {pages} pages");
+        assert_eq!(
+            mem.take_dirty_pfns(),
+            ref_mem.take_dirty_pfns(),
+            "{label}: pages written"
+        );
         assert_eq!(got, want, "{label}: result");
         // Independent of both writers: the software walk finds every page
         // the run counts as mapped, as asked, and all of them on success.
@@ -221,6 +230,8 @@ fn nested_runs_match_the_per_page_loop() {
             Perms::RX
         };
 
+        mem.set_write_log(true);
+        ref_mem.set_write_log(true);
         let before = npt.mapped_pages();
         let got = npt.map_run(&mut mem, &mut frames, gpa, hpa, pages, perms, true);
         let want = (0..pages).try_for_each(|i| {
@@ -228,6 +239,11 @@ fn nested_runs_match_the_per_page_loop() {
             reference.map_page(&mut ref_mem, &mut ref_frames, gpa, hpa, perms, true)
         });
         let label = format!("case {case}: {gpa} + {pages} pages");
+        assert_eq!(
+            mem.take_dirty_pfns(),
+            ref_mem.take_dirty_pfns(),
+            "{label}: pages written"
+        );
         assert_eq!(got, want, "{label}: result");
         let added = npt.mapped_pages() - before;
         assert!(got.is_err() || added == pages, "{label}: pages mapped");
@@ -251,6 +267,11 @@ fn nested_runs_match_the_per_page_loop() {
             ref_frames.remaining(),
             "{label}: frames"
         );
+        assert_eq!(
+            mem.resident_pages(),
+            ref_mem.resident_pages(),
+            "{label}: resident pages"
+        );
     }
 }
 
@@ -269,6 +290,8 @@ fn guest_runs_through_the_nested_view_match_the_per_page_loop() {
         let (start, pages) = random_range(&mut rng);
         let (gva, gpa) = (VirtAddr::new(start * PAGE_SIZE), PhysAddr::new(DATA_BASE));
 
+        mem.set_write_log(true);
+        ref_mem.set_write_log(true);
         let mut view = GuestView::new(&mut mem, &npt);
         let before = guest.mapped_pages();
         let got = guest.map_run(&mut view, &mut frames, gva, gpa, pages, Perms::RW, true);
@@ -300,6 +323,16 @@ fn guest_runs_through_the_nested_view_match_the_per_page_loop() {
             frames.remaining(),
             ref_frames.remaining(),
             "{label}: frames"
+        );
+        assert_eq!(
+            mem.take_dirty_pfns(),
+            ref_mem.take_dirty_pfns(),
+            "{label}: host pages written"
+        );
+        assert_eq!(
+            mem.resident_pages(),
+            ref_mem.resident_pages(),
+            "{label}: resident pages"
         );
     }
 }
@@ -339,4 +372,52 @@ fn partial_runs_stop_where_the_per_page_loop_does() {
         run(64, None, top, 4),
         (Err(MapError::NonCanonical(VirtAddr::new(1 << 39))), 2, 3)
     );
+}
+
+/// A run stopped by an `AlreadyMapped` at slot 0 of a leaf table writes
+/// nothing there: the table page is neither written nor logged, natively
+/// or through `GuestView`, and the pages before it in the previous leaf
+/// table stay mapped.
+#[test]
+fn a_run_stopped_at_a_leaf_tables_first_slot_writes_nothing_there() {
+    let taken = VirtAddr::new(LEAF_PAGES * PAGE_SIZE);
+    let pa = PhysAddr::new(DATA_BASE);
+
+    let mut mem = PhysMem::new();
+    let mut frames = FrameAllocator::new(PhysAddr::new(PT_BASE), 64 * PAGE_SIZE);
+    let mut space = AddressSpace::new(TranslationMode::Sv39, 1, &mut mem, &mut frames).unwrap();
+    space
+        .map_page(&mut mem, &mut frames, taken, pa, Perms::RW, true)
+        .unwrap();
+    let resident = mem.resident_pages();
+    mem.set_write_log(true);
+    let got = space.map_run(&mut mem, &mut frames, taken, pa, 8, Perms::RW, true);
+    assert_eq!(got, Err(MapError::AlreadyMapped(taken)));
+    assert_eq!(mem.take_dirty_pfns(), Vec::<u64>::new(), "native: logged");
+    assert_eq!(mem.resident_pages(), resident, "native: resident pages");
+    assert_eq!(space.mapped_pages(), 1);
+
+    // From two pages before the taken slot: the L1 table (a new pointer)
+    // and the new leaf table below it are logged; the leaf table whose
+    // first slot is taken is not.
+    let va = taken - 2 * PAGE_SIZE;
+    let got = space.map_run(&mut mem, &mut frames, va, pa, 8, Perms::RW, true);
+    assert_eq!(got, Err(MapError::AlreadyMapped(taken)));
+    let l1 = space.pt_pages()[1].page_number();
+    let first_leaf = space.pt_pages()[3].page_number();
+    assert_eq!(mem.take_dirty_pfns(), vec![l1, first_leaf]);
+    assert_eq!(space.mapped_pages(), 3);
+
+    let (mut mem, npt, mut frames, mut guest) = guest_side(&mut SplitMix64::seed_from_u64(1));
+    let mut view = GuestView::new(&mut mem, &npt);
+    guest
+        .map_page(&mut view, &mut frames, taken, pa, Perms::RW, true)
+        .unwrap();
+    let resident = mem.resident_pages();
+    mem.set_write_log(true);
+    let mut view = GuestView::new(&mut mem, &npt);
+    let got = guest.map_run(&mut view, &mut frames, taken, pa, 8, Perms::RW, true);
+    assert_eq!(got, Err(MapError::AlreadyMapped(taken)));
+    assert_eq!(mem.take_dirty_pfns(), Vec::<u64>::new(), "guest: logged");
+    assert_eq!(mem.resident_pages(), resident, "guest: resident pages");
 }
