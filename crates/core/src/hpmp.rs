@@ -433,6 +433,37 @@ impl HpmpRegFile {
         self.write_cfg(idx + 1, PmpConfig::new(Perms::NONE, AddressMode::Off))
     }
 
+    /// Programs the isolation layout every HPMP image follows (§4.2, §5,
+    /// Figure 6): each `(region, perms)` segment goes into consecutive
+    /// entries from `first`, lowest (highest-priority) first, and then, if
+    /// `table` is given, one two-level table entry covers its region with
+    /// the root in the entry after it. The segments are the fast GMSs, a
+    /// cache in front of the table, which is why they come first.
+    ///
+    /// # Errors
+    ///
+    /// Fails as [`HpmpRegFile::configure_segment`] and
+    /// [`HpmpRegFile::configure_table`] do — in particular with
+    /// [`HpmpError::LastEntryTableMode`] when the table would start in the
+    /// last entry. Entries written before the failing one keep their new
+    /// values.
+    pub fn program(
+        &mut self,
+        first: usize,
+        segments: impl IntoIterator<Item = (PmpRegion, Perms)>,
+        table: Option<(PmpRegion, PhysAddr)>,
+    ) -> Result<(), HpmpError> {
+        let mut idx = first;
+        for (region, perms) in segments {
+            self.configure_segment(idx, region, perms)?;
+            idx += 1;
+        }
+        match table {
+            Some((region, root)) => self.configure_table(idx, region, root, TableLevels::Two),
+            None => Ok(()),
+        }
+    }
+
     /// Disables entry `idx` (and its pointer slot if it was in table mode).
     ///
     /// # Errors
@@ -1170,6 +1201,63 @@ mod tests {
             ),
             Err(HpmpError::LastEntryTableMode)
         );
+    }
+
+    /// The segments `program` tests lay out: two RW pools.
+    const POOLS: [(PmpRegion, Perms); 2] = [
+        (
+            PmpRegion::new(PhysAddr::new(0x8000_0000), 1 << 20),
+            Perms::RW,
+        ),
+        (
+            PmpRegion::new(PhysAddr::new(0x8010_0000), 1 << 20),
+            Perms::READ,
+        ),
+    ];
+
+    #[test]
+    fn program_writes_segments_in_consecutive_entries() {
+        let mut regs = HpmpRegFile::new();
+        regs.program(3, POOLS, None).unwrap();
+        for (i, (region, perms)) in POOLS.into_iter().enumerate() {
+            assert_eq!(regs.entry_region(3 + i), Some(region));
+            assert_eq!(regs.cfg_reg(3 + i).perms(), perms);
+            assert!(!regs.cfg_reg(3 + i).table_mode());
+        }
+        assert_eq!(regs.entry_region(5), None);
+        assert_eq!(regs.csr_writes(), 4);
+    }
+
+    #[test]
+    fn program_puts_the_table_after_the_segments() {
+        let ram = PmpRegion::new(PhysAddr::new(0x8000_0000), 1 << 30);
+        let root = PhysAddr::new(0x8100_0000);
+        let mut regs = HpmpRegFile::new();
+        regs.program(1, POOLS, Some((ram, root))).unwrap();
+        assert_eq!(regs.entry_region(1), Some(POOLS[0].0));
+        assert_eq!(regs.entry_region(2), Some(POOLS[1].0));
+        assert!(regs.cfg_reg(3).table_mode());
+        assert_eq!(regs.entry_region(3), Some(ram));
+        assert!(regs.is_pointer_slot(4));
+        assert_eq!(
+            table_pointer_decode(regs.addr_reg(4)),
+            Some((root, TableLevels::Two))
+        );
+        assert_eq!(regs.csr_writes(), 8);
+    }
+
+    #[test]
+    fn program_rejects_a_table_in_the_last_entry() {
+        let ram = PmpRegion::new(PhysAddr::new(0x8000_0000), 1 << 30);
+        let mut regs = HpmpRegFile::new();
+        let table = Some((ram, PhysAddr::new(0x8100_0000)));
+        assert_eq!(
+            regs.program(HPMP_ENTRIES - 3, POOLS, table),
+            Err(HpmpError::LastEntryTableMode)
+        );
+        // The segments before it were written; the last entry was not.
+        assert_eq!(regs.entry_region(HPMP_ENTRIES - 2), Some(POOLS[1].0));
+        assert_eq!(regs.cfg_reg(HPMP_ENTRIES - 1), PmpConfig::default());
     }
 
     #[test]

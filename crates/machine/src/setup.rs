@@ -7,7 +7,7 @@
 //! come from that pool — contiguous (HPMP's "fast" GMS) or deliberately
 //! scattered through RAM (the baseline).
 
-use hpmp_core::{FillPolicy, PmpRegion, PmpTable, TableLevels};
+use hpmp_core::{FillPolicy, PmpRegion, PmpTable};
 use hpmp_memsim::{FrameAllocator, Perms, PhysAddr, VirtAddr, PAGE_SIZE};
 use hpmp_paging::{AddressSpace, PtFrameSource, TranslationMode};
 use hpmp_trace::{NullSink, TraceSink};
@@ -159,11 +159,11 @@ impl<S: TraceSink> System<S> {
     }
 }
 
-/// Base of the protected RAM region.
-const RAM_BASE: u64 = 0x8000_0000;
-/// Size of the protected RAM region: 1 GiB, so the region is one NAPOT
-/// segment.
-const RAM_SIZE: u64 = 1 << 30;
+/// The protected RAM region: 1 GiB at `0x8000_0000`, so the region is one
+/// NAPOT segment.
+const RAM: PmpRegion = PmpRegion::new(PhysAddr::new(0x8000_0000), 1 << 30);
+/// The contiguous PT-page pool at the bottom of RAM: HPMP's fast GMS.
+const PT_POOL: PmpRegion = PmpRegion::new(RAM.base, 16 << 20);
 
 /// Builder for the canonical single-domain system.
 #[derive(Debug)]
@@ -222,50 +222,38 @@ impl<S: TraceSink> SystemBuilder<S> {
     /// Layout inside the 1 GiB of RAM at `0x8000_0000`: `[pt pool 16 MiB]
     /// [table pages 16 MiB][data ...]`.
     pub fn build(self) -> System<S> {
-        let ram = PmpRegion::new(PhysAddr::new(RAM_BASE), RAM_SIZE);
         let mut machine = Machine::with_sink(self.config, self.sink);
 
-        let pt_pool_base = PhysAddr::new(RAM_BASE);
-        let pt_pool_size = 16u64 << 20;
-        let table_base = PhysAddr::new(RAM_BASE + pt_pool_size);
+        let table_base = PT_POOL.end();
         let table_size = 16u64 << 20;
-        let data_base = PhysAddr::new(RAM_BASE + pt_pool_size + table_size);
-        let data_size = RAM_SIZE - pt_pool_size - table_size;
+        let data_base = PhysAddr::new(table_base.raw() + table_size);
+        let data_size = RAM.size - PT_POOL.size - table_size;
 
         let mut table_frames = FrameAllocator::new(table_base, table_size);
         let contiguous_pt = self.contiguous_pt.unwrap_or(true);
         let mut pt_frames: Box<dyn PtFrameSource> = if contiguous_pt {
-            Box::new(FrameAllocator::new(pt_pool_base, pt_pool_size))
+            Box::new(FrameAllocator::new(PT_POOL.base, PT_POOL.size))
         } else {
             // Scatter PT pages through the data area with a 2 MiB stride.
             Box::new(ScatteredPtFrames::new(
                 PhysAddr::new(data_base.raw() + data_size / 2),
                 2 << 20,
-                pt_pool_size / PAGE_SIZE,
+                PT_POOL.size / PAGE_SIZE,
             ))
         };
 
-        // Program the register file.
-        let mut pmp_table = None;
-        match self.scheme {
-            IsolationScheme::Pmp => {
-                machine
-                    .regs_mut()
-                    .configure_segment(0, ram, Perms::RWX)
-                    .expect("segment setup");
-            }
-            IsolationScheme::PmpTable => {
-                let table =
-                    PmpTable::new(ram, machine.phys_mut(), &mut table_frames).expect("table setup");
-                machine
-                    .regs_mut()
-                    .configure_table(0, ram, table.root(), TableLevels::Two)
-                    .expect("table entry setup");
-                pmp_table = Some(table);
-            }
-            IsolationScheme::Hpmp => {
-                let mut table =
-                    PmpTable::new(ram, machine.phys_mut(), &mut table_frames).expect("table setup");
+        // Program the register file: the scheme's segments, then (PMPT
+        // and HPMP) the table over all of RAM.
+        let segments: &[(PmpRegion, Perms)] = match self.scheme {
+            IsolationScheme::Pmp => &[(RAM, Perms::RWX)],
+            IsolationScheme::PmpTable => &[],
+            // The fast GMS (PT pool) as a segment.
+            IsolationScheme::Hpmp => &[(PT_POOL, Perms::RW)],
+        };
+        let pmp_table = (self.scheme != IsolationScheme::Pmp).then(|| {
+            let mut table =
+                PmpTable::new(RAM, machine.phys_mut(), &mut table_frames).expect("table setup");
+            if self.scheme == IsolationScheme::Hpmp {
                 // Include the PT pool in the table too (cache-like
                 // management: segments are a cache of the table), so
                 // flipping the segment off still leaves the pool covered.
@@ -273,25 +261,23 @@ impl<S: TraceSink> SystemBuilder<S> {
                     .set_range_perm(
                         machine.phys_mut(),
                         &mut table_frames,
-                        pt_pool_base,
-                        pt_pool_size,
+                        PT_POOL.base,
+                        PT_POOL.size,
                         Perms::RW,
                         FillPolicy::PerPage,
                     )
                     .expect("pool fill");
-                // Entry 0: the fast GMS (PT pool) as a segment.
-                machine
-                    .regs_mut()
-                    .configure_segment(0, PmpRegion::new(pt_pool_base, pt_pool_size), Perms::RW)
-                    .expect("fast GMS setup");
-                // Entries 1/2: the table over all of RAM.
-                machine
-                    .regs_mut()
-                    .configure_table(1, ram, table.root(), TableLevels::Two)
-                    .expect("table entry setup");
-                pmp_table = Some(table);
             }
-        }
+            table
+        });
+        machine
+            .regs_mut()
+            .program(
+                0,
+                segments.iter().copied(),
+                pmp_table.as_ref().map(|table| (RAM, table.root())),
+            )
+            .expect("isolation layout");
 
         // PMP-table pages themselves must be readable by the hardware
         // walker; they are M-mode-owned and the PMPTW is not subject to
@@ -308,7 +294,7 @@ impl<S: TraceSink> SystemBuilder<S> {
             pt_frames,
             pmp_table,
             table_frames,
-            ram,
+            ram: RAM,
             pt_granted: 0,
         };
         // In table schemes, PT pages must be granted in the table (the OS

@@ -22,7 +22,7 @@
 //! sequence. This module adds the scheme, the fixture that builds the
 //! guest, Figure 8's reference categories and the `hfence.*` operations.
 
-use hpmp_core::{FillPolicy, HpmpRegFile, PmpRegion, PmpTable, TableLevels};
+use hpmp_core::{FillPolicy, HpmpRegFile, PmpRegion, PmpTable};
 use hpmp_memsim::{AccessKind, Perms, PhysAddr, PhysMem, PrivMode, VirtAddr, PAGE_SIZE};
 use hpmp_paging::{
     nested_walk, AddressSpace, GuestView, Tlb, Translation, TranslationMode, WalkCache,
@@ -31,7 +31,6 @@ use hpmp_trace::{Counters, MetricsRegistry, NullSink, StepKind, TraceSink, World
 
 use crate::machine::{Fault, MachineConfig};
 use crate::pipeline::{AccessPipeline, AccessStats, RefLedger, TranslationStage};
-use crate::setup::IsolationScheme;
 
 /// The isolation scheme for the virtualized experiments, which adds the
 /// HPMP-GPT refinement to the three base schemes.
@@ -55,16 +54,6 @@ impl std::fmt::Display for VirtScheme {
             VirtScheme::Hpmp => "HPMP",
             VirtScheme::HpmpGpt => "HPMP-GPT",
         })
-    }
-}
-
-impl From<IsolationScheme> for VirtScheme {
-    fn from(scheme: IsolationScheme) -> VirtScheme {
-        match scheme {
-            IsolationScheme::Pmp => VirtScheme::Pmp,
-            IsolationScheme::PmpTable => VirtScheme::PmpTable,
-            IsolationScheme::Hpmp => VirtScheme::Hpmp,
-        }
     }
 }
 
@@ -244,7 +233,7 @@ pub type VirtMachine<S = NullSink> = AccessPipeline<NestedStage, S>;
 
 /// Host RAM layout constants for the virtualized fixture.
 const RAM_BASE: u64 = 0x8000_0000;
-const RAM_SIZE: u64 = 1 << 30;
+const RAM: PmpRegion = PmpRegion::new(PhysAddr::new(RAM_BASE), 1 << 30);
 const NPT_POOL: u64 = RAM_BASE; // 8 MiB for NPT pages (contiguous)
 const NPT_POOL_SIZE: u64 = 8 << 20;
 const TABLE_POOL: u64 = RAM_BASE + NPT_POOL_SIZE; // PMP-table pages
@@ -252,11 +241,56 @@ const TABLE_POOL_SIZE: u64 = 24 << 20;
 const GPT_HOST_POOL: u64 = TABLE_POOL + TABLE_POOL_SIZE; // host frames backing guest PT pages
 const GPT_HOST_POOL_SIZE: u64 = 8 << 20;
 const DATA_HOST_POOL: u64 = GPT_HOST_POOL + GPT_HOST_POOL_SIZE;
+/// The fast GMSs behind segments: the NPT pool (HPMP, HPMP-GPT) and the
+/// host frames backing guest PT pages (HPMP-GPT).
+const FAST_POOLS: [(PmpRegion, Perms); 2] = [
+    (
+        PmpRegion::new(PhysAddr::new(NPT_POOL), NPT_POOL_SIZE),
+        Perms::RW,
+    ),
+    (
+        PmpRegion::new(PhysAddr::new(GPT_HOST_POOL), GPT_HOST_POOL_SIZE),
+        Perms::RW,
+    ),
+];
 
 /// Guest-physical layout: PT pool first, then data.
 const GPA_PT_POOL: u64 = 0x1000_0000;
 const GPA_PT_POOL_SIZE: u64 = 8 << 20;
 const GPA_DATA: u64 = GPA_PT_POOL + GPA_PT_POOL_SIZE;
+
+/// The guest fixture's isolation layer: a register file of `entries`
+/// entries holding the scheme's fast GMSs as segments, then (every scheme
+/// but PMP) a table over all of RAM, built in `phys`. It does not depend
+/// on the trace sink, so it stays out of the sink-generic constructor.
+fn isolation_layer(scheme: VirtScheme, entries: usize, phys: &mut PhysMem) -> HpmpRegFile {
+    let segments: &[(PmpRegion, Perms)] = match scheme {
+        VirtScheme::Pmp => &[(RAM, Perms::RWX)],
+        VirtScheme::PmpTable => &[],
+        VirtScheme::Hpmp => &FAST_POOLS[..1],
+        VirtScheme::HpmpGpt => &FAST_POOLS,
+    };
+    let mut regs = HpmpRegFile::with_entries(entries);
+    let mut table_frames =
+        hpmp_memsim::FrameAllocator::new(PhysAddr::new(TABLE_POOL), TABLE_POOL_SIZE);
+    let table = (scheme != VirtScheme::Pmp).then(|| {
+        let mut table = PmpTable::new(RAM, phys, &mut table_frames).expect("table");
+        table
+            .set_range_perm(
+                phys,
+                &mut table_frames,
+                RAM.base,
+                RAM.size / 2,
+                Perms::RWX,
+                FillPolicy::PerPage,
+            )
+            .expect("table fill");
+        (RAM, table.root())
+    });
+    regs.program(0, segments.iter().copied(), table)
+        .expect("isolation layout");
+    regs
+}
 
 impl VirtMachine {
     /// Builds the virtualized fixture: a guest with `guest_pages` data pages
@@ -355,50 +389,7 @@ impl<S: TraceSink> VirtMachine<S> {
             )
             .expect("guest map");
 
-        // Program the isolation layer.
-        let ram = PmpRegion::new(PhysAddr::new(RAM_BASE), RAM_SIZE);
-        let mut regs = HpmpRegFile::with_entries(config.hpmp_entries);
-        let mut table_frames =
-            hpmp_memsim::FrameAllocator::new(PhysAddr::new(TABLE_POOL), TABLE_POOL_SIZE);
-        match scheme {
-            VirtScheme::Pmp => {
-                regs.configure_segment(0, ram, Perms::RWX).expect("segment");
-            }
-            VirtScheme::PmpTable | VirtScheme::Hpmp | VirtScheme::HpmpGpt => {
-                let mut table = PmpTable::new(ram, &mut phys, &mut table_frames).expect("table");
-                table
-                    .set_range_perm(
-                        &mut phys,
-                        &mut table_frames,
-                        PhysAddr::new(RAM_BASE),
-                        RAM_SIZE / 2,
-                        Perms::RWX,
-                        FillPolicy::PerPage,
-                    )
-                    .expect("table fill");
-                let mut next = 0;
-                if scheme == VirtScheme::Hpmp || scheme == VirtScheme::HpmpGpt {
-                    regs.configure_segment(
-                        next,
-                        PmpRegion::new(PhysAddr::new(NPT_POOL), NPT_POOL_SIZE),
-                        Perms::RW,
-                    )
-                    .expect("NPT fast GMS");
-                    next += 1;
-                }
-                if scheme == VirtScheme::HpmpGpt {
-                    regs.configure_segment(
-                        next,
-                        PmpRegion::new(PhysAddr::new(GPT_HOST_POOL), GPT_HOST_POOL_SIZE),
-                        Perms::RW,
-                    )
-                    .expect("GPT fast GMS");
-                    next += 1;
-                }
-                regs.configure_table(next, ram, table.root(), TableLevels::Two)
-                    .expect("table entry");
-            }
-        }
+        let regs = isolation_layer(scheme, config.hpmp_entries, &mut phys);
 
         let stage = NestedStage {
             npt,

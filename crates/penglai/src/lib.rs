@@ -25,8 +25,8 @@ pub use monitor::{
     SecureMonitor, TeeFlavor,
 };
 pub use os::{
-    HintId, OsError, OsStats, Pid, PtPlacement, RegionHint, SimOs, KERNEL_DIRECT_MAP,
-    USER_CODE_BASE, USER_HEAP_BASE,
+    HintId, OsError, OsStats, Pid, RegionHint, SimOs, KERNEL_DIRECT_MAP, USER_CODE_BASE,
+    USER_HEAP_BASE,
 };
 pub use pool::RegionPool;
 pub use smp::SmpSystem;

@@ -839,18 +839,29 @@ impl SecureMonitor {
             .ok_or(MonitorError::NotOwned)?;
         let gms = d.gmss.remove(g_idx);
 
+        let mut regrant = Ok(0);
         if flavor != TeeFlavor::PenglaiPmp {
-            // Revoke in the owner's table…
-            cycles += self.grant_in_table(
+            // Revoke in the owner's table. If that fails the owner keeps
+            // the region: a revoke stopped part-way only denies it more.
+            let revoke = self.grant_in_table(
                 machine,
                 domain,
                 gms.region,
                 Perms::NONE,
                 FillPolicy::PerPage,
-            )?;
-            // …and return it to the host.
+            );
+            match revoke {
+                Ok(revoked) => cycles += revoked,
+                Err(err) => {
+                    self.domain_mut(domain)?.gmss.insert(g_idx, gms);
+                    return Err(err);
+                }
+            }
+            // Return it to the host. The owner has lost it by now, so a
+            // failed re-grant still sends it to the pool below: a host
+            // table that grants less than the pool's backdrop only denies.
             if domain != DomainId::HOST {
-                cycles += self.grant_in_host_table(machine, gms.region, Perms::RWX)?;
+                regrant = self.grant_in_host_table(machine, gms.region, Perms::RWX);
             }
         }
         if self.image_depends_on(domain) {
@@ -861,6 +872,7 @@ impl SecureMonitor {
         self.reclaim_region(gms.region);
         self.note_shootdown(domain);
         self.settle_degradation();
+        cycles += regrant?;
         self.stats.cycles += cycles;
         Ok(cycles)
     }
@@ -1663,87 +1675,53 @@ impl SecureMonitor {
             }
         }
 
-        match flavor {
-            TeeFlavor::PenglaiPmp => {
-                let mut next = 1;
-                if current == DomainId::HOST {
-                    // Keystone-style: deny entries for every enclave region
-                    // (they match first), then allow entries for the host.
-                    let enclaves: Vec<PmpRegion> = self
-                        .domains
-                        .iter()
-                        .filter(|d| d.id != DomainId::HOST)
-                        .flat_map(|d| d.gmss.iter().map(|g| g.region))
-                        .collect();
-                    let host: Vec<PmpRegion> = self
-                        .domain(DomainId::HOST)?
-                        .gmss
-                        .iter()
-                        .map(|g| g.region)
-                        .collect();
-                    if 1 + enclaves.len() + host.len() > machine.regs().len() {
-                        return Err(MonitorError::OutOfPmpEntries);
-                    }
-                    for region in enclaves {
-                        machine.regs_mut().configure_segment(
-                            next,
-                            napot_superset(region),
-                            Perms::NONE,
-                        )?;
-                        next += 1;
-                    }
-                    for region in host {
-                        machine.regs_mut().configure_segment(
-                            next,
-                            napot_superset(region),
-                            Perms::RWX,
-                        )?;
-                        next += 1;
-                    }
-                } else {
-                    let regions: Vec<PmpRegion> = self
-                        .domain(current)?
-                        .gmss
-                        .iter()
-                        .map(|g| g.region)
-                        .collect();
-                    if 1 + regions.len() > machine.regs().len() {
-                        return Err(MonitorError::OutOfPmpEntries);
-                    }
-                    for region in regions {
-                        machine.regs_mut().configure_segment(
-                            next,
-                            napot_superset(region),
-                            Perms::RWX,
-                        )?;
-                        next += 1;
-                    }
-                }
+        // Entries from 1 follow the one layout rule of
+        // `HpmpRegFile::program`: segments first, then the table.
+        let regs = machine.regs_mut();
+        if flavor == TeeFlavor::PenglaiPmp {
+            // Keystone-style host: deny entries for every enclave region
+            // (they match first), then allow entries for the host. An
+            // enclave gets allow entries for its own regions.
+            let denied = if current == DomainId::HOST {
+                self.enclave_region_count()
+            } else {
+                0
+            };
+            let own = &self.domain(current)?.gmss;
+            if 1 + denied + own.len() > regs.len() {
+                return Err(MonitorError::OutOfPmpEntries);
             }
-            TeeFlavor::PenglaiPmpt | TeeFlavor::PenglaiHpmp => {
-                let d = self.domain(current)?;
-                let root = d
-                    .table
-                    .as_ref()
-                    .ok_or(MonitorError::IntegrityLost(current))?
-                    .root();
-                let mut next = 1;
-                if flavor == TeeFlavor::PenglaiHpmp {
-                    // Fast GMSs become segments, lowest entries first.
-                    for gms in d.gmss.iter().filter(|g| g.label == GmsLabel::Fast) {
-                        if next + 2 >= machine.regs().len() || !gms.segment_compatible() {
-                            continue; // cache-like: fall back to the table
-                        }
-                        machine
-                            .regs_mut()
-                            .configure_segment(next, gms.region, gms.perms)?;
-                        next += 1;
-                    }
-                }
-                machine
-                    .regs_mut()
-                    .configure_table(next, self.ram, root, TableLevels::Two)?;
-            }
+            let enclaves = self
+                .domains
+                .iter()
+                .filter(|d| current == DomainId::HOST && d.id != DomainId::HOST)
+                .flat_map(|d| d.gmss.iter().map(|g| (g.region, Perms::NONE)));
+            let allowed = own.iter().map(|g| (g.region, Perms::RWX));
+            let segments = enclaves
+                .chain(allowed)
+                .map(|(region, perms)| (napot_superset(region), perms));
+            regs.program(1, segments, None)?;
+        } else {
+            let d = self.domain(current)?;
+            let root = d
+                .table
+                .as_ref()
+                .ok_or(MonitorError::IntegrityLost(current))?
+                .root();
+            // Under HPMP, fast GMSs become segments, lowest entries first;
+            // the rest fall back to the table (cache-like), as do fast
+            // GMSs past the entries the table leaves free.
+            let fast = d
+                .gmss
+                .iter()
+                .filter(|g| {
+                    flavor == TeeFlavor::PenglaiHpmp
+                        && g.label == GmsLabel::Fast
+                        && g.segment_compatible()
+                })
+                .take(regs.len() - 3)
+                .map(|g| (g.region, g.perms));
+            regs.program(1, fast, Some((self.ram, root)))?;
         }
 
         let writes = machine.regs().csr_writes() - before;
@@ -2368,6 +2346,74 @@ mod tests {
                     Some(Perms::RWX),
                     "{flavor}"
                 );
+            }
+        }
+    }
+
+    /// A `free_region` whose table write fails loses nothing: with a
+    /// corrupt leaf pmpte at the region's last page in the owner's table
+    /// the owner keeps the region, and with one in the host's table the
+    /// region goes back to the pool. Either way no other domain is granted
+    /// any part of it.
+    #[test]
+    fn a_failed_free_keeps_the_region_owned_or_pooled() {
+        use hpmp_core::TableError;
+        use hpmp_memsim::AccessKind;
+
+        for flavor in [TeeFlavor::PenglaiPmpt, TeeFlavor::PenglaiHpmp] {
+            for corrupt_owner in [true, false] {
+                let (mut machine, mut monitor) = boot(flavor);
+                let (id, _) = monitor
+                    .create_domain(&mut machine, 16 << 20, GmsLabel::Slow)
+                    .unwrap();
+                let (other, _) = monitor
+                    .create_domain(&mut machine, 16 << 20, GmsLabel::Slow)
+                    .unwrap();
+                let (region, _) = monitor
+                    .alloc_region(&mut machine, id, 16 << 20, GmsLabel::Slow)
+                    .unwrap();
+                let free = monitor.arena_total_free();
+
+                let (table_owner, index) = if corrupt_owner {
+                    (id, 1)
+                } else {
+                    (DomainId::HOST, 0)
+                };
+                let table = monitor.domains[index].table.as_ref().unwrap();
+                assert_eq!(monitor.domains[index].id, table_owner);
+                let last = region.end() - PAGE_SIZE;
+                let leaf = table.walk(machine.phys(), last).refs.last().unwrap().addr;
+                let raw = machine.phys().read_u64(leaf);
+                machine.phys_mut().write_u64(leaf, raw ^ (1 << 1));
+
+                let err = monitor
+                    .free_region(&mut machine, id, region.base)
+                    .unwrap_err();
+                let case = format!("{flavor}, corrupt {table_owner:?}");
+                assert_eq!(
+                    err,
+                    MonitorError::Table(TableError::CorruptEntry(leaf)),
+                    "{case}"
+                );
+                let owned = monitor
+                    .regions_of(id)
+                    .unwrap()
+                    .iter()
+                    .any(|g| g.region == region);
+                let pooled = monitor.arena_total_free() == free + region.size;
+                assert_eq!((owned, pooled), (corrupt_owner, !corrupt_owner), "{case}");
+                let mut others = vec![other];
+                if owned {
+                    others.push(DomainId::HOST);
+                }
+                for page in [region.base, last] {
+                    for domain in &others {
+                        assert!(
+                            !monitor.oracle_check_for(*domain, page, AccessKind::Read),
+                            "{case}: {domain:?} granted {page:?}"
+                        );
+                    }
+                }
             }
         }
     }

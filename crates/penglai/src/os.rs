@@ -3,8 +3,9 @@
 //! The paper's Penglai-HPMP requires ~700 lines of Linux changes whose sole
 //! effect is behavioural: all page-table pages come from one contiguous pool
 //! labelled as a "fast" GMS. [`SimOs`] reproduces exactly that behaviour —
-//! processes, fork/exec, mmap, a kernel direct map, and a PT-page pool whose
-//! placement (contiguous vs scattered) is the experimental knob.
+//! processes, fork/exec, mmap, a kernel direct map, and one contiguous
+//! PT-page pool (the stock kernel's scattered PT pages are the machine-level
+//! ablation, `SystemBuilder::contiguous_pt`).
 //!
 //! Crucially, kernel work is *priced through the machine*: PTE installs are
 //! issued as kernel stores through the direct map, so a fork's page-table
@@ -19,16 +20,6 @@ use hpmp_trace::TraceSink;
 
 use crate::gms::GmsLabel;
 use crate::monitor::{DomainId, SecureMonitor};
-
-/// Where the OS places page-table pages.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum PtPlacement {
-    /// One contiguous pool (labelled "fast"; the Penglai-HPMP OS change).
-    Contiguous,
-    /// Scattered through the domain's memory with a large stride (a stock
-    /// buddy allocator).
-    Scattered,
-}
 
 /// Errors from OS operations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -140,23 +131,12 @@ struct Process {
     lazy: Vec<(VirtAddr, u64)>,
 }
 
-/// A PT-frame source with the configured placement policy and a free-list
-/// so exited processes' PT pages are reused (as a real kernel does).
+/// The contiguous PT pool with a free-list, so exited processes' PT pages
+/// are reused (as a real kernel does).
 #[derive(Debug)]
 struct PtPool {
-    source: PtSource,
+    alloc: hpmp_memsim::FrameAllocator,
     free: Vec<PhysAddr>,
-}
-
-#[derive(Debug)]
-enum PtSource {
-    Contiguous(hpmp_memsim::FrameAllocator),
-    Scattered {
-        base: PhysAddr,
-        stride: u64,
-        next: u64,
-        limit: u64,
-    },
 }
 
 impl PtPool {
@@ -167,25 +147,7 @@ impl PtPool {
 
 impl PtFrameSource for PtPool {
     fn alloc_pt_frame(&mut self) -> Option<PhysAddr> {
-        if let Some(frame) = self.free.pop() {
-            return Some(frame);
-        }
-        match &mut self.source {
-            PtSource::Contiguous(alloc) => alloc.alloc(),
-            PtSource::Scattered {
-                base,
-                stride,
-                next,
-                limit,
-            } => {
-                if *next >= *limit {
-                    return None;
-                }
-                let frame = PhysAddr::new(base.raw() + *next * *stride);
-                *next += 1;
-                Some(frame)
-            }
-        }
+        self.free.pop().or_else(|| self.alloc.alloc())
     }
 }
 
@@ -226,40 +188,9 @@ pub struct SimOs {
 }
 
 impl SimOs {
-    /// Boots the OS inside the region `[ram_base, ram_base + ram_size)`
-    /// (already granted to the domain by the monitor). Builds the kernel
-    /// direct map with 2 MiB huge pages.
-    ///
-    /// Layout: `[pt pool 16 MiB][kernel data][user frames ...]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the region is smaller than 64 MiB (fixture misuse).
-    pub fn boot<S: TraceSink>(
-        machine: &mut Machine<S>,
-        ram_base: PhysAddr,
-        ram_size: u64,
-        placement: PtPlacement,
-    ) -> SimOs {
-        assert!(ram_size >= 64 << 20, "OS needs at least 64 MiB");
-        let pt_pool_size = 16u64 << 20;
-        let data_base = PhysAddr::new(ram_base.raw() + pt_pool_size);
-        let data_size = ram_size - pt_pool_size;
-        Self::boot_with_layout(
-            machine,
-            ram_base,
-            ram_size,
-            (ram_base, pt_pool_size),
-            (data_base, data_size / 2),
-            placement,
-        )
-    }
-
-    /// Boots with an explicit layout: `direct map [ram_base, +ram_size)`,
-    /// a PT pool region (a monitor-granted "fast" GMS under Penglai-HPMP)
-    /// and a data region. With [`PtPlacement::Scattered`] the pool region is
-    /// ignored and PT frames are strided through the upper half of the data
-    /// region.
+    /// Boots the OS with an explicit layout: `direct map [ram_base,
+    /// +ram_size)` with 2 MiB huge pages, a contiguous PT pool region (a
+    /// monitor-granted "fast" GMS under Penglai-HPMP) and a data region.
     ///
     /// # Panics
     ///
@@ -270,28 +201,15 @@ impl SimOs {
         ram_size: u64,
         (pool_base, pool_size): (PhysAddr, u64),
         (data_base, data_size): (PhysAddr, u64),
-        placement: PtPlacement,
     ) -> SimOs {
         let end = ram_base.raw() + ram_size;
         assert!(pool_base.raw() >= ram_base.raw() && pool_base.raw() + pool_size <= end);
         assert!(data_base.raw() >= ram_base.raw() && data_base.raw() + data_size <= end);
 
-        // Data-region layout: [user frames | scattered-PT stride area |
-        // kernel objects], quarters 0–2, 2–3, 3–4.
-        let stride = 2u64 << 20;
-        let source = match placement {
-            PtPlacement::Contiguous => {
-                PtSource::Contiguous(hpmp_memsim::FrameAllocator::new(pool_base, pool_size))
-            }
-            PtPlacement::Scattered => PtSource::Scattered {
-                base: PhysAddr::new(data_base.raw() + data_size / 2),
-                stride,
-                next: 0,
-                limit: (data_size / 4) / stride,
-            },
-        };
+        // Data-region layout: [user frames | unused | kernel objects],
+        // quarters 0–2, 2–3, 3–4.
         let mut pt_pool = PtPool {
-            source,
+            alloc: hpmp_memsim::FrameAllocator::new(pool_base, pool_size),
             free: Vec::new(),
         };
 
@@ -1160,20 +1078,30 @@ mod tests {
     const RAM_BASE: PhysAddr = PhysAddr::new(0x8000_0000);
     const RAM_SIZE: u64 = 256 << 20;
 
-    fn boot(placement: PtPlacement) -> (Machine, SimOs) {
+    /// The OS over 256 MiB of RAM: a 16 MiB PT pool at its base, then a
+    /// 120 MiB data region.
+    fn boot() -> (Machine, SimOs) {
         let mut machine = Machine::new(MachineConfig::rocket());
         // Flat PMP so accesses are always allowed; OS behaviour is under test.
         machine
             .regs_mut()
             .configure_segment(0, PmpRegion::new(RAM_BASE, 1 << 30), Perms::RWX)
             .unwrap();
-        let os = SimOs::boot(&mut machine, RAM_BASE, RAM_SIZE, placement);
+        let pool_size = 16 << 20;
+        let data_base = PhysAddr::new(RAM_BASE.raw() + pool_size);
+        let os = SimOs::boot_with_layout(
+            &mut machine,
+            RAM_BASE,
+            RAM_SIZE,
+            (RAM_BASE, pool_size),
+            (data_base, (RAM_SIZE - pool_size) / 2),
+        );
         (machine, os)
     }
 
     #[test]
     fn spawn_creates_runnable_process() {
-        let (mut machine, mut os) = boot(PtPlacement::Contiguous);
+        let (mut machine, mut os) = boot();
         let (pid, cycles) = os.spawn(&mut machine, 4).unwrap();
         assert!(cycles > 0);
         assert_eq!(os.process_count(), 1);
@@ -1190,7 +1118,7 @@ mod tests {
 
     #[test]
     fn fork_clones_mappings_cow() {
-        let (mut machine, mut os) = boot(PtPlacement::Contiguous);
+        let (mut machine, mut os) = boot();
         let (parent, _) = os.spawn(&mut machine, 4).unwrap();
         let (child, cycles) = os.fork(&mut machine, parent).unwrap();
         assert!(cycles > 0);
@@ -1217,7 +1145,7 @@ mod tests {
 
     #[test]
     fn exit_reclaims_process() {
-        let (mut machine, mut os) = boot(PtPlacement::Contiguous);
+        let (mut machine, mut os) = boot();
         let (pid, _) = os.spawn(&mut machine, 2).unwrap();
         os.exit(&mut machine, pid).unwrap();
         assert_eq!(os.process_count(), 0);
@@ -1234,7 +1162,7 @@ mod tests {
 
     #[test]
     fn mmap_extends_heap() {
-        let (mut machine, mut os) = boot(PtPlacement::Contiguous);
+        let (mut machine, mut os) = boot();
         let (pid, _) = os.spawn(&mut machine, 1).unwrap();
         os.mmap(&mut machine, pid, 8).unwrap();
         for i in 0..8u64 {
@@ -1250,7 +1178,7 @@ mod tests {
 
     #[test]
     fn contiguous_placement_keeps_pt_pages_in_pool() {
-        let (mut machine, mut os) = boot(PtPlacement::Contiguous);
+        let (mut machine, mut os) = boot();
         let (pid, _) = os.spawn(&mut machine, 16).unwrap();
         let (pool_base, pool_size) = os.pt_pool_region();
         for page in os.space_of(pid).unwrap().pt_pages() {
@@ -1262,23 +1190,8 @@ mod tests {
     }
 
     #[test]
-    fn scattered_placement_leaves_pool() {
-        let (mut machine, mut os) = boot(PtPlacement::Scattered);
-        let (pid, _) = os.spawn(&mut machine, 16).unwrap();
-        let (pool_base, pool_size) = os.pt_pool_region();
-        let inside = os
-            .space_of(pid)
-            .unwrap()
-            .pt_pages()
-            .iter()
-            .filter(|p| p.raw() >= pool_base.raw() && p.raw() < pool_base.raw() + pool_size)
-            .count();
-        assert_eq!(inside, 0, "scattered PT pages must not live in the pool");
-    }
-
-    #[test]
     fn demand_paging_maps_on_first_touch() {
-        let (mut machine, mut os) = boot(PtPlacement::Contiguous);
+        let (mut machine, mut os) = boot();
         let (pid, _) = os.spawn(&mut machine, 1).unwrap();
         let base = os.mmap_lazy(pid, 4).unwrap();
         // An eager access faults; the faulting path maps and retries.
@@ -1309,7 +1222,7 @@ mod tests {
 
     #[test]
     fn cow_fault_copies_and_upgrades() {
-        let (mut machine, mut os) = boot(PtPlacement::Contiguous);
+        let (mut machine, mut os) = boot();
         let (parent, _) = os.spawn(&mut machine, 2).unwrap();
         os.mmap(&mut machine, parent, 2).unwrap();
         let heap = VirtAddr::new(USER_HEAP_BASE);
@@ -1365,7 +1278,7 @@ mod tests {
 
     #[test]
     fn munmap_unmaps_and_recycles() {
-        let (mut machine, mut os) = boot(PtPlacement::Contiguous);
+        let (mut machine, mut os) = boot();
         let (pid, _) = os.spawn(&mut machine, 1).unwrap();
         os.mmap(&mut machine, pid, 4).unwrap();
         let heap = VirtAddr::new(USER_HEAP_BASE);
@@ -1387,7 +1300,7 @@ mod tests {
 
     #[test]
     fn munmap_does_not_recycle_shared_frames() {
-        let (mut machine, mut os) = boot(PtPlacement::Contiguous);
+        let (mut machine, mut os) = boot();
         let (parent, _) = os.spawn(&mut machine, 1).unwrap();
         os.mmap(&mut machine, parent, 1).unwrap();
         let heap = VirtAddr::new(USER_HEAP_BASE);
@@ -1423,7 +1336,7 @@ mod tests {
 
     #[test]
     fn mprotect_changes_and_fences() {
-        let (mut machine, mut os) = boot(PtPlacement::Contiguous);
+        let (mut machine, mut os) = boot();
         let (pid, _) = os.spawn(&mut machine, 1).unwrap();
         os.mmap(&mut machine, pid, 1).unwrap();
         let heap = VirtAddr::new(USER_HEAP_BASE);
@@ -1443,7 +1356,7 @@ mod tests {
 
     #[test]
     fn kernel_access_works_via_direct_map() {
-        let (mut machine, mut os) = boot(PtPlacement::Contiguous);
+        let (mut machine, mut os) = boot();
         let cost = os
             .kernel_access(
                 &mut machine,
@@ -1456,7 +1369,7 @@ mod tests {
 
     #[test]
     fn stats_accumulate() {
-        let (mut machine, mut os) = boot(PtPlacement::Contiguous);
+        let (mut machine, mut os) = boot();
         let (pid, _) = os.spawn(&mut machine, 2).unwrap();
         os.fork(&mut machine, pid).unwrap();
         os.context_switch(&mut machine, pid).unwrap();

@@ -4,7 +4,7 @@
 
 use hpmp_machine::{Machine, MachineConfig};
 use hpmp_memsim::{CoreKind, PhysAddr};
-use hpmp_penglai::{DomainId, GmsLabel, PtPlacement, SecureMonitor, SimOs, TeeFlavor};
+use hpmp_penglai::{DomainId, GmsLabel, SecureMonitor, SimOs, TeeFlavor};
 use hpmp_trace::{NullSink, TraceSink};
 
 /// RAM region used by every fixture (1 GiB at the canonical RISC-V base).
@@ -29,7 +29,7 @@ pub struct TeeBench<S: TraceSink = NullSink> {
 impl TeeBench {
     /// Boots the stack: monitor of the given flavour, one enclave with a
     /// 16 MiB PT-pool GMS (labelled fast under Penglai-HPMP) and a 256 MiB
-    /// data GMS, and the OS with the matching PT placement.
+    /// data GMS, and the OS with its PT pages in the pool.
     ///
     /// # Panics
     ///
@@ -70,14 +70,12 @@ impl<S: TraceSink> TeeBench<S> {
         // All Penglai flavours keep PT pages in one contiguous region (the
         // base system already requires it, §5); what differs is whether the
         // region is segment-backed.
-        let placement = PtPlacement::Contiguous;
         let os = SimOs::boot_with_layout(
             &mut machine,
             PhysAddr::new(RAM_BASE),
             RAM_SIZE,
             (pool.base, pool.size),
             (data.base, data.size),
-            placement,
         );
         TeeBench {
             machine,

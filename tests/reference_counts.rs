@@ -3,10 +3,13 @@
 //! these counts follow from the RISC-V ISA specification, not from any
 //! microarchitectural model.
 
-use hpmp_suite::machine::{IsolationScheme, MachineConfig, SystemBuilder, VirtMachine, VirtScheme};
-use hpmp_suite::memsim::{AccessKind, Perms, PrivMode, VirtAddr};
+use hpmp_suite::core::{HpmpRegFile, PmpRegion, HPMP_ENTRIES};
+use hpmp_suite::machine::{
+    IsolationScheme, Machine, MachineConfig, SystemBuilder, VirtMachine, VirtScheme,
+};
+use hpmp_suite::memsim::{AccessKind, Perms, PhysAddr, PrivMode, VirtAddr};
 use hpmp_suite::paging::TranslationMode;
-use hpmp_suite::penglai::{SmpSystem, TeeFlavor};
+use hpmp_suite::penglai::{DomainId, GmsLabel, SecureMonitor, SmpSystem, TeeFlavor};
 
 fn cold_refs(scheme: IsolationScheme, mode: TranslationMode) -> (u64, u64, u64, u64) {
     let mut sys = SystemBuilder::new(MachineConfig::rocket(), scheme)
@@ -238,24 +241,135 @@ fn reference_formulas_hold_per_hart_under_smp() {
     }
 }
 
+/// Every entry's raw `(addr, cfg)` register pair.
+fn image(regs: &HpmpRegFile) -> Vec<(u64, u8)> {
+    (0..regs.len())
+        .map(|i| (regs.addr_reg(i), regs.cfg_reg(i).to_bits()))
+        .collect()
+}
+
+/// `prefix`, then every remaining entry zero.
+fn padded(prefix: &[(u64, u8)]) -> Vec<(u64, u8)> {
+    let mut entries = prefix.to_vec();
+    entries.resize(HPMP_ENTRIES, (0, 0));
+    entries
+}
+
+// Raw encodings in the pinned images below: `0x27ff_ffff` is the 1 GiB
+// RAM at 0x8000_0000 in NAPOT form; cfg `0x1f` is an RWX segment, `0x1b`
+// an RW segment, `0x18` a segment with no S/U permission, `0x38` a table
+// entry, and an entry after a table entry holds the root's PPN
+// (two-level `Mode` bits are zero).
+
 /// The three schemes are one register file: flipping the T bit (plus the
 /// pointer register) converts a segment entry into a table entry with no
-/// other hardware change (§4.2).
+/// other hardware change (§4.2). Every scheme's image, native and guest,
+/// is pinned entry by entry with its CSR-write count.
 #[test]
 fn schemes_share_one_register_file() {
-    use hpmp_suite::core::HPMP_ENTRIES;
-    for scheme in [
-        IsolationScheme::Pmp,
-        IsolationScheme::PmpTable,
-        IsolationScheme::Hpmp,
-    ] {
+    let native = [
+        (IsolationScheme::Pmp, padded(&[(0x27ff_ffff, 0x1f)]), 2),
+        (
+            IsolationScheme::PmpTable,
+            padded(&[(0x27ff_ffff, 0x38), (0x8_1000, 0)]),
+            4,
+        ),
+        (
+            IsolationScheme::Hpmp,
+            padded(&[(0x201f_ffff, 0x1b), (0x27ff_ffff, 0x38), (0x8_1000, 0)]),
+            6,
+        ),
+    ];
+    for (scheme, want, writes) in native {
         let sys = SystemBuilder::new(MachineConfig::rocket(), scheme).build();
-        // Same 16-entry file in every configuration.
         let regs = sys.machine.regs();
-        let active = (0..HPMP_ENTRIES)
-            .filter(|&i| regs.entry_region(i).is_some())
-            .count();
-        assert!(active >= 1, "{scheme}: at least one active entry");
-        assert!(active <= HPMP_ENTRIES, "{scheme}");
+        assert_eq!(image(regs), want, "{scheme}");
+        assert_eq!(regs.csr_writes(), writes, "{scheme}");
+    }
+    let guest = [
+        (VirtScheme::Pmp, padded(&[(0x27ff_ffff, 0x1f)]), 2),
+        (
+            VirtScheme::PmpTable,
+            padded(&[(0x27ff_ffff, 0x38), (0x8_0800, 0)]),
+            4,
+        ),
+        (
+            VirtScheme::Hpmp,
+            padded(&[(0x200f_ffff, 0x1b), (0x27ff_ffff, 0x38), (0x8_0800, 0)]),
+            6,
+        ),
+        (
+            VirtScheme::HpmpGpt,
+            padded(&[
+                (0x200f_ffff, 0x1b),
+                (0x208f_ffff, 0x1b),
+                (0x27ff_ffff, 0x38),
+                (0x8_0800, 0),
+            ]),
+            8,
+        ),
+    ];
+    for (scheme, want, writes) in guest {
+        let vm = VirtMachine::new(MachineConfig::rocket(), scheme, 64);
+        assert_eq!(image(vm.regs()), want, "{scheme}");
+        assert_eq!(vm.regs().csr_writes(), writes, "{scheme}");
+    }
+}
+
+/// The monitor's images for every flavour, entry by entry with the running
+/// CSR-write count: after boot, after creating an enclave with a fast
+/// 16 MiB pool and switching to it, and after switching back to the host.
+/// A disabled entry keeps its old address register.
+#[test]
+fn monitor_images_are_pinned() {
+    let monitor = (0x2007_ffff, 0x18);
+    let pool = 0x215f_ffff;
+    let cases = [
+        (
+            TeeFlavor::PenglaiPmp,
+            [
+                (padded(&[monitor, (0x27ff_ffff, 0x1f)]), 19),
+                (padded(&[monitor, (pool, 0x1f), (0x27ff_ffff, 0)]), 55),
+                (padded(&[monitor, (pool, 0x18), (0x27ff_ffff, 0x1f)]), 74),
+            ],
+        ),
+        (
+            TeeFlavor::PenglaiPmpt,
+            [
+                (padded(&[monitor, (0x27ff_ffff, 0x38), (0x8_0400, 0)]), 21),
+                (padded(&[monitor, (0x27ff_ffff, 0x38), (0x8_0401, 0)]), 41),
+                (padded(&[monitor, (0x27ff_ffff, 0x38), (0x8_0400, 0)]), 61),
+            ],
+        ),
+        (
+            TeeFlavor::PenglaiHpmp,
+            [
+                (padded(&[monitor, (0x27ff_ffff, 0x38), (0x8_0400, 0)]), 21),
+                (
+                    padded(&[monitor, (pool, 0x1f), (0x27ff_ffff, 0x38), (0x8_0401, 0)]),
+                    43,
+                ),
+                (padded(&[monitor, (0x27ff_ffff, 0x38), (0x8_0400, 0)]), 63),
+            ],
+        ),
+    ];
+    for (flavor, [boot, enclave, host]) in cases {
+        let mut machine = Machine::new(MachineConfig::rocket());
+        let ram = PmpRegion::new(PhysAddr::new(0x8000_0000), 1 << 30);
+        let mut monitor = SecureMonitor::boot(&mut machine, flavor, ram).expect("boot");
+        let check = |machine: &Machine, (want, writes): &(Vec<(u64, u8)>, u64), when: &str| {
+            assert_eq!(image(machine.regs()), *want, "{flavor} {when}");
+            assert_eq!(machine.regs().csr_writes(), *writes, "{flavor} {when}");
+        };
+        check(&machine, &boot, "boot");
+        let (enclave_id, _) = monitor
+            .create_domain(&mut machine, 16 << 20, GmsLabel::Fast)
+            .expect("enclave");
+        monitor.switch_to(&mut machine, enclave_id).expect("switch");
+        check(&machine, &enclave, "enclave");
+        monitor
+            .switch_to(&mut machine, DomainId::HOST)
+            .expect("switch back");
+        check(&machine, &host, "host");
     }
 }
