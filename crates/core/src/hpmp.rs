@@ -282,11 +282,13 @@ impl HpmpRegFile {
     /// changes (including forced restores and injected corruption). A
     /// cached [`EntryPlan`] is valid exactly while this value matches
     /// [`EntryPlan::generation`].
+    #[inline]
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
     /// Number of entries in this register file.
+    #[inline]
     pub fn len(&self) -> usize {
         self.addr.len()
     }
@@ -301,6 +303,7 @@ impl HpmpRegFile {
     /// # Panics
     ///
     /// Panics if `idx >= self.len()`.
+    #[inline]
     pub fn addr_reg(&self, idx: usize) -> u64 {
         self.addr[idx]
     }
@@ -310,12 +313,14 @@ impl HpmpRegFile {
     /// # Panics
     ///
     /// Panics if `idx >= self.len()`.
+    #[inline]
     pub fn cfg_reg(&self, idx: usize) -> PmpConfig {
         self.cfg[idx]
     }
 
     /// Number of CSR writes performed since construction (or
     /// [`HpmpRegFile::reset_csr_writes`]).
+    #[inline]
     pub fn csr_writes(&self) -> u64 {
         self.csr_writes
     }
@@ -331,6 +336,7 @@ impl HpmpRegFile {
     /// # Errors
     ///
     /// Fails if the entry is locked or out of range.
+    #[inline]
     pub fn write_addr(&mut self, idx: usize, value: u64) -> Result<(), HpmpError> {
         if idx >= self.len() {
             return Err(HpmpError::BadIndex(idx));
@@ -350,6 +356,7 @@ impl HpmpRegFile {
     ///
     /// Fails if the entry is locked, out of range, or sets table mode on the
     /// last entry.
+    #[inline]
     pub fn write_cfg(&mut self, idx: usize, cfg: PmpConfig) -> Result<(), HpmpError> {
         if idx >= self.len() {
             return Err(HpmpError::BadIndex(idx));
@@ -469,6 +476,7 @@ impl HpmpRegFile {
     /// # Errors
     ///
     /// Fails if the entry is locked or out of range.
+    #[inline]
     pub fn disable(&mut self, idx: usize) -> Result<(), HpmpError> {
         if idx >= self.len() {
             return Err(HpmpError::BadIndex(idx));
@@ -713,7 +721,7 @@ fn walk_with_cache<M: WordStore + ?Sized>(
 
 /// How a planned entry decides an access that its region matched, with
 /// everything decodable ahead of time already decoded.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum PlannedKind {
     /// Config register holds a malformed encoding: fail closed.
     Malformed,
@@ -728,7 +736,7 @@ enum PlannedKind {
 }
 
 /// One active, pre-decoded HPMP entry in priority order.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct PlannedEntry {
     /// Architectural entry index (for `matched_entry` and cache tags).
     idx: usize,
@@ -749,58 +757,66 @@ struct PlannedEntry {
 /// extracted, so the per-access work is one pass over the matching
 /// entries (a bounds compare and a dispatch each). Register mutations are
 /// detected through [`HpmpRegFile::generation`]; a stale plan must be
-/// rebuilt with [`HpmpRegFile::plan`] before use.
+/// rebuilt with [`EntryPlan::rebuild`] (in place) or replaced by a fresh
+/// [`HpmpRegFile::plan`] before use.
 ///
 /// [`EntryPlan::check`] is observably identical to
 /// [`HpmpRegFile::check`] — same outcome, same pmpte references, same
 /// PMPTW-Cache effects — which the equivalence property test pins.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EntryPlan {
     generation: u64,
     entries: Vec<PlannedEntry>,
 }
 
 impl HpmpRegFile {
-    /// Pre-decodes the register file into an [`EntryPlan`] stamped with
-    /// the current [`HpmpRegFile::generation`].
+    /// Pre-decodes the register file into a new [`EntryPlan`] stamped
+    /// with the current [`HpmpRegFile::generation`].
     pub fn plan(&self) -> EntryPlan {
-        let mut entries = Vec::new();
-        for idx in 0..self.len() {
-            if self.is_pointer_slot(idx) {
+        let mut plan = EntryPlan::default();
+        plan.rebuild(self);
+        plan
+    }
+}
+
+impl EntryPlan {
+    /// Re-decodes `regs` into this plan in place, reusing its storage, and
+    /// stamps it with `regs`' current generation. The result equals a
+    /// fresh [`HpmpRegFile::plan`].
+    pub fn rebuild(&mut self, regs: &HpmpRegFile) {
+        self.entries.clear();
+        for idx in 0..regs.len() {
+            if regs.is_pointer_slot(idx) {
                 continue;
             }
-            let Some(region) = self.entry_region(idx) else {
+            let Some(region) = regs.entry_region(idx) else {
                 continue;
             };
-            let cfg = self.cfg[idx];
+            let cfg = regs.cfg[idx];
             let kind = if cfg.is_malformed() {
                 PlannedKind::Malformed
             } else if !cfg.table_mode() {
                 PlannedKind::Segment(cfg.perms())
-            } else if idx == self.len() - 1 {
+            } else if idx == regs.len() - 1 {
                 PlannedKind::BadTablePointer
             } else {
-                match table_pointer_decode(self.addr[idx + 1]) {
+                match table_pointer_decode(regs.addr[idx + 1]) {
                     Some((root, levels)) => PlannedKind::Table(root, levels),
                     None => PlannedKind::BadTablePointer,
                 }
             };
-            entries.push(PlannedEntry {
+            self.entries.push(PlannedEntry {
                 idx,
                 region,
                 locked: cfg.locked(),
                 kind,
             });
         }
-        EntryPlan {
-            generation: self.generation,
-            entries,
-        }
+        self.generation = regs.generation;
     }
-}
 
-impl EntryPlan {
     /// The [`HpmpRegFile::generation`] this plan was built from.
+    #[inline]
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -1001,7 +1017,8 @@ mod tests {
                 .unwrap();
             }
             if plan.generation() != regs.generation() {
-                plan = regs.plan();
+                plan.rebuild(&regs);
+                assert_eq!(plan, regs.plan(), "step {step}: in-place rebuild");
             }
             let addr = match step % 4 {
                 0 => PhysAddr::new(0x9000_0000 + (rng.gen_range(0..1 << 16) << 12)),

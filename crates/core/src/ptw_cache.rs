@@ -176,6 +176,7 @@ impl PmptwCache {
     /// unhittable even if the subsequent flush is dropped by a fault. The
     /// monitor calls this as part of *committing* a permission change, the
     /// flush being only the cleanup half.
+    #[inline]
     pub fn advance_epoch(&mut self) {
         self.epoch += 1;
     }

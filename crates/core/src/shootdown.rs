@@ -173,6 +173,7 @@ impl IpiFabric {
     ///
     /// # Panics
     /// If `target` is out of range.
+    #[inline]
     pub fn post(&mut self, target: u16, ipi: Ipi) {
         self.sent += 1;
         let slot = &mut self.mailboxes[usize::from(target)];
@@ -188,6 +189,7 @@ impl IpiFabric {
     }
 
     /// Takes `hart`'s pending IPI, if any, counting the delivery.
+    #[inline]
     pub fn take(&mut self, hart: u16) -> Option<Ipi> {
         let ipi = self.mailboxes[usize::from(hart)].take();
         if ipi.is_some() {

@@ -142,6 +142,7 @@ impl<S: TraceSink> MultiHartMachine<S> {
     ///
     /// # Panics
     /// If `hart` is out of range.
+    #[inline]
     pub fn machine(&mut self, hart: u16) -> &mut Machine<S> {
         let hart = usize::from(hart);
         if hart != self.active {
@@ -163,12 +164,14 @@ impl<S: TraceSink> MultiHartMachine<S> {
     /// Mutably borrows `hart` without activating it. Same validity caveat
     /// as [`MultiHartMachine::peek`]: do not touch physical memory through
     /// this borrow unless `hart` is active.
+    #[inline]
     pub fn peek_mut(&mut self, hart: u16) -> &mut Machine<S> {
         &mut self.harts[usize::from(hart)]
     }
 
     /// Posts a shootdown IPI from `from` to `to`, charging the sender the
     /// doorbell-write cost. Returns that cost.
+    #[inline]
     pub fn post_ipi(&mut self, from: u16, to: u16, kind: IpiKind) -> u64 {
         assert_ne!(from, to, "a hart does not IPI itself");
         self.fabric.post(to, Ipi { from, kind });
@@ -181,6 +184,7 @@ impl<S: TraceSink> MultiHartMachine<S> {
     /// Takes `hart`'s pending IPI, counting the receipt. The caller (the
     /// SMP monitor layer) then performs and charges the handler work via
     /// [`MultiHartMachine::charge_shootdown`].
+    #[inline]
     pub fn take_ipi(&mut self, hart: u16) -> Option<Ipi> {
         let ipi = self.fabric.take(hart);
         if ipi.is_some() {
@@ -193,6 +197,7 @@ impl<S: TraceSink> MultiHartMachine<S> {
     /// fence, return) to `hart`: bumps `hart.<i>.shootdowns` and
     /// `hart.<i>.shootdown_cycles`, and folds the cycles into the hart's
     /// own cycle counter.
+    #[inline]
     pub fn charge_shootdown(&mut self, hart: u16, cycles: u64) {
         let counters = &mut self.counters[usize::from(hart)];
         counters.shootdowns += 1;
@@ -203,6 +208,7 @@ impl<S: TraceSink> MultiHartMachine<S> {
     /// Charges the sender-side stall for a synchronous shootdown — the
     /// interconnect flight plus waiting for the slowest receiver's ack —
     /// to `hart` as `hart.<i>.fence_stall_cycles`.
+    #[inline]
     pub fn charge_fence_stall(&mut self, hart: u16, cycles: u64) {
         self.counters[usize::from(hart)].fence_stall_cycles += cycles;
         self.harts[usize::from(hart)].charge_cycles(cycles);

@@ -462,6 +462,11 @@ impl<T: TranslationStage, S: TraceSink> AccessPipeline<T, S> {
     ///   check (0 refs in segment mode, up to `depth` pmpte reads in table
     ///   mode), then the PTE read; finally the permission check for the
     ///   data page, the TLB refill and the data reference itself.
+    ///
+    /// Inlined into its two callers, `Machine::access` and
+    /// `VirtMachine::access`, so each builds its outcome straight from the
+    /// booked values instead of repacking a returned [`Done`].
+    #[inline(always)]
     pub(crate) fn run(
         &mut self,
         space: &T::Space,
@@ -589,7 +594,7 @@ impl<T: TranslationStage, S: TraceSink> AccessPipeline<T, S> {
             phys,
         } = checker;
         if plan.generation() != regs.generation() {
-            **plan = regs.plan();
+            plan.rebuild(regs);
         }
         let check = plan.check_with(*phys, pmptw_cache, addr, kind, a.mode, |r| {
             // Walk references are a dependent pointer chase: the
@@ -637,7 +642,10 @@ impl<T: TranslationStage, S: TraceSink> AccessPipeline<T, S> {
     }
 
     /// Issues the data reference (with the store-miss penalty) and books
-    /// the successful access.
+    /// the successful access. Inlined into [`AccessPipeline::run`] so the
+    /// access in flight is booked where it lives rather than copied into a
+    /// callee's frame.
+    #[inline(always)]
     fn complete(
         &mut self,
         mut a: InFlight<T::Refs>,

@@ -138,6 +138,7 @@ impl<E: LruEntry> LruMap<E> {
     /// Installs `entry` as the most recently used: in place of the live
     /// entry with its key if there is one, else in a free slot, else in
     /// place of the least recently used.
+    #[inline]
     pub fn insert(&mut self, entry: E) {
         if self.capacity == 0 {
             return;

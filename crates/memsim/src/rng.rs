@@ -24,6 +24,7 @@ impl SplitMix64 {
     }
 
     /// Next 64 uniformly distributed bits.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.state;
@@ -37,6 +38,7 @@ impl SplitMix64 {
     /// # Panics
     ///
     /// Panics when the range is empty.
+    #[inline]
     pub fn gen_range(&mut self, range: Range<u64>) -> u64 {
         let span = range
             .end

@@ -387,6 +387,10 @@ impl AddressSpace {
     }
 
     /// Physical address of the PTE slot for `va` at `level` inside `table`.
+    /// Inlined: [`AddressSpace::locate`] is generic, so it runs in the
+    /// caller's crate, where an out-of-line call per level cost it ~1.5×
+    /// against the hardware walker.
+    #[inline]
     fn pte_addr(&self, table: PhysAddr, va: VirtAddr, level: usize) -> PhysAddr {
         debug_assert!(table.is_aligned(PAGE_SIZE));
         table + self.mode.index(va, level) * 8

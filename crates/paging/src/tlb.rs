@@ -240,6 +240,7 @@ impl Tlb {
 
     /// Installs a translation in both levels (as a PTW refill does),
     /// stamping it with the current isolation epoch.
+    #[inline]
     pub fn fill(&mut self, entry: TlbEntry) {
         let entry = TlbEntry {
             epoch: self.epoch,
@@ -257,6 +258,7 @@ impl Tlb {
     /// even if the subsequent flush is dropped by a fault. The monitor calls
     /// this as part of *committing* a permission change, the flush being
     /// only the cleanup half.
+    #[inline]
     pub fn advance_epoch(&mut self) {
         self.epoch += 1;
     }

@@ -1638,8 +1638,13 @@ impl SecureMonitor {
     /// docs; the SMP layer calls this after every monitor op. A plain
     /// allocation yields at most one domain; an allocation that triggered
     /// compaction yields every domain whose memory moved.
-    pub fn take_shootdowns(&mut self) -> Vec<DomainId> {
-        std::mem::take(&mut self.pending_shootdowns)
+    ///
+    /// The obligations are moved into `into`, which is cleared first; its
+    /// old storage becomes the monitor's next pending list, so a caller
+    /// that keeps one buffer across ops drains without allocating.
+    pub fn take_shootdowns(&mut self, into: &mut Vec<DomainId>) {
+        into.clear();
+        std::mem::swap(&mut self.pending_shootdowns, into);
     }
 
     /// Notes a cross-hart shootdown obligation for `domain` (deduplicated —
@@ -1728,9 +1733,9 @@ impl SecureMonitor {
         self.stats.csr_writes += writes;
         // Refresh the shadow copy scrub compares against.
         let regs = machine.regs();
-        self.shadow_regs = (0..regs.len())
-            .map(|idx| (regs.addr_reg(idx), regs.cfg_reg(idx)))
-            .collect();
+        self.shadow_regs.clear();
+        self.shadow_regs
+            .extend((0..regs.len()).map(|idx| (regs.addr_reg(idx), regs.cfg_reg(idx))));
         Ok(writes * cost::CSR_WRITE)
     }
 
@@ -2225,7 +2230,7 @@ mod tests {
                     .create_domain(&mut machine, 32 << 20, GmsLabel::Slow)
                     .unwrap();
                 monitor.switch_to(&mut machine, id).unwrap();
-                let _ = monitor.take_shootdowns();
+                monitor.take_shootdowns(&mut Vec::new());
                 (machine, monitor, id)
             };
             let host_pages = |monitor: &SecureMonitor| {
@@ -2284,10 +2289,9 @@ mod tests {
                 );
                 assert!(!running.allowed, "{flavor}: running image");
             }
-            assert!(
-                monitor.take_shootdowns().contains(&id),
-                "{flavor}: shootdown"
-            );
+            let mut changed = Vec::new();
+            monitor.take_shootdowns(&mut changed);
+            assert!(changed.contains(&id), "{flavor}: shootdown");
 
             // With its frames back, the same request gets the same region.
             for frame in drained {

@@ -63,6 +63,9 @@ pub struct SmpSystem<S: TraceSink = NullSink> {
     /// monitor's own `current` is banked to `scheduled[hart]` around every
     /// op.
     scheduled: Vec<DomainId>,
+    /// The shootdown list drained after every op, kept so that draining
+    /// reuses its storage instead of allocating.
+    changed: Vec<DomainId>,
     /// Fault-injection switch: when set, shootdown IPIs are never
     /// delivered and remote harts keep stale cached grants.
     suppress_shootdowns: bool,
@@ -119,11 +122,13 @@ impl<S: TraceSink> SmpSystem<S> {
             monitor.program_current(m)?;
         }
         // Boot-time table builds note shootdowns; nobody was running yet.
-        let _ = monitor.take_shootdowns();
+        let mut changed = Vec::new();
+        monitor.take_shootdowns(&mut changed);
         Ok(SmpSystem {
             mh,
             monitor,
             scheduled: vec![DomainId::HOST; harts],
+            changed,
             suppress_shootdowns: false,
             spans: SpanCollector::disabled(),
         })
@@ -417,23 +422,24 @@ impl<S: TraceSink> SmpSystem<S> {
         // the op failed: an allocation that escalated through compaction
         // before being refused still *moved memory*, and remote harts must
         // observe that before anything else runs.
-        let changed = self.monitor.take_shootdowns();
+        let mut changed = std::mem::take(&mut self.changed);
+        self.monitor.take_shootdowns(&mut changed);
         let note = self.monitor.take_compaction_note();
-        let (r, mut cycles) = match out {
-            Ok(ok) => ok,
-            Err(e) => {
-                self.deliver(hart, &changed, None)?;
-                return Err(e);
-            }
-        };
-        cycles += self.deliver(hart, &changed, span)?;
+        // A failed op has no span for the delivery to hang off.
+        let parent = if out.is_ok() { span } else { None };
+        let delivered = self.deliver(hart, &changed, parent);
+        let domain = changed.first().map(|d| d.0);
+        self.changed = changed;
+        let stall = delivered?;
+        let (r, mut cycles) = out?;
+        cycles += stall;
         if let (Some(id), Some(t0)) = (span, begin) {
             if let Some(n) = note {
                 // The compaction stall, attributable inside the op span.
                 self.spans.emit(
                     SpanKind::Compact,
                     hart,
-                    changed.first().map(|d| d.0),
+                    domain,
                     Some(id),
                     t0 + n.offset,
                     t0 + n.offset + n.cycles,
@@ -456,6 +462,9 @@ impl<S: TraceSink> SmpSystem<S> {
     /// the sender's stall cycles. `changed` lists every domain whose
     /// holdings the op touched (several, when compaction ran) and picks
     /// reprogram targets; a plain fence broadcast passes an empty slice.
+    /// Receivers are borrowed, not activated: reprogramming and fencing
+    /// touch only their registers and caches, so physical memory stays
+    /// with `from`.
     ///
     /// When spans are enabled, each receiver gets a child span chain under
     /// `parent`: an `ipi_send` on the sender (the doorbell write, charged
@@ -527,7 +536,7 @@ impl<S: TraceSink> SmpSystem<S> {
                     self.scheduled[usize::from(hart)] = sched;
                 }
                 self.monitor.set_current_unchecked(sched);
-                reprogram_cycles = self.monitor.program_current(self.mh.machine(hart))?;
+                reprogram_cycles = self.monitor.program_current(self.mh.peek_mut(hart))?;
                 handler += reprogram_cycles;
             }
             handler += cost::FENCE;
@@ -540,7 +549,7 @@ impl<S: TraceSink> SmpSystem<S> {
                     },
                 );
             } else {
-                self.mh.machine(hart).invalidate_isolation();
+                self.mh.peek_mut(hart).invalidate_isolation();
                 self.mh.charge_shootdown(hart, handler);
             }
             slowest_ack = slowest_ack.max(handler);
@@ -741,6 +750,57 @@ mod tests {
         // Once hart 0 leaves the enclave, hart 1 may enter it.
         smp.switch_on(0, DomainId::HOST).unwrap();
         smp.switch_on(1, id).unwrap();
+    }
+
+    #[test]
+    fn delivery_leaves_the_sender_active_and_reprograms_receivers() {
+        // Harts 1-3 each run an enclave; hart 0 drives one grant per
+        // enclave, so every receiver takes a Reprogram IPI once and a
+        // FenceOnly IPI twice. Delivery borrows the receivers without
+        // moving physical memory into them.
+        let mut smp = boot(TeeFlavor::PenglaiHpmp, 4);
+        let mut enclaves = Vec::new();
+        for hart in 1..4 {
+            let (id, _) = smp.create_domain_on(0, 1 << 20, GmsLabel::Slow).unwrap();
+            smp.switch_on(hart, id).unwrap();
+            enclaves.push(id);
+        }
+        let image = |m: &Machine| {
+            let regs = m.regs();
+            (0..regs.len())
+                .map(|i| (regs.addr_reg(i), regs.cfg_reg(i)))
+                .collect::<Vec<_>>()
+        };
+        let shootdowns = |smp: &mut SmpSystem, hart: u16| {
+            smp.metrics_snapshot()
+                .value(&format!("hart.{hart}.shootdowns"))
+        };
+        let before: Vec<u64> = (1..4).map(|hart| shootdowns(&mut smp, hart)).collect();
+        for &id in &enclaves {
+            smp.alloc_on(0, id, 1 << 20, GmsLabel::Fast).unwrap();
+            assert_eq!(smp.mh.active(), 0, "delivery moved physical memory");
+            for hart in 1..4u16 {
+                // What program_current programs for the scheduled domain,
+                // on a fresh hart booted like a secondary one.
+                let mut monitor = smp.monitor.clone();
+                let mut fresh = Machine::new(MachineConfig::rocket());
+                fresh
+                    .regs_mut()
+                    .configure_segment(0, monitor.monitor_region(), hpmp_memsim::Perms::NONE)
+                    .unwrap();
+                monitor.set_current_unchecked(smp.scheduled(hart));
+                monitor.program_current(&mut fresh).unwrap();
+                assert_eq!(
+                    image(smp.mh.peek(hart)),
+                    image(&fresh),
+                    "hart {hart} after the grant to {id:?}"
+                );
+            }
+        }
+        for hart in 1..4u16 {
+            let taken = shootdowns(&mut smp, hart) - before[usize::from(hart) - 1];
+            assert_eq!(taken, 3, "hart {hart}: one IPI per grant");
+        }
     }
 
     #[test]

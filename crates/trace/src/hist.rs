@@ -52,6 +52,7 @@ impl AccessClass {
 
     /// The class of an access given its operation and whether the TLB
     /// served it.
+    #[inline]
     pub fn classify(op: AccessOp, tlb_hit: bool) -> AccessClass {
         match (op, tlb_hit) {
             (AccessOp::Read, true) => AccessClass::ReadTlbHit,
@@ -64,6 +65,7 @@ impl AccessClass {
     }
 
     /// Dense index into per-class arrays.
+    #[inline]
     pub fn index(self) -> usize {
         match self {
             AccessClass::ReadTlbHit => 0,
@@ -109,6 +111,7 @@ impl LatencyHistogram {
     }
 
     /// Bucket index for a sample: 0 for 0, else `floor(log2(v)) + 1`.
+    #[inline]
     pub fn bucket_index(value: u64) -> usize {
         if value == 0 {
             0
@@ -129,6 +132,7 @@ impl LatencyHistogram {
 
     /// Record one sample. The running sum saturates at `u64::MAX` rather
     /// than overflowing (only reachable with samples near the top bucket).
+    #[inline]
     pub fn record(&mut self, value: u64) {
         self.buckets[Self::bucket_index(value)] += 1;
         self.count += 1;
@@ -281,6 +285,7 @@ impl LatencyHistograms {
     }
 
     /// Record one access latency under its class.
+    #[inline]
     pub fn record(&mut self, class: AccessClass, cycles: u64) {
         self.hists[class.index()].record(cycles);
     }
