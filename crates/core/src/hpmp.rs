@@ -8,10 +8,9 @@
 //!   effective permission for the whole region — a zero-memory-reference
 //!   check; or
 //! * **table mode** (`T = 1`): permissions come from a PMP Table whose root
-//!   page (and depth, via the `Mode` field) is recorded in the *next*
-//!   entry's address register; the checker walks the table, reporting
-//!   each pmpte read to the caller's visitor as it performs it
-//!   ([`EntryPlan::check_with`]) or collecting them into
+//!   page is recorded in the *next* entry's address register; the checker
+//!   walks the table, reporting each pmpte read to the caller's visitor as
+//!   it performs it ([`EntryPlan::check_with`]) or collecting them into
 //!   [`CheckOutcome::refs`].
 //!
 //! An entry whose predecessor is in table mode is a table-pointer register
@@ -23,7 +22,7 @@ use hpmp_trace::PmptwOutcome;
 
 use crate::pmp::{napot_decode, napot_encode, AddressMode, PmpConfig, PmpRegion};
 use crate::ptw_cache::PmptwCache;
-use crate::table::{self, LeafPmpte, PmptRef, PmptRefs, RootPmpte, TableLevels, TableVerdict};
+use crate::table::{self, LeafPmpte, PmptRef, PmptRefs, RootPmpte, TableVerdict, ROOT_TABLE_SPAN};
 
 /// Number of HPMP entries in the prototype ("our prototype supports 16
 /// entries").
@@ -35,16 +34,16 @@ pub const HPMP_ENTRIES: usize = 16;
 pub const EPMP_ENTRIES: usize = 64;
 
 /// Encodes a table pointer for the HPMP address register (Figure 6-b):
-/// `Mode` in bits 63:62, PPN in bits 43:0.
-pub fn table_pointer_encode(root: PhysAddr, levels: TableLevels) -> u64 {
-    (levels.to_mode_bits() << 62) | (root.page_number() & ((1 << 44) - 1))
+/// `Mode = 0` (a 2-level table) in bits 63:62, the root's PPN in bits 43:0.
+pub fn table_pointer_encode(root: PhysAddr) -> u64 {
+    root.page_number() & ((1 << 44) - 1)
 }
 
-/// Decodes a table-pointer address register into `(root, levels)`; `None`
-/// for the reserved `Mode` encoding.
-pub fn table_pointer_decode(reg: u64) -> Option<(PhysAddr, TableLevels)> {
-    let levels = TableLevels::from_mode_bits(reg >> 62)?;
-    Some((PhysAddr::new((reg & ((1 << 44) - 1)) << 12), levels))
+/// Decodes a table-pointer address register into the root table's address;
+/// `None` for the reserved `Mode` encodings 1, 2 and 3. Bits 61:44 are
+/// ignored.
+pub fn table_pointer_decode(reg: u64) -> Option<PhysAddr> {
+    (reg >> 62 == 0).then(|| PhysAddr::new((reg & ((1 << 44) - 1)) << 12))
 }
 
 /// Error from register-file configuration.
@@ -58,13 +57,13 @@ pub enum HpmpError {
     Locked(usize),
     /// Region cannot be encoded (not NAPOT-representable).
     BadRegion,
-    /// The region exceeds the reach of the configured table depth.
+    /// The region exceeds the 16 GiB reach of a PMP Table.
     RegionTooLarge,
     /// The successor entry is in use as a matching entry.
     PointerSlotBusy(usize),
-    /// Entry `idx` holds an encoding a legal WARL write could never have
-    /// produced (corrupted register state, reserved table-pointer mode, or
-    /// table mode on the last entry).
+    /// Entry `idx` holds an encoding the checker fails closed on (corrupted
+    /// register state, a reserved table-pointer mode, table mode on the last
+    /// entry, or a table-mode region beyond a table's reach).
     MalformedEntry(usize),
 }
 
@@ -102,12 +101,12 @@ pub struct CheckVerdict {
     pub matched_entry: Option<usize>,
     /// How the PMPTW-Cache resolved this check: `None` when no PMP Table
     /// walk happened at all (segment mode, M-mode bypass, no match),
-    /// `Bypass` when a table walk ran with the cache disabled or at a
-    /// depth it does not cover.
+    /// `Bypass` when a table walk ran with the cache disabled.
     pub pmptw: Option<PmptwOutcome>,
     /// `true` if the check decoded a malformed encoding — a corrupt pmpte,
-    /// a reserved table-pointer mode, a corrupt config register — and
-    /// therefore failed closed (`allowed` is then always `false`).
+    /// a reserved table-pointer mode, a table-mode region beyond a table's
+    /// reach, a corrupt config register — and therefore failed closed
+    /// (`allowed` is then always `false`).
     pub malformed: bool,
 }
 
@@ -407,8 +406,8 @@ impl HpmpRegFile {
     }
 
     /// Configures entry `idx` in table mode covering `region`, with the PMP
-    /// Table rooted at `root` (depth `levels`). Entry `idx + 1` becomes the
-    /// table-pointer register.
+    /// Table rooted at `root`. Entry `idx + 1` becomes the table-pointer
+    /// register.
     ///
     /// # Errors
     ///
@@ -419,7 +418,6 @@ impl HpmpRegFile {
         idx: usize,
         region: PmpRegion,
         root: PhysAddr,
-        levels: TableLevels,
     ) -> Result<(), HpmpError> {
         if idx >= self.len() - 1 {
             return Err(HpmpError::LastEntryTableMode);
@@ -427,7 +425,7 @@ impl HpmpRegFile {
         if !region.is_napot() {
             return Err(HpmpError::BadRegion);
         }
-        if region.size > levels.reach() {
+        if region.size > ROOT_TABLE_SPAN {
             return Err(HpmpError::RegionTooLarge);
         }
         self.write_addr(idx, napot_encode(region.base, region.size))?;
@@ -435,7 +433,7 @@ impl HpmpRegFile {
             idx,
             PmpConfig::new(Perms::NONE, AddressMode::Napot).with_table_mode(true),
         )?;
-        self.write_addr(idx + 1, table_pointer_encode(root, levels))?;
+        self.write_addr(idx + 1, table_pointer_encode(root))?;
         // The pointer slot's own config must not match anything.
         self.write_cfg(idx + 1, PmpConfig::new(Perms::NONE, AddressMode::Off))
     }
@@ -466,7 +464,7 @@ impl HpmpRegFile {
             idx += 1;
         }
         match table {
-            Some((region, root)) => self.configure_table(idx, region, root, TableLevels::Two),
+            Some((region, root)) => self.configure_table(idx, region, root),
             None => Ok(()),
         }
     }
@@ -588,28 +586,35 @@ impl HpmpRegFile {
             if !cfg.table_mode() {
                 return CheckVerdict::segment(idx, cfg.perms(), kind);
             }
-            if idx == self.len() - 1 {
-                // Table mode on the last entry has no pointer slot: only
-                // register corruption can produce it. Fail closed.
-                return CheckVerdict::malformed(idx);
-            }
             // Table mode: walk the PMP Table via the next entry's pointer.
-            let Some((root, levels)) = table_pointer_decode(self.addr[idx + 1]) else {
-                // The reserved `Mode` encoding: malformed pointer register.
+            let Some(root) = self.table_root(idx, region) else {
                 return CheckVerdict::malformed(idx);
             };
             let offset = addr.offset_from(region.base);
-            let walk = walk_with_cache(mem, cache, idx, root, levels, offset, visit);
+            let walk = walk_with_cache(mem, cache, idx, root, offset, visit);
             return CheckVerdict::table(idx, kind, walk);
         }
         CheckVerdict::unmatched(mode)
     }
 
-    /// Validates every entry against the WARL invariants a legal
+    /// The root of the PMP Table that table-mode entry `idx`, matching
+    /// `region`, walks; `None` when the checker must fail closed instead:
+    /// the entry is the last (it has no pointer slot, which only register
+    /// corruption can produce), its pointer holds a reserved `Mode`, or
+    /// `region` exceeds a table's reach (the walk would alias offsets past
+    /// 16 GiB onto the pmptes of the first 16 GiB).
+    fn table_root(&self, idx: usize, region: PmpRegion) -> Option<PhysAddr> {
+        if idx == self.len() - 1 || region.size > ROOT_TABLE_SPAN {
+            return None;
+        }
+        table_pointer_decode(self.addr[idx + 1])
+    }
+
+    /// Validates every entry against the invariants a checkable
     /// configuration respects, returning the first violation: a reserved
-    /// config bit, table mode on the last entry, or a reserved
-    /// table-pointer `Mode`. The monitor scrubs with this after suspected
-    /// register corruption.
+    /// config bit, table mode on the last entry, a reserved table-pointer
+    /// `Mode` (reported at the pointer register), or a table-mode region
+    /// beyond a table's reach.
     pub fn validate(&self) -> Result<(), HpmpError> {
         for idx in 0..self.len() {
             let cfg = self.cfg[idx];
@@ -624,6 +629,12 @@ impl HpmpRegFile {
                     && table_pointer_decode(self.addr[idx + 1]).is_none()
                 {
                     return Err(HpmpError::MalformedEntry(idx + 1));
+                }
+                if self
+                    .entry_region(idx)
+                    .is_some_and(|region| region.size > ROOT_TABLE_SPAN)
+                {
+                    return Err(HpmpError::MalformedEntry(idx));
                 }
             }
         }
@@ -663,12 +674,11 @@ fn walk_with_cache<M: WordStore + ?Sized>(
     cache: &mut PmptwCache,
     entry_idx: usize,
     root: PhysAddr,
-    levels: TableLevels,
     offset: u64,
     mut visit: impl FnMut(PmptRef),
 ) -> (TableVerdict, PmptwOutcome) {
-    if cache.is_disabled() || levels != TableLevels::Two {
-        let walk = table::walk_from_root(mem, root, levels, offset, visit);
+    if cache.is_disabled() {
+        let walk = table::walk_from_root(mem, root, offset, visit);
         return (walk, PmptwOutcome::Bypass);
     }
     // Fast path: leaf pmpte cached => zero references.
@@ -700,7 +710,7 @@ fn walk_with_cache<M: WordStore + ?Sized>(
     // the walk is known to be well formed, since a corrupt pmpte must stay
     // visible to every re-check.
     let (mut root_word, mut leaf_word) = (None, None);
-    let walk = table::walk_from_root(mem, root, levels, offset, |r| {
+    let walk = table::walk_from_root(mem, root, offset, |r| {
         if r.is_root {
             root_word = Some(r.bits);
         } else {
@@ -727,11 +737,12 @@ enum PlannedKind {
     Malformed,
     /// Segment mode: the pre-decoded static permission decides.
     Segment(Perms),
-    /// Table mode with a well-formed pointer: walk from `root`.
-    Table(PhysAddr, TableLevels),
-    /// Table mode whose pointer cannot exist (last entry) or decodes to
-    /// the reserved `Mode`: fail closed (after the M-mode bypass, exactly
-    /// as the architectural checker orders it).
+    /// Table mode with a well-formed pointer: walk from the root.
+    Table(PhysAddr),
+    /// Table mode that [`HpmpRegFile::table_root`] rejects (no pointer
+    /// slot, a reserved `Mode`, or a region beyond a table's reach): fail
+    /// closed (after the M-mode bypass, exactly as the architectural
+    /// checker orders it).
     BadTablePointer,
 }
 
@@ -797,13 +808,9 @@ impl EntryPlan {
                 PlannedKind::Malformed
             } else if !cfg.table_mode() {
                 PlannedKind::Segment(cfg.perms())
-            } else if idx == regs.len() - 1 {
-                PlannedKind::BadTablePointer
             } else {
-                match table_pointer_decode(regs.addr[idx + 1]) {
-                    Some((root, levels)) => PlannedKind::Table(root, levels),
-                    None => PlannedKind::BadTablePointer,
-                }
+                regs.table_root(idx, region)
+                    .map_or(PlannedKind::BadTablePointer, PlannedKind::Table)
             };
             self.entries.push(PlannedEntry {
                 idx,
@@ -867,9 +874,9 @@ impl EntryPlan {
                 PlannedKind::Malformed => unreachable!("handled above"),
                 PlannedKind::Segment(perms) => CheckVerdict::segment(entry.idx, perms, kind),
                 PlannedKind::BadTablePointer => CheckVerdict::malformed(entry.idx),
-                PlannedKind::Table(root, levels) => {
+                PlannedKind::Table(root) => {
                     let offset = addr.offset_from(entry.region.base);
-                    let walk = walk_with_cache(mem, cache, entry.idx, root, levels, offset, visit);
+                    let walk = walk_with_cache(mem, cache, entry.idx, root, offset, visit);
                     CheckVerdict::table(entry.idx, kind, walk)
                 }
             };
@@ -896,8 +903,7 @@ mod tests {
             .set_page_perm(&mut mem, &mut frames, PhysAddr::new(0x9000_2000), Perms::RW)
             .unwrap();
         let mut regs = HpmpRegFile::new();
-        regs.configure_table(0, region, table.root(), TableLevels::Two)
-            .unwrap();
+        regs.configure_table(0, region, table.root()).unwrap();
         (mem, table, regs)
     }
 
@@ -1157,7 +1163,7 @@ mod tests {
         // Entry 0/1 already hold the table. Put a *higher-priority* segment
         // in front by reconfiguring: move table to 2, segment at 0.
         let region = PmpRegion::new(PhysAddr::new(0x9000_0000), 1 << 28);
-        let root = table_pointer_decode(regs.addr_reg(1)).unwrap().0;
+        let root = table_pointer_decode(regs.addr_reg(1)).unwrap();
         let mut regs2 = HpmpRegFile::new();
         regs2
             .configure_segment(
@@ -1166,9 +1172,7 @@ mod tests {
                 Perms::RWX,
             )
             .unwrap();
-        regs2
-            .configure_table(2, region, root, TableLevels::Two)
-            .unwrap();
+        regs2.configure_table(2, region, root).unwrap();
         regs = regs2;
         let mut cache = PmptwCache::disabled();
         // Segment (entry 0) matches first: zero refs, allowed even where the
@@ -1208,7 +1212,7 @@ mod tests {
         let mut regs = HpmpRegFile::new();
         let region = PmpRegion::new(PhysAddr::new(0x9000_0000), 1 << 28);
         assert_eq!(
-            regs.configure_table(15, region, PhysAddr::new(0x1000), TableLevels::Two),
+            regs.configure_table(15, region, PhysAddr::new(0x1000)),
             Err(HpmpError::LastEntryTableMode)
         );
         assert_eq!(
@@ -1256,10 +1260,7 @@ mod tests {
         assert!(regs.cfg_reg(3).table_mode());
         assert_eq!(regs.entry_region(3), Some(ram));
         assert!(regs.is_pointer_slot(4));
-        assert_eq!(
-            table_pointer_decode(regs.addr_reg(4)),
-            Some((root, TableLevels::Two))
-        );
+        assert_eq!(table_pointer_decode(regs.addr_reg(4)), Some(root));
         assert_eq!(regs.csr_writes(), 8);
     }
 
@@ -1406,21 +1407,105 @@ mod tests {
 
     #[test]
     fn reserved_pointer_mode_fails_closed() {
-        let (mem, _table, mut regs) = table_fixture();
-        // Corrupt the pointer register's Mode field to the reserved encoding.
-        let mode = regs.addr_reg(1) >> 62;
-        regs.corrupt_addr(1, (mode ^ 3) << 62);
-        assert_eq!(regs.addr_reg(1) >> 62, 3);
-        assert_eq!(regs.validate(), Err(HpmpError::MalformedEntry(1)));
-        let mut cache = PmptwCache::disabled();
-        let out = regs.check(
-            &mem,
-            &mut cache,
-            PhysAddr::new(0x9000_2000),
-            AccessKind::Read,
-            S,
+        let page = PhysAddr::new(0x9000_2000);
+        for mode in 1..=3u64 {
+            for warmed in [false, true] {
+                let (mem, _table, mut regs) = table_fixture();
+                let cache = || match warmed {
+                    true => PmptwCache::new(PmptwCacheConfig::ENABLED_8),
+                    false => PmptwCache::disabled(),
+                };
+                let (mut reference, mut planned) = (cache(), cache());
+                if warmed {
+                    // At `Mode = 0` the page is granted and its root and
+                    // leaf pmptes are cached.
+                    let plan = regs.plan();
+                    assert!(
+                        regs.check(&mem, &mut reference, page, AccessKind::Read, S)
+                            .allowed
+                    );
+                    assert!(
+                        plan.check(&mem, &mut planned, page, AccessKind::Read, S)
+                            .allowed
+                    );
+                }
+                // Corrupt the pointer register's Mode field to a reserved
+                // encoding.
+                regs.corrupt_addr(1, mode << 62);
+                assert_eq!(regs.addr_reg(1) >> 62, mode);
+                assert_eq!(regs.validate(), Err(HpmpError::MalformedEntry(1)));
+                let plan = regs.plan();
+                for out in [
+                    regs.check(&mem, &mut reference, page, AccessKind::Read, S),
+                    plan.check(&mem, &mut planned, page, AccessKind::Read, S),
+                ] {
+                    let what = format!("Mode = {mode}, warmed cache: {warmed}");
+                    assert!(!out.allowed && out.malformed, "{what}");
+                    assert_eq!(out.matched_entry, Some(0), "{what}");
+                    assert!(out.refs.is_empty(), "{what}");
+                }
+            }
+        }
+    }
+
+    /// A table-mode region above the 16 GiB reach would alias: the access
+    /// at `base + 16 GiB` would read the pmptes of `base`. Every checker
+    /// fails closed on it instead, whether it was built through raw
+    /// register writes or pushed into the IOPMP.
+    #[test]
+    fn table_region_beyond_reach_fails_closed() {
+        use crate::iopmp::{DeviceId, IoPmp, IoPmpEntry, IoPmpMode};
+
+        let mut mem = PhysMem::new();
+        let mut frames = FrameAllocator::new(PhysAddr::new(0x1_0000_0000), 4 * PAGE_SIZE);
+        let base = PhysAddr::new(32 << 30);
+        let region = PmpRegion::new(base, 32 << 30);
+        // A table over the first 16 GiB that grants page 0 RW.
+        let reach = PmpRegion::new(base, ROOT_TABLE_SPAN);
+        let mut table = PmpTable::new(reach, &mut mem, &mut frames).unwrap();
+        table
+            .set_page_perm(&mut mem, &mut frames, base, Perms::RW)
+            .unwrap();
+        let aliased = base + ROOT_TABLE_SPAN;
+
+        let mut iopmp = IoPmp::new();
+        iopmp.push(IoPmpEntry {
+            source_mask: 1,
+            region,
+            mode: IoPmpMode::Table { root: table.root() },
+        });
+        for addr in [aliased, base] {
+            let dma = iopmp.check(&mem, DeviceId(0), addr, AccessKind::Read);
+            assert!(!dma.allowed && dma.malformed, "DMA to {addr}");
+            assert_eq!(dma.matched_entry, Some(0));
+            assert!(dma.refs.is_empty());
+        }
+
+        let mut regs = HpmpRegFile::new();
+        assert_eq!(
+            regs.configure_table(0, region, table.root()),
+            Err(HpmpError::RegionTooLarge)
         );
-        assert!(!out.allowed && out.malformed);
+        regs.write_addr(0, napot_encode(region.base, region.size))
+            .unwrap();
+        let cfg = PmpConfig::new(Perms::NONE, AddressMode::Napot).with_table_mode(true);
+        regs.write_cfg(0, cfg).unwrap();
+        regs.write_addr(1, table_pointer_encode(table.root()))
+            .unwrap();
+        assert_eq!(regs.entry_region(0), Some(region));
+        assert_eq!(regs.validate(), Err(HpmpError::MalformedEntry(0)));
+        let plan = regs.plan();
+        let mut cache = PmptwCache::new(PmptwCacheConfig::ENABLED_8);
+        for addr in [aliased, base] {
+            for out in [
+                regs.check(&mem, &mut cache, addr, AccessKind::Read, S),
+                plan.check(&mem, &mut cache, addr, AccessKind::Read, S),
+            ] {
+                assert!(!out.allowed && out.malformed, "CPU read of {addr}");
+                assert_eq!(out.matched_entry, Some(0));
+                assert!(out.refs.is_empty());
+            }
+        }
     }
 
     #[test]
@@ -1458,13 +1543,15 @@ mod tests {
 
     #[test]
     fn table_pointer_encoding_round_trip() {
-        for levels in [TableLevels::One, TableLevels::Two, TableLevels::Three] {
-            let reg = table_pointer_encode(PhysAddr::new(0x8_1234_5000), levels);
-            let (root, decoded) = table_pointer_decode(reg).unwrap();
-            assert_eq!(root, PhysAddr::new(0x8_1234_5000));
-            assert_eq!(decoded, levels);
+        let root = PhysAddr::new(0x8_1234_5000);
+        let reg = table_pointer_encode(root);
+        assert_eq!(reg >> 62, 0, "the encoder writes Mode = 0");
+        assert_eq!(table_pointer_decode(reg), Some(root));
+        // Bits 61:44 are ignored.
+        assert_eq!(table_pointer_decode(reg | (0x3_ffff << 44)), Some(root));
+        for mode in 1..=3u64 {
+            assert_eq!(table_pointer_decode(reg | (mode << 62)), None);
         }
-        assert!(table_pointer_decode(3 << 62).is_none());
     }
 
     #[test]
@@ -1532,7 +1619,7 @@ mod tests {
         assert_eq!(regs.csr_writes(), 2); // addr + cfg
         regs.reset_csr_writes();
         let region = PmpRegion::new(PhysAddr::new(0x9000_0000), 1 << 28);
-        regs.configure_table(2, region, PhysAddr::new(0x1000), TableLevels::Two)
+        regs.configure_table(2, region, PhysAddr::new(0x1000))
             .unwrap();
         assert_eq!(regs.csr_writes(), 4); // addr+cfg for entry, addr+cfg for pointer
     }

@@ -12,7 +12,7 @@
 use hpmp_memsim::{AccessKind, Perms, PhysAddr, WordStore};
 
 use crate::pmp::PmpRegion;
-use crate::table::{walk_from_root, PmptRefs, TableLevels};
+use crate::table::{walk_from_root, PmptRefs, TableVerdict, ROOT_TABLE_SPAN};
 
 /// Identifier of a DMA initiator (the IOPMP "source id").
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -36,12 +36,12 @@ impl std::fmt::Display for DeviceId {
 pub enum IoPmpMode {
     /// Permission held in the entry (segment mode).
     Segment(Perms),
-    /// Permissions come from a PMP Table rooted at the given page.
+    /// Permissions come from a PMP Table rooted at the given page. An
+    /// entry whose region exceeds the table's 16 GiB reach denies every
+    /// access it matches (see [`IoPmp::check`]).
     Table {
         /// Root table page.
         root: PhysAddr,
-        /// Table depth.
-        levels: TableLevels,
     },
 }
 
@@ -65,8 +65,10 @@ pub struct IoCheckOutcome {
     pub matched_entry: Option<usize>,
     /// pmpte reads performed (table-mode entries).
     pub refs: PmptRefs,
-    /// `true` if the table walk read a pmpte that failed its integrity
-    /// check (`allowed` is then `false`: the checker fails closed).
+    /// `true` if the deciding entry could not be trusted — its table walk
+    /// read a pmpte that failed its integrity check, or it is a table-mode
+    /// entry beyond the table's reach — so the checker failed closed
+    /// (`allowed` is then `false`).
     pub malformed: bool,
 }
 
@@ -123,7 +125,10 @@ impl IoPmp {
     /// source mask and region both match decides; unmatched accesses are
     /// denied (devices have no default access). A table-mode entry runs the
     /// same PMP Table walk as the CPU-side checker, so a corrupt pmpte fails
-    /// closed and is flagged `malformed` here too.
+    /// closed and is flagged `malformed` here too. So does a table-mode
+    /// entry whose region exceeds [`ROOT_TABLE_SPAN`], as on the CPU side:
+    /// [`IoPmp::push`] accepts it, and the check refuses to walk it, since
+    /// its offsets past 16 GiB would alias the pmptes of the first 16 GiB.
     pub fn check<M: WordStore + ?Sized>(
         &self,
         mem: &M,
@@ -142,10 +147,14 @@ impl IoPmp {
                     refs: PmptRefs::new(),
                     malformed: false,
                 },
-                IoPmpMode::Table { root, levels } => {
+                IoPmpMode::Table { root } => {
                     let offset = addr.offset_from(entry.region.base);
                     let mut refs = PmptRefs::new();
-                    let walk = walk_from_root(mem, root, levels, offset, |r| refs.push(r));
+                    let walk = if entry.region.size > ROOT_TABLE_SPAN {
+                        TableVerdict::MALFORMED
+                    } else {
+                        walk_from_root(mem, root, offset, |r| refs.push(r))
+                    };
                     IoCheckOutcome {
                         allowed: walk.perms.is_some_and(|p| p.allows(kind)),
                         matched_entry: Some(idx),
@@ -260,10 +269,7 @@ mod tests {
         iopmp.push(IoPmpEntry {
             source_mask: 1,
             region,
-            mode: IoPmpMode::Table {
-                root: table.root(),
-                levels: TableLevels::Two,
-            },
+            mode: IoPmpMode::Table { root: table.root() },
         });
         let ok = iopmp.check(
             &mem,

@@ -50,6 +50,5 @@ pub use ptw_cache::{PmptwCache, PmptwCacheConfig, PmptwCacheStats};
 pub use shootdown::{CopyCost, DeferredShootdown, Ipi, IpiFabric, IpiKind, ShootdownCost};
 pub use table::{
     FillPolicy, LeafPmpte, MalformedPmpte, PmpTable, PmptRef, PmptRefs, RootPmpte, TableError,
-    TableFrameSource, TableLevels, TableOffset, TableWalk, LEAF_PMPTE_SPAN, LEAF_TABLE_SPAN,
-    ROOT_TABLE_SPAN,
+    TableOffset, TableWalk, LEAF_PMPTE_SPAN, LEAF_TABLE_SPAN, ROOT_TABLE_SPAN,
 };

@@ -10,10 +10,17 @@
 //!   pmpte packs sixteen 4-bit permission nibbles, one per 4 KiB page, so one
 //!   leaf pmpte covers 64 KiB and one leaf table covers 32 MiB.
 //!
-//! A 2-level table therefore reaches 512 × 32 MiB = 16 GiB, matching the
-//! paper's sizing argument. The offset split (Figure 6-e) is
+//! A table therefore reaches 512 × 32 MiB = 16 GiB ([`ROOT_TABLE_SPAN`]),
+//! matching the paper's sizing argument. The offset split (Figure 6-e) is
 //! `OFF[1] = offset[33:25]`, `OFF[0] = offset[24:16]`,
 //! `PageIndex = offset[15:12]`, `PageOffset = offset[11:0]`.
+//!
+//! Two levels is the only depth. Figure 6-b defines one table-pointer
+//! encoding, `Mode = 0`, and reserves the rest, so a walk is at most two
+//! pmpte reads: the root, then (behind a pointer) the leaf. A table-mode
+//! entry whose region exceeds the reach would alias offsets past 16 GiB
+//! onto the pmptes of the first 16 GiB, so every checker treats it as
+//! malformed and fails closed.
 //!
 //! ## Integrity encoding
 //!
@@ -29,7 +36,7 @@
 //! single-bit corruption of a stored pmpte is guaranteed to decode as
 //! [`MalformedPmpte`] — the walker then fails closed instead of granting.
 
-use hpmp_memsim::{InlineVec, Perms, PhysAddr, WordStore, PAGE_SHIFT, PAGE_SIZE};
+use hpmp_memsim::{FrameAllocator, InlineVec, Perms, PhysAddr, WordStore, PAGE_SHIFT, PAGE_SIZE};
 
 use crate::pmp::PmpRegion;
 
@@ -39,73 +46,6 @@ pub const LEAF_PMPTE_SPAN: u64 = 16 * PAGE_SIZE;
 pub const LEAF_TABLE_SPAN: u64 = 512 * LEAF_PMPTE_SPAN; // 32 MiB
 /// Bytes of region covered by a full 2-level PMP Table (512 root pmptes).
 pub const ROOT_TABLE_SPAN: u64 = 512 * LEAF_TABLE_SPAN; // 16 GiB
-
-/// Depth of a PMP Table.
-///
-/// The shipped design (`Mode = 0` in the HPMP address register) is
-/// [`TableLevels::Two`]; the paper reserves the remaining `Mode` encodings
-/// for other depths, which we implement to reproduce the §4.3 "why 2-level?"
-/// design discussion as an ablation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum TableLevels {
-    /// A bare leaf table: 32 MiB reach, single pmpte read per check.
-    One,
-    /// Root + leaf: 16 GiB reach, two reads (the paper's design point).
-    #[default]
-    Two,
-    /// Three radix levels: 8 TiB reach, three reads.
-    Three,
-}
-
-impl TableLevels {
-    /// Depth of the deepest table: the most pmpte reads one walk performs.
-    pub const MAX_DEPTH: usize = TableLevels::Three.depth();
-
-    /// Number of pmpte reads a full (uncached) walk performs.
-    pub const fn depth(self) -> usize {
-        match self {
-            TableLevels::One => 1,
-            TableLevels::Two => 2,
-            TableLevels::Three => 3,
-        }
-    }
-
-    /// Maximum region size the table can protect.
-    pub const fn reach(self) -> u64 {
-        match self {
-            TableLevels::One => LEAF_TABLE_SPAN,
-            TableLevels::Two => ROOT_TABLE_SPAN,
-            TableLevels::Three => ROOT_TABLE_SPAN * 512,
-        }
-    }
-
-    /// Encodes into the 2-bit `Mode` field of the HPMP address register
-    /// (Figure 6-b): 0 = 2-level (the shipped design); 1 and 2 use encodings
-    /// the paper reserves for future depths.
-    pub const fn to_mode_bits(self) -> u64 {
-        match self {
-            TableLevels::Two => 0,
-            TableLevels::One => 1,
-            TableLevels::Three => 2,
-        }
-    }
-
-    /// Decodes the `Mode` field; `None` for the reserved encoding 3.
-    pub const fn from_mode_bits(bits: u64) -> Option<TableLevels> {
-        match bits & 0b11 {
-            0 => Some(TableLevels::Two),
-            1 => Some(TableLevels::One),
-            2 => Some(TableLevels::Three),
-            _ => None,
-        }
-    }
-
-    /// Shift amount of the index for non-leaf `level` (1 = the level just
-    /// above the leaf tables).
-    const fn index_shift(level: usize) -> u32 {
-        25 + 9 * (level as u32 - 1)
-    }
-}
 
 /// Why a raw pmpte failed validation (see the module-level integrity
 /// encoding).
@@ -393,18 +333,6 @@ pub enum FillPolicy {
     HugeWhenAligned,
 }
 
-/// Source of frames for PMP Table pages (root and leaf tables).
-pub trait TableFrameSource {
-    /// Allocates one zeroed 4 KiB frame for a table page.
-    fn alloc_table_frame(&mut self) -> Option<PhysAddr>;
-}
-
-impl TableFrameSource for hpmp_memsim::FrameAllocator {
-    fn alloc_table_frame(&mut self) -> Option<PhysAddr> {
-        self.alloc()
-    }
-}
-
 /// Error from PMP Table management operations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TableError {
@@ -453,9 +381,9 @@ pub struct PmptRef {
     pub bits: u64,
 }
 
-/// The pmpte reads of one table walk, stored inline: at most one per
-/// level of the deepest table.
-pub type PmptRefs = InlineVec<PmptRef, { TableLevels::MAX_DEPTH }>;
+/// The pmpte reads of one table walk, stored inline: at most the root
+/// pmpte and the leaf pmpte.
+pub type PmptRefs = InlineVec<PmptRef, 2>;
 
 /// What a PMP Table walk decided, without its pmpte reads: the walker
 /// reports those to its visitor as it performs them.
@@ -470,7 +398,7 @@ pub(crate) struct TableVerdict {
 
 impl TableVerdict {
     /// A walk that read a corrupt pmpte.
-    const MALFORMED: TableVerdict = TableVerdict {
+    pub(crate) const MALFORMED: TableVerdict = TableVerdict {
         perms: None,
         malformed: true,
     };
@@ -516,13 +444,12 @@ pub struct TableWalk {
 pub struct PmpTable {
     region: PmpRegion,
     root: PhysAddr,
-    levels: TableLevels,
     table_pages: Vec<PhysAddr>,
 }
 
 impl PmpTable {
-    /// Creates an empty (all-invalid) 2-level table for `region`, allocating
-    /// the root page.
+    /// Creates an empty (all-invalid) table for `region`, allocating the
+    /// root page.
     ///
     /// # Errors
     ///
@@ -530,41 +457,18 @@ impl PmpTable {
     pub fn new(
         region: PmpRegion,
         mem: &mut dyn WordStore,
-        frames: &mut dyn TableFrameSource,
+        frames: &mut FrameAllocator,
     ) -> Result<PmpTable, TableError> {
-        Self::with_levels(region, TableLevels::Two, mem, frames)
-    }
-
-    /// Creates an empty table with an explicit depth (for the §4.3 depth
-    /// ablation).
-    ///
-    /// # Errors
-    ///
-    /// Fails if `region` exceeds the depth's reach or frames run out.
-    pub fn with_levels(
-        region: PmpRegion,
-        levels: TableLevels,
-        mem: &mut dyn WordStore,
-        frames: &mut dyn TableFrameSource,
-    ) -> Result<PmpTable, TableError> {
-        if region.size > levels.reach() {
+        if region.size > ROOT_TABLE_SPAN {
             return Err(TableError::OutOfReach(region.size));
         }
-        let root = frames
-            .alloc_table_frame()
-            .ok_or(TableError::OutOfTableFrames)?;
+        let root = frames.alloc().ok_or(TableError::OutOfTableFrames)?;
         mem.zero_page(root);
         Ok(PmpTable {
             region,
             root,
-            levels,
             table_pages: vec![root],
         })
-    }
-
-    /// The depth of this table.
-    pub fn levels(&self) -> TableLevels {
-        self.levels
     }
 
     /// The region this table protects.
@@ -594,7 +498,7 @@ impl PmpTable {
     pub fn set_page_perm(
         &mut self,
         mem: &mut dyn WordStore,
-        frames: &mut dyn TableFrameSource,
+        frames: &mut FrameAllocator,
         addr: PhysAddr,
         perms: Perms,
     ) -> Result<(), TableError> {
@@ -612,12 +516,12 @@ impl PmpTable {
     fn fill_leaf_table(
         &mut self,
         mem: &mut dyn WordStore,
-        frames: &mut dyn TableFrameSource,
+        frames: &mut FrameAllocator,
         offset: u64,
         pages: u64,
         perms: Perms,
     ) -> Result<(), TableError> {
-        let table = self.descend(mem, Some(frames), offset, 0)?;
+        let table = self.descend(mem, frames, offset)?;
         // Pages counted from the table's start: 16 per leaf pmpte.
         let first = ((offset % LEAF_TABLE_SPAN) >> PAGE_SHIFT) as usize;
         let end = first + pages as usize;
@@ -641,47 +545,31 @@ impl PmpTable {
         corrupt.map_or(Ok(()), |_| Err(TableError::CorruptEntry(stop)))
     }
 
-    /// Descends the non-leaf levels to the table at level `to` (0: a leaf
-    /// table) covering region `offset`. With `frames` it materialises
-    /// tables as needed and expands huge entries into explicit children;
-    /// without, a missing table fails as [`TableError::OutsideRegion`].
+    /// Returns the leaf table covering region `offset`, materialising it
+    /// if its root pmpte is invalid or huge (a huge permission is expanded
+    /// into the new leaf table's pmptes).
     fn descend(
         &mut self,
         mem: &mut dyn WordStore,
-        mut frames: Option<&mut dyn TableFrameSource>,
+        frames: &mut FrameAllocator,
         offset: u64,
-        to: usize,
     ) -> Result<PhysAddr, TableError> {
-        let mut table = self.root;
-        for level in (to + 1..self.levels.depth()).rev() {
-            let idx = (offset >> TableLevels::index_shift(level)) & 0x1ff;
-            let slot = PhysAddr::new(table.raw() + idx * 8);
-            let entry = RootPmpte::decode(mem.read_u64(slot))
-                .map_err(|_| TableError::CorruptEntry(slot))?;
-            table = if entry.is_pointer() {
-                entry.leaf_table()
-            } else {
-                let child = frames
-                    .as_deref_mut()
-                    .ok_or(TableError::OutsideRegion(self.region.base + offset))?
-                    .alloc_table_frame()
-                    .ok_or(TableError::OutOfTableFrames)?;
-                mem.zero_page(child);
-                if entry.is_huge() {
-                    // Expand: children inherit the huge permission.
-                    let fill = if level == 1 {
-                        LeafPmpte::splat(entry.perms()).to_bits()
-                    } else {
-                        RootPmpte::huge(entry.perms()).to_bits()
-                    };
-                    mem.borrow_page(child).words_mut().fill(fill);
-                }
-                mem.write_u64(slot, RootPmpte::pointer(child).to_bits());
-                self.table_pages.push(child);
-                child
-            };
+        let slot = root_slot(self.root, offset);
+        let entry =
+            RootPmpte::decode(mem.read_u64(slot)).map_err(|_| TableError::CorruptEntry(slot))?;
+        if entry.is_pointer() {
+            return Ok(entry.leaf_table());
         }
-        Ok(table)
+        let leaf = frames.alloc().ok_or(TableError::OutOfTableFrames)?;
+        mem.zero_page(leaf);
+        if entry.is_huge() {
+            // Expand: the leaf pmptes inherit the huge permission.
+            let fill = LeafPmpte::splat(entry.perms()).to_bits();
+            mem.borrow_page(leaf).words_mut().fill(fill);
+        }
+        mem.write_u64(slot, RootPmpte::pointer(leaf).to_bits());
+        self.table_pages.push(leaf);
+        Ok(leaf)
     }
 
     /// Sets a whole 32 MiB-aligned slice to one permission using a huge root
@@ -697,10 +585,6 @@ impl PmpTable {
         slice_base: PhysAddr,
         perms: Perms,
     ) -> Result<(), TableError> {
-        if self.levels == TableLevels::One {
-            // A 1-level table has no non-leaf entries to hold a huge perm.
-            return Err(TableError::Misaligned(slice_base));
-        }
         if !self.region.contains(slice_base) {
             return Err(TableError::OutsideRegion(slice_base));
         }
@@ -708,16 +592,12 @@ impl PmpTable {
         if !offset.is_multiple_of(LEAF_TABLE_SPAN) {
             return Err(TableError::Misaligned(slice_base));
         }
-        // Huge writes never allocate: a 3-level table's path must exist.
-        let table = self.descend(mem, None, offset, 1)?;
-        let idx = (offset >> TableLevels::index_shift(1)) & 0x1ff;
-        let slot = PhysAddr::new(table.raw() + idx * 8);
         let entry = if perms.is_empty() {
             RootPmpte::INVALID
         } else {
             RootPmpte::huge(perms)
         };
-        mem.write_u64(slot, entry.to_bits());
+        mem.write_u64(root_slot(self.root, offset), entry.to_bits());
         Ok(())
     }
 
@@ -741,7 +621,7 @@ impl PmpTable {
     pub fn set_range_perm(
         &mut self,
         mem: &mut dyn WordStore,
-        frames: &mut dyn TableFrameSource,
+        frames: &mut FrameAllocator,
         base: PhysAddr,
         len: u64,
         perms: Perms,
@@ -760,7 +640,6 @@ impl PmpTable {
             let remaining = end.raw() - cursor.raw();
             let offset = cursor.offset_from(self.region.base);
             if policy == FillPolicy::HugeWhenAligned
-                && self.levels != TableLevels::One
                 && offset.is_multiple_of(LEAF_TABLE_SPAN)
                 && remaining >= LEAF_TABLE_SPAN
             {
@@ -789,7 +668,7 @@ impl PmpTable {
         let mut refs = PmptRefs::new();
         let verdict = if self.region.contains(addr) {
             let offset = addr.offset_from(self.region.base);
-            walk_from_root(mem, self.root, self.levels, offset, |r| refs.push(r))
+            walk_from_root(mem, self.root, offset, |r| refs.push(r))
         } else {
             TableVerdict::default()
         };
@@ -806,43 +685,45 @@ impl PmpTable {
     }
 }
 
+/// Address of the root pmpte covering region `offset` in the root table
+/// at `root`.
+#[inline]
+fn root_slot(root: PhysAddr, offset: u64) -> PhysAddr {
+    PhysAddr::new(root.raw() + TableOffset::split(offset).off1 * 8)
+}
+
 /// Walks a PMP Table given only what the hardware knows: the root page
-/// (from the next HPMP entry's address register), the depth (from its `Mode`
-/// field) and the access's offset within the protected region (from the
-/// entry's address matching). This is the one pmpte walk: the HPMP checker,
-/// the IOPMP and [`PmpTable::walk`] all run it. Each pmpte read goes to
-/// `visit` as it happens, carrying the word it read, so a caller can charge
-/// the reference or cache the entry without reading it again.
+/// (from the next HPMP entry's address register) and the access's offset
+/// within the protected region (from the entry's address matching). This
+/// is the one pmpte walk: the HPMP checker, the IOPMP and
+/// [`PmpTable::walk`] all run it. It reads the root pmpte, then, behind a
+/// pointer, the leaf pmpte; each read goes to `visit` as it happens,
+/// carrying the word it read, so a caller can charge the reference or
+/// cache the entry without reading it again.
 #[inline]
 pub(crate) fn walk_from_root<M: WordStore + ?Sized>(
     mem: &M,
     root: PhysAddr,
-    levels: TableLevels,
     offset: u64,
     mut visit: impl FnMut(PmptRef),
 ) -> TableVerdict {
-    let mut table = root;
-    for level in (1..levels.depth()).rev() {
-        let idx = (offset >> TableLevels::index_shift(level)) & 0x1ff;
-        let addr = PhysAddr::new(table.raw() + idx * 8);
-        let bits = mem.read_u64(addr);
-        visit(PmptRef {
-            is_root: true,
-            addr,
-            bits,
-        });
-        let Ok(entry) = RootPmpte::decode(bits) else {
-            return TableVerdict::MALFORMED;
-        };
-        if !entry.is_valid() {
-            return TableVerdict::default();
-        }
-        if entry.is_huge() {
-            return TableVerdict::found(entry.perms());
-        }
-        table = entry.leaf_table();
+    let addr = root_slot(root, offset);
+    let bits = mem.read_u64(addr);
+    visit(PmptRef {
+        is_root: true,
+        addr,
+        bits,
+    });
+    let Ok(entry) = RootPmpte::decode(bits) else {
+        return TableVerdict::MALFORMED;
+    };
+    if !entry.is_valid() {
+        return TableVerdict::default();
     }
-    read_leaf(mem, table, offset, visit)
+    if entry.is_huge() {
+        return TableVerdict::found(entry.perms());
+    }
+    read_leaf(mem, entry.leaf_table(), offset, visit)
 }
 
 /// Reads the leaf pmpte for region `offset` from the leaf table at `table`,
@@ -872,7 +753,7 @@ pub(crate) fn read_leaf<M: WordStore + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpmp_memsim::{FrameAllocator, PhysMem};
+    use hpmp_memsim::PhysMem;
 
     fn fixture(region_size: u64) -> (PhysMem, FrameAllocator, PmpTable) {
         let mut mem = PhysMem::new();
@@ -1054,6 +935,12 @@ mod tests {
         assert_eq!(walk.refs.len(), 2);
         assert!(walk.refs[0].is_root);
         assert!(!walk.refs[1].is_root);
+        // A cold walk fills the inline buffer exactly, and every
+        // reference carries the word the walker read.
+        assert_eq!(walk.refs.len(), PmptRefs::CAPACITY);
+        for r in &walk.refs {
+            assert_eq!(r.bits, mem.read_u64(r.addr));
+        }
     }
 
     #[test]
@@ -1151,69 +1038,6 @@ mod tests {
         );
         let walk = table.walk(&mem, outside);
         assert!(walk.refs.is_empty());
-    }
-
-    #[test]
-    fn one_level_table_single_ref() {
-        let mut mem = PhysMem::new();
-        let mut frames = FrameAllocator::new(PhysAddr::new(0x1_0000_0000), 8 * PAGE_SIZE);
-        let region = PmpRegion::new(PhysAddr::new(0x9000_0000), 32 << 20);
-        let mut table =
-            PmpTable::with_levels(region, TableLevels::One, &mut mem, &mut frames).unwrap();
-        let page = PhysAddr::new(0x9000_2000);
-        table
-            .set_page_perm(&mut mem, &mut frames, page, Perms::RW)
-            .unwrap();
-        let walk = table.walk(&mem, page);
-        assert_eq!(walk.refs.len(), 1);
-        assert_eq!(walk.perms, Some(Perms::RW));
-        // 1-level reach is 32 MiB only.
-        assert!(matches!(
-            PmpTable::with_levels(
-                PmpRegion::new(PhysAddr::new(0), 64 << 20),
-                TableLevels::One,
-                &mut mem,
-                &mut frames
-            ),
-            Err(TableError::OutOfReach(_))
-        ));
-    }
-
-    #[test]
-    fn three_level_table_three_refs() {
-        let mut mem = PhysMem::new();
-        let mut frames = FrameAllocator::new(PhysAddr::new(0x1_0000_0000), 64 * PAGE_SIZE);
-        let region = PmpRegion::new(PhysAddr::new(0x10_0000_0000), 32 << 30);
-        let mut table =
-            PmpTable::with_levels(region, TableLevels::Three, &mut mem, &mut frames).unwrap();
-        // A page 20 GiB into the region (beyond 2-level reach).
-        let page = PhysAddr::new(0x10_0000_0000 + (20u64 << 30));
-        table
-            .set_page_perm(&mut mem, &mut frames, page, Perms::RX)
-            .unwrap();
-        let walk = table.walk(&mem, page);
-        assert_eq!(walk.refs.len(), 3);
-        assert_eq!(walk.perms, Some(Perms::RX));
-        // The deepest table's cold walk fills the inline buffer exactly,
-        // and every reference carries the word the walker read.
-        assert_eq!(walk.refs.len(), PmptRefs::CAPACITY);
-        for r in &walk.refs {
-            assert_eq!(r.bits, mem.read_u64(r.addr));
-        }
-    }
-
-    #[test]
-    fn mode_bits_round_trip() {
-        for levels in [TableLevels::One, TableLevels::Two, TableLevels::Three] {
-            assert_eq!(
-                TableLevels::from_mode_bits(levels.to_mode_bits()),
-                Some(levels)
-            );
-        }
-        assert_eq!(TableLevels::from_mode_bits(3), None);
-        assert_eq!(TableLevels::Two.to_mode_bits(), 0); // shipped design
-        assert_eq!(TableLevels::Two.depth(), 2);
-        assert_eq!(TableLevels::Three.reach(), 8u64 << 40);
     }
 
     #[test]

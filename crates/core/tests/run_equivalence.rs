@@ -7,9 +7,7 @@
 //! part-way, the same error. Driven by the in-repo [`SplitMix64`] PRNG
 //! with fixed seeds, so every run is deterministic and reproducible.
 
-use hpmp_core::{
-    FillPolicy, PmpRegion, PmpTable, TableError, TableLevels, LEAF_PMPTE_SPAN, LEAF_TABLE_SPAN,
-};
+use hpmp_core::{FillPolicy, PmpRegion, PmpTable, TableError, LEAF_PMPTE_SPAN, LEAF_TABLE_SPAN};
 use hpmp_memsim::{FrameAllocator, Perms, PhysAddr, PhysMem, SplitMix64, PAGE_SIZE};
 
 const FRAMES_BASE: u64 = 0x1_0000_0000;
@@ -23,10 +21,10 @@ struct Side {
 }
 
 impl Side {
-    fn new(region: PmpRegion, levels: TableLevels, frame_budget: u64) -> Side {
+    fn new(region: PmpRegion, frame_budget: u64) -> Side {
         let mut mem = PhysMem::new();
         let mut frames = FrameAllocator::new(PhysAddr::new(FRAMES_BASE), frame_budget * PAGE_SIZE);
-        let table = PmpTable::with_levels(region, levels, &mut mem, &mut frames).unwrap();
+        let table = PmpTable::new(region, &mut mem, &mut frames).unwrap();
         Side { mem, frames, table }
     }
 
@@ -63,7 +61,6 @@ impl Side {
         while cursor < end {
             let offset = cursor.raw() - region.base.raw();
             if policy == FillPolicy::HugeWhenAligned
-                && self.table.levels() != TableLevels::One
                 && offset.is_multiple_of(LEAF_TABLE_SPAN)
                 && end.raw() - cursor.raw() >= LEAF_TABLE_SPAN
             {
@@ -129,17 +126,16 @@ fn page_in(region: PmpRegion, pages: u64) -> PhysAddr {
 /// tables and huge root pmptes), an optional planted corrupt pmpte, then
 /// the same range through both writers.
 fn one_case(rng: &mut SplitMix64, case: usize) {
-    let levels = match rng.gen_range(0..8) {
-        0 => TableLevels::One,
-        1 => TableLevels::Three,
-        _ => TableLevels::Two,
-    };
+    // One case in eight protects a small region, ending inside its first
+    // leaf table.
+    let small = rng.gen_range(0..8) == 0;
     // Region bases on and off a 64 KiB leaf-pmpte boundary, and sizes that
     // end part-way through a leaf pmpte and a leaf table.
     let base = 0x9000_0000 + rng.gen_range(0..3) * 0x3000;
-    let size = match levels {
-        TableLevels::One => LEAF_TABLE_SPAN - rng.gen_range(0..40) * PAGE_SIZE,
-        _ => 3 * LEAF_TABLE_SPAN + rng.gen_range(0..600) * PAGE_SIZE,
+    let size = if small {
+        LEAF_TABLE_SPAN - rng.gen_range(0..40) * PAGE_SIZE
+    } else {
+        3 * LEAF_TABLE_SPAN + rng.gen_range(0..600) * PAGE_SIZE
     };
     let region = PmpRegion::new(PhysAddr::new(base), size);
     let region_pages = size / PAGE_SIZE;
@@ -149,12 +145,12 @@ fn one_case(rng: &mut SplitMix64, case: usize) {
     } else {
         64
     };
-    let mut side = Side::new(region, levels, budget);
+    let mut side = Side::new(region, budget);
 
     for _ in 0..rng.gen_range(0..6) {
         let page = rng.gen_range(0..region_pages);
         let perms = random_perms(rng);
-        if levels != TableLevels::One && rng.gen_bool(0.3) {
+        if !small && rng.gen_bool(0.3) {
             let slice = region.base + (page * PAGE_SIZE / LEAF_TABLE_SPAN) * LEAF_TABLE_SPAN;
             let _ = side.table.set_huge_perm(&mut side.mem, slice, perms);
         } else {
@@ -208,7 +204,7 @@ fn one_case(rng: &mut SplitMix64, case: usize) {
     };
     let mut reference = side.clone();
     let label = format!(
-        "case {case}: {levels:?} region {region:?}, range {range_base} + {pages} pages, \
+        "case {case}: region {region:?}, range {range_base} + {pages} pages, \
          {perms:?} {policy:?}"
     );
     let got = side.run(range_base, len, perms, policy);
@@ -246,7 +242,7 @@ fn range_writes_match_the_per_page_loop() {
 #[test]
 fn partial_runs_stop_where_the_per_page_loop_does() {
     let region = PmpRegion::new(PhysAddr::new(0x9000_0000), 2 * LEAF_TABLE_SPAN);
-    let fresh = Side::new(region, TableLevels::Two, 64);
+    let fresh = Side::new(region, 64);
 
     // Past the region end: the pages inside are written, then the error.
     let base = region.end() - 3 * PAGE_SIZE;
@@ -291,7 +287,7 @@ fn partial_runs_stop_where_the_per_page_loop_does() {
     run.assert_same(&mut reference, "corrupt leaf");
 
     // Frames run dry at the second leaf table.
-    let mut run = Side::new(region, TableLevels::Two, 2);
+    let mut run = Side::new(region, 2);
     let mut reference = run.clone();
     let base = region.base + LEAF_TABLE_SPAN - 4 * PAGE_SIZE;
     let got = run.run(base, 8 * PAGE_SIZE, Perms::RW, FillPolicy::PerPage);
@@ -306,7 +302,7 @@ fn partial_runs_stop_where_the_per_page_loop_does() {
 #[test]
 fn leaf_table_fills_match_the_per_page_loop() {
     let region = PmpRegion::new(PhysAddr::new(0x9000_0000), 2 * LEAF_TABLE_SPAN);
-    let fresh = Side::new(region, TableLevels::Two, 64);
+    let fresh = Side::new(region, 64);
     let same = |mut run: Side, mut reference: Side, base, pages, perms, case: &str| {
         let len = pages * PAGE_SIZE;
         let got = run.run(base, len, perms, FillPolicy::PerPage);
@@ -365,7 +361,7 @@ fn leaf_table_fills_match_the_per_page_loop() {
     // second leaf table: the fill stops after the page that starts inside.
     let size = LEAF_TABLE_SPAN + 100 * PAGE_SIZE + PAGE_SIZE / 2;
     let region = PmpRegion::new(PhysAddr::new(0x9000_0000), size);
-    let fresh = Side::new(region, TableLevels::Two, 64);
+    let fresh = Side::new(region, 64);
     let base = region.base + LEAF_TABLE_SPAN + 98 * PAGE_SIZE;
     let (got, run) = same(fresh.clone(), fresh, base, 8, Perms::RWX, "cut");
     let cut = region.base + LEAF_TABLE_SPAN + 101 * PAGE_SIZE;
@@ -381,7 +377,7 @@ fn leaf_table_fills_match_the_per_page_loop() {
 #[test]
 fn writes_count_pages_not_words() {
     let region = PmpRegion::new(PhysAddr::new(0x9000_0000), 4 * LEAF_TABLE_SPAN);
-    let mut side = Side::new(region, TableLevels::Two, 64);
+    let mut side = Side::new(region, 64);
     let len = LEAF_TABLE_SPAN + 5 * PAGE_SIZE;
     assert_eq!(
         side.run(region.base + PAGE_SIZE, len, Perms::RW, FillPolicy::PerPage),

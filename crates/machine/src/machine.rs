@@ -473,7 +473,7 @@ impl<S: TraceSink> Machine<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpmp_core::{PmpRegion, PmpTable, PmptwCache, TableLevels};
+    use hpmp_core::{PmpRegion, PmpTable, PmptwCache};
     use hpmp_memsim::{FrameAllocator, Perms, PAGE_SIZE};
     use hpmp_paging::TranslationMode;
     use hpmp_trace::{AccessClass, RingSink, TlbOutcome};
@@ -718,7 +718,7 @@ mod tests {
             .expect("data page perm");
         machine
             .regs_mut()
-            .configure_table(0, region, table.root(), TableLevels::Two)
+            .configure_table(0, region, table.root())
             .expect("table mode");
         let mut space = AddressSpace::new(
             TranslationMode::Sv39,

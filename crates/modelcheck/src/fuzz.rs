@@ -16,7 +16,7 @@
 //! parses, the body asserts a differential property (an independent
 //! reference implementation agrees, or a round-trip is the identity).
 
-use hpmp_core::{LeafPmpte, MalformedPmpte, RootPmpte};
+use hpmp_core::{table_pointer_decode, table_pointer_encode, LeafPmpte, MalformedPmpte, RootPmpte};
 use hpmp_faults::CampaignSpec;
 use hpmp_memsim::SplitMix64;
 use hpmp_penglai::TeeFlavor;
@@ -61,9 +61,19 @@ fn reference_leaf_ok(bits: u64) -> bool {
     })
 }
 
+/// Independent reference for the table-pointer register (Figure 6-b):
+/// `Mode` in bits 63:62, where only `Mode = 0` (a 2-level table) is legal
+/// and 1–3 are reserved; the root table's address is `PPN[43:0] << 12`.
+fn reference_pointer_decode(reg: u64) -> Option<u64> {
+    let mode = reg >> 62;
+    let ppn = reg & ((1u64 << 44) - 1);
+    (mode == 0).then_some(ppn << 12)
+}
+
 /// Fuzz body: pmpte decode must agree with the parity-checked reference
-/// or reject fail-closed. The first 8 bytes are a root pmpte, the next 8
-/// a leaf pmpte (missing bytes read as zero).
+/// or reject fail-closed, and so must the table-pointer register decode.
+/// The first 8 bytes are a root pmpte, the next 8 a leaf pmpte and the
+/// next 8 a table-pointer register (missing bytes read as zero).
 ///
 /// # Panics
 ///
@@ -124,6 +134,19 @@ pub fn fuzz_pmpte_decode(data: &[u8]) {
             );
             assert!(LeafPmpte::from_bits(leaf_bits).is_malformed());
         }
+    }
+
+    let pointer = word(data, 16);
+    let root = table_pointer_decode(pointer);
+    assert_eq!(
+        root.map(|root| root.raw()),
+        reference_pointer_decode(pointer),
+        "table pointer {pointer:#018x}: production and reference decode disagree"
+    );
+    if let Some(root) = root {
+        // Re-encoding keeps the PPN, writes `Mode = 0` and clears bits 61:44.
+        let legal = pointer & ((1u64 << 44) - 1);
+        assert_eq!(table_pointer_encode(root), legal, "pointer re-encode");
     }
 }
 
@@ -257,7 +280,9 @@ mod tests {
     #[test]
     fn legal_pmptes_pass_the_differential_body() {
         use hpmp_memsim::{Perms, PhysAddr};
-        let mut data = [0u8; 16];
+        let mut data = [0u8; 24];
+        let pointer = table_pointer_encode(PhysAddr::new(0x8040_0000));
+        data[16..].copy_from_slice(&pointer.to_le_bytes());
         for root in [
             RootPmpte::INVALID,
             RootPmpte::pointer(PhysAddr::new(0x8040_0000)),
@@ -269,7 +294,7 @@ mod tests {
                 LeafPmpte::splat(Perms::NONE),
                 LeafPmpte::splat(Perms::RW).with_perm(3, Perms::RX),
             ] {
-                data[8..].copy_from_slice(&leaf.to_bits().to_le_bytes());
+                data[8..16].copy_from_slice(&leaf.to_bits().to_le_bytes());
                 fuzz_pmpte_decode(&data);
             }
         }

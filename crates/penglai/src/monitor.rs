@@ -19,7 +19,7 @@
 //! measures.
 
 use hpmp_core::{
-    CopyCost, DeviceId, FillPolicy, IoPmp, IoPmpEntry, IoPmpMode, PmpRegion, PmpTable, TableLevels,
+    CopyCost, DeviceId, FillPolicy, IoPmp, IoPmpEntry, IoPmpMode, PmpRegion, PmpTable,
 };
 use hpmp_machine::Machine;
 use hpmp_memsim::{AccessKind, FrameAllocator, Perms, PhysAddr, PAGE_SIZE};
@@ -1321,10 +1321,7 @@ impl SecureMonitor {
                     iopmp.push(IoPmpEntry {
                         source_mask: 1 << (device.0 & 31),
                         region: self.ram,
-                        mode: IoPmpMode::Table {
-                            root: table.root(),
-                            levels: TableLevels::Two,
-                        },
+                        mode: IoPmpMode::Table { root: table.root() },
                     });
                     writes += 1;
                 }

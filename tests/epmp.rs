@@ -5,8 +5,7 @@
 //! of memory."
 
 use hpmp_suite::core::{
-    HpmpRegFile, PmpRegion, PmpTable, PmptwCache, TableLevels, EPMP_ENTRIES, HPMP_ENTRIES,
-    ROOT_TABLE_SPAN,
+    HpmpRegFile, PmpRegion, PmpTable, PmptwCache, EPMP_ENTRIES, HPMP_ENTRIES, ROOT_TABLE_SPAN,
 };
 use hpmp_suite::memsim::{
     AccessKind, FrameAllocator, Perms, PhysAddr, PhysMem, PrivMode, PAGE_SIZE,
@@ -28,7 +27,7 @@ fn fill_with_tables(entries: usize) -> (PhysMem, HpmpRegFile, u64) {
         table
             .set_page_perm(&mut mem, &mut frames, base, Perms::RW)
             .expect("grant first page");
-        regs.configure_table(idx, region, table.root(), TableLevels::Two)
+        regs.configure_table(idx, region, table.root())
             .expect("entry");
         covered += ROOT_TABLE_SPAN;
         idx += 2;

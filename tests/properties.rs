@@ -9,7 +9,7 @@
 
 use hpmp_suite::core::{
     napot_decode, napot_encode, table_pointer_decode, table_pointer_encode, AddressMode, LeafPmpte,
-    PmpConfig, PmpRegion, PmpTable, RootPmpte, TableLevels, TableOffset,
+    PmpConfig, PmpRegion, PmpTable, RootPmpte, TableOffset,
 };
 use hpmp_suite::memsim::{
     AccessKind, FrameAllocator, Perms, PhysAddr, PhysMem, SplitMix64, VirtAddr, PAGE_SIZE,
@@ -136,13 +136,11 @@ fn table_pointer_register_round_trip() {
     let mut rng = SplitMix64::seed_from_u64(0x9a07);
     for _ in 0..256 {
         let ppn = rng.gen_range(0..1u64 << 44);
-        let levels =
-            [TableLevels::One, TableLevels::Two, TableLevels::Three][rng.gen_range(0..3) as usize];
+        let reserved = rng.gen_range(1..4);
         let root = PhysAddr::new(ppn << 12);
-        let reg = table_pointer_encode(root, levels);
-        let (r, l) = table_pointer_decode(reg).expect("valid mode");
-        assert_eq!(r, root);
-        assert_eq!(l, levels);
+        let reg = table_pointer_encode(root);
+        assert_eq!(table_pointer_decode(reg), Some(root), "Mode = 0");
+        assert_eq!(table_pointer_decode(reg | (reserved << 62)), None);
     }
 }
 
