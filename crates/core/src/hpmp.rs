@@ -412,7 +412,9 @@ impl HpmpRegFile {
     /// # Errors
     ///
     /// Fails for the last entry, non-NAPOT regions, regions beyond the
-    /// table's reach, or locked entries.
+    /// table's reach, or locked entries, and with
+    /// [`HpmpError::PointerSlotBusy`] when entry `idx + 1` is active
+    /// (address mode not OFF); nothing is written then.
     pub fn configure_table(
         &mut self,
         idx: usize,
@@ -427,6 +429,9 @@ impl HpmpRegFile {
         }
         if region.size > ROOT_TABLE_SPAN {
             return Err(HpmpError::RegionTooLarge);
+        }
+        if self.cfg[idx + 1].address_mode() != AddressMode::Off {
+            return Err(HpmpError::PointerSlotBusy(idx + 1));
         }
         self.write_addr(idx, napot_encode(region.base, region.size))?;
         self.write_cfg(

@@ -26,7 +26,7 @@ pub enum FaultClass {
 
 impl FaultClass {
     /// Every class, in canonical order.
-    pub const ALL: [FaultClass; 5] = [
+    pub(crate) const ALL: [FaultClass; 5] = [
         FaultClass::PmpteFlip,
         FaultClass::RegCorrupt,
         FaultClass::StaleCache,
@@ -35,7 +35,7 @@ impl FaultClass {
     ];
 
     /// Stable short key used in spec strings, counters and JSONL records.
-    pub fn key(self) -> &'static str {
+    pub(crate) fn key(self) -> &'static str {
         match self {
             FaultClass::PmpteFlip => "pmpte",
             FaultClass::RegCorrupt => "regs",
@@ -211,7 +211,7 @@ impl CampaignSpec {
     /// stream seeded from the campaign seed. Each shard gets an independent
     /// stream; the derivation depends only on `(campaign_seed, shard)`, so
     /// shards can run in any order on any number of threads.
-    pub fn shard_seed(campaign_seed: u64, shard: u64) -> u64 {
+    pub(crate) fn shard_seed(campaign_seed: u64, shard: u64) -> u64 {
         let mut stream = SplitMix64::seed_from_u64(campaign_seed);
         let mut seed = stream.next_u64();
         for _ in 0..shard {

@@ -12,7 +12,9 @@
 //! `bmc` exits 0 when the outcome matches the expectation (clean search,
 //! or a counterexample under `--expect-violation`) and 1 otherwise, so CI
 //! can run both directions: the clean sweep must verify, the planted
-//! fault must be caught. `--seed-out` writes the counterexample schedule
+//! fault must be caught. A flag value the system cannot boot with
+//! (`--harts` outside 1..=65535, `--ram-mib` below the monitor's layout)
+//! exits 2. `--seed-out` writes the counterexample schedule
 //! to a file in the `tests/shootdown.rs` replay format.
 //!
 //! `fuzz` replays the committed seed corpora and a deterministic mutation
@@ -21,8 +23,9 @@
 
 use std::process::ExitCode;
 
-use hpmp_modelcheck::bmc::{run_bmc, BmcConfig, Plant};
+use hpmp_modelcheck::bmc::{run_bmc, BmcConfig};
 use hpmp_modelcheck::fuzz;
+use hpmp_modelcheck::{BootError, Plant};
 use hpmp_penglai::TeeFlavor;
 
 fn usage(err: &str) -> ExitCode {
@@ -95,16 +98,16 @@ fn cmd_bmc(mut args: Args) -> Result<ExitCode, String> {
         config.depth = parse_num("--depth", &v)?;
     }
     if let Some(v) = args.take_value("--harts")? {
-        config.harts = parse_num("--harts", &v)?;
+        config.boot.harts = parse_num("--harts", &v)?;
     }
     if let Some(v) = args.take_value("--max-enclaves")? {
         config.max_enclaves = parse_num("--max-enclaves", &v)?;
     }
     if let Some(v) = args.take_value("--ram-mib")? {
-        config.ram_mib = parse_num("--ram-mib", &v)?;
+        config.boot.ram_mib = parse_num("--ram-mib", &v)?;
     }
     let flavors = parse_flavors(&args.take_value("--flavor")?.unwrap_or_else(|| "all".into()))?;
-    config.plant = match args.take_value("--plant")?.as_deref() {
+    config.boot.plant = match args.take_value("--plant")?.as_deref() {
         None | Some("none") => Plant::None,
         Some("suppress-shootdown") => Plant::SuppressShootdowns,
         Some(other) => return Err(format!("unknown plant `{other}`")),
@@ -115,8 +118,11 @@ fn cmd_bmc(mut args: Args) -> Result<ExitCode, String> {
 
     let mut all_match = true;
     for flavor in flavors {
-        config.flavor = flavor;
-        let report = run_bmc(config);
+        config.boot.flavor = flavor;
+        let report = run_bmc(config).map_err(|e| match e {
+            BootError::Harts(_) => format!("--harts: {e}"),
+            BootError::Ram(e) => format!("--ram-mib {}: {e}", config.boot.ram_mib),
+        })?;
         println!("{report}");
         match &report.counterexample {
             Some(cx) => {
@@ -133,7 +139,7 @@ fn cmd_bmc(mut args: Args) -> Result<ExitCode, String> {
                 if expect_violation {
                     println!(
                         "bmc: expected a counterexample under plant={} — none found",
-                        config.plant
+                        config.boot.plant
                     );
                     all_match = false;
                 }
@@ -179,21 +185,13 @@ fn cmd_fuzz(mut args: Args) -> Result<ExitCode, String> {
     )?;
     args.finish()?;
 
-    let selected: Vec<(&str, fuzz::FuzzBody)> = if which == "all" {
-        fuzz::TARGETS.to_vec()
-    } else {
-        match fuzz::target(&which) {
-            Some(body) => vec![(
-                fuzz::TARGETS
-                    .iter()
-                    .find(|(n, _)| *n == which)
-                    .map(|(n, _)| *n)
-                    .unwrap(),
-                body,
-            )],
-            None => return Err(format!("unknown fuzz target `{which}`")),
-        }
-    };
+    let selected: Vec<_> = fuzz::TARGETS
+        .into_iter()
+        .filter(|&(name, _)| which == "all" || name == which)
+        .collect();
+    if selected.is_empty() {
+        return Err(format!("unknown fuzz target `{which}`"));
+    }
     for (name, body) in selected {
         let dir = std::path::Path::new(&corpus_root).join(name);
         let corpus = if dir.is_dir() {

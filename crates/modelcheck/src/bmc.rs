@@ -7,12 +7,15 @@
 //! of up to `depth` monitor ops (create/destroy, GMS alloc/free/relabel —
 //! including pressure-sized, compaction-triggering placements — and domain
 //! switches), each issued from every hart, by explicit depth-first search
-//! over forked system states. After *every* op it probes the fail-closed
-//! property on *every* hart: the fast-path permission check (the
+//! over forked system states. Every op is a [`checked_apply`]: its refusal
+//! is held to the one tolerated-error rule, and after it the one
+//! fail-closed check ([`SmpSystem::fail_closed_violation`]) runs on
+//! *every* hart — above all, the fast-path permission check (the
 //! architectural register-file check, cache-free) must never grant an
-//! access the cache-free oracle denies. A grant-where-oracle-denies is a
+//! access the cache-free oracle denies. A broken invariant is a
 //! counterexample; the search emits the op prefix that reached it as a
-//! replayable [`Schedule`].
+//! replayable [`Schedule`]. The fault ops stay off the menu: they need a
+//! 1-hart system.
 //!
 //! ## Pruning and soundness
 //!
@@ -35,86 +38,45 @@
 
 use std::collections::HashMap;
 
-use crate::schedule::{MonitorOp, Schedule, ScheduledOp};
-use hpmp_core::PmptwCache;
-use hpmp_machine::MachineConfig;
-use hpmp_memsim::{AccessKind, PhysAddr, PrivMode};
-use hpmp_penglai::{DomainId, GmsLabel, MonitorError, SmpSystem, TeeFlavor};
-
-/// A fault deliberately planted before the search, to demonstrate the
-/// checker can find the bug class it guards against.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Plant {
-    /// No fault: the property is expected to hold.
-    #[default]
-    None,
-    /// Suppress cross-hart shootdown delivery ([`SmpSystem::
-    /// set_shootdown_suppression`]): remote harts keep stale register
-    /// images and cached grants — the exact window the shootdown protocol
-    /// exists to close.
-    SuppressShootdowns,
-}
-
-impl std::fmt::Display for Plant {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Plant::None => "none",
-            Plant::SuppressShootdowns => "suppress-shootdown",
-        })
-    }
-}
+use crate::schedule::{
+    boot_system, checked_apply, Boot, BootError, MonitorOp, Schedule, ScheduledOp, StepError,
+    PRESSURE_REGION, SMALL_REGION,
+};
+use hpmp_penglai::{DomainId, GmsLabel, SmpSystem, Violation};
 
 /// Search bounds and system shape.
 #[derive(Clone, Copy, Debug)]
 pub struct BmcConfig {
-    /// TEE flavour to boot.
-    pub flavor: TeeFlavor,
-    /// Number of harts (n).
-    pub harts: usize,
+    /// The system to boot: flavour, harts (n), RAM and planted fault.
+    pub boot: Boot,
     /// Maximum schedule length (k).
     pub depth: usize,
     /// Cap on concurrently live enclaves; bounds the op menu.
     pub max_enclaves: usize,
-    /// Boot RAM in MiB. The default 128 leaves a 64 MiB region arena, so
-    /// pressure-sized allocations reach the degradation ladder within a
-    /// small bound.
-    pub ram_mib: u64,
-    /// Planted fault, if any.
-    pub plant: Plant,
 }
 
 impl Default for BmcConfig {
     fn default() -> BmcConfig {
         BmcConfig {
-            flavor: TeeFlavor::PenglaiHpmp,
-            harts: 2,
+            boot: Boot::default(),
             depth: 3,
             max_enclaves: 2,
-            ram_mib: 128,
-            plant: Plant::None,
         }
     }
 }
 
-/// A schedule that drove some hart's fast path into granting an access the
-/// oracle denies.
+/// A schedule that drove the system into breaking the fail-closed check.
 #[derive(Clone, Debug)]
 pub struct Counterexample {
     /// The minimal op sequence reaching the violation.
     pub schedule: Schedule,
-    /// The hart whose fast path over-grants.
-    pub hart: u16,
-    /// The probed physical address.
-    pub addr: u64,
+    /// What the check found after its last op.
+    pub violation: Violation,
 }
 
 impl std::fmt::Display for Counterexample {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "schedule `{}` leaves hart {}'s fast path granting {:#x} where the oracle denies",
-            self.schedule, self.hart, self.addr
-        )
+        write!(f, "schedule `{}` leaves {}", self.schedule, self.violation)
     }
 }
 
@@ -137,14 +99,11 @@ pub struct BmcReport {
 
 impl std::fmt::Display for BmcReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let boot = &self.config.boot;
         writeln!(
             f,
             "bmc: flavor={} harts={} depth={} max-enclaves={} plant={}",
-            self.config.flavor,
-            self.config.harts,
-            self.config.depth,
-            self.config.max_enclaves,
-            self.config.plant
+            boot.flavor, boot.harts, self.config.depth, self.config.max_enclaves, boot.plant
         )?;
         writeln!(
             f,
@@ -157,71 +116,9 @@ impl std::fmt::Display for BmcReport {
                 "bmc: verified — fail-closed holds on every schedule up to {} ops",
                 self.config.depth
             ),
-            Some(cx) => write!(f, "bmc: COUNTEREXAMPLE ({} ops): {cx}", cx.schedule.len()),
+            Some(cx) => write!(f, "bmc: COUNTEREXAMPLE ({} ops): {cx}", cx.schedule.0.len()),
         }
     }
-}
-
-/// Monitor errors that are legitimate op outcomes under exhaustion and
-/// contention; anything else from a menu-generated op is a checker bug.
-fn tolerated(e: &MonitorError) -> bool {
-    matches!(
-        e,
-        MonitorError::OutOfMemory
-            | MonitorError::OutOfPmpEntries
-            | MonitorError::ResourceExhausted { .. }
-            | MonitorError::AlreadyScheduled(_)
-    )
-}
-
-/// Probe addresses for the fail-closed check: one inside the monitor's own
-/// region and the base of every region of every live domain (enclave
-/// private memory is exactly what a stale grant exposes).
-fn probes(smp: &SmpSystem) -> Vec<PhysAddr> {
-    let mut out = vec![PhysAddr::new(
-        smp.monitor().monitor_region().base.raw() + 0x800,
-    )];
-    for id in smp.monitor().domain_ids() {
-        if let Ok(gmss) = smp.monitor().regions_of(id) {
-            for gms in gmss {
-                out.push(gms.region.base);
-            }
-        }
-    }
-    out
-}
-
-/// Checks the fail-closed property on every hart; returns the first
-/// violating `(hart, addr)` if any.
-///
-/// The fast side is the architectural register-file check with a disabled
-/// PMPTW cache — precisely what `tests/shootdown.rs` asserts on — run
-/// against the hart's own register image and the shared table memory. The
-/// slow side is the monitor's cache-free oracle for the domain scheduled
-/// on that hart.
-pub fn fail_closed_violation(smp: &mut SmpSystem) -> Option<(u16, u64)> {
-    let addrs = probes(smp);
-    for hart in 0..smp.harts() as u16 {
-        for &pa in &addrs {
-            let fast = {
-                let m = smp.machine(hart);
-                m.regs()
-                    .check(
-                        m.phys(),
-                        &mut PmptwCache::disabled(),
-                        pa,
-                        AccessKind::Read,
-                        PrivMode::Supervisor,
-                    )
-                    .allowed
-            };
-            let oracle = smp.oracle_check_on(hart, pa, AccessKind::Read);
-            if fast && !oracle {
-                return Some((hart, pa.raw()));
-            }
-        }
-    }
-    None
 }
 
 /// Enumerates the op menu of `smp` in a fixed deterministic order: for
@@ -241,19 +138,19 @@ fn menu(smp: &SmpSystem, max_enclaves: usize) -> Vec<ScheduledOp> {
     for hart in 0..smp.harts() as u16 {
         let mut push = |op: MonitorOp| out.push(ScheduledOp { hart, op });
         if enclaves.len() < max_enclaves {
-            push(MonitorOp::Create);
+            push(MonitorOp::Create { size: SMALL_REGION });
         }
         for &d in &enclaves {
             push(MonitorOp::Destroy(d.0));
             push(MonitorOp::Alloc {
                 domain: d.0,
                 label: GmsLabel::Fast,
-                pressure: false,
+                size: SMALL_REGION,
             });
             push(MonitorOp::Alloc {
                 domain: d.0,
                 label: GmsLabel::Slow,
-                pressure: true,
+                size: PRESSURE_REGION,
             });
             let gmss = mon.regions_of(d).map(<[_]>::len).unwrap_or(0);
             if gmss > 0 {
@@ -308,23 +205,21 @@ impl Search {
         self.explored += 1;
         for sched_op in menu(smp, self.max_enclaves) {
             let mut fork = smp.clone();
-            let outcome = crate::schedule::apply(&mut fork, sched_op)
-                .unwrap_or_else(|e| panic!("menu generated an unissuable op: {e}"));
+            let step = checked_apply(&mut fork, sched_op);
             self.transitions += 1;
-            if let Err(e) = outcome {
-                assert!(
-                    tolerated(&e),
-                    "op `{sched_op}` failed unexpectedly after `{}`: {e}",
-                    Schedule(prefix.clone())
-                );
-            }
             prefix.push(sched_op);
-            if let Some((hart, addr)) = fail_closed_violation(&mut fork) {
-                return Some(Counterexample {
-                    schedule: Schedule(prefix.clone()),
-                    hart,
-                    addr,
-                });
+            match step {
+                Ok(_) => {}
+                Err(StepError::Violation(violation)) => {
+                    return Some(Counterexample {
+                        schedule: Schedule(prefix.clone()),
+                        violation,
+                    })
+                }
+                Err(e) => panic!(
+                    "menu op `{sched_op}` after `{}`: {e}",
+                    Schedule(prefix.clone())
+                ),
             }
             let fp = fork.state_fingerprint();
             let child_remaining = remaining - 1;
@@ -345,27 +240,13 @@ impl Search {
     }
 }
 
-/// Boots a system per `config` (applying the planted fault) — shared with
-/// the counterexample replay path so a pinned schedule meets the same boot
-/// state the search saw.
-///
-/// # Panics
-///
-/// Panics when boot parameters are unusable (RAM too small for the
-/// monitor's layout).
-pub fn boot_system(config: &BmcConfig) -> SmpSystem {
-    let ram = hpmp_core::PmpRegion::new(PhysAddr::new(0x8000_0000), config.ram_mib << 20);
-    let mut smp = SmpSystem::boot(MachineConfig::rocket(), config.flavor, ram, config.harts)
-        .expect("bmc boot");
-    if config.plant == Plant::SuppressShootdowns {
-        smp.set_shootdown_suppression(true);
-    }
-    smp
-}
-
 /// Runs the bounded search. See the module docs for the guarantees.
-pub fn run_bmc(config: BmcConfig) -> BmcReport {
-    let root = boot_system(&config);
+///
+/// # Errors
+///
+/// As [`boot_system`].
+pub fn run_bmc(config: BmcConfig) -> Result<BmcReport, BootError> {
+    let root = boot_system(&config.boot)?;
     let mut search = Search {
         max_enclaves: config.max_enclaves,
         visited: HashMap::new(),
@@ -373,14 +254,12 @@ pub fn run_bmc(config: BmcConfig) -> BmcReport {
         pruned: 0,
         transitions: 0,
     };
-    let mut counterexample = {
-        let mut probe_root = root.clone();
-        fail_closed_violation(&mut probe_root).map(|(hart, addr)| Counterexample {
+    let mut counterexample = root
+        .fail_closed_violation()
+        .map(|violation| Counterexample {
             schedule: Schedule::default(),
-            hart,
-            addr,
-        })
-    };
+            violation,
+        });
     if counterexample.is_none() {
         // Iterative deepening: the first hit is a minimal counterexample.
         for depth in 1..=config.depth {
@@ -393,25 +272,28 @@ pub fn run_bmc(config: BmcConfig) -> BmcReport {
             }
         }
     }
-    BmcReport {
+    Ok(BmcReport {
         config,
         states_explored: search.explored,
         states_pruned: search.pruned,
         transitions: search.transitions,
         counterexample,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::Plant;
+    use hpmp_penglai::TeeFlavor;
 
     #[test]
     fn clean_monitor_verifies_at_a_small_bound() {
         let report = run_bmc(BmcConfig {
             depth: 2,
             ..BmcConfig::default()
-        });
+        })
+        .expect("boot");
         assert!(
             report.counterexample.is_none(),
             "unexpected: {}",
@@ -424,21 +306,24 @@ mod tests {
     #[test]
     fn planted_suppression_yields_a_minimal_counterexample() {
         let report = run_bmc(BmcConfig {
-            flavor: TeeFlavor::PenglaiPmp,
+            boot: Boot {
+                flavor: TeeFlavor::PenglaiPmp,
+                plant: Plant::SuppressShootdowns,
+                ..Boot::default()
+            },
             depth: 2,
-            plant: Plant::SuppressShootdowns,
             ..BmcConfig::default()
-        });
+        })
+        .expect("boot");
         let cx = report.counterexample.expect("planted fault must be found");
         // A single create suffices: the remote hart's host image misses
         // the new deny entry, so minimality means depth 1.
-        assert_eq!(cx.schedule.len(), 1, "not minimal: {}", cx.schedule);
+        assert_eq!(cx.schedule.0.len(), 1, "not minimal: {}", cx.schedule);
         // And the counterexample replays: same boot, same schedule, same
         // violation.
-        let mut smp = boot_system(&report.config);
+        let mut smp = boot_system(&report.config.boot).expect("boot");
         cx.schedule.run(&mut smp).expect("replayable");
-        let (hart, addr) = fail_closed_violation(&mut smp).expect("violation reproduces");
-        assert_eq!((hart, addr), (cx.hart, cx.addr));
+        assert_eq!(smp.fail_closed_violation(), Some(cx.violation));
     }
 
     #[test]
@@ -447,7 +332,8 @@ mod tests {
             let r = run_bmc(BmcConfig {
                 depth: 2,
                 ..BmcConfig::default()
-            });
+            })
+            .expect("boot");
             (r.states_explored, r.states_pruned, r.transitions)
         };
         assert_eq!(run(), run());

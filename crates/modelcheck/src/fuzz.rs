@@ -199,14 +199,6 @@ pub const TARGETS: [(&str, FuzzBody); 3] = [
     ("json_readers", fuzz_json_readers),
 ];
 
-/// Looks up a fuzz body by target name.
-pub fn target(name: &str) -> Option<FuzzBody> {
-    TARGETS
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|&(_, body)| body)
-}
-
 /// Outcome of one deterministic corpus smoke run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SmokeReport {
@@ -302,25 +294,20 @@ mod tests {
 
     #[test]
     fn bodies_survive_a_mutation_storm() {
-        let corpora: [(&str, Vec<Vec<u8>>); 3] = [
-            ("pmpte_decode", vec![vec![0u8; 16], vec![0xff; 16]]),
-            (
-                "campaign_spec",
-                vec![b"faults=10,shards=2".to_vec(), b"flavor=pmp".to_vec()],
-            ),
-            ("json_readers", vec![b"{\"a\":1}".to_vec(), b"[]".to_vec()]),
+        let corpora: [Vec<Vec<u8>>; 3] = [
+            vec![vec![0u8; 16], vec![0xff; 16]],
+            vec![b"faults=10,shards=2".to_vec(), b"flavor=pmp".to_vec()],
+            vec![b"{\"a\":1}".to_vec(), b"[]".to_vec()],
         ];
-        for (name, corpus) in corpora {
-            let body = target(name).expect("known target");
+        for ((_, body), corpus) in TARGETS.into_iter().zip(corpora) {
             let report = smoke(body, &corpus, 500, 0x5eed);
             assert_eq!(report.mutations, 500);
         }
     }
 
     #[test]
-    fn smoke_is_deterministic_and_unknown_targets_are_none() {
-        assert!(target("nonsense").is_none());
-        let body = target("json_readers").unwrap();
+    fn smoke_is_deterministic() {
+        let body = fuzz_json_readers;
         let a = smoke(body, &[b"x".to_vec()], 50, 7);
         let b = smoke(body, &[b"x".to_vec()], 50, 7);
         assert_eq!(a, b);

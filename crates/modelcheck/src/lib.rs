@@ -1,21 +1,20 @@
 //! # hpmp-modelcheck
 //!
-//! Exhaustive small-scope verification of the secure monitor, promoting
-//! the shootdown battery's sampled fail-closed property ("held on 1000
-//! random schedules") to a bounded guarantee ("holds on **all** schedules
-//! of up to k ops across n harts"), in the spirit of Cheang et al.,
-//! "Verifying RISC-V Physical Memory Protection".
+//! Verification of the secure monitor's fail-closed property by one
+//! vocabulary and one check across exhaustive and random search, in the
+//! spirit of Cheang et al., "Verifying RISC-V Physical Memory Protection".
 //!
-//! Three pieces:
-//!
-//! * [`bmc`] — the bounded model checker: explicit-state DFS over forked
-//!   [`hpmp_penglai::SmpSystem`]s with fingerprint-canonicalized pruning
-//!   and a lockstep fail-closed check against the cache-free oracle.
-//! * [`schedule`] — the replayable counterexample format, shared with the
-//!   pinned regression cases in `tests/shootdown.rs`.
+//! * [`schedule`] — the one monitor-op vocabulary ([`MonitorOp`], fault
+//!   ops included), the one tolerated-error rule, the checked step that
+//!   runs `SecureMonitor::fail_closed_violation` after every op, and the
+//!   replayable [`Schedule`] text format. The random batteries in
+//!   `tests/monitor_fuzz.rs` and `tests/shootdown.rs` drive it through
+//!   [`CheckedRun`].
+//! * [`bmc`] — the bounded model checker: explicit-state DFS over every
+//!   k-op interleaving of forked [`hpmp_penglai::SmpSystem`]s, with
+//!   fingerprint-canonicalized pruning and the same checked step.
 //! * [`fuzz`] — the differential fuzz bodies behind the three cargo-fuzz
-//!   targets in `fuzz/`, plus a deterministic, dependency-free corpus
-//!   smoke driver for stable-toolchain CI.
+//!   targets in `fuzz/`, plus a deterministic corpus smoke driver.
 //!
 //! The `hpmp-verify` binary fronts all of it.
 
@@ -26,6 +25,8 @@ pub mod bmc;
 pub mod fuzz;
 pub mod schedule;
 
-pub use bmc::{fail_closed_violation, run_bmc, BmcConfig, BmcReport, Counterexample, Plant};
-pub use fuzz::{smoke, SmokeReport};
-pub use schedule::{MonitorOp, Schedule, ScheduledOp, PRESSURE_REGION, SMALL_REGION};
+pub use bmc::{run_bmc, BmcConfig, BmcReport, Counterexample};
+pub use schedule::{
+    boot_system, pmpte_path, slot_of, Boot, BootError, CheckedRun, MonitorOp, Outcome, Plant,
+    Schedule, ScheduledOp, StepError,
+};

@@ -22,7 +22,7 @@ pub use degrade::{DegradationPolicy, DegradeStage};
 pub use gms::{Gms, GmsLabel};
 pub use monitor::{
     cost, CompactNote, CompactReport, DomainId, MonitorError, MonitorStats, ScrubReport,
-    SecureMonitor, TeeFlavor,
+    SecureMonitor, TeeFlavor, Violation,
 };
 pub use os::{
     HintId, OsError, OsStats, Pid, RegionHint, SimOs, KERNEL_DIRECT_MAP, USER_CODE_BASE,

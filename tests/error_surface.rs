@@ -156,3 +156,28 @@ fn error_conversions_compose() {
     };
     assert!(parse.source().is_none());
 }
+
+/// `PointerSlotBusy` is returned, not just rendered: a table entry whose
+/// pointer slot is an active segment fails and writes nothing.
+#[test]
+fn configure_table_refuses_a_busy_pointer_slot() {
+    use hpmp_suite::core::{HpmpRegFile, PmpRegion};
+    use hpmp_suite::memsim::Perms;
+
+    let mut regs = HpmpRegFile::new();
+    let segment = PmpRegion::new(PhysAddr::new(0x8000_0000), 1 << 20);
+    regs.configure_segment(1, segment, Perms::RW).unwrap();
+    let image = |regs: &HpmpRegFile| -> Vec<_> {
+        (0..2)
+            .map(|i| (regs.addr_reg(i), regs.cfg_reg(i)))
+            .collect()
+    };
+    let before = image(&regs);
+    let table = PmpRegion::new(PhysAddr::new(0x9000_0000), 1 << 28);
+    assert_eq!(
+        regs.configure_table(0, table, PhysAddr::new(0x1000)),
+        Err(HpmpError::PointerSlotBusy(1))
+    );
+    assert_eq!(image(&regs), before);
+    assert_eq!(regs.entry_region(1), Some(segment));
+}

@@ -1,29 +1,36 @@
-//! Randomised operation sequences against the secure monitor, checking the
-//! isolation invariants after every step: no two domains ever hold
-//! overlapping regions, the monitor's memory is never reachable from S-mode,
-//! the running domain can always reach (only) its own memory, and every
-//! fast-path grant agrees with the monitor's lockstep permission oracle.
+//! Randomised operation sequences against the secure monitor, in the one
+//! monitor-op vocabulary (`hpmp_suite::modelcheck::MonitorOp`). Every op
+//! goes through a `CheckedRun`: its refusal is held to the one
+//! tolerated-error rule, and the one fail-closed check runs after it — no
+//! overlapping enclave regions, no fast-path grant the oracle denies on
+//! any hart, every scheduled enclave reaches its own memory, no enclave
+//! on two harts, no table-only stage on PMP, every live register image
+//! valid (DESIGN.md §13).
 //!
-//! Besides the lifecycle ops, the fuzzer injects faults: PMP register
-//! corruption (repaired by the shadow-copy scrub), pmpte bit flips in the
-//! current domain's permission table (quarantined and rebuilt), and
-//! dropped invalidation fences around region churn (absorbed by the
-//! isolation epoch). The invariants must hold after every step, faults
-//! included.
+//! Three batteries, each drawing from its fixed-seed [`SplitMix64`]
+//! exactly as it always has, resolving its selectors to domain ids and
+//! region slots at issue time:
 //!
-//! Sequences are generated by the in-repo [`SplitMix64`] PRNG from fixed
-//! seeds (deterministic, reproducible); one historical shrink from the old
-//! proptest corpus is kept as an explicit regression case.
+//! 1. single-hart lifecycle ops plus the fault ops (register corruption
+//!    repaired by the shadow-copy scrub, pmpte flips on the running
+//!    domain's walk quarantined and rebuilt, dropped fences around region
+//!    churn absorbed by the isolation epoch);
+//! 2. the lifecycle ops issued from random harts of 2–4-hart systems;
+//! 3. the degradation ladder (DESIGN.md §12): a 128 MiB boot and 16 MiB
+//!    allocations drive the monitor through Compacting, TableOnly and
+//!    Admission, where compaction relocates regions and allocations
+//!    degrade to table-only exact fits.
+//!
+//! A failure panics with its boot and schedule text, which
+//! `boot_system` + `Schedule::run` replay.
 
-use hpmp_suite::core::{PmpRegion, PmptwCache};
-use hpmp_suite::machine::{Machine, MachineConfig};
-use hpmp_suite::memsim::{AccessKind, PhysAddr, PrivMode, SplitMix64};
-use hpmp_suite::penglai::{
-    DegradeStage, DomainId, GmsLabel, MonitorError, SecureMonitor, SmpSystem, TeeFlavor,
+use hpmp_suite::core::PmpRegion;
+use hpmp_suite::memsim::{PhysAddr, SplitMix64};
+use hpmp_suite::modelcheck::{
+    pmpte_path, slot_of, Boot, CheckedRun, MonitorOp, Schedule, ScheduledOp,
 };
-use hpmp_suite::trace::NullSink;
-
-const RAM: PmpRegion = PmpRegion::new(PhysAddr::new(0x8000_0000), 1 << 30);
+use hpmp_suite::penglai::{DomainId, GmsLabel, SmpSystem, TeeFlavor};
+use hpmp_suite::trace::Snapshot;
 
 const FLAVORS: [TeeFlavor; 3] = [
     TeeFlavor::PenglaiPmp,
@@ -31,239 +38,84 @@ const FLAVORS: [TeeFlavor; 3] = [
     TeeFlavor::PenglaiHpmp,
 ];
 
-/// The operations the fuzzer may issue.
-#[derive(Clone, Copy, Debug)]
-enum Op {
-    Create,
-    Destroy(u8),
-    Alloc(u8, u8),
-    Switch(u8),
-    /// Corrupt one PMP addr/config register, then scrub.
-    CorruptReg(u8, u8),
-    /// Flip one bit of a pmpte on the current domain's own walk path,
-    /// then scrub and rebuild the quarantined table.
-    CorruptPmpte(u8, u8),
-    /// Alloc + free a region with the invalidation fence suppressed.
-    DropFence(u8),
+const KIB: u64 = 1024;
+
+fn boot(flavor: TeeFlavor, harts: usize, ram_mib: u64) -> CheckedRun {
+    let boot = Boot {
+        flavor,
+        harts,
+        ram_mib,
+        ..Boot::default()
+    };
+    CheckedRun::boot(boot).expect("system boots")
 }
 
-fn random_op(rng: &mut SplitMix64) -> Op {
+/// Issues `op` from `hart`, panicking with the replayable failure;
+/// returns the region an `alloc` placed.
+fn step(run: &mut CheckedRun, hart: u16, op: MonitorOp) -> Option<PmpRegion> {
+    let outcome = run.step(ScheduledOp { hart, op });
+    outcome.unwrap_or_else(|e| panic!("{run} {e}")).ok()?
+}
+
+/// Runs a fixed schedule on every flavour, checked after every op, and
+/// returns each flavour's final monitor counters.
+fn run_everywhere(harts: usize, ram_mib: u64, text: &str) -> Vec<(TeeFlavor, Snapshot)> {
+    let schedule = Schedule::parse(text).expect("schedule parses");
+    let run = |flavor| {
+        let mut run = boot(flavor, harts, ram_mib);
+        if let Err(e) = run.run(&schedule) {
+            panic!("{run} {e}");
+        }
+        (flavor, run.smp.monitor().metrics_snapshot())
+    };
+    FLAVORS.into_iter().map(run).collect()
+}
+
+/// Every live domain id, host first, in creation order.
+fn live(smp: &SmpSystem) -> Vec<u32> {
+    smp.monitor().domain_ids().iter().map(|d| d.0).collect()
+}
+
+/// `from[sel % len]`, or `None` when `from` is empty.
+fn pick(from: &[u32], sel: u64) -> Option<u32> {
+    from.get(sel as usize % from.len().max(1)).copied()
+}
+
+/// One single-hart op: the lifecycle ops, or a fault.
+fn random_op(rng: &mut SplitMix64, smp: &SmpSystem, flavor: TeeFlavor) -> Option<MonitorOp> {
+    let live = live(smp);
+    let enclaves = &live[1..];
     match rng.gen_range(0..7) {
-        0 => Op::Create,
-        1 => Op::Destroy(rng.gen_range(0..8) as u8),
-        2 => Op::Alloc(rng.gen_range(0..8) as u8, rng.gen_range(1..8) as u8),
-        3 => Op::Switch(rng.gen_range(0..8) as u8),
-        4 => Op::CorruptReg(rng.gen_range(0..16) as u8, rng.gen_range(0..64) as u8),
-        5 => Op::CorruptPmpte(rng.gen_range(0..4) as u8, rng.gen_range(0..64) as u8),
-        _ => Op::DropFence(rng.gen_range(0..8) as u8),
-    }
-}
-
-fn check_invariants(machine: &Machine, monitor: &SecureMonitor, live: &[DomainId]) {
-    // 1. No overlapping regions across distinct domains. (The host's
-    //    whole-memory GMS legitimately contains carved regions, so compare
-    //    only non-host domains pairwise and against each other.)
-    let mut regions: Vec<(DomainId, PmpRegion)> = Vec::new();
-    for &d in live {
-        if d == DomainId::HOST {
-            continue;
+        0 => Some(MonitorOp::Create { size: 1 << 20 }),
+        1 => pick(enclaves, rng.gen_range(0..8)).map(MonitorOp::Destroy),
+        2 => {
+            let domain = pick(&live, rng.gen_range(0..8)).expect("host is live");
+            let size = rng.gen_range(1..8) * 64 * KIB;
+            let label = GmsLabel::Slow;
+            Some(MonitorOp::Alloc {
+                domain,
+                label,
+                size,
+            })
         }
-        for g in monitor.regions_of(d).expect("live domain") {
-            regions.push((d, g.region));
+        3 => pick(&live, rng.gen_range(0..8)).map(MonitorOp::Switch),
+        4 => {
+            let entry = rng.gen_range(0..16) as usize % smp.machines().peek(0).regs().len();
+            let bit = rng.gen_range(0..64) as u8;
+            let cfg = bit % 2 == 1;
+            let bit = if cfg { bit % 8 } else { bit };
+            Some(MonitorOp::CorruptReg { entry, cfg, bit })
         }
-    }
-    for (i, &(da, ra)) in regions.iter().enumerate() {
-        for &(db, rb) in &regions[i + 1..] {
-            if da != db {
-                let overlap = ra.base < rb.end() && rb.base < ra.end();
-                assert!(!overlap, "{da} {ra} overlaps {db} {rb}");
-            }
+        5 => {
+            let (sel, bit) = (rng.gen_range(0..4) as usize, rng.gen_range(0..64) as u8);
+            // Only a running enclave's walk under a table flavour.
+            let enclave = smp.scheduled(0) != DomainId::HOST;
+            let path = pmpte_path(smp, 0);
+            let step = sel % path.len().max(1);
+            (flavor != TeeFlavor::PenglaiPmp && enclave && !path.is_empty())
+                .then_some(MonitorOp::FlipPmpte { step, bit })
         }
-    }
-    // 2. The monitor's own memory is unreachable from S-mode.
-    let mut cache = PmptwCache::disabled();
-    let probe = PhysAddr::new(monitor.monitor_region().base.raw() + 0x800);
-    let out = machine.regs().check(
-        machine.phys(),
-        &mut cache,
-        probe,
-        AccessKind::Read,
-        PrivMode::Supervisor,
-    );
-    assert!(!out.allowed, "monitor memory leaked to S-mode");
-    // 3. The current domain reaches its own first region (when not host,
-    //    whose grants are probabilistic under carving).
-    let current = monitor.current();
-    if current != DomainId::HOST {
-        if let Some(g) = monitor.regions_of(current).expect("current").first() {
-            let out = machine.regs().check(
-                machine.phys(),
-                &mut cache,
-                g.region.base,
-                AccessKind::Read,
-                PrivMode::Supervisor,
-            );
-            assert!(out.allowed, "{current} cannot reach its own region");
-        }
-    }
-    // 4. Oracle lockstep (fail-closed): the fast path never grants an
-    //    access the oracle's cache-free re-derivation denies. Probe the
-    //    monitor's memory and every live domain's first region.
-    let mut probes = vec![probe];
-    for &d in live {
-        if let Some(g) = monitor.regions_of(d).expect("live domain").first() {
-            probes.push(g.region.base);
-        }
-    }
-    for pa in probes {
-        let fast = machine
-            .regs()
-            .check(
-                machine.phys(),
-                &mut cache,
-                pa,
-                AccessKind::Read,
-                PrivMode::Supervisor,
-            )
-            .allowed;
-        let oracle = monitor.oracle_check_for(current, pa, AccessKind::Read);
-        assert!(
-            !fast || oracle,
-            "fast path grants {pa} to {current} but the oracle denies it"
-        );
-    }
-}
-
-fn run_sequence(flavor: TeeFlavor, ops: &[Op]) {
-    let mut machine = Machine::new(MachineConfig::rocket());
-    let mut monitor = SecureMonitor::boot(&mut machine, flavor, RAM).expect("monitor boots");
-    let mut live: Vec<DomainId> = vec![DomainId::HOST];
-
-    for &op in ops {
-        match op {
-            Op::Create => match monitor.create_domain(&mut machine, 1 << 20, GmsLabel::Slow) {
-                Ok((id, _)) => live.push(id),
-                Err(MonitorError::OutOfPmpEntries | MonitorError::OutOfMemory) => {}
-                Err(e) => panic!("create failed: {e}"),
-            },
-            Op::Destroy(sel) => {
-                let candidates: Vec<DomainId> = live
-                    .iter()
-                    .copied()
-                    .filter(|d| *d != DomainId::HOST)
-                    .collect();
-                if let Some(&victim) = candidates.get(sel as usize % candidates.len().max(1)) {
-                    monitor
-                        .destroy_domain(&mut machine, victim)
-                        .expect("destroy");
-                    live.retain(|d| *d != victim);
-                }
-            }
-            Op::Alloc(sel, size) => {
-                let target = live[sel as usize % live.len()];
-                match monitor.alloc_region(
-                    &mut machine,
-                    target,
-                    (size as u64) * 64 * 1024,
-                    GmsLabel::Slow,
-                ) {
-                    Ok(_) => {}
-                    Err(MonitorError::OutOfPmpEntries | MonitorError::OutOfMemory) => {}
-                    Err(e) => panic!("alloc failed: {e}"),
-                }
-            }
-            Op::Switch(sel) => {
-                let target = live[sel as usize % live.len()];
-                match monitor.switch_to(&mut machine, target) {
-                    Ok(_) => {}
-                    Err(MonitorError::OutOfPmpEntries) => {}
-                    Err(e) => panic!("switch failed: {e}"),
-                }
-            }
-            Op::CorruptReg(sel, bit) => {
-                let idx = sel as usize % machine.regs().len();
-                if bit % 2 == 0 {
-                    machine.regs_mut().corrupt_addr(idx, 1u64 << (bit % 64));
-                } else {
-                    machine.regs_mut().corrupt_cfg(idx, 1u8 << (bit % 8));
-                }
-                let report = monitor.scrub(&mut machine);
-                assert!(
-                    report.repaired_registers > 0,
-                    "scrub missed corrupted register {idx}"
-                );
-            }
-            Op::CorruptPmpte(sel, bit) => {
-                // Needs a permission table and a non-host victim whose walk
-                // path is cheap to locate; skip otherwise.
-                let current = monitor.current();
-                if flavor == TeeFlavor::PenglaiPmp || current == DomainId::HOST {
-                    continue;
-                }
-                let Some(base) = monitor
-                    .regions_of(current)
-                    .expect("current domain")
-                    .first()
-                    .map(|g| g.region.base)
-                else {
-                    continue;
-                };
-                let mut cache = PmptwCache::disabled();
-                let refs = machine
-                    .regs()
-                    .check(
-                        machine.phys(),
-                        &mut cache,
-                        base,
-                        AccessKind::Read,
-                        PrivMode::Supervisor,
-                    )
-                    .refs;
-                if refs.is_empty() {
-                    continue;
-                }
-                let target = refs[sel as usize % refs.len()].addr;
-                let word = machine.phys().read_u64(target);
-                machine
-                    .phys_mut()
-                    .write_u64(target, word ^ (1u64 << (bit % 64)));
-                machine.sfence_vma_all();
-                let report = monitor.scrub(&mut machine);
-                assert!(
-                    report.corrupt_domains.contains(&current),
-                    "scrub missed pmpte flip at {target}"
-                );
-                for d in report.corrupt_domains {
-                    monitor
-                        .rebuild_domain_table(&mut machine, d)
-                        .expect("rebuild quarantined table");
-                }
-                assert!(
-                    monitor.scrub(&mut machine).clean(),
-                    "rebuild left corruption"
-                );
-            }
-            Op::DropFence(sel) => {
-                let candidates: Vec<DomainId> = live
-                    .iter()
-                    .copied()
-                    .filter(|d| *d != DomainId::HOST)
-                    .collect();
-                let Some(&target) = candidates.get(sel as usize % candidates.len().max(1)) else {
-                    continue;
-                };
-                machine.set_fence_suppression(true);
-                if let Ok((region, _)) =
-                    monitor.alloc_region(&mut machine, target, 64 * 1024, GmsLabel::Slow)
-                {
-                    monitor
-                        .free_region(&mut machine, target, region.base)
-                        .expect("free under suppressed fence");
-                }
-                machine.set_fence_suppression(false);
-            }
-        }
-        check_invariants(&machine, &monitor, &live);
+        _ => pick(enclaves, rng.gen_range(0..8)).map(MonitorOp::DropFence),
     }
 }
 
@@ -273,145 +125,42 @@ fn monitor_invariants_hold_under_random_ops() {
     for _case in 0..24 {
         let flavor = FLAVORS[rng.gen_range(0..3) as usize];
         let n_ops = rng.gen_range(1..40) as usize;
-        let ops: Vec<Op> = (0..n_ops).map(|_| random_op(&mut rng)).collect();
-        run_sequence(flavor, &ops);
+        let mut run = boot(flavor, 1, 1024);
+        for _ in 0..n_ops {
+            if let Some(op) = random_op(&mut rng, &run.smp, flavor) {
+                step(&mut run, 0, op);
+            }
+        }
     }
 }
 
-/// Regression: the historical proptest shrink `flavor = PenglaiPmp,
-/// ops = [Create, Destroy(0)]` — destroying the only enclave right after
-/// creating it must restore the host's exclusive view.
+/// Regression: the historical proptest shrink — destroying the only
+/// enclave right after creating it must restore the host's exclusive view.
 #[test]
 fn create_then_destroy_is_clean() {
-    for flavor in FLAVORS {
-        run_sequence(flavor, &[Op::Create, Op::Destroy(0)]);
-    }
+    run_everywhere(1, 1024, "h0:create h0:destroy(1)");
 }
 
-// ---------------------------------------------------------------------------
-// Multi-hart fuzzing: the same lifecycle ops, issued from random harts of a
-// shared SmpSystem. The single-hart fault ops (register corruption, pmpte
-// flips, dropped fences) stay out: scrub and quarantine are monitor-global
-// and already fuzzed above, while the SMP-specific fault — a suppressed
-// shootdown — is exercised by tests/shootdown.rs. What this fuzzer adds is
-// the scheduling dimension: ops on hart A while hart B runs a domain, and
-// the per-hart fail-closed oracle check after every step.
-// ---------------------------------------------------------------------------
-
-/// The multi-hart operations: each op carries the hart that issues it.
-#[derive(Clone, Copy, Debug)]
-enum SmpOp {
-    Create(u8),
-    Destroy(u8, u8),
-    Alloc(u8, u8, u8),
-    Switch(u8, u8),
-}
-
-fn random_smp_op(rng: &mut SplitMix64) -> SmpOp {
-    let hart = rng.gen_range(0..4) as u8;
-    match rng.gen_range(0..4) {
-        0 => SmpOp::Create(hart),
-        1 => SmpOp::Destroy(hart, rng.gen_range(0..8) as u8),
-        2 => SmpOp::Alloc(hart, rng.gen_range(0..8) as u8, rng.gen_range(1..6) as u8),
-        _ => SmpOp::Switch(hart, rng.gen_range(0..8) as u8),
-    }
-}
-
-/// The per-hart half of [`check_invariants`]: on every hart, the fast path
-/// must never grant an access the oracle (asked for *that hart's*
-/// scheduled domain) denies — neither for the monitor's memory nor for any
-/// live domain's first region.
-fn check_smp_invariants(smp: &mut SmpSystem<NullSink>, live: &[DomainId]) {
-    let mut probes = vec![PhysAddr::new(
-        smp.monitor().monitor_region().base.raw() + 0x800,
-    )];
-    for &d in live {
-        if let Some(g) = smp.monitor().regions_of(d).expect("live domain").first() {
-            probes.push(g.region.base);
+/// One multi-hart op, issued from a random hart.
+fn random_smp_op(rng: &mut SplitMix64, smp: &SmpSystem) -> (u16, Option<MonitorOp>) {
+    let hart = (rng.gen_range(0..4) % smp.harts() as u64) as u16;
+    let live = live(smp);
+    let op = match rng.gen_range(0..4) {
+        0 => Some(MonitorOp::Create { size: 256 * KIB }),
+        1 => pick(&live[1..], rng.gen_range(0..8)).map(MonitorOp::Destroy),
+        2 => {
+            let domain = pick(&live, rng.gen_range(0..8)).expect("host is live");
+            let size = rng.gen_range(1..6) * 64 * KIB;
+            let label = GmsLabel::Slow;
+            Some(MonitorOp::Alloc {
+                domain,
+                label,
+                size,
+            })
         }
-    }
-    for hart in 0..smp.harts() as u16 {
-        let scheduled = smp.scheduled(hart);
-        for &pa in &probes {
-            let fast = {
-                let m = smp.machine(hart);
-                let mut cache = PmptwCache::disabled();
-                m.regs()
-                    .check(
-                        m.phys(),
-                        &mut cache,
-                        pa,
-                        AccessKind::Read,
-                        PrivMode::Supervisor,
-                    )
-                    .allowed
-            };
-            let oracle = smp.oracle_check_on(hart, pa, AccessKind::Read);
-            assert!(
-                !fast || oracle,
-                "hart {hart} fast path grants {pa} to {scheduled} but the oracle denies it"
-            );
-        }
-        // An enclave is never scheduled on two harts.
-        if scheduled != DomainId::HOST {
-            for other in 0..smp.harts() as u16 {
-                assert!(
-                    other == hart || smp.scheduled(other) != scheduled,
-                    "{scheduled} scheduled on harts {hart} and {other}"
-                );
-            }
-        }
-    }
-}
-
-fn run_smp_sequence(flavor: TeeFlavor, harts: usize, ops: &[SmpOp]) {
-    let mut smp =
-        SmpSystem::boot(MachineConfig::rocket(), flavor, RAM, harts).expect("SMP system boots");
-    let mut live: Vec<DomainId> = vec![DomainId::HOST];
-
-    for &op in ops {
-        match op {
-            SmpOp::Create(hart) => {
-                let hart = hart as u16 % harts as u16;
-                match smp.create_domain_on(hart, 256 * 1024, GmsLabel::Slow) {
-                    Ok((id, _)) => live.push(id),
-                    Err(MonitorError::OutOfPmpEntries | MonitorError::OutOfMemory) => {}
-                    Err(e) => panic!("create failed: {e}"),
-                }
-            }
-            SmpOp::Destroy(hart, sel) => {
-                let hart = hart as u16 % harts as u16;
-                let candidates: Vec<DomainId> = live
-                    .iter()
-                    .copied()
-                    .filter(|&d| d != DomainId::HOST)
-                    .collect();
-                if let Some(&victim) = candidates.get(sel as usize % candidates.len().max(1)) {
-                    smp.destroy_domain_on(hart, victim).expect("destroy");
-                    live.retain(|&d| d != victim);
-                }
-            }
-            SmpOp::Alloc(hart, sel, size) => {
-                let hart = hart as u16 % harts as u16;
-                let target = live[sel as usize % live.len()];
-                match smp.alloc_on(hart, target, (size as u64) * 64 * 1024, GmsLabel::Slow) {
-                    Ok(_) => {}
-                    Err(MonitorError::OutOfPmpEntries | MonitorError::OutOfMemory) => {}
-                    Err(e) => panic!("alloc failed: {e}"),
-                }
-            }
-            SmpOp::Switch(hart, sel) => {
-                let hart = hart as u16 % harts as u16;
-                let target = live[sel as usize % live.len()];
-                match smp.switch_on(hart, target) {
-                    Ok(_) => {}
-                    Err(MonitorError::AlreadyScheduled(_) | MonitorError::OutOfPmpEntries) => {}
-                    Err(e) => panic!("switch failed: {e}"),
-                }
-            }
-        }
-        check_smp_invariants(&mut smp, &live);
-    }
+        _ => pick(&live, rng.gen_range(0..8)).map(MonitorOp::Switch),
+    };
+    (hart, op)
 }
 
 #[test]
@@ -421,170 +170,71 @@ fn smp_monitor_invariants_hold_under_random_ops() {
         let flavor = FLAVORS[rng.gen_range(0..3) as usize];
         let harts = 2 + rng.gen_range(0..3) as usize;
         let n_ops = rng.gen_range(1..30) as usize;
-        let ops: Vec<SmpOp> = (0..n_ops).map(|_| random_smp_op(&mut rng)).collect();
-        run_smp_sequence(flavor, harts, &ops);
+        let mut run = boot(flavor, harts, 1024);
+        for _ in 0..n_ops {
+            if let (hart, Some(op)) = random_smp_op(&mut rng, &run.smp) {
+                step(&mut run, hart, op);
+            }
+        }
     }
 }
 
 /// Regression for the hole the scheduling discipline closes: issuing
 /// monitor ops from hart A while hart B runs an enclave. Without banking
 /// `current` per hart, hart A's alloc would be attributed to (and
-/// reprogram) hart B's domain image; and without the one-hart rule a
-/// second `switch_on` would schedule the same enclave twice.
+/// reprogram) hart B's domain image; and without the one-hart rule the
+/// second switch would schedule the same enclave twice.
 #[test]
 fn ops_on_one_hart_while_another_runs_an_enclave() {
-    for flavor in FLAVORS {
-        run_smp_sequence(
-            flavor,
-            2,
-            &[
-                SmpOp::Create(0),
-                SmpOp::Switch(1, 1),   // enclave runs on hart 1
-                SmpOp::Switch(0, 1),   // rejected: AlreadyScheduled
-                SmpOp::Alloc(0, 1, 2), // host hart grants to the running enclave
-                SmpOp::Destroy(0, 0),  // teardown under hart 1's feet
-            ],
-        );
-    }
+    let text = "h0:create(256K) h1:switch(1) h0:switch(1) h0:alloc(1,slow,128K) h0:destroy(1)";
+    run_everywhere(2, 1024, text);
 }
 
-// ---------------------------------------------------------------------------
-// Degradation-ladder fuzzing (DESIGN.md §12): the same isolation and oracle
-// invariants, but driven through the monitor's staged degradation. The
-// batteries above boot 1 GiB of RAM and allocate at most a few hundred KiB,
-// so they never leave stage 0; here a deliberately small 128 MiB boot (a
-// 64 MiB region arena) plus 16 MiB pressure allocations force the monitor
-// through Compacting, TableOnly and Admission — where compaction relocates
-// regions and allocations silently degrade to table-only exact fits, which
-// is precisely where a stale grant or an overlap bug would hide.
-// ---------------------------------------------------------------------------
-
-/// Lifecycle ops under memory pressure. Region churn (alloc + free) is
-/// what makes recovery reachable, not just escalation.
-#[derive(Clone, Copy, Debug)]
-enum PressureOp {
-    Create,
-    Destroy(u8),
-    /// A 16 MiB allocation: the compaction/degradation trigger.
-    AllocBig(u8),
-    /// A small allocation that may be degraded to a table-only exact fit.
-    AllocSmall(u8, u8),
-    /// Free a previously fuzz-allocated region, opening holes.
-    Free(u8),
-    Switch(u8),
-}
-
-fn random_pressure_op(rng: &mut SplitMix64) -> PressureOp {
+/// One ladder op: lifecycle ops under memory pressure, with region churn
+/// (alloc + free) so recovery is reachable, not just escalation. `held`
+/// lists the regions the battery allocated, the free candidates.
+fn random_pressure_op(
+    rng: &mut SplitMix64,
+    smp: &SmpSystem,
+    held: &mut Vec<(u32, PhysAddr)>,
+) -> Option<MonitorOp> {
+    let live = live(smp);
+    let alloc = |domain, label, size| MonitorOp::Alloc {
+        domain,
+        label,
+        size,
+    };
     match rng.gen_range(0..8) {
-        0 => PressureOp::Create,
-        1 => PressureOp::Destroy(rng.gen_range(0..8) as u8),
-        2 | 3 => PressureOp::AllocBig(rng.gen_range(0..8) as u8),
-        4 => PressureOp::AllocSmall(rng.gen_range(0..8) as u8, rng.gen_range(1..8) as u8),
-        5 | 6 => PressureOp::Free(rng.gen_range(0..16) as u8),
-        _ => PressureOp::Switch(rng.gen_range(0..8) as u8),
+        0 => Some(MonitorOp::Create { size: 1 << 20 }),
+        1 => pick(&live[1..], rng.gen_range(0..8)).map(MonitorOp::Destroy),
+        2 | 3 => pick(&live, rng.gen_range(0..8)).map(|d| alloc(d, GmsLabel::Slow, 16 << 20)),
+        4 => {
+            let domain = pick(&live, rng.gen_range(0..8)).expect("host is live");
+            Some(alloc(
+                domain,
+                GmsLabel::Fast,
+                rng.gen_range(1..8) * 64 * KIB,
+            ))
+        }
+        5 | 6 => {
+            let sel = rng.gen_range(0..16) as usize;
+            if held.is_empty() {
+                return None;
+            }
+            let (domain, base) = held.swap_remove(sel % held.len());
+            Some(MonitorOp::Free {
+                domain,
+                slot: slot_of(smp, domain, base).expect("held region in place"),
+            })
+        }
+        _ => pick(&live, rng.gen_range(0..8)).map(MonitorOp::Switch),
     }
 }
 
-/// Errors that are legitimate outcomes under pressure: entry or memory
-/// exhaustion, and stage-3 admission backpressure.
-fn pressure_tolerated(e: &MonitorError) -> bool {
-    matches!(
-        e,
-        MonitorError::OutOfPmpEntries
-            | MonitorError::OutOfMemory
-            | MonitorError::ResourceExhausted { .. }
-    )
-}
-
-/// Runs one sequence against a 128 MiB boot, checking [`check_invariants`]
-/// after every op and that the PMP flavour never reports the table-only
-/// stage (it has no table to fall back on; its ladder is 0 → 1 → 3).
-/// Returns the final metrics snapshot for stage-visitation accounting.
-fn run_pressure_sequence(flavor: TeeFlavor, ops: &[PressureOp]) -> hpmp_suite::trace::Snapshot {
-    let ram = PmpRegion::new(PhysAddr::new(0x8000_0000), 128 << 20);
-    let mut machine = Machine::new(MachineConfig::rocket());
-    let mut monitor = SecureMonitor::boot(&mut machine, flavor, ram).expect("monitor boots");
-    let mut live: Vec<DomainId> = vec![DomainId::HOST];
-    let mut held: Vec<(DomainId, PhysAddr)> = Vec::new();
-
-    for &op in ops {
-        match op {
-            PressureOp::Create => {
-                match monitor.create_domain(&mut machine, 1 << 20, GmsLabel::Slow) {
-                    Ok((id, _)) => live.push(id),
-                    Err(e) if pressure_tolerated(&e) => {}
-                    Err(e) => panic!("create failed: {e}"),
-                }
-            }
-            PressureOp::Destroy(sel) => {
-                let candidates: Vec<DomainId> = live
-                    .iter()
-                    .copied()
-                    .filter(|d| *d != DomainId::HOST)
-                    .collect();
-                if let Some(&victim) = candidates.get(sel as usize % candidates.len().max(1)) {
-                    monitor
-                        .destroy_domain(&mut machine, victim)
-                        .expect("destroy");
-                    live.retain(|d| *d != victim);
-                    held.retain(|&(d, _)| d != victim);
-                }
-            }
-            PressureOp::AllocBig(sel) => {
-                let target = live[sel as usize % live.len()];
-                match monitor.alloc_region(&mut machine, target, 16 << 20, GmsLabel::Slow) {
-                    Ok((region, _)) => held.push((target, region.base)),
-                    Err(e) if pressure_tolerated(&e) => {}
-                    Err(e) => panic!("pressure alloc failed: {e}"),
-                }
-            }
-            PressureOp::AllocSmall(sel, size) => {
-                let target = live[sel as usize % live.len()];
-                match monitor.alloc_region(
-                    &mut machine,
-                    target,
-                    (size as u64) * 64 * 1024,
-                    GmsLabel::Fast,
-                ) {
-                    Ok((region, _)) => held.push((target, region.base)),
-                    Err(e) if pressure_tolerated(&e) => {}
-                    Err(e) => panic!("small alloc failed: {e}"),
-                }
-            }
-            PressureOp::Free(sel) => {
-                if held.is_empty() {
-                    continue;
-                }
-                let (domain, base) = held.swap_remove(sel as usize % held.len());
-                monitor
-                    .free_region(&mut machine, domain, base)
-                    .expect("free held region");
-            }
-            PressureOp::Switch(sel) => {
-                let target = live[sel as usize % live.len()];
-                match monitor.switch_to(&mut machine, target) {
-                    Ok(_) => {}
-                    Err(MonitorError::OutOfPmpEntries) => {}
-                    Err(e) => panic!("switch failed: {e}"),
-                }
-            }
-        }
-        if flavor == TeeFlavor::PenglaiPmp {
-            assert_ne!(
-                monitor.degrade_stage(),
-                DegradeStage::TableOnly,
-                "the PMP flavour has no table-only stage"
-            );
-        }
-        check_invariants(&machine, &monitor, &live);
-    }
-    monitor.metrics_snapshot()
-}
-
-/// The randomized ladder battery. Besides holding the invariants through
-/// every sequence, the battery as a whole must actually *visit* stages 1–3
-/// on the table flavours (else the coverage claim is vacuous) and must
-/// never count a table-only entry on PMP.
+/// The randomized ladder battery. Besides holding the check through every
+/// sequence, the battery as a whole must actually *visit* stages 1–3 on
+/// the table flavours (else the coverage claim is vacuous) and must never
+/// count a table-only entry on PMP.
 #[test]
 fn degradation_ladder_keeps_the_oracle_invariant() {
     let mut rng = SplitMix64::seed_from_u64(0xd16a_de01);
@@ -592,8 +242,19 @@ fn degradation_ladder_keeps_the_oracle_invariant() {
     for _case in 0..18 {
         let flavor = FLAVORS[rng.gen_range(0..3) as usize];
         let n_ops = 6 + rng.gen_range(0..24) as usize;
-        let ops: Vec<PressureOp> = (0..n_ops).map(|_| random_pressure_op(&mut rng)).collect();
-        let snap = run_pressure_sequence(flavor, &ops);
+        let mut run = boot(flavor, 1, 128);
+        let mut held = Vec::new();
+        for _ in 0..n_ops {
+            let Some(op) = random_pressure_op(&mut rng, &run.smp, &mut held) else {
+                continue;
+            };
+            match (op, step(&mut run, 0, op)) {
+                (MonitorOp::Alloc { domain, .. }, Some(region)) => held.push((domain, region.base)),
+                (MonitorOp::Destroy(victim), _) => held.retain(|&(d, _)| d != victim),
+                _ => {}
+            }
+        }
+        let snap: Snapshot = run.smp.monitor().metrics_snapshot();
         if flavor == TeeFlavor::PenglaiPmp {
             assert_eq!(
                 snap.get("monitor.degrade.enter_stage2"),
@@ -614,25 +275,17 @@ fn degradation_ladder_keeps_the_oracle_invariant() {
     );
 }
 
-/// Directed regression: the canonical exhaustion walk. Four 16 MiB
-/// requests exhaust the 64 MiB arena; the invariants (including the
-/// oracle lockstep) must hold at every stage, on every flavour, and the
-/// PMP ladder must skip table-only.
+/// Directed regression: the canonical exhaustion walk. Four 16 MiB host
+/// requests exhaust the 64 MiB arena; the check must hold at every stage,
+/// on every flavour, and the PMP ladder must skip table-only. The free
+/// names slot 1, the first 16 MiB region (slot 0 is the host's arena).
 #[test]
 fn directed_exhaustion_holds_invariants_through_admission() {
-    for flavor in FLAVORS {
-        let ops = [
-            PressureOp::Create,
-            PressureOp::AllocBig(0),
-            PressureOp::AllocBig(0),
-            PressureOp::AllocBig(0),
-            PressureOp::AllocBig(0),      // no NAPOT fit: walks the ladder
-            PressureOp::AllocSmall(1, 2), // enclave alloc under degradation
-            PressureOp::Switch(1),
-            PressureOp::Free(0),
-            PressureOp::AllocBig(0),
-        ];
-        let snap = run_pressure_sequence(flavor, &ops);
+    let big = "h0:alloc(0,slow,big)";
+    let text = format!(
+        "h0:create {big} {big} {big} {big} h0:alloc(1,fast,128K) h0:switch(1) h0:free(0,1) {big}"
+    );
+    for (flavor, snap) in run_everywhere(1, 128, &text) {
         assert!(
             snap.get("monitor.degrade.enter_stage3").unwrap_or(0) > 0,
             "{flavor}: admission control never reached"
