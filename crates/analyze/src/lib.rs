@@ -40,5 +40,5 @@ pub use diff::{diff_snapshots, load_artifact, percentile_shifts, render_diff, Ar
 pub use export::{
     chrome_trace, collapsed_stacks, render_collapsed, verify_collapsed, verify_span_export,
 };
-pub use profile::{ColdWalk, EventRefs, IsolationShape, WalkProfile};
+pub use profile::{ColdWalk, EventRefs, IsolationShape, PaperRefs, WalkProfile, PAPER_REFS};
 pub use timeline::{analyze_timeline, Attribution, DriftRow, SliceRow, TimelineAnalysis};

@@ -150,6 +150,79 @@ impl EventRefs {
     }
 }
 
+/// One row of the paper's cold-miss reference arithmetic: a scheme's
+/// references per purpose on a full Sv39 walk (native, §3 and Figs. 2/4)
+/// or Sv39x4 walk (virtualized, §6 and Fig. 8).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PaperRefs {
+    /// The scheme's label in the paper's figures.
+    pub scheme: &'static str,
+    /// Its references, split by purpose.
+    pub refs: EventRefs,
+}
+
+impl PaperRefs {
+    const fn new(scheme: &'static str, refs: EventRefs) -> PaperRefs {
+        PaperRefs { scheme, refs }
+    }
+
+    /// The row for a cold walk of `refs`' kind (native or virtualized) and
+    /// shape. HPMP and HPMP-GPT share the hybrid shape; HPMP-GPT is the one
+    /// whose guest page-table pages take no pmpte references.
+    pub fn for_walk(refs: &EventRefs) -> Option<&'static PaperRefs> {
+        let shape = refs.shape();
+        PAPER_REFS.iter().find(|row| {
+            row.refs.is_virtualized() == refs.is_virtualized()
+                && row.refs.shape() == shape
+                && (shape != IsolationShape::Hybrid
+                    || (row.refs.pmpte_for_gpt > 0) == (refs.pmpte_for_gpt > 0))
+        })
+    }
+}
+
+/// A full cold walk's references: 3 PT levels and the data reference,
+/// plus, when `virtualized`, the 12 G-stage references of the Sv39x4 walk;
+/// `tables` pmpte references guard the (nested) page-table pages.
+const fn cold(
+    virtualized: bool,
+    tables: u64,
+    pmpte_for_gpt: u64,
+    pmpte_for_data: u64,
+) -> EventRefs {
+    let (pt, guest_pt, nested_pt) = if virtualized { (0, 3, 12) } else { (3, 0, 0) };
+    let (pmpte_for_pt, pmpte_for_npt) = if virtualized {
+        (0, tables)
+    } else {
+        (tables, 0)
+    };
+    EventRefs {
+        pt,
+        guest_pt,
+        nested_pt,
+        data: 1,
+        pmpte_for_pt,
+        pmpte_for_gpt,
+        pmpte_for_npt,
+        pmpte_for_data,
+        pmpte_aborted: 0,
+    }
+}
+
+/// The paper's reference counts, read by `hpmp-analyze profile`'s claims
+/// and by the reproduction's claims table: native PMP / PMP Table / HPMP
+/// = 4 / 12 / 6; virtualized PMP / PMPT / HPMP / HPMP-GPT = 16 / 48 / 24 /
+/// 18, whose 3-D parts are 12 / 36 / 12 / 12 and whose PMPT extra splits
+/// 24 (NPT pages) / 6 (guest-PT pages) / 2 (data).
+pub const PAPER_REFS: [PaperRefs; 7] = [
+    PaperRefs::new("PMP", cold(false, 0, 0, 0)),
+    PaperRefs::new("PMP Table", cold(false, 6, 0, 2)),
+    PaperRefs::new("HPMP", cold(false, 0, 0, 2)),
+    PaperRefs::new("PMP", cold(true, 0, 0, 0)),
+    PaperRefs::new("PMPT", cold(true, 24, 6, 2)),
+    PaperRefs::new("HPMP", cold(true, 0, 6, 2)),
+    PaperRefs::new("HPMP-GPT", cold(true, 0, 0, 2)),
+];
+
 /// Count and cycles of one breakdown cell.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Cell {
@@ -302,18 +375,15 @@ impl WalkProfile {
     }
 
     /// The paper-claim table: `(claim label, measured, expected)` rows for
-    /// whatever shapes the trace contains. Expected values are stated for
-    /// Sv39 / Sv39x4, the modes the paper's headline numbers use; walks of
-    /// other depths are reported without an expectation.
+    /// whatever shapes the trace contains. Expected values come from
+    /// [`PAPER_REFS`], stated for Sv39 / Sv39x4, the modes the paper's
+    /// headline numbers use; walks of other depths are reported without an
+    /// expectation.
     pub fn claims(&self) -> Vec<(String, u64, Option<u64>)> {
+        let expected =
+            |cold: &ColdWalk| PaperRefs::for_walk(&cold.refs).filter(|_| cold.pt_levels == 3);
         let mut rows = Vec::new();
         for (&shape, cold) in &self.native_cold {
-            let expected = match (shape, cold.pt_levels) {
-                (IsolationShape::Segment, 3) => Some(4),
-                (IsolationShape::Table, 3) => Some(12),
-                (IsolationShape::Hybrid, 3) => Some(6),
-                _ => None,
-            };
             rows.push((
                 format!(
                     "native {}-level miss walk, {} shape: total references",
@@ -321,42 +391,26 @@ impl WalkProfile {
                     shape.label()
                 ),
                 cold.refs.total(),
-                expected,
+                expected(cold).map(|row| row.refs.total()),
             ));
         }
         for (&shape, cold) in &self.virt_cold {
-            let expected_3d = match (shape, cold.pt_levels) {
-                (IsolationShape::Segment, 3) => Some(12),
-                (IsolationShape::Table, 3) => Some(36),
-                (IsolationShape::Hybrid, 3) => Some(12),
-                _ => None,
-            };
-            rows.push((
+            let label = |what| {
                 format!(
-                    "virtualized {}-level miss walk, {} shape: 3-D references",
+                    "virtualized {}-level miss walk, {} shape: {what}",
                     cold.pt_levels,
                     shape.label()
-                ),
+                )
+            };
+            rows.push((
+                label("3-D references"),
                 cold.refs.three_d(),
-                expected_3d,
+                expected(cold).map(|row| row.refs.three_d()),
             ));
-            let expected_total = match (shape, cold.pt_levels) {
-                (IsolationShape::Segment, 3) => Some(16),
-                (IsolationShape::Table, 3) => Some(48),
-                (IsolationShape::Hybrid, 3) => match cold.refs.pmpte_for_gpt {
-                    0 => Some(18), // HPMP-GPT: guest PT pages segment-checked
-                    _ => Some(24), // HPMP: guest PT pages still table-checked
-                },
-                _ => None,
-            };
             rows.push((
-                format!(
-                    "virtualized {}-level miss walk, {} shape: total references",
-                    cold.pt_levels,
-                    shape.label()
-                ),
+                label("total references"),
                 cold.refs.total(),
-                expected_total,
+                expected(cold).map(|row| row.refs.total()),
             ));
         }
         rows

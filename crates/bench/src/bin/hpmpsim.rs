@@ -266,7 +266,7 @@ where
 }
 
 fn machine_config(options: &Options) -> MachineConfig {
-    let mut config = hpmp_workloads::fixture::config_for(options.core);
+    let mut config = MachineConfig::from(options.core);
     if let Some(entries) = options.pwc {
         config.pwc.entries = entries;
     }
@@ -808,7 +808,7 @@ fn run_workload<S: TraceSink>(
                 TeeFlavor::PenglaiPmpt => hpmp_machine::VirtScheme::PmpTable,
                 TeeFlavor::PenglaiHpmp => hpmp_machine::VirtScheme::Hpmp,
             };
-            let (result, snap) = hpmp_workloads::virt_app::run_guest_kv_with_config(
+            let (result, snap) = hpmp_workloads::virt_app::run_guest_kv_with_sink(
                 config,
                 scheme,
                 hpmp_workloads::virt_app::GUEST_DATASET_PAGES,
@@ -834,7 +834,12 @@ fn run_workload<S: TraceSink>(
             );
             (result.total_cycles, snap)
         }
-        _ => unreachable!("workloads are validated against SMP_WORKLOADS"),
+        other => {
+            // `main` admits only SMP_WORKLOADS names; one without an arm
+            // here is refused, not run as another workload.
+            eprintln!("hpmpsim: workload {other} has no single-hart run");
+            std::process::exit(2);
+        }
     }
 }
 

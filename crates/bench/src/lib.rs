@@ -1,7 +1,8 @@
 //! # hpmp-bench
 //!
-//! The reproduction harness: the text tables the `repro` binary prints
-//! (it regenerates every table and figure of the paper), the worker pool
+//! The reproduction harness: the paper's [`experiments`] as values and the
+//! text tables they render into (the `repro` binary prints them, which
+//! regenerates every table and figure of the paper), the worker pool
 //! `repro` and `hpmpsim` run jobs on, the [`artifacts`] flags and writers
 //! they share, and the [`Timer`] behind the `hotpath` bench.
 
@@ -9,34 +10,12 @@
 #![warn(missing_debug_implementations)]
 
 pub mod artifacts;
+pub mod experiments;
 mod harness;
 
 pub use harness::{Timer, TimerGroup};
 
-use std::cell::RefCell;
 use std::fmt::Write as _;
-
-thread_local! {
-    /// Per-thread redirect target for [`Report::print`]. When set, rendered
-    /// reports append here instead of going to stdout, so the multi-threaded
-    /// experiment runner can emit them later in a deterministic order.
-    static CAPTURE: RefCell<Option<String>> = const { RefCell::new(None) };
-}
-
-/// Runs `f` with every [`Report::print`] on this thread redirected into a
-/// buffer, returning `f`'s result together with the captured text.
-///
-/// Capture is per-thread, so worker threads running independent experiments
-/// each collect their own output. Nesting is not supported: the inner call
-/// would steal the outer buffer.
-pub fn capture_reports<R>(f: impl FnOnce() -> R) -> (R, String) {
-    CAPTURE.with(|slot| *slot.borrow_mut() = Some(String::new()));
-    let result = f();
-    let text = CAPTURE
-        .with(|slot| slot.borrow_mut().take())
-        .unwrap_or_default();
-    (result, text)
-}
 
 /// Runs `count` independent jobs on up to `jobs` worker threads and returns
 /// their outputs **in job-index order**, regardless of completion order.
@@ -162,33 +141,15 @@ impl Report {
         }
         out
     }
-
-    /// Prints the rendered table to stdout, or into the thread's capture
-    /// buffer inside [`capture_reports`].
-    pub fn print(&self) {
-        let rendered = self.render();
-        let captured = CAPTURE.with(|slot| {
-            if let Some(buf) = slot.borrow_mut().as_mut() {
-                buf.push_str(&rendered);
-                buf.push('\n');
-                true
-            } else {
-                false
-            }
-        });
-        if !captured {
-            println!("{rendered}");
-        }
-    }
 }
 
 /// Formats `value` as a percentage of `baseline` (`"110.0%"`).
-pub fn pct(value: u64, baseline: u64) -> String {
+pub(crate) fn pct(value: u64, baseline: u64) -> String {
     format!("{:.1}%", value as f64 * 100.0 / baseline as f64)
 }
 
 /// Formats a ratio as a percentage string.
-pub fn pct_f(ratio: f64) -> String {
+pub(crate) fn pct_f(ratio: f64) -> String {
     format!("{:.1}%", ratio * 100.0)
 }
 
@@ -232,21 +193,5 @@ mod tests {
         assert!(results.is_empty());
         let results = run_ordered(3, 0, |i| i, |_| {});
         assert_eq!(results, vec![0, 1, 2], "zero jobs clamps to one worker");
-    }
-
-    #[test]
-    fn capture_redirects_print() {
-        let ((), text) = capture_reports(|| {
-            let mut r = Report::new("captured", &["col"]);
-            r.row(&["v".into()]);
-            r.print();
-        });
-        assert!(text.contains("== captured =="));
-        // `print` appends the same trailing newline `println!` would add.
-        assert!(text.ends_with("\n\n") || text.ends_with('\n'));
-        // Capture ends with the closure: a later print goes to stdout,
-        // which we can at least assert leaves the buffer untouched.
-        let ((), empty) = capture_reports(|| {});
-        assert!(empty.is_empty());
     }
 }

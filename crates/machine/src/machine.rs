@@ -11,7 +11,9 @@
 //! IOPMP-checked DMA.
 
 use hpmp_core::{HpmpRegFile, PmptwCacheConfig};
-use hpmp_memsim::{AccessKind, CoreModel, MemSystemConfig, PhysAddr, PhysMem, PrivMode, VirtAddr};
+use hpmp_memsim::{
+    AccessKind, CoreKind, CoreModel, MemSystemConfig, PhysAddr, PhysMem, PrivMode, VirtAddr,
+};
 use hpmp_paging::{
     walk_with, AddressSpace, Tlb, TlbConfig, TlbHit, Translation, WalkCache, WalkCacheConfig,
 };
@@ -171,6 +173,16 @@ impl MachineConfig {
             pmptw_cache: PmptwCacheConfig::DISABLED,
             tlb_inlining: true,
             hpmp_entries: hpmp_core::HPMP_ENTRIES,
+        }
+    }
+}
+
+/// The canonical configuration of a core kind (Table 1).
+impl From<CoreKind> for MachineConfig {
+    fn from(core: CoreKind) -> MachineConfig {
+        match core {
+            CoreKind::Rocket => MachineConfig::rocket(),
+            CoreKind::Boom => MachineConfig::boom(),
         }
     }
 }

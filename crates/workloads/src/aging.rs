@@ -22,8 +22,7 @@
 //!
 //! The campaign runs on the SMP harness of [`crate::smp`]:
 //! [`run_aging_with`] takes pre-built machines and a
-//! [`RunOptions`] value (backend plus telemetry),
-//! and [`run_aging`] wraps it over fresh machines. Residents touch their
+//! [`RunOptions`] value (backend plus telemetry). Residents touch their
 //! working sets through the same tenant batch loop as the SMP workloads.
 //!
 //! Determinism: all churn decisions come from one `SplitMix64` stream and
@@ -33,18 +32,18 @@
 //! are the only parallel work, and those are per-hart-RNG pure).
 
 use hpmp_core::PmptwCache;
-use hpmp_machine::{ExecBackend, Machine};
-use hpmp_memsim::{AccessKind, CoreKind, PhysAddr, PrivMode, SplitMix64};
+use hpmp_machine::Machine;
+use hpmp_memsim::{AccessKind, PhysAddr, PrivMode, SplitMix64};
 use hpmp_penglai::{DegradeStage, DomainId, GmsLabel, MonitorError, SmpSystem, TeeFlavor};
 use hpmp_trace::{Snapshot, TraceSink};
 
-use crate::fixture::{config_for, RAM_BASE};
+use crate::fixture::RAM_BASE;
 use crate::smp::{Harness, RunOptions, SmpTelemetry};
 
 /// NAPOT RAM for the aging fleet: the monitor's 128 MiB floor, leaving a
 /// ~64 MiB region arena — small enough that a thousand-lifecycle churn
 /// run exhausts it and walks the whole degradation ladder.
-pub const AGING_RAM_SIZE: u64 = 128 << 20;
+const AGING_RAM_SIZE: u64 = 128 << 20;
 
 /// Default lifecycle count for the `aging` scenario.
 pub const DEFAULT_CHURN_OPS: u32 = 1200;
@@ -129,25 +128,6 @@ fn draw_size(rng: &mut SplitMix64) -> u64 {
     size
 }
 
-/// Runs the aging campaign on fresh, untraced machines.
-///
-/// # Errors
-///
-/// Propagates monitor errors other than the backpressure/entry-wall
-/// refusals the campaign is designed to absorb.
-pub fn run_aging(
-    flavor: TeeFlavor,
-    core: CoreKind,
-    harts: usize,
-    seed: u64,
-    spec: AgingSpec,
-    backend: ExecBackend,
-) -> Result<(AgingOutcome, Snapshot), MonitorError> {
-    let machines = (0..harts).map(|_| Machine::new(config_for(core))).collect();
-    let (outcome, snapshot, _, _) = run_aging_with(machines, flavor, seed, spec, backend.into())?;
-    Ok((outcome, snapshot))
-}
-
 /// Runs the aging campaign over pre-built machines (one per hart),
 /// returning the outcome, the merged snapshot, the per-hart sinks and the
 /// telemetry `options` asked for. With spans on, every monitor op opens a
@@ -157,7 +137,8 @@ pub fn run_aging(
 ///
 /// # Errors
 ///
-/// As [`run_aging`].
+/// Propagates monitor errors other than the backpressure/entry-wall
+/// refusals the campaign is designed to absorb.
 pub fn run_aging_with<S: TraceSink + Send>(
     machines: Vec<Machine<S>>,
     flavor: TeeFlavor,
@@ -357,6 +338,23 @@ fn probe_disagrees<S: TraceSink>(smp: &mut SmpSystem<S>, hart: u16, addr: PhysAd
 mod tests {
     use super::*;
     use crate::smp::SmpTelemetrySpec;
+    use hpmp_machine::ExecBackend;
+    use hpmp_memsim::CoreKind;
+
+    /// Runs the aging campaign on fresh, untraced machines.
+    fn run_aging(
+        flavor: TeeFlavor,
+        core: CoreKind,
+        harts: usize,
+        seed: u64,
+        spec: AgingSpec,
+        backend: ExecBackend,
+    ) -> Result<(AgingOutcome, Snapshot), MonitorError> {
+        let machines = (0..harts).map(|_| Machine::new(core.into())).collect();
+        let (outcome, snapshot, _, _) =
+            run_aging_with(machines, flavor, seed, spec, backend.into())?;
+        Ok((outcome, snapshot))
+    }
 
     const SEED: u64 = 0x4850_4d50;
 
@@ -437,7 +435,7 @@ mod tests {
     fn aging_spans_attribute_compaction_and_leave_the_outcome_alone() {
         let spec = AgingSpec::with_ops(DEFAULT_CHURN_OPS);
         let machines = (0..2)
-            .map(|_| Machine::new(config_for(CoreKind::Rocket)))
+            .map(|_| Machine::new(CoreKind::Rocket.into()))
             .collect();
         let telemetry = SmpTelemetrySpec {
             snapshot_interval: None,

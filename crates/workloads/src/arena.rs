@@ -88,7 +88,7 @@ pub fn replay<S: TraceSink>(
 /// # Errors
 ///
 /// Propagates access faults.
-pub fn replay_with_code<S: TraceSink>(
+pub(crate) fn replay_with_code<S: TraceSink>(
     os: &mut SimOs,
     machine: &mut Machine<S>,
     arena: &UserArena,
@@ -207,10 +207,11 @@ mod tests {
     use crate::fixture::TeeBench;
     use hpmp_memsim::CoreKind;
     use hpmp_penglai::TeeFlavor;
+    use hpmp_trace::NullSink;
 
     #[test]
     fn arena_round_trip() {
-        let mut tee = TeeBench::boot(TeeFlavor::PenglaiPmp, CoreKind::Rocket);
+        let mut tee = TeeBench::boot_with_sink(TeeFlavor::PenglaiPmp, CoreKind::Rocket, NullSink);
         let arena = UserArena::create(&mut tee.os, &mut tee.machine, 8).unwrap();
         assert_eq!(arena.bytes, 8 * PAGE_SIZE);
         assert_eq!(arena.va(0), VirtAddr::new(USER_HEAP_BASE));
@@ -219,7 +220,7 @@ mod tests {
 
     #[test]
     fn replay_accumulates_cycles() {
-        let mut tee = TeeBench::boot(TeeFlavor::PenglaiHpmp, CoreKind::Rocket);
+        let mut tee = TeeBench::boot_with_sink(TeeFlavor::PenglaiHpmp, CoreKind::Rocket, NullSink);
         let arena = UserArena::create(&mut tee.os, &mut tee.machine, 8).unwrap();
         let trace = Patterns::new(7).sequential(64, 64, 0.25, 4);
         let cycles = replay(&mut tee.os, &mut tee.machine, &arena, trace).unwrap();

@@ -3,7 +3,7 @@
 //! each benchmark inside a Penglai enclave under one of the three flavours.
 
 use hpmp_machine::{Machine, MachineConfig};
-use hpmp_memsim::{CoreKind, PhysAddr};
+use hpmp_memsim::PhysAddr;
 use hpmp_penglai::{DomainId, GmsLabel, SecureMonitor, SimOs, TeeFlavor};
 use hpmp_trace::{NullSink, TraceSink};
 
@@ -26,29 +26,24 @@ pub struct TeeBench<S: TraceSink = NullSink> {
     pub domain: DomainId,
 }
 
-impl TeeBench {
-    /// Boots the stack: monitor of the given flavour, one enclave with a
+impl<S: TraceSink> TeeBench<S> {
+    /// Boots the stack on a machine built from `config` (a
+    /// [`CoreKind`](hpmp_memsim::CoreKind) picks its Table 1
+    /// configuration): monitor of the given flavour, one enclave with a
     /// 16 MiB PT-pool GMS (labelled fast under Penglai-HPMP) and a 256 MiB
-    /// data GMS, and the OS with its PT pages in the pool.
+    /// data GMS, and the OS with its PT pages in the pool. Every access the
+    /// workload performs produces one `WalkEvent` in `sink`, tagged with
+    /// the world the monitor last switched into.
     ///
     /// # Panics
     ///
     /// Panics if monitor or OS boot fails — fixture sizing is static.
-    pub fn boot(flavor: TeeFlavor, core: CoreKind) -> TeeBench {
-        Self::boot_with_sink(flavor, config_for(core), NullSink)
-    }
-}
-
-impl<S: TraceSink> TeeBench<S> {
-    /// Boots the stack with a recording trace sink: every access performed
-    /// by the workload produces one `WalkEvent`, tagged with the world the
-    /// monitor last switched into.
-    ///
-    /// # Panics
-    ///
-    /// As [`TeeBench::boot`].
-    pub fn boot_with_sink(flavor: TeeFlavor, config: MachineConfig, sink: S) -> TeeBench<S> {
-        let mut machine = Machine::with_sink(config, sink);
+    pub fn boot_with_sink(
+        flavor: TeeFlavor,
+        config: impl Into<MachineConfig>,
+        sink: S,
+    ) -> TeeBench<S> {
+        let mut machine = Machine::with_sink(config.into(), sink);
         let ram = hpmp_core::PmpRegion::new(PhysAddr::new(RAM_BASE), RAM_SIZE);
         let mut monitor = SecureMonitor::boot(&mut machine, flavor, ram).expect("monitor boots");
 
@@ -84,19 +79,6 @@ impl<S: TraceSink> TeeBench<S> {
             domain,
         }
     }
-
-    /// Convenience: cold-boot state before a measured run.
-    pub fn flush(&mut self) {
-        self.machine.flush_microarch();
-    }
-}
-
-/// The canonical machine configuration for a core kind (Table 1).
-pub fn config_for(core: CoreKind) -> MachineConfig {
-    match core {
-        CoreKind::Rocket => MachineConfig::rocket(),
-        CoreKind::Boom => MachineConfig::boom(),
-    }
 }
 
 /// All three flavours, in the order the figures plot them.
@@ -109,14 +91,14 @@ pub const FLAVORS: [TeeFlavor; 3] = [
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpmp_memsim::{AccessKind, VirtAddr};
+    use hpmp_memsim::{AccessKind, CoreKind, VirtAddr};
     use hpmp_penglai::USER_CODE_BASE;
 
     #[test]
     fn boots_all_flavours_on_both_cores() {
         for flavor in FLAVORS {
             for core in [CoreKind::Rocket, CoreKind::Boom] {
-                let mut tee = TeeBench::boot(flavor, core);
+                let mut tee = TeeBench::boot_with_sink(flavor, core, NullSink);
                 let (pid, _) = tee.os.spawn(&mut tee.machine, 2).expect("spawn");
                 tee.os
                     .user_access(
@@ -132,7 +114,7 @@ mod tests {
 
     #[test]
     fn hpmp_fixture_has_fast_pool() {
-        let tee = TeeBench::boot(TeeFlavor::PenglaiHpmp, CoreKind::Rocket);
+        let tee = TeeBench::boot_with_sink(TeeFlavor::PenglaiHpmp, CoreKind::Rocket, NullSink);
         let regions = tee.monitor.regions_of(tee.domain).unwrap();
         assert!(regions
             .iter()
@@ -152,9 +134,9 @@ mod tests {
             TeeFlavor::PenglaiHpmp,
             TeeFlavor::PenglaiPmpt,
         ] {
-            let mut tee = TeeBench::boot(flavor, CoreKind::Rocket);
+            let mut tee = TeeBench::boot_with_sink(flavor, CoreKind::Rocket, NullSink);
             let (pid, _) = tee.os.spawn(&mut tee.machine, 1).expect("spawn");
-            tee.flush();
+            tee.machine.flush_microarch();
             let cycles = tee
                 .os
                 .user_access(

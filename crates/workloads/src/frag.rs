@@ -8,8 +8,9 @@
 //! PMPTW-Cache enabled for Figure 16.
 
 use hpmp_core::PmptwCacheConfig;
-use hpmp_machine::{IsolationScheme, MachineConfig, SystemBuilder};
+use hpmp_machine::{IsolationScheme, MachineConfig, SystemBuilder, VirtMachine, VirtScheme};
 use hpmp_memsim::{AccessKind, CoreKind, Perms, PrivMode, VirtAddr, PAGE_SIZE};
+use hpmp_trace::{Snapshot, TraceSink};
 
 /// Virtual-address layout of the touched pages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -48,23 +49,23 @@ impl std::fmt::Display for PaLayout {
 }
 
 /// Number of pages touched by the microbenchmark.
-pub const FRAG_PAGES: u64 = 24;
+const FRAG_PAGES: u64 = 24;
 
-/// Measures the total latency of touching [`FRAG_PAGES`] fresh pages (one
-/// access each, TLB-missing by construction) under the given layouts.
-pub fn measure(
+/// Measures the total latency of touching 24 fresh pages (one access each,
+/// TLB-missing by construction) under the given layouts, recording walk
+/// events into `sink`; returns the latency and the machine's metrics
+/// snapshot.
+pub fn measure<S: TraceSink>(
     core: CoreKind,
     scheme: IsolationScheme,
     va: VaLayout,
     pa: PaLayout,
     pmptw_cache: PmptwCacheConfig,
-) -> u64 {
-    let mut config = match core {
-        CoreKind::Rocket => MachineConfig::rocket(),
-        CoreKind::Boom => MachineConfig::boom(),
-    };
+    sink: S,
+) -> (u64, Snapshot) {
+    let mut config = MachineConfig::from(core);
     config.pmptw_cache = pmptw_cache;
-    let mut sys = SystemBuilder::new(config, scheme).build();
+    let mut sys = SystemBuilder::new(config, scheme).sink(sink).build();
 
     // Sv39 tops out below 512 GiB; 24 pages at 8 GiB stride fits.
     let va_stride = match va {
@@ -77,16 +78,12 @@ pub fn measure(
     };
 
     let va_base = 0x10_0000u64;
-    let frames: Vec<_> = (0..FRAG_PAGES)
-        .map(|i| {
-            let frame = hpmp_memsim::PhysAddr::new(
-                sys.ram.base.raw() + (64 << 20) + i * pa_stride_pages * PAGE_SIZE,
-            );
-            sys.map_page_at(VirtAddr::new(va_base + i * va_stride), frame, Perms::RW);
-            frame
-        })
-        .collect();
-    let _ = frames;
+    for i in 0..FRAG_PAGES {
+        let frame = hpmp_memsim::PhysAddr::new(
+            sys.ram.base.raw() + (64 << 20) + i * pa_stride_pages * PAGE_SIZE,
+        );
+        sys.map_page_at(VirtAddr::new(va_base + i * va_stride), frame, Perms::RW);
+    }
     sys.sync_pt_grants();
 
     sys.machine.flush_microarch();
@@ -103,22 +100,23 @@ pub fn measure(
             .expect("touch");
         total += out.cycles;
     }
-    total
+    sys.machine.flush_sink();
+    (total, sys.machine.metrics_snapshot())
 }
 
 /// The virtualized fragmentation cases — §8.8's (3) contiguous and (4)
 /// fragmented physical backing under fragmented host virtual pages. The
-/// guest touches [`FRAG_PAGES`] fresh guest pages; `backing` selects how
-/// the hypervisor placed the frames behind them.
-pub fn measure_virt(core: CoreKind, scheme: hpmp_machine::VirtScheme, backing: PaLayout) -> u64 {
-    use hpmp_machine::VirtMachine;
-    use hpmp_trace::NullSink;
-    let config = match core {
-        CoreKind::Rocket => MachineConfig::rocket(),
-        CoreKind::Boom => MachineConfig::boom(),
-    };
+/// guest touches 24 fresh guest pages; `backing` selects how the
+/// hypervisor placed the frames behind them. Records walk events into
+/// `sink`; returns the latency and the guest machine's metrics snapshot.
+pub fn measure_virt<S: TraceSink>(
+    core: CoreKind,
+    scheme: VirtScheme,
+    backing: PaLayout,
+    sink: S,
+) -> (u64, Snapshot) {
     let fragmented = backing == PaLayout::Fragmented;
-    let mut m = VirtMachine::with_sink_options(config, scheme, FRAG_PAGES, fragmented, NullSink);
+    let mut m = VirtMachine::with_sink_options(core.into(), scheme, FRAG_PAGES, fragmented, sink);
     m.flush_microarch();
     let mut total = 0;
     for i in 0..FRAG_PAGES {
@@ -127,26 +125,39 @@ pub fn measure_virt(core: CoreKind, scheme: hpmp_machine::VirtScheme, backing: P
             .expect("guest page")
             .cycles;
     }
-    total
+    m.flush_sink();
+    (total, m.metrics_snapshot())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpmp_trace::NullSink;
 
     const DISABLED: PmptwCacheConfig = PmptwCacheConfig::DISABLED;
 
+    fn total(
+        scheme: IsolationScheme,
+        va: VaLayout,
+        pa: PaLayout,
+        pmptw_cache: PmptwCacheConfig,
+    ) -> u64 {
+        measure(CoreKind::Rocket, scheme, va, pa, pmptw_cache, NullSink).0
+    }
+
+    fn virt_total(scheme: VirtScheme, backing: PaLayout) -> u64 {
+        measure_virt(CoreKind::Rocket, scheme, backing, NullSink).0
+    }
+
     #[test]
     fn fragmentation_hurts() {
-        let ideal = measure(
-            CoreKind::Rocket,
+        let ideal = total(
             IsolationScheme::PmpTable,
             VaLayout::Contiguous,
             PaLayout::Contiguous,
             DISABLED,
         );
-        let worst = measure(
-            CoreKind::Rocket,
+        let worst = total(
             IsolationScheme::PmpTable,
             VaLayout::Fragmented,
             PaLayout::Fragmented,
@@ -162,15 +173,9 @@ mod tests {
     fn hpmp_beats_pmpt_in_every_layout() {
         for va in [VaLayout::Contiguous, VaLayout::Fragmented] {
             for pa in [PaLayout::Contiguous, PaLayout::Fragmented] {
-                let pmpt = measure(
-                    CoreKind::Rocket,
-                    IsolationScheme::PmpTable,
-                    va,
-                    pa,
-                    DISABLED,
-                );
-                let hpmp = measure(CoreKind::Rocket, IsolationScheme::Hpmp, va, pa, DISABLED);
-                let pmp = measure(CoreKind::Rocket, IsolationScheme::Pmp, va, pa, DISABLED);
+                let pmpt = total(IsolationScheme::PmpTable, va, pa, DISABLED);
+                let hpmp = total(IsolationScheme::Hpmp, va, pa, DISABLED);
+                let pmp = total(IsolationScheme::Pmp, va, pa, DISABLED);
                 assert!(hpmp < pmpt, "{va}/{pa}: HPMP {hpmp} must beat PMPT {pmpt}");
                 assert!(pmp < hpmp, "{va}/{pa}: PMP {pmp} must beat HPMP {hpmp}");
             }
@@ -179,20 +184,19 @@ mod tests {
 
     #[test]
     fn virt_fragmentation_cases() {
-        use hpmp_machine::VirtScheme;
         // Case (4) costs more than case (3) for every scheme, and HPMP
         // stays between PMP and PMPT in both.
         for scheme in [VirtScheme::Pmp, VirtScheme::PmpTable, VirtScheme::Hpmp] {
-            let contig = measure_virt(CoreKind::Rocket, scheme, PaLayout::Contiguous);
-            let frag = measure_virt(CoreKind::Rocket, scheme, PaLayout::Fragmented);
+            let contig = virt_total(scheme, PaLayout::Contiguous);
+            let frag = virt_total(scheme, PaLayout::Fragmented);
             assert!(
                 frag >= contig,
                 "{scheme}: fragmented backing must not be cheaper ({frag} vs {contig})"
             );
         }
-        let pmp = measure_virt(CoreKind::Rocket, VirtScheme::Pmp, PaLayout::Fragmented);
-        let hpmp = measure_virt(CoreKind::Rocket, VirtScheme::Hpmp, PaLayout::Fragmented);
-        let pmpt = measure_virt(CoreKind::Rocket, VirtScheme::PmpTable, PaLayout::Fragmented);
+        let pmp = virt_total(VirtScheme::Pmp, PaLayout::Fragmented);
+        let hpmp = virt_total(VirtScheme::Hpmp, PaLayout::Fragmented);
+        let pmpt = virt_total(VirtScheme::PmpTable, PaLayout::Fragmented);
         assert!(pmp < hpmp && hpmp < pmpt, "ordering: {pmp} {hpmp} {pmpt}");
     }
 
@@ -200,30 +204,26 @@ mod tests {
     fn pmptw_cache_helps_fragmented_va() {
         // Figure 16: caching reduces PMPT's fragmented-VA latency, and
         // HPMP + cache is the best table-backed configuration.
-        let without = measure(
-            CoreKind::Rocket,
+        let without = total(
             IsolationScheme::PmpTable,
             VaLayout::Fragmented,
             PaLayout::Contiguous,
             DISABLED,
         );
-        let with = measure(
-            CoreKind::Rocket,
+        let with = total(
             IsolationScheme::PmpTable,
             VaLayout::Fragmented,
             PaLayout::Contiguous,
             PmptwCacheConfig::ENABLED_8,
         );
         assert!(with < without, "PMPTW-Cache must help: {with} vs {without}");
-        let hpmp_cache = measure(
-            CoreKind::Rocket,
+        let hpmp_cache = total(
             IsolationScheme::Hpmp,
             VaLayout::Fragmented,
             PaLayout::Contiguous,
             PmptwCacheConfig::ENABLED_8,
         );
-        let hpmp_plain = measure(
-            CoreKind::Rocket,
+        let hpmp_plain = total(
             IsolationScheme::Hpmp,
             VaLayout::Fragmented,
             PaLayout::Contiguous,

@@ -8,7 +8,7 @@
 //! profile GAP is known for.
 
 use hpmp_machine::MachineConfig;
-use hpmp_memsim::{AccessKind, CoreKind, SplitMix64};
+use hpmp_memsim::{AccessKind, SplitMix64};
 use hpmp_penglai::{OsError, TeeFlavor};
 use hpmp_trace::TraceSink;
 
@@ -110,7 +110,7 @@ impl KronGraph {
     }
 
     /// Total number of edges.
-    pub fn edge_count(&self) -> u64 {
+    fn edge_count(&self) -> u64 {
         self.edges.len() as u64
     }
 
@@ -124,7 +124,7 @@ impl KronGraph {
 /// are smaller for trace-replay speed, so property entries are strided to
 /// give the property array the same *page footprint* (and therefore the
 /// same TLB-miss behaviour) per random read as the full-size run.
-pub const PROP_STRIDE: u64 = 256;
+const PROP_STRIDE: u64 = 256;
 
 /// Byte layout of the graph inside the arena: `[offsets][edges][props]`.
 #[derive(Clone, Copy, Debug)]
@@ -275,32 +275,16 @@ fn kernel_trace(graph: &KronGraph, kernel: GapKernel, budget: u64) -> Vec<TraceS
     trace
 }
 
-/// Runs one GAP kernel under the given flavour/core; returns total cycles.
-///
-/// # Errors
-///
-/// Propagates OS errors.
-pub fn run_gap(
-    flavor: TeeFlavor,
-    core: CoreKind,
-    kernel: GapKernel,
-    graph: &KronGraph,
-    budget: u64,
-) -> Result<u64, OsError> {
-    let config = crate::fixture::config_for(core);
-    Ok(run_gap_with_sink(flavor, config, kernel, graph, budget, hpmp_trace::NullSink)?.0)
-}
-
-/// As [`run_gap`] on a machine built from `config`, recording walk events
-/// into `sink` and returning the machine's metrics snapshot alongside the
-/// cycle count.
+/// Runs one GAP kernel under `flavor` on a machine built from `config` (or
+/// a core kind), recording walk events into `sink`; returns the total
+/// cycles and the machine's metrics snapshot.
 ///
 /// # Errors
 ///
 /// Propagates OS errors.
 pub fn run_gap_with_sink<S: TraceSink>(
     flavor: TeeFlavor,
-    config: MachineConfig,
+    config: impl Into<MachineConfig>,
     kernel: GapKernel,
     graph: &KronGraph,
     budget: u64,
@@ -317,9 +301,10 @@ pub fn run_gap_with_sink<S: TraceSink>(
 }
 
 /// A default graph for tests and benches: 2^14 vertices, degree 8 (scaled
-/// down from the paper's 2^20; [`PROP_STRIDE`] keeps the property array's
-/// page footprint — 8 MiB, past the 4 MiB L2-TLB reach — so the TLB-miss
-/// profile of the random property reads matches the full-size runs).
+/// down from the paper's 2^20; the 256-byte property stride keeps the
+/// property array's page footprint — 8 MiB, past the 4 MiB L2-TLB reach —
+/// so the TLB-miss profile of the random property reads matches the
+/// full-size runs).
 pub fn default_graph() -> KronGraph {
     KronGraph::generate(14, 8, 0x9a9)
 }
@@ -327,6 +312,8 @@ pub fn default_graph() -> KronGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpmp_memsim::CoreKind;
+    use hpmp_trace::NullSink;
 
     #[test]
     fn graph_generation_is_consistent() {
@@ -374,31 +361,15 @@ mod tests {
     fn overhead_small_and_ordered() {
         // Small graph, small budget: fast smoke check of Figure 11's shape.
         let g = KronGraph::generate(10, 4, 5);
-        let budget = 1500;
-        let pmp = run_gap(
-            TeeFlavor::PenglaiPmp,
-            CoreKind::Rocket,
-            GapKernel::Pr,
-            &g,
-            budget,
-        )
-        .unwrap();
-        let pmpt = run_gap(
-            TeeFlavor::PenglaiPmpt,
-            CoreKind::Rocket,
-            GapKernel::Pr,
-            &g,
-            budget,
-        )
-        .unwrap();
-        let hpmp = run_gap(
-            TeeFlavor::PenglaiHpmp,
-            CoreKind::Rocket,
-            GapKernel::Pr,
-            &g,
-            budget,
-        )
-        .unwrap();
+        let run = |flavor| {
+            let (cycles, _) =
+                run_gap_with_sink(flavor, CoreKind::Rocket, GapKernel::Pr, &g, 1500, NullSink)
+                    .unwrap();
+            cycles
+        };
+        let pmp = run(TeeFlavor::PenglaiPmp);
+        let pmpt = run(TeeFlavor::PenglaiPmpt);
+        let hpmp = run(TeeFlavor::PenglaiHpmp);
         let pmpt_over = pmpt as f64 / pmp as f64;
         let hpmp_over = hpmp as f64 / pmp as f64;
         assert!(pmpt_over > 1.0, "PMPT must cost more than PMP: {pmpt_over}");

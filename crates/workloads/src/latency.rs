@@ -6,8 +6,7 @@
 
 use hpmp_machine::{IsolationScheme, SystemBuilder, VirtMachine, VirtScheme};
 use hpmp_memsim::{AccessKind, CoreKind, Perms, PrivMode, VirtAddr, PAGE_SIZE};
-
-use crate::fixture::config_for;
+use hpmp_trace::{Snapshot, TraceSink};
 
 /// The microarchitectural states of Table 2.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -24,7 +23,7 @@ pub enum TestCase {
 }
 
 /// All four cases in presentation order.
-pub const TEST_CASES: [TestCase; 4] = [TestCase::Tc1, TestCase::Tc2, TestCase::Tc3, TestCase::Tc4];
+const TEST_CASES: [TestCase; 4] = [TestCase::Tc1, TestCase::Tc2, TestCase::Tc3, TestCase::Tc4];
 
 impl std::fmt::Display for TestCase {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -38,9 +37,17 @@ impl std::fmt::Display for TestCase {
 }
 
 /// Measures one memory instruction's latency in cycles for the given core,
-/// scheme, operation (`Read` = `ld`, `Write` = `sd`) and test case.
-pub fn measure(core: CoreKind, scheme: IsolationScheme, op: AccessKind, case: TestCase) -> u64 {
-    let mut sys = SystemBuilder::new(config_for(core), scheme).build();
+/// scheme, operation (`Read` = `ld`, `Write` = `sd`) and test case,
+/// recording walk events into `sink`; returns the latency and the
+/// machine's metrics snapshot (warm-up accesses included).
+pub fn measure<S: TraceSink>(
+    core: CoreKind,
+    scheme: IsolationScheme,
+    op: AccessKind,
+    case: TestCase,
+    sink: S,
+) -> (u64, Snapshot) {
+    let mut sys = SystemBuilder::new(core.into(), scheme).sink(sink).build();
     // Map a small working set: the measured page plus an adjacent page used
     // to pre-warm the shared upper PT levels for TC3. The VA is chosen with
     // non-zero VPN fields (9/17/33) so PTE slots land in distinct cache
@@ -74,9 +81,12 @@ pub fn measure(core: CoreKind, scheme: IsolationScheme, op: AccessKind, case: Te
             m.access(&sys.space, target, op, s).expect("warm");
         }
     }
-    m.access(&sys.space, target, op, s)
+    let cycles = m
+        .access(&sys.space, target, op, s)
         .expect("measured access")
-        .cycles
+        .cycles;
+    m.flush_sink();
+    (cycles, m.metrics_snapshot())
 }
 
 /// One row of Figure 10: the latencies for (PMPT, HPMP, PMP).
@@ -106,17 +116,30 @@ impl LatencyRow {
     }
 }
 
-/// Produces the full Figure 10 panel for one core and operation.
-pub fn figure_10_panel(core: CoreKind, op: AccessKind) -> Vec<LatencyRow> {
-    TEST_CASES
+/// Produces the full Figure 10 panel for one core and operation,
+/// recording walk events into `sink`; returns the rows and the merged
+/// snapshot of every measured machine.
+pub fn figure_10_panel<S: TraceSink>(
+    core: CoreKind,
+    op: AccessKind,
+    mut sink: S,
+) -> (Vec<LatencyRow>, Snapshot) {
+    let mut metrics = Snapshot::new();
+    let mut run = |scheme, case| {
+        let (cycles, snap) = measure(core, scheme, op, case, &mut sink);
+        metrics = metrics.merge(&snap);
+        cycles
+    };
+    let rows = TEST_CASES
         .iter()
         .map(|&case| LatencyRow {
             case,
-            pmpt: measure(core, IsolationScheme::PmpTable, op, case),
-            hpmp: measure(core, IsolationScheme::Hpmp, op, case),
-            pmp: measure(core, IsolationScheme::Pmp, op, case),
+            pmpt: run(IsolationScheme::PmpTable, case),
+            hpmp: run(IsolationScheme::Hpmp, case),
+            pmp: run(IsolationScheme::Pmp, case),
         })
-        .collect()
+        .collect();
+    (rows, metrics)
 }
 
 /// The microarchitectural states of Figure 13 (virtualized).
@@ -155,20 +178,16 @@ impl std::fmt::Display for VirtCase {
     }
 }
 
-/// Measures one guest access (the paper uses `hlv.d`) for Figure 13.
-pub fn measure_virt(core: CoreKind, scheme: VirtScheme, case: VirtCase) -> u64 {
-    measure_virt_with_sink(core, scheme, case, hpmp_trace::NullSink).0
-}
-
-/// As [`measure_virt`], recording walk events into `sink` and returning the
-/// machine's metrics snapshot alongside the measured latency.
-pub fn measure_virt_with_sink<S: hpmp_trace::TraceSink>(
+/// Measures one guest access (the paper uses `hlv.d`) for Figure 13,
+/// recording walk events into `sink`; returns the latency and the guest
+/// machine's metrics snapshot.
+pub fn measure_virt_with_sink<S: TraceSink>(
     core: CoreKind,
     scheme: VirtScheme,
     case: VirtCase,
     sink: S,
-) -> (u64, hpmp_trace::Snapshot) {
-    let mut m = VirtMachine::with_sink(config_for(core), scheme, 8, sink);
+) -> (u64, Snapshot) {
+    let mut m = VirtMachine::with_sink(core.into(), scheme, 8, sink);
     let target = VirtAddr::new(0x20_0000);
     let neighbour = VirtAddr::new(0x20_0000 + PAGE_SIZE);
     match case {
@@ -202,14 +221,23 @@ pub fn measure_virt_with_sink<S: hpmp_trace::TraceSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpmp_trace::NullSink;
+
+    fn lat(core: CoreKind, scheme: IsolationScheme, op: AccessKind, case: TestCase) -> u64 {
+        measure(core, scheme, op, case, NullSink).0
+    }
+
+    fn measure_virt(core: CoreKind, scheme: VirtScheme, case: VirtCase) -> u64 {
+        measure_virt_with_sink(core, scheme, case, NullSink).0
+    }
 
     #[test]
     fn tc1_ordering_per_figure_10() {
         for core in [CoreKind::Rocket, CoreKind::Boom] {
             for op in [AccessKind::Read, AccessKind::Write] {
-                let pmp = measure(core, IsolationScheme::Pmp, op, TestCase::Tc1);
-                let hpmp = measure(core, IsolationScheme::Hpmp, op, TestCase::Tc1);
-                let pmpt = measure(core, IsolationScheme::PmpTable, op, TestCase::Tc1);
+                let pmp = lat(core, IsolationScheme::Pmp, op, TestCase::Tc1);
+                let hpmp = lat(core, IsolationScheme::Hpmp, op, TestCase::Tc1);
+                let pmpt = lat(core, IsolationScheme::PmpTable, op, TestCase::Tc1);
                 assert!(
                     pmp < hpmp && hpmp < pmpt,
                     "{core} {op}: pmp={pmp} hpmp={hpmp} pmpt={pmpt}"
@@ -221,9 +249,9 @@ mod tests {
     #[test]
     fn tc4_equal_across_schemes() {
         for op in [AccessKind::Read, AccessKind::Write] {
-            let pmp = measure(CoreKind::Rocket, IsolationScheme::Pmp, op, TestCase::Tc4);
-            let hpmp = measure(CoreKind::Rocket, IsolationScheme::Hpmp, op, TestCase::Tc4);
-            let pmpt = measure(
+            let pmp = lat(CoreKind::Rocket, IsolationScheme::Pmp, op, TestCase::Tc4);
+            let hpmp = lat(CoreKind::Rocket, IsolationScheme::Hpmp, op, TestCase::Tc4);
+            let pmpt = lat(
                 CoreKind::Rocket,
                 IsolationScheme::PmpTable,
                 op,
@@ -236,10 +264,10 @@ mod tests {
 
     #[test]
     fn cases_get_progressively_warmer() {
-        let lat: Vec<u64> = TEST_CASES
+        let lats: Vec<u64> = TEST_CASES
             .iter()
             .map(|&c| {
-                measure(
+                lat(
                     CoreKind::Rocket,
                     IsolationScheme::PmpTable,
                     AccessKind::Read,
@@ -247,9 +275,9 @@ mod tests {
                 )
             })
             .collect();
-        assert!(lat[0] > lat[1], "TC1 > TC2: {lat:?}");
-        assert!(lat[1] > lat[2], "TC2 > TC3: {lat:?}");
-        assert!(lat[2] > lat[3], "TC3 > TC4: {lat:?}");
+        assert!(lats[0] > lats[1], "TC1 > TC2: {lats:?}");
+        assert!(lats[1] > lats[2], "TC2 > TC3: {lats:?}");
+        assert!(lats[2] > lats[3], "TC3 > TC4: {lats:?}");
     }
 
     #[test]
@@ -259,7 +287,7 @@ mod tests {
         // sanity band: mitigation must be substantial on every walking case.
         for core in [CoreKind::Rocket, CoreKind::Boom] {
             for op in [AccessKind::Read, AccessKind::Write] {
-                for row in figure_10_panel(core, op) {
+                for row in figure_10_panel(core, op, NullSink).0 {
                     if row.case == TestCase::Tc4 {
                         continue;
                     }
@@ -276,13 +304,13 @@ mod tests {
 
     #[test]
     fn sd_pays_more_than_ld_when_walking() {
-        let ld = measure(
+        let ld = lat(
             CoreKind::Boom,
             IsolationScheme::PmpTable,
             AccessKind::Read,
             TestCase::Tc1,
         );
-        let sd = measure(
+        let sd = lat(
             CoreKind::Boom,
             IsolationScheme::PmpTable,
             AccessKind::Write,
@@ -293,7 +321,7 @@ mod tests {
 
     #[test]
     fn virt_orderings_match_figure_13() {
-        let lat: Vec<u64> = [
+        let lats: Vec<u64> = [
             VirtScheme::Pmp,
             VirtScheme::HpmpGpt,
             VirtScheme::Hpmp,
@@ -303,8 +331,8 @@ mod tests {
         .map(|&s| measure_virt(CoreKind::Rocket, s, VirtCase::Tc1))
         .collect();
         assert!(
-            lat[0] < lat[1] && lat[1] < lat[2] && lat[2] < lat[3],
-            "{lat:?}"
+            lats[0] < lats[1] && lats[1] < lats[2] && lats[2] < lats[3],
+            "{lats:?}"
         );
         // hfence.v cheaper than hfence.g for the table scheme.
         let v = measure_virt(

@@ -11,7 +11,7 @@
 use hpmp_machine::MachineConfig;
 use hpmp_memsim::{AccessKind, CoreKind, PhysAddr, SplitMix64};
 use hpmp_penglai::{OsError, Pid, TeeFlavor};
-use hpmp_trace::TraceSink;
+use hpmp_trace::{Snapshot, TraceSink};
 
 use crate::fixture::TeeBench;
 
@@ -78,41 +78,21 @@ pub struct LmbenchContext<S: TraceSink = hpmp_trace::NullSink> {
     kernel_objs: PhysAddr,
 }
 
-impl LmbenchContext {
-    /// Boots the stack and a resident benchmark process.
-    ///
-    /// # Errors
-    ///
-    /// Propagates OS boot errors.
-    pub fn new(flavor: TeeFlavor, core: CoreKind) -> Result<LmbenchContext, OsError> {
-        LmbenchContext::new_with_sink(
-            flavor,
-            crate::fixture::config_for(core),
-            hpmp_trace::NullSink,
-        )
-    }
-}
-
 impl<S: TraceSink> LmbenchContext<S> {
-    /// The underlying TEE stack (for stats and trace inspection).
-    pub fn tee(&self) -> &TeeBench<S> {
-        &self.tee
-    }
-
     /// Mutable access to the underlying TEE stack.
     pub fn tee_mut(&mut self) -> &mut TeeBench<S> {
         &mut self.tee
     }
 
-    /// As [`LmbenchContext::new`] on a machine built from `config`,
-    /// recording walk events into `sink`.
+    /// Boots the stack on a machine built from `config` (or a core kind)
+    /// and a resident benchmark process, recording walk events into `sink`.
     ///
     /// # Errors
     ///
     /// Propagates OS boot errors.
     pub fn new_with_sink(
         flavor: TeeFlavor,
-        config: MachineConfig,
+        config: impl Into<MachineConfig>,
         sink: S,
     ) -> Result<LmbenchContext<S>, OsError> {
         let mut tee = TeeBench::boot_with_sink(flavor, config, sink);
@@ -256,48 +236,54 @@ impl<S: TraceSink> LmbenchContext<S> {
 }
 
 /// Mean cost of `syscall` over `iters` iterations (first iteration warms
-/// up and is excluded).
+/// up and is excluded), recording walk events into `sink`; returns the
+/// mean and the machine's metrics snapshot.
 ///
 /// # Errors
 ///
 /// Propagates OS errors.
-pub fn measure_syscall(
+pub fn measure_syscall<S: TraceSink>(
     flavor: TeeFlavor,
     core: CoreKind,
     syscall: Syscall,
     iters: u64,
-) -> Result<u64, OsError> {
-    let mut ctx = LmbenchContext::new(flavor, core)?;
+    sink: S,
+) -> Result<(u64, Snapshot), OsError> {
+    let mut ctx = LmbenchContext::new_with_sink(flavor, core, sink)?;
     ctx.run(syscall)?; // warm-up
     let mut total = 0;
     for _ in 0..iters {
         total += ctx.run(syscall)?;
     }
-    Ok(total / iters)
+    let machine = &mut ctx.tee.machine;
+    machine.flush_sink();
+    Ok((total / iters, machine.metrics_snapshot()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpmp_trace::NullSink;
+
+    fn mean(flavor: TeeFlavor, syscall: Syscall, iters: u64) -> u64 {
+        measure_syscall(flavor, CoreKind::Rocket, syscall, iters, NullSink)
+            .unwrap()
+            .0
+    }
 
     #[test]
     fn null_is_scheme_independent() {
-        let pmp =
-            measure_syscall(TeeFlavor::PenglaiPmp, CoreKind::Rocket, Syscall::Null, 20).unwrap();
-        let pmpt =
-            measure_syscall(TeeFlavor::PenglaiPmpt, CoreKind::Rocket, Syscall::Null, 20).unwrap();
+        let pmp = mean(TeeFlavor::PenglaiPmp, Syscall::Null, 20);
+        let pmpt = mean(TeeFlavor::PenglaiPmpt, Syscall::Null, 20);
         let ratio = pmpt as f64 / pmp as f64;
         assert!((0.98..1.05).contains(&ratio), "null ratio {ratio}");
     }
 
     #[test]
     fn stat_separates_schemes() {
-        let pmp =
-            measure_syscall(TeeFlavor::PenglaiPmp, CoreKind::Rocket, Syscall::Stat, 12).unwrap();
-        let pmpt =
-            measure_syscall(TeeFlavor::PenglaiPmpt, CoreKind::Rocket, Syscall::Stat, 12).unwrap();
-        let hpmp =
-            measure_syscall(TeeFlavor::PenglaiHpmp, CoreKind::Rocket, Syscall::Stat, 12).unwrap();
+        let pmp = mean(TeeFlavor::PenglaiPmp, Syscall::Stat, 12);
+        let pmpt = mean(TeeFlavor::PenglaiPmpt, Syscall::Stat, 12);
+        let hpmp = mean(TeeFlavor::PenglaiHpmp, Syscall::Stat, 12);
         let pmpt_ratio = pmpt as f64 / pmp as f64;
         let hpmp_ratio = hpmp as f64 / pmp as f64;
         assert!(
@@ -309,7 +295,9 @@ mod tests {
 
     #[test]
     fn fork_exec_heaviest() {
-        let mut ctx = LmbenchContext::new(TeeFlavor::PenglaiPmpt, CoreKind::Rocket).unwrap();
+        let mut ctx =
+            LmbenchContext::new_with_sink(TeeFlavor::PenglaiPmpt, CoreKind::Rocket, NullSink)
+                .unwrap();
         let null = ctx.run(Syscall::Null).unwrap();
         let fork_exec = ctx.run(Syscall::ForkExec).unwrap();
         assert!(
@@ -321,7 +309,8 @@ mod tests {
     #[test]
     fn all_syscalls_run_on_all_flavours() {
         for flavor in crate::fixture::FLAVORS {
-            let mut ctx = LmbenchContext::new(flavor, CoreKind::Rocket).unwrap();
+            let mut ctx =
+                LmbenchContext::new_with_sink(flavor, CoreKind::Rocket, NullSink).unwrap();
             for syscall in SYSCALLS {
                 assert!(ctx.run(syscall).unwrap() > 0, "{flavor} {syscall}");
             }

@@ -10,7 +10,7 @@
 
 use hpmp_core::PmpRegion;
 use hpmp_machine::{Machine, MachineConfig};
-use hpmp_memsim::{AccessKind, CoreKind, PhysAddr, PrivMode, SplitMix64};
+use hpmp_memsim::{AccessKind, PhysAddr, PrivMode, SplitMix64};
 use hpmp_penglai::{DomainId, GmsLabel, MonitorError, SecureMonitor, TeeFlavor};
 
 /// Result of a multi-tenant run.
@@ -33,38 +33,23 @@ impl TenancyOutcome {
     }
 }
 
-/// Boots `tenants` enclaves under `flavor` and serves `rounds` round-robin
-/// request cycles; each request touches a few cache lines of the tenant's
-/// private region (checked end-to-end through the machine).
+/// Boots `tenants` enclaves under `flavor` on a machine built from
+/// `config` (or a core kind) and serves `rounds` round-robin request
+/// cycles; each request touches a few cache lines of the tenant's private
+/// region (checked end-to-end through the machine). Records walk events
+/// into `sink`; returns the outcome and the machine's metrics snapshot.
 ///
 /// # Errors
 ///
 /// Propagates monitor errors other than the expected entry wall.
-pub fn run_tenancy(
-    flavor: TeeFlavor,
-    core: CoreKind,
-    tenants: u32,
-    rounds: u32,
-) -> Result<TenancyOutcome, MonitorError> {
-    let config = crate::fixture::config_for(core);
-    Ok(run_tenancy_with_sink(flavor, config, tenants, rounds, hpmp_trace::NullSink)?.0)
-}
-
-/// As [`run_tenancy`] on a machine built from `config`, recording walk
-/// events into `sink` and returning the machine's metrics snapshot
-/// alongside the outcome.
-///
-/// # Errors
-///
-/// As [`run_tenancy`].
 pub fn run_tenancy_with_sink<S: hpmp_trace::TraceSink>(
     flavor: TeeFlavor,
-    config: MachineConfig,
+    config: impl Into<MachineConfig>,
     tenants: u32,
     rounds: u32,
     sink: S,
 ) -> Result<(TenancyOutcome, hpmp_trace::Snapshot), MonitorError> {
-    let mut machine = Machine::with_sink(config, sink);
+    let mut machine = Machine::with_sink(config.into(), sink);
     let ram = PmpRegion::new(PhysAddr::new(0x8000_0000), 1 << 30);
     let mut monitor = SecureMonitor::boot(&mut machine, flavor, ram).expect("monitor boots");
 
@@ -127,15 +112,25 @@ pub fn run_tenancy_with_sink<S: hpmp_trace::TraceSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpmp_memsim::CoreKind;
+
+    fn tenancy(
+        flavor: TeeFlavor,
+        tenants: u32,
+        rounds: u32,
+    ) -> Result<TenancyOutcome, MonitorError> {
+        let sink = hpmp_trace::NullSink;
+        Ok(run_tenancy_with_sink(flavor, CoreKind::Rocket, tenants, rounds, sink)?.0)
+    }
 
     #[test]
     fn pmp_hits_wall_table_flavours_scale() {
-        let pmp = run_tenancy(TeeFlavor::PenglaiPmp, CoreKind::Rocket, 100, 1).unwrap();
+        let pmp = tenancy(TeeFlavor::PenglaiPmp, 100, 1).unwrap();
         assert!(pmp.hit_entry_wall, "PMP must hit the entry wall");
         assert!(pmp.tenants <= 15);
 
         for flavor in [TeeFlavor::PenglaiPmpt, TeeFlavor::PenglaiHpmp] {
-            let out = run_tenancy(flavor, CoreKind::Rocket, 100, 1).unwrap();
+            let out = tenancy(flavor, 100, 1).unwrap();
             assert!(!out.hit_entry_wall, "{flavor} must scale");
             assert_eq!(out.tenants, 100);
         }
@@ -143,8 +138,8 @@ mod tests {
 
     #[test]
     fn per_request_cost_flat_in_tenant_count() {
-        let small = run_tenancy(TeeFlavor::PenglaiHpmp, CoreKind::Rocket, 4, 4).unwrap();
-        let large = run_tenancy(TeeFlavor::PenglaiHpmp, CoreKind::Rocket, 64, 4).unwrap();
+        let small = tenancy(TeeFlavor::PenglaiHpmp, 4, 4).unwrap();
+        let large = tenancy(TeeFlavor::PenglaiHpmp, 64, 4).unwrap();
         let ratio = large.cycles_per_request() / small.cycles_per_request();
         assert!(
             (0.9..1.1).contains(&ratio),
@@ -156,7 +151,7 @@ mod tests {
 
     #[test]
     fn requests_scale_with_rounds() {
-        let out = run_tenancy(TeeFlavor::PenglaiHpmp, CoreKind::Rocket, 8, 3).unwrap();
+        let out = tenancy(TeeFlavor::PenglaiHpmp, 8, 3).unwrap();
         assert_eq!(out.requests, 24);
         assert!(out.total_cycles > 0);
     }

@@ -8,7 +8,7 @@
 //! RPS *drop*, largest for pointer-chasing commands like `LRANGE`.
 
 use hpmp_machine::MachineConfig;
-use hpmp_memsim::{AccessKind, CoreKind, SplitMix64, PAGE_SIZE};
+use hpmp_memsim::{AccessKind, SplitMix64, PAGE_SIZE};
 use hpmp_penglai::{OsError, TeeFlavor};
 use hpmp_trace::TraceSink;
 
@@ -134,47 +134,23 @@ pub struct RedisServer<S: TraceSink = hpmp_trace::NullSink> {
     dataset_bytes: u64,
 }
 
-impl RedisServer {
-    /// Boots the stack and a server with a `dataset_pages`-page resident
-    /// dataset, pre-faulted (Redis is long-running; its pages are resident).
-    ///
-    /// # Errors
-    ///
-    /// Propagates OS errors.
-    pub fn start(
-        flavor: TeeFlavor,
-        core: CoreKind,
-        dataset_pages: u64,
-    ) -> Result<RedisServer, OsError> {
-        RedisServer::start_with_sink(
-            flavor,
-            crate::fixture::config_for(core),
-            dataset_pages,
-            hpmp_trace::NullSink,
-        )
-    }
-}
-
 impl<S: TraceSink> RedisServer<S> {
-    /// The underlying TEE stack (for stats and trace inspection).
-    pub fn tee(&self) -> &TeeBench<S> {
-        &self.tee
-    }
-
     /// Mutable access to the underlying TEE stack.
     pub fn tee_mut(&mut self) -> &mut TeeBench<S> {
         &mut self.tee
     }
 
-    /// As [`RedisServer::start`] on a machine built from `config`,
-    /// recording walk events into `sink`.
+    /// Boots the stack on a machine built from `config` (or a core kind)
+    /// and a server with a `dataset_pages`-page resident dataset,
+    /// pre-faulted (Redis is long-running; its pages are resident).
+    /// Records walk events into `sink`.
     ///
     /// # Errors
     ///
     /// Propagates OS errors.
     pub fn start_with_sink(
         flavor: TeeFlavor,
-        config: MachineConfig,
+        config: impl Into<MachineConfig>,
         dataset_pages: u64,
         sink: S,
     ) -> Result<RedisServer<S>, OsError> {
@@ -257,10 +233,13 @@ pub const DEFAULT_DATASET_PAGES: u64 = (32 << 20) / PAGE_SIZE;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpmp_memsim::CoreKind;
+    use hpmp_trace::NullSink;
 
     fn rps(flavor: TeeFlavor, cmd: RedisCommand) -> f64 {
         let mut server =
-            RedisServer::start(flavor, CoreKind::Rocket, DEFAULT_DATASET_PAGES).unwrap();
+            RedisServer::start_with_sink(flavor, CoreKind::Rocket, DEFAULT_DATASET_PAGES, NullSink)
+                .unwrap();
         server.rps(cmd, 300).unwrap()
     }
 
@@ -303,7 +282,8 @@ mod tests {
     #[test]
     fn all_commands_serve() {
         let mut server =
-            RedisServer::start(TeeFlavor::PenglaiHpmp, CoreKind::Rocket, 1024).unwrap();
+            RedisServer::start_with_sink(TeeFlavor::PenglaiHpmp, CoreKind::Rocket, 1024, NullSink)
+                .unwrap();
         for cmd in REDIS_COMMANDS {
             assert!(server.serve(cmd).unwrap() > 0, "{cmd}");
         }

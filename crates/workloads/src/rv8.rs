@@ -153,7 +153,7 @@ fn profile(kernel: Rv8Kernel) -> Profile {
 /// Propagates OS errors.
 pub fn run_rv8_with_sink<S: TraceSink>(
     flavor: TeeFlavor,
-    config: MachineConfig,
+    config: impl Into<MachineConfig>,
     kernel: Rv8Kernel,
     sink: S,
 ) -> Result<(u64, hpmp_trace::Snapshot), OsError> {
@@ -179,13 +179,12 @@ pub fn run_rv8_with_sink<S: TraceSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixture::config_for;
     use hpmp_memsim::CoreKind;
     use hpmp_trace::NullSink;
 
     /// Total cycles of `kernel` on a Rocket core.
     fn rocket_cycles(flavor: TeeFlavor, kernel: Rv8Kernel) -> u64 {
-        run_rv8_with_sink(flavor, config_for(CoreKind::Rocket), kernel, NullSink)
+        run_rv8_with_sink(flavor, CoreKind::Rocket, kernel, NullSink)
             .unwrap()
             .0
     }

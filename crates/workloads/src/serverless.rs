@@ -8,7 +8,7 @@
 
 use hpmp_memsim::{AccessKind, CoreKind, PAGE_SIZE};
 use hpmp_penglai::{OsError, TeeFlavor};
-use hpmp_trace::TraceSink;
+use hpmp_trace::{Snapshot, TraceSink};
 
 use crate::arena::{replay, replay_with_code, Patterns, TraceStep, UserArena};
 use crate::fixture::TeeBench;
@@ -182,26 +182,8 @@ pub fn invoke<S: TraceSink>(
     Ok(cycles)
 }
 
-/// Mean invocation latency over `n` cold invocations on a fresh stack.
-///
-/// # Errors
-///
-/// Propagates OS errors.
-pub fn measure_function(
-    flavor: TeeFlavor,
-    core: CoreKind,
-    function: Function,
-    n: u64,
-) -> Result<u64, OsError> {
-    let mut tee = TeeBench::boot(flavor, core);
-    let mut total = 0;
-    for i in 0..n {
-        total += invoke(&mut tee, function, 0x5eed + i)?;
-    }
-    Ok(total / n)
-}
-
-/// As [`measure_function`] but on a caller-supplied stack (PWC sweeps).
+/// Mean invocation latency over `n` cold invocations on `tee`, whose
+/// machine and sink then hold the run's counters and events.
 ///
 /// # Errors
 ///
@@ -220,19 +202,25 @@ pub fn measure_function_on<S: TraceSink>(
 
 /// The chained image-processing application of Figure 12-c: four functions
 /// invoked in sequence, each handling an `size × size` image (4 bytes per
-/// pixel). Returns end-to-end latency.
+/// pixel), recording walk events into `sink`. Returns the end-to-end
+/// latency and the machine's metrics snapshot.
 ///
 /// # Errors
 ///
 /// Propagates OS errors.
-pub fn image_chain(flavor: TeeFlavor, core: CoreKind, size: u64) -> Result<u64, OsError> {
-    let mut tee = TeeBench::boot(flavor, core);
+pub fn image_chain<S: TraceSink>(
+    flavor: TeeFlavor,
+    core: CoreKind,
+    size: u64,
+    sink: S,
+) -> Result<(u64, Snapshot), OsError> {
+    let mut tee = TeeBench::boot_with_sink(flavor, core, sink);
     let image_bytes = size * size * 4;
     let image_pages = image_bytes.div_ceil(PAGE_SIZE).max(1);
     let mut cycles = 0;
     // Stages: decode, resize, filter, encode. Compute per pixel grows with
     // the stage's arithmetic intensity.
-    for (stage, compute_per_px) in [(0u64, 6u64), (1, 4), (2, 10), (3, 8)] {
+    for compute_per_px in [6u64, 4, 10, 8] {
         let (pid, spawn_cycles) = tee.os.spawn(&mut tee.machine, 24)?;
         cycles += spawn_cycles;
         cycles += tee.os.mmap(&mut tee.machine, pid, image_pages * 2)?;
@@ -263,24 +251,33 @@ pub fn image_chain(flavor: TeeFlavor, core: CoreKind, size: u64) -> Result<u64, 
             .collect();
         cycles += replay(&mut tee.os, &mut tee.machine, &arena, trace)?;
         cycles += tee.os.exit(&mut tee.machine, pid)?;
-        let _ = stage;
     }
-    Ok(cycles)
+    tee.machine.flush_sink();
+    Ok((cycles, tee.machine.metrics_snapshot()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpmp_trace::NullSink;
+
+    fn mean(flavor: TeeFlavor, function: Function, n: u64) -> u64 {
+        let mut tee = TeeBench::boot_with_sink(flavor, CoreKind::Rocket, NullSink);
+        measure_function_on(&mut tee, function, n).unwrap()
+    }
+
+    fn chain(flavor: TeeFlavor, size: u64) -> u64 {
+        image_chain(flavor, CoreKind::Rocket, size, NullSink)
+            .unwrap()
+            .0
+    }
 
     #[test]
     fn functions_separate_schemes() {
         // Figure 12: PMPT costs double-digit %, HPMP a few %.
-        let pmp =
-            measure_function(TeeFlavor::PenglaiPmp, CoreKind::Rocket, Function::Dd, 2).unwrap();
-        let pmpt =
-            measure_function(TeeFlavor::PenglaiPmpt, CoreKind::Rocket, Function::Dd, 2).unwrap();
-        let hpmp =
-            measure_function(TeeFlavor::PenglaiHpmp, CoreKind::Rocket, Function::Dd, 2).unwrap();
+        let pmp = mean(TeeFlavor::PenglaiPmp, Function::Dd, 2);
+        let pmpt = mean(TeeFlavor::PenglaiPmpt, Function::Dd, 2);
+        let hpmp = mean(TeeFlavor::PenglaiHpmp, Function::Dd, 2);
         let pmpt_over = pmpt as f64 / pmp as f64;
         let hpmp_over = hpmp as f64 / pmp as f64;
         assert!(
@@ -296,8 +293,8 @@ mod tests {
 
     #[test]
     fn image_chain_grows_with_size() {
-        let small = image_chain(TeeFlavor::PenglaiPmp, CoreKind::Rocket, 32).unwrap();
-        let large = image_chain(TeeFlavor::PenglaiPmp, CoreKind::Rocket, 128).unwrap();
+        let small = chain(TeeFlavor::PenglaiPmp, 32);
+        let large = chain(TeeFlavor::PenglaiPmp, 128);
         assert!(large > small * 2, "latency must grow with image size");
     }
 
@@ -305,8 +302,8 @@ mod tests {
     fn image_chain_gap_shrinks_with_size() {
         // Figure 12-c: the PMPT gap narrows as compute grows (29.7% -> 1.6%).
         let over = |size| {
-            let pmp = image_chain(TeeFlavor::PenglaiPmp, CoreKind::Rocket, size).unwrap();
-            let pmpt = image_chain(TeeFlavor::PenglaiPmpt, CoreKind::Rocket, size).unwrap();
+            let pmp = chain(TeeFlavor::PenglaiPmp, size);
+            let pmpt = chain(TeeFlavor::PenglaiPmpt, size);
             pmpt as f64 / pmp as f64
         };
         let small = over(32);
@@ -319,7 +316,7 @@ mod tests {
 
     #[test]
     fn all_functions_run() {
-        let mut tee = TeeBench::boot(TeeFlavor::PenglaiHpmp, CoreKind::Rocket);
+        let mut tee = TeeBench::boot_with_sink(TeeFlavor::PenglaiHpmp, CoreKind::Rocket, NullSink);
         for function in FUNCTIONS {
             assert!(invoke(&mut tee, function, 1).unwrap() > 0, "{function}");
         }

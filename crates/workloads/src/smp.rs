@@ -31,7 +31,7 @@ use hpmp_paging::{AddressSpace, TranslationMode};
 use hpmp_penglai::{DomainId, GmsLabel, MonitorError, SmpSystem, TeeFlavor};
 use hpmp_trace::{Snapshot, SpanCollector, TimelineSink, TraceSink};
 
-use crate::fixture::{config_for, RAM_BASE, RAM_SIZE};
+use crate::fixture::{RAM_BASE, RAM_SIZE};
 
 /// Base virtual address of every tenant's data window.
 const TENANT_VA_BASE: u64 = 0x10_0000;
@@ -311,7 +311,7 @@ pub fn run_smp_backend(
     spec: SmpWorkloadSpec,
     backend: ExecBackend,
 ) -> Result<(SmpOutcome, Snapshot), MonitorError> {
-    let machines = (0..harts).map(|_| Machine::new(config_for(core))).collect();
+    let machines = (0..harts).map(|_| Machine::new(core.into())).collect();
     let (outcome, snapshot, _, _) = run_smp_with(machines, flavor, seed, spec, backend.into())?;
     Ok((outcome, snapshot))
 }

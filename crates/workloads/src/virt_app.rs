@@ -8,7 +8,7 @@
 //! it for the native case.
 
 use hpmp_machine::{MachineConfig, VirtMachine, VirtScheme};
-use hpmp_memsim::{AccessKind, CoreKind, SplitMix64, VirtAddr, PAGE_SIZE};
+use hpmp_memsim::{AccessKind, SplitMix64, VirtAddr, PAGE_SIZE};
 
 /// Result of a guest-application run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -27,54 +27,25 @@ impl VirtAppOutcome {
 }
 
 /// Serves `requests` key-value probes in a guest with `dataset_pages` of
-/// resident data, under `scheme`. Each request: parse compute, two random
-/// dataset reads, one write.
+/// resident data, under `scheme`, on a guest machine built from `core` (a
+/// core kind, or a full config: TLB inlining, the HPMP entry count, PWC
+/// and PMPTW-Cache geometry and memory encryption all apply to the guest).
+/// Each request: parse compute, two random dataset reads, one write.
+/// Records walk events into `sink`; returns the outcome and the guest
+/// machine's metrics snapshot.
 ///
 /// # Panics
 ///
 /// Panics if the guest fixture cannot be built (fixed layout; sizes are
 /// bounded by the fixture's pools).
-pub fn run_guest_kv(
-    core: CoreKind,
-    scheme: VirtScheme,
-    dataset_pages: u64,
-    requests: u64,
-) -> VirtAppOutcome {
-    run_guest_kv_with_sink(core, scheme, dataset_pages, requests, hpmp_trace::NullSink).0
-}
-
-/// As [`run_guest_kv`], recording walk events into `sink` and returning the
-/// guest machine's metrics snapshot alongside the outcome.
-///
-/// # Panics
-///
-/// As [`run_guest_kv`].
 pub fn run_guest_kv_with_sink<S: hpmp_trace::TraceSink>(
-    core: CoreKind,
+    core: impl Into<MachineConfig>,
     scheme: VirtScheme,
     dataset_pages: u64,
     requests: u64,
     sink: S,
 ) -> (VirtAppOutcome, hpmp_trace::Snapshot) {
-    let config = crate::fixture::config_for(core);
-    run_guest_kv_with_config(config, scheme, dataset_pages, requests, sink)
-}
-
-/// As [`run_guest_kv_with_sink`], on a guest machine built from `config`
-/// (so TLB inlining, the HPMP entry count, PWC and PMPTW-Cache geometry
-/// and memory encryption all apply to the guest).
-///
-/// # Panics
-///
-/// As [`run_guest_kv`].
-pub fn run_guest_kv_with_config<S: hpmp_trace::TraceSink>(
-    config: MachineConfig,
-    scheme: VirtScheme,
-    dataset_pages: u64,
-    requests: u64,
-    sink: S,
-) -> (VirtAppOutcome, hpmp_trace::Snapshot) {
-    let mut machine = VirtMachine::with_sink(config, scheme, dataset_pages, sink);
+    let mut machine = VirtMachine::with_sink(core.into(), scheme, dataset_pages, sink);
     let base = 0x20_0000u64;
     let bytes = dataset_pages * PAGE_SIZE;
     // Pre-fault the dataset (long-running guest).
@@ -113,9 +84,20 @@ pub const GUEST_DATASET_PAGES: u64 = 1536;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpmp_memsim::CoreKind;
+    use hpmp_trace::NullSink;
+
+    fn guest_kv(
+        config: impl Into<MachineConfig>,
+        scheme: VirtScheme,
+        dataset_pages: u64,
+        requests: u64,
+    ) -> VirtAppOutcome {
+        run_guest_kv_with_sink(config, scheme, dataset_pages, requests, NullSink).0
+    }
 
     fn cpr(scheme: VirtScheme) -> f64 {
-        run_guest_kv(CoreKind::Rocket, scheme, GUEST_DATASET_PAGES, 400).cycles_per_request()
+        guest_kv(CoreKind::Rocket, scheme, GUEST_DATASET_PAGES, 400).cycles_per_request()
     }
 
     #[test]
@@ -133,10 +115,9 @@ mod tests {
     fn small_dataset_closes_the_gap() {
         // A TLB-resident guest dataset makes schemes nearly equal
         // (permission inlining covers the hits).
-        let small_pmp =
-            run_guest_kv(CoreKind::Rocket, VirtScheme::Pmp, 64, 300).cycles_per_request();
+        let small_pmp = guest_kv(CoreKind::Rocket, VirtScheme::Pmp, 64, 300).cycles_per_request();
         let small_pmpt =
-            run_guest_kv(CoreKind::Rocket, VirtScheme::PmpTable, 64, 300).cycles_per_request();
+            guest_kv(CoreKind::Rocket, VirtScheme::PmpTable, 64, 300).cycles_per_request();
         let ratio = small_pmpt / small_pmp;
         assert!(
             ratio < 1.05,
@@ -148,17 +129,16 @@ mod tests {
     /// the config turns permission inlining off: every hit re-checks.
     #[test]
     fn config_reaches_the_guest() {
-        let inlined = run_guest_kv(CoreKind::Rocket, VirtScheme::PmpTable, 64, 300);
+        let inlined = guest_kv(CoreKind::Rocket, VirtScheme::PmpTable, 64, 300);
         let mut config = MachineConfig::rocket();
         config.tlb_inlining = false;
-        let (rechecked, _) =
-            run_guest_kv_with_config(config, VirtScheme::PmpTable, 64, 300, hpmp_trace::NullSink);
+        let rechecked = guest_kv(config, VirtScheme::PmpTable, 64, 300);
         assert!(rechecked.cycles > inlined.cycles);
     }
 
     #[test]
     fn outcome_accounting() {
-        let out = run_guest_kv(CoreKind::Rocket, VirtScheme::Hpmp, 64, 10);
+        let out = guest_kv(CoreKind::Rocket, VirtScheme::Hpmp, 64, 10);
         assert_eq!(out.requests, 10);
         assert!(out.cycles > 10 * 120);
     }

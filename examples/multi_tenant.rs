@@ -7,7 +7,8 @@
 
 use hpmp_suite::memsim::CoreKind;
 use hpmp_suite::penglai::TeeFlavor;
-use hpmp_suite::workloads::multi_tenant::run_tenancy;
+use hpmp_suite::trace::NullSink;
+use hpmp_suite::workloads::multi_tenant::run_tenancy_with_sink;
 
 fn main() {
     println!("Packing 100 tenant enclaves onto one node (Rocket)\n");
@@ -21,7 +22,8 @@ fn main() {
         TeeFlavor::PenglaiPmpt,
         TeeFlavor::PenglaiHpmp,
     ] {
-        let out = run_tenancy(flavor, CoreKind::Rocket, 100, 2).expect("tenancy run");
+        let (out, _) =
+            run_tenancy_with_sink(flavor, CoreKind::Rocket, 100, 2, NullSink).expect("tenancy run");
         println!(
             "{:<16}{:>10}{:>16}{:>22.0}",
             flavor.to_string(),

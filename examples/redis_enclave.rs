@@ -8,6 +8,7 @@
 
 use hpmp_suite::memsim::CoreKind;
 use hpmp_suite::penglai::TeeFlavor;
+use hpmp_suite::trace::NullSink;
 use hpmp_suite::workloads::redis::{RedisCommand, RedisServer, DEFAULT_DATASET_PAGES};
 
 fn main() {
@@ -31,7 +32,7 @@ fn main() {
     let mut servers: Vec<RedisServer> = flavors
         .iter()
         .map(|&flavor| {
-            RedisServer::start(flavor, CoreKind::Rocket, DEFAULT_DATASET_PAGES)
+            RedisServer::start_with_sink(flavor, CoreKind::Rocket, DEFAULT_DATASET_PAGES, NullSink)
                 .expect("server boot")
         })
         .collect();

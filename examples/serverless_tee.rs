@@ -8,6 +8,7 @@
 
 use hpmp_suite::memsim::CoreKind;
 use hpmp_suite::penglai::TeeFlavor;
+use hpmp_suite::trace::NullSink;
 use hpmp_suite::workloads::serverless::{invoke, Function, FUNCTIONS};
 use hpmp_suite::workloads::TeeBench;
 
@@ -30,7 +31,7 @@ fn main() {
         let cells: Vec<u64> = flavors
             .iter()
             .map(|&flavor| {
-                let mut tee = TeeBench::boot(flavor, CoreKind::Rocket);
+                let mut tee = TeeBench::boot_with_sink(flavor, CoreKind::Rocket, NullSink);
                 invoke(&mut tee, function, 1).expect("invocation")
             })
             .collect();
@@ -44,7 +45,7 @@ fn main() {
     // Zoom in on one function and break down where the cycles go.
     println!("\nBreakdown for one cold {} invocation:", Function::Dd);
     for flavor in flavors {
-        let mut tee = TeeBench::boot(flavor, CoreKind::Rocket);
+        let mut tee = TeeBench::boot_with_sink(flavor, CoreKind::Rocket, NullSink);
         tee.machine.reset_stats();
         let cycles = invoke(&mut tee, Function::Dd, 1).expect("invocation");
         let stats = tee.machine.stats();

@@ -6,11 +6,12 @@
 use hpmp_suite::core::DeviceId;
 use hpmp_suite::memsim::{AccessKind, CoreKind, VirtAddr, PAGE_SIZE};
 use hpmp_suite::penglai::{GmsLabel, TeeFlavor, USER_HEAP_BASE};
+use hpmp_suite::trace::NullSink;
 use hpmp_suite::workloads::TeeBench;
 
 #[test]
 fn full_feature_walkthrough() {
-    let mut tee = TeeBench::boot(TeeFlavor::PenglaiHpmp, CoreKind::Rocket);
+    let mut tee = TeeBench::boot_with_sink(TeeFlavor::PenglaiHpmp, CoreKind::Rocket, NullSink);
     let domain = tee.domain;
 
     // 1. Run a process with demand-paged heap.
@@ -103,7 +104,7 @@ fn full_feature_walkthrough() {
 #[test]
 fn walkthrough_on_baseline_flavours() {
     for flavor in [TeeFlavor::PenglaiPmp, TeeFlavor::PenglaiPmpt] {
-        let mut tee = TeeBench::boot(flavor, CoreKind::Rocket);
+        let mut tee = TeeBench::boot_with_sink(flavor, CoreKind::Rocket, NullSink);
         let domain = tee.domain;
         let (pid, _) = tee.os.spawn(&mut tee.machine, 2).expect("spawn");
         let heap = tee.os.mmap_lazy(pid, 4).expect("lazy");

@@ -6,87 +6,73 @@
 use hpmp_suite::machine::{IsolationScheme, VirtScheme};
 use hpmp_suite::memsim::{AccessKind, CoreKind};
 use hpmp_suite::penglai::TeeFlavor;
-use hpmp_suite::workloads::latency::{measure, measure_virt, TestCase, VirtCase};
+use hpmp_suite::trace::NullSink;
+use hpmp_suite::workloads::latency::{measure, measure_virt_with_sink, TestCase, VirtCase};
 use hpmp_suite::workloads::smp::{run_smp, spec_for};
-use hpmp_suite::workloads::{gap, lmbench, multi_tenant, redis, serverless};
+use hpmp_suite::workloads::{gap, lmbench, multi_tenant, redis, serverless, TeeBench};
 
+/// Each run's cycles and metrics snapshot match a second run's.
 #[test]
 fn microbenchmarks_are_deterministic() {
     for case in [TestCase::Tc1, TestCase::Tc2, TestCase::Tc3, TestCase::Tc4] {
-        let a = measure(
-            CoreKind::Rocket,
-            IsolationScheme::Hpmp,
-            AccessKind::Read,
-            case,
-        );
-        let b = measure(
-            CoreKind::Rocket,
-            IsolationScheme::Hpmp,
-            AccessKind::Read,
-            case,
-        );
-        assert_eq!(a, b, "{case}");
+        let run = || {
+            let read = AccessKind::Read;
+            measure(
+                CoreKind::Rocket,
+                IsolationScheme::Hpmp,
+                read,
+                case,
+                NullSink,
+            )
+        };
+        assert_eq!(run(), run(), "{case}");
     }
-    let a = measure_virt(CoreKind::Boom, VirtScheme::PmpTable, VirtCase::Tc1);
-    let b = measure_virt(CoreKind::Boom, VirtScheme::PmpTable, VirtCase::Tc1);
-    assert_eq!(a, b);
+    let run = || {
+        measure_virt_with_sink(
+            CoreKind::Boom,
+            VirtScheme::PmpTable,
+            VirtCase::Tc1,
+            NullSink,
+        )
+    };
+    assert_eq!(run(), run());
 }
 
 #[test]
 fn workloads_are_deterministic() {
     let graph = gap::KronGraph::generate(10, 4, 77);
-    let a = gap::run_gap(
-        TeeFlavor::PenglaiPmpt,
-        CoreKind::Rocket,
-        gap::GapKernel::Pr,
-        &graph,
-        1_000,
-    )
-    .unwrap();
-    let b = gap::run_gap(
-        TeeFlavor::PenglaiPmpt,
-        CoreKind::Rocket,
-        gap::GapKernel::Pr,
-        &graph,
-        1_000,
-    )
-    .unwrap();
-    assert_eq!(a, b, "GAP");
+    let run = || {
+        let pr = gap::GapKernel::Pr;
+        gap::run_gap_with_sink(
+            TeeFlavor::PenglaiPmpt,
+            CoreKind::Rocket,
+            pr,
+            &graph,
+            1_000,
+            NullSink,
+        )
+        .unwrap()
+    };
+    assert_eq!(run(), run(), "GAP");
 
-    let a = serverless::measure_function(
-        TeeFlavor::PenglaiHpmp,
-        CoreKind::Rocket,
-        serverless::Function::Matmul,
-        2,
-    )
-    .unwrap();
-    let b = serverless::measure_function(
-        TeeFlavor::PenglaiHpmp,
-        CoreKind::Rocket,
-        serverless::Function::Matmul,
-        2,
-    )
-    .unwrap();
-    assert_eq!(a, b, "serverless");
+    let run = || {
+        let mut tee = TeeBench::boot_with_sink(TeeFlavor::PenglaiHpmp, CoreKind::Rocket, NullSink);
+        let cycles = serverless::measure_function_on(&mut tee, serverless::Function::Matmul, 2);
+        (cycles.unwrap(), tee.machine.metrics_snapshot())
+    };
+    assert_eq!(run(), run(), "serverless");
 
-    let a = lmbench::measure_syscall(
-        TeeFlavor::PenglaiPmp,
-        CoreKind::Boom,
-        lmbench::Syscall::Stat,
-        5,
-    )
-    .unwrap();
-    let b = lmbench::measure_syscall(
-        TeeFlavor::PenglaiPmp,
-        CoreKind::Boom,
-        lmbench::Syscall::Stat,
-        5,
-    )
-    .unwrap();
-    assert_eq!(a, b, "lmbench");
+    let run = || {
+        let stat = lmbench::Syscall::Stat;
+        lmbench::measure_syscall(TeeFlavor::PenglaiPmp, CoreKind::Boom, stat, 5, NullSink).unwrap()
+    };
+    assert_eq!(run(), run(), "lmbench");
 
-    let mut s1 = redis::RedisServer::start(TeeFlavor::PenglaiPmpt, CoreKind::Rocket, 512).unwrap();
-    let mut s2 = redis::RedisServer::start(TeeFlavor::PenglaiPmpt, CoreKind::Rocket, 512).unwrap();
+    let start = || {
+        redis::RedisServer::start_with_sink(TeeFlavor::PenglaiPmpt, CoreKind::Rocket, 512, NullSink)
+            .unwrap()
+    };
+    let (mut s1, mut s2) = (start(), start());
     for _ in 0..50 {
         assert_eq!(
             s1.serve(redis::RedisCommand::Get).unwrap(),
@@ -95,9 +81,11 @@ fn workloads_are_deterministic() {
         );
     }
 
-    let a = multi_tenant::run_tenancy(TeeFlavor::PenglaiHpmp, CoreKind::Rocket, 8, 2).unwrap();
-    let b = multi_tenant::run_tenancy(TeeFlavor::PenglaiHpmp, CoreKind::Rocket, 8, 2).unwrap();
-    assert_eq!(a, b, "tenancy");
+    let run = || {
+        let hpmp = TeeFlavor::PenglaiHpmp;
+        multi_tenant::run_tenancy_with_sink(hpmp, CoreKind::Rocket, 8, 2, NullSink).unwrap()
+    };
+    assert_eq!(run(), run(), "tenancy");
 }
 
 /// The SMP runner is single-threaded behind a seeded interleaver, so its

@@ -4,6 +4,7 @@
 
 use hpmp_suite::memsim::{AccessKind, CoreKind, VirtAddr, PAGE_SIZE};
 use hpmp_suite::penglai::{TeeFlavor, USER_HEAP_BASE};
+use hpmp_suite::trace::NullSink;
 use hpmp_suite::workloads::arena::{replay, Patterns, UserArena};
 use hpmp_suite::workloads::TeeBench;
 
@@ -16,7 +17,7 @@ fn full_stack_matrix() {
         TeeFlavor::PenglaiHpmp,
     ] {
         for core in [CoreKind::Rocket, CoreKind::Boom] {
-            let mut tee = TeeBench::boot(flavor, core);
+            let mut tee = TeeBench::boot_with_sink(flavor, core, NullSink);
             let arena = UserArena::create(&mut tee.os, &mut tee.machine, 16).expect("arena");
             let trace = Patterns::new(1).sequential(128, 64, 0.3, 2);
             let cycles = replay(&mut tee.os, &mut tee.machine, &arena, trace).expect("replay");
@@ -29,7 +30,7 @@ fn full_stack_matrix() {
 /// nor corrupts later processes: 40 spawn/work/exit rounds stay functional.
 #[test]
 fn process_churn_is_stable() {
-    let mut tee = TeeBench::boot(TeeFlavor::PenglaiHpmp, CoreKind::Rocket);
+    let mut tee = TeeBench::boot_with_sink(TeeFlavor::PenglaiHpmp, CoreKind::Rocket, NullSink);
     for round in 0..40 {
         let (pid, _) = tee.os.spawn(&mut tee.machine, 8).expect("spawn");
         tee.os.mmap(&mut tee.machine, pid, 16).expect("mmap");
@@ -52,7 +53,7 @@ fn process_churn_is_stable() {
 /// read-only; parent data remains readable by both.
 #[test]
 fn fork_cow_through_full_stack() {
-    let mut tee = TeeBench::boot(TeeFlavor::PenglaiPmpt, CoreKind::Rocket);
+    let mut tee = TeeBench::boot_with_sink(TeeFlavor::PenglaiPmpt, CoreKind::Rocket, NullSink);
     let (parent, _) = tee.os.spawn(&mut tee.machine, 4).expect("spawn");
     tee.os.mmap(&mut tee.machine, parent, 4).expect("mmap");
     let heap = VirtAddr::new(USER_HEAP_BASE);
@@ -90,7 +91,7 @@ fn hpmp_recovers_most_of_the_table_cost() {
         TeeFlavor::PenglaiHpmp,
         TeeFlavor::PenglaiPmpt,
     ] {
-        let mut tee = TeeBench::boot(flavor, CoreKind::Rocket);
+        let mut tee = TeeBench::boot_with_sink(flavor, CoreKind::Rocket, NullSink);
         let arena = UserArena::create(&mut tee.os, &mut tee.machine, 2048).expect("arena");
         let mut patterns = Patterns::new(99);
         // Mixed phases: cold touches, random probes, sequential streams.
@@ -125,7 +126,7 @@ fn hpmp_recovers_most_of_the_table_cost() {
 #[test]
 fn relabel_mid_run() {
     use hpmp_suite::penglai::GmsLabel;
-    let mut tee = TeeBench::boot(TeeFlavor::PenglaiHpmp, CoreKind::Rocket);
+    let mut tee = TeeBench::boot_with_sink(TeeFlavor::PenglaiHpmp, CoreKind::Rocket, NullSink);
     let (pid, _) = tee.os.spawn(&mut tee.machine, 4).expect("spawn");
     let code = VirtAddr::new(hpmp_suite::penglai::USER_CODE_BASE);
     tee.os

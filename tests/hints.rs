@@ -6,10 +6,11 @@
 
 use hpmp_suite::memsim::{AccessKind, CoreKind, VirtAddr, PAGE_SIZE};
 use hpmp_suite::penglai::{OsError, TeeFlavor, USER_HEAP_BASE};
+use hpmp_suite::trace::NullSink;
 use hpmp_suite::workloads::TeeBench;
 
 fn boot_with_heap(flavor: TeeFlavor) -> (TeeBench, hpmp_suite::penglai::Pid) {
-    let mut tee = TeeBench::boot(flavor, CoreKind::Rocket);
+    let mut tee = TeeBench::boot_with_sink(flavor, CoreKind::Rocket, NullSink);
     let (pid, _) = tee.os.spawn(&mut tee.machine, 2).expect("spawn");
     tee.os.mmap(&mut tee.machine, pid, 16).expect("mmap");
     (tee, pid)

@@ -11,28 +11,34 @@ use hpmp_suite::memsim::{AccessKind, Perms, PhysAddr, PrivMode, VirtAddr};
 use hpmp_suite::paging::TranslationMode;
 use hpmp_suite::penglai::{DomainId, GmsLabel, SecureMonitor, SmpSystem, TeeFlavor};
 
+/// The cold Sv39/48/57 miss references of `scheme` on both cores, which
+/// must agree: the counts are ISA-level, so the core model cannot move them.
 fn cold_refs(scheme: IsolationScheme, mode: TranslationMode) -> (u64, u64, u64, u64) {
-    let mut sys = SystemBuilder::new(MachineConfig::rocket(), scheme)
-        .translation_mode(mode)
-        .build();
-    sys.map_range(VirtAddr::new(0x10_0000), 1, Perms::RW);
-    sys.sync_pt_grants();
-    sys.machine.flush_microarch();
-    let out = sys
-        .machine
-        .access(
-            &sys.space,
-            VirtAddr::new(0x10_0000),
-            AccessKind::Read,
-            PrivMode::Supervisor,
+    let [rocket, boom] = [MachineConfig::rocket(), MachineConfig::boom()].map(|config| {
+        let mut sys = SystemBuilder::new(config, scheme)
+            .translation_mode(mode)
+            .build();
+        sys.map_range(VirtAddr::new(0x10_0000), 1, Perms::RW);
+        sys.sync_pt_grants();
+        sys.machine.flush_microarch();
+        let out = sys
+            .machine
+            .access(
+                &sys.space,
+                VirtAddr::new(0x10_0000),
+                AccessKind::Read,
+                PrivMode::Supervisor,
+            )
+            .expect("mapped");
+        (
+            out.refs.pt_reads,
+            out.refs.pmpte_for_pt,
+            out.refs.pmpte_for_data,
+            out.refs.total(),
         )
-        .expect("mapped");
-    (
-        out.refs.pt_reads,
-        out.refs.pmpte_for_pt,
-        out.refs.pmpte_for_data,
-        out.refs.total(),
-    )
+    });
+    assert_eq!(rocket, boom, "{scheme} {mode}: Rocket and BOOM disagree");
+    rocket
 }
 
 /// §2.2: PMP adds zero references — L+1 total for an L-level table.
