@@ -1,28 +1,27 @@
 //! The artifact flags `hpmpsim` and `repro` share: parsing, the cross-flag
-//! rules, and the writers for every artifact they name.
+//! rule, and the writers for every artifact they name.
 //!
 //! Both binaries run jobs on a worker pool, each job with its own
-//! headerless trace sink ([`TraceBytes`]); the main thread splices the
-//! jobs' bytes under one schema header and writes the metrics, bench,
-//! timeline, span and host-profile artifacts. Console wording stays with
-//! each binary. A malformed or missing flag value is an `Err` naming the
-//! flag (callers exit 2); an unwritable artifact exits 1.
+//! headerless in-memory trace sinks; the main thread appends each job's
+//! bytes to the one `--trace-out` file ([`TraceWriter`]) as the pool
+//! emits the job in order, then writes the metrics, bench, timeline, span
+//! and host-profile artifacts. Console wording stays with each binary. A
+//! malformed or missing flag value is an `Err` naming the flag (callers
+//! exit 2); an unwritable artifact exits 1.
 
-use std::io::Write as _;
+use std::fs::File;
+use std::io::{BufWriter, Write as _};
 use std::num::NonZeroU64;
 use std::str::FromStr;
 
-use hpmp_machine::ExecBackend;
 use hpmp_trace::{BenchReport, HostProfile, JsonlSink, Snapshot};
-use hpmp_workloads::smp::{RunOptions, SmpTelemetry, SmpTelemetrySpec};
+use hpmp_workloads::smp::{SmpTelemetry, SmpTelemetrySpec};
 
-/// The nine shared flags, as parsed.
+/// The eight shared flags, as parsed.
 #[derive(Clone, Debug, Default)]
 pub struct ArtifactFlags {
     /// `--jobs N`: worker threads (default: available parallelism).
     pub jobs: Option<usize>,
-    /// `--backend deterministic|threaded`: the SMP execution backend.
-    pub backend: ExecBackend,
     /// `--trace-out`: walk-event JSONL.
     pub trace_out: Option<String>,
     /// `--metrics-out`: versioned metrics snapshot.
@@ -70,7 +69,6 @@ impl ArtifactFlags {
     ) -> Result<bool, String> {
         match arg {
             "--jobs" => self.jobs = Some(flag_value(arg, rest)?),
-            "--backend" => self.backend = flag_value(arg, rest)?,
             "--trace-out" => self.trace_out = Some(flag_value(arg, rest)?),
             "--metrics-out" => self.metrics_out = Some(flag_value(arg, rest)?),
             "--bench-out" => self.bench_out = Some(flag_value(arg, rest)?),
@@ -101,53 +99,38 @@ impl ArtifactFlags {
         self.snapshot_interval.is_some() || self.timeline_out.is_some() || self.spans_out.is_some()
     }
 
-    /// Checks the cross-flag rules and returns the SMP run options the
-    /// flags ask for.
+    /// Checks the cross-flag rule and returns the telemetry the flags ask
+    /// SMP runs to record.
     ///
     /// # Errors
     ///
-    /// `--timeline-out` without `--snapshot-interval`, or telemetry on the
-    /// threaded backend.
-    pub fn run_options(&self) -> Result<RunOptions, String> {
+    /// `--timeline-out` without `--snapshot-interval`.
+    pub fn telemetry_spec(&self) -> Result<SmpTelemetrySpec, String> {
         if self.timeline_out.is_some() && self.snapshot_interval.is_none() {
             return Err("--timeline-out needs --snapshot-interval".to_string());
         }
-        let telemetry = SmpTelemetrySpec {
+        Ok(SmpTelemetrySpec {
             snapshot_interval: self.snapshot_interval,
             span_capacity: self
                 .spans_out
                 .as_ref()
                 .map(|_| SmpTelemetrySpec::DEFAULT_SPAN_CAPACITY),
-        };
-        RunOptions::new(self.backend, telemetry).map_err(|e| e.to_string())
+        })
     }
 
-    /// Splices the jobs' trace bytes, in order, under one schema header
-    /// at `--trace-out` — the stream one serial shared sink would have
-    /// written. Returns a console summary, if tracing.
-    pub fn write_trace<'a>(
-        &self,
-        parts: impl IntoIterator<Item = &'a TraceBytes>,
-    ) -> Option<String> {
-        let path = self.trace_out.as_deref()?;
-        let mut file = JsonlSink::create(path)
+    /// Creates `--trace-out` with its schema header, if tracing; each
+    /// job's events are appended to it in job order.
+    pub fn trace_writer(&self) -> Option<TraceWriter> {
+        let path = self.trace_out.clone()?;
+        let file = JsonlSink::create(&path)
             .unwrap_or_else(|e| exit_io(format!("cannot create {path}: {e}")))
             .into_inner();
-        let (mut events, mut io_errors) = (0, 0);
-        for part in parts {
-            events += part.events;
-            io_errors += part.io_errors;
-            if let Err(e) = file.write_all(&part.bytes) {
-                exit_io(format!("cannot write {path}: {e}"));
-            }
-        }
-        if let Err(e) = file.flush() {
-            exit_io(format!("cannot write {path}: {e}"));
-        }
-        if io_errors > 0 {
-            eprintln!("  warning: {io_errors} events lost to I/O errors");
-        }
-        Some(format!("{events} events -> {path}"))
+        Some(TraceWriter {
+            path,
+            file,
+            events: 0,
+            io_errors: 0,
+        })
     }
 
     /// Writes `snapshot` to `--metrics-out`, if given. Returns a console
@@ -220,28 +203,40 @@ impl ArtifactFlags {
     }
 }
 
-/// Headerless walk-event JSONL one job recorded, buffered so the pool's
-/// output can be spliced in a fixed order.
-#[derive(Clone, Debug, Default)]
-pub struct TraceBytes {
-    /// The JSONL lines.
-    pub bytes: Vec<u8>,
-    /// Events in `bytes`.
-    pub events: u64,
-    /// Events lost to I/O errors while recording.
-    pub io_errors: u64,
+/// The `--trace-out` file: one schema header, then every job's headerless
+/// events in job order — the stream one serial shared sink would have
+/// written. Each job's sinks are dropped once written, so at most the jobs
+/// still waiting for an earlier one are held in memory.
+#[derive(Debug)]
+pub struct TraceWriter {
+    path: String,
+    file: BufWriter<File>,
+    events: u64,
+    io_errors: u64,
 }
 
-impl TraceBytes {
-    /// Gathers in-memory headerless sinks, in order.
-    pub fn from_sinks(sinks: impl IntoIterator<Item = JsonlSink<Vec<u8>>>) -> TraceBytes {
-        let mut out = TraceBytes::default();
+impl TraceWriter {
+    /// Appends one job's in-memory headerless sinks, in order, moving
+    /// each buffer out of its sink. Exits 1 if the file cannot be written.
+    pub fn append(&mut self, sinks: Vec<JsonlSink<Vec<u8>>>) {
         for sink in sinks {
-            out.events += sink.written();
-            out.io_errors += sink.io_errors();
-            out.bytes.extend_from_slice(&sink.into_inner());
+            self.events += sink.written();
+            self.io_errors += sink.io_errors();
+            if let Err(e) = self.file.write_all(&sink.into_inner()) {
+                exit_io(format!("cannot write {}: {e}", self.path));
+            }
         }
-        out
+    }
+
+    /// Flushes the file. Returns a console summary.
+    pub fn finish(mut self) -> String {
+        if let Err(e) = self.file.flush() {
+            exit_io(format!("cannot write {}: {e}", self.path));
+        }
+        if self.io_errors > 0 {
+            eprintln!("  warning: {} events lost to I/O errors", self.io_errors);
+        }
+        format!("{} events -> {}", self.events, self.path)
     }
 }
 

@@ -5,7 +5,7 @@
 //! hpmpsim [--flavor pmp|pmpt|hpmp] [--core rocket|boom]
 //!         [--workload redis|serverless|gap|rv8|lmbench|tenancy|virtapp]
 //!         [--scenario aging] [--churn-ops N]
-//!         [--harts N] [--backend deterministic|threaded]
+//!         [--harts N]
 //!         [--jobs N] [--pwc N] [--pmptw-cache N]
 //!         [--no-tlb-inlining] [--encryption CYCLES] [--epmp]
 //!         [--trace-out walks.jsonl] [--metrics-out metrics.json]
@@ -16,9 +16,9 @@
 //!         [--host-profile-out FILE]
 //! ```
 //!
-//! The nine artifact flags (`--jobs`, `--backend`, `--trace-out`,
-//! `--metrics-out`, `--bench-out`, `--snapshot-interval`, `--timeline-out`,
-//! `--spans-out`, `--host-profile-out`) are parsed, checked and written by
+//! The eight artifact flags (`--jobs`, `--trace-out`, `--metrics-out`,
+//! `--bench-out`, `--snapshot-interval`, `--timeline-out`, `--spans-out`,
+//! `--host-profile-out`) are parsed, checked and written by
 //! [`hpmp_bench::artifacts`], shared with `repro`. A missing or malformed
 //! flag value exits 2 naming the flag.
 //!
@@ -37,15 +37,6 @@
 //! `hart.<i>.*` shootdown/fence counters plus `smp.*` totals. A monitor
 //! error (e.g. the PMP flavour's entry wall) exits 1 with its message.
 //!
-//! `--backend threaded` (with `--harts` >= 2) runs the same SMP shape on
-//! the threaded execution backend: one OS thread per hart between monitor
-//! operations, sharded physical memory, per-hart metric arenas, and
-//! mailbox shootdown delivery. Outcomes and metric snapshots are
-//! byte-identical to the default `deterministic` backend (the conformance
-//! battery enforces this) — only wall-clock changes. Time-resolved
-//! telemetry (`--snapshot-interval`/`--timeline-out`/`--spans-out`)
-//! requires the deterministic backend.
-//!
 //! SMP runs can also record *time-resolved* telemetry (both require
 //! `--harts` ≥ 2 and a single workload): `--snapshot-interval N` cuts a
 //! timeline slice — a delta of the unified metrics snapshot — every N
@@ -61,9 +52,8 @@
 //! a workload run: `--churn-ops N` enclave lifecycles (default 1200) over a
 //! deliberately small 128 MiB arena, pushing the monitor down its staged
 //! degradation ladder (normal → compacting → table-only → admission
-//! control). The run honours `--flavor`, `--core`, `--harts` and
-//! `--backend`, uses the fixed SMP seed, and is byte-identical at any
-//! `--jobs` and on either backend. `--metrics-out`/`--bench-out`/
+//! control). The run honours `--flavor`, `--core` and `--harts`, uses the
+//! fixed SMP seed, and is byte-identical at any `--jobs`. `--metrics-out`/`--bench-out`/
 //! `--spans-out` work as usual. Exit status: 0 normally, 1 if a robustness
 //! invariant broke (canary loss or a fast-path/oracle disagreement), and
 //! **3** if the run *ended* inside stage-3 admission control — a distinct,
@@ -99,18 +89,18 @@
 use std::fmt::Write as _;
 use std::num::{NonZeroU32, NonZeroUsize};
 
-use hpmp_bench::artifacts::{flag_value, write_or_exit, ArtifactFlags, TraceBytes};
+use hpmp_bench::artifacts::{flag_value, write_or_exit, ArtifactFlags};
 use hpmp_bench::run_ordered;
 use hpmp_core::PmptwCacheConfig;
 use hpmp_faults::{run_shard, CampaignReport, CampaignSpec};
-use hpmp_machine::{ExecBackend, Machine, MachineConfig};
+use hpmp_machine::{Machine, MachineConfig};
 use hpmp_memsim::{CoreKind, LRU_MAX_ENTRIES};
 use hpmp_penglai::TeeFlavor;
 use hpmp_trace::{
     walks_in_snapshot, BenchReport, ExperimentRecord, HostProfiler, JsonlSink, NullSink, Snapshot,
     TraceSink,
 };
-use hpmp_workloads::smp::{run_smp_with, spec_for, RunOptions, SmpTelemetry, SMP_WORKLOADS};
+use hpmp_workloads::smp::{run_smp_with, spec_for, SmpTelemetry, SmpTelemetrySpec, SMP_WORKLOADS};
 use hpmp_workloads::TeeBench;
 
 #[derive(Debug)]
@@ -137,7 +127,7 @@ fn usage() -> ! {
         "usage: hpmpsim [--flavor pmp|pmpt|hpmp] [--core rocket|boom]\n\
          \x20              [--workload redis|serverless|gap|rv8|lmbench|tenancy|virtapp]\n\
          \x20              [--scenario aging] [--churn-ops N]\n\
-         \x20              [--harts N] [--backend deterministic|threaded]\n\
+         \x20              [--harts N]\n\
          \x20              [--jobs N] [--pwc N] [--pmptw-cache N]\n\
          \x20              [--no-tlb-inlining] [--encryption CYCLES] [--epmp]\n\
          \x20              [--trace-out walks.jsonl] [--metrics-out metrics.json]\n\
@@ -309,9 +299,6 @@ fn main() {
             "  harts        : {} (seed {SMP_SEED}, cross-hart shootdowns on)",
             options.harts
         );
-        if artifacts.backend == ExecBackend::Threaded {
-            println!("  backend      : threaded (per-hart OS threads between monitor ops)");
-        }
     }
 
     let workloads: Vec<&str> = options
@@ -327,10 +314,9 @@ fn main() {
     if workloads.is_empty() {
         usage_error("no workload given")
     }
-    if artifacts.backend == ExecBackend::Threaded && options.harts < 2 {
-        usage_error("--backend threaded needs --harts >= 2")
-    }
-    let run_options = artifacts.run_options().unwrap_or_else(|e| usage_error(e));
+    let telemetry = artifacts
+        .telemetry_spec()
+        .unwrap_or_else(|e| usage_error(e));
     if artifacts.telemetry_requested() {
         // The timeline/span clock is the SMP global simulated clock, so
         // time-resolved telemetry only exists for multi-hart runs; one
@@ -344,21 +330,28 @@ fn main() {
     }
 
     // Run the workloads on the worker pool, each with its own sink and
-    // registry; buffered outputs stream in the listed order. The profiler
-    // is host-clock only: its measurements go to `--host-profile-out` and
-    // stderr, never into stdout or the simulated artifacts.
+    // registry; buffered stdout and trace bytes stream in the listed order.
+    // The profiler is host-clock only: its measurements go to
+    // `--host-profile-out` and stderr, never into stdout or the simulated
+    // artifacts.
     let mut profiler = HostProfiler::new("hpmpsim");
+    let mut trace = artifacts.trace_writer();
     profiler.begin_phase("run");
     let outputs = run_ordered(
         workloads.len(),
         artifacts.jobs(),
         |i| {
             let started = std::time::Instant::now();
-            let mut out = run_one(&options, run_options, workloads[i]);
+            let mut out = run_one(&options, telemetry, workloads[i]);
             out.wall = started.elapsed();
             out
         },
-        |out| print!("{}", out.stdout),
+        |out| {
+            print!("{}", out.stdout);
+            if let Some(trace) = trace.as_mut() {
+                trace.append(std::mem::take(&mut out.trace));
+            }
+        },
     );
     profiler.begin_phase("write");
 
@@ -368,8 +361,8 @@ fn main() {
         cycles += out.cycles;
         snapshot = snapshot.merge(&out.snap);
     }
-    if let Some(line) = artifacts.write_trace(outputs.iter().map(|out| &out.trace)) {
-        println!("  trace        : {line}");
+    if let Some(trace) = trace {
+        println!("  trace        : {}", trace.finish());
     }
     if let Some(line) = artifacts.write_metrics(&snapshot) {
         println!("  metrics      : {line}");
@@ -495,14 +488,11 @@ fn run_fault_campaign(options: &Options) -> ! {
 ///
 /// Every lifecycle op is serial and all churn decisions come from one
 /// seeded stream, so stdout and every artifact are byte-identical at any
-/// `--jobs` and on either backend. Exit codes: 0 for a clean run, 1 if a
+/// `--jobs`. Exit codes: 0 for a clean run, 1 if a
 /// canary or the permission oracle was violated, 3 if the run *ended*
 /// inside stage-3 admission control.
 fn run_aging_scenario(options: &Options) -> ! {
     let artifacts = &options.artifacts;
-    if artifacts.backend == ExecBackend::Threaded && options.harts < 2 {
-        usage_error("--backend threaded needs --harts >= 2")
-    }
     if artifacts.trace_out.is_some()
         || artifacts.snapshot_interval.is_some()
         || artifacts.timeline_out.is_some()
@@ -512,34 +502,26 @@ fn run_aging_scenario(options: &Options) -> ! {
              not trace/timeline flags",
         )
     }
-    let run_options = artifacts.run_options().unwrap_or_else(|e| usage_error(e));
+    let telemetry = artifacts
+        .telemetry_spec()
+        .unwrap_or_else(|e| usage_error(e));
     let churn_ops = options
         .churn_ops
         .unwrap_or(hpmp_workloads::aging::DEFAULT_CHURN_OPS);
     let spec = hpmp_workloads::aging::AgingSpec::with_ops(churn_ops);
     println!(
-        "hpmpsim: aging scenario on {} / {} ({} hart(s), {} churn ops, seed {SMP_SEED}, \
-         backend {})",
-        options.flavor,
-        options.core,
-        options.harts,
-        churn_ops,
-        artifacts.backend.name(),
+        "hpmpsim: aging scenario on {} / {} ({} hart(s), {} churn ops, seed {SMP_SEED})",
+        options.flavor, options.core, options.harts, churn_ops,
     );
     let machines = (0..options.harts)
         .map(|_| Machine::new(machine_config(options)))
         .collect();
-    let (outcome, snap, _, telemetry) = hpmp_workloads::aging::run_aging_with(
-        machines,
-        options.flavor,
-        SMP_SEED,
-        spec,
-        run_options,
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("aging scenario failed to boot: {e}");
-        std::process::exit(1);
-    });
+    let (outcome, snap, _, telemetry) =
+        hpmp_workloads::aging::run_aging_with(machines, options.flavor, SMP_SEED, spec, telemetry)
+            .unwrap_or_else(|e| {
+                eprintln!("aging scenario failed to boot: {e}");
+                std::process::exit(1);
+            });
 
     // The path starts with the boot-time (op 0, stage 0) entry.
     let stages = outcome
@@ -618,8 +600,8 @@ struct WorkloadOutput {
     cycles: u64,
     /// The workload machine's metrics snapshot.
     snap: Snapshot,
-    /// Headerless walk-event bytes (empty unless tracing).
-    trace: TraceBytes,
+    /// Headerless walk-event sinks, one per machine (empty unless tracing).
+    trace: Vec<JsonlSink<Vec<u8>>>,
     /// Time-resolved artifacts (empty unless requested).
     telemetry: SmpTelemetry,
     /// Host wall-clock time the workload took; feeds only the host
@@ -633,14 +615,14 @@ struct WorkloadOutput {
 const SMP_SEED: u64 = 0x4850_4d50;
 
 /// Runs one workload with a private sink and registry, buffering its output.
-fn run_one(options: &Options, run_options: RunOptions, workload: &str) -> WorkloadOutput {
+fn run_one(options: &Options, telemetry: SmpTelemetrySpec, workload: &str) -> WorkloadOutput {
     if options.artifacts.trace_out.is_none() {
-        return run_with_sinks(options, run_options, workload, || NullSink).0;
+        return run_with_sinks(options, telemetry, workload, || NullSink).0;
     }
-    let (mut out, sinks) = run_with_sinks(options, run_options, workload, || {
+    let (mut out, sinks) = run_with_sinks(options, telemetry, workload, || {
         JsonlSink::new_headerless(Vec::new())
     });
-    out.trace = TraceBytes::from_sinks(sinks);
+    out.trace = sinks;
     out
 }
 
@@ -651,7 +633,7 @@ fn run_one(options: &Options, run_options: RunOptions, workload: &str) -> Worklo
 /// not depend on the global interleaving order.
 fn run_with_sinks<S: TraceSink + Send>(
     options: &Options,
-    run_options: RunOptions,
+    telemetry: SmpTelemetrySpec,
     workload: &str,
     sink: impl Fn() -> S,
 ) -> (WorkloadOutput, Vec<S>) {
@@ -663,12 +645,10 @@ fn run_with_sinks<S: TraceSink + Send>(
             .map(|_| Machine::with_sink(config, sink()))
             .collect();
         let (outcome, snap, sinks, telemetry) =
-            run_smp_with(machines, options.flavor, SMP_SEED, spec, run_options).unwrap_or_else(
-                |e| {
-                    eprintln!("SMP workload {workload} failed: {e}");
-                    std::process::exit(1);
-                },
-            );
+            run_smp_with(machines, options.flavor, SMP_SEED, spec, telemetry).unwrap_or_else(|e| {
+                eprintln!("SMP workload {workload} failed: {e}");
+                std::process::exit(1);
+            });
         report_smp(&outcome, &snap, &mut stdout);
         (outcome.total_cycles, snap, sinks, telemetry)
     } else {
@@ -681,7 +661,7 @@ fn run_with_sinks<S: TraceSink + Send>(
         stdout,
         cycles,
         snap,
-        trace: TraceBytes::default(),
+        trace: Vec::new(),
         telemetry,
         wall: std::time::Duration::ZERO,
     };

@@ -1,6 +1,6 @@
 //! `repro` — regenerates every table and figure of the paper.
 //!
-//! Usage: `repro [--jobs N] [--serial] [--backend deterministic|threaded]
+//! Usage: `repro [--jobs N] [--serial]
 //! [--trace-out <walks.jsonl>] [--metrics-out <m.json>]
 //! [--bench-out <BENCH_name.json>] [--snapshot-interval <cycles>]
 //! [--timeline-out <timeline.jsonl>] [--spans-out <spans.jsonl>]
@@ -9,7 +9,7 @@
 //! fig15 fig16 fig17 table4 fig3 svsweep virtapp tenancy encryption
 //! multihart all` (default: `all`). Unknown flags and experiment names, and
 //! a flag whose value is missing or malformed, are rejected (exit 2) — see
-//! `--help`. The nine artifact flags are parsed, checked and written by
+//! `--help`. The eight artifact flags are parsed, checked and written by
 //! [`hpmp_bench::artifacts`], shared with `hpmpsim`; an artifact that
 //! cannot be written exits 1, and so does an experiment that fails
 //! (`repro: <experiment>: <error>` on stderr).
@@ -26,7 +26,8 @@
 //!
 //! `--trace-out` streams one JSONL [`hpmp_trace::WalkEvent`] per memory
 //! access of every experiment that drives a machine (`multihart`'s harts
-//! excepted); `--metrics-out` writes the merged metrics snapshot of every
+//! excepted), appending each experiment's events to the file as soon as
+//! every earlier experiment's are written; `--metrics-out` writes the merged metrics snapshot of every
 //! experiment as versioned JSON. `--bench-out` writes a perf-trajectory
 //! [`hpmp_trace::BenchReport`] with one record per experiment (cycles,
 //! walks, walk-reference counters, latency percentiles), the form CI pins
@@ -42,11 +43,11 @@
 //! `--snapshot-interval`/`--timeline-out`/`--spans-out` record
 //! time-resolved telemetry on `multihart`'s 4-hart HPMP run, the one run on
 //! the SMP global clock. They need `multihart` in the worklist (`all`
-//! includes it) and the deterministic backend; otherwise repro exits 2.
+//! includes it); otherwise repro exits 2.
 
 use std::time::{Duration, Instant};
 
-use hpmp_bench::artifacts::{ArtifactFlags, TraceBytes};
+use hpmp_bench::artifacts::ArtifactFlags;
 use hpmp_bench::experiments::{Experiment, Outcome};
 use hpmp_bench::run_ordered;
 use hpmp_trace::{
@@ -58,7 +59,7 @@ use hpmp_trace::{
 fn usage() -> ! {
     let names: Vec<&str> = Experiment::ALL.iter().map(|e| e.name()).collect();
     eprintln!(
-        "usage: repro [--jobs N | --serial] [--backend deterministic|threaded]\n\
+        "usage: repro [--jobs N | --serial]\n\
          \x20            [--trace-out walks.jsonl] [--metrics-out metrics.json]\n\
          \x20            [--bench-out BENCH_name.json]\n\
          \x20            [--snapshot-interval CYCLES] [--timeline-out timeline.jsonl]\n\
@@ -100,7 +101,9 @@ fn main() {
         }
         names.push(arg);
     }
-    let run_options = artifacts.run_options().unwrap_or_else(|e| usage_error(e));
+    let telemetry = artifacts
+        .telemetry_spec()
+        .unwrap_or_else(|e| usage_error(e));
     if names.is_empty() {
         names.push("all".into());
         wanted.extend(Experiment::ALL);
@@ -116,33 +119,39 @@ fn main() {
     }
 
     // Run the selected experiments on the worker pool. Each experiment gets
-    // its own sink; its tables print as soon as all earlier experiments are
-    // done, so output order never depends on `jobs`. The profiler is
-    // host-clock only: its measurements go to `--host-profile-out` and
-    // stderr, never into stdout or the simulated artifacts.
+    // its own sink; its tables print and its trace bytes are written as
+    // soon as all earlier experiments are done, so output order never
+    // depends on `jobs`. The profiler is host-clock only: its measurements
+    // go to `--host-profile-out` and stderr, never into stdout or the
+    // simulated artifacts.
     let mut profiler = HostProfiler::new("repro");
-    let tracing = artifacts.trace_out.is_some();
+    let mut trace = artifacts.trace_writer();
+    let tracing = trace.is_some();
     profiler.begin_phase("run");
     let outputs = run_ordered(
         worklist.len(),
         artifacts.jobs(),
         |i| {
             let started = Instant::now();
-            let (outcome, trace) = if tracing {
+            let (outcome, sinks) = if tracing {
                 let mut sink = JsonlSink::new_headerless(Vec::new());
-                let outcome = worklist[i].run(&mut sink, run_options);
-                (outcome, TraceBytes::from_sinks([sink]))
+                let outcome = worklist[i].run(&mut sink, telemetry);
+                (outcome, vec![sink])
             } else {
-                let outcome = worklist[i].run(&mut NullSink, run_options);
-                (outcome, TraceBytes::default())
+                let outcome = worklist[i].run(&mut NullSink, telemetry);
+                (outcome, Vec::new())
             };
-            (worklist[i], outcome, trace, started.elapsed())
+            (worklist[i], outcome, sinks, started.elapsed())
         },
-        |(experiment, outcome, ..)| match outcome {
-            Ok(outcome) => outcome
-                .reports
-                .iter()
-                .for_each(|report| println!("{}", report.render())),
+        |(experiment, outcome, sinks, _)| match outcome {
+            Ok(outcome) => {
+                for report in &outcome.reports {
+                    println!("{}", report.render());
+                }
+                if let Some(trace) = trace.as_mut() {
+                    trace.append(std::mem::take(sinks));
+                }
+            }
             Err(e) => {
                 eprintln!("repro: {}: {e}", experiment.name());
                 std::process::exit(1);
@@ -155,7 +164,7 @@ fn main() {
     // and bench records in presentation order.
     let outcomes: Vec<Done> = outputs
         .into_iter()
-        .filter_map(|(e, outcome, trace, wall)| Some((e, outcome.ok()?, trace, wall)))
+        .filter_map(|(e, outcome, _, wall)| Some((e, outcome.ok()?, wall)))
         .collect();
     let mut metrics = Snapshot::new();
     let mut report = BenchReport::new("repro");
@@ -176,8 +185,8 @@ fn main() {
             snap.clone(),
         ));
     }
-    if let Some(line) = artifacts.write_trace(outcomes.iter().map(|(_, _, trace, _)| trace)) {
-        eprintln!("repro: trace: {line}");
+    if let Some(trace) = trace {
+        eprintln!("repro: trace: {}", trace.finish());
     }
     if let Some(line) = artifacts.write_metrics(&metrics) {
         eprintln!("repro: metrics: {line}");
@@ -194,14 +203,13 @@ fn main() {
     // Host-clock epilogue: stderr and the dedicated profile artifact only,
     // so the simulated outputs above are byte-identical whether or not
     // profiling is on.
-    for (experiment, outcome, _, wall) in &outcomes {
+    for (experiment, outcome, wall) in &outcomes {
         let walks = walks_in_snapshot(&outcome.snapshot);
         profiler.record_experiment(experiment.name(), *wall, walks);
     }
     artifacts.write_host_profile(&profiler.finish());
 }
 
-/// One finished experiment: its outcome, its headerless walk-event bytes
-/// (empty unless tracing) and the host wall-clock time it took, which feeds
-/// only the host profile.
-type Done = (Experiment, Outcome, TraceBytes, Duration);
+/// One finished experiment: its outcome and the host wall-clock time it
+/// took, which feeds only the host profile.
+type Done = (Experiment, Outcome, Duration);

@@ -27,7 +27,7 @@ use hpmp_workloads::latency::{
 };
 use hpmp_workloads::lmbench::{self, Syscall};
 use hpmp_workloads::serverless::{self, Function};
-use hpmp_workloads::smp::{run_smp_with, spec_for, RunOptions, SmpTelemetry};
+use hpmp_workloads::smp::{run_smp_with, spec_for, SmpTelemetry, SmpTelemetrySpec};
 use hpmp_workloads::{frag, gap, redis, rv8, TeeBench, FLAVORS};
 
 use crate::{pct, pct_f, Report};
@@ -105,9 +105,9 @@ impl Experiment {
     }
 
     /// Runs the experiment, recording the walk events of every machine it
-    /// drives into `sink`. `multihart` runs its harts on `options`' backend
-    /// with the telemetry `options` asks for; its harts record no walk
-    /// events, since each would need a sink of its own.
+    /// drives into `sink`. `multihart`'s 4-hart HPMP run records the
+    /// telemetry `telemetry` asks for; its harts record no walk events,
+    /// since each would need a sink of its own.
     ///
     /// # Errors
     ///
@@ -115,7 +115,7 @@ impl Experiment {
     pub fn run<S: TraceSink>(
         self,
         sink: &mut S,
-        options: RunOptions,
+        telemetry: SmpTelemetrySpec,
     ) -> std::result::Result<Outcome, ExperimentError> {
         let mut out = Outcome::default();
         match self {
@@ -137,7 +137,7 @@ impl Experiment {
             Experiment::Virtapp => virtapp(&mut out, sink),
             Experiment::Tenancy => tenancy(&mut out, sink)?,
             Experiment::Encryption => encryption(&mut out, sink)?,
-            Experiment::Multihart => multihart(&mut out, options)?,
+            Experiment::Multihart => multihart(&mut out, telemetry)?,
         }
         sink.flush();
         Ok(out)
@@ -1104,18 +1104,18 @@ fn tenancy<S: TraceSink>(out: &mut Outcome, sink: &mut S) -> Result {
 /// SMP shape, swept over 1/2/4/8 harts: every GMS change on one hart shoots
 /// down all the others, so the interesting number is how much of the total
 /// the remote fence/reprogram stalls eat as the hart count grows. The run
-/// is seeded, so it is deterministic on either backend; the 4-hart HPMP
-/// run also records the telemetry `run_options` asks for.
-fn multihart(out: &mut Outcome, run_options: RunOptions) -> Result {
+/// is seeded, so it is deterministic; the 4-hart HPMP run also records the
+/// telemetry `telemetry` asks for.
+fn multihart(out: &mut Outcome, telemetry: SmpTelemetrySpec) -> Result {
     let spec = spec_for("tenancy").ok_or(ExperimentError::NoSmpShape("tenancy"))?;
     let seed = 0xA11CE;
-    let run = |flavor, harts, options| {
+    let run = |flavor, harts, telemetry| {
         let machines = (0..harts)
             .map(|_| Machine::new(MachineConfig::rocket()))
             .collect();
-        run_smp_with(machines, flavor, seed, spec, options)
+        run_smp_with(machines, flavor, seed, spec, telemetry)
     };
-    let counters_only = RunOptions::from(run_options.backend());
+    let counters_only = SmpTelemetrySpec::default();
     let mut r = Report::new(
         "SMP scaling (Rocket): tenancy shape, cross-hart shootdown overhead",
         &[
@@ -1129,12 +1129,8 @@ fn multihart(out: &mut Outcome, run_options: RunOptions) -> Result {
     );
     for harts in [1usize, 2, 4, 8] {
         let (pmpt, ..) = run(TeeFlavor::PenglaiPmpt, harts, counters_only)?;
-        let options = if harts == 4 {
-            run_options
-        } else {
-            counters_only
-        };
-        let (hpmp, snap, _, recorded) = run(TeeFlavor::PenglaiHpmp, harts, options)?;
+        let recording = if harts == 4 { telemetry } else { counters_only };
+        let (hpmp, snap, _, recorded) = run(TeeFlavor::PenglaiHpmp, harts, recording)?;
         if harts == 4 {
             out.telemetry = recorded;
         }

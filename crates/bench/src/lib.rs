@@ -23,15 +23,15 @@ use std::fmt::Write as _;
 /// Workers claim indices from a shared counter, so long jobs never leave a
 /// thread idle while work remains. As soon as every job before index `i` has
 /// finished, `emit` is called with job `i`'s output — callers use this to
-/// stream per-job stdout buffers progressively while preserving a
-/// deterministic order. With `jobs == 1` the single worker claims indices
+/// stream per-job stdout buffers and trace bytes progressively while
+/// preserving a deterministic order, and may take out what they streamed. With `jobs == 1` the single worker claims indices
 /// sequentially, so the run *is* the serial run; with more workers only
 /// wall-clock changes, never output.
 pub fn run_ordered<T: Send>(
     count: usize,
     jobs: usize,
     run: impl Fn(usize) -> T + Sync,
-    mut emit: impl FnMut(&T),
+    mut emit: impl FnMut(&mut T),
 ) -> Vec<T> {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
@@ -60,7 +60,7 @@ pub fn run_ordered<T: Send>(
         let mut emitted = 0;
         for (i, out) in rx {
             results[i] = Some(out);
-            while let Some(Some(out)) = results.get(emitted) {
+            while let Some(Some(out)) = results.get_mut(emitted) {
                 emit(out);
                 emitted += 1;
             }
@@ -181,7 +181,7 @@ mod tests {
     fn run_ordered_preserves_order_and_emits_in_order() {
         for jobs in [1, 3, 16] {
             let mut emitted = Vec::new();
-            let results = run_ordered(8, jobs, |i| i * 10, |&v| emitted.push(v));
+            let results = run_ordered(8, jobs, |i| i * 10, |v| emitted.push(*v));
             assert_eq!(results, vec![0, 10, 20, 30, 40, 50, 60, 70]);
             assert_eq!(emitted, results, "jobs={jobs}");
         }

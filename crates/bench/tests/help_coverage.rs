@@ -18,14 +18,13 @@ fn run(bin: &str, args: &[&str]) -> (i32, String) {
 
 /// Every flag `hpmpsim`'s parser matches on. Adding a parser arm without
 /// updating `usage()` (or this list) fails the test.
-const HPMPSIM_FLAGS: [&str; 23] = [
+const HPMPSIM_FLAGS: [&str; 22] = [
     "--flavor",
     "--core",
     "--workload",
     "--scenario",
     "--churn-ops",
     "--harts",
-    "--backend",
     "--jobs",
     "--pwc",
     "--pmptw-cache",
@@ -45,10 +44,9 @@ const HPMPSIM_FLAGS: [&str; 23] = [
 ];
 
 /// Every flag `repro`'s parser matches on.
-const REPRO_FLAGS: [&str; 10] = [
+const REPRO_FLAGS: [&str; 9] = [
     "--serial",
     "--jobs",
-    "--backend",
     "--trace-out",
     "--metrics-out",
     "--bench-out",
@@ -111,41 +109,16 @@ fn repro_help_lists_every_flag_and_experiment() {
 }
 
 #[test]
-fn hpmpsim_rejects_unknown_backends() {
-    let (code, err) = run(
-        env!("CARGO_BIN_EXE_hpmpsim"),
-        &["--harts", "2", "--backend", "bogus"],
-    );
-    assert_eq!(code, 2);
-    assert!(err.contains("bogus"), "{err}");
-    assert!(
-        err.contains("threaded"),
-        "accepted names must be listed: {err}"
-    );
-}
-
-#[test]
-fn hpmpsim_rejects_threaded_telemetry_and_single_hart() {
-    // Timelines and spans live on the serial simulated clock.
-    let (code, err) = run(
-        env!("CARGO_BIN_EXE_hpmpsim"),
-        &[
-            "--harts",
-            "2",
-            "--backend",
-            "threaded",
-            "--workload",
-            "tenancy",
-            "--snapshot-interval",
-            "1000",
-        ],
-    );
-    assert_eq!(code, 2);
-    assert!(err.contains("deterministic"), "{err}");
-    // The threaded backend needs something to parallelize over.
-    let (code, err) = run(env!("CARGO_BIN_EXE_hpmpsim"), &["--backend", "threaded"]);
-    assert_eq!(code, 2);
-    assert!(err.contains("--harts"), "{err}");
+fn backend_is_an_unknown_flag() {
+    // Every run is deterministic; the threaded backend is library-only.
+    for bin in [env!("CARGO_BIN_EXE_hpmpsim"), env!("CARGO_BIN_EXE_repro")] {
+        let (code, help) = run(bin, &["--help"]);
+        assert_eq!(code, 2, "{bin}");
+        assert!(!help.contains("--backend"), "{bin} documents --backend");
+        let (code, err) = run(bin, &["--backend", "threaded"]);
+        assert_eq!(code, 2, "{bin}: {err}");
+        assert!(err.contains("--backend"), "{bin}: {err}");
+    }
 }
 
 #[test]
@@ -171,29 +144,6 @@ fn hpmpsim_rejects_bad_scenario_combinations() {
     );
     assert_eq!(code, 2);
     assert!(err.contains("aging"), "{err}");
-    // Span attribution needs the serial simulated clock.
-    let (code, err) = run(
-        env!("CARGO_BIN_EXE_hpmpsim"),
-        &[
-            "--scenario",
-            "aging",
-            "--harts",
-            "2",
-            "--backend",
-            "threaded",
-            "--spans-out",
-            "s.jsonl",
-        ],
-    );
-    assert_eq!(code, 2);
-    assert!(err.contains("deterministic"), "{err}");
-}
-
-#[test]
-fn repro_rejects_unknown_backends() {
-    let (code, err) = run(env!("CARGO_BIN_EXE_repro"), &["--backend", "bogus"]);
-    assert_eq!(code, 2);
-    assert!(err.contains("bogus"), "{err}");
 }
 
 #[test]
@@ -281,23 +231,12 @@ fn repro_reports_an_unwritable_timeline_instead_of_panicking() {
 
 #[test]
 fn hpmpsim_reports_the_pmp_entry_wall_instead_of_panicking() {
-    for backend in ["deterministic", "threaded"] {
-        let (code, err) = run(
-            env!("CARGO_BIN_EXE_hpmpsim"),
-            &[
-                "--flavor",
-                "pmp",
-                "--harts",
-                "7",
-                "--workload",
-                "tenancy",
-                "--backend",
-                backend,
-            ],
-        );
-        assert_eq!(code, 1, "{backend}: {err}");
-        assert!(err.contains("no available PMP entries"), "{backend}: {err}");
-    }
+    let (code, err) = run(
+        env!("CARGO_BIN_EXE_hpmpsim"),
+        &["--flavor", "pmp", "--harts", "7", "--workload", "tenancy"],
+    );
+    assert_eq!(code, 1, "{err}");
+    assert!(err.contains("no available PMP entries"), "{err}");
 }
 
 #[test]

@@ -306,6 +306,11 @@ impl<S: TraceSink> Machine<S> {
         self.stage.hart_id = hart;
     }
 
+    /// The hart id stamped on emitted events (0 unless set).
+    pub fn hart_id(&self) -> u16 {
+        self.stage.hart_id
+    }
+
     /// The world tag stamped on emitted events.
     pub fn world(&self) -> World {
         self.stage.world

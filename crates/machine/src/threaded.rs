@@ -42,8 +42,6 @@
 //! [`ShootdownCost::sender_stall`]: hpmp_core::ShootdownCost::sender_stall
 
 use std::collections::VecDeque;
-use std::fmt;
-use std::str::FromStr;
 
 use hpmp_core::DeferredShootdown;
 use hpmp_trace::TraceSink;
@@ -51,52 +49,18 @@ use hpmp_trace::TraceSink;
 use crate::machine::Machine;
 use crate::multihart::{HartCounters, MultiHartMachine};
 
-/// Which SMP execution backend drives a multi-hart run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+/// Which SMP execution backend drives a multi-hart run. Library-only:
+/// `hpmp_workloads::smp::run_smp_backend` is the one entry that runs
+/// `Threaded`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ExecBackend {
     /// Single-threaded round-robin interleaver with synchronous shootdown
     /// delivery. Bit-for-bit reproducible; the reference semantics.
-    #[default]
     Deterministic,
     /// One OS thread per hart inside each epoch, with sharded physical
     /// memory, per-hart counters, and mailbox shootdown delivery.
     /// Produces the same merged counter snapshot as `Deterministic`.
     Threaded,
-}
-
-impl ExecBackend {
-    /// Every backend name accepted by [`ExecBackend::from_str`], for
-    /// `--help` text.
-    pub const NAMES: [&'static str; 2] = ["deterministic", "threaded"];
-
-    /// The canonical CLI spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecBackend::Deterministic => "deterministic",
-            ExecBackend::Threaded => "threaded",
-        }
-    }
-}
-
-impl fmt::Display for ExecBackend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for ExecBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<ExecBackend, String> {
-        match s {
-            "deterministic" => Ok(ExecBackend::Deterministic),
-            "threaded" => Ok(ExecBackend::Threaded),
-            other => Err(format!(
-                "unknown backend '{other}' (expected one of: {})",
-                ExecBackend::NAMES.join(", ")
-            )),
-        }
-    }
 }
 
 /// A single-producer single-consumer shootdown mailbox.
@@ -320,24 +284,6 @@ mod tests {
 
     fn mini_cluster(harts: usize) -> MultiHartMachine {
         MultiHartMachine::new(MachineConfig::rocket(), harts)
-    }
-
-    #[test]
-    fn backend_parses_and_rejects() {
-        assert_eq!(
-            "deterministic".parse::<ExecBackend>().unwrap(),
-            ExecBackend::Deterministic
-        );
-        assert_eq!(
-            "threaded".parse::<ExecBackend>().unwrap(),
-            ExecBackend::Threaded
-        );
-        assert_eq!(ExecBackend::default(), ExecBackend::Deterministic);
-        let err = "turbo".parse::<ExecBackend>().unwrap_err();
-        assert!(err.contains("turbo") && err.contains("threaded"), "{err}");
-        for name in ExecBackend::NAMES {
-            assert_eq!(name.parse::<ExecBackend>().unwrap().name(), name);
-        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! architectural register-file check, cache-free) must never grant an
 //! access the cache-free oracle denies. A broken invariant is a
 //! counterexample; the search emits the op prefix that reached it as a
-//! replayable [`Schedule`]. The fault ops stay off the menu: they need a
-//! 1-hart system.
+//! replayable [`Schedule`]. The fault ops stay off the menu: the random
+//! batteries and the fault campaign drive them.
 //!
 //! ## Pruning and soundness
 //!

@@ -436,22 +436,11 @@ pub fn slot_of<S: TraceSink>(smp: &SmpSystem<S>, domain: u32, base: PhysAddr) ->
 /// Fails only when the op cannot be *issued* at all: it names a hart, a
 /// domain, a region slot, a register or a walk step that does not exist at
 /// that point (the schedule is being replayed against a different boot
-/// state than the one that produced it), or it is a fault op on a system
-/// of more than one hart.
+/// state than the one that produced it).
 pub fn apply<S: TraceSink>(smp: &mut SmpSystem<S>, s: ScheduledOp) -> Result<Outcome, String> {
     let hart = s.hart;
     if usize::from(hart) >= smp.harts() {
         return Err(format!("op `{s}` names a hart of {}", smp.harts()));
-    }
-    // The monitor keeps one shadow register image, so `scrub_on` and
-    // `rebuild_on` refuse systems of several harts; refusing here keeps
-    // the fault itself from landing first.
-    let fault = matches!(
-        s.op,
-        MonitorOp::CorruptReg { .. } | MonitorOp::FlipPmpte { .. } | MonitorOp::DropFence(_)
-    );
-    if fault && smp.harts() > 1 {
-        return Err(format!("fault op `{s}` needs a 1-hart system"));
     }
     let region_base = |smp: &SmpSystem<S>, domain: u32, slot: usize| {
         let gmss = smp

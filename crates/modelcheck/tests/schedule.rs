@@ -1,7 +1,7 @@
 //! The schedule text format and which ops of the one op vocabulary can
 //! be issued, through the public API.
 
-use hpmp_modelcheck::{boot_system, Boot, BootError, MonitorOp, Schedule};
+use hpmp_modelcheck::{boot_system, Boot, BootError, CheckedRun, MonitorOp, Schedule};
 use hpmp_penglai::DomainId;
 
 #[test]
@@ -45,12 +45,25 @@ fn parse_rejects_malformed_tokens() {
 }
 
 #[test]
-fn fault_ops_and_stray_harts_are_unissuable() {
-    let mut smp = boot_system(&Boot::default()).expect("boot");
-    for text in ["h0:drop-fence(0)", "h2:create"] {
-        let sched = Schedule::parse(text).expect("parse");
-        assert!(sched.run(&mut smp).is_err(), "`{text}` issued");
+fn fault_ops_recover_on_every_hart() {
+    // Each hart's scrub compares against that hart's own image, so the
+    // fault ops run on a multi-hart system too.
+    let text = "h0:create h1:switch(1) h0:corrupt(3,cfg,5) h1:corrupt(3,cfg,5) \
+                h0:corrupt(2,addr,40) h1:corrupt(2,addr,40) h0:flip(0,17) h1:flip(0,17) \
+                h0:drop-fence(1) h1:drop-fence(0)";
+    let sched = Schedule::parse(text).expect("parse");
+    let mut run = CheckedRun::boot(Boot::default()).expect("boot");
+    assert_eq!(run.smp.harts(), 2);
+    if let Err(e) = run.run(&sched) {
+        panic!("{run}: {e}");
     }
+}
+
+#[test]
+fn stray_harts_are_unissuable() {
+    let mut smp = boot_system(&Boot::default()).expect("boot");
+    let sched = Schedule::parse("h2:create").expect("parse");
+    assert!(sched.run(&mut smp).is_err(), "`h2:create` issued");
     let no_harts = Boot {
         harts: 0,
         ..Boot::default()

@@ -106,11 +106,6 @@ pub enum MonitorError {
         /// Advertised backoff, in monitor operations.
         retry_after_ops: u64,
     },
-    /// A scrub or rebuild asked of a system with more than one hart. Both
-    /// compare against the one shadow register image, the last one
-    /// programmed on any hart, so another hart's image would be taken for
-    /// this hart's.
-    SharedShadow,
 }
 
 impl std::fmt::Display for MonitorError {
@@ -135,9 +130,6 @@ impl std::fmt::Display for MonitorError {
                     "region memory exhausted (admission control); retry after \
                      ~{retry_after_ops} ops"
                 )
-            }
-            MonitorError::SharedShadow => {
-                f.write_str("scrub and rebuild keep one shadow image: 1-hart systems only")
             }
         }
     }
@@ -316,12 +308,13 @@ pub struct SecureMonitor {
     iopmp: IoPmp,
     devices: Vec<(DeviceId, DomainId)>,
     stats: MonitorStats,
-    /// Monitor-private copy of the register values it last programmed —
-    /// `(addr, cfg)` per entry. [`SecureMonitor::scrub`] compares the live
-    /// file against this and force-restores any divergence, so register
+    /// Monitor-private copy of the register values it last programmed on
+    /// each hart — `(addr, cfg)` per entry, indexed by the machine's hart
+    /// id. [`SecureMonitor::scrub`] compares a hart's live file against
+    /// that hart's image and force-restores any divergence, so register
     /// corruption (bit flips, interposed CSR writes) is bounded by one
     /// scrub period instead of persisting silently.
-    shadow_regs: Vec<(u64, hpmp_core::PmpConfig)>,
+    shadow_regs: Vec<Vec<(u64, hpmp_core::PmpConfig)>>,
     /// Domains whose *holdings* changed during the current op (grant,
     /// revoke, teardown, relabel, rebuild, compaction move) — the
     /// cross-hart shootdown obligations. Single-hart callers never look at
@@ -533,12 +526,13 @@ impl SecureMonitor {
     /// flavour, layout, the pool free list, degradation stage + hysteresis
     /// streak + policy, pins, the table-frame allocator, every domain's id
     /// and GMS list and table shape, scheduling state, id allocation,
-    /// device assignments, the register shadow, and undrained shootdown
-    /// obligations. Excluded: cycle counters and metrics (pure accounting —
-    /// two states differing only there behave identically forever), and
-    /// table *contents* in simulated DRAM, which are a deterministic
-    /// function of the covered state (tables are only ever written by
-    /// monitor ops, and the frame allocator's hash pins frame assignment).
+    /// device assignments, every hart's register shadow, and undrained
+    /// shootdown obligations. Excluded: cycle counters and metrics (pure
+    /// accounting — two states differing only there behave identically
+    /// forever), and table *contents* in simulated DRAM, which are a
+    /// deterministic function of the covered state (tables are only ever
+    /// written by monitor ops, and the frame allocator's hash pins frame
+    /// assignment).
     pub fn hash_state<H: std::hash::Hasher>(&self, h: &mut H) {
         h.write_u8(match self.flavor {
             TeeFlavor::PenglaiPmp => 0,
@@ -599,9 +593,12 @@ impl SecureMonitor {
             h.write_u32(owner.0);
         }
         h.write_usize(self.shadow_regs.len());
-        for &(addr, cfg) in &self.shadow_regs {
-            h.write_u64(addr);
-            h.write_u8(cfg.to_bits());
+        for image in &self.shadow_regs {
+            h.write_usize(image.len());
+            for &(addr, cfg) in image {
+                h.write_u64(addr);
+                h.write_u8(cfg.to_bits());
+            }
         }
         h.write_usize(self.pending_shootdowns.len());
         for d in &self.pending_shootdowns {
@@ -1521,8 +1518,9 @@ impl SecureMonitor {
     }
 
     /// One integrity-scrub pass, the monitor's periodic corruption sweep:
-    /// compares the live register file against the monitor's shadow copy
-    /// (force-restoring any divergence, lock bit included) and samples the
+    /// compares `machine`'s live register file against the shadow copy of
+    /// the image last programmed on that hart (force-restoring any
+    /// divergence, lock bit included) and samples the
     /// first and last page of every GMS in every domain's permission table
     /// for malformed pmptes. Sampling bounds the pass's cost; pmptes it
     /// does not visit are still caught at access time by the parity check.
@@ -1530,7 +1528,11 @@ impl SecureMonitor {
     /// for quarantine otherwise.
     pub fn scrub<S: TraceSink>(&mut self, machine: &mut Machine<S>) -> ScrubReport {
         let mut report = ScrubReport::default();
-        for (idx, &(addr, cfg)) in self.shadow_regs.iter().enumerate() {
+        let shadow = self
+            .shadow_regs
+            .get(usize::from(machine.hart_id()))
+            .map_or(&[][..], Vec::as_slice);
+        for (idx, &(addr, cfg)) in shadow.iter().enumerate() {
             let live_addr = machine.regs().addr_reg(idx);
             let live_cfg = machine.regs().cfg_reg(idx);
             if live_addr != addr || live_cfg.to_bits() != cfg.to_bits() {
@@ -1860,11 +1862,15 @@ impl SecureMonitor {
 
         let writes = machine.regs().csr_writes() - before;
         self.stats.csr_writes += writes;
-        // Refresh the shadow copy scrub compares against.
+        // Refresh this hart's shadow copy, which scrub compares against.
+        let hart = usize::from(machine.hart_id());
+        if self.shadow_regs.len() <= hart {
+            self.shadow_regs.resize_with(hart + 1, Vec::new);
+        }
         let regs = machine.regs();
-        self.shadow_regs.clear();
-        self.shadow_regs
-            .extend((0..regs.len()).map(|idx| (regs.addr_reg(idx), regs.cfg_reg(idx))));
+        let shadow = &mut self.shadow_regs[hart];
+        shadow.clear();
+        shadow.extend((0..regs.len()).map(|idx| (regs.addr_reg(idx), regs.cfg_reg(idx))));
         Ok(writes * cost::CSR_WRITE)
     }
 

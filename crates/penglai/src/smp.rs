@@ -386,16 +386,13 @@ impl<S: TraceSink> SmpSystem<S> {
         Ok(cycles)
     }
 
-    /// Runs one integrity scrub ([`SecureMonitor::scrub`]) on `hart`.
+    /// Runs one integrity scrub ([`SecureMonitor::scrub`]) on `hart`,
+    /// against the image last programmed on `hart`.
     ///
     /// # Errors
     ///
-    /// [`MonitorError::SharedShadow`] on a system of more than one hart:
-    /// the scrub's shadow copy is the image last programmed on *any* hart,
-    /// so it could "repair" a correct image into another hart's. Otherwise
-    /// as the shootdown delivery after it.
+    /// As the shootdown delivery after it.
     pub fn scrub_on(&mut self, hart: u16) -> Result<ScrubReport, MonitorError> {
-        self.one_shadow()?;
         let (report, _) = self.op(hart, None, |_| None, |mon, m| Ok((mon.scrub(m), 0)))?;
         Ok(report)
     }
@@ -405,11 +402,8 @@ impl<S: TraceSink> SmpSystem<S> {
     ///
     /// # Errors
     ///
-    /// [`MonitorError::SharedShadow`] on a system of more than one hart,
-    /// as [`SmpSystem::scrub_on`]; otherwise as
-    /// [`SecureMonitor::rebuild_domain_table`].
+    /// As [`SecureMonitor::rebuild_domain_table`].
     pub fn rebuild_on(&mut self, hart: u16, domain: DomainId) -> Result<u64, MonitorError> {
-        self.one_shadow()?;
         let ((), cycles) = self.op(
             hart,
             None,
@@ -417,15 +411,6 @@ impl<S: TraceSink> SmpSystem<S> {
             |mon, m| mon.rebuild_domain_table(m, domain).map(|c| ((), c)),
         )?;
         Ok(cycles)
-    }
-
-    /// Refuses a scrub or rebuild unless the system has one hart, until
-    /// the monitor keeps a shadow image per hart.
-    fn one_shadow(&self) -> Result<(), MonitorError> {
-        match self.harts() {
-            1 => Ok(()),
-            _ => Err(MonitorError::SharedShadow),
-        }
     }
 
     /// The one fail-closed check ([`SecureMonitor::fail_closed_violation`])
@@ -943,15 +928,20 @@ mod tests {
     }
 
     #[test]
-    fn scrub_and_rebuild_refuse_a_shared_shadow() {
-        // Hart 1 programmed the shadow last, with the enclave's image: a
-        // scrub on hart 0 would "repair" the host's image into it.
+    fn scrub_compares_each_hart_against_its_own_image() {
+        // Hart 1 programmed the enclave's image last; hart 0 still runs
+        // the host. A scrub on hart 0 must find the host's image intact,
+        // not "repair" it into the enclave's.
         let mut smp = boot(TeeFlavor::PenglaiHpmp, 2);
         let (id, _) = smp.create_domain_on(0, 1 << 20, GmsLabel::Slow).unwrap();
         smp.switch_on(1, id).unwrap();
-        assert_eq!(smp.scrub_on(0), Err(MonitorError::SharedShadow));
-        assert_eq!(smp.rebuild_on(0, id), Err(MonitorError::SharedShadow));
+        assert_eq!(smp.scrub_on(0).unwrap().repaired_registers, 0);
         assert_eq!(smp.fail_closed_violation(), None);
+        // A flipped bit on hart 1 is restored to hart 1's image.
+        smp.machine(1).regs_mut().corrupt_addr(1, 1 << 5);
+        assert_eq!(smp.scrub_on(1).unwrap().repaired_registers, 1);
+        assert_eq!(smp.fail_closed_violation(), None);
+        assert_eq!(smp.scrub_on(0).unwrap().repaired_registers, 0);
     }
 
     #[test]

@@ -21,15 +21,13 @@
 //! denies (the fail-open bug class) is counted, not silently survived.
 //!
 //! The campaign runs on the SMP harness of [`crate::smp`]:
-//! [`run_aging_with`] takes pre-built machines and a
-//! [`RunOptions`] value (backend plus telemetry). Residents touch their
-//! working sets through the same tenant batch loop as the SMP workloads.
+//! [`run_aging_with`] takes pre-built machines and the
+//! [`SmpTelemetrySpec`] to record. Residents touch their working sets
+//! through the same tenant batch loop as the SMP workloads.
 //!
 //! Determinism: all churn decisions come from one `SplitMix64` stream and
-//! every monitor operation is serial under both backends, so outcomes and
-//! metric snapshots are byte-identical across `--jobs` and across the
-//! deterministic/threaded backends (the access phases between lifecycles
-//! are the only parallel work, and those are per-hart-RNG pure).
+//! the run is the seeded serial interleaving, so outcomes and metric
+//! snapshots are byte-identical across `--jobs`.
 
 use hpmp_core::PmptwCache;
 use hpmp_machine::Machine;
@@ -38,7 +36,7 @@ use hpmp_penglai::{DegradeStage, DomainId, GmsLabel, MonitorError, SmpSystem, Te
 use hpmp_trace::{Snapshot, TraceSink};
 
 use crate::fixture::RAM_BASE;
-use crate::smp::{Harness, RunOptions, SmpTelemetry};
+use crate::smp::{Harness, RunOptions, SmpTelemetry, SmpTelemetrySpec};
 
 /// NAPOT RAM for the aging fleet: the monitor's 128 MiB floor, leaving a
 /// ~64 MiB region arena — small enough that a thousand-lifecycle churn
@@ -79,8 +77,8 @@ struct ChurnEnclave {
     immortal: bool,
 }
 
-/// Everything one aging run observed. `Eq` so the cross-backend
-/// conformance battery can compare runs outright.
+/// Everything one aging run observed. `Eq` so reruns can be compared
+/// outright.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AgingOutcome {
     /// Harts simulated.
@@ -130,7 +128,7 @@ fn draw_size(rng: &mut SplitMix64) -> u64 {
 
 /// Runs the aging campaign over pre-built machines (one per hart),
 /// returning the outcome, the merged snapshot, the per-hart sinks and the
-/// telemetry `options` asked for. With spans on, every monitor op opens a
+/// artifacts `telemetry` asked for. With spans on, every monitor op opens a
 /// span and each compaction pass emits a `compact` child span, so
 /// `hpmp-analyze profile --spans` can attribute degradation cycles; a
 /// timeline is sampled after every lifecycle op.
@@ -144,17 +142,17 @@ pub fn run_aging_with<S: TraceSink + Send>(
     flavor: TeeFlavor,
     seed: u64,
     spec: AgingSpec,
-    options: RunOptions,
+    telemetry: SmpTelemetrySpec,
 ) -> Result<(AgingOutcome, Snapshot, Vec<S>, SmpTelemetry), MonitorError> {
     let harts = machines.len();
     let ram = hpmp_core::PmpRegion::new(PhysAddr::new(RAM_BASE), AGING_RAM_SIZE);
+    let options = RunOptions::Deterministic(telemetry);
     let mut run = Harness::boot(machines, flavor, ram, spec.resident_pages, seed, options)?;
     // Pinned residents: live guest page tables make them immovable.
     for work in &mut run.works {
         run.smp.pin_domain(work.tenant.domain)?;
         work.rounds = 1;
     }
-    run.start();
 
     // All lifecycle decisions come from this one stream.
     let mut churn_rng = SplitMix64::seed_from_u64(seed ^ 0xA61C_E5EB_D5C3_A6E5);
@@ -168,7 +166,7 @@ pub fn run_aging_with<S: TraceSink + Send>(
     out.stage_path.push((0, stage.level()));
 
     for op in 0..spec.churn_ops {
-        // Parallel phase: residents touch their working sets.
+        // Access phase: residents touch their working sets.
         let (cycles, accesses) = run.epoch(spec.batch, 0);
         out.total_cycles += cycles;
         out.accesses += accesses;
@@ -337,8 +335,6 @@ fn probe_disagrees<S: TraceSink>(smp: &mut SmpSystem<S>, hart: u16, addr: PhysAd
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::smp::SmpTelemetrySpec;
-    use hpmp_machine::ExecBackend;
     use hpmp_memsim::CoreKind;
 
     /// Runs the aging campaign on fresh, untraced machines.
@@ -348,11 +344,10 @@ mod tests {
         harts: usize,
         seed: u64,
         spec: AgingSpec,
-        backend: ExecBackend,
     ) -> Result<(AgingOutcome, Snapshot), MonitorError> {
         let machines = (0..harts).map(|_| Machine::new(core.into())).collect();
         let (outcome, snapshot, _, _) =
-            run_aging_with(machines, flavor, seed, spec, backend.into())?;
+            run_aging_with(machines, flavor, seed, spec, SmpTelemetrySpec::default())?;
         Ok((outcome, snapshot))
     }
 
@@ -361,15 +356,8 @@ mod tests {
     #[test]
     fn aging_walks_the_whole_degradation_ladder() {
         let spec = AgingSpec::with_ops(DEFAULT_CHURN_OPS);
-        let (out, snap) = run_aging(
-            TeeFlavor::PenglaiHpmp,
-            CoreKind::Rocket,
-            2,
-            SEED,
-            spec,
-            ExecBackend::Deterministic,
-        )
-        .unwrap();
+        let (out, snap) =
+            run_aging(TeeFlavor::PenglaiHpmp, CoreKind::Rocket, 2, SEED, spec).unwrap();
         assert_eq!(out.max_stage, 3, "stage path: {:?}", out.stage_path);
         let levels: Vec<u8> = out.stage_path.iter().map(|&(_, s)| s).collect();
         for want in [1, 2, 3] {
@@ -386,43 +374,10 @@ mod tests {
     }
 
     #[test]
-    fn aging_is_byte_identical_across_backends() {
-        let spec = AgingSpec::with_ops(400);
-        let run = |backend| {
-            run_aging(
-                TeeFlavor::PenglaiHpmp,
-                CoreKind::Rocket,
-                2,
-                SEED,
-                spec,
-                backend,
-            )
-            .unwrap()
-        };
-        let (det, det_snap) = run(ExecBackend::Deterministic);
-        let (thr, thr_snap) = run(ExecBackend::Threaded);
-        assert_eq!(det, thr, "outcomes must agree across backends");
-        assert_eq!(
-            det_snap.to_json_versioned(),
-            thr_snap.to_json_versioned(),
-            "snapshots must be byte-identical across backends"
-        );
-    }
-
-    #[test]
     fn aging_seed_matters_and_reruns_reproduce() {
         let spec = AgingSpec::with_ops(200);
-        let run = |seed| {
-            run_aging(
-                TeeFlavor::PenglaiHpmp,
-                CoreKind::Rocket,
-                2,
-                seed,
-                spec,
-                ExecBackend::Deterministic,
-            )
-            .unwrap()
-        };
+        let run =
+            |seed| run_aging(TeeFlavor::PenglaiHpmp, CoreKind::Rocket, 2, seed, spec).unwrap();
         let (a, snap_a) = run(SEED);
         let (b, snap_b) = run(SEED);
         assert_eq!(a, b);
@@ -441,14 +396,8 @@ mod tests {
             snapshot_interval: None,
             span_capacity: Some(1 << 16),
         };
-        let (out, _, _, telemetry) = run_aging_with(
-            machines,
-            TeeFlavor::PenglaiHpmp,
-            SEED,
-            spec,
-            RunOptions::Deterministic(telemetry),
-        )
-        .unwrap();
+        let (out, _, _, telemetry) =
+            run_aging_with(machines, TeeFlavor::PenglaiHpmp, SEED, spec, telemetry).unwrap();
         let spans = telemetry.spans.expect("requested");
         let compact_cycles: u64 = spans
             .spans()
@@ -464,30 +413,16 @@ mod tests {
             .filter(|s| s.kind == hpmp_trace::SpanKind::Compact)
             .all(|s| s.parent.is_some()));
         // Collecting spans must not perturb the simulated run itself.
-        let (plain, _) = run_aging(
-            TeeFlavor::PenglaiHpmp,
-            CoreKind::Rocket,
-            2,
-            SEED,
-            spec,
-            ExecBackend::Deterministic,
-        )
-        .unwrap();
+        let (plain, _) =
+            run_aging(TeeFlavor::PenglaiHpmp, CoreKind::Rocket, 2, SEED, spec).unwrap();
         assert_eq!(out, plain, "span collection changed the run");
     }
 
     #[test]
     fn pmp_flavour_ages_into_the_entry_wall_not_the_table_stage() {
         let spec = AgingSpec::with_ops(400);
-        let (out, snap) = run_aging(
-            TeeFlavor::PenglaiPmp,
-            CoreKind::Rocket,
-            2,
-            SEED,
-            spec,
-            ExecBackend::Deterministic,
-        )
-        .unwrap();
+        let (out, snap) =
+            run_aging(TeeFlavor::PenglaiPmp, CoreKind::Rocket, 2, SEED, spec).unwrap();
         assert!(out.entry_wall_hits > 0, "PMP never hit its entry wall");
         assert_eq!(
             snap.value("monitor.degrade.enter_stage2"),

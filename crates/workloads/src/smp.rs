@@ -11,11 +11,11 @@
 //! keep coherent.
 //!
 //! One entry runs every shape: [`run_smp_with`] takes pre-built machines,
-//! flavour, seed, spec and a [`RunOptions`] value carrying the execution
-//! backend and the telemetry request. [`run_smp`] and [`run_smp_backend`]
-//! are thin wrappers over fresh, untraced machines. The aging campaign
-//! ([`crate::aging`]) boots, batches and finishes through the same
-//! harness.
+//! flavour, seed, spec and the [`SmpTelemetrySpec`] to record. [`run_smp`]
+//! is a thin wrapper over fresh, untraced machines, and
+//! [`run_smp_backend`] is the one entry that can select the threaded
+//! execution backend. The aging campaign ([`crate::aging`]) boots,
+//! batches and finishes through the same harness.
 //!
 //! Determinism: the hart interleaving comes from
 //! [`HartScheduler`] and each hart's access pattern from
@@ -205,13 +205,14 @@ pub struct SmpTelemetry {
     pub spans: Option<SpanCollector>,
 }
 
-/// How an SMP run executes and what it records beyond counters.
+/// How an SMP run executes. Only [`run_smp_backend`] selects
+/// [`RunOptions::Threaded`]; every other run is deterministic and records
+/// the telemetry its spec asks for.
 ///
 /// Timeline slices and spans live on the global simulated clock, which
-/// only advances serially, so a threaded run records counters only: no
-/// value of this type asks for both.
+/// only advances serially, so a threaded run records counters only.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RunOptions {
+pub(crate) enum RunOptions {
     /// The seeded single-threaded interleaver, recording the requested
     /// telemetry.
     Deterministic(SmpTelemetrySpec),
@@ -221,61 +222,11 @@ pub enum RunOptions {
     Threaded,
 }
 
-/// [`RunOptions::new`]'s refusal: telemetry was requested on the threaded
-/// backend.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ThreadedTelemetry;
-
-impl std::fmt::Display for ThreadedTelemetry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("time-resolved telemetry requires --backend deterministic")
-    }
-}
-
-impl std::error::Error for ThreadedTelemetry {}
-
 impl RunOptions {
-    /// Options for `backend` recording `telemetry`.
-    ///
-    /// # Errors
-    ///
-    /// [`ThreadedTelemetry`] if `backend` is threaded and `telemetry`
-    /// requests anything.
-    pub fn new(
-        backend: ExecBackend,
-        telemetry: SmpTelemetrySpec,
-    ) -> Result<RunOptions, ThreadedTelemetry> {
-        match backend {
-            ExecBackend::Deterministic => Ok(RunOptions::Deterministic(telemetry)),
-            ExecBackend::Threaded if telemetry == SmpTelemetrySpec::default() => {
-                Ok(RunOptions::Threaded)
-            }
-            ExecBackend::Threaded => Err(ThreadedTelemetry),
-        }
-    }
-
-    /// The execution backend.
-    pub fn backend(self) -> ExecBackend {
-        match self {
-            RunOptions::Deterministic(_) => ExecBackend::Deterministic,
-            RunOptions::Threaded => ExecBackend::Threaded,
-        }
-    }
-
     fn telemetry(self) -> SmpTelemetrySpec {
         match self {
             RunOptions::Deterministic(telemetry) => telemetry,
             RunOptions::Threaded => SmpTelemetrySpec::default(),
-        }
-    }
-}
-
-impl From<ExecBackend> for RunOptions {
-    /// Counters-only options for `backend`.
-    fn from(backend: ExecBackend) -> RunOptions {
-        match backend {
-            ExecBackend::Deterministic => RunOptions::Deterministic(SmpTelemetrySpec::default()),
-            ExecBackend::Threaded => RunOptions::Threaded,
         }
     }
 }
@@ -312,23 +263,19 @@ pub fn run_smp_backend(
     backend: ExecBackend,
 ) -> Result<(SmpOutcome, Snapshot), MonitorError> {
     let machines = (0..harts).map(|_| Machine::new(core.into())).collect();
-    let (outcome, snapshot, _, _) = run_smp_with(machines, flavor, seed, spec, backend.into())?;
+    let options = match backend {
+        ExecBackend::Deterministic => RunOptions::Deterministic(SmpTelemetrySpec::default()),
+        ExecBackend::Threaded => RunOptions::Threaded,
+    };
+    let (outcome, snapshot, _, _) = run_with(machines, flavor, seed, spec, options)?;
     Ok((outcome, snapshot))
 }
 
 /// Runs `spec` over pre-built machines (one per hart, e.g. each with its
-/// own trace sink). Returns the outcome, the merged metrics snapshot
-/// (`hart.<i>.*`, `smp.*`, `monitor.*`, `trace.*`), the per-hart sinks in
-/// hart order, and the telemetry `options` asked for.
-///
-/// The seeded interleaving is precomputed as a round plan and executed in
-/// *epochs*, each closed by one round's monitor ops (churn, then switch).
-/// The deterministic backend runs one round per epoch, so timeline
-/// boundaries are sampled every round. The threaded backend runs every
-/// round up to and including the next one with monitor ops as one
-/// parallel epoch: a round's accesses precede its monitor ops, each
-/// hart's access stream depends only on its own RNG and round count, and
-/// counters are order-independent sums, so the result is byte-identical.
+/// own trace sink) on the deterministic backend. Returns the outcome, the
+/// merged metrics snapshot (`hart.<i>.*`, `smp.*`, `monitor.*`,
+/// `trace.*`), the per-hart sinks in hart order, and the artifacts
+/// `telemetry` asked for.
 ///
 /// Telemetry is pure observation: apart from the `trace.*` accounting
 /// counters, outcome and snapshot equal the untraced run's, and both
@@ -338,6 +285,32 @@ pub fn run_smp_backend(
 ///
 /// Propagates monitor errors.
 pub fn run_smp_with<S: TraceSink + Send>(
+    machines: Vec<Machine<S>>,
+    flavor: TeeFlavor,
+    seed: u64,
+    spec: SmpWorkloadSpec,
+    telemetry: SmpTelemetrySpec,
+) -> Result<(SmpOutcome, Snapshot, Vec<S>, SmpTelemetry), MonitorError> {
+    run_with(
+        machines,
+        flavor,
+        seed,
+        spec,
+        RunOptions::Deterministic(telemetry),
+    )
+}
+
+/// [`run_smp_with`] on either backend.
+///
+/// The seeded interleaving is precomputed as a round plan and executed in
+/// *epochs*, each closed by one round's monitor ops (churn, then switch).
+/// The deterministic backend runs one round per epoch, so timeline
+/// boundaries are sampled every round. The threaded backend runs every
+/// round up to and including the next one with monitor ops as one
+/// parallel epoch: a round's accesses precede its monitor ops, each
+/// hart's access stream depends only on its own RNG and round count, and
+/// counters are order-independent sums, so the result is byte-identical.
+fn run_with<S: TraceSink + Send>(
     machines: Vec<Machine<S>>,
     flavor: TeeFlavor,
     seed: u64,
@@ -648,14 +621,8 @@ mod tests {
         let machines = (0..2)
             .map(|_| Machine::new(MachineConfig::rocket()))
             .collect();
-        let (_, snapshot, _, out) = run_smp_with(
-            machines,
-            TeeFlavor::PenglaiHpmp,
-            42,
-            spec,
-            RunOptions::Deterministic(telemetry),
-        )
-        .unwrap();
+        let (_, snapshot, _, out) =
+            run_smp_with(machines, TeeFlavor::PenglaiHpmp, 42, spec, telemetry).unwrap();
         let timeline = out.timeline.expect("requested");
         assert!(timeline.slices().len() > 1, "run spans several slices");
         assert_eq!(
@@ -677,14 +644,7 @@ mod tests {
             let machines = (0..2)
                 .map(|_| Machine::new(MachineConfig::rocket()))
                 .collect();
-            run_smp_with(
-                machines,
-                TeeFlavor::PenglaiHpmp,
-                42,
-                spec,
-                RunOptions::Deterministic(telemetry),
-            )
-            .unwrap()
+            run_smp_with(machines, TeeFlavor::PenglaiHpmp, 42, spec, telemetry).unwrap()
         };
         let telemetry = SmpTelemetrySpec {
             snapshot_interval: Some(25_000),
@@ -732,26 +692,6 @@ mod tests {
             det_snap.to_json_versioned(),
             thr_snap.to_json_versioned(),
             "merged counter snapshots must be byte-identical across backends"
-        );
-    }
-
-    #[test]
-    fn threaded_runs_refuse_telemetry_with_a_typed_error() {
-        let telemetry = SmpTelemetrySpec {
-            snapshot_interval: Some(25_000),
-            span_capacity: None,
-        };
-        assert_eq!(
-            RunOptions::new(ExecBackend::Threaded, telemetry),
-            Err(ThreadedTelemetry)
-        );
-        assert_eq!(
-            RunOptions::new(ExecBackend::Threaded, SmpTelemetrySpec::default()),
-            Ok(RunOptions::Threaded)
-        );
-        assert_eq!(
-            RunOptions::new(ExecBackend::Deterministic, telemetry),
-            Ok(RunOptions::Deterministic(telemetry))
         );
     }
 

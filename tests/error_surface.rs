@@ -12,7 +12,6 @@ use hpmp_suite::paging::MapError;
 use hpmp_suite::penglai::{DomainId, HintId, MonitorError, OsError, Pid};
 use hpmp_suite::trace::json::JsonError;
 use hpmp_suite::trace::ReadError;
-use hpmp_suite::workloads::smp::ThreadedTelemetry;
 
 fn assert_error<E: Error + Send + Sync + 'static>(e: E) {
     let msg = e.to_string();
@@ -87,8 +86,6 @@ fn all_public_errors_behave() {
         offset: 12,
         message: "unexpected end of input".into(),
     });
-
-    assert_error(ThreadedTelemetry);
 }
 
 #[test]

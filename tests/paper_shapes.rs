@@ -9,12 +9,13 @@
 use hpmp_bench::experiments::{Experiment, Outcome, Values};
 use hpmp_bench::run_ordered;
 use hpmp_suite::analyze::{EventRefs, PAPER_REFS};
-use hpmp_suite::machine::{ExecBackend, RefBreakdown, VirtRefBreakdown};
+use hpmp_suite::machine::{RefBreakdown, VirtRefBreakdown};
 use hpmp_suite::memsim::{AccessKind, CoreKind};
 use hpmp_suite::trace::NullSink;
 use hpmp_suite::workloads::frag::VaLayout;
 use hpmp_suite::workloads::latency::{TestCase, VirtCase};
 use hpmp_suite::workloads::lmbench::Syscall;
+use hpmp_suite::workloads::smp::SmpTelemetrySpec;
 use std::sync::OnceLock;
 
 /// One claim: where it comes from, what it says, what was measured and
@@ -184,6 +185,16 @@ fn claims(outcome: &Outcome) -> Vec<Claim> {
                     (0.75, 0.75),
                 ));
             }
+            let cells = |tc| case(tc).flat_map(|r| [r.pmpt, r.hpmp, r.pmp]);
+            rows.push(row(
+                "E2.tc3-deviation",
+                "known deviation: TC3 costs more than TC2 in 11 of the 12 (panel, scheme) cells; only Rocket ld PMPT falls",
+                cells(TestCase::Tc2)
+                    .zip(cells(TestCase::Tc3))
+                    .filter(|(tc2, tc3)| tc3 > tc2)
+                    .count() as f64,
+                (11.0, 11.0),
+            ));
         }
         Values::Syscalls(syscalls) => {
             let ratio = |i: usize, j: usize| -> Vec<f64> {
@@ -396,11 +407,10 @@ fn all_rows() -> &'static [Claim] {
             Experiment::Fig16,
             Experiment::Fig17,
         ];
-        let options = ExecBackend::Deterministic.into();
         let outcomes = run_ordered(
             experiments.len(),
             2,
-            |i| experiments[i].run(&mut NullSink, options),
+            |i| experiments[i].run(&mut NullSink, SmpTelemetrySpec::default()),
             |_| {},
         );
         let mut rows = Vec::new();

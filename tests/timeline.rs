@@ -10,9 +10,7 @@ use hpmp_suite::analyze::analyze_timeline;
 use hpmp_suite::machine::{Machine, MachineConfig};
 use hpmp_suite::penglai::TeeFlavor;
 use hpmp_suite::trace::{SpanStream, Timeline};
-use hpmp_suite::workloads::smp::{
-    run_smp_with, spec_for, RunOptions, SmpTelemetry, SmpTelemetrySpec,
-};
+use hpmp_suite::workloads::smp::{run_smp_with, spec_for, SmpTelemetry, SmpTelemetrySpec};
 
 const SEED: u64 = 0x4850_4d50;
 const HARTS: usize = 4;
@@ -27,14 +25,9 @@ fn run_traced() -> (hpmp_suite::trace::Snapshot, SmpTelemetry) {
         snapshot_interval: Some(INTERVAL),
         span_capacity: Some(SmpTelemetrySpec::DEFAULT_SPAN_CAPACITY),
     };
-    let (_, snapshot, _, telemetry) = run_smp_with(
-        machines,
-        TeeFlavor::PenglaiHpmp,
-        SEED,
-        spec,
-        RunOptions::Deterministic(telemetry_spec),
-    )
-    .expect("SMP workload");
+    let (_, snapshot, _, telemetry) =
+        run_smp_with(machines, TeeFlavor::PenglaiHpmp, SEED, spec, telemetry_spec)
+            .expect("SMP workload");
     (snapshot, telemetry)
 }
 
